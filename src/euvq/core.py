@@ -8,7 +8,7 @@ boundaries, so that no factor of 27.2 or 41.3 can hide inside a formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 HARTREE_PER_EV = 1.0 / 27.211386
 AU_TIME_PER_FS = 41.3414
@@ -288,7 +288,3 @@ def _spec_from_dict(cls, data: dict):
 def _spec_to_dict(spec) -> dict:
     return {name: getattr(spec, name) for name in spec.__dataclass_fields__}
 
-
-def with_overrides(spec, **kwargs):
-    """Return a copy of a frozen spec with the given fields replaced."""
-    return replace(spec, **kwargs)

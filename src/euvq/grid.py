@@ -3,8 +3,15 @@
 A periodic 1D (or small 3D) grid carries one or two electrons: ground state
 via an iterative eigensolver, dipole excitation by the centered position
 operator, a Gaussian energy filter (exact eigenbasis or Chebyshev polynomial),
-split-operator real-time propagation, a hard spherical continuum projector,
-and kinetic-energy histogram sampling in the momentum basis.
+real-time propagation, a hard spherical continuum projector, and
+kinetic-energy histogram sampling in the momentum basis.
+
+As in the qubitized circuit, the polynomial filter and exp(-iHt) are both
+Chebyshev series in (H - mid) / half_span, with [mid - half_span,
+mid + half_span] an interval that holds the spectrum of H, summed
+matrix-free by one Clenshaw recurrence. The propagator's coefficients are
+Bessel functions (the Jacobi-Anger expansion), so its degree is fixed in
+advance by a tail bound rather than found by refining a time step.
 
 Grid conventions: N points per dimension (power of two), spacing
 h = L / N, positions x_q = (q - N/2) h, momenta k = 2 pi fftfreq(N, h).
@@ -13,7 +20,6 @@ All FFTs are orthonormal so position/momentum norms match exactly.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 import warnings
@@ -26,6 +32,8 @@ from .core import NumericalError, ValidationError
 
 CHECKPOINT_MAGIC = b"EUVQCKPT"
 CHECKPOINT_VERSION = 1
+EVOLVE_TAIL = 1e-12            # bound on the dropped tail of the exp(-iHt) series
+MAX_SERIES_ARGUMENT = 1e6      # largest half_span * t evolve runs: about 1e6 H applications
 
 
 def _potential_from_config(kind: str, params: dict, x: np.ndarray) -> np.ndarray:
@@ -312,10 +320,26 @@ def gaussian_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
 
 
 def _spectral_bounds(model: GridModel) -> tuple[float, float]:
-    vmin = float(np.min(model.potential_grid()))
-    vmax = float(np.max(model.potential_grid()))
-    kmax = float(np.max(model.kinetic_grid()))
-    return vmin, vmax + kmax
+    """Centre and half-width of [min V, max V + max T], which holds the spectrum of H."""
+    lo = float(np.min(model.potential_grid()))
+    hi = float(np.max(model.potential_grid())) + float(np.max(model.kinetic_grid()))
+    return (hi + lo) / 2.0, (hi - lo) / 2.0
+
+
+def _chebyshev_series(model: GridModel, coeffs: np.ndarray, state: np.ndarray,
+                      mid: float, half_span: float) -> np.ndarray:
+    """Apply sum_k c_k T_k((H - mid) / half_span) to ``state`` by Clenshaw's recurrence."""
+    def apply_ht(v):
+        return (model.apply_hamiltonian(v) - mid * v) / half_span
+
+    psi = state.reshape(-1).astype(complex)
+    b_kp1 = np.zeros_like(psi)
+    b_kp2 = np.zeros_like(psi)
+    for c in coeffs[:0:-1]:
+        b_k = c * psi + 2.0 * apply_ht(b_kp1) - b_kp2
+        b_kp2, b_kp1 = b_kp1, b_k
+    out = coeffs[0] * psi + apply_ht(b_kp1) - b_kp2
+    return out.reshape(state.shape)
 
 
 def chebyshev_coefficients(func, degree: int) -> np.ndarray:
@@ -334,14 +358,28 @@ def chebyshev_coefficients(func, degree: int) -> np.ndarray:
     return coeffs
 
 
+def _sup_error(func, coeffs: np.ndarray) -> float:
+    """Largest deviation of a Chebyshev series from ``func`` over [-1, 1].
+
+    Taken on first-kind Chebyshev nodes: sixteen per interpolation node, so
+    the error between those nodes is resolved at any degree, never fewer
+    than 2001, and an odd count, so x = 0 is among them. A type-III cosine
+    transform of the zero-padded series gives its values there.
+    """
+    from scipy.fft import dct
+
+    m = max(2001, 16 * len(coeffs) + 1)
+    padded = np.zeros(m)
+    padded[:len(coeffs)] = coeffs
+    padded[1:] /= 2.0
+    xs = np.cos(math.pi * (np.arange(m) + 0.5) / m)
+    return float(np.max(np.abs(dct(padded, type=3) - func(xs))))
+
+
 def required_filter_degree(func, tolerance: float, max_degree: int = 20000) -> int:
     """Smallest Chebyshev degree whose sup error on [-1, 1] is below tolerance."""
-    xs = np.cos(math.pi * (np.arange(2001) + 0.5) / 2001)
-    target = func(xs)
-
     def sup_error(d):
-        coeffs = chebyshev_coefficients(func, d)
-        return float(np.max(np.abs(np.polynomial.chebyshev.chebval(xs, coeffs) - target)))
+        return _sup_error(func, chebyshev_coefficients(func, d))
 
     lo, hi = 1, 8
     while sup_error(hi) > tolerance:
@@ -359,9 +397,7 @@ def required_filter_degree(func, tolerance: float, max_degree: int = 20000) -> i
 
 def _chebyshev_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
                       ground_energy: float) -> np.ndarray:
-    lo, hi = _spectral_bounds(model)
-    half_span = (hi - lo) / 2.0
-    mid = (hi + lo) / 2.0
+    mid, half_span = _spectral_bounds(model)
 
     def gauss_rescaled(x):
         energy = x * half_span + mid - ground_energy
@@ -369,72 +405,69 @@ def _chebyshev_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
 
     degree = filt.poly_degree or required_filter_degree(gauss_rescaled, filt.poly_tolerance)
     coeffs = chebyshev_coefficients(gauss_rescaled, degree)
-    xs = np.cos(math.pi * (np.arange(2001) + 0.5) / 2001)
-    err = float(np.max(np.abs(np.polynomial.chebyshev.chebval(xs, coeffs)
-                              - gauss_rescaled(xs))))
+    err = _sup_error(gauss_rescaled, coeffs)
     if err > filt.poly_tolerance:
         needed = required_filter_degree(gauss_rescaled, filt.poly_tolerance)
         raise ValidationError(
             f"degree {degree} reaches sup error {err:.2e} > {filt.poly_tolerance}; "
             f"need degree >= {needed}")
-
-    # Clenshaw recurrence on the rescaled Hamiltonian
-    def apply_ht(v):
-        return (model.apply_hamiltonian(v) - mid * v) / half_span
-
-    psi = state.reshape(-1).astype(complex)
-    b_kp1 = np.zeros_like(psi)
-    b_kp2 = np.zeros_like(psi)
-    for c in coeffs[:0:-1]:
-        b_k = c * psi + 2.0 * apply_ht(b_kp1) - b_kp2
-        b_kp2, b_kp1 = b_kp1, b_k
-    out = coeffs[0] * psi + apply_ht(b_kp1) - b_kp2
-    return out.reshape(state.shape)
+    return _chebyshev_series(model, coeffs, state, mid, half_span)
 
 
-def evolve(model: GridModel, state: np.ndarray, t: float,
-           dt: float | None = None, tol: float = 1e-8,
-           max_refinements: int = 20) -> np.ndarray:
-    """Propagate by exp(-i H t) with Strang-split FFT steps.
+def jacobi_anger_bessel(a: float) -> np.ndarray:
+    """Bessel values J_0(a) .. J_K(a) of the truncated series for exp(-i a x).
 
-    When ``dt`` is not given, the step count is doubled until the
-    Richardson difference ||psi_n - psi_2n|| drops below ``tol``; raises once
-    the step underflows instead of converging.
+    On [-1, 1], exp(-i a x) = J_0(a) + 2 sum_{k>=1} (-i)^k J_k(a) T_k(x)
+    (Jacobi-Anger). The degree K is the smallest order above ``a`` with
+    2 sum_{k>K} |J_k(a)| <= EVOLVE_TAIL, which bounds the sup error of the
+    truncated series.
     """
+    from scipy.special import jv
+
+    # |J_k(a)| <= (a/2)^k / k! (DLMF 10.14.4). Past k = a each bound is under
+    # half the one before, so all orders above n add up to at most twice the
+    # bound at n + 1; n is taken where that remainder is negligible.
+    def log_bound(k):
+        return k * math.log(a / 2.0) - math.lgamma(k + 1)
+
+    first = math.floor(a) + 1
+    n = first
+    while log_bound(n + 1) > math.log(5e-4 * EVOLVE_TAIL):
+        n += 1
+    remainder = 2.0 * math.exp(log_bound(n + 1))
+    bessel = jv(np.arange(n + 1), a)
+    # above[K] = sum of |J_k(a)| over K < k <= n
+    above = np.append(np.cumsum(np.abs(bessel[::-1]))[::-1][1:], 0.0)
+    within = 2.0 * (above + remainder) <= EVOLVE_TAIL
+    degree = first + int(np.argmax(within[first:]))
+    return bessel[:degree + 1]
+
+
+def evolve(model: GridModel, state: np.ndarray, t: float) -> np.ndarray:
+    """Propagate by exp(-i H t) as a Chebyshev series in the rescaled Hamiltonian.
+
+    Writing H = mid + half_span x, exp(-iHt) = exp(-i mid t) sum_k
+    (2 - delta_k0) (-i)^k J_k(a) T_k(x) with a = half_span t (Tal-Ezer &
+    Kosloff, J. Chem. Phys. 81, 3967 (1984)). The series stops at the first
+    degree above a whose dropped tail is below EVOLVE_TAIL, so a run costs a
+    little over a applications of H and its accuracy does not depend on t.
+    """
+    if not math.isfinite(t):
+        raise ValidationError("t must be finite")
     if t < 0:
         raise ValidationError("t must be non-negative")
     if t == 0:
         return state.copy()
-    if dt is not None:
-        if dt <= 0:
-            raise ValidationError("dt must be positive")
-        steps = max(1, math.ceil(t / dt))
-        return _split_operator(model, state, t, steps)
-
-    steps = max(1, math.ceil(t / 0.1))
-    prev = _split_operator(model, state, t, steps)
-    for _ in range(max_refinements):
-        steps *= 2
-        if t / steps < 1e-12:
-            raise NumericalError("step underflow before reaching tolerance")
-        cur = _split_operator(model, state, t, steps)
-        if float(np.linalg.norm(cur - prev)) <= tol:
-            return cur
-        prev = cur
-    raise NumericalError(f"split-operator failed to reach {tol} in {max_refinements} refinements")
-
-
-def _split_operator(model: GridModel, state: np.ndarray, t: float, steps: int) -> np.ndarray:
-    dt = t / steps
-    v_half = np.exp(-0.5j * dt * model.potential_grid())
-    k_full = np.exp(-1j * dt * model.kinetic_grid())
-    psi = state.reshape(model.shape).astype(complex)
-    psi = v_half * psi
-    for step in range(steps):
-        psi = np.fft.ifftn(k_full * np.fft.fftn(psi, norm="ortho"), norm="ortho")
-        # merge consecutive half-steps except at the very end
-        psi = (v_half * v_half if step < steps - 1 else v_half) * psi
-    return psi.reshape(state.shape)
+    mid, half_span = _spectral_bounds(model)
+    if half_span * t > MAX_SERIES_ARGUMENT:
+        raise ValidationError(
+            f"t = {t:g} needs a series of degree above {MAX_SERIES_ARGUMENT:g}; shorten t")
+    bessel = jacobi_anger_bessel(half_span * t)
+    # (-i)^k from a table, free of the rounding a complex power would add
+    minus_i_power = np.array([1.0, -1j, -1.0, 1j])[np.arange(len(bessel)) % 4]
+    coeffs = 2.0 * minus_i_power * bessel
+    coeffs[0] /= 2.0
+    return np.exp(-1j * mid * t) * _chebyshev_series(model, coeffs, state, mid, half_span)
 
 
 def edge_density(model: GridModel, state: np.ndarray, cells: int = 2) -> float:
@@ -529,26 +562,21 @@ def kinetic_histogram(model: GridModel, state: np.ndarray, bins: np.ndarray,
         raise ValidationError("zero-norm state: projection failed upstream")
 
     amps = np.fft.fftn(psi, norm="ortho")
-    joint = (np.abs(amps) ** 2).reshape(-1) / norm2   # conditional distribution
     ke = kinetic_energies(model)
-
+    joint = (np.abs(amps) ** 2).reshape((len(ke),) * model.eta) / norm2  # conditional
     n_bins = len(edges) - 1
-    if model.eta == 1:
-        ke_per_particle = [ke]
-        joint_shape = (len(ke),)
-    else:
-        ke_per_particle = [ke, ke]
-        joint_shape = (len(ke), len(ke))
-    joint = joint.reshape(joint_shape)
+
+    def deposit(totals, energies, weights):
+        """Add ``weights`` to the bins holding ``energies``; energies past the edges drop."""
+        idx = np.searchsorted(edges, energies, side="right") - 1
+        valid = (idx >= 0) & (idx < n_bins) & (energies < edges[-1])
+        np.add.at(totals, idx[valid], np.broadcast_to(weights, energies.shape)[valid])
 
     # exact per-bin mass: average over particles of P(KE_i in bin)
     exact = np.zeros(n_bins)
-    for axis, ke_ax in enumerate(ke_per_particle):
-        marginal = joint.sum(axis=tuple(a for a in range(model.eta) if a != axis)) \
-            if model.eta > 1 else joint
-        idx = np.searchsorted(edges, ke_ax, side="right") - 1
-        valid = (idx >= 0) & (idx < n_bins) & (ke_ax < edges[-1])
-        np.add.at(exact, idx[valid], marginal[valid])
+    for axis in range(model.eta):
+        others = tuple(a for a in range(model.eta) if a != axis)
+        deposit(exact, ke, joint.sum(axis=others))
     exact /= model.eta
     mass = exact * norm2
 
@@ -559,17 +587,8 @@ def kinetic_histogram(model: GridModel, state: np.ndarray, bins: np.ndarray,
         flat = joint.reshape(-1)
         draws = rng.choice(len(flat), size=shots, p=flat / flat.sum())
         counts = np.zeros(n_bins)
-        if model.eta == 1:
-            ke_draws = ke[draws]
-            idx = np.searchsorted(edges, ke_draws, side="right") - 1
-            valid = (idx >= 0) & (idx < n_bins) & (ke_draws < edges[-1])
-            np.add.at(counts, idx[valid], 1.0)
-        else:
-            n1 = len(ke)
-            for ke_draws in (ke[draws // n1], ke[draws % n1]):
-                idx = np.searchsorted(edges, ke_draws, side="right") - 1
-                valid = (idx >= 0) & (idx < n_bins) & (ke_draws < edges[-1])
-                np.add.at(counts, idx[valid], 0.5)
+        for particle in np.unravel_index(draws, joint.shape):
+            deposit(counts, ke[particle], 1.0 / model.eta)
         freq = counts / shots
         sampled = freq * norm2
         stderr = norm2 * np.sqrt(np.maximum(freq * (1.0 - freq), 0.0) / shots)
@@ -590,7 +609,7 @@ def correlation_identity_check(model: GridModel, state: np.ndarray,
     projected, _ = continuum_project(model, state, r_cutoff)
     psi = projected.reshape(model.shape).astype(complex)
     amps = np.fft.fftn(psi, norm="ortho").reshape(-1)
-    ke = _configuration_kinetic(model)
+    ke = model.kinetic_grid().reshape(-1)
     worst = 0.0
     for tau in taus:
         phases = np.exp(-1j * ke * tau)
@@ -600,10 +619,6 @@ def correlation_identity_check(model: GridModel, state: np.ndarray,
         form_a = complex(np.vdot(psi, evolved))
         worst = max(worst, abs(form_a - form_b))
     return worst
-
-
-def _configuration_kinetic(model: GridModel) -> np.ndarray:
-    return model.kinetic_grid().reshape(-1)
 
 
 def save_checkpoint(path, model: GridModel, state: np.ndarray) -> None:
@@ -633,22 +648,3 @@ def load_checkpoint(path) -> tuple[dict, np.ndarray]:
     return ({"dims": dims, "eta": eta, "n_points": n_points,
              "box_length": box_length}, state.copy())
 
-
-def write_histogram_csv(path, hist: KineticHistogram) -> None:
-    """CSV columns (bin_lo_Ha, bin_hi_Ha, mass, stderr)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_lo_Ha", "bin_hi_Ha", "mass", "stderr"])
-        mass = hist.sampled_mass if hist.sampled_mass is not None else hist.mass
-        err = hist.stderr if hist.stderr is not None else np.zeros_like(mass)
-        for i in range(len(mass)):
-            writer.writerow([repr(float(hist.bin_edges[i])),
-                             repr(float(hist.bin_edges[i + 1])),
-                             repr(float(mass[i])), repr(float(err[i]))])
-
-
-def load_grid_config(path) -> GridModel:
-    with open(path) as fh:
-        return GridModel.from_config(json.load(fh))

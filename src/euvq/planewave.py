@@ -221,10 +221,6 @@ def dipole_block_encoding_cost(spec: PlaneWaveSpec) -> int:
             + 2 * _log2_ceil_inv(spec.epsilon_be))
 
 
-def dipole_subnormalization(spec: PlaneWaveSpec) -> float:
-    return spec.eta * 2.0**spec.n_bits
-
-
 def filter_cost(spec: PlaneWaveSpec, lam: float, c_sel: int, c_prep: int,
                 c_ref: int) -> float:
     """QSP cost of the Gaussian energy filter.

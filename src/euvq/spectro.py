@@ -14,8 +14,6 @@ Hadamard-test component is the real part of <Phi| G_t / beta |Phi>.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -338,11 +336,6 @@ def scene_from_dict(data: dict) -> SpectralScene:
     return make_scene(h, d)
 
 
-def load_scene(path) -> SpectralScene:
-    with open(path) as fh:
-        return scene_from_dict(json.load(fh))
-
-
 def spectrum_rows(scene: SpectralScene, omegas, gamma: float, tau: float,
                   j_max: int, shots: int, seed: int) -> list[dict]:
     """Cross-section columns (exact, time-domain, sampled) per frequency.
@@ -368,11 +361,3 @@ def spectrum_rows(scene: SpectralScene, omegas, gamma: float, tau: float,
         })
     return rows
 
-
-def write_spectrum_csv(path, rows: list[dict]) -> None:
-    fieldnames = ["omega_Ha", "sigma_exact", "sigma_td", "sigma_sampled", "stderr"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: repr(row[k]) for k in fieldnames})

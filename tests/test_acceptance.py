@@ -308,7 +308,7 @@ def _pipeline_state():
     filt = grid.FilterSpec(center=1.8, sigma=0.2, mode="ExactEigen")
     filtered, p_w = grid.gaussian_filter(model, filt, excited, e0)
     filtered /= np.linalg.norm(filtered)
-    moved = grid.evolve(model, filtered, 10.0, dt=0.02)
+    moved = grid.evolve(model, filtered, 10.0)
     projected, p_c = grid.continuum_project(model, moved, 10.0)
     return model, projected, p_c
 

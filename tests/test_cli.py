@@ -3,6 +3,9 @@
 import json
 import subprocess
 import sys
+from importlib import resources
+
+import pytest
 
 from euvq.cli import EX_NUMERICAL, EX_OK, EX_USAGE, EX_VALIDATION, main
 
@@ -156,6 +159,17 @@ def test_wraparound_flagged_invalid(tmp_path):
     path = tmp_path / "wrap.json"
     path.write_text(json.dumps(base))
     assert main(["emulate-photoemission", "--input", str(path)]) == EX_NUMERICAL
+
+
+@pytest.mark.parametrize("time", [float("nan"), float("inf"), 1e12])
+def test_unrunnable_time_exit_code(tmp_path, time):
+    # non-finite, or so long that exp(-iHt) needs more than 1e6 applications of H
+    fixture = resources.files("euvq").joinpath("fixtures", "grid_soft_coulomb_1d.json")
+    cfg = json.loads(fixture.read_text())
+    cfg["time"] = time
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["emulate-photoemission", "--input", str(path)]) == EX_VALIDATION
 
 
 def test_numerical_failure_exit_code(tmp_path):

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from euvq.core import NumericalError, ValidationError
+from euvq import planewave
+from euvq.core import NumericalError, PlaneWaveSpec, ValidationError
 from euvq.grid import (
+    EVOLVE_TAIL,
     FilterSpec,
     GridModel,
     apply_dipole,
+    chebyshev_coefficients,
     continuum_project,
     edge_density,
     correlation_identity_check,
@@ -17,6 +20,7 @@ from euvq.grid import (
     evolve,
     gaussian_filter,
     ground_state,
+    jacobi_anger_bessel,
     kinetic_histogram,
     load_checkpoint,
     required_filter_degree,
@@ -167,6 +171,17 @@ def test_filter_degree_scales_inversely_with_width():
     assert 1.6 <= d_narrow / d_wide <= 2.4
 
 
+def test_filter_degree_meets_tolerance_on_fine_grid():
+    # at degrees past 2000 a fixed 2001-node check misses the error between nodes
+    def target(x):
+        return np.exp(-((x - 0.2) ** 2) / (2 * 0.001**2))
+
+    degree = required_filter_degree(target, 1e-3)
+    xs = np.linspace(-1.0, 1.0, 50_001)
+    fit = np.polynomial.chebyshev.chebval(xs, chebyshev_coefficients(target, degree))
+    assert float(np.max(np.abs(fit - target(xs)))) <= 1e-3
+
+
 def test_sigma_from_fwhm():
     assert sigma_from_fwhm(2 * math.sqrt(2 * math.log(2))) == pytest.approx(1.0, rel=1e-12)
 
@@ -183,7 +198,7 @@ def test_evolve_free_momentum_eigenstate_phase():
     x = m.axis
     psi = np.exp(1j * k * x) / math.sqrt(64)
     t = 3.7
-    out = evolve(m, psi, t, dt=0.05)
+    out = evolve(m, psi, t)
     np.testing.assert_allclose(out, psi * np.exp(-1j * k**2 * t / 2), atol=1e-10)
 
 
@@ -211,6 +226,29 @@ def test_evolve_conserves_energy():
     before = energy(excited)
     after = energy(evolve(m, excited, 5.0))
     assert after == pytest.approx(before, abs=1e-8)
+
+
+def test_evolve_degree_law():
+    # series degree for exp(-i a x), a = lambda t with lambda the half-span,
+    # against the qubitized-evolution law 2 lambda t + 3 log2(12 / eps)
+    spec = dict(eta=1, lambda_zeta=1.0, omega_cell=1.0, n_bits=1,
+                epsilon_be=EVOLVE_TAIL, delta_filter=1.0)
+    for a in (100, 300, 1000, 3000):
+        degree = len(jacobi_anger_bessel(a)) - 1
+        predicted = planewave.time_evolution_cost(
+            PlaneWaveSpec(**spec, t_evolution=float(a)), 1.0, 1, 0, 0)
+        assert a < degree
+        assert max(predicted / degree, degree / predicted) <= 3.0
+
+
+def test_evolve_long_free_momentum_phase():
+    m = free_model(n=64, box=16.0)
+    k = m.k_axis[5]
+    psi = np.exp(1j * k * m.axis) / math.sqrt(64)
+    t = 60.0
+    assert float(np.max(m.kinetic_grid())) / 2 * t > 2000  # series argument a
+    out = evolve(m, psi, t)
+    np.testing.assert_allclose(out, psi * np.exp(-1j * k**2 * t / 2), atol=1e-10)
 
 
 def test_continuum_project_masks():
@@ -279,7 +317,7 @@ def test_kinetic_histogram_mass_equals_success():
     psi, e0 = ground_state(m)
     excited, norm = apply_dipole(m, psi)
     excited /= norm
-    moved = evolve(m, excited, 4.0, dt=0.02)
+    moved = evolve(m, excited, 4.0)
     projected, success = continuum_project(m, moved, 6.0)
     kmax = float(np.max(m.k_axis**2) / 2)
     edges = np.linspace(0.0, kmax * 1.001, 40)
@@ -332,7 +370,7 @@ def test_free_packet_ionization_monotone_pre_wrap():
     packet /= np.linalg.norm(packet)
     successes = []
     for t in (0.0, 4.0, 8.0, 12.0):
-        moved = evolve(m, packet, t, dt=0.05)
+        moved = evolve(m, packet, t)
         _, success = continuum_project(m, moved, 10.0)
         successes.append(success)
     assert all(b >= a - 1e-12 for a, b in zip(successes, successes[1:]))
@@ -375,7 +413,7 @@ def test_edge_density_flags_boundary_arrival():
     packet = np.exp(-(x**2) / (2 * 1.5**2) + 1j * 2.0 * x).astype(complex)
     packet /= np.linalg.norm(packet)
     assert edge_density(m, packet) < 1e-10
-    moved = evolve(m, packet, 16.0, dt=0.05)  # k*t = 32 > box/2
+    moved = evolve(m, packet, 16.0)  # k*t = 32 > box/2
     assert edge_density(m, moved) > 1e-6
 
 
@@ -418,7 +456,7 @@ def test_3d_evolve_free_eigenstate():
            * np.ones((n, n, n))).astype(complex)
     psi /= np.linalg.norm(psi)
     t = 2.3
-    out = evolve(m, psi.reshape(-1), t, dt=0.05)
+    out = evolve(m, psi.reshape(-1), t)
     phase = np.exp(-1j * (kx**2 + ky**2) * t / 2)
     np.testing.assert_allclose(out, (phase * psi).reshape(-1), atol=1e-10)
 
