@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import CONSTANTS, AbsorptionSpec, CostReport, ValidationError, format_sig3
+from .core import (CONSTANTS, AbsorptionSpec, CostReport, ValidationError, aligned_table,
+                   format_sig3)
 
 
 def rotation_cost(rot_bits: int) -> int:
@@ -159,12 +160,8 @@ def ancilla_budget(spec: AbsorptionSpec) -> list[tuple[str, int]]:
 
 def render_table(rows: list[tuple[AbsorptionSpec, CostReport]]) -> str:
     """Aligned text table with the published column layout."""
-    header = ("Number of Orbitals", "Qubits", "Gate Cost", "Overall Cost")
-    body = [(str(spec.n_orbitals), str(report.logical_qubits),
-             format_sig3(report.gates_per_circuit), format_sig3(report.overall_gates))
-            for spec, report in rows]
-    widths = [max(len(col), *(len(r[i]) for r in body)) for i, col in enumerate(header)]
-    lines = ["  ".join(col.ljust(widths[i]) for i, col in enumerate(header))]
-    for r in body:
-        lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(header))))
-    return "\n".join(lines) + "\n"
+    return aligned_table(
+        ("Number of Orbitals", "Qubits", "Gate Cost", "Overall Cost"),
+        [(str(spec.n_orbitals), str(report.logical_qubits),
+          format_sig3(report.gates_per_circuit), format_sig3(report.overall_gates))
+         for spec, report in rows])

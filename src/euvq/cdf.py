@@ -9,7 +9,6 @@ are further decomposed into at most N(N-1)/2 two-level Givens rotations.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,20 +40,6 @@ class TwoElectronTensor:
                             ((2, 3, 0, 1), "(rs|pq)")):
             if not np.allclose(v, v.transpose(perm), atol=SYMMETRY_TOL, rtol=0.0):
                 raise ValidationError(f"tensor violates {label} symmetry beyond {SYMMETRY_TOL}")
-
-    @classmethod
-    def from_file(cls, path) -> "TwoElectronTensor":
-        """Load from JSON {n_orbitals, values: flattened row-major array}."""
-        with open(path) as fh:
-            data = json.load(fh)
-        n = int(data["n_orbitals"])
-        values = np.asarray(data["values"], dtype=float).reshape(n, n, n, n)
-        return cls(n_orbitals=n, values=values)
-
-    def to_file(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({"n_orbitals": self.n_orbitals,
-                       "values": self.values.ravel().tolist()}, fh)
 
 
 @dataclass(frozen=True)
@@ -190,11 +175,3 @@ def givens_reconstruct(rotations: list[tuple[int, int, float]],
         out[i], out[j] = upper, lower
     return out
 
-
-def fragment_count_policy(spec, override: int | None = None) -> int:
-    """Number of factorization fragments: L = N unless explicitly overridden."""
-    if override is not None:
-        if override < 1:
-            raise ValidationError("fragment count override must be >= 1")
-        return override
-    return spec.n_orbitals

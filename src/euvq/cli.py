@@ -22,7 +22,8 @@ from importlib import resources
 import numpy as np
 
 from . import absorption, cdf, grid, planewave, qarith, spectro
-from .core import AbsorptionSpec, NumericalError, PlaneWaveSpec, ValidationError
+from .core import (REQUIRED, AbsorptionSpec, NumericalError, PlaneWaveSpec, ValidationError,
+                   read_dataclass, read_fields, read_numbers)
 
 logger = logging.getLogger("euvq")
 
@@ -70,19 +71,27 @@ def _load_json(path: str) -> dict:
         raise ValidationError(
             f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read input: {exc}") from exc
 
 
 def _emit(text: str, output_path: str | None) -> None:
-    if output_path:
-        with open(output_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if output_path:
+            with open(output_path, "w", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output: {exc}") from exc
 
 
-def _sweep(data: dict, spec_cls):
-    if "sweep" in data:
-        return [spec_cls.from_dict(entry) for entry in data["sweep"]]
+def _sweep(data, spec_cls):
+    if isinstance(data, dict) and "sweep" in data:
+        entries = read_fields(data, {"sweep": (list, REQUIRED)}, "sweep file")["sweep"]
+        if not entries:
+            raise ValidationError("sweep must hold at least one spec")
+        return [spec_cls.from_dict(entry) for entry in entries]
     return [spec_cls.from_dict(data)]
 
 
@@ -137,18 +146,18 @@ def run_estimate_photoemission(config: RunConfig) -> int:
 
 
 def run_emulate_absorption(config: RunConfig) -> int:
-    data = _load_json(resolve_input(config.input_path))
-    try:
-        scene = spectro.scene_from_dict(data["scene"])
-        gamma = float(data["gamma"])
-        tau = float(data["tau"])
-        j_max = int(data["j_max"])
-        shots = int(data.get("shots", 1000))
-        scan = data["omega"]
-        omegas = np.linspace(float(scan["min"]), float(scan["max"]), int(scan["points"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad emulate-absorption config: {exc}") from exc
-    rows = spectro.spectrum_rows(scene, omegas, gamma, tau, j_max, shots, config.seed)
+    cfg = read_fields(_load_json(resolve_input(config.input_path)), {
+        "scene": (dict, REQUIRED), "gamma": (float, REQUIRED), "tau": (float, REQUIRED),
+        "j_max": (int, REQUIRED), "shots": (int, 1000), "omega": (dict, REQUIRED),
+    }, "emulate-absorption config")
+    scene = spectro.scene_from_dict(cfg["scene"])
+    scan = read_fields(cfg["omega"], {"min": (float, REQUIRED), "max": (float, REQUIRED),
+                                      "points": (int, REQUIRED)}, "omega")
+    if scan["points"] < 1:
+        raise ValidationError("omega.points must be at least 1")
+    omegas = np.linspace(scan["min"], scan["max"], scan["points"])
+    rows = spectro.spectrum_rows(scene, omegas, cfg["gamma"], cfg["tau"], cfg["j_max"],
+                                 cfg["shots"], config.seed)
     body = [[repr(r["omega_Ha"]), repr(r["sigma_exact"]), repr(r["sigma_td"]),
              repr(r["sigma_sampled"]), repr(r["stderr"])] for r in rows]
     text = _report_rows_csv(
@@ -160,16 +169,18 @@ def run_emulate_absorption(config: RunConfig) -> int:
 
 
 def run_emulate_photoemission(config: RunConfig) -> int:
-    data = _load_json(resolve_input(config.input_path))
-    try:
-        model = grid.GridModel.from_config(data["model"])
-        filt_cfg = data.get("filter")
-        t = float(data.get("time", 0.0))
-        r_cutoff = float(data["r_cutoff"])
-        bins_cfg = data.get("bins", {"max": 2.0, "count": 20})
-        shots = int(data.get("shots", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad emulate-photoemission config: {exc}") from exc
+    cfg = read_fields(_load_json(resolve_input(config.input_path)), {
+        "model": (dict, REQUIRED), "filter": (dict, None), "time": (float, 0.0),
+        "r_cutoff": (float, REQUIRED), "bins": (dict, {"max": 2.0, "count": 20}),
+        "shots": (int, 0), "smooth_width": (float, None),
+    }, "emulate-photoemission config")
+    model = grid.GridModel.from_config(cfg["model"])
+    filt = None if cfg["filter"] is None else read_dataclass(grid.FilterSpec, cfg["filter"])
+    bins = read_fields(cfg["bins"], {"max": (float, REQUIRED), "count": (int, REQUIRED)}, "bins")
+    if not bins["max"] > 0 or bins["count"] < 1:
+        raise ValidationError("bins need max > 0 and count >= 1")
+    if cfg["shots"] < 0:
+        raise ValidationError("shots must be non-negative")
 
     psi, energy = grid.ground_state(model)
     logger.info("ground state energy %.6f Ha", energy)
@@ -177,28 +188,23 @@ def run_emulate_photoemission(config: RunConfig) -> int:
     if norm == 0.0:
         raise NumericalError("dipole annihilated the ground state")
     psi = psi / norm
-    if filt_cfg:
-        filt = grid.FilterSpec(
-            center=float(filt_cfg["center"]), sigma=float(filt_cfg["sigma"]),
-            poly_degree=int(filt_cfg.get("poly_degree", 0)),
-            mode=filt_cfg.get("mode", "ExactEigen"),
-            poly_tolerance=float(filt_cfg.get("poly_tolerance", 1e-3)))
+    if filt is not None:
         psi, p_w = grid.gaussian_filter(model, filt, psi, energy)
         logger.info("filter success probability %.3e", p_w)
         if np.linalg.norm(psi) == 0.0:
             raise NumericalError("filter annihilated the state")
         psi = psi / np.linalg.norm(psi)
-    psi = grid.evolve(model, psi, t)
+    psi = grid.evolve(model, psi, cfg["time"])
     leakage = grid.edge_density(model, psi)
     if leakage > 1e-6:
         raise NumericalError(
             f"edge density {leakage:.2e} > 1e-6: wavefunction reached the box "
             "boundary (periodic wrap-around); enlarge the box or shorten t")
-    projected, p_c = grid.continuum_project(model, psi, r_cutoff,
-                                            smooth_width=data.get("smooth_width"))
+    projected, p_c = grid.continuum_project(model, psi, cfg["r_cutoff"],
+                                            smooth_width=cfg["smooth_width"])
     logger.info("continuum success probability %.3e", p_c)
-    edges = np.linspace(0.0, float(bins_cfg["max"]), int(bins_cfg["count"]) + 1)
-    hist = grid.kinetic_histogram(model, projected, edges, shots=shots,
+    edges = np.linspace(0.0, bins["max"], bins["count"] + 1)
+    hist = grid.kinetic_histogram(model, projected, edges, shots=cfg["shots"],
                                   seed=config.seed)
     if config.format == "json":
         payload = {
@@ -221,15 +227,15 @@ def run_emulate_photoemission(config: RunConfig) -> int:
 
 
 def run_cdf(config: RunConfig) -> int:
-    path = resolve_input(config.input_path)
-    data = _load_json(path)
-    try:
-        n = int(data["n_orbitals"])
-        values = np.asarray(data["values"], dtype=float).reshape(n, n, n, n)
-        l_max = int(data.get("l_max", n))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad tensor file: {exc}") from exc
-    tensor = cdf.TwoElectronTensor(n_orbitals=n, values=values)
+    cfg = read_fields(_load_json(resolve_input(config.input_path)), {
+        "n_orbitals": (int, REQUIRED), "values": (list, REQUIRED), "l_max": (int, None),
+    }, "tensor file")
+    n = cfg["n_orbitals"]
+    if n < 1:
+        raise ValidationError("n_orbitals must be at least 1")
+    tensor = cdf.TwoElectronTensor(
+        n_orbitals=n, values=read_numbers(cfg["values"], (n,) * 4, "tensor values"))
+    l_max = n if cfg["l_max"] is None else cfg["l_max"]
     fact = cdf.double_factorize(tensor, l_max)
     rotations = [cdf.givens_decompose(u) for u, _ in fact.fragments]
     payload = {

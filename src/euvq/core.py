@@ -1,4 +1,6 @@
-"""Shared domain types, physical constants, and unit conversions.
+"""Shared domain types, physical constants, unit conversions, and the input reader.
+
+Every JSON input field is type-checked once, by :func:`read_fields` or :func:`read_numbers`.
 
 All internal energies are in Hartree, times in atomic units, lengths in
 Bohr. Conversions to/from eV and femtoseconds happen only at input/output
@@ -7,14 +9,17 @@ boundaries, so that no factor of 27.2 or 41.3 can hide inside a formula.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
-from dataclasses import dataclass, field
+import sys
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
 HARTREE_PER_EV = 1.0 / 27.211386
 AU_TIME_PER_FS = 41.3414
 SPEED_OF_LIGHT_AU = 137.036
 EUV_OMEGA_HA = 3.38  # 92 eV operating frequency in Hartree
-BOHR_PER_ANGSTROM = 1.8897259886
 
 
 class ValidationError(ValueError):
@@ -79,20 +84,6 @@ def au_to_fs(time_au: float) -> float:
     return time_au / AU_TIME_PER_FS
 
 
-def angstrom_to_bohr(length_angstrom: float) -> float:
-    """Convert a length in Angstrom to Bohr (cell-size unit override)."""
-    if not math.isfinite(length_angstrom):
-        raise ValidationError("length must be finite")
-    return length_angstrom * BOHR_PER_ANGSTROM
-
-
-def bohr_to_angstrom(length_bohr: float) -> float:
-    """Convert a length in Bohr to Angstrom."""
-    if not math.isfinite(length_bohr):
-        raise ValidationError("length must be finite")
-    return length_bohr / BOHR_PER_ANGSTROM
-
-
 def format_sig3(value: float) -> str:
     """Render a gate count with 3 significant figures, round-half-up.
 
@@ -113,6 +104,13 @@ def format_sig3(value: float) -> str:
         out = mant * 10.0**exp
         return f"{out:.4g}"
     return f"{mant:.2f}e{exp}"
+
+
+def aligned_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
+    """Text table: the header line, then one line per row, cells left-aligned two spaces apart."""
+    widths = [max([len(col), *(len(row[i]) for row in rows)]) for i, col in enumerate(header)]
+    return "".join("  ".join(cell.ljust(width) for cell, width in zip(line, widths)) + "\n"
+                   for line in (header, *rows))
 
 
 @dataclass(frozen=True)
@@ -205,7 +203,7 @@ class AbsorptionSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AbsorptionSpec":
-        return _spec_from_dict(cls, data)
+        return read_dataclass(cls, data)
 
     def to_dict(self) -> dict:
         return _spec_to_dict(self)
@@ -266,25 +264,86 @@ class PlaneWaveSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlaneWaveSpec":
-        return _spec_from_dict(cls, data)
+        return read_dataclass(cls, data)
 
     def to_dict(self) -> dict:
         return _spec_to_dict(self)
 
 
-def _spec_from_dict(cls, data: dict):
+REQUIRED = object()  # the default of a field that must be present
+
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
+               bool: "true or false", dict: "an object", list: "a list"}
+
+
+def _is_kind(value, kind) -> bool:
+    if kind in (int, float) and isinstance(value, bool):
+        return False
+    if kind is float:
+        # the bound turns away NaN, infinities and integers too large to become a float
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def read_fields(data, spec: dict, where: str) -> dict:
+    """Check the JSON object ``data`` against ``spec``; return its fields, defaults filled in.
+
+    ``spec`` maps each name to ``(kind, default)``, kind one of int, float,
+    str, bool, dict or list. An int never takes a boolean; a float takes any
+    finite number, integers included and unconverted. null is accepted only
+    where the default is None; a default of REQUIRED makes the field
+    mandatory. Errors name the field and ``where``, the object it sits in.
+    """
     if not isinstance(data, dict):
-        raise ValidationError(f"{cls.__name__} input must be a JSON object")
-    fields = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    unknown = set(data) - fields
+        raise ValidationError(f"{where} must be a JSON object")
+    unknown = sorted(set(data) - set(spec))
     if unknown:
-        raise ValidationError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ValidationError(f"bad {cls.__name__}: {exc}") from exc
+        raise ValidationError(f"unknown field(s) {unknown} in {where}")
+    out = {}
+    for name, (kind, default) in spec.items():
+        if name not in data:
+            if default is REQUIRED:
+                raise ValidationError(f"missing field '{name}' in {where}")
+            out[name] = default
+            continue
+        value = data[name]
+        if not (_is_kind(value, kind) or (value is None and default is None)):
+            raise ValidationError(
+                f"field '{name}' in {where} must be {_KIND_NAMES[kind]}, got {value!r:.40}")
+        out[name] = value
+    return out
+
+
+def read_numbers(value, shape: tuple[int, ...], where: str):
+    """A flat JSON list of finite numbers as a float array of ``shape``, filled row-major."""
+    import numpy as np
+
+    size = math.prod(shape)
+    array = None
+    if isinstance(value, list) and len(value) == size and set(map(type, value)) <= {int, float}:
+        with contextlib.suppress(OverflowError):  # an integer too large to become a float
+            array = np.asarray(value, dtype=float)
+    if array is None or not np.isfinite(array).all():
+        raise ValidationError(f"{where} must be a list of {size} finite numbers")
+    return array.reshape(shape)
+
+
+@functools.cache
+def _field_spec(cls) -> dict:
+    """``read_fields`` spec of a dataclass: kinds from its annotations, defaults from its fields."""
+    hints = typing.get_type_hints(cls)
+    spec = {}
+    for f in fields(cls):
+        kinds = [k for k in typing.get_args(hints[f.name]) or (hints[f.name],)
+                 if k is not type(None)]
+        spec[f.name] = (kinds[0], REQUIRED if f.default is MISSING else f.default)
+    return spec
+
+
+def read_dataclass(cls, data):
+    """Build the dataclass ``cls`` from a JSON object through :func:`read_fields`."""
+    return cls(**read_fields(data, _field_spec(cls), cls.__name__))
 
 
 def _spec_to_dict(spec) -> dict:
     return {name: getattr(spec, name) for name in spec.__dataclass_fields__}
-

@@ -21,43 +21,44 @@ All FFTs are orthonormal so position/momentum norms match exactly.
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .core import NumericalError, ValidationError
+from .core import REQUIRED, NumericalError, ValidationError, read_fields, read_numbers
 
-CHECKPOINT_MAGIC = b"EUVQCKPT"
-CHECKPOINT_VERSION = 1
 EVOLVE_TAIL = 1e-12            # bound on the dropped tail of the exp(-iHt) series
 MAX_SERIES_ARGUMENT = 1e6      # largest half_span * t evolve runs: about 1e6 H applications
 
 
-def _potential_from_config(kind: str, params: dict, x: np.ndarray) -> np.ndarray:
+def _potential_from_config(data, x: np.ndarray) -> np.ndarray:
+    pot = read_fields(data, {"kind": (str, "zero"), "params": (dict, {})}, "model.potential")
+    kind, params = pot["kind"], pot["params"]
+    where = f"{kind} potential params"
     if kind == "zero":
+        read_fields(params, {}, where)
         return np.zeros_like(x)
     if kind == "soft_coulomb":
-        z = float(params.get("z", 1.0))
-        a = float(params.get("a", 1.0))
-        center = float(params.get("center", 0.0))
-        return -z / np.sqrt((x - center) ** 2 + a**2)
+        p = read_fields(params, {"z": (float, 1.0), "a": (float, 1.0), "center": (float, 0.0)},
+                        where)
+        return -p["z"] / np.sqrt((x - p["center"]) ** 2 + p["a"] ** 2)
     if kind == "gaussian_well":
-        v0 = float(params.get("v0", 1.0))
-        sigma = float(params.get("sigma", 1.0))
-        center = float(params.get("center", 0.0))
-        return -v0 * np.exp(-((x - center) ** 2) / (2.0 * sigma**2))
+        p = read_fields(params, {"v0": (float, 1.0), "sigma": (float, 1.0),
+                                 "center": (float, 0.0)}, where)
+        return -p["v0"] * np.exp(-((x - p["center"]) ** 2) / (2.0 * p["sigma"] ** 2))
     if kind == "harmonic":
-        k = float(params.get("k", 1.0))
-        return 0.5 * k * x**2
+        return 0.5 * read_fields(params, {"k": (float, 1.0)}, where)["k"] * x**2
     if kind == "samples":
-        v = np.asarray(params["values"], dtype=float)
-        if v.shape != x.shape:
-            raise ValidationError("sampled potential length != grid size")
-        return v
+        values = read_fields(params, {"values": (list, REQUIRED)}, where)["values"]
+        return read_numbers(values, x.shape, "samples potential values")
     raise ValidationError(f"unknown potential kind '{kind}'")
+
+
+def _check_n_points(n: int) -> None:
+    if n < 2 or n & (n - 1) or n > 2**20:
+        raise ValidationError("n_points must be a power of two from 2 to 2^20")
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,7 @@ class GridModel:
         if self.eta not in (1, 2):
             raise ValidationError("eta must be 1 or 2 at desk scale")
         n = self.n_points
-        if n < 2 or n & (n - 1):
-            raise ValidationError("n_points must be a power of two >= 2")
+        _check_n_points(n)
         if self.box_length <= 0:
             raise ValidationError("box_length must be positive")
         v = np.asarray(self.potential, dtype=float)
@@ -148,21 +148,16 @@ class GridModel:
 
     @classmethod
     def from_config(cls, data: dict) -> "GridModel":
-        """Build from JSON {dims, n_points, box_length, potential: {kind, params}, eta}."""
-        try:
-            dims = int(data.get("dims", 1))
-            n = int(data["n_points"])
-            box = float(data["box_length"])
-            pot_cfg = data.get("potential", {"kind": "zero"})
-            eta = int(data.get("eta", 1))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad grid config: {exc}") from exc
-        x = (np.arange(n) - n // 2) * (box / n)
-        v = _potential_from_config(pot_cfg.get("kind", "zero"),
-                                   pot_cfg.get("params", {}), x)
-        return cls(dims=dims, n_points=n, box_length=box, potential=v, eta=eta,
-                   interaction_strength=float(data.get("interaction_strength", 0.0)),
-                   interaction_softening=float(data.get("interaction_softening", 1.0)))
+        """Build from JSON {dims, n_points, box_length, potential: {kind, params}, eta, ...}."""
+        cfg = read_fields(data, {
+            "dims": (int, 1), "n_points": (int, REQUIRED), "box_length": (float, REQUIRED),
+            "potential": (dict, {"kind": "zero"}), "eta": (int, 1),
+            "interaction_strength": (float, 0.0), "interaction_softening": (float, 1.0),
+        }, "model")
+        n = cfg["n_points"]
+        _check_n_points(n)  # the axis is sampled, and divided by n, before the model exists
+        x = (np.arange(n) - n // 2) * (cfg["box_length"] / n)
+        return cls(potential=_potential_from_config(cfg.pop("potential"), x), **cfg)
 
 
 @dataclass(frozen=True)
@@ -178,15 +173,12 @@ class FilterSpec:
     def __post_init__(self) -> None:
         if self.sigma <= 0:
             raise ValidationError("sigma must be positive")
+        if self.poly_degree < 0:
+            raise ValidationError("poly_degree must be non-negative")
         if self.mode not in ("ExactEigen", "ChebyshevPoly"):
             raise ValidationError("mode must be ExactEigen or ChebyshevPoly")
         if self.poly_tolerance <= 0:
             raise ValidationError("poly_tolerance must be positive")
-
-
-def sigma_from_fwhm(fwhm: float) -> float:
-    """Gaussian standard deviation from full width at half maximum."""
-    return fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
 @dataclass(frozen=True)
@@ -493,11 +485,6 @@ def _radius_values_1particle(model: GridModel) -> np.ndarray:
                    + x[None, None, :] ** 2)
 
 
-def bound_mask_1particle(model: GridModel, r_cutoff: float) -> np.ndarray:
-    """Boolean mask of per-particle grid points with ||r|| < r_cutoff."""
-    return _radius_values_1particle(model) < r_cutoff
-
-
 def continuum_project(model: GridModel, state: np.ndarray, r_cutoff: float,
                       smooth_width: float | None = None
                       ) -> tuple[np.ndarray, float]:
@@ -619,32 +606,4 @@ def correlation_identity_check(model: GridModel, state: np.ndarray,
         form_a = complex(np.vdot(psi, evolved))
         worst = max(worst, abs(form_a - form_b))
     return worst
-
-
-def save_checkpoint(path, model: GridModel, state: np.ndarray) -> None:
-    """Raw binary checkpoint: 8-byte magic, version byte, header, complex128 payload."""
-    psi = np.ascontiguousarray(state.reshape(-1), dtype=complex)
-    header = struct.pack("<BBIId", model.dims, model.eta, model.n_points,
-                         len(psi), model.box_length)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(bytes([CHECKPOINT_VERSION]))
-        fh.write(header)
-        fh.write(psi.tobytes())
-
-
-def load_checkpoint(path) -> tuple[dict, np.ndarray]:
-    """Read a checkpoint; returns (header dict, state vector)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValidationError("bad checkpoint magic")
-        version = fh.read(1)[0]
-        if version != CHECKPOINT_VERSION:
-            raise ValidationError(f"unsupported checkpoint version {version}")
-        dims, eta, n_points, size, box_length = struct.unpack("<BBIId", fh.read(18))
-        payload = fh.read(size * 16)
-        state = np.frombuffer(payload, dtype=complex, count=size)
-    return ({"dims": dims, "eta": eta, "n_points": n_points,
-             "box_length": box_length}, state.copy())
 

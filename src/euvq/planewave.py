@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AU_TIME_PER_FS, CostReport, PlaneWaveSpec, ValidationError, format_sig3
+from .core import (AU_TIME_PER_FS, CostReport, PlaneWaveSpec, ValidationError, aligned_table,
+                   format_sig3)
 
 # Dimensionless prefactors in lambda_U = k_U * eta * lambda_zeta * 2^n / L and
 # lambda_V = k_V * eta^2 * 2^n / L, anchored so that the published one-norms
@@ -297,14 +298,8 @@ def photoemission_cost(spec: PlaneWaveSpec,
 
 def render_table(rows: list[tuple[str, PlaneWaveSpec, CostReport]]) -> str:
     """Aligned text table with the published column layout."""
-    header = ("Method", "Basis Size", "Time (fs)", "Qubits", "Gate Cost", "Overall Cost")
-    body = []
-    for label, spec, report in rows:
-        body.append((label, f"2^{spec.n_bits}", f"{spec.t_evolution / AU_TIME_PER_FS:g}",
-                     str(report.logical_qubits), format_sig3(report.gates_per_circuit),
-                     format_sig3(report.overall_gates)))
-    widths = [max(len(col), *(len(r[i]) for r in body)) for i, col in enumerate(header)]
-    lines = ["  ".join(col.ljust(widths[i]) for i, col in enumerate(header))]
-    for r in body:
-        lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(header))))
-    return "\n".join(lines) + "\n"
+    return aligned_table(
+        ("Method", "Basis Size", "Time (fs)", "Qubits", "Gate Cost", "Overall Cost"),
+        [(label, f"2^{spec.n_bits}", f"{spec.t_evolution / AU_TIME_PER_FS:g}",
+          str(report.logical_qubits), format_sig3(report.gates_per_circuit),
+          format_sig3(report.overall_gates)) for label, spec, report in rows])

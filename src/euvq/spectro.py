@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import CONSTANTS, ValidationError
+from .core import CONSTANTS, REQUIRED, ValidationError, read_fields, read_numbers
 
 HERMITICITY_TOL = 1e-12
 EIGENPAIR_TOL = 1e-9
@@ -312,24 +312,28 @@ def scene_to_dict(scene: SpectralScene) -> dict:
 
 def scene_from_dict(data: dict) -> SpectralScene:
     """Parse {dim, hamiltonian: {re, im}, dipole: {re, im}, optional ground_state}."""
-    try:
-        dim = int(data["dim"])
+    scene = read_fields(data, {"dim": (int, REQUIRED), "hamiltonian": (dict, REQUIRED),
+                               "dipole": (dict, REQUIRED), "ground_state": (dict, None)},
+                        "scene")
+    dim = scene["dim"]
+    if dim < 1:
+        raise ValidationError("scene dim must be at least 1")
 
-        def join(entry, shape):
-            re = np.asarray(entry["re"], dtype=float).reshape(shape)
-            im = np.asarray(entry.get("im", np.zeros_like(re).tolist()),
-                            dtype=float).reshape(shape)
-            return re + 1j * im
+    def join(name, shape):
+        entry = read_fields(scene[name], {"re": (list, REQUIRED), "im": (list, None)},
+                            f"scene.{name}")
+        re = read_numbers(entry["re"], shape, f"scene.{name}.re")
+        if entry["im"] is None:
+            return re + 0j
+        return re + 1j * read_numbers(entry["im"], shape, f"scene.{name}.im")
 
-        h = join(data["hamiltonian"], (dim, dim))
-        d = join(data["dipole"], (dim, dim))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad scene file: {exc}") from exc
+    h = join("hamiltonian", (dim, dim))
+    d = join("dipole", (dim, dim))
     for name, mat in (("hamiltonian", h), ("dipole", d)):
         if not np.allclose(mat, mat.conj().T, atol=HERMITICITY_TOL, rtol=0.0):
             raise ValidationError(f"scene {name} is not Hermitian")
-    if "ground_state" in data:
-        psi = join(data["ground_state"], (dim,))
+    if scene["ground_state"] is not None:
+        psi = join("ground_state", (dim,))
         energy = float(np.real(psi.conj() @ h @ psi))
         return SpectralScene(dim=dim, hamiltonian=h, dipole=d,
                              ground_state=psi, ground_energy=energy)

@@ -8,12 +8,11 @@ from euvq.cdf import (
     TwoElectronTensor,
     double_factorize,
     factorize_one_body,
-    fragment_count_policy,
     givens_decompose,
     givens_reconstruct,
     givens_signs,
 )
-from euvq.core import AbsorptionSpec, ValidationError
+from euvq.core import ValidationError
 
 
 def random_symmetric_tensor(n, seed):
@@ -137,24 +136,6 @@ def test_givens_reconstruction_oracle(n, seed):
 def test_givens_rejects_non_orthogonal():
     with pytest.raises(ValidationError):
         givens_decompose(np.ones((3, 3)))
-
-
-@pytest.mark.parametrize("n, expected", [(22, 22), (50, 50), (1, 1)])
-def test_fragment_count_policy(n, expected):
-    spec = AbsorptionSpec(n_orbitals=n, l_fragments=n, gamma=0.03, spectral_norm=4.0,
-                          j_max=10, tau=0.4, y3_magnitude=10.0, dipole_norm=6.25,
-                          epsilon=0.1)
-    assert fragment_count_policy(spec) == expected
-    assert fragment_count_policy(spec, override=7) == 7
-
-
-def test_tensor_file_round_trip(tmp_path):
-    tensor = random_symmetric_tensor(3, 31)
-    path = tmp_path / "tensor.json"
-    tensor.to_file(path)
-    loaded = TwoElectronTensor.from_file(path)
-    assert loaded.n_orbitals == 3
-    np.testing.assert_allclose(loaded.values, tensor.values)
 
 
 def test_factorization_type_exposed():

@@ -68,6 +68,30 @@ def test_determinism_byte_identical(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate-absorption", "--input", "table1.json"],
+    ["estimate-photoemission", "--input", "table2_ae.json"],
+    ["emulate-absorption", "--input", "scene_two_level.json"],
+    ["emulate-photoemission", "--input", "grid_soft_coulomb_1d.json"],
+    ["cdf", "--input", "tensor_random4.json"],
+    ["arith-verify"],
+], ids=lambda argv: argv[0])
+def test_every_subcommand_repeats_byte_identical(tmp_path, argv):
+    outputs = []
+    for run in range(2):
+        path = tmp_path / f"run{run}.json"
+        assert main([*argv, "--seed", "11", "--format", "json", "--output", str(path)]) == EX_OK
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("target", ["missing_dir/out.csv", "."])
+def test_unwritable_output_exit_code(tmp_path, capsys, target):
+    code = main(["arith-verify", "--output", str(tmp_path / target)])
+    assert code == EX_VALIDATION
+    assert "cannot write output" in capsys.readouterr().err
+
+
 def test_cdf_command(tmp_path):
     out = tmp_path / "cdf.json"
     assert main(["cdf", "--input", "tensor_random4.json",

@@ -6,6 +6,7 @@ import pytest
 
 from euvq.core import (
     CONSTANTS,
+    REQUIRED,
     AbsorptionSpec,
     CostReport,
     PhysicalConstants,
@@ -15,6 +16,8 @@ from euvq.core import (
     format_sig3,
     fs_to_au,
     hartree_to_ev,
+    read_fields,
+    read_numbers,
 )
 
 
@@ -36,14 +39,6 @@ def test_round_trip_energy_and_time():
     for value in (1e-6, 0.0676, 3.38, 92.0, 1215.0):
         assert hartree_to_ev(ev_to_hartree(value)) == pytest.approx(value, rel=1e-12)
         assert au_to_fs(fs_to_au(value)) == pytest.approx(value, rel=1e-12)
-
-
-def test_angstrom_override():
-    from euvq.core import angstrom_to_bohr, bohr_to_angstrom
-
-    # the 200-Angstrom reading of the cell side, available as an override
-    assert angstrom_to_bohr(200.0) == pytest.approx(377.945, abs=1e-2)
-    assert bohr_to_angstrom(angstrom_to_bohr(3.7)) == pytest.approx(3.7, rel=1e-12)
 
 
 def test_constants_invariants():
@@ -102,3 +97,50 @@ def test_spec_round_trip():
                           spectral_norm=4.0, j_max=200, tau=math.pi / 8,
                           y3_magnitude=10.0, dipole_norm=6.25, epsilon=0.1)
     assert AbsorptionSpec.from_dict(spec.to_dict()) == spec
+
+
+@pytest.mark.parametrize("kind, value, ok", [
+    (int, 3, True), (int, 3.0, False), (int, True, False), (int, "3", False),
+    (float, 3, True), (float, 2.5, True), (float, False, False), (float, "2.5", False),
+    (float, math.nan, False), (float, -math.inf, False), (float, 10**400, False),
+    (str, "a", True), (str, 1, False), (bool, False, True), (bool, 0, False),
+    (dict, {}, True), (dict, [], False), (list, [], True), (list, {}, False),
+])
+def test_read_fields_kinds(kind, value, ok):
+    spec = {"x": (kind, REQUIRED)}
+    if ok:
+        assert read_fields({"x": value}, spec, "obj")["x"] is value  # passed on unconverted
+    else:
+        with pytest.raises(ValidationError, match="field 'x' in obj"):
+            read_fields({"x": value}, spec, "obj")
+
+
+def test_read_fields_presence_and_null():
+    spec = {"a": (float, REQUIRED), "b": (int, 7), "c": (float, None)}
+    assert read_fields({"a": 1.5}, spec, "obj") == {"a": 1.5, "b": 7, "c": None}
+    assert read_fields({"a": 1.5, "c": None}, spec, "obj")["c"] is None
+    with pytest.raises(ValidationError, match="missing field 'a' in obj"):
+        read_fields({}, spec, "obj")
+    with pytest.raises(ValidationError, match="'b' in obj"):
+        read_fields({"a": 1.5, "b": None}, spec, "obj")  # null only where the default is None
+    with pytest.raises(ValidationError, match=r"unknown field\(s\) \['d'\] in obj"):
+        read_fields({"a": 1.5, "d": 0}, spec, "obj")
+    with pytest.raises(ValidationError, match="obj must be a JSON object"):
+        read_fields([1.5], spec, "obj")
+
+
+def test_read_numbers_shape_and_finiteness():
+    assert read_numbers([1, 2.5, 3, 4], (2, 2), "m").tolist() == [[1.0, 2.5], [3.0, 4.0]]
+    for bad in ([1, 2, 3], [1, 2, 3, math.nan], [1, 2, 3, True], [[1, 2], [3, 4]], {}):
+        with pytest.raises(ValidationError, match="m must be a list of 4 finite numbers"):
+            read_numbers(bad, (2, 2), "m")
+
+
+def test_spec_field_types_from_annotations():
+    good = dict(n_orbitals=4, l_fragments=4, gamma=0.03, spectral_norm=4.0, j_max=10,
+                tau=0.4, y3_magnitude=10.0, dipole_norm=6.25, epsilon=0.1)
+    assert AbsorptionSpec.from_dict({**good, "shot_alpha": None}).shot_alpha is None
+    for field, value in (("n_orbitals", 22.5), ("n_orbitals", 4.0), ("gamma", math.nan),
+                         ("gqsp_two_sided", "no"), ("rot_bits", None)):
+        with pytest.raises(ValidationError, match=f"'{field}' in AbsorptionSpec"):
+            AbsorptionSpec.from_dict({**good, field: value})

@@ -22,10 +22,7 @@ from euvq.grid import (
     ground_state,
     jacobi_anger_bessel,
     kinetic_histogram,
-    load_checkpoint,
     required_filter_degree,
-    save_checkpoint,
-    sigma_from_fwhm,
 )
 
 
@@ -180,10 +177,6 @@ def test_filter_degree_meets_tolerance_on_fine_grid():
     xs = np.linspace(-1.0, 1.0, 50_001)
     fit = np.polynomial.chebyshev.chebval(xs, chebyshev_coefficients(target, degree))
     assert float(np.max(np.abs(fit - target(xs)))) <= 1e-3
-
-
-def test_sigma_from_fwhm():
-    assert sigma_from_fwhm(2 * math.sqrt(2 * math.log(2))) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_evolve_identity_at_zero_time():
@@ -459,26 +452,6 @@ def test_3d_evolve_free_eigenstate():
     out = evolve(m, psi.reshape(-1), t)
     phase = np.exp(-1j * (kx**2 + ky**2) * t / 2)
     np.testing.assert_allclose(out, (phase * psi).reshape(-1), atol=1e-10)
-
-
-def test_checkpoint_round_trip(tmp_path):
-    m = soft_model(n=64)
-    psi, _ = ground_state(m)
-    path = tmp_path / "state.euvq"
-    save_checkpoint(path, m, psi)
-    header, back = load_checkpoint(path)
-    assert header["n_points"] == 64
-    assert header["box_length"] == pytest.approx(40.0)
-    np.testing.assert_allclose(back, psi)
-    with open(path, "rb") as fh:
-        assert fh.read(8) == b"EUVQCKPT"
-
-
-def test_checkpoint_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTMAGIC" + b"\x01" + b"\x00" * 32)
-    with pytest.raises(ValidationError):
-        load_checkpoint(path)
 
 
 def test_evolve_rejects_negative_time():
