@@ -1,9 +1,11 @@
-"""Command-line front end: config ingestion, dispatch, table/CSV/JSON emission.
+"""Command-line front end: input loading, dispatch, table/CSV/JSON emission.
 
-Exit codes: 0 success, 2 validation error (bad config or input file),
-3 numerical failure, 64 usage error / unknown command. The ``EUVQ_LOG``
-environment variable sets the logging level. Identical config and seed
-always produce byte-identical output.
+Each subcommand maps the parsed input JSON (``None`` for ``arith-verify``) and
+the seed to an ``Output``; ``run`` alone reads the input, renders the format
+and writes the result. Exit codes: 0 success, 2 validation error (bad config
+or input file, or a result beyond the float range), 3 numerical failure, 64
+usage error / unknown command. The ``EUVQ_LOG`` environment variable sets the
+logging level. Identical config and seed always produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -27,9 +29,6 @@ from .core import (REQUIRED, AbsorptionSpec, NumericalError, PlaneWaveSpec, Vali
 
 logger = logging.getLogger("euvq")
 
-COMMANDS = ("estimate-absorption", "estimate-photoemission", "emulate-absorption",
-            "emulate-photoemission", "cdf", "arith-verify")
-
 EX_OK = 0
 EX_VALIDATION = 2
 EX_NUMERICAL = 3
@@ -37,20 +36,27 @@ EX_USAGE = 64
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str | None
-    output_path: str | None
-    seed: int
-    format: str
+class Output:
+    """A command's result in each form it has; ``ok`` False makes the run exit 3."""
 
-    def __post_init__(self) -> None:
-        if self.command not in COMMANDS:
-            raise ValidationError(f"unknown command '{self.command}'")
-        if self.format not in ("json", "csv", "table"):
-            raise ValidationError("format must be json, csv, or table")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError("seed must fit in unsigned 64 bits")
+    data: object = None          # JSON-serializable
+    rows: list | None = None     # CSV, header row first
+    text: str | None = None
+    ok: bool = True
+
+
+def render(output: Output, fmt: str) -> str:
+    """``output`` in format ``fmt`` if it has that form, else in its first of CSV, JSON, text."""
+    forms = {"csv": output.rows, "json": output.data, "table": output.text}
+    if forms[fmt] is None:
+        fmt = next(name for name, form in forms.items() if form is not None)
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(output.rows)
+        return buf.getvalue()
+    if fmt == "json":
+        return json.dumps(output.data, indent=2, sort_keys=True) + "\n"
+    return output.text
 
 
 def resolve_input(path: str) -> str:
@@ -75,17 +81,6 @@ def _load_json(path: str) -> dict:
         raise ValidationError(f"cannot read input: {exc}") from exc
 
 
-def _emit(text: str, output_path: str | None) -> None:
-    try:
-        if output_path:
-            with open(output_path, "w", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write output: {exc}") from exc
-
-
 def _sweep(data, spec_cls):
     if isinstance(data, dict) and "sweep" in data:
         entries = read_fields(data, {"sweep": (list, REQUIRED)}, "sweep file")["sweep"]
@@ -95,58 +90,31 @@ def _sweep(data, spec_cls):
     return [spec_cls.from_dict(data)]
 
 
-def _report_rows_csv(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def run_estimate_absorption(data, seed: int) -> Output:
+    reports = [(spec, absorption.absorption_cost(spec)) for spec in _sweep(data, AbsorptionSpec)]
+    return Output(
+        data=[{"spec": spec.to_dict(), "report": rep.to_dict()} for spec, rep in reports],
+        rows=[["n_orbitals", "qubits", "gate_cost", "overall_cost"],
+              *([spec.n_orbitals, rep.logical_qubits, float(rep.gates_per_circuit),
+                 float(rep.overall_gates)] for spec, rep in reports)],
+        text=absorption.render_table(reports))
 
 
-def run_estimate_absorption(config: RunConfig) -> int:
-    data = _load_json(resolve_input(config.input_path))
-    specs = _sweep(data, AbsorptionSpec)
-    reports = [(spec, absorption.absorption_cost(spec)) for spec in specs]
-    if config.format == "table":
-        _emit(absorption.render_table(reports), config.output_path)
-    elif config.format == "json":
-        payload = [{"spec": spec.to_dict(), "report": report.to_dict()}
-                   for spec, report in reports]
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", config.output_path)
-    else:
-        rows = [[str(spec.n_orbitals), str(rep.logical_qubits),
-                 repr(float(rep.gates_per_circuit)), repr(float(rep.overall_gates))]
-                for spec, rep in reports]
-        _emit(_report_rows_csv(["n_orbitals", "qubits", "gate_cost", "overall_cost"], rows),
-              config.output_path)
-    return EX_OK
+def run_estimate_photoemission(data, seed: int) -> Output:
+    rows = [("AE" if spec.method == "AllElectron" else "PP", spec,
+             planewave.photoemission_cost(spec)) for spec in _sweep(data, PlaneWaveSpec)]
+    return Output(
+        data=[{"method": label, "spec": spec.to_dict(), "report": rep.to_dict()}
+              for label, spec, rep in rows],
+        rows=[["method", "n_bits", "t_au", "qubits", "gate_cost", "overall_cost"],
+              *([label, spec.n_bits, float(spec.t_evolution), rep.logical_qubits,
+                 float(rep.gates_per_circuit), float(rep.overall_gates)]
+                for label, spec, rep in rows)],
+        text=planewave.render_table(rows))
 
 
-def run_estimate_photoemission(config: RunConfig) -> int:
-    data = _load_json(resolve_input(config.input_path))
-    specs = _sweep(data, PlaneWaveSpec)
-    rows = []
-    for spec in specs:
-        label = "AE" if spec.method == "AllElectron" else "PP"
-        rows.append((label, spec, planewave.photoemission_cost(spec)))
-    if config.format == "table":
-        _emit(planewave.render_table(rows), config.output_path)
-    elif config.format == "json":
-        payload = [{"method": label, "spec": spec.to_dict(), "report": rep.to_dict()}
-                   for label, spec, rep in rows]
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", config.output_path)
-    else:
-        body = [[label, str(spec.n_bits), repr(float(spec.t_evolution)),
-                 str(rep.logical_qubits), repr(float(rep.gates_per_circuit)),
-                 repr(float(rep.overall_gates))] for label, spec, rep in rows]
-        _emit(_report_rows_csv(
-            ["method", "n_bits", "t_au", "qubits", "gate_cost", "overall_cost"], body),
-            config.output_path)
-    return EX_OK
-
-
-def run_emulate_absorption(config: RunConfig) -> int:
-    cfg = read_fields(_load_json(resolve_input(config.input_path)), {
+def run_emulate_absorption(data, seed: int) -> Output:
+    cfg = read_fields(data, {
         "scene": (dict, REQUIRED), "gamma": (float, REQUIRED), "tau": (float, REQUIRED),
         "j_max": (int, REQUIRED), "shots": (int, 1000), "omega": (dict, REQUIRED),
     }, "emulate-absorption config")
@@ -157,19 +125,13 @@ def run_emulate_absorption(config: RunConfig) -> int:
         raise ValidationError("omega.points must be at least 1")
     omegas = np.linspace(scan["min"], scan["max"], scan["points"])
     rows = spectro.spectrum_rows(scene, omegas, cfg["gamma"], cfg["tau"], cfg["j_max"],
-                                 cfg["shots"], config.seed)
-    body = [[repr(r["omega_Ha"]), repr(r["sigma_exact"]), repr(r["sigma_td"]),
-             repr(r["sigma_sampled"]), repr(r["stderr"])] for r in rows]
-    text = _report_rows_csv(
-        ["omega_Ha", "sigma_exact", "sigma_td", "sigma_sampled", "stderr"], body)
-    if config.format == "json":
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    _emit(text, config.output_path)
-    return EX_OK
+                                 cfg["shots"], seed)
+    header = ["omega_Ha", "sigma_exact", "sigma_td", "sigma_sampled", "stderr"]
+    return Output(data=rows, rows=[header, *([r[key] for key in header] for r in rows)])
 
 
-def run_emulate_photoemission(config: RunConfig) -> int:
-    cfg = read_fields(_load_json(resolve_input(config.input_path)), {
+def run_emulate_photoemission(data, seed: int) -> Output:
+    cfg = read_fields(data, {
         "model": (dict, REQUIRED), "filter": (dict, None), "time": (float, 0.0),
         "r_cutoff": (float, REQUIRED), "bins": (dict, {"max": 2.0, "count": 20}),
         "shots": (int, 0), "smooth_width": (float, None),
@@ -204,30 +166,21 @@ def run_emulate_photoemission(config: RunConfig) -> int:
                                             smooth_width=cfg["smooth_width"])
     logger.info("continuum success probability %.3e", p_c)
     edges = np.linspace(0.0, bins["max"], bins["count"] + 1)
-    hist = grid.kinetic_histogram(model, projected, edges, shots=cfg["shots"],
-                                  seed=config.seed)
-    if config.format == "json":
-        payload = {
-            "success_probability": hist.success_probability,
-            "bin_edges": hist.bin_edges.tolist(),
-            "mass": hist.mass.tolist(),
-            "sampled_mass": None if hist.sampled_mass is None else hist.sampled_mass.tolist(),
-            "shots": hist.shots_used,
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", config.output_path)
-    else:
-        mass = hist.sampled_mass if hist.sampled_mass is not None else hist.mass
-        err = hist.stderr if hist.stderr is not None else np.zeros_like(mass)
-        body = [[repr(float(hist.bin_edges[i])), repr(float(hist.bin_edges[i + 1])),
-                 repr(float(mass[i])), repr(float(err[i]))]
-                for i in range(len(mass))]
-        _emit(_report_rows_csv(["bin_lo_Ha", "bin_hi_Ha", "mass", "stderr"], body),
-              config.output_path)
-    return EX_OK
+    hist = grid.kinetic_histogram(model, projected, edges, shots=cfg["shots"], seed=seed)
+    mass = hist.sampled_mass if hist.sampled_mass is not None else hist.mass
+    err = hist.stderr if hist.stderr is not None else np.zeros_like(mass)
+    return Output(
+        data={"success_probability": hist.success_probability,
+              "bin_edges": hist.bin_edges.tolist(),
+              "mass": hist.mass.tolist(),
+              "sampled_mass": None if hist.sampled_mass is None else hist.sampled_mass.tolist(),
+              "shots": hist.shots_used},
+        rows=[["bin_lo_Ha", "bin_hi_Ha", "mass", "stderr"],
+              *zip(edges[:-1].tolist(), edges[1:].tolist(), mass.tolist(), err.tolist())])
 
 
-def run_cdf(config: RunConfig) -> int:
-    cfg = read_fields(_load_json(resolve_input(config.input_path)), {
+def run_cdf(data, seed: int) -> Output:
+    cfg = read_fields(data, {
         "n_orbitals": (int, REQUIRED), "values": (list, REQUIRED), "l_max": (int, None),
     }, "tensor file")
     n = cfg["n_orbitals"]
@@ -238,18 +191,16 @@ def run_cdf(config: RunConfig) -> int:
     l_max = n if cfg["l_max"] is None else cfg["l_max"]
     fact = cdf.double_factorize(tensor, l_max)
     rotations = [cdf.givens_decompose(u) for u, _ in fact.fragments]
-    payload = {
+    return Output(data={
         "n_orbitals": n,
         "l_max": l_max,
         "n_fragments": len(fact),
         "reconstruction_error": fact.reconstruction_error,
         "givens_rotations_per_fragment": [len(r) for r in rotations],
-    }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", config.output_path)
-    return EX_OK
+    })
 
 
-def run_arith_verify(config: RunConfig) -> int:
+def run_arith_verify(data, seed: int) -> Output:
     lines = []
     ok = True
 
@@ -267,7 +218,7 @@ def run_arith_verify(config: RunConfig) -> int:
         ok &= good
         lines.append(f"be_x amplitude n={n}: {'ok' if good else 'MISMATCH'}")
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     box, n = 10.0, 3
     mism = 0
     for _ in range(200):
@@ -288,8 +239,7 @@ def run_arith_verify(config: RunConfig) -> int:
     ok &= good
     lines.append(f"position ledger vs closed form: {'ok' if good else 'MISMATCH'}")
 
-    _emit("\n".join(lines) + "\n", config.output_path)
-    return EX_OK if ok else EX_NUMERICAL
+    return Output(text="\n".join(lines) + "\n", ok=ok)
 
 
 RUNNERS = {
@@ -302,14 +252,30 @@ RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a validated run configuration; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Load the input, run the command, write its rendered output; returns the exit code."""
     try:
-        if config.command != "arith-verify" and not config.input_path:
-            raise ValidationError(f"{config.command} requires --input")
-        return RUNNERS[config.command](config)
+        data = None
+        if args.command != "arith-verify":
+            if not args.input_path:
+                raise ValidationError(f"{args.command} requires --input")
+            data = _load_json(resolve_input(args.input_path))
+        output = RUNNERS[args.command](data, args.seed)
+        text = render(output, args.format)
+        try:
+            if args.output_path:
+                with open(args.output_path, "w", newline="") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write output: {exc}") from exc
+        return EX_OK if output.ok else EX_NUMERICAL
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EX_VALIDATION
+    except OverflowError as exc:
+        print(f"error: value out of range: {exc}", file=sys.stderr)
         return EX_VALIDATION
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -327,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="euvq",
                      description="Resource estimators and desk-scale emulators "
                                  "for EUV photoresist quantum algorithms.")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=RUNNERS)
     parser.add_argument("--input", dest="input_path", default=None,
                         help="input JSON (path or bundled fixture name)")
     parser.add_argument("--output", dest="output_path", default=None,
@@ -341,15 +307,11 @@ def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("EUVQ_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(name)s %(levelname)s %(message)s")
-    args = build_parser().parse_args(argv)
-    try:
-        config = RunConfig(command=args.command, input_path=args.input_path,
-                           output_path=args.output_path, seed=args.seed,
-                           format=args.format)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    return run(config)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not 0 <= args.seed < 2**64:
+        parser.error("seed must fit in unsigned 64 bits")
+    return run(args)
 
 
 if __name__ == "__main__":

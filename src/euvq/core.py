@@ -134,6 +134,8 @@ class CostReport:
             raise ValidationError("qubits must be >= 0 and shots >= 1")
         if any(count < 0 for _, count in self.breakdown):
             raise ValidationError("breakdown entries must be non-negative")
+        if not (math.isfinite(self.gates_per_circuit) and math.isfinite(self.overall_gates)):
+            raise ValidationError("gate counts must be finite")
         if self.overall_gates != self.gates_per_circuit * self.shots:
             raise ValidationError("overall_gates != gates_per_circuit * shots")
         if self.breakdown:

@@ -92,6 +92,8 @@ class GridModel:
             raise ValidationError("3D grids capped at 32 points per dimension")
         if self.hilbert_dim > 2**20:
             raise ValidationError("Hilbert space capped at 2^20")
+        if not all(np.isfinite(g).all() for g in (self.potential_grid(), self.kinetic_grid())):
+            raise ValidationError("potential and kinetic energies must be finite on the grid")
 
     @property
     def spacing(self) -> float:
@@ -157,7 +159,8 @@ class GridModel:
         n = cfg["n_points"]
         _check_n_points(n)  # the axis is sampled, and divided by n, before the model exists
         x = (np.arange(n) - n // 2) * (cfg["box_length"] / n)
-        return cls(potential=_potential_from_config(cfg.pop("potential"), x), **cfg)
+        with np.errstate(all="ignore"):  # a non-finite energy is rejected by __post_init__
+            return cls(potential=_potential_from_config(cfg.pop("potential"), x), **cfg)
 
 
 @dataclass(frozen=True)
@@ -190,7 +193,6 @@ class KineticHistogram:
     sampled_mass: np.ndarray | None
     success_probability: float
     shots_used: int
-    epsilon: float
     stderr: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -531,8 +533,7 @@ def kinetic_energies(model: GridModel) -> np.ndarray:
 
 
 def kinetic_histogram(model: GridModel, state: np.ndarray, bins: np.ndarray,
-                      shots: int = 0, seed: int = 0, epsilon: float = 0.05
-                      ) -> KineticHistogram:
+                      shots: int = 0, seed: int = 0) -> KineticHistogram:
     """Histogram the single-particle kinetic energy of a (projected) state.
 
     The exact column is the momentum-basis distribution pushed through
@@ -581,8 +582,7 @@ def kinetic_histogram(model: GridModel, state: np.ndarray, bins: np.ndarray,
         stderr = norm2 * np.sqrt(np.maximum(freq * (1.0 - freq), 0.0) / shots)
 
     return KineticHistogram(bin_edges=edges, mass=mass, sampled_mass=sampled,
-                            success_probability=norm2, shots_used=shots,
-                            epsilon=epsilon, stderr=stderr)
+                            success_probability=norm2, shots_used=shots, stderr=stderr)
 
 
 def correlation_identity_check(model: GridModel, state: np.ndarray,

@@ -1,6 +1,7 @@
 """CLI dispatch, exit codes, formats, and bundled-fixture round trips."""
 
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -211,3 +212,93 @@ def test_numerical_failure_exit_code(tmp_path):
     path.write_text(json.dumps(cfg))
     code = main(["emulate-photoemission", "--input", str(path)])
     assert code in (EX_VALIDATION, EX_NUMERICAL)
+
+
+def _form(text):
+    """Which documented form a command's output takes: json, csv or table (plain text)."""
+    try:
+        json.loads(text)
+        return "json"
+    except ValueError:
+        header = text.splitlines()[0]
+        return "csv" if "," in header and " " not in header else "table"
+
+
+ALL_FORMS = {"table": "table", "csv": "csv", "json": "json"}
+
+
+FORMAT_CASES = [
+    (["estimate-absorption", "--input", "table1.json"], ALL_FORMS),
+    (["estimate-photoemission", "--input", "table2_ae.json"], ALL_FORMS),
+    (["emulate-absorption", "--input", "scene_two_level.json"],
+     {"table": "csv", "csv": "csv", "json": "json"}),
+    (["emulate-photoemission", "--input", "grid_soft_coulomb_1d.json"],
+     {"table": "csv", "csv": "csv", "json": "json"}),
+    (["cdf", "--input", "tensor_random4.json"], dict.fromkeys(ALL_FORMS, "json")),
+    (["arith-verify"], dict.fromkeys(ALL_FORMS, "table")),
+]
+
+
+@pytest.mark.parametrize("argv, forms", FORMAT_CASES, ids=[argv[0] for argv, _ in FORMAT_CASES])
+def test_format_rule(tmp_path, argv, forms):
+    # a command without the requested form prints its first of csv, json, table
+    out = {}
+    for fmt in ALL_FORMS:
+        path = tmp_path / f"out.{fmt}"
+        assert main([*argv, "--format", fmt, "--output", str(path)]) == EX_OK
+        out[fmt] = path.read_text()
+    assert {fmt: _form(text) for fmt, text in out.items()} == forms
+    for fmt, form in forms.items():
+        assert out[fmt] == out[form]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_out_of_range_exit_code(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["arith-verify", "--seed", seed])
+    assert exc.value.code == EX_USAGE
+    assert "usage" in capsys.readouterr().err
+
+
+def _fixture(name):
+    return json.loads(resources.files("euvq").joinpath("fixtures", name).read_text())
+
+
+def _edited(name, edit):
+    data = _fixture(name)
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize("command, data", [
+    ("estimate-photoemission", _edited("corollary_imeph.json", lambda d: d.update(eta=10**400))),
+    ("estimate-photoemission", _edited("corollary_imeph.json", lambda d: d.update(n_bits=2000))),
+    ("estimate-photoemission", _edited("corollary_imeph.json", lambda d: d.update(c_sp=1e308))),
+    ("estimate-absorption", dict(_fixture("table1.json")["sweep"][0], rot_bits=10**400)),
+    ("estimate-absorption", dict(_fixture("table1.json")["sweep"][0], tau=1e300)),
+], ids=["eta", "n_bits", "c_sp", "rot_bits", "tau"])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_estimate_out_of_float_range_exit_code(tmp_path, capsys, command, data, fmt):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--input", str(path), "--format", fmt]) == EX_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert not re.search(r"Infinity|\binf\b|Traceback", err)
+
+
+def _set_model(**fields):
+    return lambda cfg: cfg["model"].update(fields)
+
+
+@pytest.mark.parametrize("edit", [
+    _set_model(potential={"kind": "soft_coulomb", "params": {"z": 2.0, "a": 0.0}}),
+    _set_model(potential={"kind": "gaussian_well", "params": {"sigma": 0.0}}),
+    _set_model(eta=2, n_points=32, interaction_strength=1.0, interaction_softening=0.0),
+    _set_model(box_length=1e-320),
+], ids=["soft_coulomb_a0", "gaussian_sigma0", "ee_softening0", "box_1e-320"])
+def test_non_finite_grid_energy_exit_code(tmp_path, capsys, edit):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(_edited("grid_soft_coulomb_1d.json", edit)))
+    assert main(["emulate-photoemission", "--input", str(path)]) == EX_VALIDATION
+    assert "must be finite" in capsys.readouterr().err
