@@ -34,6 +34,8 @@ EX_VALIDATION = 2
 EX_NUMERICAL = 3
 EX_USAGE = 64
 
+MAX_OMEGA_POINTS = 2**20  # largest emulate-absorption frequency grid
+
 
 @dataclass(frozen=True)
 class Output:
@@ -121,8 +123,8 @@ def run_emulate_absorption(data, seed: int) -> Output:
     scene = spectro.scene_from_dict(cfg["scene"])
     scan = read_fields(cfg["omega"], {"min": (float, REQUIRED), "max": (float, REQUIRED),
                                       "points": (int, REQUIRED)}, "omega")
-    if scan["points"] < 1:
-        raise ValidationError("omega.points must be at least 1")
+    if not 1 <= scan["points"] <= MAX_OMEGA_POINTS:
+        raise ValidationError(f"omega.points must be from 1 to 2^20 = {MAX_OMEGA_POINTS}")
     omegas = np.linspace(scan["min"], scan["max"], scan["points"])
     rows = spectro.spectrum_rows(scene, omegas, cfg["gamma"], cfg["tau"], cfg["j_max"],
                                  cfg["shots"], seed)

@@ -18,12 +18,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import CONSTANTS, REQUIRED, ValidationError, read_fields, read_numbers
 
 HERMITICITY_TOL = 1e-12
 EIGENPAIR_TOL = 1e-9
+MAX_PHASE_ENTRIES = 2**24  # largest dim * (2 j_max + 1) phase table a sum over j allocates
+MAX_SHOTS = 2**24          # largest number of Hadamard-test outcomes one draw allocates
 
 
 @dataclass(frozen=True)
@@ -177,6 +178,24 @@ def kramers_heisenberg(scene: SpectralScene, omega: float, gamma: float) -> floa
                  * np.sum(weights * lor))
 
 
+def _phase_sum(scene: SpectralScene, tau: float, j_max: int) -> np.ndarray:
+    """s_j = sum_F |<F|D|I>|^2 exp(-i (E_F - E_I) tau j) for j in [-j_max, j_max].
+
+    Only the weights p(j) depend on the probe frequency, so one s serves a
+    whole scan: <I| D G_t D |I> = sum_j p(j) s_j.
+    """
+    entries = scene.dim * (2 * j_max + 1)
+    if entries > MAX_PHASE_ENTRIES:
+        raise ValidationError(
+            f"j_max = {j_max} needs a phase table of dim * (2 j_max + 1) = {entries} "
+            f"entries; the cap is 2^24 = {MAX_PHASE_ENTRIES}")
+    energies, wts = _spectral_data(scene)
+    j = np.arange(-j_max, j_max + 1)
+    # one complex table, exponentiated in place: 16 bytes per entry at the cap
+    phases = np.multiply.outer(energies - scene.ground_energy, -1j * (j * tau))
+    return wts @ np.exp(phases, out=phases)
+
+
 def td_greens(scene: SpectralScene, weights: FourierWeights) -> complex:
     """<I| D G_t D |I> with G_t = sum_j p(j) exp(-i (H - E_I) tau j).
 
@@ -184,10 +203,7 @@ def td_greens(scene: SpectralScene, weights: FourierWeights) -> complex:
     j_max grows; the truncation error is bounded by the geometric tail
     2 N^2 (tau/2pi) r^(j_max+1) / (1-r).
     """
-    energies, wts = _spectral_data(scene)
-    j = weights.indices
-    phases = np.exp(-1j * np.outer(energies - scene.ground_energy, j * weights.tau))
-    return complex(np.sum(wts[:, None] * weights.weights[None, :] * phases))
+    return complex(weights.weights @ _phase_sum(scene, weights.tau, weights.j_max))
 
 
 def td_truncation_bound(scene: SpectralScene, weights: FourierWeights) -> float:
@@ -227,6 +243,8 @@ def trotter_effective_spectrum(fragments: list[np.ndarray], delta: float
 
     y3 = y3_operator(frags)
     shifts = -delta**2 * np.real(np.einsum("il,ij,jl->l", vectors.conj(), y3, vectors))
+
+    from scipy.optimize import linear_sum_assignment
 
     u2 = trotter_step_unitary(frags, delta)
     phases, u_vecs = np.linalg.eig(u2)
@@ -272,13 +290,27 @@ class HadamardEstimate:
     stderr: float
 
 
-def hadamard_exact_z(scene: SpectralScene, weights: FourierWeights) -> float:
-    """Ideal expectation E[Z] = Re <Phi| G_t / beta |Phi> on |Phi> = D|I>/N."""
-    norm = dipole_excited_norm(scene)
+def _expected_z(td: complex, norm: float, beta: float) -> float:
+    """E[Z] = Re td / (N^2 beta) for the time-domain value td = <I| D G_t D |I>."""
     if norm == 0.0:
         return 0.0
-    value = td_greens(scene, weights) / (norm**2 * weights.beta)
-    return float(value.real)
+    return float((td / (norm**2 * beta)).real)
+
+
+def hadamard_exact_z(scene: SpectralScene, weights: FourierWeights) -> float:
+    """Ideal expectation E[Z] = Re <Phi| G_t / beta |Phi> on |Phi> = D|I>/N."""
+    return _expected_z(td_greens(scene, weights), dipole_excited_norm(scene), weights.beta)
+
+
+def _check_shots(shots: int) -> None:
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValidationError(f"shots must be from 1 to 2^24 = {MAX_SHOTS}, got {shots}")
+
+
+def _draw_z(exact_z: float, shots: int, seed: int) -> np.ndarray:
+    """``shots`` outcomes in {-1, +1}, each +1 with probability (1 + E[Z])/2."""
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random(shots) < (1.0 + exact_z) / 2.0, 1.0, -1.0)
 
 
 def hadamard_shot_simulator(scene: SpectralScene, weights: FourierWeights,
@@ -289,13 +321,11 @@ def hadamard_shot_simulator(scene: SpectralScene, weights: FourierWeights,
     The success-postselected ideal model: each shot is +1 with probability
     (1 + E[Z])/2. Deterministic under a fixed seed.
     """
-    if shots < 1:
-        raise ValidationError("shots must be >= 1")
+    _check_shots(shots)
     if alpha is None:
         alpha = CONSTANTS.cross_section_prefactor
     exact = hadamard_exact_z(scene, weights)
-    rng = np.random.default_rng(seed)
-    draws = np.where(rng.random(shots) < (1.0 + exact) / 2.0, 1.0, -1.0)
+    draws = _draw_z(exact, shots, seed)
     mean_z = float(np.mean(draws))
     scale = alpha * dipole_excited_norm(scene) * weights.beta
     stderr = scale * float(np.std(draws, ddof=1) / math.sqrt(shots)) if shots > 1 else scale
@@ -345,23 +375,34 @@ def spectrum_rows(scene: SpectralScene, omegas, gamma: float, tau: float,
     """Cross-section columns (exact, time-domain, sampled) per frequency.
 
     All three columns share the (4 pi omega / 3c) * pi-scaled spectral-density
-    convention so they agree in the large-j_max, many-shot limit.
+    convention so they agree in the large-j_max, many-shot limit. The
+    frequency-independent phase sum is formed once; each frequency then costs
+    one dot product with its weights, whose value gives both sigma_td and the
+    E[Z] that frequency k draws its shots from, with seed ``seed + k``.
+    Raises ValidationError if gamma and tau leave any value non-finite.
     """
-    norm = dipole_excited_norm(scene)
+    _check_shots(shots)
     rows = []
-    for k, omega in enumerate(omegas):
-        prefactor = 4.0 * math.pi * omega / (3.0 * CONSTANTS.speed_of_light_au)
-        weights = fourier_weights(omega, gamma, tau, j_max)
-        sigma_exact = kramers_heisenberg(scene, omega, gamma)
-        sigma_td = prefactor * math.pi * td_greens(scene, weights).real
-        est = hadamard_shot_simulator(scene, weights, shots, seed + k)
-        scale = prefactor * math.pi * weights.beta * norm**2
-        rows.append({
-            "omega_Ha": float(omega),
-            "sigma_exact": float(sigma_exact),
-            "sigma_td": float(sigma_td),
-            "sigma_sampled": float(scale * est.mean_z),
-            "stderr": float(scale / math.sqrt(shots)),
-        })
+    with np.errstate(all="ignore"):  # a non-finite row is rejected below
+        phase_sum = _phase_sum(scene, tau, j_max)
+        norm = dipole_excited_norm(scene)
+        for k, omega in enumerate(omegas):
+            prefactor = 4.0 * math.pi * omega / (3.0 * CONSTANTS.speed_of_light_au)
+            weights = fourier_weights(omega, gamma, tau, j_max)
+            td = complex(weights.weights @ phase_sum)
+            draws = _draw_z(_expected_z(td, norm, weights.beta), shots, seed + k)
+            scale = prefactor * math.pi * weights.beta * norm**2
+            row = {
+                "omega_Ha": float(omega),
+                "sigma_exact": float(kramers_heisenberg(scene, omega, gamma)),
+                "sigma_td": float(prefactor * math.pi * td.real),
+                "sigma_sampled": float(scale * float(np.mean(draws))),
+                "stderr": float(scale / math.sqrt(shots)),
+            }
+            if not all(map(math.isfinite, row.values())):
+                raise ValidationError(
+                    f"spectrum is not finite at omega = {float(omega):g} Ha: "
+                    f"gamma = {gamma:g} or tau = {tau:g} is out of range")
+            rows.append(row)
     return rows
 

@@ -302,3 +302,21 @@ def test_non_finite_grid_energy_exit_code(tmp_path, capsys, edit):
     path.write_text(json.dumps(_edited("grid_soft_coulomb_1d.json", edit)))
     assert main(["emulate-photoemission", "--input", str(path)]) == EX_VALIDATION
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field, edit", [
+    ("j_max", lambda d: d.update(j_max=10**15)),
+    ("omega.points", lambda d: d["omega"].update(points=10**15)),
+    ("shots", lambda d: d.update(shots=10**15)),
+    ("gamma", lambda d: d.update(gamma=1e-300)),
+], ids=["j_max", "omega_points", "shots", "gamma_1e-300"])
+def test_emulate_absorption_out_of_range_exit_code(tmp_path, capsys, field, edit):
+    # oversized arrays are refused before allocation; a non-finite spectrum is refused
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(_edited("scene_two_level.json", edit)))
+    assert main(["emulate-absorption", "--input", str(path), "--format", "json"]) == EX_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert field in err
+    assert not re.search(r"Traceback|Warning|Infinity", err)

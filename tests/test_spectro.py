@@ -21,6 +21,7 @@ from euvq.spectro import (
     scene_to_dict,
     spectral_density,
     spectral_density_grid,
+    spectrum_rows,
     td_greens,
     td_truncation_bound,
     trotter_effective_spectrum,
@@ -266,6 +267,39 @@ def test_hadamard_deterministic_under_seed():
     a = hadamard_shot_simulator(scene, w, shots=100, seed=42)
     b = hadamard_shot_simulator(scene, w, shots=100, seed=42)
     assert a == b
+
+
+def test_spectrum_rows_td_matches_per_frequency_and_double_sum():
+    # sigma_td comes from one phase sum per scan; hold it to td_greens at each
+    # frequency and to the direct double sum over final states F and steps j
+    scene = random_scene(12, seed=14)
+    omegas = np.linspace(0.3, 3.7, 9)
+    j_max = 150
+    rows = spectrum_rows(scene, omegas, GAMMA, TAU, j_max, shots=10, seed=3)
+    energies, vectors = np.linalg.eigh(scene.hamiltonian)
+    line = np.abs(vectors.conj().T @ scene.dipole @ scene.ground_state) ** 2
+    j = np.arange(-j_max, j_max + 1)
+    for omega, row in zip(omegas, rows):
+        w = fourier_weights(omega, GAMMA, TAU, j_max)
+        scale = 4 * math.pi * omega / (3 * 137.036) * math.pi
+        direct = sum(line[f] * p * np.exp(-1j * (energies[f] - scene.ground_energy) * TAU * jj)
+                     for f in range(scene.dim) for p, jj in zip(w.weights, j))
+        assert row["sigma_td"] == pytest.approx(scale * td_greens(scene, w).real, rel=1e-13)
+        assert row["sigma_td"] == pytest.approx(scale * direct.real, rel=1e-13)
+
+
+def test_spectrum_rows_sampled_column_is_the_shot_simulator():
+    # frequency k draws through the shot simulator's sampler with seed + k
+    scene = lattice_scene(6)
+    omegas = np.linspace(0.1, 0.9, 7)
+    shots, seed = 300, 11
+    rows = spectrum_rows(scene, omegas, GAMMA, TAU, 120, shots, seed)
+    norm = dipole_excited_norm(scene)
+    for k, (omega, row) in enumerate(zip(omegas, rows)):
+        w = fourier_weights(omega, GAMMA, TAU, 120)
+        scale = 4 * math.pi * omega / (3 * 137.036) * math.pi * w.beta * norm**2
+        est = hadamard_shot_simulator(scene, w, shots, seed + k)
+        assert row["sigma_sampled"] == scale * est.mean_z
 
 
 def test_scene_round_trip():
