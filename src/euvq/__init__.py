@@ -1,11 +1,9 @@
 """Resource estimators and desk-scale emulators for EUV photoresist quantum algorithms."""
 
 from .core import (
-    CONSTANTS,
     AbsorptionSpec,
     CostReport,
     NumericalError,
-    PhysicalConstants,
     PlaneWaveSpec,
     ValidationError,
     au_to_fs,
@@ -15,11 +13,9 @@ from .core import (
 )
 
 __all__ = [
-    "CONSTANTS",
     "AbsorptionSpec",
     "CostReport",
     "NumericalError",
-    "PhysicalConstants",
     "PlaneWaveSpec",
     "ValidationError",
     "au_to_fs",

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (CONSTANTS, AbsorptionSpec, CostReport, ValidationError, aligned_table,
-                   format_sig3)
+from .core import (EUV_OMEGA_HA, AbsorptionSpec, CostReport, ValidationError, aligned_table,
+                   cross_section_prefactor, format_sig3)
 
 
 def rotation_cost(rot_bits: int) -> int:
@@ -82,19 +82,15 @@ class AbsorptionCostBreakdown:
     c_rot: int
     c_unitary: int
     c_zmatr: int
-    c_fragment: int
     c_trotter_step: int
     trotter_steps_per_tau: int
     gqsp_degree: int
-    gates_per_circuit: int
     shots: int
     qubits: int
 
-    def __post_init__(self) -> None:
-        if self.c_fragment != self.c_unitary + self.c_zmatr:
-            raise ValidationError("c_fragment != c_unitary + c_zmatr")
-        if self.c_trotter_step % (2 * self.c_fragment) != 0:
-            raise ValidationError("c_trotter_step is not 2 * L * c_fragment")
+    @property
+    def c_fragment(self) -> int:
+        return self.c_unitary + self.c_zmatr
 
 
 def absorption_cost(spec: AbsorptionSpec) -> CostReport:
@@ -107,55 +103,31 @@ def absorption_cost(spec: AbsorptionSpec) -> CostReport:
     EUV frequency and beta from the truncated-weight one-norm.
     """
     details = absorption_breakdown(spec)
-    breakdown = [
+    return CostReport(logical_qubits=details.qubits, shots=details.shots, breakdown=(
         ("time-evolution (GQSP x Trotter)",
          details.gqsp_degree * details.trotter_steps_per_tau * details.c_trotter_step),
         ("state preparation (sum-of-Slaters)", spec.state_prep_gates),
-    ]
-    return CostReport.build(logical_qubits=details.qubits, shots=details.shots,
-                            breakdown=breakdown)
+    ))
 
 
 def absorption_breakdown(spec: AbsorptionSpec) -> AbsorptionCostBreakdown:
     """Compute the itemized quantities behind :func:`absorption_cost`."""
     c_rot = rotation_cost(spec.rot_bits)
     c_unitary, c_zmatr = fragment_cost(spec.n_orbitals, c_rot)
-    c_fragment = c_unitary + c_zmatr
-    c_trotter_step = 2 * spec.l_fragments * c_fragment  # two first-order calls
+    c_trotter_step = 2 * spec.l_fragments * (c_unitary + c_zmatr)  # two first-order calls
 
     delta = trotter_step_size(spec.gamma, spec.y3_magnitude)
-    steps = math.ceil(spec.tau / delta)
     degree = 2 * spec.j_max + 1 if spec.gqsp_two_sided else max(spec.j_max, 1)
 
-    alpha = spec.shot_alpha if spec.shot_alpha is not None else CONSTANTS.cross_section_prefactor
-    beta = spec.shot_beta if spec.shot_beta is not None else beta_bound(spec.tau, spec.gamma, spec.j_max)
-    shots = shot_count(alpha, spec.dipole_norm, beta, spec.epsilon)
-
-    gates = degree * steps * c_trotter_step + spec.state_prep_gates
-    qubits = 2 * spec.n_orbitals + spec.ancilla_qubits
+    alpha = cross_section_prefactor(EUV_OMEGA_HA) if spec.shot_alpha is None else spec.shot_alpha
+    beta = (beta_bound(spec.tau, spec.gamma, spec.j_max) if spec.shot_beta is None
+            else spec.shot_beta)
     return AbsorptionCostBreakdown(
-        c_rot=c_rot, c_unitary=c_unitary, c_zmatr=c_zmatr, c_fragment=c_fragment,
-        c_trotter_step=c_trotter_step, trotter_steps_per_tau=steps,
-        gqsp_degree=degree, gates_per_circuit=gates, shots=shots, qubits=qubits,
+        c_rot=c_rot, c_unitary=c_unitary, c_zmatr=c_zmatr, c_trotter_step=c_trotter_step,
+        trotter_steps_per_tau=math.ceil(spec.tau / delta), gqsp_degree=degree,
+        shots=shot_count(alpha, spec.dipole_norm, beta, spec.epsilon),
+        qubits=2 * spec.n_orbitals + spec.ancilla_qubits,
     )
-
-
-def ancilla_budget(spec: AbsorptionSpec) -> list[tuple[str, int]]:
-    """Itemize the fixed ancilla count as a budget.
-
-    The total is calibrated, not derived: the phase-gradient register, the
-    GQSP rotation ancilla, and the Hadamard-test ancilla are identifiable,
-    and the remainder is select/QROM workspace.
-    """
-    remainder = spec.ancilla_qubits - spec.rot_bits - 2
-    if remainder < 0:
-        raise ValidationError("ancilla budget smaller than its identifiable parts")
-    return [
-        ("phase-gradient register", spec.rot_bits),
-        ("GQSP rotation ancilla", 1),
-        ("Hadamard-test ancilla", 1),
-        ("select/QROM workspace", remainder),
-    ]
 
 
 def render_table(rows: list[tuple[AbsorptionSpec, CostReport]]) -> str:

@@ -47,13 +47,11 @@ class CdfFactorization:
     """Fragments (U, Z) of a double factorization, plus the reconstruction error.
 
     Each fragment contributes sum_{kl} U[p,k] U[q,k] Z[k,l] U[r,l] U[s,l] to the
-    reconstructed tensor; Z is symmetric and U orthogonal. ``one_body`` holds the
-    (U0, Z0) eigenfactorization of a symmetric one-electron matrix when provided.
+    reconstructed tensor; Z is symmetric and U orthogonal.
     """
 
     fragments: tuple[tuple[np.ndarray, np.ndarray], ...]
     reconstruction_error: float
-    one_body: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.fragments)
@@ -66,8 +64,7 @@ class CdfFactorization:
         return out
 
 
-def double_factorize(tensor: TwoElectronTensor, l_max: int,
-                     one_body: np.ndarray | None = None) -> CdfFactorization:
+def double_factorize(tensor: TwoElectronTensor, l_max: int) -> CdfFactorization:
     """Factorize a two-electron tensor into at most ``l_max`` (U, Z) fragments.
 
     The N^2 x N^2 matricization is eigendecomposed; the ``l_max`` eigenvalues
@@ -105,18 +102,7 @@ def double_factorize(tensor: TwoElectronTensor, l_max: int,
         recon += lam * np.einsum("pq,rs->pqrs", w, w)
 
     error = float(np.linalg.norm(recon - tensor.values))
-    ob = factorize_one_body(one_body) if one_body is not None else None
-    return CdfFactorization(fragments=tuple(fragments), reconstruction_error=error,
-                            one_body=ob)
-
-
-def factorize_one_body(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenfactorize a symmetric one-electron matrix into (U0, diagonal Z0)."""
-    h = np.asarray(h, dtype=float)
-    if not np.allclose(h, h.T, atol=SYMMETRY_TOL, rtol=0.0):
-        raise ValidationError("one-body matrix must be symmetric")
-    z, u = np.linalg.eigh(h)
-    return u, np.diag(z)
+    return CdfFactorization(fragments=tuple(fragments), reconstruction_error=error)
 
 
 def givens_decompose(u: np.ndarray) -> list[tuple[int, int, float]]:

@@ -35,6 +35,7 @@ EX_NUMERICAL = 3
 EX_USAGE = 64
 
 MAX_OMEGA_POINTS = 2**20  # largest emulate-absorption frequency grid
+MAX_BIN_COUNT = 2**20     # largest emulate-photoemission kinetic-energy histogram
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,8 @@ def _load_json(path: str) -> dict:
         ) from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read input: {exc}") from exc
+    except ValueError as exc:  # an integer literal longer than the interpreter converts
+        raise ValidationError(f"number out of range in {path}: {exc}") from exc
 
 
 def _sweep(data, spec_cls):
@@ -141,10 +144,12 @@ def run_emulate_photoemission(data, seed: int) -> Output:
     model = grid.GridModel.from_config(cfg["model"])
     filt = None if cfg["filter"] is None else read_dataclass(grid.FilterSpec, cfg["filter"])
     bins = read_fields(cfg["bins"], {"max": (float, REQUIRED), "count": (int, REQUIRED)}, "bins")
-    if not bins["max"] > 0 or bins["count"] < 1:
-        raise ValidationError("bins need max > 0 and count >= 1")
-    if cfg["shots"] < 0:
-        raise ValidationError("shots must be non-negative")
+    if not bins["max"] > 0:
+        raise ValidationError("bins.max must be positive")
+    if not 1 <= bins["count"] <= MAX_BIN_COUNT:
+        raise ValidationError(f"bins.count must be from 1 to 2^20 = {MAX_BIN_COUNT}")
+    if not 0 <= cfg["shots"] <= spectro.MAX_SHOTS:
+        raise ValidationError(f"shots must be from 0 to {spectro.MAX_SHOTS}")
 
     psi, energy = grid.ground_state(model)
     logger.info("ground state energy %.6f Ha", energy)

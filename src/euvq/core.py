@@ -14,7 +14,7 @@ import functools
 import math
 import sys
 import typing
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 HARTREE_PER_EV = 1.0 / 27.211386
 AU_TIME_PER_FS = 41.3414
@@ -30,30 +30,9 @@ class NumericalError(RuntimeError):
     """Raised when an iterative numerical procedure fails to converge."""
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Unit ratios and the EUV operating frequency, all strictly positive."""
-
-    hartree_per_ev: float = HARTREE_PER_EV
-    au_time_per_fs: float = AU_TIME_PER_FS
-    speed_of_light_au: float = SPEED_OF_LIGHT_AU
-    euv_omega: float = EUV_OMEGA_HA
-
-    def __post_init__(self) -> None:
-        for name in ("hartree_per_ev", "au_time_per_fs", "speed_of_light_au", "euv_omega"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be strictly positive")
-        # operating frequency must sit within 0.5% of 92 eV
-        if abs(self.euv_omega / (92.0 * self.hartree_per_ev) - 1.0) > 5e-3:
-            raise ValidationError("euv_omega inconsistent with 92 eV operating point")
-
-    @property
-    def cross_section_prefactor(self) -> float:
-        """4*pi*omega / (3*c), the semi-classical prefactor at the EUV frequency."""
-        return 4.0 * math.pi * self.euv_omega / (3.0 * self.speed_of_light_au)
-
-
-CONSTANTS = PhysicalConstants()
+def cross_section_prefactor(omega: float) -> float:
+    """4*pi*omega / (3*c), the semi-classical absorption prefactor at frequency ``omega`` (Ha)."""
+    return 4.0 * math.pi * omega / (3.0 * SPEED_OF_LIGHT_AU)
 
 
 def ev_to_hartree(energy_ev: float) -> float:
@@ -115,46 +94,36 @@ def aligned_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
 
 @dataclass(frozen=True)
 class CostReport:
-    """Logical-qubit and non-Clifford gate totals with a per-subroutine breakdown.
+    """Logical-qubit count, shot count and per-subroutine non-Clifford gate breakdown.
 
-    ``overall_gates`` is always ``gates_per_circuit * shots`` and the breakdown
-    entries always sum to ``gates_per_circuit``; both are enforced at
-    construction. Gate counts are exact integers where the formulas are exact
-    and floats where they are analytic.
+    The gate totals are derived: ``gates_per_circuit`` is the breakdown sum and
+    ``overall_gates`` is ``gates_per_circuit * shots``. Gate counts are exact
+    integers where the formulas are exact and floats where they are analytic.
     """
 
     logical_qubits: int
-    gates_per_circuit: float
     shots: int
-    overall_gates: float
-    breakdown: tuple[tuple[str, float], ...] = field(default_factory=tuple)
+    breakdown: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
         if self.logical_qubits < 0 or self.shots < 1:
             raise ValidationError("qubits must be >= 0 and shots >= 1")
-        if any(count < 0 for _, count in self.breakdown):
-            raise ValidationError("breakdown entries must be non-negative")
-        if not (math.isfinite(self.gates_per_circuit) and math.isfinite(self.overall_gates)):
-            raise ValidationError("gate counts must be finite")
-        if self.overall_gates != self.gates_per_circuit * self.shots:
-            raise ValidationError("overall_gates != gates_per_circuit * shots")
-        if self.breakdown:
-            total = sum(count for _, count in self.breakdown)
-            if isinstance(self.gates_per_circuit, int) and isinstance(total, int):
-                ok = total == self.gates_per_circuit
-            else:
-                ok = math.isclose(total, self.gates_per_circuit, rel_tol=1e-12, abs_tol=0.0)
-            if not ok:
-                raise ValidationError("breakdown does not sum to gates_per_circuit")
+        for label, count in self.breakdown:
+            if count < 0:
+                raise ValidationError(f"cost term '{label}' must be non-negative")
+            if not count <= sys.float_info.max:
+                raise ValidationError(f"cost term '{label}' is beyond the float range")
+        if not self.overall_gates <= sys.float_info.max:
+            raise ValidationError("overall gates (gates per circuit x shots) are beyond "
+                                  "the float range")
 
-    @classmethod
-    def build(cls, logical_qubits: int, shots: int,
-              breakdown: list[tuple[str, float]]) -> "CostReport":
-        """Assemble a report whose gate total is defined as the breakdown sum."""
-        gates = sum(count for _, count in breakdown)
-        return cls(logical_qubits=logical_qubits, gates_per_circuit=gates,
-                   shots=shots, overall_gates=gates * shots,
-                   breakdown=tuple(breakdown))
+    @property
+    def gates_per_circuit(self) -> float:
+        return sum(count for _, count in self.breakdown)
+
+    @property
+    def overall_gates(self) -> float:
+        return self.gates_per_circuit * self.shots
 
     def to_dict(self) -> dict:
         return {
@@ -200,8 +169,12 @@ class AbsorptionSpec:
             raise ValidationError("y3_magnitude and spectral_norm must be positive")
         if self.rot_bits < 3:
             raise ValidationError("rot_bits must be at least 3")
-        if self.dipole_norm < 0 or self.state_prep_gates < 0:
-            raise ValidationError("dipole_norm and state_prep_gates must be non-negative")
+        for name in ("dipole_norm", "shot_alpha", "shot_beta"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValidationError(f"{name} must be positive")
+        if self.state_prep_gates < 0 or self.ancilla_qubits < 0:
+            raise ValidationError("state_prep_gates and ancilla_qubits must be non-negative")
 
     @classmethod
     def from_dict(cls, data: dict) -> "AbsorptionSpec":
@@ -217,7 +190,9 @@ class PlaneWaveSpec:
 
     ``n_bits`` is qubits per spatial dimension, so the grid has 2**n_bits
     plane waves per dimension. ``epsilon_be`` budgets the block-encoding
-    precision bits; ``epsilon_sampling`` sets the shot count.
+    precision bits; ``epsilon_sampling`` sets the shot count. ``method`` only
+    labels the output rows: a Pseudopotential spec is costed with the
+    all-electron formulas at its own eta = lambda_zeta.
     """
 
     eta: int
@@ -241,6 +216,12 @@ class PlaneWaveSpec:
     def __post_init__(self) -> None:
         if self.eta < 1 or self.n_bits < 1:
             raise ValidationError("eta >= 1 and n_bits >= 1 required")
+        max_bits = (sys.float_info.max_exp - 1) // 2  # keeps 2^(2 n_bits) a finite float
+        if self.n_bits > max_bits:
+            raise ValidationError(f"n_bits = {self.n_bits} puts 2^(2 n_bits) beyond the float "
+                                  f"range; the cap is {max_bits}")
+        if self.c_sp < 0:
+            raise ValidationError("c_sp must be non-negative")
         if self.omega_cell <= 0 or self.r_cutoff <= 0:
             raise ValidationError("omega_cell and r_cutoff must be positive")
         for name in ("p_dipole", "p_window", "p_continuum", "p_nu"):
@@ -274,16 +255,16 @@ class PlaneWaveSpec:
 
 REQUIRED = object()  # the default of a field that must be present
 
-_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
-               bool: "true or false", dict: "an object", list: "a list"}
+_KIND_NAMES = {int: "an integer within the float range", float: "a finite number",
+               str: "a string", bool: "true or false", dict: "an object", list: "a list"}
 
 
 def _is_kind(value, kind) -> bool:
-    if kind in (int, float) and isinstance(value, bool):
-        return False
-    if kind is float:
+    if kind in (int, float):
         # the bound turns away NaN, infinities and integers too large to become a float
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        numbers = int if kind is int else (int, float)
+        return (isinstance(value, numbers) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max)
     return isinstance(value, kind)
 
 
@@ -291,10 +272,11 @@ def read_fields(data, spec: dict, where: str) -> dict:
     """Check the JSON object ``data`` against ``spec``; return its fields, defaults filled in.
 
     ``spec`` maps each name to ``(kind, default)``, kind one of int, float,
-    str, bool, dict or list. An int never takes a boolean; a float takes any
-    finite number, integers included and unconverted. null is accepted only
-    where the default is None; a default of REQUIRED makes the field
-    mandatory. Errors name the field and ``where``, the object it sits in.
+    str, bool, dict or list. An int never takes a boolean, nor an integer
+    beyond the float range; a float takes any finite number, integers
+    included and unconverted. null is accepted only where the default is
+    None; a default of REQUIRED makes the field mandatory. Errors name the
+    field and ``where``, the object it sits in.
     """
     if not isinstance(data, dict):
         raise ValidationError(f"{where} must be a JSON object")
@@ -310,8 +292,10 @@ def read_fields(data, spec: dict, where: str) -> dict:
             continue
         value = data[name]
         if not (_is_kind(value, kind) or (value is None and default is None)):
+            shown = repr(value)
+            shown = shown if len(shown) <= 40 else shown[:37] + "..."
             raise ValidationError(
-                f"field '{name}' in {where} must be {_KIND_NAMES[kind]}, got {value!r:.40}")
+                f"field '{name}' in {where} must be {_KIND_NAMES[kind]}, got {shown}")
         out[name] = value
     return out
 

@@ -31,6 +31,7 @@ from .core import REQUIRED, NumericalError, ValidationError, read_fields, read_n
 
 EVOLVE_TAIL = 1e-12            # bound on the dropped tail of the exp(-iHt) series
 MAX_SERIES_ARGUMENT = 1e6      # largest half_span * t evolve runs: about 1e6 H applications
+MAX_FILTER_DEGREE = 20000      # largest Chebyshev degree of the energy filter
 
 
 def _potential_from_config(data, x: np.ndarray) -> np.ndarray:
@@ -176,8 +177,9 @@ class FilterSpec:
     def __post_init__(self) -> None:
         if self.sigma <= 0:
             raise ValidationError("sigma must be positive")
-        if self.poly_degree < 0:
-            raise ValidationError("poly_degree must be non-negative")
+        if not 0 <= self.poly_degree <= MAX_FILTER_DEGREE:
+            raise ValidationError(
+                f"poly_degree must be from 0 to {MAX_FILTER_DEGREE}, got {self.poly_degree}")
         if self.mode not in ("ExactEigen", "ChebyshevPoly"):
             raise ValidationError("mode must be ExactEigen or ChebyshevPoly")
         if self.poly_tolerance <= 0:
@@ -370,7 +372,7 @@ def _sup_error(func, coeffs: np.ndarray) -> float:
     return float(np.max(np.abs(dct(padded, type=3) - func(xs))))
 
 
-def required_filter_degree(func, tolerance: float, max_degree: int = 20000) -> int:
+def required_filter_degree(func, tolerance: float) -> int:
     """Smallest Chebyshev degree whose sup error on [-1, 1] is below tolerance."""
     def sup_error(d):
         return _sup_error(func, chebyshev_coefficients(func, d))
@@ -378,8 +380,9 @@ def required_filter_degree(func, tolerance: float, max_degree: int = 20000) -> i
     lo, hi = 1, 8
     while sup_error(hi) > tolerance:
         hi *= 2
-        if hi > max_degree:
-            raise ValidationError(f"filter tolerance {tolerance} needs degree > {max_degree}")
+        if hi > MAX_FILTER_DEGREE:
+            raise ValidationError(
+                f"filter tolerance {tolerance} needs degree > {MAX_FILTER_DEGREE}")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if sup_error(mid) > tolerance:

@@ -62,26 +62,19 @@ def lambda_total(lam_t: float, lam_u: float, lam_v: float,
     return max(lam_t + lam_u + lam_v, (lam_u + lam_v * pair_factor) / p_nu)
 
 
-def lattice_sum_inv_norm(n_bits: int, mode: str = "auto") -> float:
+def lattice_sum_inv_norm(n_bits: int) -> float:
     """Estimate sum over nonzero lattice vectors of 1/||nu||.
 
-    ``mode``: "exact" brute-forces the symmetric integer cube (n_bits <= 8),
-    "radial" uses the integral approximation 2*pi*(2^n)^2/4 (a ball of radius
-    2^n / 2), "auto" switches from exact to radial above n_bits = 7.
+    Up to n_bits = 7 the symmetric integer cube is summed exactly; above, the
+    integral approximation 2*pi*(2^n)^2/4 (a ball of radius 2^n / 2) is used.
     """
     if n_bits < 1:
         raise ValidationError("n_bits must be >= 1")
-    if mode not in ("auto", "exact", "radial"):
-        raise ValidationError("mode must be auto, exact, or radial")
-    if mode == "auto":
-        mode = "exact" if n_bits <= LATTICE_SUM_EXACT_MAX_BITS else "radial"
-    if mode == "exact":
-        if n_bits > 8:
-            raise ValidationError("exact lattice sum capped at n_bits = 8")
+    if n_bits <= LATTICE_SUM_EXACT_MAX_BITS:
         half = (2**n_bits - 1) // 2
         r = np.arange(-half, half + 1)
         total = 0.0
-        for x in r:  # slice by x to keep the working set small at n_bits = 8
+        for x in r:  # slice by x to keep the working set small
             q2 = (float(x) ** 2 + r[:, None] ** 2 + r[None, :] ** 2).astype(float)
             q2 = q2[q2 > 0]
             total += float(np.sum(1.0 / np.sqrt(q2)))
@@ -108,7 +101,10 @@ class BlockEncodingBudget:
     toffoli_per_query: int
     ancilla_qubits: int
     system_qubits: int
-    total_qubits: int
+
+    @property
+    def total_qubits(self) -> int:
+        return self.system_qubits + self.ancilla_qubits
 
     def __post_init__(self) -> None:
         if self.lambda_total < max(self.lambda_t_prime, self.lambda_u, self.lambda_v) - 1e-9:
@@ -168,7 +164,6 @@ def budget_from_bits(spec: PlaneWaveSpec, lam_t: float, lam_u: float, lam_v: flo
         lambda_t_prime=lam_t, lambda_u=lam_u, lambda_v=lam_v, lambda_total=lam,
         p_nu=spec.p_nu, c_ref=c_ref, toffoli_per_query=toffoli,
         ancilla_qubits=anc + n_ref, system_qubits=system,
-        total_qubits=system + anc + n_ref,
     )
 
 
@@ -262,8 +257,7 @@ def continuum_projector_cost(spec: PlaneWaveSpec) -> int:
     return eta * (12 * n * n - 8 * n + n_eta + 1)
 
 
-def photoemission_cost(spec: PlaneWaveSpec,
-                       budget: BlockEncodingBudget | None = None) -> CostReport:
+def photoemission_cost(spec: PlaneWaveSpec) -> CostReport:
     """Assemble the per-circuit gate count, qubits, and shots for one run.
 
     gates = (1/sqrt(P_c)) [C_bound + C_te + (1/sqrt(P_w)) (C_W +
@@ -271,8 +265,7 @@ def photoemission_cost(spec: PlaneWaveSpec,
     the 3*eta*n system register plus block-encoding ancilla and reflection
     workspace.
     """
-    if budget is None:
-        budget = build_budget(spec)
+    budget = build_budget(spec)
     c_prep, c_sel = prep_select_costs(spec, budget.n_m, budget.n_r, budget.n_t,
                                       budget.n_eta_zeta)
     lam = budget.lambda_total
@@ -284,16 +277,14 @@ def photoemission_cost(spec: PlaneWaveSpec,
     amp_c = 1.0 / math.sqrt(spec.p_continuum)
     amp_w = 1.0 / math.sqrt(spec.p_window)
     amp_d = 1.0 / math.sqrt(spec.p_dipole)
-    breakdown = [
+    shots = math.ceil(1.0 / spec.epsilon_sampling**2)
+    return CostReport(logical_qubits=budget.total_qubits, shots=shots, breakdown=(
         ("state prep + dipole (amplified)", amp_c * amp_w * amp_d * (c_x + spec.c_sp)),
         (f"gaussian filter QSP (amplified, {spec.filter_convention} prefactor)",
          amp_c * amp_w * c_w),
         ("time evolution QSP", amp_c * c_te),
         ("continuum projector", amp_c * float(c_bound)),
-    ]
-    shots = math.ceil(1.0 / spec.epsilon_sampling**2)
-    return CostReport.build(logical_qubits=budget.total_qubits, shots=shots,
-                            breakdown=breakdown)
+    ))
 
 
 def render_table(rows: list[tuple[str, PlaneWaveSpec, CostReport]]) -> str:

@@ -155,7 +155,8 @@ def all_bound(qs: list[tuple[BitRegister, BitRegister, BitRegister]], r_cutoff: 
               box: float, ledger: ToffoliLedger | None = None) -> int:
     """Product of per-particle bound bits over eta particles (Eq.-style counter).
 
-    The default-mode ledger total is eta (12 n^2 - 8 n + ceil(log2 eta) + 1).
+    The default-mode ledger total is eta (12 n^2 - 8 n + ceil(log2 eta) + 1),
+    the closed form of :func:`euvq.planewave.continuum_projector_cost`.
     """
     if not qs:
         raise ValidationError("need at least one particle register")
@@ -168,12 +169,6 @@ def all_bound(qs: list[tuple[BitRegister, BitRegister, BitRegister]], r_cutoff: 
             ledger.charge("bound counter", counter_bits)
         bit &= inside
     return bit
-
-
-def all_bound_cost(eta: int, n_bits: int) -> int:
-    """Closed form eta (12 n^2 - 8 n + ceil(log2 eta) + 1)."""
-    counter = math.ceil(math.log2(eta)) if eta > 1 else 0
-    return eta * (12 * n_bits * n_bits - 8 * n_bits + counter + 1)
 
 
 def position_be_ledger(spec: PlaneWaveSpec) -> ToffoliLedger:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONSTANTS, REQUIRED, ValidationError, read_fields, read_numbers
+from .core import (EUV_OMEGA_HA, REQUIRED, ValidationError, cross_section_prefactor, read_fields,
+                   read_numbers)
 
 HERMITICITY_TOL = 1e-12
 EIGENPAIR_TOL = 1e-9
@@ -174,8 +175,7 @@ def kramers_heisenberg(scene: SpectralScene, omega: float, gamma: float) -> floa
     energies, weights = _spectral_data(scene)
     detune = energies - scene.ground_energy - omega
     lor = gamma / (detune**2 + gamma**2)
-    return float(4.0 * math.pi * omega / (3.0 * CONSTANTS.speed_of_light_au)
-                 * np.sum(weights * lor))
+    return float(cross_section_prefactor(omega) * np.sum(weights * lor))
 
 
 def _phase_sum(scene: SpectralScene, tau: float, j_max: int) -> np.ndarray:
@@ -323,7 +323,7 @@ def hadamard_shot_simulator(scene: SpectralScene, weights: FourierWeights,
     """
     _check_shots(shots)
     if alpha is None:
-        alpha = CONSTANTS.cross_section_prefactor
+        alpha = cross_section_prefactor(EUV_OMEGA_HA)
     exact = hadamard_exact_z(scene, weights)
     draws = _draw_z(exact, shots, seed)
     mean_z = float(np.mean(draws))
@@ -387,7 +387,7 @@ def spectrum_rows(scene: SpectralScene, omegas, gamma: float, tau: float,
         phase_sum = _phase_sum(scene, tau, j_max)
         norm = dipole_excited_norm(scene)
         for k, omega in enumerate(omegas):
-            prefactor = 4.0 * math.pi * omega / (3.0 * CONSTANTS.speed_of_light_au)
+            prefactor = cross_section_prefactor(omega)
             weights = fourier_weights(omega, gamma, tau, j_max)
             td = complex(weights.weights @ phase_sum)
             draws = _draw_z(_expected_z(td, norm, weights.beta), shots, seed + k)

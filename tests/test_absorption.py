@@ -7,7 +7,6 @@ import pytest
 from euvq.absorption import (
     absorption_breakdown,
     absorption_cost,
-    ancilla_budget,
     beta_bound,
     beta_limit,
     fragment_cost,
@@ -16,7 +15,8 @@ from euvq.absorption import (
     shot_count,
     trotter_step_size,
 )
-from euvq.core import AbsorptionSpec, ValidationError, ev_to_hartree
+from euvq.core import (EUV_OMEGA_HA, AbsorptionSpec, ValidationError, cross_section_prefactor,
+                       ev_to_hartree)
 
 
 def table1_spec(n, **overrides):
@@ -142,7 +142,7 @@ def test_minimal_instance_floor():
     details = absorption_breakdown(spec)
     assert details.gqsp_degree == 1
     assert details.trotter_steps_per_tau == 1
-    assert details.gates_per_circuit == details.c_trotter_step
+    assert absorption_cost(spec).gates_per_circuit == details.c_trotter_step
 
 
 def test_one_sided_degree_convention():
@@ -152,13 +152,11 @@ def test_one_sided_degree_convention():
 
 
 def test_default_alpha_beta_computed():
-    from euvq.core import CONSTANTS
-
     spec = table1_spec(22, shot_alpha=None, shot_beta=None)
     details = absorption_breakdown(spec)
     expected_beta = beta_bound(spec.tau, spec.gamma, spec.j_max)
     expected = math.ceil(
-        (CONSTANTS.cross_section_prefactor * 6.25 * expected_beta / 0.1) ** 2)
+        (cross_section_prefactor(EUV_OMEGA_HA) * 6.25 * expected_beta / 0.1) ** 2)
     assert details.shots == expected
 
 
@@ -167,12 +165,6 @@ def test_state_prep_line_in_breakdown():
     labels = dict(report.breakdown)
     assert labels["state preparation (sum-of-Slaters)"] == 1000
     assert sum(labels.values()) == report.gates_per_circuit
-
-
-def test_ancilla_budget_sums():
-    spec = table1_spec(22)
-    budget = ancilla_budget(spec)
-    assert sum(count for _, count in budget) == spec.ancilla_qubits
 
 
 def test_render_table_columns():

@@ -7,7 +7,6 @@ from euvq.cdf import (
     CdfFactorization,
     TwoElectronTensor,
     double_factorize,
-    factorize_one_body,
     givens_decompose,
     givens_reconstruct,
     givens_signs,
@@ -99,15 +98,6 @@ def test_l_max_clamped_with_warning():
     assert len(fact) <= 9
 
 
-def test_one_body_factorization():
-    rng = np.random.default_rng(9)
-    h = rng.standard_normal((6, 6))
-    h = (h + h.T) / 2
-    u0, z0 = factorize_one_body(h)
-    np.testing.assert_allclose(u0 @ z0 @ u0.T, h, atol=1e-10)
-    np.testing.assert_allclose(z0, np.diag(np.diag(z0)))
-
-
 def test_givens_identity_empty():
     assert givens_decompose(np.eye(5)) == []
 
@@ -141,4 +131,3 @@ def test_givens_rejects_non_orthogonal():
 def test_factorization_type_exposed():
     fact = double_factorize(random_symmetric_tensor(3, 1), l_max=9)
     assert isinstance(fact, CdfFactorization)
-    assert fact.one_body is None

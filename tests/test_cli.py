@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, formats, and bundled-fixture round trips."""
 
+import hashlib
 import json
 import re
 import subprocess
@@ -270,21 +271,93 @@ def _edited(name, edit):
     return data
 
 
-@pytest.mark.parametrize("command, data", [
-    ("estimate-photoemission", _edited("corollary_imeph.json", lambda d: d.update(eta=10**400))),
-    ("estimate-photoemission", _edited("corollary_imeph.json", lambda d: d.update(n_bits=2000))),
-    ("estimate-photoemission", _edited("corollary_imeph.json", lambda d: d.update(c_sp=1e308))),
-    ("estimate-absorption", dict(_fixture("table1.json")["sweep"][0], rot_bits=10**400)),
-    ("estimate-absorption", dict(_fixture("table1.json")["sweep"][0], tau=1e300)),
+def _table1_entry(**fields):
+    return dict(_fixture("table1.json")["sweep"][0], **fields)
+
+
+def _corollary(**fields):
+    return _edited("corollary_imeph.json", lambda d: d.update(fields))
+
+
+@pytest.mark.parametrize("command, data, name", [
+    ("estimate-photoemission", _corollary(eta=10**400), "'eta'"),
+    ("estimate-photoemission", _corollary(n_bits=2000), "n_bits"),
+    ("estimate-photoemission", _corollary(c_sp=1e308), "'state prep + dipole (amplified)'"),
+    ("estimate-absorption", _table1_entry(rot_bits=10**400), "'rot_bits'"),
+    ("estimate-absorption", _table1_entry(tau=1e300), "'time-evolution (GQSP x Trotter)'"),
 ], ids=["eta", "n_bits", "c_sp", "rot_bits", "tau"])
 @pytest.mark.parametrize("fmt", ["table", "json"])
-def test_estimate_out_of_float_range_exit_code(tmp_path, capsys, command, data, fmt):
+def test_estimate_out_of_float_range_exit_code(tmp_path, capsys, command, data, name, fmt):
+    # the message names the input field, or the cost term, that left the float range
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
     assert main([command, "--input", str(path), "--format", fmt]) == EX_VALIDATION
     out, err = capsys.readouterr()
     assert out == ""
+    assert name in err
     assert not re.search(r"Infinity|\binf\b|Traceback", err)
+
+
+@pytest.mark.parametrize("command, data, field", [
+    ("estimate-absorption", _table1_entry(dipole_norm=0), "dipole_norm"),
+    ("estimate-absorption", _table1_entry(shot_alpha=0), "shot_alpha"),
+    ("estimate-absorption", _table1_entry(shot_beta=-1.0), "shot_beta"),
+    ("estimate-absorption", _table1_entry(ancilla_qubits=-1), "ancilla_qubits"),
+    ("estimate-photoemission", _corollary(c_sp=-5.0), "c_sp"),
+    ("estimate-photoemission", _corollary(c_sp=-1e12), "c_sp"),
+], ids=["dipole_norm_0", "shot_alpha_0", "shot_beta_neg", "ancilla_neg", "c_sp_-5", "c_sp_-1e12"])
+def test_estimate_spec_out_of_range_names_field(tmp_path, capsys, command, data, field):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--input", str(path)]) == EX_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert field in err
+
+
+def test_integer_beyond_parser_digit_limit_exit_code(tmp_path, capsys):
+    text = json.dumps(_corollary()).replace('"eta": 110', '"eta": 1' + "0" * 5000)
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert main(["estimate-photoemission", "--input", str(path)]) == EX_VALIDATION
+    assert "number out of range" in capsys.readouterr().err
+
+
+# sha256 of the estimators' stdout on every bundled estimator fixture; a change to
+# any of these digests is a change of published output and must be stated
+ESTIMATOR_DIGESTS = [
+    ("estimate-absorption", "table1.json", "table",
+     "0d38f07caaac90ea8ffa0d847ca71a26fa2297cd59d6a166b29d9d71f70720cd"),
+    ("estimate-absorption", "table1.json", "csv",
+     "6e312b10e6d1907c02f75e78f7fd0d0f5770d6c378b39a657df3c5caf3b317a0"),
+    ("estimate-absorption", "table1.json", "json",
+     "94d77e643e276cf6c447d30087c584b0bf7621f65eca00c3b339df5720ecc6df"),
+    ("estimate-photoemission", "corollary_imeph.json", "table",
+     "96ca83dab6e91b806d4b33c3087747eb36f67a5fa8bbff7a8453db6d88a6ce7c"),
+    ("estimate-photoemission", "corollary_imeph.json", "csv",
+     "0585ac72665abca330f93bac508b2712149a6ae05073eeed5c372e78046125d9"),
+    ("estimate-photoemission", "corollary_imeph.json", "json",
+     "7d44b3dd941c35671b9d996c03967ad2835b2426c58562cbc7fcca6312fd921a"),
+    ("estimate-photoemission", "table2_ae.json", "table",
+     "fa52c816595c43a44ab32bb93899e2ad6108df7d2ee20e898b278708310419ae"),
+    ("estimate-photoemission", "table2_ae.json", "csv",
+     "df86a22fb89ff0e8ec6d75a0cfb728fec2ec6398cd32696633057aef08e9e1f9"),
+    ("estimate-photoemission", "table2_ae.json", "json",
+     "2101bcee9ebdd0bf8d984bd5757ab91f5e654c3071915c4f050170efe02e1721"),
+    ("estimate-photoemission", "table2_pp.json", "table",
+     "0d29728021c69880c70b1938e47accb19242ba50ab24c1b9066b56e03df06e0e"),
+    ("estimate-photoemission", "table2_pp.json", "csv",
+     "f64a40ca724c0a85aac0a74e8bce2280a868082d02904df8f1f3b245e89f91dc"),
+    ("estimate-photoemission", "table2_pp.json", "json",
+     "577c12242cca017a4765cf64ad280e4ece2a6a2fc412b6bc5f15876077a7a400"),
+]
+
+
+@pytest.mark.parametrize("command, fixture, fmt, digest", ESTIMATOR_DIGESTS,
+                         ids=[f"{c[9:]}-{f[:-5]}-{fmt}" for c, f, fmt, _ in ESTIMATOR_DIGESTS])
+def test_estimator_output_digest(capsys, command, fixture, fmt, digest):
+    assert main([command, "--input", fixture, "--format", fmt]) == EX_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def _set_model(**fields):
@@ -320,3 +393,24 @@ def test_emulate_absorption_out_of_range_exit_code(tmp_path, capsys, field, edit
     assert out == ""
     assert field in err
     assert not re.search(r"Traceback|Warning|Infinity", err)
+
+
+def _grid_with(**fields):
+    return _edited("grid_soft_coulomb_1d.json", lambda d: d.update(fields))
+
+
+@pytest.mark.parametrize("data, field, cap", [
+    (_grid_with(shots=10**15), "shots", "16777216"),
+    (_grid_with(bins={"max": 3.0, "count": 10**15}), "bins.count", "1048576"),
+    (_grid_with(filter={"center": 1.8, "sigma": 0.2, "mode": "ChebyshevPoly",
+                        "poly_degree": 10**15}), "poly_degree", "20000"),
+], ids=["shots", "bins_count", "poly_degree"])
+def test_emulate_photoemission_size_cap_exit_code(tmp_path, capsys, data, field, cap):
+    # oversized arrays are refused before the pipeline allocates anything
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(data))
+    assert main(["emulate-photoemission", "--input", str(path)]) == EX_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert field in err and cap in err
+    assert "Traceback" not in err

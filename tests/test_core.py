@@ -5,11 +5,12 @@ import math
 import pytest
 
 from euvq.core import (
-    CONSTANTS,
+    EUV_OMEGA_HA,
+    HARTREE_PER_EV,
     REQUIRED,
+    SPEED_OF_LIGHT_AU,
     AbsorptionSpec,
     CostReport,
-    PhysicalConstants,
     ValidationError,
     au_to_fs,
     ev_to_hartree,
@@ -17,6 +18,7 @@ from euvq.core import (
     fs_to_au,
     hartree_to_ev,
     read_fields,
+    cross_section_prefactor,
     read_numbers,
 )
 
@@ -42,33 +44,35 @@ def test_round_trip_energy_and_time():
 
 
 def test_constants_invariants():
-    assert CONSTANTS.euv_omega == pytest.approx(92.0 * CONSTANTS.hartree_per_ev, rel=5e-3)
-    assert CONSTANTS.cross_section_prefactor == pytest.approx(0.10, abs=5e-3)
-    with pytest.raises(ValidationError):
-        PhysicalConstants(euv_omega=-1.0)
-    with pytest.raises(ValidationError):
-        PhysicalConstants(euv_omega=4.0)  # not 92 eV
+    assert EUV_OMEGA_HA == pytest.approx(92.0 * HARTREE_PER_EV, rel=5e-3)
+    assert cross_section_prefactor(EUV_OMEGA_HA) == pytest.approx(0.10, abs=5e-3)
+    # the one expression every cross-section column and the default shot alpha use
+    for omega in (EUV_OMEGA_HA, 0.7, 2.5):
+        assert cross_section_prefactor(omega) == 4.0 * math.pi * omega / (3.0 * SPEED_OF_LIGHT_AU)
 
 
 def test_cost_report_consistency():
-    report = CostReport.build(logical_qubits=10, shots=3,
-                              breakdown=[("a", 5), ("b", 7)])
+    report = CostReport(logical_qubits=10, shots=3, breakdown=(("a", 5), ("b", 7)))
     assert report.gates_per_circuit == 12
     assert report.overall_gates == 36
-    with pytest.raises(ValidationError):
-        CostReport(logical_qubits=1, gates_per_circuit=5, shots=2, overall_gates=9)
-    with pytest.raises(ValidationError):
-        CostReport(logical_qubits=1, gates_per_circuit=5, shots=2, overall_gates=10,
-                   breakdown=(("a", 4),))
-    with pytest.raises(ValidationError):
-        CostReport(logical_qubits=1, gates_per_circuit=5, shots=2, overall_gates=10,
-                   breakdown=(("a", -1), ("b", 6)))
+    with pytest.raises(ValidationError, match="'a' must be non-negative"):
+        CostReport(logical_qubits=1, shots=2, breakdown=(("a", -1), ("b", 6)))
+    with pytest.raises(ValidationError, match="shots >= 1"):
+        CostReport(logical_qubits=1, shots=0, breakdown=(("a", 1),))
+    with pytest.raises(ValidationError, match="overall gates"):
+        CostReport(logical_qubits=1, shots=10**10, breakdown=(("a", 1e300),))
+
+
+@pytest.mark.parametrize("count", [10**309, math.inf, math.nan], ids=["int", "inf", "nan"])
+def test_cost_report_names_term_beyond_float_range(count):
+    with pytest.raises(ValidationError, match="cost term 'big' is beyond the float range"):
+        CostReport(logical_qubits=1, shots=1, breakdown=(("small", 1), ("big", count)))
 
 
 def test_cost_report_large_counts_stay_exact():
     # Table-II scale totals must not lose integer precision
     gates = 10**20 + 7
-    report = CostReport.build(logical_qubits=1, shots=10**4, breakdown=[("all", gates)])
+    report = CostReport(logical_qubits=1, shots=10**4, breakdown=(("all", gates),))
     assert report.overall_gates == gates * 10**4
 
 
@@ -101,6 +105,7 @@ def test_spec_round_trip():
 
 @pytest.mark.parametrize("kind, value, ok", [
     (int, 3, True), (int, 3.0, False), (int, True, False), (int, "3", False),
+    (int, 2**1000, True), (int, -(10**400), False),
     (float, 3, True), (float, 2.5, True), (float, False, False), (float, "2.5", False),
     (float, math.nan, False), (float, -math.inf, False), (float, 10**400, False),
     (str, "a", True), (str, 1, False), (bool, False, True), (bool, 0, False),

@@ -86,18 +86,10 @@ def test_lattice_sum_exact_small_grid():
 
 
 def test_lattice_sum_radial_regime():
-    assert lattice_sum_inv_norm(10) == pytest.approx(2 * math.pi * 4**10 / 4, rel=1e-12)
-
-
-def test_lattice_sum_mode_override():
-    # both conventions selectable; exact capped to brute-forceable grids
-    assert lattice_sum_inv_norm(5, mode="radial") == pytest.approx(
-        2 * math.pi * 4**5 / 4, rel=1e-12)
-    assert lattice_sum_inv_norm(8, mode="exact") == pytest.approx(
-        lattice_sum_inv_norm(8, mode="exact"), rel=0)  # deterministic
-    assert lattice_sum_inv_norm(4, mode="exact") == lattice_sum_inv_norm(4)
-    with pytest.raises(ValidationError):
-        lattice_sum_inv_norm(9, mode="exact")
+    # the integral approximation takes over above n_bits = 7
+    for n in (8, 10):
+        assert lattice_sum_inv_norm(n) == pytest.approx(2 * math.pi * 4**n / 4, rel=1e-12)
+    assert lattice_sum_inv_norm(7) != pytest.approx(2 * math.pi * 4**7 / 4, rel=1e-12)
 
 
 def test_filter_convention_recorded_in_report():

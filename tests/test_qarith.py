@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from euvq.core import PlaneWaveSpec, ValidationError
-from euvq.planewave import dipole_block_encoding_cost
+from euvq.planewave import continuum_projector_cost, dipole_block_encoding_cost
 from euvq.qarith import (
     BitRegister,
     ToffoliLedger,
     all_bound,
-    all_bound_cost,
     be_x_amplitude,
     comp,
     position_be_ledger,
@@ -141,7 +140,9 @@ def test_all_bound_ledger_matches_closed_form():
                                    for v in vals))
         ledger = ToffoliLedger()
         all_bound(particles, 2.0, 10.0, ledger=ledger)
-        assert ledger.total() == all_bound_cost(eta, n)
+        spec = PlaneWaveSpec(eta=eta, lambda_zeta=float(eta), omega_cell=1000.0, n_bits=n,
+                             epsilon_be=1e-3, delta_filter=0.1, t_evolution=0.0)
+        assert ledger.total() == continuum_projector_cost(spec)
 
 
 def test_measure_fixup_never_exceeds_full():
@@ -163,19 +164,6 @@ def test_position_ledger_equals_closed_form_cross_module():
                              n_bits=n, epsilon_be=eps, delta_filter=0.1,
                              t_evolution=0.0)
         assert position_be_ledger(spec).total() == dipole_block_encoding_cost(spec)
-
-
-def test_all_bound_cost_cross_module():
-    from euvq.planewave import continuum_projector_cost
-
-    rng = np.random.default_rng(18)
-    for _ in range(100):
-        eta = int(rng.integers(1, 300))
-        n = int(rng.integers(1, 16))
-        spec = PlaneWaveSpec(eta=eta, lambda_zeta=float(eta), omega_cell=1000.0,
-                             n_bits=n, epsilon_be=1e-3, delta_filter=0.1,
-                             t_evolution=0.0)
-        assert all_bound_cost(eta, n) == continuum_projector_cost(spec)
 
 
 def test_comp_sampled_wide_registers():
