@@ -105,11 +105,11 @@ def test_spec_round_trip():
 
 @pytest.mark.parametrize("kind, value, ok", [
     (int, 3, True), (int, 3.0, False), (int, True, False), (int, "3", False),
-    (int, 2**1000, True), (int, -(10**400), False),
     (float, 3, True), (float, 2.5, True), (float, False, False), (float, "2.5", False),
     (float, math.nan, False), (float, -math.inf, False), (float, 10**400, False),
     (str, "a", True), (str, 1, False), (bool, False, True), (bool, 0, False),
     (dict, {}, True), (dict, [], False), (list, [], True), (list, {}, False),
+    (int, 2**1000, True), (int, -(10**400), False),
 ])
 def test_read_fields_kinds(kind, value, ok):
     spec = {"x": (kind, REQUIRED)}
