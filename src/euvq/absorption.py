@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (EUV_OMEGA_HA, AbsorptionSpec, CostReport, ValidationError, aligned_table,
-                   cross_section_prefactor, format_sig3)
+                   cross_section_prefactor, finite_ceil, format_sig3)
 
 
 def rotation_cost(rot_bits: int) -> int:
@@ -72,7 +72,8 @@ def shot_count(alpha: float, dipole_norm: float, beta: float, epsilon: float) ->
     """Shots M = ceil((alpha * N * beta / epsilon)^2) from the Chebyshev bound."""
     if min(alpha, dipole_norm, beta, epsilon) <= 0:
         raise ValidationError("shot_count arguments must all be positive")
-    return math.ceil((alpha * dipole_norm * beta / epsilon) ** 2)
+    return finite_ceil(lambda: (alpha * dipole_norm * beta / epsilon) ** 2,
+                       "shot count (alpha dipole_norm beta / epsilon)^2")
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,9 @@ def absorption_breakdown(spec: AbsorptionSpec) -> AbsorptionCostBreakdown:
             else spec.shot_beta)
     return AbsorptionCostBreakdown(
         c_rot=c_rot, c_unitary=c_unitary, c_zmatr=c_zmatr, c_trotter_step=c_trotter_step,
-        trotter_steps_per_tau=math.ceil(spec.tau / delta), gqsp_degree=degree,
+        trotter_steps_per_tau=finite_ceil(lambda: spec.tau / delta,
+                                          "Trotter step count tau / sqrt(gamma / y3_magnitude)"),
+        gqsp_degree=degree,
         shots=shot_count(alpha, spec.dipole_norm, beta, spec.epsilon),
         qubits=2 * spec.n_orbitals + spec.ancilla_qubits,
     )

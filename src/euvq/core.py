@@ -85,6 +85,14 @@ def format_sig3(value: float) -> str:
     return f"{mant:.2f}e{exp}"
 
 
+def finite_ceil(compute, what: str) -> int:
+    """``math.ceil(compute())``; a ValidationError naming ``what`` if it leaves the float range."""
+    try:
+        return math.ceil(compute())
+    except (OverflowError, ZeroDivisionError):
+        raise ValidationError(f"{what} is beyond the float range") from None
+
+
 def aligned_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
     """Text table: the header line, then one line per row, cells left-aligned two spaces apart."""
     widths = [max([len(col), *(len(row[i]) for row in rows)]) for i, col in enumerate(header)]
@@ -220,6 +228,10 @@ class PlaneWaveSpec:
         if self.n_bits > max_bits:
             raise ValidationError(f"n_bits = {self.n_bits} puts 2^(2 n_bits) beyond the float "
                                   f"range; the cap is {max_bits}")
+        max_eta = math.isqrt(int(sys.float_info.max))  # keeps eta^2 a finite float
+        if self.eta > max_eta:
+            raise ValidationError(f"eta = {self.eta:.3g} puts eta^2 beyond the float range; "
+                                  f"the cap is {max_eta:.3g}")
         if self.c_sp < 0:
             raise ValidationError("c_sp must be non-negative")
         if self.omega_cell <= 0 or self.r_cutoff <= 0:

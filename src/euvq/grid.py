@@ -16,10 +16,19 @@ advance by a tail bound rather than found by refining a time step.
 Grid conventions: N points per dimension (power of two), spacing
 h = L / N, positions x_q = (q - N/2) h, momenta k = 2 pi fftfreq(N, h).
 All FFTs are orthonormal so position/momentum norms match exactly.
+
+Layout rule: as in the first-quantized circuit, each electron has its own
+coordinate register, so there are dims * eta axes and each table is built
+from a 1D axis table. Potential, kinetic and dipole tables are outer sums
+over the coordinates, the radius sums x^2 over one electron's axes, and the
+"any electron outside" weight is one minus the outer product of the
+electrons' inside weights. A model builds its potential and kinetic tables
+once, when it is made.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,6 +41,8 @@ from .core import REQUIRED, NumericalError, ValidationError, read_fields, read_n
 EVOLVE_TAIL = 1e-12            # bound on the dropped tail of the exp(-iHt) series
 MAX_SERIES_ARGUMENT = 1e6      # largest half_span * t evolve runs: about 1e6 H applications
 MAX_FILTER_DEGREE = 20000      # largest Chebyshev degree of the energy filter
+GROUND_STATE_TOL = 1e-10       # eigsh convergence tolerance of the ground state
+EDGE_CELLS = 2                 # grid points next to each box face that edge_density counts
 
 
 def _potential_from_config(data, x: np.ndarray) -> np.ndarray:
@@ -60,6 +71,16 @@ def _potential_from_config(data, x: np.ndarray) -> np.ndarray:
 def _check_n_points(n: int) -> None:
     if n < 2 or n & (n - 1) or n > 2**20:
         raise ValidationError("n_points must be a power of two from 2 to 2^20")
+
+
+def _axis(n: int, box_length: float) -> np.ndarray:
+    """Centered positions x_q = (q - N/2) L / N."""
+    return (np.arange(n) - n // 2) * (box_length / n)
+
+
+def _outer_sum(tables) -> np.ndarray:
+    """t_1(q_1) + t_2(q_2) + ... on the grid with one axis per table."""
+    return functools.reduce(np.add.outer, tables)
 
 
 @dataclass(frozen=True)
@@ -93,7 +114,14 @@ class GridModel:
             raise ValidationError("3D grids capped at 32 points per dimension")
         if self.hilbert_dim > 2**20:
             raise ValidationError("Hilbert space capped at 2^20")
-        if not all(np.isfinite(g).all() for g in (self.potential_grid(), self.kinetic_grid())):
+        coords = self.dims * self.eta
+        v = _outer_sum([self.potential] * coords)
+        if self.eta == 2 and self.interaction_strength:
+            sep = np.subtract.outer(self.axis, self.axis)
+            v = v + self.interaction_strength / np.sqrt(sep**2 + self.interaction_softening**2)
+        object.__setattr__(self, "_potential_table", v)
+        object.__setattr__(self, "_kinetic_table", _outer_sum([self.k_axis**2 / 2.0] * coords))
+        if not all(np.isfinite(g).all() for g in (v, self._kinetic_table)):
             raise ValidationError("potential and kinetic energies must be finite on the grid")
 
     @property
@@ -103,7 +131,7 @@ class GridModel:
     @property
     def axis(self) -> np.ndarray:
         """Centered positions x_q = (q - N/2) h."""
-        return (np.arange(self.n_points) - self.n_points // 2) * self.spacing
+        return _axis(self.n_points, self.box_length)
 
     @property
     def k_axis(self) -> np.ndarray:
@@ -111,8 +139,7 @@ class GridModel:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        per_particle = (self.n_points,) * self.dims
-        return per_particle * self.eta
+        return (self.n_points,) * (self.dims * self.eta)
 
     @property
     def hilbert_dim(self) -> int:
@@ -120,32 +147,16 @@ class GridModel:
 
     def potential_grid(self) -> np.ndarray:
         """Total potential on the configuration grid (incl. e-e repulsion)."""
-        if self.dims == 1 and self.eta == 1:
-            return self.potential
-        if self.dims == 3:
-            v = self.potential
-            return v[:, None, None] + v[None, :, None] + v[None, None, :]
-        v1 = self.potential[:, None] + self.potential[None, :]
-        if self.interaction_strength:
-            x = self.axis
-            sep = x[:, None] - x[None, :]
-            v1 = v1 + self.interaction_strength / np.sqrt(
-                sep**2 + self.interaction_softening**2)
-        return v1
+        return self._potential_table
 
     def kinetic_grid(self) -> np.ndarray:
         """Kinetic energies ||k||^2 / 2 on the configuration momentum grid."""
-        k2 = self.k_axis**2
-        if self.dims == 1 and self.eta == 1:
-            return k2 / 2.0
-        if self.dims == 3:
-            return (k2[:, None, None] + k2[None, :, None] + k2[None, None, :]) / 2.0
-        return (k2[:, None] + k2[None, :]) / 2.0
+        return self._kinetic_table
 
     def apply_hamiltonian(self, state: np.ndarray) -> np.ndarray:
         psi = state.reshape(self.shape)
-        out = self.potential_grid() * psi
-        out = out + np.fft.ifftn(self.kinetic_grid() * np.fft.fftn(psi, norm="ortho"),
+        out = self._potential_table * psi
+        out = out + np.fft.ifftn(self._kinetic_table * np.fft.fftn(psi, norm="ortho"),
                                  norm="ortho")
         return out.reshape(state.shape)
 
@@ -157,9 +168,8 @@ class GridModel:
             "potential": (dict, {"kind": "zero"}), "eta": (int, 1),
             "interaction_strength": (float, 0.0), "interaction_softening": (float, 1.0),
         }, "model")
-        n = cfg["n_points"]
-        _check_n_points(n)  # the axis is sampled, and divided by n, before the model exists
-        x = (np.arange(n) - n // 2) * (cfg["box_length"] / n)
+        _check_n_points(cfg["n_points"])  # the axis is sampled before the model exists
+        x = _axis(cfg["n_points"], cfg["box_length"])
         with np.errstate(all="ignore"):  # a non-finite energy is rejected by __post_init__
             return cls(potential=_potential_from_config(cfg.pop("potential"), x), **cfg)
 
@@ -212,12 +222,10 @@ def dense_hamiltonian(model: GridModel) -> np.ndarray:
     if dim > 4096:
         raise ValidationError("dense Hamiltonian capped at dimension 4096")
     eye = np.eye(dim, dtype=complex)
-    cols = [model.apply_hamiltonian(eye[:, i]) for i in range(dim)]
-    return np.column_stack(cols)
+    return np.column_stack([model.apply_hamiltonian(eye[:, i]) for i in range(dim)])
 
 
-def ground_state(model: GridModel, symmetry: str = "none",
-                 tol: float = 1e-10, maxiter: int | None = None
+def ground_state(model: GridModel, symmetry: str = "none", maxiter: int | None = None
                  ) -> tuple[np.ndarray, float]:
     """Lowest eigenpair of the grid Hamiltonian via Lanczos iteration.
 
@@ -231,33 +239,31 @@ def ground_state(model: GridModel, symmetry: str = "none",
     if symmetry != "none" and model.eta != 2:
         raise ValidationError("exchange symmetry applies to two-electron models")
 
-    vmax = float(np.max(model.potential_grid()))
-    kmax = float(np.max(model.kinetic_grid()))
-    push = abs(vmax) + kmax + 10.0  # lifts the complement above the target sector
+    # lifts the complement above the target sector
+    push = abs(float(np.max(model.potential_grid()))) + float(np.max(model.kinetic_grid())) + 10.0
+    sign = 1.0 if symmetry == "symmetric" else -1.0
+
+    def project(v):
+        """The part of ``v`` in the requested exchange sector."""
+        psi = v.reshape(model.shape)
+        return ((psi + sign * psi.T) / 2.0).reshape(v.shape)
 
     def matvec(v):
         v = v.astype(complex)
         if symmetry == "none":
             return model.apply_hamiltonian(v)
-        psi = v.reshape(model.shape)
-        sign = 1.0 if symmetry == "symmetric" else -1.0
-        proj = (psi + sign * psi.T) / 2.0
-        out = model.apply_hamiltonian(proj.reshape(v.shape)).reshape(model.shape)
-        out = (out + sign * out.T) / 2.0
-        out = out + push * (psi - proj)
-        return out.reshape(v.shape)
+        proj = project(v)
+        return project(model.apply_hamiltonian(proj)) + push * (v - proj)
 
     op = LinearOperator((dim, dim), matvec=matvec, dtype=complex)
     rng = np.random.default_rng(12345)
     v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     if symmetry != "none":
-        psi = v0.reshape(model.shape)
-        sign = 1.0 if symmetry == "symmetric" else -1.0
-        v0 = ((psi + sign * psi.T) / 2.0).reshape(dim)
+        v0 = project(v0)
     try:
         # several Ritz pairs: k=1 can lock onto a nearby cluster edge
         k = min(6, dim - 2) if dim > 8 else 1
-        vals, vecs = eigsh(op, k=k, which="SA", v0=v0, tol=tol, maxiter=maxiter)
+        vals, vecs = eigsh(op, k=k, which="SA", v0=v0, tol=GROUND_STATE_TOL, maxiter=maxiter)
     except Exception as exc:  # scipy raises on non-convergence
         raise NumericalError(f"ground-state iteration failed: {exc}") from exc
     psi = vecs[:, int(np.argmin(vals))]
@@ -266,26 +272,19 @@ def ground_state(model: GridModel, symmetry: str = "none",
     residual = float(np.linalg.norm(model.apply_hamiltonian(psi) - energy * psi))
     if residual > 1e-8:
         raise NumericalError(
-            f"ground-state residual {residual:.2e} > 1e-8 (dim={dim}, tol={tol})")
+            f"ground-state residual {residual:.2e} > 1e-8 (dim={dim}, tol={GROUND_STATE_TOL})")
     return psi, energy
 
 
 def position_values(model: GridModel) -> np.ndarray:
-    """Summed centered position operator on the configuration grid."""
+    """Summed centered position operator, along each electron's first axis, on the grid."""
     x = model.axis
-    if model.dims == 1 and model.eta == 1:
-        return x
-    if model.dims == 3:
-        # dipole along the first axis
-        return np.broadcast_to(x[:, None, None], model.shape).copy().reshape(model.shape)
-    return (x[:, None] + x[None, :])
+    return _outer_sum(([x] + [np.zeros_like(x)] * (model.dims - 1)) * model.eta)
 
 
 def apply_dipole(model: GridModel, state: np.ndarray) -> tuple[np.ndarray, float]:
     """Multiply by the (signed, centered) position grid; returns (D psi, ||D psi||)."""
-    psi = state.reshape(model.shape)
-    out = position_values(model) * psi
-    out = out.reshape(state.shape)
+    out = (position_values(model) * state.reshape(model.shape)).reshape(state.shape)
     return out, float(np.linalg.norm(out))
 
 
@@ -467,27 +466,22 @@ def evolve(model: GridModel, state: np.ndarray, t: float) -> np.ndarray:
     return np.exp(-1j * mid * t) * _chebyshev_series(model, coeffs, state, mid, half_span)
 
 
-def edge_density(model: GridModel, state: np.ndarray, cells: int = 2) -> float:
-    """Probability mass within ``cells`` grid points of any box face.
+def edge_density(model: GridModel, state: np.ndarray) -> float:
+    """Probability mass within EDGE_CELLS grid points of any box face.
 
     Propagation on the periodic grid is only physical until density reaches
     the boundary; callers flag a run invalid once this exceeds ~1e-6.
     """
     psi = np.abs(np.asarray(state).reshape(model.shape)) ** 2
-    n = model.n_points
-    interior = [slice(cells, n - cells)] * (model.dims * model.eta)
+    interior = (slice(EDGE_CELLS, model.n_points - EDGE_CELLS),) * psi.ndim
     total = float(psi.sum())
     if total == 0.0:
         return 0.0
-    return float((total - psi[tuple(interior)].sum()) / total)
+    return float((total - psi[interior].sum()) / total)
 
 
 def _radius_values_1particle(model: GridModel) -> np.ndarray:
-    x = model.axis
-    if model.dims == 1:
-        return np.abs(x)
-    return np.sqrt(x[:, None, None] ** 2 + x[None, :, None] ** 2
-                   + x[None, None, :] ** 2)
+    return np.sqrt(_outer_sum([model.axis**2] * model.dims))
 
 
 def continuum_project(model: GridModel, state: np.ndarray, r_cutoff: float,
@@ -503,8 +497,7 @@ def continuum_project(model: GridModel, state: np.ndarray, r_cutoff: float,
     """
     if r_cutoff <= 0:
         raise ValidationError("r_cutoff must be positive")
-    half_diag = model.box_length / 2.0 * math.sqrt(model.dims)
-    if r_cutoff > half_diag:
+    if r_cutoff > model.box_length / 2.0 * math.sqrt(model.dims):
         warnings.warn("r_cutoff exceeds the box half-diagonal; projector is empty",
                       stacklevel=2)
     radius = _radius_values_1particle(model)
@@ -515,10 +508,8 @@ def continuum_project(model: GridModel, state: np.ndarray, r_cutoff: float,
             raise ValidationError("smooth_width must be positive")
         outside = (1.0 + np.tanh((radius - r_cutoff) / smooth_width)) / 2.0
     psi = state.reshape(model.shape).astype(complex)
-    if model.eta == 1:
-        keep = outside
-    else:
-        keep = 1.0 - np.outer(1.0 - outside, 1.0 - outside).reshape(model.shape)
+    keep = functools.reduce(lambda a, b: 1.0 - np.multiply.outer(1.0 - a, 1.0 - b),
+                            [outside] * model.eta)
     out = keep * psi
     norm_in = float(np.linalg.norm(psi))
     if norm_in == 0.0:
@@ -529,10 +520,7 @@ def continuum_project(model: GridModel, state: np.ndarray, r_cutoff: float,
 
 def kinetic_energies(model: GridModel) -> np.ndarray:
     """Single-particle kinetic energies per momentum grid point."""
-    k2 = model.k_axis**2
-    if model.dims == 1:
-        return k2 / 2.0
-    return (k2[:, None, None] + k2[None, :, None] + k2[None, None, :]).reshape(-1) / 2.0
+    return _outer_sum([model.k_axis**2 / 2.0] * model.dims).reshape(-1)
 
 
 def kinetic_histogram(model: GridModel, state: np.ndarray, bins: np.ndarray,
@@ -571,8 +559,7 @@ def kinetic_histogram(model: GridModel, state: np.ndarray, bins: np.ndarray,
     exact /= model.eta
     mass = exact * norm2
 
-    sampled = None
-    stderr = None
+    sampled = stderr = None
     if shots > 0:
         rng = np.random.default_rng(seed)
         flat = joint.reshape(-1)
@@ -588,9 +575,8 @@ def kinetic_histogram(model: GridModel, state: np.ndarray, bins: np.ndarray,
                             success_probability=norm2, shots_used=shots, stderr=stderr)
 
 
-def correlation_identity_check(model: GridModel, state: np.ndarray,
-                               r_cutoff: float, taus=(0.0, 0.5, 2.0)) -> float:
-    """Max deviation between the two correlation-function forms.
+def correlation_identity_check(model: GridModel, state: np.ndarray, r_cutoff: float) -> float:
+    """Max deviation between the two correlation-function forms at tau = 0, 0.5 and 2.
 
     Form A resolves <psi| Pi_c exp(-i T tau) Pi_c |psi> through the grid
     operators; form B sums exp(-i E_k tau) |<k| Pi_c psi>|^2 over the
@@ -601,11 +587,10 @@ def correlation_identity_check(model: GridModel, state: np.ndarray,
     amps = np.fft.fftn(psi, norm="ortho").reshape(-1)
     ke = model.kinetic_grid().reshape(-1)
     worst = 0.0
-    for tau in taus:
+    for tau in (0.0, 0.5, 2.0):
         phases = np.exp(-1j * ke * tau)
         form_b = complex(np.sum(phases * np.abs(amps) ** 2))
-        evolved = np.fft.ifftn((phases.reshape(model.shape))
-                               * np.fft.fftn(psi, norm="ortho"), norm="ortho")
+        evolved = np.fft.ifftn((phases * amps).reshape(model.shape), norm="ortho")
         form_a = complex(np.vdot(psi, evolved))
         worst = max(worst, abs(form_a - form_b))
     return worst

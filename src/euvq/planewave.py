@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AU_TIME_PER_FS, CostReport, PlaneWaveSpec, ValidationError, aligned_table,
-                   format_sig3)
+                   finite_ceil, format_sig3)
 
 # Dimensionless prefactors in lambda_U = k_U * eta * lambda_zeta * 2^n / L and
 # lambda_V = k_V * eta^2 * 2^n / L, anchored so that the published one-norms
@@ -32,7 +32,7 @@ def _log2_ceil_inv(epsilon: float) -> int:
     """ceil(log2(1/epsilon)) for 0 < epsilon <= 1-ish inputs."""
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
-    return max(0, math.ceil(math.log2(1.0 / epsilon)))
+    return max(0, finite_ceil(lambda: math.log2(1.0 / epsilon), "log2(1/epsilon_be)"))
 
 
 def lambda_kinetic(spec: PlaneWaveSpec) -> float:
@@ -122,12 +122,16 @@ def precision_bits(spec: PlaneWaveSpec, lam: float) -> tuple[int, int, int]:
     eps_T = pi lambda / 2^n_T.
     """
     target = spec.epsilon_be / 3.0
+
+    def bits(name, scale, drivers):
+        return max(1, finite_ceil(lambda: math.log2(max(scale / target, 1.0)),
+                                  f"precision bit count {name}, set by {drivers} and epsilon_be,"))
+
     eps_m_scale = 2.0 * spec.eta * (spec.eta - 1 + 2 * spec.lambda_zeta) / (math.pi * spec.box_length)
-    n_m = max(1, math.ceil(math.log2(eps_m_scale / target)))
     eps_r_scale = spec.eta * spec.lambda_zeta * lattice_sum_inv_norm(spec.n_bits) / spec.box_length
-    n_r = max(1, math.ceil(math.log2(eps_r_scale / target)))
-    n_t = max(1, math.ceil(math.log2(math.pi * lam / target)))
-    return n_m, n_r, n_t
+    return (bits("n_M", eps_m_scale, "eta, lambda_zeta"),
+            bits("n_R", eps_r_scale, "eta, lambda_zeta, n_bits"),
+            bits("n_T", math.pi * lam, "eta, lambda_zeta, n_bits"))
 
 
 def min_superposition_correction(lambda_zeta: float) -> int:
@@ -277,7 +281,8 @@ def photoemission_cost(spec: PlaneWaveSpec) -> CostReport:
     amp_c = 1.0 / math.sqrt(spec.p_continuum)
     amp_w = 1.0 / math.sqrt(spec.p_window)
     amp_d = 1.0 / math.sqrt(spec.p_dipole)
-    shots = math.ceil(1.0 / spec.epsilon_sampling**2)
+    shots = finite_ceil(lambda: 1.0 / spec.epsilon_sampling**2,
+                        "shot count 1/epsilon_sampling^2")
     return CostReport(logical_qubits=budget.total_qubits, shots=shots, breakdown=(
         ("state prep + dipole (amplified)", amp_c * amp_w * amp_d * (c_x + spec.c_sp)),
         (f"gaussian filter QSP (amplified, {spec.filter_convention} prefactor)",

@@ -57,27 +57,19 @@ class ToffoliLedger:
 
     entries: list[tuple[str, int]] = field(default_factory=list)
     fixup_entries: list[tuple[str, int]] = field(default_factory=list)
-    uncomputation_mode: str = "MeasureFixup"
 
     def charge(self, label: str, count: int, fixup: bool = False) -> None:
         if count < 0:
             raise ValidationError("cannot charge a negative gate count")
         (self.fixup_entries if fixup else self.entries).append((label, count))
 
-    def total(self, mode: str | None = None) -> int:
-        mode = mode or self.uncomputation_mode
+    def total(self, mode: str = "MeasureFixup") -> int:
         if mode not in ("MeasureFixup", "Full"):
             raise ValidationError("mode must be MeasureFixup or Full")
         charged = sum(count for _, count in self.entries)
         if mode == "Full":
             charged += sum(count for _, count in self.fixup_entries)
         return charged
-
-    def breakdown_lines(self) -> list[tuple[str, int]]:
-        lines = list(self.entries)
-        if self.uncomputation_mode == "Full":
-            lines += self.fixup_entries
-        return lines
 
 
 def comp(a: BitRegister, b: BitRegister, ledger: ToffoliLedger | None = None) -> int:
@@ -125,27 +117,24 @@ def radius_threshold(r_cutoff: float, n_bits: int, box: float) -> int:
 
 
 def radius_test(q: tuple[BitRegister, BitRegister, BitRegister], r_cutoff: float,
-                box: float, ledger: ToffoliLedger | None = None,
-                include_qft: bool = True) -> int:
+                box: float, ledger: ToffoliLedger | None = None) -> int:
     """Sphere-membership bit: 1 when q_x^2 + q_y^2 + q_z^2 < (R_c 2^n / L)^2.
 
     The comparison runs against the floored squared constant, ties included,
     which reproduces the real-valued strict inequality whenever the constant
     is not an exact integer. Charges sum-of-squares (3n^2 - n - 1) and
     comparator (2n + 2) Toffolis, plus the 3n(3n-3) momentum-to-position
-    transform when ``include_qft``.
+    transform.
     """
     widths = {reg.width for reg in q}
     if len(widths) != 1:
         raise ValidationError("coordinate registers must share one width")
     n = widths.pop()
     if ledger is not None:
-        if include_qft:
-            ledger.charge("qft", 3 * n * (3 * n - 3))
+        ledger.charge("qft", 3 * n * (3 * n - 3))
         ledger.charge("sum-of-squares", 3 * n * n - n - 1)
         ledger.charge("comparator", 2 * n + 2)
-        if include_qft:
-            ledger.charge("uncompute qft", 3 * n * (3 * n - 3), fixup=True)
+        ledger.charge("uncompute qft", 3 * n * (3 * n - 3), fixup=True)
         ledger.charge("uncompute sum-of-squares", 3 * n * n - n - 1, fixup=True)
     q2 = sum(reg.as_int**2 for reg in q)
     return int(q2 <= radius_threshold(r_cutoff, n, box))
@@ -164,7 +153,7 @@ def all_bound(qs: list[tuple[BitRegister, BitRegister, BitRegister]], r_cutoff: 
     counter_bits = math.ceil(math.log2(eta)) if eta > 1 else 0
     bit = 1
     for particle in qs:
-        inside = radius_test(particle, r_cutoff, box, ledger=ledger, include_qft=True)
+        inside = radius_test(particle, r_cutoff, box, ledger=ledger)
         if ledger is not None and counter_bits:
             ledger.charge("bound counter", counter_bits)
         bit &= inside

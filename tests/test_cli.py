@@ -285,7 +285,10 @@ def _corollary(**fields):
     ("estimate-photoemission", _corollary(c_sp=1e308), "'state prep + dipole (amplified)'"),
     ("estimate-absorption", _table1_entry(rot_bits=10**400), "'rot_bits'"),
     ("estimate-absorption", _table1_entry(tau=1e300), "'time-evolution (GQSP x Trotter)'"),
-], ids=["eta", "n_bits", "c_sp", "rot_bits", "tau"])
+    ("estimate-photoemission", _corollary(epsilon_sampling=1e-300), "epsilon_sampling"),
+    ("estimate-absorption", _table1_entry(epsilon=1e-300), "epsilon)^2"),
+    ("estimate-absorption", _table1_entry(tau=1.7e308), "tau / sqrt(gamma / y3_magnitude)"),
+], ids=["eta", "n_bits", "c_sp", "rot_bits", "tau", "epsilon_sampling", "epsilon", "tau_steps"])
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_estimate_out_of_float_range_exit_code(tmp_path, capsys, command, data, name, fmt):
     # the message names the input field, or the cost term, that left the float range
@@ -305,7 +308,13 @@ def test_estimate_out_of_float_range_exit_code(tmp_path, capsys, command, data, 
     ("estimate-absorption", _table1_entry(ancilla_qubits=-1), "ancilla_qubits"),
     ("estimate-photoemission", _corollary(c_sp=-5.0), "c_sp"),
     ("estimate-photoemission", _corollary(c_sp=-1e12), "c_sp"),
-], ids=["dipole_norm_0", "shot_alpha_0", "shot_beta_neg", "ancilla_neg", "c_sp_-5", "c_sp_-1e12"])
+    ("estimate-photoemission", _corollary(n_bits=511), "n_bits"),
+    ("estimate-photoemission", _corollary(lambda_zeta=1e300), "lambda_zeta"),
+    ("estimate-photoemission", _corollary(epsilon_be=1e-300), "epsilon_be"),
+    ("estimate-photoemission", _corollary(epsilon_be=1e-320, omega_cell=1e300), "epsilon_be"),
+    ("estimate-photoemission", _corollary(eta=10**200), "eta"),
+], ids=["dipole_norm_0", "shot_alpha_0", "shot_beta_neg", "ancilla_neg", "c_sp_-5", "c_sp_-1e12",
+        "n_bits_511", "lambda_zeta_1e300", "epsilon_be_1e-300", "epsilon_be_1e-320", "eta_1e200"])
 def test_estimate_spec_out_of_range_names_field(tmp_path, capsys, command, data, field):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
@@ -313,6 +322,7 @@ def test_estimate_spec_out_of_range_names_field(tmp_path, capsys, command, data,
     out, err = capsys.readouterr()
     assert out == ""
     assert field in err
+    assert not re.search(r"Infinity|\binf\b|Traceback|value out of range", err)
 
 
 def test_integer_beyond_parser_digit_limit_exit_code(tmp_path, capsys):

@@ -19,9 +19,12 @@ from euvq.grid import (
     dense_hamiltonian,
     evolve,
     gaussian_filter,
+    _radius_values_1particle,
     ground_state,
     jacobi_anger_bessel,
+    kinetic_energies,
     kinetic_histogram,
+    position_values,
     required_filter_degree,
 )
 
@@ -464,3 +467,69 @@ def test_ground_state_nonconvergence_reports():
     m = soft_model(n=128)
     with pytest.raises(NumericalError, match="iteration|residual"):
         ground_state(m, maxiter=1)
+
+
+def _layout_oracle(m):
+    """(potential, kinetic, position, one-electron kinetic, radius), written out per layout.
+
+    The reference for the outer-sum rule that builds the grid tables.
+    """
+    x, k2, v = m.axis, m.k_axis**2, m.potential
+    if m.dims == 3:
+        kinetic = (k2[:, None, None] + k2[None, :, None] + k2[None, None, :]) / 2.0
+        return (v[:, None, None] + v[None, :, None] + v[None, None, :], kinetic,
+                np.broadcast_to(x[:, None, None], m.shape).copy(), kinetic.reshape(-1),
+                np.sqrt(x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2))
+    if m.eta == 1:
+        return v, k2 / 2.0, x, k2 / 2.0, np.abs(x)
+    sep = x[:, None] - x[None, :]
+    potential = (v[:, None] + v[None, :]
+                 + m.interaction_strength / np.sqrt(sep**2 + m.interaction_softening**2))
+    kinetic = (k2[:, None] + k2[None, :]) / 2.0
+    return potential, kinetic, x[:, None] + x[None, :], k2 / 2.0, np.abs(x)
+
+
+LAYOUTS = {
+    "1d_one_electron": lambda: soft_model(n=64, box=24.0),
+    "1d_two_electrons": lambda: soft_model(n=32, box=24.0, eta=2, interaction_strength=0.7,
+                                           interaction_softening=0.5),
+    "3d": lambda: GridModel(dims=3, n_points=16, box_length=12.0,
+                            potential=-1.0 / np.sqrt((np.arange(16) - 8.0) ** 2 * 0.5625 + 1.0)),
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_tables_match_per_layout_formulas(layout):
+    m = LAYOUTS[layout]()
+    potential, kinetic, position, one_kinetic, radius = _layout_oracle(m)
+    assert np.array_equal(m.potential_grid(), potential)
+    assert np.array_equal(m.kinetic_grid(), kinetic)
+    assert np.array_equal(position_values(m), position)
+    assert np.array_equal(kinetic_energies(m), one_kinetic)
+    assert np.array_equal(_radius_values_1particle(m), radius)
+    rng = np.random.default_rng(21)
+    psi = (rng.standard_normal(m.hilbert_dim) + 1j * rng.standard_normal(m.hilbert_dim)) / 40.0
+    for r_cutoff, width in ((3.0, None), (3.0, 0.8)):
+        if width is None:
+            outside = (radius >= r_cutoff).astype(float)
+        else:
+            outside = (1.0 + np.tanh((radius - r_cutoff) / width)) / 2.0
+        keep = (outside if m.eta == 1
+                else 1.0 - np.outer(1.0 - outside, 1.0 - outside).reshape(m.shape))
+        out, success = continuum_project(m, psi, r_cutoff, smooth_width=width)
+        assert np.array_equal(out, (keep * psi.reshape(m.shape)).reshape(-1))
+        assert success == float(np.linalg.norm(out) ** 2 / np.linalg.norm(psi) ** 2)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_tables_built_once_per_model(layout):
+    m = LAYOUTS[layout]()
+    assert m.potential_grid() is m.potential_grid()
+    assert m.kinetic_grid() is m.kinetic_grid()
+
+
+def test_hilbert_cap_precedes_the_tables():
+    # a 2^40-entry table would fail to allocate; the cap must refuse the model first
+    n = 2**20
+    with pytest.raises(ValidationError, match="Hilbert space capped"):
+        GridModel(dims=1, eta=2, n_points=n, box_length=100.0, potential=np.zeros(n))

@@ -121,6 +121,17 @@ def test_precision_bits_scale_with_epsilon():
     assert tuple(b - d for b, d in zip(base, doubled)) == (1, 1, 1)
 
 
+def test_precision_bits_floor_at_one_bit():
+    # a one-bit grid has no nonzero lattice vector, so its n_R error is zero;
+    # an error scale far below epsilon_be/3 needs no more than the one bit
+    spec = make_spec(n_bits=1)
+    lam = lambda_total(lambda_kinetic(spec), *lambda_potentials(spec), spec.p_nu, spec.eta)
+    assert lattice_sum_inv_norm(1) == 0.0
+    assert precision_bits(spec, lam)[1] == 1
+    assert precision_bits(make_spec(epsilon_be=1e300), lam) == (1, 1, 1)
+    assert photoemission_cost(spec).shots == 10**4
+
+
 def test_min_superposition_correction():
     # min over k of ceil(110/2^k) + 2^k: k=3 gives 14+8=22
     assert min_superposition_correction(110.0) == 22

@@ -40,6 +40,9 @@ def test_comp_charges_n_toffolis():
     ledger = ToffoliLedger()
     comp(BitRegister(5, 9), BitRegister(5, 3), ledger=ledger)
     assert ledger.total() == 5
+    with pytest.raises(ValidationError):
+        ledger.charge("bad", -1)
+    assert ledger.total() == 5
 
 
 def test_comp_width_mismatch():
@@ -192,14 +195,3 @@ def test_radius_test_sampled_wide_registers():
             regs = tuple(BitRegister.from_int(int(v), n, signed=True) for v in row)
             want = int(int(row[0])**2 + int(row[1])**2 + int(row[2])**2 <= constant)
             assert radius_test(regs, r_c, box) == want
-
-
-def test_ledger_breakdown_lines():
-    ledger = ToffoliLedger()
-    ledger.charge("a", 3)
-    ledger.charge("b", 4, fixup=True)
-    assert ledger.breakdown_lines() == [("a", 3)]
-    ledger.uncomputation_mode = "Full"
-    assert ledger.breakdown_lines() == [("a", 3), ("b", 4)]
-    with pytest.raises(ValidationError):
-        ledger.charge("bad", -1)
