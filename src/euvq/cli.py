@@ -2,10 +2,14 @@
 
 Each subcommand maps the parsed input JSON (``None`` for ``arith-verify``) and
 the seed to an ``Output``; ``run`` alone reads the input, renders the format
-and writes the result. Exit codes: 0 success, 2 validation error (bad config
-or input file, or a result beyond the float range), 3 numerical failure, 64
-usage error / unknown command. The ``EUVQ_LOG`` environment variable sets the
-logging level. Identical config and seed always produce byte-identical output.
+and writes the result. Each runner imports the modules it needs as its first
+lines, so importing this module loads only the standard library and
+``euvq.core``: the estimators load neither numpy nor scipy, except numpy for
+a photoemission spec with ``n_bits`` at most 7. Exit codes: 0 success, 2
+validation error (bad config or input file, or a result beyond the float
+range), 3 numerical failure, 64 usage error / unknown command. The
+``EUVQ_LOG`` environment variable sets the logging level. Identical config
+and seed always produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,9 +25,6 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 
-import numpy as np
-
-from . import absorption, cdf, grid, planewave, qarith, spectro
 from .core import (REQUIRED, AbsorptionSpec, NumericalError, PlaneWaveSpec, ValidationError,
                    read_dataclass, read_fields, read_numbers)
 
@@ -96,6 +97,8 @@ def _sweep(data, spec_cls):
 
 
 def run_estimate_absorption(data, seed: int) -> Output:
+    from . import absorption
+
     reports = [(spec, absorption.absorption_cost(spec)) for spec in _sweep(data, AbsorptionSpec)]
     return Output(
         data=[{"spec": spec.to_dict(), "report": rep.to_dict()} for spec, rep in reports],
@@ -106,6 +109,8 @@ def run_estimate_absorption(data, seed: int) -> Output:
 
 
 def run_estimate_photoemission(data, seed: int) -> Output:
+    from . import planewave
+
     rows = [("AE" if spec.method == "AllElectron" else "PP", spec,
              planewave.photoemission_cost(spec)) for spec in _sweep(data, PlaneWaveSpec)]
     return Output(
@@ -119,6 +124,10 @@ def run_estimate_photoemission(data, seed: int) -> Output:
 
 
 def run_emulate_absorption(data, seed: int) -> Output:
+    import numpy as np
+
+    from . import spectro
+
     cfg = read_fields(data, {
         "scene": (dict, REQUIRED), "gamma": (float, REQUIRED), "tau": (float, REQUIRED),
         "j_max": (int, REQUIRED), "shots": (int, 1000), "omega": (dict, REQUIRED),
@@ -136,6 +145,10 @@ def run_emulate_absorption(data, seed: int) -> Output:
 
 
 def run_emulate_photoemission(data, seed: int) -> Output:
+    import numpy as np
+
+    from . import grid, spectro
+
     cfg = read_fields(data, {
         "model": (dict, REQUIRED), "filter": (dict, None), "time": (float, 0.0),
         "r_cutoff": (float, REQUIRED), "bins": (dict, {"max": 2.0, "count": 20}),
@@ -160,9 +173,10 @@ def run_emulate_photoemission(data, seed: int) -> Output:
     if filt is not None:
         psi, p_w = grid.gaussian_filter(model, filt, psi, energy)
         logger.info("filter success probability %.3e", p_w)
-        if np.linalg.norm(psi) == 0.0:
+        norm = np.linalg.norm(psi)
+        if norm == 0.0:
             raise NumericalError("filter annihilated the state")
-        psi = psi / np.linalg.norm(psi)
+        psi = psi / norm
     psi = grid.evolve(model, psi, cfg["time"])
     leakage = grid.edge_density(model, psi)
     if leakage > 1e-6:
@@ -187,6 +201,8 @@ def run_emulate_photoemission(data, seed: int) -> Output:
 
 
 def run_cdf(data, seed: int) -> Output:
+    from . import cdf
+
     cfg = read_fields(data, {
         "n_orbitals": (int, REQUIRED), "values": (list, REQUIRED), "l_max": (int, None),
     }, "tensor file")
@@ -208,6 +224,10 @@ def run_cdf(data, seed: int) -> Output:
 
 
 def run_arith_verify(data, seed: int) -> Output:
+    import numpy as np
+
+    from . import qarith
+
     lines = []
     ok = True
 

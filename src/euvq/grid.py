@@ -45,6 +45,13 @@ GROUND_STATE_TOL = 1e-10       # eigsh convergence tolerance of the ground state
 EDGE_CELLS = 2                 # grid points next to each box face that edge_density counts
 
 
+def _check_width(sigma: float, where: str) -> None:
+    """Reject a Gaussian width whose square overflows or underflows to 0, naming the field."""
+    if not 0 < sigma * sigma < math.inf:
+        raise ValidationError(
+            f"field 'sigma' in {where} must be finite and nonzero when squared, got {sigma:.3g}")
+
+
 def _potential_from_config(data, x: np.ndarray) -> np.ndarray:
     pot = read_fields(data, {"kind": (str, "zero"), "params": (dict, {})}, "model.potential")
     kind, params = pot["kind"], pot["params"]
@@ -59,6 +66,7 @@ def _potential_from_config(data, x: np.ndarray) -> np.ndarray:
     if kind == "gaussian_well":
         p = read_fields(params, {"v0": (float, 1.0), "sigma": (float, 1.0),
                                  "center": (float, 0.0)}, where)
+        _check_width(p["sigma"], where)
         return -p["v0"] * np.exp(-((x - p["center"]) ** 2) / (2.0 * p["sigma"] ** 2))
     if kind == "harmonic":
         return 0.5 * read_fields(params, {"k": (float, 1.0)}, where)["k"] * x**2
@@ -187,6 +195,7 @@ class FilterSpec:
     def __post_init__(self) -> None:
         if self.sigma <= 0:
             raise ValidationError("sigma must be positive")
+        _check_width(self.sigma, "FilterSpec")
         if not 0 <= self.poly_degree <= MAX_FILTER_DEGREE:
             raise ValidationError(
                 f"poly_degree must be from 0 to {MAX_FILTER_DEGREE}, got {self.poly_degree}")
@@ -304,8 +313,9 @@ def gaussian_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
     if filt.mode == "ExactEigen":
         h = dense_hamiltonian(model)
         energies, vectors = np.linalg.eigh(h)
-        window = np.exp(-((energies - ground_energy - filt.center) ** 2)
-                        / (2.0 * filt.sigma**2))
+        with np.errstate(over="ignore"):  # an exponent beyond the float range gives weight 0
+            window = np.exp(-((energies - ground_energy - filt.center) ** 2)
+                            / (2.0 * filt.sigma**2))
         out = vectors @ (window * (vectors.conj().T @ state.reshape(-1)))
         out = out.reshape(state.shape)
     else:
@@ -397,7 +407,8 @@ def _chebyshev_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
 
     def gauss_rescaled(x):
         energy = x * half_span + mid - ground_energy
-        return np.exp(-((energy - filt.center) ** 2) / (2.0 * filt.sigma**2))
+        with np.errstate(over="ignore"):  # an exponent beyond the float range gives weight 0
+            return np.exp(-((energy - filt.center) ** 2) / (2.0 * filt.sigma**2))
 
     degree = filt.poly_degree or required_filter_degree(gauss_rescaled, filt.poly_tolerance)
     coeffs = chebyshev_coefficients(gauss_rescaled, degree)

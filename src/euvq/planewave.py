@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (AU_TIME_PER_FS, CostReport, PlaneWaveSpec, ValidationError, aligned_table,
                    finite_ceil, format_sig3)
 
@@ -71,6 +69,8 @@ def lattice_sum_inv_norm(n_bits: int) -> float:
     if n_bits < 1:
         raise ValidationError("n_bits must be >= 1")
     if n_bits <= LATTICE_SUM_EXACT_MAX_BITS:
+        import numpy as np
+
         half = (2**n_bits - 1) // 2
         r = np.arange(-half, half + 1)
         total = 0.0

@@ -424,3 +424,69 @@ def test_emulate_photoemission_size_cap_exit_code(tmp_path, capsys, data, field,
     assert out == ""
     assert field in err and cap in err
     assert "Traceback" not in err
+
+
+def _gaussian_well(sigma):
+    return _set_model(potential={"kind": "gaussian_well", "params": {"sigma": sigma}})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edit, where", [
+    (lambda d: d["filter"].update(sigma=1e160), "FilterSpec"),
+    (lambda d: d["filter"].update(sigma=1e-200), "FilterSpec"),
+    (_gaussian_well(1e160), "gaussian_well potential params"),
+    (_gaussian_well(1e-200), "gaussian_well potential params"),
+], ids=["filter_1e160", "filter_1e-200", "gaussian_well_1e160", "gaussian_well_1e-200"])
+def test_gaussian_width_out_of_float_range_names_field(tmp_path, capsys, edit, where):
+    # sigma^2 overflowing or underflowing to 0 is refused before any grid work
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(_edited("grid_soft_coulomb_1d.json", edit)))
+    assert main(["emulate-photoemission", "--input", str(path)]) == EX_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"field 'sigma' in {where}" in err
+    assert not re.search(r"Traceback|Warning|value out of range", err)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["ExactEigen", "ChebyshevPoly"])
+def test_filter_narrower_than_float_range_exit_code(tmp_path, capsys, mode):
+    # sigma^2 is subnormal: every window weight underflows to 0, without a numpy warning
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(_edited("grid_soft_coulomb_1d.json",
+                                       lambda d: d["filter"].update(sigma=1e-160, mode=mode))))
+    assert main(["emulate-photoemission", "--input", str(path)]) == EX_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "filter annihilated the state" in err
+    assert "Warning" not in err
+
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from euvq.cli import main
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(argv) if argv else 0
+print(json.dumps({"code": code, "loaded": sorted({"numpy", "scipy"} & set(sys.modules))}))
+"""
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    ([], {"numpy", "scipy"}),
+    (["estimate-absorption", "--input", "table1.json"], {"numpy", "scipy"}),
+    (["estimate-photoemission", "--input", "table2_ae.json"], {"numpy", "scipy"}),
+    (["estimate-photoemission", "--input", "corollary_imeph.json"], {"numpy", "scipy"}),
+    (["cdf", "--input", "tensor_random4.json"], {"scipy"}),
+    (["arith-verify"], {"scipy"}),
+    (["emulate-absorption", "--input", "scene_two_level.json"], {"scipy"}),
+], ids=["import", "estimate-absorption", "estimate-photoemission-table2_ae",
+        "estimate-photoemission-corollary", "cdf", "arith-verify", "emulate-absorption"])
+def test_subcommand_loads_only_its_modules(argv, unloaded):
+    # each runner imports what it uses, so a fresh process never pays for the rest
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == EX_OK
+    assert not unloaded & set(result["loaded"])
