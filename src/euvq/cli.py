@@ -4,12 +4,12 @@ Each subcommand maps the parsed input JSON (``None`` for ``arith-verify``) and
 the seed to an ``Output``; ``run`` alone reads the input, renders the format
 and writes the result. Each runner imports the modules it needs as its first
 lines, so importing this module loads only the standard library and
-``euvq.core``: the estimators load neither numpy nor scipy, except numpy for
-a photoemission spec with ``n_bits`` at most 7. Exit codes: 0 success, 2
-validation error (bad config or input file, or a result beyond the float
-range), 3 numerical failure, 64 usage error / unknown command. The
-``EUVQ_LOG`` environment variable sets the logging level. Identical config
-and seed always produce byte-identical output.
+``euvq.core``: the estimators do not load numpy, except for a photoemission
+spec with ``n_bits`` at most 7. Exit codes: 0 success, 2 validation error
+(bad config or input file, or a result beyond the float range), 3 numerical
+failure, 64 usage error / unknown command. The ``EUVQ_LOG`` environment
+variable sets the logging level. Identical config and seed always produce
+byte-identical output.
 """
 
 from __future__ import annotations

@@ -1,17 +1,19 @@
 """Real-space grid emulation of the photoemission correlation function.
 
 A periodic 1D (or small 3D) grid carries one or two electrons: ground state
-via an iterative eigensolver, dipole excitation by the centered position
-operator, a Gaussian energy filter (exact eigenbasis or Chebyshev polynomial),
-real-time propagation, a hard spherical continuum projector, and
-kinetic-energy histogram sampling in the momentum basis.
+by Chebyshev-filtered subspace iteration, dipole excitation by the centered
+position operator, a Gaussian energy filter (exact eigenbasis or Chebyshev
+polynomial), real-time propagation, a hard spherical continuum projector,
+and kinetic-energy histogram sampling in the momentum basis.
 
 As in the qubitized circuit, the polynomial filter and exp(-iHt) are both
 Chebyshev series in (H - mid) / half_span, with [mid - half_span,
 mid + half_span] an interval that holds the spectrum of H, summed
 matrix-free by one Clenshaw recurrence. The propagator's coefficients are
 Bessel functions (the Jacobi-Anger expansion), so its degree is fixed in
-advance by a tail bound rather than found by refining a time step.
+advance by a tail bound rather than found by refining a time step. The
+ground-state solver filters its subspace with the same recurrence (Zhou,
+Saad, Tiago & Chelikowsky, J. Comput. Phys. 219, 172 (2006)).
 
 Grid conventions: N points per dimension (power of two), spacing
 h = L / N, positions x_q = (q - N/2) h, momenta k = 2 pi fftfreq(N, h).
@@ -34,14 +36,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .core import REQUIRED, NumericalError, ValidationError, read_fields, read_numbers
 
 EVOLVE_TAIL = 1e-12            # bound on the dropped tail of the exp(-iHt) series
 MAX_SERIES_ARGUMENT = 1e6      # largest half_span * t evolve runs: about 1e6 H applications
 MAX_FILTER_DEGREE = 20000      # largest Chebyshev degree of the energy filter
-GROUND_STATE_TOL = 1e-10       # eigsh convergence tolerance of the ground state
+GROUND_STATE_TOL = 1e-10       # ||H psi - E psi|| (Ha) at which the ground-state iteration stops
+GROUND_STATE_BLOCK = 6         # vectors filtered together: the filter damps from the 6th Ritz value
+GROUND_STATE_DEGREE = 20       # Chebyshev degree of each ground-state filter pass
+GROUND_STATE_PASSES = 1000     # default cap on the ground-state filter passes
 EDGE_CELLS = 2                 # grid points next to each box face that edge_density counts
 
 
@@ -162,11 +166,22 @@ class GridModel:
         return self._kinetic_table
 
     def apply_hamiltonian(self, state: np.ndarray) -> np.ndarray:
-        psi = state.reshape(self.shape)
-        out = self._potential_table * psi
-        out = out + np.fft.ifftn(self._kinetic_table * np.fft.fftn(psi, norm="ortho"),
-                                 norm="ortho")
-        return out.reshape(state.shape)
+        """H applied to a state, or to each row of a block of flattened states.
+
+        H is real symmetric on the grid (the kinetic energy is even in k), so
+        a real state stays real: its kinetic part goes through the real FFT,
+        on the half of the momentum grid that the last axis keeps.
+        """
+        psi = state.reshape((-1,) + self.shape)
+        axes = tuple(range(1, psi.ndim))
+        if np.isrealobj(psi):
+            half = self._kinetic_table[..., :self.n_points // 2 + 1]
+            kinetic = np.fft.irfftn(half * np.fft.rfftn(psi, axes=axes, norm="ortho"),
+                                    s=self.shape, axes=axes, norm="ortho")
+        else:
+            kinetic = np.fft.ifftn(self._kinetic_table * np.fft.fftn(psi, axes=axes, norm="ortho"),
+                                   axes=axes, norm="ortho")
+        return (self._potential_table * psi + kinetic).reshape(state.shape)
 
     @classmethod
     def from_config(cls, data: dict) -> "GridModel":
@@ -194,15 +209,18 @@ class FilterSpec:
 
     def __post_init__(self) -> None:
         if self.sigma <= 0:
-            raise ValidationError("sigma must be positive")
+            raise ValidationError(
+                f"field 'sigma' in FilterSpec must be positive, got {self.sigma:g}")
         _check_width(self.sigma, "FilterSpec")
         if not 0 <= self.poly_degree <= MAX_FILTER_DEGREE:
-            raise ValidationError(
-                f"poly_degree must be from 0 to {MAX_FILTER_DEGREE}, got {self.poly_degree}")
+            raise ValidationError(f"field 'poly_degree' in FilterSpec must be from 0 to "
+                                  f"{MAX_FILTER_DEGREE}, got {self.poly_degree}")
         if self.mode not in ("ExactEigen", "ChebyshevPoly"):
-            raise ValidationError("mode must be ExactEigen or ChebyshevPoly")
+            raise ValidationError(f"field 'mode' in FilterSpec must be ExactEigen or "
+                                  f"ChebyshevPoly, got '{self.mode}'")
         if self.poly_tolerance <= 0:
-            raise ValidationError("poly_tolerance must be positive")
+            raise ValidationError(f"field 'poly_tolerance' in FilterSpec must be positive, "
+                                  f"got {self.poly_tolerance:g}")
 
 
 @dataclass(frozen=True)
@@ -234,12 +252,47 @@ def dense_hamiltonian(model: GridModel) -> np.ndarray:
     return np.column_stack([model.apply_hamiltonian(eye[:, i]) for i in range(dim)])
 
 
-def ground_state(model: GridModel, symmetry: str = "none", maxiter: int | None = None
+def eigsh(apply, block: np.ndarray, upper: float, maxiter: int) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a Hermitian operator by Chebyshev-filtered subspace iteration.
+
+    ``apply`` maps a block of row vectors to the operator applied to each row,
+    and the operator's spectrum lies at or below ``upper``. Each pass
+    orthonormalizes the block and rotates it onto the Ritz vectors of the
+    Rayleigh-Ritz problem; once the lowest Ritz pair's residual is within
+    GROUND_STATE_TOL it is returned. Otherwise the block is multiplied by
+    T_m of the operator mapped onto [-1, 1] from [largest Ritz value, upper],
+    which keeps the unwanted part of the spectrum within magnitude 1 and
+    grows the part below it (Zhou, Saad, Tiago & Chelikowsky, J. Comput.
+    Phys. 219, 172 (2006)). Raises NumericalError after ``maxiter`` passes.
+    """
+    coeffs = np.zeros(GROUND_STATE_DEGREE + 1)
+    coeffs[-1] = 1.0
+    passes = 0
+    while True:
+        basis = np.linalg.qr(block.T)[0].T
+        h_basis = apply(basis)
+        ritz, rotation = np.linalg.eigh(basis.conj() @ h_basis.T)
+        block = rotation.T @ basis
+        residual = float(np.linalg.norm(rotation[:, 0] @ h_basis - ritz[0] * block[0]))
+        if residual <= GROUND_STATE_TOL:
+            return float(ritz[0]), block[0]
+        if passes == maxiter:
+            raise NumericalError(
+                f"ground-state iteration stopped after {maxiter} filter passes "
+                f"with residual {residual:.2e} > {GROUND_STATE_TOL}")
+        lower = float(ritz[-1])
+        block = _chebyshev_series(apply, coeffs, block, (upper + lower) / 2.0,
+                                  (upper - lower) / 2.0)
+        passes += 1
+
+
+def ground_state(model: GridModel, symmetry: str = "none", maxiter: int = GROUND_STATE_PASSES
                  ) -> tuple[np.ndarray, float]:
-    """Lowest eigenpair of the grid Hamiltonian via Lanczos iteration.
+    """Lowest eigenpair of the grid Hamiltonian by Chebyshev-filtered subspace iteration.
 
     ``symmetry`` for two-electron models: "none", "symmetric", or
     "antisymmetric" exchange sector (enforced by projecting the operator).
+    ``maxiter`` caps the filter passes of ``eigsh`` (Zhou et al. 2006).
     Raises with iteration diagnostics if the residual exceeds 1e-8.
     """
     dim = model.hilbert_dim
@@ -253,30 +306,25 @@ def ground_state(model: GridModel, symmetry: str = "none", maxiter: int | None =
     sign = 1.0 if symmetry == "symmetric" else -1.0
 
     def project(v):
-        """The part of ``v`` in the requested exchange sector."""
-        psi = v.reshape(model.shape)
-        return ((psi + sign * psi.T) / 2.0).reshape(v.shape)
+        """The part of each row of ``v`` in the requested exchange sector."""
+        psi = v.reshape((-1,) + model.shape)
+        return ((psi + sign * psi.swapaxes(-1, -2)) / 2.0).reshape(v.shape)
 
-    def matvec(v):
-        v = v.astype(complex)
+    def apply(v):
         if symmetry == "none":
             return model.apply_hamiltonian(v)
         proj = project(v)
         return project(model.apply_hamiltonian(proj)) + push * (v - proj)
 
-    op = LinearOperator((dim, dim), matvec=matvec, dtype=complex)
-    rng = np.random.default_rng(12345)
-    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    if symmetry != "none":
-        v0 = project(v0)
-    try:
-        # several Ritz pairs: k=1 can lock onto a nearby cluster edge
-        k = min(6, dim - 2) if dim > 8 else 1
-        vals, vecs = eigsh(op, k=k, which="SA", v0=v0, tol=GROUND_STATE_TOL, maxiter=maxiter)
-    except Exception as exc:  # scipy raises on non-convergence
-        raise NumericalError(f"ground-state iteration failed: {exc}") from exc
-    psi = vecs[:, int(np.argmin(vals))]
-    psi /= np.linalg.norm(psi)
+    # H is real symmetric, so a real block finds a real ground state at half the cost
+    block = np.random.default_rng(12345).standard_normal((min(GROUND_STATE_BLOCK, dim), dim))
+    if symmetry == "none":
+        mid, half_span = _spectral_bounds(model)
+        upper = mid + half_span
+    else:
+        block, upper = project(block), push
+    _, psi = eigsh(apply, block, upper, maxiter)
+    psi = psi.astype(complex) / np.linalg.norm(psi)
     energy = float(np.real(psi.conj() @ model.apply_hamiltonian(psi)))
     residual = float(np.linalg.norm(model.apply_hamiltonian(psi) - energy * psi))
     if residual > 1e-8:
@@ -331,20 +379,24 @@ def _spectral_bounds(model: GridModel) -> tuple[float, float]:
     return (hi + lo) / 2.0, (hi - lo) / 2.0
 
 
-def _chebyshev_series(model: GridModel, coeffs: np.ndarray, state: np.ndarray,
+def _chebyshev_series(apply, coeffs: np.ndarray, state: np.ndarray,
                       mid: float, half_span: float) -> np.ndarray:
-    """Apply sum_k c_k T_k((H - mid) / half_span) to ``state`` by Clenshaw's recurrence."""
-    def apply_ht(v):
-        return (model.apply_hamiltonian(v) - mid * v) / half_span
+    """Apply sum_k c_k T_k((A - mid) / half_span) to ``state`` by Clenshaw's recurrence.
 
-    psi = state.reshape(-1).astype(complex)
-    b_kp1 = np.zeros_like(psi)
+    ``apply`` is the operator A, acting on arrays shaped like ``state``; the
+    series has degree at least 1, and A is applied degree times. The sum is
+    real when ``state`` and ``coeffs`` are.
+    """
+    def apply_scaled(v):
+        return (apply(v) - mid * v) / half_span
+
+    psi = state.astype(np.result_type(state, coeffs))
+    b_kp1 = coeffs[-1] * psi   # the top step, whose recurrence terms are all zero
     b_kp2 = np.zeros_like(psi)
-    for c in coeffs[:0:-1]:
-        b_k = c * psi + 2.0 * apply_ht(b_kp1) - b_kp2
+    for c in coeffs[-2:0:-1]:
+        b_k = c * psi + 2.0 * apply_scaled(b_kp1) - b_kp2
         b_kp2, b_kp1 = b_kp1, b_k
-    out = coeffs[0] * psi + apply_ht(b_kp1) - b_kp2
-    return out.reshape(state.shape)
+    return coeffs[0] * psi + apply_scaled(b_kp1) - b_kp2
 
 
 def chebyshev_coefficients(func, degree: int) -> np.ndarray:
@@ -353,14 +405,32 @@ def chebyshev_coefficients(func, degree: int) -> np.ndarray:
     Uses the cosine transform of the values at first-kind Chebyshev nodes,
     which is the interpolant through degree + 1 nodes.
     """
-    from scipy.fft import dct
-
     m = degree + 1
     nodes = np.cos(math.pi * (np.arange(m) + 0.5) / m)
-    values = func(nodes)
-    coeffs = dct(values, type=2, norm=None) / m
+    coeffs = _dct2(func(nodes)) / m
     coeffs[0] /= 2.0
     return coeffs
+
+
+def _dct2(x: np.ndarray) -> np.ndarray:
+    """Type-II cosine transform y_k = 2 sum_n x_n cos(pi k (2n + 1) / 2m), from the FFT.
+
+    The length-2m even extension [x, reversed x] has DFT exp(i pi k / 2m) y_k.
+    """
+    m = len(x)
+    spectrum = np.fft.rfft(np.concatenate([x, x[::-1]]))[:m]
+    return (np.exp(-0.5j * math.pi * np.arange(m) / m) * spectrum).real
+
+
+def _dct3(x: np.ndarray) -> np.ndarray:
+    """Type-III cosine transform y_k = x_0 + 2 sum_{n>=1} x_n cos(pi n (2k + 1) / 2m).
+
+    The inverse real FFT of length 2m, fed the half spectrum
+    x_n exp(i pi n / 2m) padded by one zero, gives y_k / 2m.
+    """
+    m = len(x)
+    half_spectrum = np.append(x * np.exp(0.5j * math.pi * np.arange(m) / m), 0.0)
+    return 2 * m * np.fft.irfft(half_spectrum, 2 * m)[:m]
 
 
 def _sup_error(func, coeffs: np.ndarray) -> float:
@@ -371,14 +441,12 @@ def _sup_error(func, coeffs: np.ndarray) -> float:
     than 2001, and an odd count, so x = 0 is among them. A type-III cosine
     transform of the zero-padded series gives its values there.
     """
-    from scipy.fft import dct
-
     m = max(2001, 16 * len(coeffs) + 1)
     padded = np.zeros(m)
     padded[:len(coeffs)] = coeffs
     padded[1:] /= 2.0
     xs = np.cos(math.pi * (np.arange(m) + 0.5) / m)
-    return float(np.max(np.abs(dct(padded, type=3) - func(xs))))
+    return float(np.max(np.abs(_dct3(padded) - func(xs))))
 
 
 def required_filter_degree(func, tolerance: float) -> int:
@@ -418,7 +486,7 @@ def _chebyshev_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
         raise ValidationError(
             f"degree {degree} reaches sup error {err:.2e} > {filt.poly_tolerance}; "
             f"need degree >= {needed}")
-    return _chebyshev_series(model, coeffs, state, mid, half_span)
+    return _chebyshev_series(model.apply_hamiltonian, coeffs, state, mid, half_span)
 
 
 def jacobi_anger_bessel(a: float) -> np.ndarray:
@@ -429,25 +497,42 @@ def jacobi_anger_bessel(a: float) -> np.ndarray:
     2 sum_{k>K} |J_k(a)| <= EVOLVE_TAIL, which bounds the sup error of the
     truncated series.
     """
-    from scipy.special import jv
-
     # |J_k(a)| <= (a/2)^k / k! (DLMF 10.14.4). Past k = a each bound is under
     # half the one before, so all orders above n add up to at most twice the
     # bound at n + 1; n is taken where that remainder is negligible.
     def log_bound(k):
-        return k * math.log(a / 2.0) - math.lgamma(k + 1)
+        return k * (math.log(a) - math.log(2.0)) - math.lgamma(k + 1)  # a / 2 may underflow
 
     first = math.floor(a) + 1
     n = first
     while log_bound(n + 1) > math.log(5e-4 * EVOLVE_TAIL):
         n += 1
     remainder = 2.0 * math.exp(log_bound(n + 1))
-    bessel = jv(np.arange(n + 1), a)
+    bessel = _bessel_j(n, a)
     # above[K] = sum of |J_k(a)| over K < k <= n
     above = np.append(np.cumsum(np.abs(bessel[::-1]))[::-1][1:], 0.0)
     within = 2.0 * (above + remainder) <= EVOLVE_TAIL
     degree = first + int(np.argmax(within[first:]))
     return bessel[:degree + 1]
+
+
+def _bessel_j(n: int, a: float) -> np.ndarray:
+    """J_0(a) .. J_n(a) for a > 0 by Miller's backward recurrence.
+
+    J_{k-1} = (2k / a) J_k - J_{k+1} is run down from an order far enough
+    above max(n, a) that the start values' error has died out by order n. It
+    is carried as the ratios J_k / J_{k-1} = 1 / (2k / a - J_{k+1} / J_k),
+    which do not overflow, and their running products are normalized by
+    J_0 + 2 sum_{k>=1} J_2k = 1 (DLMF 10.74(iv), 10.12.4). A J_{k-1} that
+    rounds to exactly 0 is taken as a tiny number instead, so the two ratios
+    around it multiply to the -1 that J_k = -J_{k-2} asks for.
+    """
+    start = int(max(n, a)) + 30 + int(math.sqrt(40.0 * max(n, a)))
+    ratios = np.zeros(start + 1)
+    for k in range(start, 0, -1):
+        ratios[k - 1] = 1.0 / ((2.0 * k / a - ratios[k]) or 1e-300)
+    relative = np.cumprod(np.append(1.0, ratios[:-1]))   # J_k / J_0
+    return relative[:n + 1] / (1.0 + 2.0 * relative[2::2].sum())
 
 
 def evolve(model: GridModel, state: np.ndarray, t: float) -> np.ndarray:
@@ -463,9 +548,9 @@ def evolve(model: GridModel, state: np.ndarray, t: float) -> np.ndarray:
         raise ValidationError("t must be finite")
     if t < 0:
         raise ValidationError("t must be non-negative")
-    if t == 0:
-        return state.copy()
     mid, half_span = _spectral_bounds(model)
+    if half_span * t == 0:  # t = 0, or so short that the series argument underflows
+        return state.copy()
     if half_span * t > MAX_SERIES_ARGUMENT:
         raise ValidationError(
             f"t = {t:g} needs a series of degree above {MAX_SERIES_ARGUMENT:g}; shorten t")
@@ -474,7 +559,8 @@ def evolve(model: GridModel, state: np.ndarray, t: float) -> np.ndarray:
     minus_i_power = np.array([1.0, -1j, -1.0, 1j])[np.arange(len(bessel)) % 4]
     coeffs = 2.0 * minus_i_power * bessel
     coeffs[0] /= 2.0
-    return np.exp(-1j * mid * t) * _chebyshev_series(model, coeffs, state, mid, half_span)
+    return np.exp(-1j * mid * t) * _chebyshev_series(model.apply_hamiltonian, coeffs, state,
+                                                     mid, half_span)
 
 
 def edge_density(model: GridModel, state: np.ndarray) -> float:

@@ -244,15 +244,27 @@ def trotter_effective_spectrum(fragments: list[np.ndarray], delta: float
     y3 = y3_operator(frags)
     shifts = -delta**2 * np.real(np.einsum("il,ij,jl->l", vectors.conj(), y3, vectors))
 
-    from scipy.optimize import linear_sum_assignment
-
     u2 = trotter_step_unitary(frags, delta)
     phases, u_vecs = np.linalg.eig(u2)
     effective = np.angle(phases) / (-delta)
     overlap = np.abs(vectors.conj().T @ u_vecs) ** 2
-    row, col = linear_sum_assignment(-overlap)
-    effective = effective[col[np.argsort(row)]]
-    return energies, effective, y3, shifts
+    return energies, effective[_pair_by_overlap(overlap)], y3, shifts
+
+
+def _pair_by_overlap(overlap: np.ndarray) -> np.ndarray:
+    """Column paired with each row, taking the largest remaining overlap first.
+
+    Each eigenvector of U2 lies within O(delta^2) of one eigenvector of H, so
+    its largest overlap singles out its partner.
+    """
+    n = len(overlap)
+    partner = np.full(n, -1)
+    taken = np.zeros(n, dtype=bool)
+    for flat in np.argsort(-overlap, axis=None, kind="stable"):
+        row, col = divmod(int(flat), n)
+        if partner[row] < 0 and not taken[col]:
+            partner[row], taken[col] = col, True
+    return partner
 
 
 def y3_operator(fragments: list[np.ndarray]) -> np.ndarray:
@@ -270,13 +282,17 @@ def y3_operator(fragments: list[np.ndarray]) -> np.ndarray:
 
 def trotter_step_unitary(fragments: list[np.ndarray], delta: float) -> np.ndarray:
     """Second-order step: fragment 1 applied in full, later fragments halved around it."""
-    from scipy.linalg import expm
-
-    u = expm(-1j * np.asarray(fragments[0], dtype=complex) * delta)
+    u = _hermitian_exp(fragments[0], delta)
     for frag in fragments[1:]:
-        half = expm(-1j * np.asarray(frag, dtype=complex) * delta / 2.0)
+        half = _hermitian_exp(frag, delta / 2.0)
         u = half @ u @ half
     return u
+
+
+def _hermitian_exp(fragment: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i F t) for a Hermitian F, as V exp(-i E t) V^dagger from its eigenpairs."""
+    energies, vectors = np.linalg.eigh(np.asarray(fragment, dtype=complex))
+    return (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
 
 
 @dataclass(frozen=True)

@@ -462,6 +462,31 @@ def test_filter_narrower_than_float_range_exit_code(tmp_path, capsys, mode):
     assert "Warning" not in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sigma", -1.0), ("mode", "X"), ("poly_tolerance", 0.0),
+], ids=["sigma", "mode", "poly_tolerance"])
+def test_filter_spec_errors_name_field(tmp_path, capsys, field, value):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(_edited("grid_soft_coulomb_1d.json",
+                                       lambda d: d["filter"].update({field: value}))))
+    assert main(["emulate-photoemission", "--input", str(path)]) == EX_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"field '{field}' in FilterSpec" in err
+    assert "Traceback" not in err
+
+
+CHEBYSHEV_VARIANT = "<ChebyshevPoly variant of grid_soft_coulomb_1d.json>"
+
+
+def _with_variant(argv, tmp_path):
+    """``argv`` with CHEBYSHEV_VARIANT replaced by the path of that config, written to tmp_path."""
+    path = tmp_path / "grid_chebyshev.json"
+    path.write_text(json.dumps(_edited("grid_soft_coulomb_1d.json",
+                                       lambda d: d["filter"].update(mode="ChebyshevPoly"))))
+    return [str(path) if arg == CHEBYSHEV_VARIANT else arg for arg in argv]
+
+
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from euvq.cli import main
@@ -480,13 +505,59 @@ print(json.dumps({"code": code, "loaded": sorted({"numpy", "scipy"} & set(sys.mo
     (["cdf", "--input", "tensor_random4.json"], {"scipy"}),
     (["arith-verify"], {"scipy"}),
     (["emulate-absorption", "--input", "scene_two_level.json"], {"scipy"}),
+    (["emulate-photoemission", "--input", "grid_soft_coulomb_1d.json"], {"scipy"}),
+    (["emulate-photoemission", "--input", CHEBYSHEV_VARIANT], {"scipy"}),
 ], ids=["import", "estimate-absorption", "estimate-photoemission-table2_ae",
-        "estimate-photoemission-corollary", "cdf", "arith-verify", "emulate-absorption"])
-def test_subcommand_loads_only_its_modules(argv, unloaded):
+        "estimate-photoemission-corollary", "cdf", "arith-verify", "emulate-absorption",
+        "emulate-photoemission", "emulate-photoemission-chebyshev"])
+def test_subcommand_loads_only_its_modules(tmp_path, argv, unloaded):
     # each runner imports what it uses, so a fresh process never pays for the rest
+    argv = _with_variant(argv, tmp_path)
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["code"] == EX_OK
     assert not unloaded & set(result["loaded"])
+
+
+SCIPY_FREE_PROBE = """
+import importlib.abc, json, runpy, sys
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"import of {name} is blocked")
+        return None
+
+if sys.argv[1] == "blocked":
+    sys.meta_path.insert(0, BlockScipy())
+argv = json.loads(sys.argv[2])
+if argv:
+    sys.argv = ["euvq", *argv]
+    runpy.run_module("euvq.cli", run_name="__main__")
+else:
+    import numpy as np
+    from euvq import spectro
+    rng = np.random.default_rng(5)
+    frags = [(a + a.conj().T) / 2 for a in rng.standard_normal((2, 6, 6))
+             + 1j * rng.standard_normal((2, 6, 6))]
+    exact, effective, _, shifts = spectro.trotter_effective_spectrum(frags, 0.02)
+    print(json.dumps([exact.tolist(), effective.tolist(), shifts.tolist()]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["emulate-photoemission", "--input", "grid_soft_coulomb_1d.json", "--format", "json"],
+    ["emulate-photoemission", "--input", CHEBYSHEV_VARIANT, "--format", "json"],
+    [],
+], ids=["emulate-photoemission", "emulate-photoemission-chebyshev",
+        "trotter_effective_spectrum"])
+def test_runs_with_scipy_import_blocked(tmp_path, argv):
+    # the package is numpy-only: blocking every scipy import changes no output
+    argv = _with_variant(argv, tmp_path)
+    runs = [subprocess.run([sys.executable, "-c", SCIPY_FREE_PROBE, mode, json.dumps(argv)],
+                           capture_output=True, text=True) for mode in ("blocked", "open")]
+    assert [run.returncode for run in runs] == [EX_OK, EX_OK], runs[0].stderr
+    assert runs[0].stdout
+    assert runs[0].stdout == runs[1].stdout

@@ -1,16 +1,20 @@
 """Grid photoemission emulator against dense-diagonalization and mask oracles."""
 
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from euvq import planewave
+from euvq import grid, planewave
 from euvq.core import NumericalError, PlaneWaveSpec, ValidationError
 from euvq.grid import (
     EVOLVE_TAIL,
     FilterSpec,
     GridModel,
+    _dct2,
+    _dct3,
     apply_dipole,
     chebyshev_coefficients,
     continuum_project,
@@ -182,10 +186,63 @@ def test_filter_degree_meets_tolerance_on_fine_grid():
     assert float(np.max(np.abs(fit - target(xs)))) <= 1e-3
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 255, 256, 2001, 4096, 4097])
+def test_cosine_transforms_match_scipy(m):
+    dct = pytest.importorskip("scipy.fft").dct
+    x = np.random.default_rng(m).standard_normal(m)
+    for ours, kind in ((_dct2, 2), (_dct3, 3)):
+        ref = dct(x, type=kind)
+        assert float(np.max(np.abs(ours(x) - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
+
+
+SOFT_COULOMB = {"kind": "soft_coulomb", "params": {"z": 2.0, "a": 1.0}}
+
+
+def _fixture_model():
+    text = resources.files("euvq").joinpath("fixtures", "grid_soft_coulomb_1d.json").read_text()
+    return json.loads(text)["model"]
+
+
+@pytest.mark.parametrize("model, window, degree", [
+    ({"n_points": 64, "box_length": 30.0, "potential": SOFT_COULOMB},
+     {"center": 0.8, "sigma": 0.3, "poly_tolerance": 1e-6}, 105),
+    (_fixture_model(), {"center": 1.8, "sigma": 0.2}, 186),
+    ({"eta": 2, "n_points": 64, "box_length": 48.0, "potential": SOFT_COULOMB,
+      "interaction_strength": 1.0}, {"center": 1.5, "sigma": 0.3}, 76),
+], ids=["chebyshev-filter-test", "fixture-chebyshev", "photoemission-2e"])
+def test_filter_degree_matches_scipy_cosine_transforms(monkeypatch, model, window, degree):
+    # ``degree`` is what the same search gives with scipy.fft.dct for both transforms
+    fft = pytest.importorskip("scipy.fft")
+    m = GridModel.from_config(model)
+    psi, e0 = ground_state(m)
+    excited, norm = apply_dipole(m, psi)
+    searches = []
+
+    def spy(func, tolerance):
+        searches.append((func, tolerance))
+        return required_filter_degree(func, tolerance)
+
+    monkeypatch.setattr(grid, "required_filter_degree", spy)
+    gaussian_filter(m, FilterSpec(mode="ChebyshevPoly", **window), excited / norm, e0)
+    [(func, tolerance)] = searches
+    assert required_filter_degree(func, tolerance) == degree
+    monkeypatch.setattr(grid, "_dct2", lambda x: fft.dct(x, type=2))
+    monkeypatch.setattr(grid, "_dct3", lambda x: fft.dct(x, type=3))
+    assert required_filter_degree(func, tolerance) == degree
+
+
 def test_evolve_identity_at_zero_time():
     m = soft_model(n=64)
     psi, _ = ground_state(m)
     np.testing.assert_allclose(evolve(m, psi, 0.0), psi)
+
+
+def test_evolve_identity_when_series_argument_underflows():
+    # half_span * t is 0, and at the smallest subnormal a / 2 is 0
+    m = free_model(n=2, box=100.0)
+    psi = np.array([0.6, 0.8j])
+    np.testing.assert_array_equal(evolve(m, psi, 5e-324), psi)
+    np.testing.assert_array_equal(jacobi_anger_bessel(5e-324), [1.0, 0.0])
 
 
 def test_evolve_free_momentum_eigenstate_phase():
@@ -235,6 +292,13 @@ def test_evolve_degree_law():
             PlaneWaveSpec(**spec, t_evolution=float(a)), 1.0, 1, 0, 0)
         assert a < degree
         assert max(predicted / degree, degree / predicted) <= 3.0
+
+
+@pytest.mark.parametrize("a, atol", [(0.5, 1e-13), (10.0, 1e-13), (260.0, 1e-13), (1e4, 1e-12)])
+def test_jacobi_anger_bessel_matches_scipy(a, atol):
+    jv = pytest.importorskip("scipy.special").jv
+    bessel = jacobi_anger_bessel(a)
+    np.testing.assert_allclose(bessel, jv(np.arange(len(bessel)), a), rtol=0, atol=atol)
 
 
 def test_evolve_long_free_momentum_phase():
@@ -467,6 +531,14 @@ def test_ground_state_nonconvergence_reports():
     m = soft_model(n=128)
     with pytest.raises(NumericalError, match="iteration|residual"):
         ground_state(m, maxiter=1)
+
+
+@pytest.mark.parametrize("eta", [1, 2])
+def test_ground_state_two_point_grid(eta):
+    # dimension 2 and 4: the block spans the whole space
+    m = soft_model(n=2, box=4.0, eta=eta)
+    _, energy = ground_state(m)
+    assert energy == pytest.approx(float(np.linalg.eigvalsh(dense_hamiltonian(m))[0]), abs=1e-12)
 
 
 def _layout_oracle(m):

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from euvq import spectro
 from euvq.core import ValidationError
 from euvq.spectro import (
     FourierWeights,
+    _pair_by_overlap,
     dipole_excited_norm,
     exact_greens,
     fourier_weights,
@@ -198,6 +200,28 @@ def test_trotter_step_size_rule_bounds_shift():
     assert np.max(np.abs(eff - exact)) <= 2 * gamma
 
 
+def test_trotter_pairing_matches_optimal_assignment(monkeypatch):
+    # up to 0.9 of the phase-wrap limit, largest overlap first is the optimal pairing
+    assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    pairings = []
+
+    def both(overlap):
+        row, col = assignment(-overlap)
+        pairings.append((_pair_by_overlap(overlap), col[np.argsort(row)]))
+        return pairings[-1][0]
+
+    monkeypatch.setattr(spectro, "_pair_by_overlap", both)
+    rng = np.random.default_rng(88)
+    for _ in range(10):
+        frags = [rand_herm(8, rng), rand_herm(8, rng)]
+        wrap = math.pi / np.linalg.norm(frags[0] + frags[1], 2)
+        for fraction in (0.01, 0.1, 0.5, 0.9):
+            trotter_effective_spectrum(frags, fraction * wrap)
+    assert len(pairings) == 40
+    for ours, optimal in pairings:
+        np.testing.assert_array_equal(ours, optimal)
+
+
 def test_trotter_phase_wrap_guard():
     big = np.diag([0.0, 100.0]).astype(complex)
     with pytest.raises(ValidationError):
@@ -205,8 +229,7 @@ def test_trotter_phase_wrap_guard():
 
 
 def test_trotter_unitary_is_strang_composition():
-    from scipy.linalg import expm
-
+    expm = pytest.importorskip("scipy.linalg").expm
     rng = np.random.default_rng(31)
     a, b, c = (rand_herm(4, rng) for _ in range(3))
     delta = 0.02
