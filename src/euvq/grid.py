@@ -42,10 +42,12 @@ from .core import REQUIRED, NumericalError, ValidationError, read_fields, read_n
 EVOLVE_TAIL = 1e-12            # bound on the dropped tail of the exp(-iHt) series
 MAX_SERIES_ARGUMENT = 1e6      # largest half_span * t evolve runs: about 1e6 H applications
 MAX_FILTER_DEGREE = 20000      # largest Chebyshev degree of the energy filter
-GROUND_STATE_TOL = 1e-10       # ||H psi - E psi|| (Ha) at which the ground-state iteration stops
+GROUND_STATE_TOL = 1e-10       # ||H psi - E psi|| (Ha) at which the ground-state iteration stops,
+GROUND_STATE_FLOOR = 1e-15     # or at this much per Ha of spectral range, its rounding floor
 GROUND_STATE_BLOCK = 6         # vectors filtered together: the filter damps from the 6th Ritz value
-GROUND_STATE_DEGREE = 20       # Chebyshev degree of each ground-state filter pass
-GROUND_STATE_PASSES = 1000     # default cap on the ground-state filter passes
+GROUND_STATE_DEGREE = 20       # least Chebyshev degree of a ground-state filter pass
+GROUND_STATE_GAIN = 100.0      # least growth of the lowest Ritz vector per filter pass
+GROUND_STATE_PASSES = 100      # default cap on the ground-state filter passes
 EDGE_CELLS = 2                 # grid points next to each box face that edge_density counts
 
 
@@ -166,22 +168,27 @@ class GridModel:
         return self._kinetic_table
 
     def apply_hamiltonian(self, state: np.ndarray) -> np.ndarray:
-        """H applied to a state, or to each row of a block of flattened states.
+        """H applied to a state, or to each row of a block of flattened states."""
+        potential = self._potential_table * state.reshape((-1,) + self.shape)
+        return potential.reshape(state.shape) + self.momentum_multiply(self._kinetic_table, state)
 
-        H is real symmetric on the grid (the kinetic energy is even in k), so
-        a real state stays real: its kinetic part goes through the real FFT,
-        on the half of the momentum grid that the last axis keeps.
+    def momentum_multiply(self, table: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """Multiply a state, or each row of a block, by ``table`` on the momentum grid.
+
+        ``table`` is even in k like the kinetic energy, so a real state stays
+        real: it goes through the real FFT, on the half of the momentum grid
+        that the last axis keeps.
         """
         psi = state.reshape((-1,) + self.shape)
         axes = tuple(range(1, psi.ndim))
         if np.isrealobj(psi):
-            half = self._kinetic_table[..., :self.n_points // 2 + 1]
-            kinetic = np.fft.irfftn(half * np.fft.rfftn(psi, axes=axes, norm="ortho"),
-                                    s=self.shape, axes=axes, norm="ortho")
+            half = table[..., :self.n_points // 2 + 1]
+            out = np.fft.irfftn(half * np.fft.rfftn(psi, axes=axes, norm="ortho"),
+                                s=self.shape, axes=axes, norm="ortho")
         else:
-            kinetic = np.fft.ifftn(self._kinetic_table * np.fft.fftn(psi, axes=axes, norm="ortho"),
-                                   axes=axes, norm="ortho")
-        return (self._potential_table * psi + kinetic).reshape(state.shape)
+            out = np.fft.ifftn(table * np.fft.fftn(psi, axes=axes, norm="ortho"),
+                               axes=axes, norm="ortho")
+        return out.reshape(state.shape)
 
     @classmethod
     def from_config(cls, data: dict) -> "GridModel":
@@ -252,37 +259,60 @@ def dense_hamiltonian(model: GridModel) -> np.ndarray:
     return np.column_stack([model.apply_hamiltonian(eye[:, i]) for i in range(dim)])
 
 
-def eigsh(apply, block: np.ndarray, upper: float, maxiter: int) -> tuple[float, np.ndarray]:
+def _rayleigh_ritz(apply, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ritz values and vectors (rows) of the span of ``block``, and the lowest pair's residual."""
+    basis = np.linalg.qr(block.T)[0].T
+    h_basis = apply(basis)
+    ritz, rotation = np.linalg.eigh(basis.conj() @ h_basis.T)
+    vectors = rotation.T @ basis
+    return ritz, vectors, rotation[:, 0] @ h_basis - ritz[0] * vectors[0]
+
+
+def eigsh(apply, precondition, block: np.ndarray, upper: float, maxiter: int
+          ) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of a Hermitian operator by Chebyshev-filtered subspace iteration.
 
     ``apply`` maps a block of row vectors to the operator applied to each row,
     and the operator's spectrum lies at or below ``upper``. Each pass
-    orthonormalizes the block and rotates it onto the Ritz vectors of the
-    Rayleigh-Ritz problem; once the lowest Ritz pair's residual is within
-    GROUND_STATE_TOL it is returned. Otherwise the block is multiplied by
-    T_m of the operator mapped onto [-1, 1] from [largest Ritz value, upper],
-    which keeps the unwanted part of the spectrum within magnitude 1 and
-    grows the part below it (Zhou, Saad, Tiago & Chelikowsky, J. Comput.
-    Phys. 219, 172 (2006)). Raises NumericalError after ``maxiter`` passes.
+    rotates the block onto its Ritz vectors, then adds the lowest one's
+    residual, mapped by ``precondition``, and rotates again. That correction
+    takes out the rounding noise which a high-degree filter leaves at high
+    energy, where it dominates the residual. Once the lowest Ritz pair's
+    residual is within GROUND_STATE_TOL, or within the rounding floor of the
+    operator's range where that is larger, it is returned. Otherwise the
+    block is multiplied by T_m of the operator mapped onto [-1, 1] from
+    [largest Ritz value, upper], which keeps the unwanted part of the
+    spectrum within magnitude 1 and grows the part below it (Zhou, Saad,
+    Tiago & Chelikowsky, J. Comput. Phys. 219, 172 (2006)). The degree m is
+    GROUND_STATE_DEGREE, or more where that would grow the lowest Ritz vector
+    by less than GROUND_STATE_GAIN, so a small gap against a wide range
+    costs a higher degree and not more passes. Raises NumericalError after
+    ``maxiter`` passes.
     """
-    coeffs = np.zeros(GROUND_STATE_DEGREE + 1)
-    coeffs[-1] = 1.0
+    size = len(block)
     passes = 0
     while True:
-        basis = np.linalg.qr(block.T)[0].T
-        h_basis = apply(basis)
-        ritz, rotation = np.linalg.eigh(basis.conj() @ h_basis.T)
-        block = rotation.T @ basis
-        residual = float(np.linalg.norm(rotation[:, 0] @ h_basis - ritz[0] * block[0]))
-        if residual <= GROUND_STATE_TOL:
+        ritz, block, residual = _rayleigh_ritz(apply, block)
+        tol = max(GROUND_STATE_TOL, GROUND_STATE_FLOOR * (upper - float(ritz[0])))
+        if np.linalg.norm(residual) > tol:
+            ritz, block, residual = _rayleigh_ritz(
+                apply, np.vstack([block, precondition(residual)]))
+            ritz, block = ritz[:size], block[:size]
+        error = float(np.linalg.norm(residual))
+        if error <= tol:
             return float(ritz[0]), block[0]
         if passes == maxiter:
             raise NumericalError(
                 f"ground-state iteration stopped after {maxiter} filter passes "
-                f"with residual {residual:.2e} > {GROUND_STATE_TOL}")
+                f"with residual {error:.2e} > {tol:.2e}")
         lower = float(ritz[-1])
-        block = _chebyshev_series(apply, coeffs, block, (upper + lower) / 2.0,
-                                  (upper - lower) / 2.0)
+        mid, half_span = (upper + lower) / 2.0, (upper - lower) / 2.0
+        gap = math.acosh(max((mid - float(ritz[0])) / half_span, 1.0))  # ln growth per degree
+        degree = MAX_FILTER_DEGREE if gap == 0 else min(MAX_FILTER_DEGREE, max(
+            GROUND_STATE_DEGREE, math.ceil(math.acosh(GROUND_STATE_GAIN) / gap)))
+        coeffs = np.zeros(degree + 1)
+        coeffs[-1] = 1.0
+        block = _chebyshev_series(apply, coeffs, block, mid, half_span)
         passes += 1
 
 
@@ -292,7 +322,9 @@ def ground_state(model: GridModel, symmetry: str = "none", maxiter: int = GROUND
 
     ``symmetry`` for two-electron models: "none", "symmetric", or
     "antisymmetric" exchange sector (enforced by projecting the operator).
-    ``maxiter`` caps the filter passes of ``eigsh`` (Zhou et al. 2006).
+    ``maxiter`` caps the filter passes of ``eigsh`` (Zhou et al. 2006),
+    whose degree grows with the ratio of spectral range to gap, so that
+    the passes a solve needs stay few on fine grids too.
     Raises with iteration diagnostics if the residual exceeds 1e-8.
     """
     dim = model.hilbert_dim
@@ -323,7 +355,14 @@ def ground_state(model: GridModel, symmetry: str = "none", maxiter: int = GROUND
         upper = mid + half_span
     else:
         block, upper = project(block), push
-    _, psi = eigsh(apply, block, upper, maxiter)
+    # (T + 1 Ha)^-1 inverts H - E where the filter leaves its rounding noise,
+    # at high momentum; T is symmetric in the electrons, so the sector is kept
+    inverse_kinetic = 1.0 / (model.kinetic_grid() + 1.0)
+
+    def precondition(v):
+        return model.momentum_multiply(inverse_kinetic, v)
+
+    _, psi = eigsh(apply, precondition, block, upper, maxiter)
     psi = psi.astype(complex) / np.linalg.norm(psi)
     energy = float(np.real(psi.conj() @ model.apply_hamiltonian(psi)))
     residual = float(np.linalg.norm(model.apply_hamiltonian(psi) - energy * psi))

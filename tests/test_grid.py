@@ -541,6 +541,26 @@ def test_ground_state_two_point_grid(eta):
     assert energy == pytest.approx(float(np.linalg.eigvalsh(dense_hamiltonian(m))[0]), abs=1e-12)
 
 
+def test_ground_state_fine_grid_matches_dense_oracle():
+    # the fixture's model at 8192 points: a 1.3 Ha gap against a 5e4 Ha
+    # spectral range. The smooth potential's ground energy has converged on
+    # the grid by 512 points (the two agree to 5e-15), so dense eigh there
+    # is the oracle.
+    psi, energy = ground_state(soft_model(n=8192, box=80.0))
+    oracle = float(np.linalg.eigvalsh(dense_hamiltonian(soft_model(n=512, box=80.0)))[0])
+    assert energy == pytest.approx(oracle, abs=1e-9)
+
+
+def test_ground_state_stops_at_rounding_floor():
+    # max T is 2e6 Ha, so H psi by FFT cannot resolve a 1e-10 Ha residual
+    m = soft_model(n=64, box=0.1)
+    assert float(np.max(m.kinetic_grid())) > 1e6
+    psi, energy = ground_state(m)
+    dense = dense_hamiltonian(m)
+    assert energy == pytest.approx(float(np.linalg.eigvalsh(dense)[0]), abs=1e-8)
+    assert float(np.linalg.norm(dense @ psi - energy * psi)) <= 1e-8
+
+
 def _layout_oracle(m):
     """(potential, kinetic, position, one-electron kinetic, radius), written out per layout.
 
