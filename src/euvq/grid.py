@@ -1,8 +1,8 @@
 """Real-space grid emulation of the photoemission correlation function.
 
 A periodic 1D (or small 3D) grid carries one or two electrons: ground state
-by Chebyshev-filtered subspace iteration, dipole excitation by the centered
-position operator, a Gaussian energy filter (exact eigenbasis or Chebyshev
+by preconditioned LOBPCG, dipole excitation by the centered position
+operator, a Gaussian energy filter (exact eigenbasis or Chebyshev
 polynomial), real-time propagation, a hard spherical continuum projector,
 and kinetic-energy histogram sampling in the momentum basis.
 
@@ -12,8 +12,10 @@ mid + half_span] an interval that holds the spectrum of H, summed
 matrix-free by one Clenshaw recurrence. The propagator's coefficients are
 Bessel functions (the Jacobi-Anger expansion), so its degree is fixed in
 advance by a tail bound rather than found by refining a time step. The
-ground-state solver filters its subspace with the same recurrence (Zhou,
-Saad, Tiago & Chelikowsky, J. Comput. Phys. 219, 172 (2006)).
+ground state needs no polynomial: locally optimal block preconditioned
+conjugate gradients (LOBPCG; Knyazev, SIAM J. Sci. Comput. 23, 517
+(2001)), preconditioned by (T + 1 Ha)^-1, reaches it in a few dozen
+applications of H.
 
 Grid conventions: N points per dimension (power of two), spacing
 h = L / N, positions x_q = (q - N/2) h, momenta k = 2 pi fftfreq(N, h).
@@ -44,10 +46,8 @@ MAX_SERIES_ARGUMENT = 1e6      # largest half_span * t evolve runs: about 1e6 H 
 MAX_FILTER_DEGREE = 20000      # largest Chebyshev degree of the energy filter
 GROUND_STATE_TOL = 1e-10       # ||H psi - E psi|| (Ha) at which the ground-state iteration stops,
 GROUND_STATE_FLOOR = 1e-15     # or at this much per Ha of spectral range, its rounding floor
-GROUND_STATE_BLOCK = 6         # vectors filtered together: the filter damps from the 6th Ritz value
-GROUND_STATE_DEGREE = 20       # least Chebyshev degree of a ground-state filter pass
-GROUND_STATE_GAIN = 100.0      # least growth of the lowest Ritz vector per filter pass
-GROUND_STATE_PASSES = 100      # default cap on the ground-state filter passes
+GROUND_STATE_ITERATIONS = 500  # default cap on LOBPCG iterations, one H application each
+BASIS_DEPENDENCE = 1e-12       # QR diagonal below which a unit basis row counts as dependent
 EDGE_CELLS = 2                 # grid points next to each box face that edge_density counts
 
 
@@ -259,72 +259,79 @@ def dense_hamiltonian(model: GridModel) -> np.ndarray:
     return np.column_stack([model.apply_hamiltonian(eye[:, i]) for i in range(dim)])
 
 
-def _rayleigh_ritz(apply, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ritz values and vectors (rows) of the span of ``block``, and the lowest pair's residual."""
-    basis = np.linalg.qr(block.T)[0].T
-    h_basis = apply(basis)
-    ritz, rotation = np.linalg.eigh(basis.conj() @ h_basis.T)
-    vectors = rotation.T @ basis
-    return ritz, vectors, rotation[:, 0] @ h_basis - ritz[0] * vectors[0]
+def _orthonormal_basis(block: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows spanning ``block``, with the operator's images of them.
 
-
-def eigsh(apply, precondition, block: np.ndarray, upper: float, maxiter: int
-          ) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a Hermitian operator by Chebyshev-filtered subspace iteration.
-
-    ``apply`` maps a block of row vectors to the operator applied to each row,
-    and the operator's spectrum lies at or below ``upper``. Each pass
-    rotates the block onto its Ritz vectors, then adds the lowest one's
-    residual, mapped by ``precondition``, and rotates again. That correction
-    takes out the rounding noise which a high-degree filter leaves at high
-    energy, where it dominates the residual. Once the lowest Ritz pair's
-    residual is within GROUND_STATE_TOL, or within the rounding floor of the
-    operator's range where that is larger, it is returned. Otherwise the
-    block is multiplied by T_m of the operator mapped onto [-1, 1] from
-    [largest Ritz value, upper], which keeps the unwanted part of the
-    spectrum within magnitude 1 and grows the part below it (Zhou, Saad,
-    Tiago & Chelikowsky, J. Comput. Phys. 219, 172 (2006)). The degree m is
-    GROUND_STATE_DEGREE, or more where that would grow the lowest Ritz vector
-    by less than GROUND_STATE_GAIN, so a small gap against a wide range
-    costs a higher degree and not more passes. Raises NumericalError after
-    ``maxiter`` passes.
+    ``images`` holds the operator applied to each row of ``block``. Rows are
+    scaled to unit norm and factored by QR. A row whose QR diagonal is not
+    above BASIS_DEPENDENCE lies in the span of the rows before it and is
+    dropped, and so is a row past the dimension of the space. The images map
+    by the same triangular factor, so the operator is not applied again.
     """
-    size = len(block)
-    passes = 0
+    norms = np.linalg.norm(block, axis=1)[:, None]
+    norms[norms == 0.0] = 1.0   # a zero row stays zero, and is dropped
+    block, images = block / norms, images / norms
     while True:
-        ritz, block, residual = _rayleigh_ritz(apply, block)
-        tol = max(GROUND_STATE_TOL, GROUND_STATE_FLOOR * (upper - float(ritz[0])))
-        if np.linalg.norm(residual) > tol:
-            ritz, block, residual = _rayleigh_ritz(
-                apply, np.vstack([block, precondition(residual)]))
-            ritz, block = ritz[:size], block[:size]
+        q, r = np.linalg.qr(block.T)
+        dependent = np.flatnonzero(np.abs(np.diag(r)) <= BASIS_DEPENDENCE)
+        if not len(dependent):
+            break
+        block, images = np.delete(block, dependent[0], 0), np.delete(images, dependent[0], 0)
+    size = len(r)
+    return q.T, np.linalg.inv(r[:, :size]).T @ images[:size]
+
+
+def eigsh(apply, precondition, start: np.ndarray, upper: float, maxiter: int
+          ) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a real symmetric operator by preconditioned LOBPCG.
+
+    ``apply`` maps a real vector to the operator applied to it, and the
+    operator's spectrum lies at or below ``upper``. Starting from ``start``,
+    each iteration moves x to the lowest Ritz vector on the span of x, its
+    residual mapped by ``precondition``, and the previous step p (Knyazev,
+    SIAM J. Sci. Comput. 23, 517 (2001), with a block of one). The images of
+    x and p are carried along as the same combinations, so an iteration
+    applies the operator once, to the preconditioned residual. The next p is
+    the Ritz vector's part along the basis rows other than x, which stays
+    accurate as the steps shrink, where the difference of successive x would
+    cancel. Once the residual is within GROUND_STATE_TOL, or within the
+    rounding floor of the operator's range where that is larger, the Ritz
+    value and x are returned. Raises NumericalError after ``maxiter``
+    iterations.
+    """
+    x = start / np.linalg.norm(start)
+    hx = apply(x)
+    step = h_step = np.empty((0, len(x)))
+    iterations = 0
+    while True:
+        theta = float(x @ hx)
+        residual = hx - theta * x
         error = float(np.linalg.norm(residual))
+        tol = max(GROUND_STATE_TOL, GROUND_STATE_FLOOR * (upper - theta))
         if error <= tol:
-            return float(ritz[0]), block[0]
-        if passes == maxiter:
+            return theta, x
+        if iterations == maxiter:
             raise NumericalError(
-                f"ground-state iteration stopped after {maxiter} filter passes "
+                f"ground-state iteration stopped after {maxiter} LOBPCG iterations "
                 f"with residual {error:.2e} > {tol:.2e}")
-        lower = float(ritz[-1])
-        mid, half_span = (upper + lower) / 2.0, (upper - lower) / 2.0
-        gap = math.acosh(max((mid - float(ritz[0])) / half_span, 1.0))  # ln growth per degree
-        degree = MAX_FILTER_DEGREE if gap == 0 else min(MAX_FILTER_DEGREE, max(
-            GROUND_STATE_DEGREE, math.ceil(math.acosh(GROUND_STATE_GAIN) / gap)))
-        coeffs = np.zeros(degree + 1)
-        coeffs[-1] = 1.0
-        block = _chebyshev_series(apply, coeffs, block, mid, half_span)
-        passes += 1
+        w = precondition(residual)
+        basis, h_basis = _orthonormal_basis(np.vstack([x, w, step]),
+                                            np.vstack([hx, apply(w), h_step]))
+        lowest = np.linalg.eigh(basis @ h_basis.T)[1][:, 0]
+        x, hx = lowest @ basis, lowest @ h_basis
+        step, h_step = lowest[None, 1:] @ basis[1:], lowest[None, 1:] @ h_basis[1:]
+        iterations += 1
 
 
-def ground_state(model: GridModel, symmetry: str = "none", maxiter: int = GROUND_STATE_PASSES
-                 ) -> tuple[np.ndarray, float]:
-    """Lowest eigenpair of the grid Hamiltonian by Chebyshev-filtered subspace iteration.
+def ground_state(model: GridModel, symmetry: str = "none",
+                 maxiter: int = GROUND_STATE_ITERATIONS) -> tuple[np.ndarray, float]:
+    """Lowest eigenpair of the grid Hamiltonian by preconditioned LOBPCG.
 
     ``symmetry`` for two-electron models: "none", "symmetric", or
     "antisymmetric" exchange sector (enforced by projecting the operator).
-    ``maxiter`` caps the filter passes of ``eigsh`` (Zhou et al. 2006),
-    whose degree grows with the ratio of spectral range to gap, so that
-    the passes a solve needs stay few on fine grids too.
+    ``eigsh`` (Knyazev 2001) runs in real arithmetic, since H is real
+    symmetric, preconditioned by (T + 1 Ha)^-1; ``maxiter`` caps its
+    iterations, each of which applies H once. The returned state is real.
     Raises with iteration diagnostics if the residual exceeds 1e-8.
     """
     dim = model.hilbert_dim
@@ -348,24 +355,24 @@ def ground_state(model: GridModel, symmetry: str = "none", maxiter: int = GROUND
         proj = project(v)
         return project(model.apply_hamiltonian(proj)) + push * (v - proj)
 
-    # H is real symmetric, so a real block finds a real ground state at half the cost
-    block = np.random.default_rng(12345).standard_normal((min(GROUND_STATE_BLOCK, dim), dim))
+    start = np.random.default_rng(12345).standard_normal(dim)
     if symmetry == "none":
         mid, half_span = _spectral_bounds(model)
         upper = mid + half_span
     else:
-        block, upper = project(block), push
-    # (T + 1 Ha)^-1 inverts H - E where the filter leaves its rounding noise,
-    # at high momentum; T is symmetric in the electrons, so the sector is kept
+        start, upper = project(start), push
+    # (T + 1 Ha)^-1 inverts H - E at high momentum, where T dominates;
+    # T is symmetric in the electrons, so the sector is kept
     inverse_kinetic = 1.0 / (model.kinetic_grid() + 1.0)
 
     def precondition(v):
         return model.momentum_multiply(inverse_kinetic, v)
 
-    _, psi = eigsh(apply, precondition, block, upper, maxiter)
-    psi = psi.astype(complex) / np.linalg.norm(psi)
-    energy = float(np.real(psi.conj() @ model.apply_hamiltonian(psi)))
-    residual = float(np.linalg.norm(model.apply_hamiltonian(psi) - energy * psi))
+    _, psi = eigsh(apply, precondition, start, upper, maxiter)
+    psi = psi / np.linalg.norm(psi)
+    h_psi = model.apply_hamiltonian(psi)
+    energy = float(psi @ h_psi)
+    residual = float(np.linalg.norm(h_psi - energy * psi))
     if residual > 1e-8:
         raise NumericalError(
             f"ground-state residual {residual:.2e} > 1e-8 (dim={dim}, tol={GROUND_STATE_TOL})")

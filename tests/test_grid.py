@@ -561,6 +561,103 @@ def test_ground_state_stops_at_rounding_floor():
     assert float(np.linalg.norm(dense @ psi - energy * psi)) <= 1e-8
 
 
+def two_electron_model(n=64):
+    """The two-electron soft-Coulomb model of the photoemission benchmark, at n^2 points."""
+    return GridModel.from_config({
+        "dims": 1, "eta": 2, "n_points": n, "box_length": 48.0,
+        "potential": {"kind": "soft_coulomb", "params": {"z": 2.0, "a": 1.0}},
+        "interaction_strength": 1.0})
+
+
+def three_d_model(n=16):
+    return GridModel.from_config({
+        "dims": 3, "n_points": n, "box_length": 16.0,
+        "potential": {"kind": "soft_coulomb", "params": {"z": 1.0, "a": 1.0}}})
+
+
+def _arpack_lowest(model, project=None):
+    """ARPACK's lowest eigenvalue of H, or of P H P for a projector P."""
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+    project = project or (lambda v: v)
+    op = linalg.LinearOperator((model.hilbert_dim,) * 2, dtype=float,
+                               matvec=lambda v: project(model.apply_hamiltonian(project(v))))
+    return float(linalg.eigsh(op, k=1, which="SA", tol=1e-14,
+                              v0=project(np.random.default_rng(0).standard_normal(
+                                  model.hilbert_dim)))[0][0])
+
+
+@pytest.mark.parametrize("make", [two_electron_model, three_d_model], ids=["2e_64^2", "3d_16^3"])
+def test_ground_state_matches_arpack(make):
+    m = make()
+    _, energy = ground_state(m)
+    assert energy == pytest.approx(_arpack_lowest(m), abs=1e-12)
+
+
+def test_ground_state_antisymmetric_sector_fine_grid():
+    m = two_electron_model()
+    psi, energy = ground_state(m, symmetry="antisymmetric")
+    swapped = psi.reshape(m.shape).T.reshape(-1)
+    assert float(np.max(np.abs(psi + swapped))) <= 1e-12
+    # H commutes with the exchange, so the sector's state is an eigenstate of H itself
+    assert float(np.linalg.norm(m.apply_hamiltonian(psi) - energy * psi)) <= 1e-8
+
+    def antisymmetrize(v):
+        return (v - v.reshape(m.shape).T.reshape(-1)) / 2.0
+
+    # the sector's ground energy is negative, below the zeros P H P has off the sector
+    assert energy == pytest.approx(_arpack_lowest(m, antisymmetrize), abs=1e-12)
+    assert energy > ground_state(m)[1]
+
+
+@pytest.mark.parametrize("make", [two_electron_model, lambda: soft_model(n=8192, box=80.0)],
+                         ids=["2e_64^2", "1e_8192"])
+def test_ground_state_vector_applications(monkeypatch, make):
+    # LOBPCG applies H once per iteration; the filtered subspace iteration it
+    # replaced took 673 vector applications on the 2e model
+    m = make()
+    applied = []
+    apply_hamiltonian = GridModel.apply_hamiltonian
+
+    def counted(self, state):
+        applied.append(state.size // self.hilbert_dim)
+        return apply_hamiltonian(self, state)
+
+    monkeypatch.setattr(GridModel, "apply_hamiltonian", counted)
+    ground_state(m)
+    assert sum(applied) <= 60
+
+
+def test_ground_state_is_real_and_later_stages_promote():
+    m = two_electron_model(n=32)
+    psi, energy = ground_state(m)
+    assert psi.dtype == np.float64
+    excited, norm = apply_dipole(m, psi)
+    assert excited.dtype == np.float64
+    filt = FilterSpec(center=1.5, sigma=0.3, mode="ChebyshevPoly")
+    filtered, _ = gaussian_filter(m, filt, excited / norm, energy)
+    assert filtered.dtype == np.float64
+    complex_filtered, _ = gaussian_filter(m, filt, (excited / norm).astype(complex), energy)
+    np.testing.assert_allclose(filtered, complex_filtered, rtol=0, atol=1e-13)
+    moved = evolve(m, filtered, 1.0)
+    assert moved.dtype == np.complex128
+    np.testing.assert_allclose(moved, evolve(m, complex_filtered, 1.0), rtol=0, atol=1e-12)
+
+
+def test_orthonormal_basis_drops_dependent_rows():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, 3))
+    a = a + a.T
+    u, v, w, z = rng.standard_normal((4, 3))
+    # 2u lies in the span of u and the zero row adds nothing; once both are
+    # dropped, z lies past the dimension 3
+    block = np.array([u, 2.0 * u, np.zeros(3), v, w, z])
+    basis, images = grid._orthonormal_basis(block, block @ a)
+    assert basis.shape == (3, 3)
+    np.testing.assert_allclose(basis @ basis.T, np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(images, basis @ a, atol=1e-13)
+    np.testing.assert_allclose(abs(basis[0] @ u), np.linalg.norm(u), rtol=1e-14)
+
+
 def _layout_oracle(m):
     """(potential, kinetic, position, one-electron kinetic, radius), written out per layout.
 
