@@ -89,10 +89,6 @@ class AbsorptionCostBreakdown:
     shots: int
     qubits: int
 
-    @property
-    def c_fragment(self) -> int:
-        return self.c_unitary + self.c_zmatr
-
 
 def absorption_cost(spec: AbsorptionSpec) -> CostReport:
     """Assemble the full cost report for an absorption-sensitivity run.

@@ -112,7 +112,8 @@ def givens_decompose(u: np.ndarray) -> list[tuple[int, int, float]]:
     ``G(r_1) @ G(r_2) @ ... @ diag(signs)`` equals ``u``, where each G(i, j,
     theta) acts as [[cos, -sin], [sin, cos]] on rows (i, j). At most
     N(N-1)/2 rotations are emitted; exact zeros are skipped, so the identity
-    gives an empty list. Use :func:`givens_reconstruct` to rebuild ``u``.
+    gives an empty list. ``signs`` is the +-1 diagonal that the eliminations
+    leave of ``u``; the decomposition does not return it.
     """
     u = np.asarray(u, dtype=float)
     n = u.shape[0]
@@ -137,27 +138,4 @@ def givens_decompose(u: np.ndarray) -> list[tuple[int, int, float]]:
     # work is now diagonal +-1: R_m ... R_1 u = D, so u = R_1^T ... R_m^T D
     # and each R^T is G(i, j, theta) in the documented sign convention.
     return eliminations
-
-
-def givens_signs(u: np.ndarray, rotations: list[tuple[int, int, float]]) -> np.ndarray:
-    """Diagonal sign vector completing the decomposition of ``u``."""
-    acc = np.asarray(u, dtype=float).copy()
-    for i, j, theta in rotations:
-        c, s = math.cos(theta), math.sin(theta)
-        upper = c * acc[i] + s * acc[j]
-        lower = -s * acc[i] + c * acc[j]
-        acc[i], acc[j] = upper, lower
-    return np.sign(np.diag(acc))
-
-
-def givens_reconstruct(rotations: list[tuple[int, int, float]],
-                       signs: np.ndarray) -> np.ndarray:
-    """Multiply out the emitted rotations times the sign matrix."""
-    out = np.diag(np.asarray(signs, dtype=float))
-    for i, j, theta in reversed(rotations):
-        c, s = math.cos(theta), math.sin(theta)
-        upper = c * out[i] - s * out[j]
-        lower = s * out[i] + c * out[j]
-        out[i], out[j] = upper, lower
-    return out
 

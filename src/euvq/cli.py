@@ -152,7 +152,7 @@ def run_emulate_photoemission(data, seed: int) -> Output:
     cfg = read_fields(data, {
         "model": (dict, REQUIRED), "filter": (dict, None), "time": (float, 0.0),
         "r_cutoff": (float, REQUIRED), "bins": (dict, {"max": 2.0, "count": 20}),
-        "shots": (int, 0), "smooth_width": (float, None),
+        "shots": (int, 0),
     }, "emulate-photoemission config")
     model = grid.GridModel.from_config(cfg["model"])
     filt = None if cfg["filter"] is None else read_dataclass(grid.FilterSpec, cfg["filter"])
@@ -183,8 +183,7 @@ def run_emulate_photoemission(data, seed: int) -> Output:
         raise NumericalError(
             f"edge density {leakage:.2e} > 1e-6: wavefunction reached the box "
             "boundary (periodic wrap-around); enlarge the box or shorten t")
-    projected, p_c = grid.continuum_project(model, psi, cfg["r_cutoff"],
-                                            smooth_width=cfg["smooth_width"])
+    projected, p_c = grid.continuum_project(model, psi, cfg["r_cutoff"])
     logger.info("continuum success probability %.3e", p_c)
     edges = np.linspace(0.0, bins["max"], bins["count"] + 1)
     hist = grid.kinetic_histogram(model, projected, edges, shots=cfg["shots"], seed=seed)
@@ -226,7 +225,7 @@ def run_cdf(data, seed: int) -> Output:
 def run_arith_verify(data, seed: int) -> Output:
     import numpy as np
 
-    from . import qarith
+    from . import planewave, qarith
 
     lines = []
     ok = True
@@ -258,11 +257,9 @@ def run_arith_verify(data, seed: int) -> Output:
     ok &= mism == 0
     lines.append(f"radius_test sampled: {'ok' if mism == 0 else f'{mism} MISMATCHES'}")
 
-    ledger = qarith.position_be_ledger(PlaneWaveSpec(
-        eta=58, lambda_zeta=58, omega_cell=200.0**3, n_bits=9, epsilon_be=1e-3,
-        delta_filter=0.067, t_evolution=0.0))
-    expect = 1666
-    good = ledger.total() == expect
+    spec = PlaneWaveSpec(eta=58, lambda_zeta=58, omega_cell=200.0**3, n_bits=9,
+                         epsilon_be=1e-3, delta_filter=0.067, t_evolution=0.0)
+    good = qarith.position_be_ledger(spec).total() == planewave.dipole_block_encoding_cost(spec)
     ok &= good
     lines.append(f"position ledger vs closed form: {'ok' if good else 'MISMATCH'}")
 

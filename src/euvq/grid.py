@@ -210,7 +210,6 @@ class FilterSpec:
 
     center: float           # Ha above the ground energy
     sigma: float            # Ha
-    poly_degree: int = 0    # 0 = choose automatically in ChebyshevPoly mode
     mode: str = "ExactEigen"
     poly_tolerance: float = 1e-3
 
@@ -219,9 +218,6 @@ class FilterSpec:
             raise ValidationError(
                 f"field 'sigma' in FilterSpec must be positive, got {self.sigma:g}")
         _check_width(self.sigma, "FilterSpec")
-        if not 0 <= self.poly_degree <= MAX_FILTER_DEGREE:
-            raise ValidationError(f"field 'poly_degree' in FilterSpec must be from 0 to "
-                                  f"{MAX_FILTER_DEGREE}, got {self.poly_degree}")
         if self.mode not in ("ExactEigen", "ChebyshevPoly"):
             raise ValidationError(f"field 'mode' in FilterSpec must be ExactEigen or "
                                   f"ChebyshevPoly, got '{self.mode}'")
@@ -251,12 +247,11 @@ class KineticHistogram:
 
 
 def dense_hamiltonian(model: GridModel) -> np.ndarray:
-    """Explicit Hamiltonian matrix (oracle-sized grids only)."""
+    """Explicit real Hamiltonian matrix, one block application of H (oracle-sized grids only)."""
     dim = model.hilbert_dim
     if dim > 4096:
         raise ValidationError("dense Hamiltonian capped at dimension 4096")
-    eye = np.eye(dim, dtype=complex)
-    return np.column_stack([model.apply_hamiltonian(eye[:, i]) for i in range(dim)])
+    return model.apply_hamiltonian(np.eye(dim)).T
 
 
 def _orthonormal_basis(block: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -395,8 +390,9 @@ def gaussian_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
                     ground_energy: float) -> tuple[np.ndarray, float]:
     """Apply f(H - E0) with f a Gaussian centered at ``filt.center``.
 
-    ExactEigen mode diagonalizes the (dense-capped) Hamiltonian; ChebyshevPoly
-    applies a fitted Chebyshev series of the rescaled Hamiltonian matrix-free.
+    ExactEigen mode diagonalizes the dense real Hamiltonian (dimension capped);
+    ChebyshevPoly applies, matrix-free, the Chebyshev series of least degree
+    within ``filt.poly_tolerance`` of the window.
     Returns the filtered (un-normalized) state and the success probability
     ||f psi||^2 / ||psi||^2.
     """
@@ -410,7 +406,7 @@ def gaussian_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
         with np.errstate(over="ignore"):  # an exponent beyond the float range gives weight 0
             window = np.exp(-((energies - ground_energy - filt.center) ** 2)
                             / (2.0 * filt.sigma**2))
-        out = vectors @ (window * (vectors.conj().T @ state.reshape(-1)))
+        out = vectors @ (window * (vectors.T @ state.reshape(-1)))
         out = out.reshape(state.shape)
     else:
         out = _chebyshev_filter(model, filt, state, ground_energy)
@@ -504,8 +500,8 @@ def required_filter_degree(func, tolerance: float) -> int:
     while sup_error(hi) > tolerance:
         hi *= 2
         if hi > MAX_FILTER_DEGREE:
-            raise ValidationError(
-                f"filter tolerance {tolerance} needs degree > {MAX_FILTER_DEGREE}")
+            raise ValidationError(f"field 'poly_tolerance' in FilterSpec needs a filter degree "
+                                  f"above {MAX_FILTER_DEGREE}, got {tolerance:g}")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if sup_error(mid) > tolerance:
@@ -524,14 +520,8 @@ def _chebyshev_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
         with np.errstate(over="ignore"):  # an exponent beyond the float range gives weight 0
             return np.exp(-((energy - filt.center) ** 2) / (2.0 * filt.sigma**2))
 
-    degree = filt.poly_degree or required_filter_degree(gauss_rescaled, filt.poly_tolerance)
+    degree = required_filter_degree(gauss_rescaled, filt.poly_tolerance)
     coeffs = chebyshev_coefficients(gauss_rescaled, degree)
-    err = _sup_error(gauss_rescaled, coeffs)
-    if err > filt.poly_tolerance:
-        needed = required_filter_degree(gauss_rescaled, filt.poly_tolerance)
-        raise ValidationError(
-            f"degree {degree} reaches sup error {err:.2e} > {filt.poly_tolerance}; "
-            f"need degree >= {needed}")
     return _chebyshev_series(model.apply_hamiltonian, coeffs, state, mid, half_span)
 
 
@@ -627,32 +617,22 @@ def _radius_values_1particle(model: GridModel) -> np.ndarray:
     return np.sqrt(_outer_sum([model.axis**2] * model.dims))
 
 
-def continuum_project(model: GridModel, state: np.ndarray, r_cutoff: float,
-                      smooth_width: float | None = None
+def continuum_project(model: GridModel, state: np.ndarray, r_cutoff: float
                       ) -> tuple[np.ndarray, float]:
     """Zero amplitudes where all particles lie inside the cutoff sphere.
 
-    Keeps the "any particle outside" subspace; returns the projected
-    (un-normalized) state and the retained norm^2 as success probability.
-    With ``smooth_width`` the hard cutoff is replaced by a tanh ramp: each
-    particle's "outside" weight becomes (1 + tanh((r - R_c)/w)) / 2 and the
-    kept amplitude weight is 1 - prod_i (1 - w_i).
+    The hard projector of the circuit's radius test: keeps the "any particle
+    outside" subspace; returns the projected (un-normalized) state and the
+    retained norm^2 as success probability.
     """
     if r_cutoff <= 0:
         raise ValidationError("r_cutoff must be positive")
     if r_cutoff > model.box_length / 2.0 * math.sqrt(model.dims):
         warnings.warn("r_cutoff exceeds the box half-diagonal; projector is empty",
                       stacklevel=2)
-    radius = _radius_values_1particle(model)
-    if smooth_width is None:
-        outside = (radius >= r_cutoff).astype(float)
-    else:
-        if smooth_width <= 0:
-            raise ValidationError("smooth_width must be positive")
-        outside = (1.0 + np.tanh((radius - r_cutoff) / smooth_width)) / 2.0
+    outside = _radius_values_1particle(model) >= r_cutoff
     psi = state.reshape(model.shape).astype(complex)
-    keep = functools.reduce(lambda a, b: 1.0 - np.multiply.outer(1.0 - a, 1.0 - b),
-                            [outside] * model.eta)
+    keep = functools.reduce(np.logical_or.outer, [outside] * model.eta)
     out = keep * psi
     norm_in = float(np.linalg.norm(psi))
     if norm_in == 0.0:

@@ -90,17 +90,6 @@ def two_level_scene(gap: float, coupling: float = 1.0) -> SpectralScene:
                          ground_energy=0.0)
 
 
-def lattice_scene(n_sites: int, hopping: float = 0.25,
-                  onsite: float = 0.0) -> SpectralScene:
-    """Open 1D tight-binding chain with the position-like alternating dipole."""
-    h = np.zeros((n_sites, n_sites), dtype=complex)
-    for i in range(n_sites - 1):
-        h[i, i + 1] = h[i + 1, i] = -hopping
-    h += onsite * np.eye(n_sites)
-    d = np.diag(np.linspace(-1.0, 1.0, n_sites)).astype(complex)
-    return make_scene(h, d)
-
-
 @dataclass(frozen=True)
 class FourierWeights:
     """Truncated discrete-time Fourier coefficients p(j), j in [-j_max, j_max]."""
@@ -204,13 +193,6 @@ def td_greens(scene: SpectralScene, weights: FourierWeights) -> complex:
     2 N^2 (tau/2pi) r^(j_max+1) / (1-r).
     """
     return complex(weights.weights @ _phase_sum(scene, weights.tau, weights.j_max))
-
-
-def td_truncation_bound(scene: SpectralScene, weights: FourierWeights) -> float:
-    """Geometric tail bound on |td sum - untruncated sum|."""
-    norm2 = float(np.linalg.norm(scene.dipole @ scene.ground_state) ** 2)
-    r = math.exp(-weights.gamma * weights.tau)
-    return 2.0 * norm2 * (weights.tau / (2.0 * math.pi)) * r ** (weights.j_max + 1) / (1.0 - r)
 
 
 def dipole_excited_norm(scene: SpectralScene) -> float:

@@ -1,5 +1,7 @@
 """Double factorization and Givens decomposition against dense oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,26 @@ from euvq.cdf import (
     TwoElectronTensor,
     double_factorize,
     givens_decompose,
-    givens_reconstruct,
-    givens_signs,
 )
 from euvq.core import ValidationError
+
+
+def givens_signs(u, rotations):
+    """Diagonal sign vector completing the decomposition of ``u``."""
+    acc = np.asarray(u, dtype=float).copy()
+    for i, j, theta in rotations:
+        c, s = math.cos(theta), math.sin(theta)
+        acc[i], acc[j] = c * acc[i] + s * acc[j], -s * acc[i] + c * acc[j]
+    return np.sign(np.diag(acc))
+
+
+def givens_reconstruct(rotations, signs):
+    """Multiply out the emitted rotations times the sign matrix."""
+    out = np.diag(np.asarray(signs, dtype=float))
+    for i, j, theta in reversed(rotations):
+        c, s = math.cos(theta), math.sin(theta)
+        out[i], out[j] = c * out[i] - s * out[j], s * out[i] + c * out[j]
+    return out
 
 
 def random_symmetric_tensor(n, seed):

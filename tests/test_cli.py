@@ -198,21 +198,23 @@ def test_unrunnable_time_exit_code(tmp_path, time):
     assert main(["emulate-photoemission", "--input", str(path)]) == EX_VALIDATION
 
 
-def test_numerical_failure_exit_code(tmp_path):
-    # dipole along x annihilates nothing, but a zero box of zero potential with
-    # a filter that cannot reach its tolerance at the pinned degree must exit 3
+def test_numerical_failure_exit_code(tmp_path, capsys):
+    # a window centred far above the spectrum passes nothing: the filtered
+    # state is zero, and the run must exit 3
     cfg = {
         "model": {"dims": 1, "n_points": 64, "box_length": 30.0,
                   "potential": {"kind": "soft_coulomb", "params": {"z": 2.0, "a": 1.0}},
                   "eta": 1},
-        "filter": {"center": 1.5, "sigma": 0.01, "mode": "ChebyshevPoly",
-                   "poly_degree": 2, "poly_tolerance": 1e-6},
+        "filter": {"center": 1e6, "sigma": 0.2, "mode": "ChebyshevPoly",
+                   "poly_tolerance": 1e-6},
         "time": 1.0, "r_cutoff": 6.0,
         "bins": {"max": 3.0, "count": 12}, "shots": 10}
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(cfg))
-    code = main(["emulate-photoemission", "--input", str(path)])
-    assert code in (EX_VALIDATION, EX_NUMERICAL)
+    assert main(["emulate-photoemission", "--input", str(path)]) == EX_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "filter annihilated the state" in err
 
 
 def _form(text):
@@ -413,10 +415,12 @@ def _grid_with(**fields):
     (_grid_with(shots=10**15), "shots", "16777216"),
     (_grid_with(bins={"max": 3.0, "count": 10**15}), "bins.count", "1048576"),
     (_grid_with(filter={"center": 1.8, "sigma": 0.2, "mode": "ChebyshevPoly",
-                        "poly_degree": 10**15}), "poly_degree", "20000"),
-], ids=["shots", "bins_count", "poly_degree"])
+                        "poly_tolerance": 1e-300}), "field 'poly_tolerance' in FilterSpec",
+     "20000"),
+], ids=["shots", "bins_count", "poly_tolerance"])
 def test_emulate_photoemission_size_cap_exit_code(tmp_path, capsys, data, field, cap):
-    # oversized arrays are refused before the pipeline allocates anything
+    # oversized arrays, and a filter series past its degree cap, are refused
+    # before they are allocated
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(data))
     assert main(["emulate-photoemission", "--input", str(path)]) == EX_VALIDATION
@@ -473,6 +477,22 @@ def test_filter_spec_errors_name_field(tmp_path, capsys, field, value):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"field '{field}' in FilterSpec" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda d: d["filter"].update(poly_degree=40), "poly_degree"),
+    (lambda d: d.update(smooth_width=0.5), "smooth_width"),
+], ids=["filter.poly_degree", "smooth_width"])
+def test_removed_grid_fields_exit_code(tmp_path, capsys, edit, field):
+    # the filter degree comes from poly_tolerance alone, and the continuum
+    # projector is the hard sphere only
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(_edited("grid_soft_coulomb_1d.json", edit)))
+    assert main(["emulate-photoemission", "--input", str(path)]) == EX_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unknown field(s) ['{field}']" in err
     assert "Traceback" not in err
 
 

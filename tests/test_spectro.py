@@ -16,7 +16,6 @@ from euvq.spectro import (
     hadamard_exact_z,
     hadamard_shot_simulator,
     kramers_heisenberg,
-    lattice_scene,
     make_scene,
     random_scene,
     scene_from_dict,
@@ -25,7 +24,6 @@ from euvq.spectro import (
     spectral_density_grid,
     spectrum_rows,
     td_greens,
-    td_truncation_bound,
     trotter_effective_spectrum,
     trotter_step_unitary,
     two_level_scene,
@@ -34,6 +32,22 @@ from euvq.spectro import (
 
 GAMMA = 0.0676
 TAU = math.pi / 8
+
+
+def lattice_scene(n_sites, hopping=0.25):
+    """Open 1D tight-binding chain with the position-like alternating dipole."""
+    h = np.zeros((n_sites, n_sites), dtype=complex)
+    for i in range(n_sites - 1):
+        h[i, i + 1] = h[i + 1, i] = -hopping
+    d = np.diag(np.linspace(-1.0, 1.0, n_sites)).astype(complex)
+    return make_scene(h, d)
+
+
+def td_truncation_bound(scene, weights):
+    """Geometric tail bound on |td sum - untruncated sum|."""
+    norm2 = float(np.linalg.norm(scene.dipole @ scene.ground_state) ** 2)
+    r = math.exp(-weights.gamma * weights.tau)
+    return 2.0 * norm2 * (weights.tau / (2.0 * math.pi)) * r ** (weights.j_max + 1) / (1.0 - r)
 
 
 def test_exact_greens_matches_dense_solve():
