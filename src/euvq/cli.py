@@ -4,12 +4,11 @@ Each subcommand maps the parsed input JSON (``None`` for ``arith-verify``) and
 the seed to an ``Output``; ``run`` alone reads the input, renders the format
 and writes the result. Each runner imports the modules it needs as its first
 lines, so importing this module loads only the standard library and
-``euvq.core``: the estimators do not load numpy, except for a photoemission
-spec with ``n_bits`` at most 7. Exit codes: 0 success, 2 validation error
-(bad config or input file, or a result beyond the float range), 3 numerical
-failure, 64 usage error / unknown command. The ``EUVQ_LOG`` environment
-variable sets the logging level. Identical config and seed always produce
-byte-identical output.
+``euvq.core``: the estimators and ``arith-verify`` do not load numpy. Exit
+codes: 0 success, 2 validation error (bad config or input file, or a result
+beyond the float range), 3 numerical failure, 64 usage error / unknown
+command. The ``EUVQ_LOG`` environment variable sets the logging level.
+Identical config and seed always produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -223,7 +222,7 @@ def run_cdf(data, seed: int) -> Output:
 
 
 def run_arith_verify(data, seed: int) -> Output:
-    import numpy as np
+    import random
 
     from . import planewave, qarith
 
@@ -244,15 +243,15 @@ def run_arith_verify(data, seed: int) -> Output:
         ok &= good
         lines.append(f"be_x amplitude n={n}: {'ok' if good else 'MISMATCH'}")
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     box, n = 10.0, 3
     mism = 0
     for _ in range(200):
-        r_c = float(rng.uniform(0.5, 6.5))
-        vals = rng.integers(-(2 ** (n - 1)), 2 ** (n - 1), size=3)
-        regs = tuple(qarith.BitRegister.from_int(int(v), n, signed=True) for v in vals)
+        r_c = rng.uniform(0.5, 6.5)
+        vals = [rng.randrange(-(2 ** (n - 1)), 2 ** (n - 1)) for _ in range(3)]
+        regs = tuple(qarith.BitRegister.from_int(v, n, signed=True) for v in vals)
         emitted = qarith.radius_test(regs, r_c, box)
-        want = int(sum(int(v) ** 2 for v in vals) <= qarith.radius_threshold(r_c, n, box))
+        want = int(sum(v**2 for v in vals) <= qarith.radius_threshold(r_c, n, box))
         mism += emitted != want
     ok &= mism == 0
     lines.append(f"radius_test sampled: {'ok' if mism == 0 else f'{mism} MISMATCHES'}")

@@ -49,6 +49,7 @@ GROUND_STATE_FLOOR = 1e-15     # or at this much per Ha of spectral range, its r
 GROUND_STATE_ITERATIONS = 500  # default cap on LOBPCG iterations, one H application each
 BASIS_DEPENDENCE = 1e-12       # QR diagonal below which a unit basis row counts as dependent
 EDGE_CELLS = 2                 # grid points next to each box face that edge_density counts
+DENSE_BLOCK = 512              # identity rows per H application in dense_hamiltonian
 
 
 def _check_width(sigma: float, where: str) -> None:
@@ -247,11 +248,19 @@ class KineticHistogram:
 
 
 def dense_hamiltonian(model: GridModel) -> np.ndarray:
-    """Explicit real Hamiltonian matrix, one block application of H (oracle-sized grids only)."""
+    """Explicit real Hamiltonian matrix (oracle-sized grids only).
+
+    H is applied to DENSE_BLOCK identity rows at a time, so the FFT
+    temporaries stay a block's size however large the matrix is.
+    """
     dim = model.hilbert_dim
     if dim > 4096:
         raise ValidationError("dense Hamiltonian capped at dimension 4096")
-    return model.apply_hamiltonian(np.eye(dim)).T
+    images = np.empty((dim, dim))  # row i: H applied to unit vector i
+    for start in range(0, dim, DENSE_BLOCK):
+        stop = min(start + DENSE_BLOCK, dim)
+        images[start:stop] = model.apply_hamiltonian(np.eye(stop - start, dim, k=start))
+    return images.T
 
 
 def _orthonormal_basis(block: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from .core import (AU_TIME_PER_FS, CostReport, PlaneWaveSpec, ValidationError, a
 KAPPA_U = 7.5e6 * 200.0 / (110.0 * 110.0 * 2.0**15)
 KAPPA_V = 1.23e7 * 200.0 / (110.0 * 110.0 * 2.0**15)
 
-LATTICE_SUM_EXACT_MAX_BITS = 7  # brute force up to 127^3 lattice vectors
+LATTICE_SUM_EXACT_MAX_BITS = 7  # exact sum up to 127^3 lattice vectors
 
 
 def _log2_ceil_inv(epsilon: float) -> int:
@@ -63,22 +63,23 @@ def lambda_total(lam_t: float, lam_u: float, lam_v: float,
 def lattice_sum_inv_norm(n_bits: int) -> float:
     """Estimate sum over nonzero lattice vectors of 1/||nu||.
 
-    Up to n_bits = 7 the symmetric integer cube is summed exactly; above, the
+    Up to n_bits = 7 the symmetric integer cube is summed exactly, over the
+    sorted octant 0 <= x <= y <= z only: each term stands for its 6, 3 or 1
+    coordinate permutations times 2 signs per nonzero coordinate. Above, the
     integral approximation 2*pi*(2^n)^2/4 (a ball of radius 2^n / 2) is used.
     """
     if n_bits < 1:
         raise ValidationError("n_bits must be >= 1")
     if n_bits <= LATTICE_SUM_EXACT_MAX_BITS:
-        import numpy as np
-
         half = (2**n_bits - 1) // 2
-        r = np.arange(-half, half + 1)
-        total = 0.0
-        for x in r:  # slice by x to keep the working set small
-            q2 = (float(x) ** 2 + r[:, None] ** 2 + r[None, :] ** 2).astype(float)
-            q2 = q2[q2 > 0]
-            total += float(np.sum(1.0 / np.sqrt(q2)))
-        return total
+        terms = []
+        for z in range(1, half + 1):
+            for y in range(z + 1):
+                for x in range(y + 1):
+                    perms = 6 if x < y < z else 1 if x == z else 3  # x == z: all equal
+                    signs = 2 << ((x > 0) + (y > 0))                # z is nonzero
+                    terms.append(perms * signs / math.sqrt(x * x + y * y + z * z))
+        return math.fsum(terms)
     return 2.0 * math.pi * (2.0**n_bits) ** 2 / 4.0
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .core import PlaneWaveSpec, ValidationError
 
 
@@ -98,12 +96,10 @@ def be_x_amplitude(alpha: int, width: int) -> tuple[float, float]:
 
     # state indexed [beta, flag] in units of 1/sqrt(size); the alpha register
     # stays classical and every branch coefficient is the integer 1
-    flags = np.zeros(size, dtype=np.int64)
-    for beta in range(size):
-        flags[beta] = int(beta < alpha) ^ 1       # comp, then X on the flag
+    flags = [int(beta < alpha) ^ 1 for beta in range(size)]  # comp, then X on the flag
     # unif(dagger) projects beta onto |0>: amplitude = (branch count)/size,
     # exact in binary floating point because size is a power of two
-    count1 = int(np.sum(flags))
+    count1 = sum(flags)
     amp0 = (size - count1) / size
     amp1 = count1 / size
     return amp0, amp1

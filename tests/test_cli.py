@@ -111,6 +111,18 @@ def test_arith_verify(tmp_path):
     assert "comp n=4 exhaustive: ok" in text
 
 
+def test_arith_verify_reproducible(tmp_path):
+    # the sampled radius-test cases come from the seed alone, so two fresh
+    # interpreters print the same bytes, and every seed passes every check
+    runs = [run_cli("arith-verify", "--seed", "12345") for _ in range(2)]
+    assert runs[0] == runs[1]
+    for seed in (0, 1, 2**64 - 1):
+        out = tmp_path / f"arith_{seed}.txt"
+        assert main(["arith-verify", "--seed", str(seed), "--output", str(out)]) == EX_OK
+        lines = out.read_text().splitlines()
+        assert len(lines) == 10 and all(line.endswith(": ok") for line in lines)
+
+
 def test_malformed_json_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"sweep": [}')
@@ -497,14 +509,25 @@ def test_removed_grid_fields_exit_code(tmp_path, capsys, edit, field):
 
 
 CHEBYSHEV_VARIANT = "<ChebyshevPoly variant of grid_soft_coulomb_1d.json>"
+NBITS7_VARIANT = "<n_bits 7 variant of table2_pp.json>"
+VARIANTS = {
+    CHEBYSHEV_VARIANT: ("grid_soft_coulomb_1d.json",
+                        lambda d: d["filter"].update(mode="ChebyshevPoly")),
+    NBITS7_VARIANT: ("table2_pp.json", lambda d: d.update(sweep=[dict(d["sweep"][0], n_bits=7)])),
+}
 
 
 def _with_variant(argv, tmp_path):
-    """``argv`` with CHEBYSHEV_VARIANT replaced by the path of that config, written to tmp_path."""
-    path = tmp_path / "grid_chebyshev.json"
-    path.write_text(json.dumps(_edited("grid_soft_coulomb_1d.json",
-                                       lambda d: d["filter"].update(mode="ChebyshevPoly"))))
-    return [str(path) if arg == CHEBYSHEV_VARIANT else arg for arg in argv]
+    """``argv`` with each VARIANTS placeholder replaced by the path of its config in tmp_path."""
+    out = []
+    for arg in argv:
+        if arg in VARIANTS:
+            name, edit = VARIANTS[arg]
+            path = tmp_path / f"variant_{name}"
+            path.write_text(json.dumps(_edited(name, edit)))
+            arg = str(path)
+        out.append(arg)
+    return out
 
 
 IMPORT_PROBE = """
@@ -522,13 +545,16 @@ print(json.dumps({"code": code, "loaded": sorted({"numpy", "scipy"} & set(sys.mo
     (["estimate-absorption", "--input", "table1.json"], {"numpy", "scipy"}),
     (["estimate-photoemission", "--input", "table2_ae.json"], {"numpy", "scipy"}),
     (["estimate-photoemission", "--input", "corollary_imeph.json"], {"numpy", "scipy"}),
+    (["estimate-photoemission", "--input", "table2_pp.json"], {"numpy", "scipy"}),
+    (["estimate-photoemission", "--input", NBITS7_VARIANT], {"numpy", "scipy"}),
     (["cdf", "--input", "tensor_random4.json"], {"scipy"}),
-    (["arith-verify"], {"scipy"}),
+    (["arith-verify"], {"numpy", "scipy"}),
     (["emulate-absorption", "--input", "scene_two_level.json"], {"scipy"}),
     (["emulate-photoemission", "--input", "grid_soft_coulomb_1d.json"], {"scipy"}),
     (["emulate-photoemission", "--input", CHEBYSHEV_VARIANT], {"scipy"}),
 ], ids=["import", "estimate-absorption", "estimate-photoemission-table2_ae",
-        "estimate-photoemission-corollary", "cdf", "arith-verify", "emulate-absorption",
+        "estimate-photoemission-corollary", "estimate-photoemission-table2_pp",
+        "estimate-photoemission-n_bits7", "cdf", "arith-verify", "emulate-absorption",
         "emulate-photoemission", "emulate-photoemission-chebyshev"])
 def test_subcommand_loads_only_its_modules(tmp_path, argv, unloaded):
     # each runner imports what it uses, so a fresh process never pays for the rest
@@ -539,6 +565,15 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, unloaded):
     result = json.loads(proc.stdout)
     assert result["code"] == EX_OK
     assert not unloaded & set(result["loaded"])
+
+
+def test_estimator_modules_load_no_numpy():
+    # library callers of the estimators and the arithmetic emulation pay no numpy import
+    probe = ("import json, sys; import euvq.planewave, euvq.qarith, euvq.absorption; "
+             "print(json.dumps(sorted({'numpy', 'scipy'} & set(sys.modules))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 SCIPY_FREE_PROBE = """

@@ -697,6 +697,14 @@ def test_dense_hamiltonian_matches_complex_columns(layout):
     assert worst <= 1e-13
 
 
+def test_dense_hamiltonian_blocks_match_one_shot_build():
+    # the 2e 64^2 model spans eight column blocks; each column is H on one
+    # unit vector, so the blocked build equals one application to the identity
+    m = soft_model(n=64, box=48.0, eta=2, interaction_strength=1.0)
+    assert m.hilbert_dim > grid.DENSE_BLOCK
+    assert np.array_equal(dense_hamiltonian(m), m.apply_hamiltonian(np.eye(m.hilbert_dim)).T)
+
+
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_tables_built_once_per_model(layout):
     m = LAYOUTS[layout]()

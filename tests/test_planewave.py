@@ -85,6 +85,25 @@ def test_lattice_sum_exact_small_grid():
     assert lattice_sum_inv_norm(4) == pytest.approx(oracle, rel=1e-12)
 
 
+def _lattice_sum_full_cube(n_bits):
+    """Sum of 1/||nu|| over every nonzero vector of the symmetric cube, one x slice at a time."""
+    half = (2**n_bits - 1) // 2
+    r = np.arange(-half, half + 1)
+    total = 0.0
+    for x in r:
+        q2 = (float(x) ** 2 + r[:, None] ** 2 + r[None, :] ** 2).astype(float)
+        q2 = q2[q2 > 0]
+        total += float(np.sum(1.0 / np.sqrt(q2)))
+    return total
+
+
+@pytest.mark.parametrize("n_bits", range(1, 8))
+def test_lattice_sum_octant_matches_full_cube(n_bits):
+    # the octant sum with permutation and sign weights against every vector of the cube
+    assert lattice_sum_inv_norm(n_bits) == pytest.approx(_lattice_sum_full_cube(n_bits),
+                                                         rel=1e-13, abs=0.0)
+
+
 def test_lattice_sum_radial_regime():
     # the integral approximation takes over above n_bits = 7
     for n in (8, 10):
