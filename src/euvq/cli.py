@@ -24,8 +24,8 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import (REQUIRED, AbsorptionSpec, NumericalError, PlaneWaveSpec, ValidationError,
-                   read_dataclass, read_fields, read_numbers)
+from .core import (MAX_SHOTS, REQUIRED, AbsorptionSpec, NumericalError, PlaneWaveSpec,
+                   ValidationError, read_dataclass, read_fields, read_numbers)
 
 logger = logging.getLogger("euvq")
 
@@ -146,7 +146,7 @@ def run_emulate_absorption(data, seed: int) -> Output:
 def run_emulate_photoemission(data, seed: int) -> Output:
     import numpy as np
 
-    from . import grid, spectro
+    from . import grid
 
     cfg = read_fields(data, {
         "model": (dict, REQUIRED), "filter": (dict, None), "time": (float, 0.0),
@@ -160,8 +160,8 @@ def run_emulate_photoemission(data, seed: int) -> Output:
         raise ValidationError("bins.max must be positive")
     if not 1 <= bins["count"] <= MAX_BIN_COUNT:
         raise ValidationError(f"bins.count must be from 1 to 2^20 = {MAX_BIN_COUNT}")
-    if not 0 <= cfg["shots"] <= spectro.MAX_SHOTS:
-        raise ValidationError(f"shots must be from 0 to {spectro.MAX_SHOTS}")
+    if not 0 <= cfg["shots"] <= MAX_SHOTS:
+        raise ValidationError(f"shots must be from 0 to {MAX_SHOTS}")
 
     psi, energy = grid.ground_state(model)
     logger.info("ground state energy %.6f Ha", energy)

@@ -47,7 +47,7 @@ MAX_FILTER_DEGREE = 20000      # largest Chebyshev degree of the energy filter
 GROUND_STATE_TOL = 1e-10       # ||H psi - E psi|| (Ha) at which the ground-state iteration stops,
 GROUND_STATE_FLOOR = 1e-15     # or at this much per Ha of spectral range, its rounding floor
 GROUND_STATE_ITERATIONS = 500  # default cap on LOBPCG iterations, one H application each
-BASIS_DEPENDENCE = 1e-12       # QR diagonal below which a unit basis row counts as dependent
+BASIS_DEPENDENCE = 1e-12       # remaining norm below which a unit basis row counts as dependent
 EDGE_CELLS = 2                 # grid points next to each box face that edge_density counts
 DENSE_BLOCK = 512              # identity rows per H application in dense_hamiltonian
 
@@ -264,25 +264,32 @@ def dense_hamiltonian(model: GridModel) -> np.ndarray:
 
 
 def _orthonormal_basis(block: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal rows spanning ``block``, with the operator's images of them.
+    """Orthonormal rows spanning the real rows of ``block``, with the operator's images of them.
 
-    ``images`` holds the operator applied to each row of ``block``. Rows are
-    scaled to unit norm and factored by QR. A row whose QR diagonal is not
-    above BASIS_DEPENDENCE lies in the span of the rows before it and is
-    dropped, and so is a row past the dimension of the space. The images map
-    by the same triangular factor, so the operator is not applied again.
+    ``images`` holds the operator applied to each row of ``block``. Each row
+    in turn is scaled to unit norm and cleared of the rows kept before it by
+    classical Gram-Schmidt applied twice, which leaves it orthogonal to
+    working precision (Giraud et al., Numer. Math. 101, 87 (2005)). A row
+    whose remaining norm is not above BASIS_DEPENDENCE lies in the span of the
+    rows before it and is dropped, and so is a row past the dimension of the
+    space. The images follow the same combinations, so the operator is not
+    applied again.
     """
-    norms = np.linalg.norm(block, axis=1)[:, None]
-    norms[norms == 0.0] = 1.0   # a zero row stays zero, and is dropped
-    block, images = block / norms, images / norms
-    while True:
-        q, r = np.linalg.qr(block.T)
-        dependent = np.flatnonzero(np.abs(np.diag(r)) <= BASIS_DEPENDENCE)
-        if not len(dependent):
-            break
-        block, images = np.delete(block, dependent[0], 0), np.delete(images, dependent[0], 0)
-    size = len(r)
-    return q.T, np.linalg.inv(r[:, :size]).T @ images[:size]
+    basis, h_basis = np.empty_like(block), np.empty_like(images)
+    size = 0
+    for row, image in zip(block, images):
+        scale = np.linalg.norm(row) or 1.0  # a zero row stays zero, and is dropped
+        row, image = row / scale, image / scale
+        for _ in range(2 if size else 0):
+            overlap = basis[:size] @ row
+            row -= overlap @ basis[:size]
+            image -= overlap @ h_basis[:size]
+        rest = np.linalg.norm(row)
+        if rest > BASIS_DEPENDENCE:
+            np.divide(row, rest, out=basis[size])
+            np.divide(image, rest, out=h_basis[size])
+            size += 1
+    return basis[:size], h_basis[:size]
 
 
 def eigsh(apply, precondition, start: np.ndarray, upper: float, maxiter: int

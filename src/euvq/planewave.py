@@ -9,6 +9,7 @@ they set a bit or qubit count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +61,7 @@ def lambda_total(lam_t: float, lam_u: float, lam_v: float,
     return max(lam_t + lam_u + lam_v, (lam_u + lam_v * pair_factor) / p_nu)
 
 
+@functools.cache
 def lattice_sum_inv_norm(n_bits: int) -> float:
     """Estimate sum over nonzero lattice vectors of 1/||nu||.
 
@@ -67,6 +69,7 @@ def lattice_sum_inv_norm(n_bits: int) -> float:
     sorted octant 0 <= x <= y <= z only: each term stands for its 6, 3 or 1
     coordinate permutations times 2 signs per nonzero coordinate. Above, the
     integral approximation 2*pi*(2^n)^2/4 (a ball of radius 2^n / 2) is used.
+    The value depends on n_bits alone, so it is computed once per n_bits.
     """
     if n_bits < 1:
         raise ValidationError("n_bits must be >= 1")

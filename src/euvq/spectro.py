@@ -10,6 +10,13 @@ Sign convention, pinned by matching the resolvent: the two-sided Fourier sum
 G_t = sum_j p(j) exp(-i (H - E_I) tau j) has a real expectation value on any
 state and reconstructs the spectral density -Im(G)/pi, so the measured
 Hadamard-test component is the real part of <Phi| G_t / beta |Phi>.
+
+The value is real because s_-j = conj(s_j) for the phase sum
+s_j = sum_F |<F|D|I>|^2 exp(-i (E_F - E_I) tau j) and p(-j) = conj(p(j)).
+So only the half j = 0..j_max of s is formed, once per scene, and a
+frequency scan reads td(omega) = (tau/2pi) [s_0 + 2 sum_{j>=1} r^j
+(cos(omega tau j) Re s_j - sin(omega tau j) Im s_j)], r = exp(-gamma tau),
+from one real cosine and one real sine table per block of frequencies.
 """
 
 from __future__ import annotations
@@ -19,13 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EUV_OMEGA_HA, REQUIRED, ValidationError, cross_section_prefactor, read_fields,
-                   read_numbers)
+from .core import (EUV_OMEGA_HA, MAX_SHOTS, REQUIRED, ValidationError, cross_section_prefactor,
+                   read_fields, read_numbers)
 
 HERMITICITY_TOL = 1e-12
 EIGENPAIR_TOL = 1e-9
 MAX_PHASE_ENTRIES = 2**24  # largest dim * (2 j_max + 1) phase table a sum over j allocates
-MAX_SHOTS = 2**24          # largest number of Hadamard-test outcomes one draw allocates
+SCAN_BLOCK_ENTRIES = 2**14  # largest frequencies * max(j_max, dim) table of a scan block
 
 
 @dataclass(frozen=True)
@@ -58,13 +65,13 @@ class SpectralScene:
 
 
 def make_scene(hamiltonian: np.ndarray, dipole: np.ndarray) -> SpectralScene:
-    """Build a scene whose initial state is the exact ground state of H."""
+    """Build a scene whose initial state is the exact ground state of H.
+
+    The scene checks that H and D are Hermitian, so they are taken as given.
+    """
     h = np.asarray(hamiltonian, dtype=complex)
-    h = (h + h.conj().T) / 2.0
     energies, vectors = np.linalg.eigh(h)
-    d = np.asarray(dipole, dtype=complex)
-    d = (d + d.conj().T) / 2.0
-    return SpectralScene(dim=h.shape[0], hamiltonian=h, dipole=d,
+    return SpectralScene(dim=h.shape[0], hamiltonian=h, dipole=dipole,
                          ground_state=vectors[:, 0], ground_energy=float(energies[0]))
 
 
@@ -106,14 +113,24 @@ class FourierWeights:
         return np.arange(-self.j_max, self.j_max + 1)
 
 
-def fourier_weights(omega: float, gamma: float, tau: float, j_max: int) -> FourierWeights:
-    """Coefficients p(j) = (tau/2pi) exp(-gamma tau |j| + i omega tau j)."""
+def _decay(gamma: float, tau: float, j_max: int) -> tuple[np.ndarray, float]:
+    """r^j = exp(-gamma tau j) for j = 1..j_max, and beta = sum_j |p(j)|.
+
+    |p(j)| = (tau/2pi) r^|j| does not depend on omega, so neither does
+    beta = (tau/2pi) (1 + 2 sum_{j>=1} r^j): one value serves a whole scan.
+    """
     if tau <= 0 or gamma <= 0 or j_max < 0:
         raise ValidationError("tau, gamma must be positive and j_max >= 0")
+    decay = np.exp(-gamma * tau * np.arange(1, j_max + 1))
+    return decay, (tau / (2.0 * math.pi)) * (1.0 + 2.0 * float(np.sum(decay)))
+
+
+def fourier_weights(omega: float, gamma: float, tau: float, j_max: int) -> FourierWeights:
+    """Coefficients p(j) = (tau/2pi) exp(-gamma tau |j| + i omega tau j)."""
+    beta = _decay(gamma, tau, j_max)[1]
     j = np.arange(-j_max, j_max + 1)
     weights = (tau / (2.0 * math.pi)) * np.exp(-gamma * tau * np.abs(j)
                                                + 1j * omega * tau * j)
-    beta = float(np.sum(np.abs(weights)))
     return FourierWeights(tau=tau, gamma=gamma, omega=omega, j_max=j_max,
                           weights=weights, beta=beta)
 
@@ -142,14 +159,24 @@ def spectral_density(scene: SpectralScene, omega: float, gamma: float) -> float:
     return -exact_greens(scene, omega, gamma).imag / math.pi
 
 
-def spectral_density_grid(scene: SpectralScene, omegas: np.ndarray,
-                          gamma: float) -> np.ndarray:
-    """Vectorized -Im(G)/pi over a frequency grid (used for peak finding)."""
+def _lorentzian_sum(scene: SpectralScene, omegas, gamma: float):
+    """sum_F |<F|D|I>|^2 L_gamma(E_F - E_I - omega), L_gamma(x) = gamma / (x^2 + gamma^2).
+
+    ``omegas`` is one frequency or an array of them; the result has its shape.
+    Each frequency's terms are summed on their own, so its value does not
+    depend on the other frequencies passed with it.
+    """
     if gamma <= 0:
         raise ValidationError("gamma must be positive")
     energies, weights = _spectral_data(scene)
-    detune = energies[:, None] - scene.ground_energy - np.asarray(omegas)[None, :]
-    return (weights[:, None] * (gamma / (detune**2 + gamma**2))).sum(axis=0) / math.pi
+    detune = np.subtract.outer(omegas, energies - scene.ground_energy)  # the sign squares away
+    return np.sum(weights * (gamma / (detune**2 + gamma**2)), axis=-1)
+
+
+def spectral_density_grid(scene: SpectralScene, omegas: np.ndarray,
+                          gamma: float) -> np.ndarray:
+    """Vectorized -Im(G)/pi over a frequency grid (used for peak finding)."""
+    return _lorentzian_sum(scene, np.asarray(omegas), gamma) / math.pi
 
 
 def kramers_heisenberg(scene: SpectralScene, omega: float, gamma: float) -> float:
@@ -159,19 +186,16 @@ def kramers_heisenberg(scene: SpectralScene, omega: float, gamma: float) -> floa
     this coincides with the inelastic-only sum, and it is identically
     (4 pi omega / 3c) times -Im of the resolvent element.
     """
-    if gamma <= 0:
-        raise ValidationError("gamma must be positive")
-    energies, weights = _spectral_data(scene)
-    detune = energies - scene.ground_energy - omega
-    lor = gamma / (detune**2 + gamma**2)
-    return float(cross_section_prefactor(omega) * np.sum(weights * lor))
+    return float(cross_section_prefactor(omega) * _lorentzian_sum(scene, omega, gamma))
 
 
 def _phase_sum(scene: SpectralScene, tau: float, j_max: int) -> np.ndarray:
-    """s_j = sum_F |<F|D|I>|^2 exp(-i (E_F - E_I) tau j) for j in [-j_max, j_max].
+    """s_j = sum_F |<F|D|I>|^2 exp(-i (E_F - E_I) tau j) for j in [0, j_max].
 
     Only the weights p(j) depend on the probe frequency, so one s serves a
-    whole scan: <I| D G_t D |I> = sum_j p(j) s_j.
+    whole scan: <I| D G_t D |I> = sum_j p(j) s_j. The other half is
+    s_-j = conj(s_j), since the weights |<F|D|I>|^2 are real. The cap
+    counts the two-sided table dim * (2 j_max + 1) all the same.
     """
     entries = scene.dim * (2 * j_max + 1)
     if entries > MAX_PHASE_ENTRIES:
@@ -179,9 +203,8 @@ def _phase_sum(scene: SpectralScene, tau: float, j_max: int) -> np.ndarray:
             f"j_max = {j_max} needs a phase table of dim * (2 j_max + 1) = {entries} "
             f"entries; the cap is 2^24 = {MAX_PHASE_ENTRIES}")
     energies, wts = _spectral_data(scene)
-    j = np.arange(-j_max, j_max + 1)
-    # one complex table, exponentiated in place: 16 bytes per entry at the cap
-    phases = np.multiply.outer(energies - scene.ground_energy, -1j * (j * tau))
+    # one complex table of dim * (j_max + 1) entries, exponentiated in place
+    phases = np.multiply.outer(energies - scene.ground_energy, -1j * (np.arange(j_max + 1) * tau))
     return wts @ np.exp(phases, out=phases)
 
 
@@ -190,9 +213,13 @@ def td_greens(scene: SpectralScene, weights: FourierWeights) -> complex:
 
     Converges (in its real part) to the spectral density -Im(exact)/pi as
     j_max grows; the truncation error is bounded by the geometric tail
-    2 N^2 (tau/2pi) r^(j_max+1) / (1-r).
+    2 N^2 (tau/2pi) r^(j_max+1) / (1-r). The sum reads s_-j = conj(s_j)
+    from the half-sided phase sum.
     """
-    return complex(weights.weights @ _phase_sum(scene, weights.tau, weights.j_max))
+    half = _phase_sum(scene, weights.tau, weights.j_max)
+    p, j_max = weights.weights, weights.j_max
+    return complex(p[j_max] * half[0] + p[j_max + 1:] @ half[1:]
+                   + p[:j_max][::-1] @ half[1:].conj())
 
 
 def dipole_excited_norm(scene: SpectralScene) -> float:
@@ -306,9 +333,9 @@ def _check_shots(shots: int) -> None:
 
 
 def _draw_z(exact_z: float, shots: int, seed: int) -> np.ndarray:
-    """``shots`` outcomes in {-1, +1}, each +1 with probability (1 + E[Z])/2."""
+    """``shots`` outcomes, True where Z = +1, each with probability (1 + E[Z])/2."""
     rng = np.random.default_rng(seed)
-    return np.where(rng.random(shots) < (1.0 + exact_z) / 2.0, 1.0, -1.0)
+    return rng.random(shots) < (1.0 + exact_z) / 2.0
 
 
 def hadamard_shot_simulator(scene: SpectralScene, weights: FourierWeights,
@@ -323,7 +350,7 @@ def hadamard_shot_simulator(scene: SpectralScene, weights: FourierWeights,
     if alpha is None:
         alpha = cross_section_prefactor(EUV_OMEGA_HA)
     exact = hadamard_exact_z(scene, weights)
-    draws = _draw_z(exact, shots, seed)
+    draws = np.where(_draw_z(exact, shots, seed), 1.0, -1.0)
     mean_z = float(np.mean(draws))
     scale = alpha * dipole_excited_norm(scene) * weights.beta
     stderr = scale * float(np.std(draws, ddof=1) / math.sqrt(shots)) if shots > 1 else scale
@@ -357,9 +384,6 @@ def scene_from_dict(data: dict) -> SpectralScene:
 
     h = join("hamiltonian", (dim, dim))
     d = join("dipole", (dim, dim))
-    for name, mat in (("hamiltonian", h), ("dipole", d)):
-        if not np.allclose(mat, mat.conj().T, atol=HERMITICITY_TOL, rtol=0.0):
-            raise ValidationError(f"scene {name} is not Hermitian")
     if scene["ground_state"] is not None:
         psi = join("ground_state", (dim,))
         energy = float(np.real(psi.conj() @ h @ psi))
@@ -374,33 +398,50 @@ def spectrum_rows(scene: SpectralScene, omegas, gamma: float, tau: float,
 
     All three columns share the (4 pi omega / 3c) * pi-scaled spectral-density
     convention so they agree in the large-j_max, many-shot limit. The
-    frequency-independent phase sum is formed once; each frequency then costs
-    one dot product with its weights, whose value gives both sigma_td and the
-    E[Z] that frequency k draws its shots from, with seed ``seed + k``.
+    frequency-independent half-sided phase sum, its folds 2 r^j Re s_j and
+    2 r^j Im s_j, and beta are formed once. Each block of frequencies then
+    costs one cosine and one sine table over j and one Lorentzian table over
+    the final states for the exact column, each of at most SCAN_BLOCK_ENTRIES
+    entries where one frequency's row fits. A frequency's time-domain
+    value gives both sigma_td and the E[Z] that frequency k draws its shots
+    from, with seed ``seed + k``. Each table row is summed on its own, not by
+    a matrix-vector product whose rounding can depend on the number of rows,
+    so the rows do not depend on how the scan is split into blocks.
     Raises ValidationError if gamma and tau leave any value non-finite.
     """
     _check_shots(shots)
+    omegas = np.asarray(omegas, dtype=float)
+    block = max(1, SCAN_BLOCK_ENTRIES // max(j_max, scene.dim))
     rows = []
     with np.errstate(all="ignore"):  # a non-finite row is rejected below
-        phase_sum = _phase_sum(scene, tau, j_max)
+        half = _phase_sum(scene, tau, j_max)
+        decay, beta = _decay(gamma, tau, j_max)
+        fold_re, fold_im = 2.0 * decay * half[1:].real, 2.0 * decay * half[1:].imag
+        steps = np.arange(1.0, j_max + 1)
         norm = dipole_excited_norm(scene)
-        for k, omega in enumerate(omegas):
-            prefactor = cross_section_prefactor(omega)
-            weights = fourier_weights(omega, gamma, tau, j_max)
-            td = complex(weights.weights @ phase_sum)
-            draws = _draw_z(_expected_z(td, norm, weights.beta), shots, seed + k)
-            scale = prefactor * math.pi * weights.beta * norm**2
-            row = {
-                "omega_Ha": float(omega),
-                "sigma_exact": float(kramers_heisenberg(scene, omega, gamma)),
-                "sigma_td": float(prefactor * math.pi * td.real),
-                "sigma_sampled": float(scale * float(np.mean(draws))),
-                "stderr": float(scale / math.sqrt(shots)),
-            }
-            if not all(map(math.isfinite, row.values())):
-                raise ValidationError(
-                    f"spectrum is not finite at omega = {float(omega):g} Ha: "
-                    f"gamma = {gamma:g} or tau = {tau:g} is out of range")
-            rows.append(row)
+        for start in range(0, len(omegas), block):
+            chunk = omegas[start:start + block]
+            angles = np.multiply.outer(chunk * tau, steps)
+            table = np.cos(angles)
+            table *= fold_re
+            table -= np.multiply(np.sin(angles, out=angles), fold_im, out=angles)
+            tds = (tau / (2.0 * math.pi)) * (half[0].real + table.sum(axis=1))
+            exacts = _lorentzian_sum(scene, chunk, gamma)
+            for k, (omega, td, exact) in enumerate(zip(chunk, tds, exacts), start):
+                prefactor = cross_section_prefactor(omega)
+                plus = np.count_nonzero(_draw_z(_expected_z(td, norm, beta), shots, seed + k))
+                scale = prefactor * math.pi * beta * norm**2
+                # (2 plus - shots) / shots is the mean of the +-1 outcomes, exactly
+                row = {
+                    "omega_Ha": float(omega),
+                    "sigma_exact": float(prefactor * exact),
+                    "sigma_td": float(prefactor * math.pi * td),
+                    "sigma_sampled": float(scale * ((2 * plus - shots) / shots)),
+                    "stderr": float(scale / math.sqrt(shots)),
+                }
+                if not all(map(math.isfinite, row.values())):
+                    raise ValidationError(
+                        f"spectrum is not finite at omega = {float(omega):g} Ha: "
+                        f"gamma = {gamma:g} or tau = {tau:g} is out of range")
+                rows.append(row)
     return rows
-

@@ -536,7 +536,8 @@ from euvq.cli import main
 argv = json.loads(sys.argv[1])
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(argv) if argv else 0
-print(json.dumps({"code": code, "loaded": sorted({"numpy", "scipy"} & set(sys.modules))}))
+probed = {"numpy", "scipy", "euvq.spectro", "euvq.grid"}
+print(json.dumps({"code": code, "loaded": sorted(probed & set(sys.modules))}))
 """
 
 
@@ -549,9 +550,10 @@ print(json.dumps({"code": code, "loaded": sorted({"numpy", "scipy"} & set(sys.mo
     (["estimate-photoemission", "--input", NBITS7_VARIANT], {"numpy", "scipy"}),
     (["cdf", "--input", "tensor_random4.json"], {"scipy"}),
     (["arith-verify"], {"numpy", "scipy"}),
-    (["emulate-absorption", "--input", "scene_two_level.json"], {"scipy"}),
-    (["emulate-photoemission", "--input", "grid_soft_coulomb_1d.json"], {"scipy"}),
-    (["emulate-photoemission", "--input", CHEBYSHEV_VARIANT], {"scipy"}),
+    (["emulate-absorption", "--input", "scene_two_level.json"], {"scipy", "euvq.grid"}),
+    (["emulate-photoemission", "--input", "grid_soft_coulomb_1d.json"],
+     {"scipy", "euvq.spectro"}),
+    (["emulate-photoemission", "--input", CHEBYSHEV_VARIANT], {"scipy", "euvq.spectro"}),
 ], ids=["import", "estimate-absorption", "estimate-photoemission-table2_ae",
         "estimate-photoemission-corollary", "estimate-photoemission-table2_pp",
         "estimate-photoemission-n_bits7", "cdf", "arith-verify", "emulate-absorption",

@@ -633,6 +633,34 @@ def test_orthonormal_basis_drops_dependent_rows():
     np.testing.assert_allclose(abs(basis[0] @ u), np.linalg.norm(u), rtol=1e-14)
 
 
+@pytest.mark.parametrize("dim, rows", [
+    (50, lambda u, v, w: [u, v, u - 3.0 * v]),  # the third row is dependent
+    (2, lambda u, v, w: [u, v, w]),             # the third row lies past the dimension 2
+], ids=["dependent", "past-dimension"])
+def test_orthonormal_basis_rows_are_orthonormal(dim, rows):
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((dim, dim))
+    a = a + a.T
+    block = np.array(rows(*rng.standard_normal((3, dim))))
+    basis, images = grid._orthonormal_basis(block, block @ a)
+    assert basis.shape == (2, dim)
+    np.testing.assert_allclose(basis @ basis.T, np.eye(2), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(images, basis @ a, rtol=0, atol=1e-13 * np.linalg.norm(a))
+    # the kept rows span every row of the block
+    np.testing.assert_allclose(block @ basis.T @ basis, block, rtol=0, atol=1e-13)
+
+
+def test_orthonormal_basis_keeps_a_nearly_dependent_row_orthogonal():
+    # one Gram-Schmidt pass leaves this row's remainder off by about eps / 1e-9;
+    # the second pass restores orthogonality to working precision
+    rng = np.random.default_rng(7)
+    u, v, w = rng.standard_normal((3, 200))
+    block = np.array([u, u + 1e-9 * v, w])
+    basis, _ = grid._orthonormal_basis(block, block)
+    assert basis.shape == (3, 200)
+    np.testing.assert_allclose(basis @ basis.T, np.eye(3), rtol=0, atol=1e-14)
+
+
 def _layout_oracle(m):
     """(potential, kinetic, position, one-electron kinetic, radius), written out per layout.
 

@@ -111,6 +111,18 @@ def test_lattice_sum_radial_regime():
     assert lattice_sum_inv_norm(7) != pytest.approx(2 * math.pi * 4**7 / 4, rel=1e-12)
 
 
+def test_sweep_sums_the_lattice_once_per_n_bits():
+    # the sum depends on n_bits alone, so a sweep at one n_bits pays for it once
+    lattice_sum_inv_norm.cache_clear()
+    try:
+        for eps in (1e-3, 1e-4, 1e-5, 1e-6):
+            photoemission_cost(make_spec(n_bits=7, epsilon_be=eps))
+        info = lattice_sum_inv_norm.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+    finally:
+        lattice_sum_inv_norm.cache_clear()
+
+
 def test_filter_convention_recorded_in_report():
     spec = make_spec(n_bits=9, epsilon_be=1e-6)
     labels = [label for label, _ in photoemission_cost(spec).breakdown]

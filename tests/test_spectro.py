@@ -130,6 +130,29 @@ def test_td_greens_zero_time_autocorrelation():
     assert td_greens(scene, w) == pytest.approx(norm**2 * TAU / (2 * math.pi), rel=1e-12)
 
 
+@pytest.mark.parametrize("j_max", [0, 1, 150])
+def test_td_greens_folded_half_sum_matches_two_sided_sum(j_max):
+    # td_greens reads s_-j = conj(s_j) from the half j >= 0; hold it to the
+    # two-sided complex sum over every j in [-j_max, j_max]
+    scene = random_scene(12, seed=21)
+    energies, vectors = np.linalg.eigh(scene.hamiltonian)
+    line = np.abs(vectors.conj().T @ scene.dipole @ scene.ground_state) ** 2
+    for omega in (0.4, 1.7, 3.1):
+        w = fourier_weights(omega, GAMMA, TAU, j_max)
+        phases = np.exp(-1j * np.outer(energies - scene.ground_energy, w.indices * TAU))
+        two_sided = complex(w.weights @ (line @ phases))
+        assert td_greens(scene, w) == pytest.approx(two_sided, rel=1e-13)
+
+
+def test_fourier_weights_beta_is_the_same_at_every_frequency():
+    # |p(j)| does not depend on omega, so neither does beta, to the last bit
+    betas = [fourier_weights(omega, GAMMA, TAU, 300).beta for omega in (0.0, 0.5, 1.7, 3.38)]
+    assert len(set(betas)) == 1
+    for omega in (0.0, 0.5, 1.7, 3.38):
+        w = fourier_weights(omega, GAMMA, TAU, 300)
+        assert w.beta == pytest.approx(float(np.sum(np.abs(w.weights))), rel=1e-15)
+
+
 def test_td_greens_converges_to_spectral_density():
     scene = random_scene(32, seed=6)
     omegas = np.linspace(0.2, 3.8, 400)
@@ -337,6 +360,18 @@ def test_spectrum_rows_sampled_column_is_the_shot_simulator():
         scale = 4 * math.pi * omega / (3 * 137.036) * math.pi * w.beta * norm**2
         est = hadamard_shot_simulator(scene, w, shots, seed + k)
         assert row["sigma_sampled"] == scale * est.mean_z
+
+
+@pytest.mark.parametrize("j_max", [0, 7, 150])
+def test_spectrum_rows_do_not_depend_on_the_block_split(monkeypatch, j_max):
+    # frequencies are evaluated in blocks of at most SCAN_BLOCK_ENTRIES table
+    # entries; splitting the scan into blocks of 1, 2 and 3 rows changes no bit
+    scene = random_scene(12, seed=15)
+    omegas = np.linspace(0.3, 3.7, 11)
+    whole = spectrum_rows(scene, omegas, GAMMA, TAU, j_max, shots=50, seed=4)
+    for rows_per_block in (1, 2, 3):
+        monkeypatch.setattr(spectro, "SCAN_BLOCK_ENTRIES", rows_per_block * max(j_max, scene.dim))
+        assert spectrum_rows(scene, omegas, GAMMA, TAU, j_max, shots=50, seed=4) == whole
 
 
 def test_scene_round_trip():
