@@ -339,47 +339,39 @@ def ground_state(model: GridModel, symmetry: str = "none",
     """Lowest eigenpair of the grid Hamiltonian by preconditioned LOBPCG.
 
     ``symmetry`` for two-electron models: "none", "symmetric", or
-    "antisymmetric" exchange sector (enforced by projecting the operator).
-    ``eigsh`` (Knyazev 2001) runs in real arithmetic, since H is real
-    symmetric, preconditioned by (T + 1 Ha)^-1; ``maxiter`` caps its
-    iterations, each of which applies H once. The returned state is real.
-    Raises with iteration diagnostics if the residual exceeds 1e-8.
+    "antisymmetric" exchange sector. ``eigsh`` (Knyazev 2001) applies H
+    itself in every sector; the sector is kept by projecting the random
+    start vector and each preconditioned residual onto it. Both projections
+    are exact, and LOBPCG's x and step are combinations of those rows, so
+    they stay in the sector; the rounding-level leak in the images of H is
+    cleared by the next projection. The iteration runs in real arithmetic,
+    since H is real symmetric, preconditioned by (T + 1 Ha)^-1; ``maxiter``
+    caps its iterations, each of which applies H once. The returned state
+    is real. Raises with iteration diagnostics if the residual exceeds 1e-8.
     """
     dim = model.hilbert_dim
     if symmetry not in ("none", "symmetric", "antisymmetric"):
         raise ValidationError("symmetry must be none, symmetric, or antisymmetric")
     if symmetry != "none" and model.eta != 2:
         raise ValidationError("exchange symmetry applies to two-electron models")
-
-    # lifts the complement above the target sector
-    push = abs(float(np.max(model.potential_grid()))) + float(np.max(model.kinetic_grid())) + 10.0
     sign = 1.0 if symmetry == "symmetric" else -1.0
 
     def project(v):
-        """The part of each row of ``v`` in the requested exchange sector."""
-        psi = v.reshape((-1,) + model.shape)
-        return ((psi + sign * psi.swapaxes(-1, -2)) / 2.0).reshape(v.shape)
-
-    def apply(v):
+        """The part of ``v`` in the requested exchange sector; ``v`` itself for "none"."""
         if symmetry == "none":
-            return model.apply_hamiltonian(v)
-        proj = project(v)
-        return project(model.apply_hamiltonian(proj)) + push * (v - proj)
+            return v
+        psi = v.reshape(model.shape)
+        return ((psi + sign * psi.T) / 2.0).reshape(v.shape)
 
-    start = np.random.default_rng(12345).standard_normal(dim)
-    if symmetry == "none":
-        mid, half_span = _spectral_bounds(model)
-        upper = mid + half_span
-    else:
-        start, upper = project(start), push
-    # (T + 1 Ha)^-1 inverts H - E at high momentum, where T dominates;
-    # T is symmetric in the electrons, so the sector is kept
+    start = project(np.random.default_rng(12345).standard_normal(dim))
+    mid, half_span = _spectral_bounds(model)
+    # (T + 1 Ha)^-1 inverts H - E at high momentum, where T dominates
     inverse_kinetic = 1.0 / (model.kinetic_grid() + 1.0)
 
     def precondition(v):
-        return model.momentum_multiply(inverse_kinetic, v)
+        return project(model.momentum_multiply(inverse_kinetic, v))
 
-    _, psi = eigsh(apply, precondition, start, upper, maxiter)
+    _, psi = eigsh(model.apply_hamiltonian, precondition, start, mid + half_span, maxiter)
     psi = psi / np.linalg.norm(psi)
     h_psi = model.apply_hamiltonian(psi)
     energy = float(psi @ h_psi)

@@ -82,10 +82,13 @@ def comp(a: BitRegister, b: BitRegister, ledger: ToffoliLedger | None = None) ->
 def be_x_amplitude(alpha: int, width: int) -> tuple[float, float]:
     """Amplitudes of the uniform-comparator block encoding of an integer.
 
-    Simulates unif -> comp -> unif(dagger) on an explicit statevector over
-    2^(2n+1) basis states and reads off the |alpha>|0>|flag> amplitudes.
-    Returns (flag0, flag1) = (alpha/2^n, (2^n - alpha)/2^n); the flag is
-    flipped after the comparator so that flag 0 carries the encoded value.
+    Follows unif -> comp -> unif(dagger) branch by branch: unif spreads beta
+    evenly over its 2^n values, the comparator and the X on the flag mark each
+    branch with flag = NOT(beta < alpha), and unif(dagger) projected on
+    beta = 0 gives each flag the count of its branches over 2^n. The alpha
+    register stays classical, so no statevector is built. Returns
+    (flag0, flag1) = (alpha/2^n, (2^n - alpha)/2^n); the flag is flipped
+    after the comparator so that flag 0 carries the encoded value.
     ``alpha`` may equal 2^n (full-range boundary convention).
     """
     if width > 6:

@@ -4,7 +4,9 @@ Small dense Hermitian Hamiltonians stand in for the molecular problem. The
 resolvent Green's function, its truncated discrete-time Fourier
 reconstruction, the product-formula eigenvalue perturbation, and the
 Hadamard-test shot statistics are all evaluated through eigendecompositions,
-which validates the algorithm's math without building circuits.
+which validates the algorithm's math without building circuits. A scene
+diagonalizes its H once, when it is made, and keeps the excitation energies
+E_F - E_I and line weights |<F|D|I>|^2 that every absorption quantity reads.
 
 Sign convention, pinned by matching the resolvent: the two-sided Fourier sum
 G_t = sum_j p(j) exp(-i (H - E_I) tau j) has a real expectation value on any
@@ -22,7 +24,7 @@ from one real cosine and one real sine table per block of frequencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,64 +39,65 @@ SCAN_BLOCK_ENTRIES = 2**14  # largest frequencies * max(j_max, dim) table of a s
 
 @dataclass(frozen=True)
 class SpectralScene:
-    """Dense Hermitian Hamiltonian + dipole operator + initial eigenstate."""
+    """Dense Hermitian Hamiltonian + dipole operator + initial eigenstate.
 
-    dim: int
+    ``ground_state`` None means the lowest eigenvector of H. The scene
+    diagonalizes H once, when it is made, and keeps what every quantity
+    downstream reads: the excitation energies E_F - E_I and the line weights
+    |<F|D|I>|^2. ``dim`` and ``ground_energy`` = <I|H|I> are derived too.
+    """
+
     hamiltonian: np.ndarray
     dipole: np.ndarray
-    ground_state: np.ndarray
-    ground_energy: float
+    ground_state: np.ndarray | None = None
+    dim: int = field(init=False)
+    ground_energy: float = field(init=False)
+    excitations: np.ndarray = field(init=False, repr=False)
+    line_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         h = np.asarray(self.hamiltonian, dtype=complex)
         d = np.asarray(self.dipole, dtype=complex)
-        psi = np.asarray(self.ground_state, dtype=complex)
-        if h.shape != (self.dim, self.dim) or d.shape != (self.dim, self.dim):
+        if h.ndim != 2 or h.shape[0] != h.shape[1] or d.shape != h.shape:
             raise ValidationError("operator shapes inconsistent with dim")
         if not np.allclose(h, h.conj().T, atol=HERMITICITY_TOL, rtol=0.0):
             raise ValidationError("hamiltonian is not Hermitian to 1e-12")
         if not np.allclose(d, d.conj().T, atol=HERMITICITY_TOL, rtol=0.0):
             raise ValidationError("dipole is not Hermitian to 1e-12")
+        energies, vectors = np.linalg.eigh(h)
+        if self.ground_state is None:
+            psi, energy = vectors[:, 0], float(energies[0])
+        else:
+            psi = np.asarray(self.ground_state, dtype=complex)
+            energy = float(np.real(psi.conj() @ h @ psi))
         if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
             raise ValidationError("ground_state must be normalized")
-        if np.linalg.norm(h @ psi - self.ground_energy * psi) > EIGENPAIR_TOL:
+        if np.linalg.norm(h @ psi - energy * psi) > EIGENPAIR_TOL:
             raise ValidationError("ground_state is not an eigenpair of H to 1e-9")
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "dipole", d)
-        object.__setattr__(self, "ground_state", psi)
+        amps = vectors.conj().T @ (d @ psi)
+        for name, value in (("hamiltonian", h), ("dipole", d), ("ground_state", psi),
+                            ("dim", h.shape[0]), ("ground_energy", energy),
+                            ("excitations", energies - energy),
+                            ("line_weights", np.abs(amps) ** 2)):
+            object.__setattr__(self, name, value)
 
 
-def make_scene(hamiltonian: np.ndarray, dipole: np.ndarray) -> SpectralScene:
-    """Build a scene whose initial state is the exact ground state of H.
-
-    The scene checks that H and D are Hermitian, so they are taken as given.
-    """
-    h = np.asarray(hamiltonian, dtype=complex)
-    energies, vectors = np.linalg.eigh(h)
-    return SpectralScene(dim=h.shape[0], hamiltonian=h, dipole=dipole,
-                         ground_state=vectors[:, 0], ground_energy=float(energies[0]))
-
-
-def random_scene(dim: int, seed: int, spectral_span: float = 4.0,
-                 dipole_scale: float = 1.0) -> SpectralScene:
-    """Gaussian-ensemble Hermitian scene, rescaled to the given spectral span."""
+def random_scene(dim: int, seed: int) -> SpectralScene:
+    """Gaussian-ensemble Hermitian scene, rescaled to a spectral span of 4 Ha."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (a + a.conj().T) / 2.0
     energies = np.linalg.eigvalsh(h)
-    h *= spectral_span / (energies[-1] - energies[0])
+    h *= 4.0 / (energies[-1] - energies[0])
     b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    d = dipole_scale * (b + b.conj().T) / 2.0
-    return make_scene(h, d)
+    return SpectralScene(h, (b + b.conj().T) / 2.0)
 
 
 def two_level_scene(gap: float, coupling: float = 1.0) -> SpectralScene:
     """Two levels split by ``gap`` with purely off-diagonal dipole ``coupling``."""
     h = np.diag([0.0, gap]).astype(complex)
     d = np.array([[0.0, coupling], [coupling, 0.0]], dtype=complex)
-    return SpectralScene(dim=2, hamiltonian=h, dipole=d,
-                         ground_state=np.array([1.0, 0.0], dtype=complex),
-                         ground_energy=0.0)
+    return SpectralScene(h, d, ground_state=np.array([1.0, 0.0], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -135,23 +138,11 @@ def fourier_weights(omega: float, gamma: float, tau: float, j_max: int) -> Fouri
                           weights=weights, beta=beta)
 
 
-def _spectral_data(scene: SpectralScene):
-    """Eigenvalues and |<F|D|I>|^2 weights, computed once per scene."""
-    cached = scene.__dict__.get("_spectral_cache")
-    if cached is None:
-        energies, vectors = np.linalg.eigh(scene.hamiltonian)
-        amps = vectors.conj().T @ (scene.dipole @ scene.ground_state)
-        cached = (energies, np.abs(amps) ** 2)
-        object.__setattr__(scene, "_spectral_cache", cached)
-    return cached
-
-
 def exact_greens(scene: SpectralScene, omega: float, gamma: float) -> complex:
     """Resolvent matrix element <I| D (H - E_I - omega + i gamma)^-1 D |I>."""
     if gamma <= 0:
         raise ValidationError("gamma must be positive")
-    energies, weights = _spectral_data(scene)
-    return complex(np.sum(weights / (energies - scene.ground_energy - omega + 1j * gamma)))
+    return complex(np.sum(scene.line_weights / (scene.excitations - omega + 1j * gamma)))
 
 
 def spectral_density(scene: SpectralScene, omega: float, gamma: float) -> float:
@@ -168,9 +159,8 @@ def _lorentzian_sum(scene: SpectralScene, omegas, gamma: float):
     """
     if gamma <= 0:
         raise ValidationError("gamma must be positive")
-    energies, weights = _spectral_data(scene)
-    detune = np.subtract.outer(omegas, energies - scene.ground_energy)  # the sign squares away
-    return np.sum(weights * (gamma / (detune**2 + gamma**2)), axis=-1)
+    detune = np.subtract.outer(omegas, scene.excitations)  # the sign squares away
+    return np.sum(scene.line_weights * (gamma / (detune**2 + gamma**2)), axis=-1)
 
 
 def spectral_density_grid(scene: SpectralScene, omegas: np.ndarray,
@@ -202,10 +192,9 @@ def _phase_sum(scene: SpectralScene, tau: float, j_max: int) -> np.ndarray:
         raise ValidationError(
             f"j_max = {j_max} needs a phase table of dim * (2 j_max + 1) = {entries} "
             f"entries; the cap is 2^24 = {MAX_PHASE_ENTRIES}")
-    energies, wts = _spectral_data(scene)
     # one complex table of dim * (j_max + 1) entries, exponentiated in place
-    phases = np.multiply.outer(energies - scene.ground_energy, -1j * (np.arange(j_max + 1) * tau))
-    return wts @ np.exp(phases, out=phases)
+    phases = np.multiply.outer(scene.excitations, -1j * (np.arange(j_max + 1) * tau))
+    return scene.line_weights @ np.exp(phases, out=phases)
 
 
 def td_greens(scene: SpectralScene, weights: FourierWeights) -> complex:
@@ -245,7 +234,7 @@ def trotter_effective_spectrum(fragments: list[np.ndarray], delta: float
     frags = [np.asarray(f, dtype=complex) for f in fragments]
     h = sum(frags)
     energies, vectors = np.linalg.eigh(h)
-    norm = float(np.linalg.norm(h, 2))
+    norm = max(abs(float(energies[0])), abs(float(energies[-1])))
     if norm * delta >= math.pi:
         raise ValidationError(
             f"eigenphases wrap at delta={delta:g}; use delta < {math.pi / norm:g}")
@@ -384,12 +373,8 @@ def scene_from_dict(data: dict) -> SpectralScene:
 
     h = join("hamiltonian", (dim, dim))
     d = join("dipole", (dim, dim))
-    if scene["ground_state"] is not None:
-        psi = join("ground_state", (dim,))
-        energy = float(np.real(psi.conj() @ h @ psi))
-        return SpectralScene(dim=dim, hamiltonian=h, dipole=d,
-                             ground_state=psi, ground_energy=energy)
-    return make_scene(h, d)
+    psi = None if scene["ground_state"] is None else join("ground_state", (dim,))
+    return SpectralScene(h, d, psi)
 
 
 def spectrum_rows(scene: SpectralScene, omegas, gamma: float, tau: float,

@@ -584,11 +584,15 @@ def test_ground_state_antisymmetric_sector_fine_grid():
     assert energy > ground_state(m)[1]
 
 
-@pytest.mark.parametrize("make", [two_electron_model, lambda: soft_model(n=8192, box=80.0)],
-                         ids=["2e_64^2", "1e_8192"])
-def test_ground_state_vector_applications(monkeypatch, make):
+@pytest.mark.parametrize("make, symmetry", [
+    (two_electron_model, "none"), (lambda: soft_model(n=8192, box=80.0), "none"),
+    (two_electron_model, "symmetric"), (two_electron_model, "antisymmetric"),
+], ids=["2e_64^2", "1e_8192", "2e_64^2_symmetric", "2e_64^2_antisymmetric"])
+def test_ground_state_vector_applications(monkeypatch, make, symmetry):
     # LOBPCG applies H once per iteration; the filtered subspace iteration it
-    # replaced took 673 vector applications on the 2e model
+    # replaced took 673 vector applications on the 2e model. H itself is
+    # applied in a sector too, where a shifted P H P + c (1 - P) took 113
+    # (symmetric) and 152 (antisymmetric)
     m = make()
     applied = []
     apply_hamiltonian = GridModel.apply_hamiltonian
@@ -598,8 +602,16 @@ def test_ground_state_vector_applications(monkeypatch, make):
         return apply_hamiltonian(self, state)
 
     monkeypatch.setattr(GridModel, "apply_hamiltonian", counted)
-    ground_state(m)
+    ground_state(m, symmetry=symmetry)
     assert sum(applied) <= 60
+
+
+@pytest.mark.parametrize("symmetry, sign", [("symmetric", 1.0), ("antisymmetric", -1.0)])
+def test_ground_state_lies_exactly_in_its_sector(symmetry, sign):
+    # the projected start and residuals keep the state in its sector bit for bit
+    m = two_electron_model()
+    psi, _ = ground_state(m, symmetry=symmetry)
+    assert np.array_equal(psi, sign * psi.reshape(m.shape).T.reshape(-1))
 
 
 def test_ground_state_is_real_and_later_stages_promote():

@@ -9,6 +9,7 @@ from euvq import spectro
 from euvq.core import ValidationError
 from euvq.spectro import (
     FourierWeights,
+    SpectralScene,
     _pair_by_overlap,
     dipole_excited_norm,
     exact_greens,
@@ -16,7 +17,6 @@ from euvq.spectro import (
     hadamard_exact_z,
     hadamard_shot_simulator,
     kramers_heisenberg,
-    make_scene,
     random_scene,
     scene_from_dict,
     scene_to_dict,
@@ -40,7 +40,7 @@ def lattice_scene(n_sites, hopping=0.25):
     for i in range(n_sites - 1):
         h[i, i + 1] = h[i + 1, i] = -hopping
     d = np.diag(np.linspace(-1.0, 1.0, n_sites)).astype(complex)
-    return make_scene(h, d)
+    return SpectralScene(h, d)
 
 
 def td_truncation_bound(scene, weights):
@@ -188,7 +188,7 @@ def test_dipole_excited_norm():
     psi = scene.ground_state
     quad = math.sqrt(float(np.real(psi.conj() @ scene.dipole @ scene.dipole @ psi)))
     assert dipole_excited_norm(scene) == pytest.approx(quad, rel=1e-12)
-    identity = make_scene(np.diag([0.0, 1.0]), np.eye(2))
+    identity = SpectralScene(np.diag([0.0, 1.0]), np.eye(2))
     assert dipole_excited_norm(identity) == pytest.approx(1.0, rel=1e-12)
 
 
