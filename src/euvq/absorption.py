@@ -47,33 +47,42 @@ def trotter_step_size(gamma: float, y3_magnitude: float) -> float:
     return math.sqrt(gamma / y3_magnitude)
 
 
+def _one_minus_decay(tau: float, gamma: float) -> float:
+    """1 - r for r = exp(-gamma tau), from expm1 so that it stays accurate as gamma tau -> 0."""
+    if tau <= 0 or gamma <= 0 or gamma * tau == 0:
+        raise ValidationError(f"beta diverges unless gamma * tau > 0, got gamma = {gamma:g} "
+                              f"and tau = {tau:g}")
+    return -math.expm1(-gamma * tau)
+
+
 def beta_bound(tau: float, gamma: float, j_max: int) -> float:
     """One-norm of the truncated Fourier weights.
 
-    Evaluates (tau/2pi) * (1 + r - 2 r^(j_max+1)) / (1 - r) with r =
-    exp(-gamma*tau); as j_max grows this converges to (tau/2pi)*coth(gamma*tau/2).
+    Evaluates (tau/2pi) (1 + 2 sum_{j=1}^{j_max} r^j) = (tau/2pi) (1 + 2 r
+    (1 - r^j_max) / (1 - r)) with r = exp(-gamma*tau); as j_max grows this
+    converges to (tau/2pi)*coth(gamma*tau/2).
     """
-    if tau <= 0 or gamma <= 0:
-        raise ValidationError("beta bound diverges unless gamma*tau > 0")
+    one_minus_r = _one_minus_decay(tau, gamma)
     if j_max < 0:
         raise ValidationError("j_max must be non-negative")
+    one_minus_power = -math.expm1(-gamma * tau * j_max)
     r = math.exp(-gamma * tau)
-    return (tau / (2.0 * math.pi)) * (1.0 + r - 2.0 * r ** (j_max + 1)) / (1.0 - r)
+    return (tau / (2.0 * math.pi)) * (1.0 + 2.0 * r * one_minus_power / one_minus_r)
 
 
 def beta_limit(tau: float, gamma: float) -> float:
-    """j_max -> infinity limit (tau/2pi) coth(gamma tau / 2)."""
-    if tau <= 0 or gamma <= 0:
-        raise ValidationError("beta limit diverges unless gamma*tau > 0")
-    return (tau / (2.0 * math.pi)) / math.tanh(gamma * tau / 2.0)
+    """j_max -> infinity limit (tau/2pi) coth(gamma tau / 2) = (tau/2pi) (1 + r) / (1 - r)."""
+    one_minus_r = _one_minus_decay(tau, gamma)
+    return (tau / (2.0 * math.pi)) * (2.0 - one_minus_r) / one_minus_r
 
 
 def shot_count(alpha: float, dipole_norm: float, beta: float, epsilon: float) -> int:
     """Shots M = ceil((alpha * N * beta / epsilon)^2) from the Chebyshev bound."""
     if min(alpha, dipole_norm, beta, epsilon) <= 0:
         raise ValidationError("shot_count arguments must all be positive")
-    return finite_ceil(lambda: (alpha * dipole_norm * beta / epsilon) ** 2,
-                       "shot count (alpha dipole_norm beta / epsilon)^2")
+    # a positive product whose square underflows to 0 still needs one shot
+    return max(1, finite_ceil(lambda: (alpha * dipole_norm * beta / epsilon) ** 2,
+                              "shot count (alpha dipole_norm beta / epsilon)^2"))
 
 
 @dataclass(frozen=True)

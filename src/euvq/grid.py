@@ -9,13 +9,14 @@ and kinetic-energy histogram sampling in the momentum basis.
 As in the qubitized circuit, the polynomial filter and exp(-iHt) are both
 Chebyshev series in (H - mid) / half_span, with [mid - half_span,
 mid + half_span] an interval that holds the spectrum of H, summed
-matrix-free by one Clenshaw recurrence. The propagator's coefficients are
-Bessel functions (the Jacobi-Anger expansion), so its degree is fixed in
-advance by a tail bound rather than found by refining a time step. The
-ground state needs no polynomial: locally optimal block preconditioned
-conjugate gradients (LOBPCG; Knyazev, SIAM J. Sci. Comput. 23, 517
-(2001)), preconditioned by (T + 1 Ha)^-1, reaches it in a few dozen
-applications of H.
+matrix-free by one Clenshaw recurrence. Both series end by one rule: at the
+first degree whose dropped coefficients sum to within the tolerance. The
+filter's coefficients come from interpolating the window, the propagator's
+are Bessel functions (the Jacobi-Anger expansion), so neither degree is
+found by a search or by refining a time step. The ground state needs no
+polynomial: locally optimal block preconditioned conjugate gradients
+(LOBPCG; Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)), preconditioned by
+(T + 1 Ha)^-1, reaches it in a few dozen applications of H.
 
 Grid conventions: N points per dimension (power of two), spacing
 h = L / N, positions x_q = (q - N/2) h, momenta k = 2 pi fftfreq(N, h).
@@ -44,6 +45,7 @@ from .core import REQUIRED, NumericalError, ValidationError, read_fields, read_n
 EVOLVE_TAIL = 1e-12            # bound on the dropped tail of the exp(-iHt) series
 MAX_SERIES_ARGUMENT = 1e6      # largest half_span * t evolve runs: about 1e6 H applications
 MAX_FILTER_DEGREE = 20000      # largest Chebyshev degree of the energy filter
+FIT_NODES = 64                 # first interpolation size of the filter fit, doubled as needed
 GROUND_STATE_TOL = 1e-10       # ||H psi - E psi|| (Ha) at which the ground-state iteration stops,
 GROUND_STATE_FLOOR = 1e-15     # or at this much per Ha of spectral range, its rounding floor
 GROUND_STATE_ITERATIONS = 500  # default cap on LOBPCG iterations, one H application each
@@ -226,6 +228,11 @@ class FilterSpec:
             raise ValidationError(f"field 'poly_tolerance' in FilterSpec must be positive, "
                                   f"got {self.poly_tolerance:g}")
 
+    def window(self, excitation):
+        """Weight exp(-(E - center)^2 / 2 sigma^2) at excitation energies E above E0."""
+        with np.errstate(over="ignore"):  # an exponent beyond the float range gives weight 0
+            return np.exp(-((excitation - self.center) ** 2) / (2.0 * self.sigma**2))
+
 
 @dataclass(frozen=True)
 class KineticHistogram:
@@ -398,9 +405,10 @@ def gaussian_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
                     ground_energy: float) -> tuple[np.ndarray, float]:
     """Apply f(H - E0) with f a Gaussian centered at ``filt.center``.
 
-    ExactEigen mode diagonalizes the dense real Hamiltonian (dimension capped);
-    ChebyshevPoly applies, matrix-free, the Chebyshev series of least degree
-    within ``filt.poly_tolerance`` of the window.
+    Both modes weigh energies by ``filt.window``. ExactEigen mode
+    diagonalizes the dense real Hamiltonian (dimension capped); ChebyshevPoly
+    applies, matrix-free, the Chebyshev series that ``chebyshev_fit`` cuts
+    from the window within ``filt.poly_tolerance``.
     Returns the filtered (un-normalized) state and the success probability
     ||f psi||^2 / ||psi||^2.
     """
@@ -409,15 +417,14 @@ def gaussian_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
         raise ValidationError("cannot filter a zero state")
 
     if filt.mode == "ExactEigen":
-        h = dense_hamiltonian(model)
-        energies, vectors = np.linalg.eigh(h)
-        with np.errstate(over="ignore"):  # an exponent beyond the float range gives weight 0
-            window = np.exp(-((energies - ground_energy - filt.center) ** 2)
-                            / (2.0 * filt.sigma**2))
-        out = vectors @ (window * (vectors.T @ state.reshape(-1)))
-        out = out.reshape(state.shape)
+        energies, vectors = np.linalg.eigh(dense_hamiltonian(model))
+        window = filt.window(energies - ground_energy)
+        out = (vectors @ (window * (vectors.T @ state.reshape(-1)))).reshape(state.shape)
     else:
-        out = _chebyshev_filter(model, filt, state, ground_energy)
+        mid, half_span = _spectral_bounds(model)
+        coeffs = chebyshev_fit(lambda x: filt.window(x * half_span + mid - ground_energy),
+                               filt.poly_tolerance)
+        out = _chebyshev_series(model.apply_hamiltonian, coeffs, state, mid, half_span)
     success = float(np.linalg.norm(out) ** 2 / norm_in**2)
     return out, success
 
@@ -486,8 +493,8 @@ def _dct3(x: np.ndarray) -> np.ndarray:
 def _sup_error(func, coeffs: np.ndarray) -> float:
     """Largest deviation of a Chebyshev series from ``func`` over [-1, 1].
 
-    Taken on first-kind Chebyshev nodes: sixteen per interpolation node, so
-    the error between those nodes is resolved at any degree, never fewer
+    Taken on first-kind Chebyshev nodes: sixteen per coefficient, so the
+    error between the series' own nodes is resolved at any degree, never fewer
     than 2001, and an odd count, so x = 0 is among them. A type-III cosine
     transform of the zero-padded series gives its values there.
     """
@@ -499,47 +506,49 @@ def _sup_error(func, coeffs: np.ndarray) -> float:
     return float(np.max(np.abs(_dct3(padded) - func(xs))))
 
 
-def required_filter_degree(func, tolerance: float) -> int:
-    """Smallest Chebyshev degree whose sup error on [-1, 1] is below tolerance."""
-    def sup_error(d):
-        return _sup_error(func, chebyshev_coefficients(func, d))
+def _tail_cut(coeffs: np.ndarray, bound: float, start: int = 0, rest: float = 0.0) -> int:
+    """Least degree K >= start at which rest + sum_{k>K} |c_k| is within ``bound``.
 
-    lo, hi = 1, 8
-    while sup_error(hi) > tolerance:
-        hi *= 2
-        if hi > MAX_FILTER_DEGREE:
-            raise ValidationError(f"field 'poly_tolerance' in FilterSpec needs a filter degree "
-                                  f"above {MAX_FILTER_DEGREE}, got {tolerance:g}")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if sup_error(mid) > tolerance:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    ``rest`` bounds the terms past the end of ``coeffs``. Since |T_k| <= 1 on
+    [-1, 1], the dropped tail bounds the sup error of the series cut at K.
+    This one rule ends every Chebyshev series here: the energy filter's and
+    that of exp(-iHt).
+    """
+    tails = np.append(np.cumsum(np.abs(coeffs[::-1]))[::-1][1:], 0.0)  # sum_{k>K} |c_k|
+    return start + int(np.argmax(tails[start:] + rest <= bound))
 
 
-def _chebyshev_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
-                      ground_energy: float) -> np.ndarray:
-    mid, half_span = _spectral_bounds(model)
+def chebyshev_fit(func, tolerance: float) -> np.ndarray:
+    """Chebyshev series of degree at least 1 within ``tolerance`` of ``func`` on [-1, 1].
 
-    def gauss_rescaled(x):
-        energy = x * half_span + mid - ground_energy
-        with np.errstate(over="ignore"):  # an exponent beyond the float range gives weight 0
-            return np.exp(-((energy - filt.center) ** 2) / (2.0 * filt.sigma**2))
-
-    degree = required_filter_degree(gauss_rescaled, filt.poly_tolerance)
-    coeffs = chebyshev_coefficients(gauss_rescaled, degree)
-    return _chebyshev_series(model.apply_hamiltonian, coeffs, state, mid, half_span)
+    ``func`` is interpolated at m first-kind nodes, m from FIT_NODES up and
+    doubled until the fit holds. Once the top half of the interpolant sums to
+    at most tolerance / 4, the series is cut where its dropped tail is within
+    tolerance / 2 (the chopping rule of Aurentz & Trefethen, ACM TOMS 43, 33
+    (2017)), and the cut series is checked once by ``_sup_error``, which
+    catches an interpolant too coarse to see a narrow peak. The top-half test
+    sums m / 2 coefficients, so its rounding sets a floor near tolerance 1e-13.
+    Raises ValidationError once m passes 2 * MAX_FILTER_DEGREE.
+    """
+    m = FIT_NODES
+    while m <= 2 * MAX_FILTER_DEGREE:
+        coeffs = chebyshev_coefficients(func, m - 1)
+        if np.abs(coeffs[m // 2:]).sum() <= tolerance / 4.0:
+            kept = coeffs[:_tail_cut(coeffs, tolerance / 2.0, start=1) + 1]
+            if _sup_error(func, kept) <= tolerance:
+                return kept
+        m *= 2
+    raise ValidationError(f"field 'poly_tolerance' in FilterSpec needs a filter degree "
+                          f"above {MAX_FILTER_DEGREE}, got {tolerance:g}")
 
 
 def jacobi_anger_bessel(a: float) -> np.ndarray:
     """Bessel values J_0(a) .. J_K(a) of the truncated series for exp(-i a x).
 
     On [-1, 1], exp(-i a x) = J_0(a) + 2 sum_{k>=1} (-i)^k J_k(a) T_k(x)
-    (Jacobi-Anger). The degree K is the smallest order above ``a`` with
-    2 sum_{k>K} |J_k(a)| <= EVOLVE_TAIL, which bounds the sup error of the
-    truncated series.
+    (Jacobi-Anger). ``_tail_cut`` gives the degree K: the smallest order above
+    ``a`` with 2 sum_{k>K} |J_k(a)| <= EVOLVE_TAIL, which bounds the sup error
+    of the truncated series.
     """
     # |J_k(a)| <= (a/2)^k / k! (DLMF 10.14.4). Past k = a each bound is under
     # half the one before, so all orders above n add up to at most twice the
@@ -553,11 +562,8 @@ def jacobi_anger_bessel(a: float) -> np.ndarray:
         n += 1
     remainder = 2.0 * math.exp(log_bound(n + 1))
     bessel = _bessel_j(n, a)
-    # above[K] = sum of |J_k(a)| over K < k <= n
-    above = np.append(np.cumsum(np.abs(bessel[::-1]))[::-1][1:], 0.0)
-    within = 2.0 * (above + remainder) <= EVOLVE_TAIL
-    degree = first + int(np.argmax(within[first:]))
-    return bessel[:degree + 1]
+    # the series' terms are 2 J_k(a) T_k, so its tail is twice that of the J_k
+    return bessel[:_tail_cut(bessel, EVOLVE_TAIL / 2.0, first, remainder) + 1]
 
 
 def _bessel_j(n: int, a: float) -> np.ndarray:

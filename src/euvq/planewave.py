@@ -233,8 +233,6 @@ def filter_cost(spec: PlaneWaveSpec, lam: float, c_sel: int, c_prep: int,
     * ceil(log2(1/eps)). Body convention: lam (C_sel + C_prep + c_ref) /
     (2 sqrt(2 ln 2) delta) * ceil(log2(1/eps)).
     """
-    if spec.delta_filter <= 0:
-        raise ValidationError("delta_filter must be positive")
     logeps = _log2_ceil_inv(spec.epsilon_be)
     if spec.filter_convention == "table":
         return math.sqrt(2.0) * math.pi * lam * (c_sel + 2 * c_prep + c_ref) \
@@ -251,8 +249,6 @@ def filter_degree(lam: float, delta: float, epsilon: float) -> float:
 def time_evolution_cost(spec: PlaneWaveSpec, lam: float, c_sel: int, c_prep: int,
                         c_ref: int) -> float:
     """QSP time-evolution cost (2 lam t + 3 log2(12/eps)) (C_sel + 2 C_prep + c_ref)."""
-    if spec.t_evolution < 0:
-        raise ValidationError("t_evolution must be non-negative")
     log_term = 3.0 * math.log2(12.0 / spec.epsilon_be)
     degree = max(0.0, 2.0 * lam * spec.t_evolution + max(0.0, log_term))
     return degree * (c_sel + 2 * c_prep + c_ref)

@@ -84,6 +84,8 @@ class SpectralScene:
 
 def random_scene(dim: int, seed: int) -> SpectralScene:
     """Gaussian-ensemble Hermitian scene, rescaled to a spectral span of 4 Ha."""
+    if dim < 2:  # one level has no span to rescale, and no excitation
+        raise ValidationError(f"random_scene needs dim >= 2, got dim = {dim}")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (a + a.conj().T) / 2.0

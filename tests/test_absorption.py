@@ -59,8 +59,15 @@ def series_beta(tau, gamma, j_max):
                                        for j in range(-j_max, j_max + 1))
 
 
+# gamma tau from 1e-30 to 10; below about 1e-16, r = exp(-gamma tau) rounds to 1
+VANISHING_DECAY = (1e-30, 1e-20, 1e-16, 1e-12, 1e-6, 1e-2, 1.0, 10.0)
+
+
 def test_beta_bound_matches_series():
-    for gamma, tau, j_max in [(0.0676, math.pi / 8, 200), (0.5, 0.1, 50), (0.02, 1.0, 400)]:
+    cases = [(0.0676, math.pi / 8, 200), (0.5, 0.1, 50), (0.02, 1.0, 400)]
+    cases += [(gamma_tau / 0.5, 0.5, j_max) for gamma_tau in VANISHING_DECAY
+              for j_max in (0, 1, 7, 200)]
+    for gamma, tau, j_max in cases:
         assert beta_bound(tau, gamma, j_max) == pytest.approx(
             series_beta(tau, gamma, j_max), rel=1e-12)
 
@@ -75,6 +82,9 @@ def test_beta_small_tau_limit():
     gamma = 0.0676
     assert beta_limit(1e-4, gamma) == pytest.approx(1 / (math.pi * gamma), rel=1e-4)
     assert beta_limit(1e-4, gamma) == pytest.approx(4.71, abs=5e-3)
+    for gamma_tau in VANISHING_DECAY:
+        assert beta_limit(0.5, gamma_tau / 0.5) == pytest.approx(
+            (0.5 / (2 * math.pi)) / math.tanh(gamma_tau / 2), rel=1e-12)
 
 
 def test_beta_truncation_gap():
@@ -89,6 +99,10 @@ def test_beta_requires_positive_decay():
         beta_bound(0.0, 0.1, 10)
     with pytest.raises(ValidationError):
         beta_bound(0.1, 0.0, 10)
+    with pytest.raises(ValidationError, match="gamma = 1e-200 and tau = 1e-200"):
+        beta_bound(1e-200, 1e-200, 10)  # gamma * tau underflows to 0
+    with pytest.raises(ValidationError, match="gamma = 1e-200 and tau = 1e-200"):
+        beta_limit(1e-200, 1e-200)
 
 
 def test_shot_count_published_point():

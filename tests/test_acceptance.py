@@ -371,7 +371,7 @@ def test_c11_filter_degree_law():
         def target(x, s=sigma):
             return np.exp(-((x - 0.2) ** 2) / (2 * s**2))
 
-        actual = grid.required_filter_degree(target, epsilon)
+        actual = len(grid.chebyshev_fit(target, epsilon)) - 1
         predicted = planewave.filter_degree(float(ratio), 1.0, epsilon)
         factor = max(predicted / actual, actual / predicted)
         worst = max(worst, factor)

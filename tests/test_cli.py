@@ -289,6 +289,12 @@ def _table1_entry(**fields):
     return dict(_fixture("table1.json")["sweep"][0], **fields)
 
 
+def _beta_unpinned(**fields):
+    entry = _table1_entry(**fields)
+    del entry["shot_beta"]
+    return entry
+
+
 def _corollary(**fields):
     return _edited("corollary_imeph.json", lambda d: d.update(fields))
 
@@ -320,6 +326,9 @@ def test_estimate_out_of_float_range_exit_code(tmp_path, capsys, command, data, 
     ("estimate-absorption", _table1_entry(shot_alpha=0), "shot_alpha"),
     ("estimate-absorption", _table1_entry(shot_beta=-1.0), "shot_beta"),
     ("estimate-absorption", _table1_entry(ancilla_qubits=-1), "ancilla_qubits"),
+    # gamma tau rounds to 0, so the Fourier weights do not decay and beta diverges
+    ("estimate-absorption", _beta_unpinned(gamma=1e-200, tau=1e-200),
+     "gamma = 1e-200 and tau = 1e-200"),
     ("estimate-photoemission", _corollary(c_sp=-5.0), "c_sp"),
     ("estimate-photoemission", _corollary(c_sp=-1e12), "c_sp"),
     ("estimate-photoemission", _corollary(n_bits=511), "n_bits"),
@@ -327,8 +336,9 @@ def test_estimate_out_of_float_range_exit_code(tmp_path, capsys, command, data, 
     ("estimate-photoemission", _corollary(epsilon_be=1e-300), "epsilon_be"),
     ("estimate-photoemission", _corollary(epsilon_be=1e-320, omega_cell=1e300), "epsilon_be"),
     ("estimate-photoemission", _corollary(eta=10**200), "eta"),
-], ids=["dipole_norm_0", "shot_alpha_0", "shot_beta_neg", "ancilla_neg", "c_sp_-5", "c_sp_-1e12",
-        "n_bits_511", "lambda_zeta_1e300", "epsilon_be_1e-300", "epsilon_be_1e-320", "eta_1e200"])
+], ids=["dipole_norm_0", "shot_alpha_0", "shot_beta_neg", "ancilla_neg", "gamma_tau_underflow",
+        "c_sp_-5", "c_sp_-1e12", "n_bits_511", "lambda_zeta_1e300", "epsilon_be_1e-300",
+        "epsilon_be_1e-320", "eta_1e200"])
 def test_estimate_spec_out_of_range_names_field(tmp_path, capsys, command, data, field):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
@@ -337,6 +347,18 @@ def test_estimate_spec_out_of_range_names_field(tmp_path, capsys, command, data,
     assert out == ""
     assert field in err
     assert not re.search(r"Infinity|\binf\b|Traceback|value out of range", err)
+
+
+@pytest.mark.parametrize("fields", [{"tau": 1e-300}, {"gamma": 1e-20, "tau": 1e-20}],
+                         ids=["tau_1e-300", "gamma_tau_1e-40"])
+def test_estimate_absorption_vanishing_decay_runs(tmp_path, capsys, fields):
+    # r = exp(-gamma tau) rounds to 1, yet beta comes out finite and positive
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_beta_unpinned(**fields)))
+    assert main(["estimate-absorption", "--input", str(path), "--format", "json"]) == EX_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)[0]["report"]["shots"] >= 1
 
 
 def test_integer_beyond_parser_digit_limit_exit_code(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Grid photoemission emulator against dense-diagonalization and mask oracles."""
 
+import hashlib
 import json
 import math
 from importlib import resources
@@ -15,8 +16,9 @@ from euvq.grid import (
     GridModel,
     _dct2,
     _dct3,
+    _sup_error,
     apply_dipole,
-    chebyshev_coefficients,
+    chebyshev_fit,
     continuum_project,
     edge_density,
     correlation_identity_check,
@@ -29,7 +31,6 @@ from euvq.grid import (
     kinetic_energies,
     kinetic_histogram,
     position_values,
-    required_filter_degree,
 )
 
 
@@ -161,19 +162,19 @@ def test_filter_degree_scales_inversely_with_width():
     def gauss(sigma):
         return lambda x: np.exp(-(x - 0.1) ** 2 / (2 * sigma**2))
 
-    d_wide = required_filter_degree(gauss(0.05), 1e-3)
-    d_narrow = required_filter_degree(gauss(0.025), 1e-3)
+    d_wide = len(chebyshev_fit(gauss(0.05), 1e-3)) - 1
+    d_narrow = len(chebyshev_fit(gauss(0.025), 1e-3)) - 1
     assert 1.6 <= d_narrow / d_wide <= 2.4
 
 
 def test_filter_degree_meets_tolerance_on_fine_grid():
-    # at degrees past 2000 a fixed 2001-node check misses the error between nodes
+    # at degrees past 2000 a fixed 2001-node check misses the error between nodes, and
+    # the first interpolants are too coarse to see the peak at all
     def target(x):
         return np.exp(-((x - 0.2) ** 2) / (2 * 0.001**2))
 
-    degree = required_filter_degree(target, 1e-3)
     xs = np.linspace(-1.0, 1.0, 50_001)
-    fit = np.polynomial.chebyshev.chebval(xs, chebyshev_coefficients(target, degree))
+    fit = np.polynomial.chebyshev.chebval(xs, chebyshev_fit(target, 1e-3))
     assert float(np.max(np.abs(fit - target(xs)))) <= 1e-3
 
 
@@ -194,32 +195,53 @@ def _fixture_model():
     return json.loads(text)["model"]
 
 
-@pytest.mark.parametrize("model, window, degree", [
-    ({"n_points": 64, "box_length": 30.0, "potential": SOFT_COULOMB},
-     {"center": 0.8, "sigma": 0.3, "poly_tolerance": 1e-6}, 105),
-    (_fixture_model(), {"center": 1.8, "sigma": 0.2}, 186),
-    ({"eta": 2, "n_points": 64, "box_length": 48.0, "potential": SOFT_COULOMB,
-      "interaction_strength": 1.0}, {"center": 1.5, "sigma": 0.3}, 76),
-], ids=["chebyshev-filter-test", "fixture-chebyshev", "photoemission-2e"])
-def test_filter_degree_matches_scipy_cosine_transforms(monkeypatch, model, window, degree):
-    # ``degree`` is what the same search gives with scipy.fft.dct for both transforms
-    fft = pytest.importorskip("scipy.fft")
+FILTER_MODELS = {
+    "chebyshev-filter-test": ({"n_points": 64, "box_length": 30.0, "potential": SOFT_COULOMB},
+                              {"center": 0.8, "sigma": 0.3, "poly_tolerance": 1e-6}),
+    "fixture-chebyshev": (_fixture_model(), {"center": 1.8, "sigma": 0.2}),
+    "photoemission-2e": ({"eta": 2, "n_points": 64, "box_length": 48.0,
+                          "potential": SOFT_COULOMB, "interaction_strength": 1.0},
+                         {"center": 1.5, "sigma": 0.3}),
+}
+
+
+def _filter_fit_input(monkeypatch, name):
+    """The window function and tolerance that ``gaussian_filter`` fits on a named model."""
+    model, window = FILTER_MODELS[name]
     m = GridModel.from_config(model)
     psi, e0 = ground_state(m)
     excited, norm = apply_dipole(m, psi)
-    searches = []
+    fits = []
 
     def spy(func, tolerance):
-        searches.append((func, tolerance))
-        return required_filter_degree(func, tolerance)
+        fits.append((func, tolerance))
+        return chebyshev_fit(func, tolerance)
 
-    monkeypatch.setattr(grid, "required_filter_degree", spy)
+    monkeypatch.setattr(grid, "chebyshev_fit", spy)
     gaussian_filter(m, FilterSpec(mode="ChebyshevPoly", **window), excited / norm, e0)
-    [(func, tolerance)] = searches
-    assert required_filter_degree(func, tolerance) == degree
+    monkeypatch.undo()
+    [fit] = fits
+    return fit
+
+
+@pytest.mark.parametrize("name, degree", [
+    ("chebyshev-filter-test", 109), ("fixture-chebyshev", 194), ("photoemission-2e", 80),
+], ids=FILTER_MODELS)
+def test_filter_degree_matches_scipy_cosine_transforms(monkeypatch, name, degree):
+    # ``degree`` is what the same fit gives with scipy.fft.dct for both transforms
+    fft = pytest.importorskip("scipy.fft")
+    func, tolerance = _filter_fit_input(monkeypatch, name)
+    assert len(chebyshev_fit(func, tolerance)) - 1 == degree
     monkeypatch.setattr(grid, "_dct2", lambda x: fft.dct(x, type=2))
     monkeypatch.setattr(grid, "_dct3", lambda x: fft.dct(x, type=3))
-    assert required_filter_degree(func, tolerance) == degree
+    assert len(chebyshev_fit(func, tolerance)) - 1 == degree
+
+
+@pytest.mark.parametrize("name", FILTER_MODELS)
+def test_filter_fit_meets_tolerance_down_to_floor(monkeypatch, name):
+    func, _ = _filter_fit_input(monkeypatch, name)
+    for tolerance in (1e-3, 1e-6, 1e-9, 1e-12, 1e-13):
+        assert _sup_error(func, chebyshev_fit(func, tolerance)) <= tolerance
 
 
 def test_evolve_identity_at_zero_time():
@@ -283,6 +305,19 @@ def test_evolve_degree_law():
             PlaneWaveSpec(**spec, t_evolution=float(a)), 1.0, 1, 0, 0)
         assert a < degree
         assert max(predicted / degree, degree / predicted) <= 3.0
+
+
+@pytest.mark.parametrize("a, length, digest", [
+    (0.5, 10, "112ef81affe4538b51c16225f720e27fffd02cc8345b8a44bd152e1baee876ec"),
+    (10.0, 31, "b8372160fabd8bb88d6cfc2e55cbc97ac32f9b68d19564b0c4a9532288d56fd2"),
+    (260.0, 318, "f9d313d6507a2e51dafb3e1c83f21337efff2b24fe4944a1161dd84c139cdc8a"),
+    (1e4, 10194, "91d83ec2d5b480fcf970b482d9a8c2bc0dc5ea27b801b8e0b129aac52ef5e342"),
+], ids=["0.5", "10", "260", "1e4"])
+def test_jacobi_anger_bessel_bitwise(a, length, digest):
+    # the series' values and where its tail is cut, down to the last bit
+    bessel = jacobi_anger_bessel(a)
+    assert len(bessel) == length
+    assert hashlib.sha256(bessel.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("a, atol", [(0.5, 1e-13), (10.0, 1e-13), (260.0, 1e-13), (1e4, 1e-12)])

@@ -61,6 +61,12 @@ def test_exact_greens_matches_dense_solve():
     assert exact_greens(scene, omega, GAMMA) == pytest.approx(oracle, abs=1e-10)
 
 
+@pytest.mark.parametrize("dim", [1, 0])
+def test_random_scene_needs_two_levels(dim):
+    with pytest.raises(ValidationError, match=f"dim >= 2, got dim = {dim}"):
+        random_scene(dim, seed=1)
+
+
 def test_exact_greens_zero_dipole():
     scene = two_level_scene(gap=1.0, coupling=0.0)
     assert exact_greens(scene, 1.0, GAMMA) == 0.0
