@@ -130,8 +130,9 @@ def absorption_breakdown(spec: AbsorptionSpec) -> AbsorptionCostBreakdown:
             else spec.shot_beta)
     return AbsorptionCostBreakdown(
         c_rot=c_rot, c_unitary=c_unitary, c_zmatr=c_zmatr, c_trotter_step=c_trotter_step,
-        trotter_steps_per_tau=finite_ceil(lambda: spec.tau / delta,
-                                          "Trotter step count tau / sqrt(gamma / y3_magnitude)"),
+        # a positive tau whose ratio to the step underflows to 0 still needs one step
+        trotter_steps_per_tau=max(1, finite_ceil(
+            lambda: spec.tau / delta, "Trotter step count tau / sqrt(gamma / y3_magnitude)")),
         gqsp_degree=degree,
         shots=shot_count(alpha, spec.dipole_norm, beta, spec.epsilon),
         qubits=2 * spec.n_orbitals + spec.ancilla_qubits,

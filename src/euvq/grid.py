@@ -9,7 +9,8 @@ and kinetic-energy histogram sampling in the momentum basis.
 As in the qubitized circuit, the polynomial filter and exp(-iHt) are both
 Chebyshev series in (H - mid) / half_span, with [mid - half_span,
 mid + half_span] an interval that holds the spectrum of H, summed
-matrix-free by one Clenshaw recurrence. Both series end by one rule: at the
+matrix-free by one forward three-term recurrence on real rows. Both series
+end by one rule: at the
 first degree whose dropped coefficients sum to within the tolerance. The
 filter's coefficients come from interpolating the window, the propagator's
 are Bessel functions (the Jacobi-Anger expansion), so neither degree is
@@ -20,7 +21,9 @@ polynomial: locally optimal block preconditioned conjugate gradients
 
 Grid conventions: N points per dimension (power of two), spacing
 h = L / N, positions x_q = (q - N/2) h, momenta k = 2 pi fftfreq(N, h).
-All FFTs are orthonormal so position/momentum norms match exactly.
+The histogram's FFT is orthonormal, so position and momentum norms match
+exactly. H reaches the momentum grid through one real-FFT kernel, whose
+inverse transforms carry the whole normalization.
 
 Layout rule: as in the first-quantized circuit, each electron has its own
 coordinate register, so there are dims * eta axes and each table is built
@@ -138,6 +141,7 @@ class GridModel:
             v = v + self.interaction_strength / np.sqrt(sep**2 + self.interaction_softening**2)
         object.__setattr__(self, "_potential_table", v)
         object.__setattr__(self, "_kinetic_table", _outer_sum([self.k_axis**2 / 2.0] * coords))
+        object.__setattr__(self, "_kinetic_half", self._kinetic_table[..., :n // 2 + 1])
         if not all(np.isfinite(g).all() for g in (v, self._kinetic_table)):
             raise ValidationError("potential and kinetic energies must be finite on the grid")
 
@@ -173,25 +177,29 @@ class GridModel:
     def apply_hamiltonian(self, state: np.ndarray) -> np.ndarray:
         """H applied to a state, or to each row of a block of flattened states."""
         potential = self._potential_table * state.reshape((-1,) + self.shape)
-        return potential.reshape(state.shape) + self.momentum_multiply(self._kinetic_table, state)
+        return potential.reshape(state.shape) + self.momentum_multiply(self._kinetic_half, state)
 
-    def momentum_multiply(self, table: np.ndarray, state: np.ndarray) -> np.ndarray:
-        """Multiply a state, or each row of a block, by ``table`` on the momentum grid.
+    def momentum_multiply(self, half_table: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """Multiply a state, or each row of a block, by a table on the momentum grid.
 
-        ``table`` is even in k like the kinetic energy, so a real state stays
-        real: it goes through the real FFT, on the half of the momentum grid
-        that the last axis keeps.
+        ``half_table`` holds the table on the half of the momentum grid that
+        the real FFT keeps: rfft on the last axis, fft on the other coordinate
+        axes. Every table here is even in k, like the kinetic energy, so the
+        product maps real rows to real rows, and a complex state goes through
+        as its real and imaginary rows.
         """
+        if np.iscomplexobj(state):
+            rows = self.momentum_multiply(half_table, np.stack([state.real, state.imag]))
+            return rows[0] + 1j * rows[1]
         psi = state.reshape((-1,) + self.shape)
-        axes = tuple(range(1, psi.ndim))
-        if np.isrealobj(psi):
-            half = table[..., :self.n_points // 2 + 1]
-            out = np.fft.irfftn(half * np.fft.rfftn(psi, axes=axes, norm="ortho"),
-                                s=self.shape, axes=axes, norm="ortho")
-        else:
-            out = np.fft.ifftn(table * np.fft.fftn(psi, axes=axes, norm="ortho"),
-                               axes=axes, norm="ortho")
-        return out.reshape(state.shape)
+        inner = range(1, psi.ndim - 1)  # the coordinate axes before the last
+        spectrum = np.fft.rfft(psi)
+        for axis in reversed(inner):
+            spectrum = np.fft.fft(spectrum, axis=axis)
+        spectrum *= half_table
+        for axis in inner:
+            spectrum = np.fft.ifft(spectrum, axis=axis)
+        return np.fft.irfft(spectrum, self.n_points).reshape(state.shape)
 
     @classmethod
     def from_config(cls, data: dict) -> "GridModel":
@@ -373,7 +381,7 @@ def ground_state(model: GridModel, symmetry: str = "none",
     start = project(np.random.default_rng(12345).standard_normal(dim))
     mid, half_span = _spectral_bounds(model)
     # (T + 1 Ha)^-1 inverts H - E at high momentum, where T dominates
-    inverse_kinetic = 1.0 / (model.kinetic_grid() + 1.0)
+    inverse_kinetic = 1.0 / (model._kinetic_half + 1.0)
 
     def precondition(v):
         return project(model.momentum_multiply(inverse_kinetic, v))
@@ -438,22 +446,29 @@ def _spectral_bounds(model: GridModel) -> tuple[float, float]:
 
 def _chebyshev_series(apply, coeffs: np.ndarray, state: np.ndarray,
                       mid: float, half_span: float) -> np.ndarray:
-    """Apply sum_k c_k T_k((A - mid) / half_span) to ``state`` by Clenshaw's recurrence.
+    """Apply sum_k c_k T_k(X) to ``state``, X = (A - mid) / half_span, by the forward recurrence.
 
-    ``apply`` is the operator A, acting on arrays shaped like ``state``; the
-    series has degree at least 1, and A is applied degree times. The sum is
-    real when ``state`` and ``coeffs`` are.
+    T_0 = psi, T_1 = X psi and T_{k+1} = 2 X T_k - T_{k-1} run on real rows
+    only: a real state is one row, a complex state its real and imaginary
+    rows. ``apply`` is the real operator A, acting on arrays shaped like those
+    rows; the series has degree at least 1, and A is applied degree times.
+    The coefficients may be complex: their real and imaginary parts weigh the
+    same real T_k, so the even (real) and odd (imaginary) terms of exp(-iHt)
+    give its cosine and sine parts from one sequence. The sum is real when
+    ``state`` and ``coeffs`` are.
     """
-    def apply_scaled(v):
-        return (apply(v) - mid * v) / half_span
-
-    psi = state.astype(np.result_type(state, coeffs))
-    b_kp1 = coeffs[-1] * psi   # the top step, whose recurrence terms are all zero
-    b_kp2 = np.zeros_like(psi)
-    for c in coeffs[-2:0:-1]:
-        b_k = c * psi + 2.0 * apply_scaled(b_kp1) - b_kp2
-        b_kp2, b_kp1 = b_kp1, b_k
-    return coeffs[0] * psi + apply_scaled(b_kp1) - b_kp2
+    complex_state = np.iscomplexobj(state)
+    rows = np.stack([state.real, state.imag]) if complex_state else state
+    prev, cur = rows, (apply(rows) - mid * rows) / half_span
+    total = coeffs[0] * prev + coeffs[1] * cur
+    for c in coeffs[2:].tolist():
+        step = apply(cur)
+        step -= mid * cur
+        step *= 2.0 / half_span
+        step -= prev
+        prev, cur = cur, step
+        total += c * cur
+    return total[0] + 1j * total[1] if complex_state else total
 
 
 def chebyshev_coefficients(func, degree: int) -> np.ndarray:
@@ -528,13 +543,17 @@ def chebyshev_fit(func, tolerance: float) -> np.ndarray:
     (2017)), and the cut series is checked once by ``_sup_error``, which
     catches an interpolant too coarse to see a narrow peak. The top-half test
     sums m / 2 coefficients, so its rounding sets a floor near tolerance 1e-13.
-    Raises ValidationError once m passes 2 * MAX_FILTER_DEGREE.
+    m stops at the first size above 2 * MAX_FILTER_DEGREE, the first that can
+    keep a degree of MAX_FILTER_DEGREE. Raises ValidationError when no m
+    meets the tolerance, or when the kept degree is above MAX_FILTER_DEGREE.
     """
     m = FIT_NODES
-    while m <= 2 * MAX_FILTER_DEGREE:
+    while m < 4 * MAX_FILTER_DEGREE:
         coeffs = chebyshev_coefficients(func, m - 1)
         if np.abs(coeffs[m // 2:]).sum() <= tolerance / 4.0:
             kept = coeffs[:_tail_cut(coeffs, tolerance / 2.0, start=1) + 1]
+            if len(kept) > MAX_FILTER_DEGREE + 1:
+                break
             if _sup_error(func, kept) <= tolerance:
                 return kept
         m *= 2
@@ -710,25 +729,3 @@ def kinetic_histogram(model: GridModel, state: np.ndarray, bins: np.ndarray,
 
     return KineticHistogram(bin_edges=edges, mass=mass, sampled_mass=sampled,
                             success_probability=norm2, shots_used=shots, stderr=stderr)
-
-
-def correlation_identity_check(model: GridModel, state: np.ndarray, r_cutoff: float) -> float:
-    """Max deviation between the two correlation-function forms at tau = 0, 0.5 and 2.
-
-    Form A resolves <psi| Pi_c exp(-i T tau) Pi_c |psi> through the grid
-    operators; form B sums exp(-i E_k tau) |<k| Pi_c psi>|^2 over the
-    momentum basis. The two are algebraically identical on a finite grid.
-    """
-    projected, _ = continuum_project(model, state, r_cutoff)
-    psi = projected.reshape(model.shape).astype(complex)
-    amps = np.fft.fftn(psi, norm="ortho").reshape(-1)
-    ke = model.kinetic_grid().reshape(-1)
-    worst = 0.0
-    for tau in (0.0, 0.5, 2.0):
-        phases = np.exp(-1j * ke * tau)
-        form_b = complex(np.sum(phases * np.abs(amps) ** 2))
-        evolved = np.fft.ifftn((phases * amps).reshape(model.shape), norm="ortho")
-        form_a = complex(np.vdot(psi, evolved))
-        worst = max(worst, abs(form_a - form_b))
-    return worst
-

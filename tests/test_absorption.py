@@ -53,6 +53,15 @@ def test_trotter_step_size():
     assert trotter_step_size(0.0676, 1.0) == pytest.approx(0.260, abs=1e-3)
 
 
+def test_trotter_steps_at_least_one():
+    # tau / Delta underflows to 0 on the first Table 1 row; a positive tau still takes a step
+    spec = table1_spec(22, tau=5e-324, gamma=100.0)
+    assert spec.tau / trotter_step_size(spec.gamma, spec.y3_magnitude) == 0.0
+    details = absorption_breakdown(spec)
+    assert details.trotter_steps_per_tau == 1
+    assert absorption_cost(spec).gates_per_circuit == 401 * details.c_trotter_step
+
+
 def series_beta(tau, gamma, j_max):
     # independent oracle: direct summation of the weight magnitudes
     return (tau / (2 * math.pi)) * sum(math.exp(-gamma * tau * abs(j))

@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from conftest import record
+from conftest import correlation_identity_check, record
 from euvq import absorption, cdf, grid, planewave, qarith, spectro
 from euvq.core import AbsorptionSpec, PlaneWaveSpec
 
@@ -335,7 +335,7 @@ def _pipeline_state():
 def test_c10_photoemission_identity_and_sampling():
     """Criterion 10: correlation-function identity, mass bookkeeping, sampling."""
     model, projected, p_c = _pipeline_state()
-    deviation = grid.correlation_identity_check(model, projected, 10.0)
+    deviation = correlation_identity_check(model, projected, 10.0)
     kmax = float(np.max(model.k_axis**2) / 2)
     edges = np.linspace(0.0, kmax * 1.0001, 30)
     hist = grid.kinetic_histogram(model, projected, edges)

@@ -8,6 +8,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from conftest import correlation_identity_check
 from euvq import grid, planewave
 from euvq.core import NumericalError, PlaneWaveSpec, ValidationError
 from euvq.grid import (
@@ -21,7 +22,6 @@ from euvq.grid import (
     chebyshev_fit,
     continuum_project,
     edge_density,
-    correlation_identity_check,
     dense_hamiltonian,
     evolve,
     gaussian_filter,
@@ -176,6 +176,19 @@ def test_filter_degree_meets_tolerance_on_fine_grid():
     xs = np.linspace(-1.0, 1.0, 50_001)
     fit = np.polynomial.chebyshev.chebval(xs, chebyshev_fit(target, 1e-3))
     assert float(np.max(np.abs(fit - target(xs)))) <= 1e-3
+
+
+def test_filter_fit_keeps_degrees_up_to_the_cap():
+    # a degree between 16384 and MAX_FILTER_DEGREE needs m = 65536 nodes; a
+    # narrower window needs one above the cap and is refused by name
+    def window(sigma):
+        return lambda x: np.exp(-(x**2) / (2 * sigma**2))
+
+    coeffs = chebyshev_fit(window(2e-4), 1e-3)
+    assert 16384 <= len(coeffs) - 1 <= grid.MAX_FILTER_DEGREE
+    assert _sup_error(window(2e-4), coeffs) <= 1e-3
+    with pytest.raises(ValidationError, match="poly_tolerance.*20000"):
+        chebyshev_fit(window(1.6e-4), 1e-3)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 255, 256, 2001, 4096, 4097])
@@ -758,8 +771,8 @@ def test_tables_match_per_layout_formulas(layout):
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_dense_hamiltonian_matches_complex_columns(layout):
-    # the oracle's one real block application (rfftn) against a complex
-    # build one column at a time (fftn)
+    # the oracle's one real block application against a complex build one
+    # column at a time, whose columns go through the kernel as two real rows
     m = LAYOUTS[layout]()
     h = dense_hamiltonian(m)
     assert h.dtype == np.float64
@@ -781,6 +794,15 @@ def test_dense_hamiltonian_blocks_match_one_shot_build():
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
+def test_complex_state_goes_through_the_kernel_as_two_real_rows(layout):
+    m = LAYOUTS[layout]()
+    re, im = np.random.default_rng(3).standard_normal((2, m.hilbert_dim))
+    out = m.apply_hamiltonian(re + 1j * im)
+    assert np.array_equal(out.real, m.apply_hamiltonian(re))
+    assert np.array_equal(out.imag, m.apply_hamiltonian(im))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
 def test_tables_built_once_per_model(layout):
     m = LAYOUTS[layout]()
     assert m.potential_grid() is m.potential_grid()
@@ -792,3 +814,72 @@ def test_hilbert_cap_precedes_the_tables():
     n = 2**20
     with pytest.raises(ValidationError, match="Hilbert space capped"):
         GridModel(dims=1, eta=2, n_points=n, box_length=100.0, potential=np.zeros(n))
+
+
+ENGINE_MODELS = {"1e_256": lambda: soft_model(n=256, box=60.0),
+                 "2e_32^2": lambda: two_electron_model(n=32)}
+
+
+@pytest.mark.parametrize("complex_coeffs", [False, True], ids=["real_coeffs", "complex_coeffs"])
+@pytest.mark.parametrize("complex_state", [False, True], ids=["real_state", "complex_state"])
+@pytest.mark.parametrize("make", ENGINE_MODELS.values(), ids=ENGINE_MODELS)
+def test_chebyshev_series_matches_dense_eigh(make, complex_state, complex_coeffs):
+    m = make()
+    mid, half_span = grid._spectral_bounds(m)
+    rng = np.random.default_rng(7)
+    decay = np.exp(-np.arange(150) / 30.0)
+    coeffs = rng.standard_normal(150) * decay
+    psi = rng.standard_normal(m.hilbert_dim)
+    if complex_coeffs:
+        coeffs = coeffs + 1j * rng.standard_normal(150) * decay
+    if complex_state:
+        psi = psi + 1j * rng.standard_normal(m.hilbert_dim)
+    psi /= np.linalg.norm(psi)
+    out = grid._chebyshev_series(m.apply_hamiltonian, coeffs, psi, mid, half_span)
+    energies, vectors = np.linalg.eigh(dense_hamiltonian(m))
+    weights = np.polynomial.chebyshev.chebval((energies - mid) / half_span, coeffs)
+    oracle = vectors @ (weights * (vectors.T @ psi))
+    assert out.dtype == oracle.dtype
+    assert float(np.max(np.abs(out - oracle))) <= 1e-12
+
+
+def test_hot_path_runs_no_complex_fft(monkeypatch):
+    # the ground state, the polynomial filter and exp(-iHt) all run on real FFTs
+    m = GridModel.from_config(_fixture_model())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex n-dimensional FFT on the hot path")
+
+    monkeypatch.setattr(np.fft, "fftn", refuse)
+    monkeypatch.setattr(np.fft, "ifftn", refuse)
+    psi, energy = ground_state(m)
+    excited, norm = apply_dipole(m, psi)
+    filt = FilterSpec(center=1.8, sigma=0.2, mode="ChebyshevPoly")
+    filtered, _ = gaussian_filter(m, filt, excited / norm, energy)
+    evolve(m, filtered, 10.0)
+    evolve(m, filtered * np.exp(0.3j), 1.0)
+
+
+def test_h_applications_per_stage_on_two_electron_pipeline(monkeypatch):
+    # the photoemission-2e config: one application of H per LOBPCG iteration and
+    # per degree of each series, a complex state's two rows in one application
+    m = two_electron_model()
+    calls = []
+    apply_hamiltonian = GridModel.apply_hamiltonian
+
+    def counted(self, state):
+        calls.append(state.shape)
+        return apply_hamiltonian(self, state)
+
+    monkeypatch.setattr(GridModel, "apply_hamiltonian", counted)
+
+    def applications(stage, *args):
+        calls.clear()
+        return stage(*args), len(calls)
+
+    (psi, energy), ground = applications(ground_state, m)
+    excited, norm = apply_dipole(m, psi)
+    filt = FilterSpec(center=1.5, sigma=0.3, mode="ChebyshevPoly")
+    (filtered, _), filtering = applications(gaussian_filter, m, filt, excited / norm, energy)
+    _, propagation = applications(evolve, m, filtered / np.linalg.norm(filtered), 1.0)
+    assert (ground, filtering, propagation) == (46, 80, 31)
