@@ -17,7 +17,10 @@ are Bessel functions (the Jacobi-Anger expansion), so neither degree is
 found by a search or by refining a time step. The ground state needs no
 polynomial: locally optimal block preconditioned conjugate gradients
 (LOBPCG; Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)), preconditioned by
-(T + 1 Ha)^-1, reaches it in a few dozen applications of H.
+S (T + 1 Ha)^-1 S with the real-space diagonal S = (1 + V - min V)^-1/2,
+reaches it in a few dozen applications of H. The kinetic factor inverts
+H - E where T dominates, and S where V does, as in a harmonic well whose
+walls rise far above the kinetic energy near its floor.
 
 Grid conventions: N points per dimension (power of two), spacing
 h = L / N, positions x_q = (q - N/2) h, momenta k = 2 pi fftfreq(N, h).
@@ -144,6 +147,11 @@ class GridModel:
         object.__setattr__(self, "_kinetic_half", self._kinetic_table[..., :n // 2 + 1])
         if not all(np.isfinite(g).all() for g in (v, self._kinetic_table)):
             raise ValidationError("potential and kinetic energies must be finite on the grid")
+        span = float(v.max()) + float(self._kinetic_table.max()) - float(v.min())
+        if not span * span < math.inf:
+            raise ValidationError(f"field 'potential' in model gives a spectral range "
+                                  f"max V + max T - min V = {span:.3g} Ha whose square "
+                                  f"overflows")
 
     @property
     def spacing(self) -> float:
@@ -281,33 +289,25 @@ def dense_hamiltonian(model: GridModel) -> np.ndarray:
     return images.T
 
 
-def _orthonormal_basis(block: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal rows spanning the real rows of ``block``, with the operator's images of them.
+def _orthonormalize(row: np.ndarray, rows: np.ndarray) -> bool:
+    """Turn ``row`` in place into a unit vector orthogonal to the orthonormal ``rows``.
 
-    ``images`` holds the operator applied to each row of ``block``. Each row
-    in turn is scaled to unit norm and cleared of the rows kept before it by
-    classical Gram-Schmidt applied twice, which leaves it orthogonal to
-    working precision (Giraud et al., Numer. Math. 101, 87 (2005)). A row
-    whose remaining norm is not above BASIS_DEPENDENCE lies in the span of the
-    rows before it and is dropped, and so is a row past the dimension of the
-    space. The images follow the same combinations, so the operator is not
-    applied again.
+    The row is scaled to unit norm and cleared of ``rows`` by classical
+    Gram-Schmidt applied twice, which leaves it orthogonal to working
+    precision (Giraud et al., Numer. Math. 101, 87 (2005)); scaling first
+    makes the test below relative. Returns False, and leaves the row
+    meaningless, when its remaining norm is not above BASIS_DEPENDENCE: a
+    zero row, a row in the span of ``rows``, or a row past the dimension of
+    the space that ``rows`` already fill.
     """
-    basis, h_basis = np.empty_like(block), np.empty_like(images)
-    size = 0
-    for row, image in zip(block, images):
-        scale = np.linalg.norm(row) or 1.0  # a zero row stays zero, and is dropped
-        row, image = row / scale, image / scale
-        for _ in range(2 if size else 0):
-            overlap = basis[:size] @ row
-            row -= overlap @ basis[:size]
-            image -= overlap @ h_basis[:size]
-        rest = np.linalg.norm(row)
-        if rest > BASIS_DEPENDENCE:
-            np.divide(row, rest, out=basis[size])
-            np.divide(image, rest, out=h_basis[size])
-            size += 1
-    return basis[:size], h_basis[:size]
+    row /= np.linalg.norm(row) or 1.0  # a zero row stays zero, and is dropped
+    for _ in range(2):
+        row -= (rows @ row) @ rows
+    rest = np.linalg.norm(row)
+    if rest <= BASIS_DEPENDENCE:
+        return False
+    row /= rest
+    return True
 
 
 def eigsh(apply, precondition, start: np.ndarray, upper: float, maxiter: int
@@ -316,39 +316,56 @@ def eigsh(apply, precondition, start: np.ndarray, upper: float, maxiter: int
 
     ``apply`` maps a real vector to the operator applied to it, and the
     operator's spectrum lies at or below ``upper``. Starting from ``start``,
-    each iteration moves x to the lowest Ritz vector on the span of x, its
-    residual mapped by ``precondition``, and the previous step p (Knyazev,
-    SIAM J. Sci. Comput. 23, 517 (2001), with a block of one). The images of
-    x and p are carried along as the same combinations, so an iteration
-    applies the operator once, to the preconditioned residual. The next p is
-    the Ritz vector's part along the basis rows other than x, which stays
-    accurate as the steps shrink, where the difference of successive x would
-    cancel. Once the residual is within GROUND_STATE_TOL, or within the
-    rounding floor of the operator's range where that is larger, the Ritz
-    value and x are returned. Raises NumericalError after ``maxiter``
-    iterations.
+    each iteration moves x to the lowest Ritz vector on the span of x, the
+    previous step p and w, the residual mapped by ``precondition`` (Knyazev,
+    SIAM J. Sci. Comput. 23, 517 (2001), with a block of one). The rows x, p
+    and w are kept orthonormal, with their images under the operator, in
+    preallocated (3, n) arrays. Only w is new in an iteration: it is cleared
+    of x and p by ``_orthonormalize`` and then mapped, so an iteration applies
+    the operator once. x and p come out orthonormal from the 3 x 3 Ritz
+    problem itself (Hetmaniuk & Lehoucq, J. Comput. Phys. 218, 324 (2006)):
+    the next x is the lowest Ritz vector's coefficients c applied to the rows,
+    and the next p is the Ritz vector's part along the rows other than x,
+    made orthonormal to c in coefficient space, so the images follow from the
+    same coefficients. That part is scaled to unit norm before the dependence
+    test, since its raw norm is the step size: testing the raw norm would
+    drop p near convergence and leave steepest descent. Once the residual is
+    within GROUND_STATE_TOL, or within the rounding floor of the operator's
+    range where that is larger, the Ritz value and x are returned. Raises
+    NumericalError after ``maxiter`` iterations.
     """
-    x = start / np.linalg.norm(start)
-    hx = apply(x)
-    step = h_step = np.empty((0, len(x)))
+    basis, images = np.empty((3, len(start))), np.empty((3, len(start)))  # rows x, [p], w
+    next_basis, next_images = np.empty_like(basis), np.empty_like(images)
+    basis[0] = start / np.linalg.norm(start)
+    images[0] = apply(basis[0])
+    kept = 1  # rows x and p carried into the iteration
     iterations = 0
     while True:
+        x, hx = basis[0], images[0]
         theta = float(x @ hx)
         residual = hx - theta * x
         error = float(np.linalg.norm(residual))
         tol = max(GROUND_STATE_TOL, GROUND_STATE_FLOOR * (upper - theta))
         if error <= tol:
-            return theta, x
+            return theta, x.copy()
         if iterations == maxiter:
             raise NumericalError(
                 f"ground-state iteration stopped after {maxiter} LOBPCG iterations "
                 f"with residual {error:.2e} > {tol:.2e}")
-        w = precondition(residual)
-        basis, h_basis = _orthonormal_basis(np.vstack([x, w, step]),
-                                            np.vstack([hx, apply(w), h_step]))
-        lowest = np.linalg.eigh(basis @ h_basis.T)[1][:, 0]
-        x, hx = lowest @ basis, lowest @ h_basis
-        step, h_step = lowest[None, 1:] @ basis[1:], lowest[None, 1:] @ h_basis[1:]
+        size = kept
+        basis[size] = precondition(residual)
+        if _orthonormalize(basis[size], basis[:size]):
+            images[size] = apply(basis[size])
+            size += 1
+        ritz = np.linalg.eigh(basis[:size] @ images[:size].T)[1]
+        coeffs = np.zeros((2, size))
+        coeffs[0] = ritz[:, 0]
+        coeffs[1, 1:] = ritz[1:, 0]
+        kept = 1 + _orthonormalize(coeffs[1], coeffs[:1])
+        np.matmul(coeffs[:kept], basis[:size], out=next_basis[:kept])
+        np.matmul(coeffs[:kept], images[:size], out=next_images[:kept])
+        basis, next_basis = next_basis, basis
+        images, next_images = next_images, images
         iterations += 1
 
 
@@ -363,9 +380,13 @@ def ground_state(model: GridModel, symmetry: str = "none",
     are exact, and LOBPCG's x and step are combinations of those rows, so
     they stay in the sector; the rounding-level leak in the images of H is
     cleared by the next projection. The iteration runs in real arithmetic,
-    since H is real symmetric, preconditioned by (T + 1 Ha)^-1; ``maxiter``
-    caps its iterations, each of which applies H once. The returned state
-    is real. Raises with iteration diagnostics if the residual exceeds 1e-8.
+    since H is real symmetric, preconditioned by S (T + 1 Ha)^-1 S with
+    S = (1 + V - min V)^-1/2 on the grid: symmetric and positive definite,
+    costing two elementwise products beyond the kinetic factor's transforms.
+    V is exchange symmetric, so S is too and the sector projection still
+    commutes with the preconditioner. ``maxiter`` caps the iterations, each
+    of which applies H once. The returned state is real. Raises with
+    iteration diagnostics if the residual exceeds 1e-8.
     """
     dim = model.hilbert_dim
     if symmetry not in ("none", "symmetric", "antisymmetric"):
@@ -383,11 +404,14 @@ def ground_state(model: GridModel, symmetry: str = "none",
 
     start = project(np.random.default_rng(12345).standard_normal(dim))
     mid, half_span = _spectral_bounds(model)
-    # (T + 1 Ha)^-1 inverts H - E at high momentum, where T dominates
+    # (T + 1 Ha)^-1 inverts H - E at high momentum, where T dominates, and
+    # S = (1 + V - min V)^-1/2 on both sides where V does
     inverse_kinetic = 1.0 / (model._kinetic_half + 1.0)
+    potential = model.potential_grid().reshape(-1)
+    scale = (1.0 + potential - float(np.min(potential))) ** -0.5
 
     def precondition(v):
-        return project(model.momentum_multiply(inverse_kinetic, v))
+        return project(scale * model.momentum_multiply(inverse_kinetic, scale * v))
 
     _, psi = eigsh(model.apply_hamiltonian, precondition, start, mid + half_span, maxiter)
     psi = psi / np.linalg.norm(psi)

@@ -410,6 +410,28 @@ def _set_model(**fields):
     return lambda cfg: cfg["model"].update(fields)
 
 
+def test_emulate_photoemission_harmonic_well(tmp_path):
+    # V = x^2 / 2 reaches 800 Ha at the box faces; a ground-state preconditioner
+    # blind to V stopped after 500 iterations here, and the run exited 3
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(_edited("grid_soft_coulomb_1d.json", _set_model(
+        n_points=512, potential={"kind": "harmonic", "params": {"k": 1.0}}))))
+    assert main(["emulate-photoemission", "--input", str(path)]) == EX_OK
+
+
+def test_spectral_range_overflow_exit_code(tmp_path):
+    # a finite potential whose spectral range overflows when squared is refused
+    # by name, before the ground-state iteration's dot products overflow
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(_edited("grid_soft_coulomb_1d.json", _set_model(
+        potential={"kind": "samples", "params": {"values": [1e200] + [0.0] * 255}}))))
+    code, out, err = run_cli("emulate-photoemission", "--input", str(path))
+    assert code == EX_VALIDATION
+    assert out == ""
+    assert "field 'potential' in model" in err
+    assert "Warning" not in err
+
+
 @pytest.mark.parametrize("edit", [
     _set_model(potential={"kind": "soft_coulomb", "params": {"z": 2.0, "a": 0.0}}),
     _set_model(potential={"kind": "gaussian_well", "params": {"sigma": 0.0}}),
