@@ -236,6 +236,9 @@ class FilterSpec:
     poly_tolerance: float = 1e-3
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.center):
+            raise ValidationError(
+                f"field 'center' in FilterSpec must be finite, got {self.center:g}")
         if self.sigma <= 0:
             raise ValidationError(
                 f"field 'sigma' in FilterSpec must be positive, got {self.sigma:g}")
@@ -243,9 +246,9 @@ class FilterSpec:
         if self.mode not in ("ExactEigen", "ChebyshevPoly"):
             raise ValidationError(f"field 'mode' in FilterSpec must be ExactEigen or "
                                   f"ChebyshevPoly, got '{self.mode}'")
-        if self.poly_tolerance <= 0:
-            raise ValidationError(f"field 'poly_tolerance' in FilterSpec must be positive, "
-                                  f"got {self.poly_tolerance:g}")
+        if not 0 < self.poly_tolerance < math.inf:
+            raise ValidationError(f"field 'poly_tolerance' in FilterSpec must be positive "
+                                  f"and finite, got {self.poly_tolerance:g}")
 
     def window(self, excitation):
         """Weight exp(-(E - center)^2 / 2 sigma^2) at excitation energies E above E0."""
@@ -311,7 +314,7 @@ def _orthonormalize(row: np.ndarray, rows: np.ndarray) -> bool:
 
 
 def eigsh(apply, precondition, start: np.ndarray, upper: float, maxiter: int
-          ) -> tuple[float, np.ndarray]:
+          ) -> tuple[float, np.ndarray, np.ndarray]:
     """Lowest eigenpair of a real symmetric operator by preconditioned LOBPCG.
 
     ``apply`` maps a real vector to the operator applied to it, and the
@@ -331,8 +334,8 @@ def eigsh(apply, precondition, start: np.ndarray, upper: float, maxiter: int
     test, since its raw norm is the step size: testing the raw norm would
     drop p near convergence and leave steepest descent. Once the residual is
     within GROUND_STATE_TOL, or within the rounding floor of the operator's
-    range where that is larger, the Ritz value and x are returned. Raises
-    NumericalError after ``maxiter`` iterations.
+    range where that is larger, the Ritz value, x and its carried image are
+    returned. Raises NumericalError after ``maxiter`` iterations.
     """
     basis, images = np.empty((3, len(start))), np.empty((3, len(start)))  # rows x, [p], w
     next_basis, next_images = np.empty_like(basis), np.empty_like(images)
@@ -347,7 +350,7 @@ def eigsh(apply, precondition, start: np.ndarray, upper: float, maxiter: int
         error = float(np.linalg.norm(residual))
         tol = max(GROUND_STATE_TOL, GROUND_STATE_FLOOR * (upper - theta))
         if error <= tol:
-            return theta, x.copy()
+            return theta, x.copy(), hx.copy()
         if iterations == maxiter:
             raise NumericalError(
                 f"ground-state iteration stopped after {maxiter} LOBPCG iterations "
@@ -413,9 +416,10 @@ def ground_state(model: GridModel, symmetry: str = "none",
     def precondition(v):
         return project(scale * model.momentum_multiply(inverse_kinetic, scale * v))
 
-    _, psi = eigsh(model.apply_hamiltonian, precondition, start, mid + half_span, maxiter)
-    psi = psi / np.linalg.norm(psi)
-    h_psi = model.apply_hamiltonian(psi)
+    _, psi, h_psi = eigsh(model.apply_hamiltonian, precondition, start, mid + half_span,
+                          maxiter)
+    norm = np.linalg.norm(psi)
+    psi, h_psi = psi / norm, h_psi / norm
     energy = float(psi @ h_psi)
     residual = float(np.linalg.norm(h_psi - energy * psi))
     if residual > 1e-8:

@@ -1,17 +1,24 @@
 """Desk-scale emulation of the coherent time-domain absorption algorithm.
 
-Small dense Hermitian Hamiltonians stand in for the molecular problem. The
-resolvent Green's function, its truncated discrete-time Fourier
-reconstruction, the product-formula eigenvalue perturbation, and the
-Hadamard-test shot statistics are all evaluated through eigendecompositions,
-which validates the algorithm's math without building circuits. A scene
-diagonalizes its H once, when it is made, and keeps the excitation energies
-E_F - E_I and line weights |<F|D|I>|^2 that every absorption quantity reads.
+Small dense Hermitian Hamiltonians stand in for the molecular problem, and
+everything is evaluated through eigendecompositions, which validates the
+algorithm's math without building circuits. A scene diagonalizes its H once,
+when it is made, and keeps the excitation energies E_F - E_I and line
+weights |<F|D|I>|^2 that every absorption quantity reads. ``spectrum_rows``
+is the one absorption path: per frequency it gives the resolvent reference,
+its truncated discrete-time Fourier reconstruction and a Hadamard-test
+estimate from simulated shots. The product-formula eigenvalue perturbation
+is emulated here as well.
 
-Sign convention, pinned by matching the resolvent: the two-sided Fourier sum
-G_t = sum_j p(j) exp(-i (H - E_I) tau j) has a real expectation value on any
-state and reconstructs the spectral density -Im(G)/pi, so the measured
-Hadamard-test component is the real part of <Phi| G_t / beta |Phi>.
+The reference is -Im(G)/pi for the resolvent element
+G = <I| D (H - E_I - omega + i gamma)^-1 D |I>, the Lorentzian sum
+(1/pi) sum_F |<F|D|I>|^2 gamma / ((E_F - E_I - omega)^2 + gamma^2).
+Sign convention, pinned by matching it: the two-sided Fourier sum
+G_t = sum_j p(j) exp(-i (H - E_I) tau j), with
+p(j) = (tau/2pi) exp(-gamma tau |j| + i omega tau j) for j in [-j_max, j_max],
+has a real expectation value on any state and reconstructs -Im(G)/pi, so the
+measured Hadamard-test component is the real part of <Phi| G_t / beta |Phi>
+on |Phi> = D|I> / ||D|I>||, with beta = sum_j |p(j)|.
 
 The value is real because s_-j = conj(s_j) for the phase sum
 s_j = sum_F |<F|D|I>|^2 exp(-i (E_F - E_I) tau j) and p(-j) = conj(p(j)).
@@ -28,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (EUV_OMEGA_HA, MAX_SHOTS, REQUIRED, ValidationError, cross_section_prefactor,
-                   read_fields, read_numbers)
+from .core import (MAX_SHOTS, REQUIRED, ValidationError, cross_section_prefactor, read_fields,
+                   read_numbers)
 
 HERMITICITY_TOL = 1e-12
 EIGENPAIR_TOL = 1e-9
@@ -102,22 +109,6 @@ def two_level_scene(gap: float, coupling: float = 1.0) -> SpectralScene:
     return SpectralScene(h, d, ground_state=np.array([1.0, 0.0], dtype=complex))
 
 
-@dataclass(frozen=True)
-class FourierWeights:
-    """Truncated discrete-time Fourier coefficients p(j), j in [-j_max, j_max]."""
-
-    tau: float
-    gamma: float
-    omega: float
-    j_max: int
-    weights: np.ndarray
-    beta: float
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.arange(-self.j_max, self.j_max + 1)
-
-
 def _decay(gamma: float, tau: float, j_max: int) -> tuple[np.ndarray, float]:
     """r^j = exp(-gamma tau j) for j = 1..j_max, and beta = sum_j |p(j)|.
 
@@ -130,28 +121,6 @@ def _decay(gamma: float, tau: float, j_max: int) -> tuple[np.ndarray, float]:
     return decay, (tau / (2.0 * math.pi)) * (1.0 + 2.0 * float(np.sum(decay)))
 
 
-def fourier_weights(omega: float, gamma: float, tau: float, j_max: int) -> FourierWeights:
-    """Coefficients p(j) = (tau/2pi) exp(-gamma tau |j| + i omega tau j)."""
-    beta = _decay(gamma, tau, j_max)[1]
-    j = np.arange(-j_max, j_max + 1)
-    weights = (tau / (2.0 * math.pi)) * np.exp(-gamma * tau * np.abs(j)
-                                               + 1j * omega * tau * j)
-    return FourierWeights(tau=tau, gamma=gamma, omega=omega, j_max=j_max,
-                          weights=weights, beta=beta)
-
-
-def exact_greens(scene: SpectralScene, omega: float, gamma: float) -> complex:
-    """Resolvent matrix element <I| D (H - E_I - omega + i gamma)^-1 D |I>."""
-    if gamma <= 0:
-        raise ValidationError("gamma must be positive")
-    return complex(np.sum(scene.line_weights / (scene.excitations - omega + 1j * gamma)))
-
-
-def spectral_density(scene: SpectralScene, omega: float, gamma: float) -> float:
-    """Lorentzian-broadened dipole spectral density -Im(G)/pi (non-negative)."""
-    return -exact_greens(scene, omega, gamma).imag / math.pi
-
-
 def _lorentzian_sum(scene: SpectralScene, omegas, gamma: float):
     """sum_F |<F|D|I>|^2 L_gamma(E_F - E_I - omega), L_gamma(x) = gamma / (x^2 + gamma^2).
 
@@ -159,26 +128,8 @@ def _lorentzian_sum(scene: SpectralScene, omegas, gamma: float):
     Each frequency's terms are summed on their own, so its value does not
     depend on the other frequencies passed with it.
     """
-    if gamma <= 0:
-        raise ValidationError("gamma must be positive")
     detune = np.subtract.outer(omegas, scene.excitations)  # the sign squares away
     return np.sum(scene.line_weights * (gamma / (detune**2 + gamma**2)), axis=-1)
-
-
-def spectral_density_grid(scene: SpectralScene, omegas: np.ndarray,
-                          gamma: float) -> np.ndarray:
-    """Vectorized -Im(G)/pi over a frequency grid (used for peak finding)."""
-    return _lorentzian_sum(scene, np.asarray(omegas), gamma) / math.pi
-
-
-def kramers_heisenberg(scene: SpectralScene, omega: float, gamma: float) -> float:
-    """Absorption cross-section (4 pi omega / 3c) sum_F |<F|D|I>|^2 L_gamma(E_F - E_I - omega).
-
-    The sum runs over all final states; for a dipole with no static component
-    this coincides with the inelastic-only sum, and it is identically
-    (4 pi omega / 3c) times -Im of the resolvent element.
-    """
-    return float(cross_section_prefactor(omega) * _lorentzian_sum(scene, omega, gamma))
 
 
 def _phase_sum(scene: SpectralScene, tau: float, j_max: int) -> np.ndarray:
@@ -197,20 +148,6 @@ def _phase_sum(scene: SpectralScene, tau: float, j_max: int) -> np.ndarray:
     # one complex table of dim * (j_max + 1) entries, exponentiated in place
     phases = np.multiply.outer(scene.excitations, -1j * (np.arange(j_max + 1) * tau))
     return scene.line_weights @ np.exp(phases, out=phases)
-
-
-def td_greens(scene: SpectralScene, weights: FourierWeights) -> complex:
-    """<I| D G_t D |I> with G_t = sum_j p(j) exp(-i (H - E_I) tau j).
-
-    Converges (in its real part) to the spectral density -Im(exact)/pi as
-    j_max grows; the truncation error is bounded by the geometric tail
-    2 N^2 (tau/2pi) r^(j_max+1) / (1-r). The sum reads s_-j = conj(s_j)
-    from the half-sided phase sum.
-    """
-    half = _phase_sum(scene, weights.tau, weights.j_max)
-    p, j_max = weights.weights, weights.j_max
-    return complex(p[j_max] * half[0] + p[j_max + 1:] @ half[1:]
-                   + p[:j_max][::-1] @ half[1:].conj())
 
 
 def dipole_excited_norm(scene: SpectralScene) -> float:
@@ -295,60 +232,6 @@ def _hermitian_exp(fragment: np.ndarray, t: float) -> np.ndarray:
     return (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
 
 
-@dataclass(frozen=True)
-class HadamardEstimate:
-    """Outcome of a simulated Hadamard-test run."""
-
-    mean_z: float
-    estimate: float
-    exact_z: float
-    shots: int
-    stderr: float
-
-
-def _expected_z(td: complex, norm: float, beta: float) -> float:
-    """E[Z] = Re td / (N^2 beta) for the time-domain value td = <I| D G_t D |I>."""
-    if norm == 0.0:
-        return 0.0
-    return float((td / (norm**2 * beta)).real)
-
-
-def hadamard_exact_z(scene: SpectralScene, weights: FourierWeights) -> float:
-    """Ideal expectation E[Z] = Re <Phi| G_t / beta |Phi> on |Phi> = D|I>/N."""
-    return _expected_z(td_greens(scene, weights), dipole_excited_norm(scene), weights.beta)
-
-
-def _check_shots(shots: int) -> None:
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValidationError(f"shots must be from 1 to 2^24 = {MAX_SHOTS}, got {shots}")
-
-
-def _draw_z(exact_z: float, shots: int, seed: int) -> np.ndarray:
-    """``shots`` outcomes, True where Z = +1, each with probability (1 + E[Z])/2."""
-    rng = np.random.default_rng(seed)
-    return rng.random(shots) < (1.0 + exact_z) / 2.0
-
-
-def hadamard_shot_simulator(scene: SpectralScene, weights: FourierWeights,
-                            shots: int, seed: int,
-                            alpha: float | None = None) -> HadamardEstimate:
-    """Draw Z in {-1, +1} shots and reconstruct alpha * N * beta * mean(Z).
-
-    The success-postselected ideal model: each shot is +1 with probability
-    (1 + E[Z])/2. Deterministic under a fixed seed.
-    """
-    _check_shots(shots)
-    if alpha is None:
-        alpha = cross_section_prefactor(EUV_OMEGA_HA)
-    exact = hadamard_exact_z(scene, weights)
-    draws = np.where(_draw_z(exact, shots, seed), 1.0, -1.0)
-    mean_z = float(np.mean(draws))
-    scale = alpha * dipole_excited_norm(scene) * weights.beta
-    stderr = scale * float(np.std(draws, ddof=1) / math.sqrt(shots)) if shots > 1 else scale
-    return HadamardEstimate(mean_z=mean_z, estimate=scale * mean_z,
-                            exact_z=exact, shots=shots, stderr=stderr)
-
-
 def scene_to_dict(scene: SpectralScene) -> dict:
     def split(m):
         return {"re": np.real(m).ravel().tolist(), "im": np.imag(m).ravel().tolist()}
@@ -384,7 +267,12 @@ def spectrum_rows(scene: SpectralScene, omegas, gamma: float, tau: float,
     """Cross-section columns (exact, time-domain, sampled) per frequency.
 
     All three columns share the (4 pi omega / 3c) * pi-scaled spectral-density
-    convention so they agree in the large-j_max, many-shot limit. The
+    convention so they agree in the large-j_max, many-shot limit: sigma_exact
+    is the Lorentzian sum (the Kramers-Heisenberg form), sigma_td reads Re td,
+    whose truncation error is at most the geometric tail
+    2 N^2 (tau/2pi) r^(j_max+1) / (1 - r) with N = ||D|I>||, and sigma_sampled
+    is N^2 beta times the mean of ``shots`` outcomes Z = +-1, each +1 with
+    probability (1 + E[Z]) / 2 for E[Z] = td / (N^2 beta). The
     frequency-independent half-sided phase sum, its folds 2 r^j Re s_j and
     2 r^j Im s_j, and beta are formed once. Each block of frequencies then
     costs one cosine and one sine table over j and one Lorentzian table over
@@ -396,7 +284,8 @@ def spectrum_rows(scene: SpectralScene, omegas, gamma: float, tau: float,
     so the rows do not depend on how the scan is split into blocks.
     Raises ValidationError if gamma and tau leave any value non-finite.
     """
-    _check_shots(shots)
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValidationError(f"shots must be from 1 to 2^24 = {MAX_SHOTS}, got {shots}")
     omegas = np.asarray(omegas, dtype=float)
     block = max(1, SCAN_BLOCK_ENTRIES // max(j_max, scene.dim))
     rows = []
@@ -416,7 +305,9 @@ def spectrum_rows(scene: SpectralScene, omegas, gamma: float, tau: float,
             exacts = _lorentzian_sum(scene, chunk, gamma)
             for k, (omega, td, exact) in enumerate(zip(chunk, tds, exacts), start):
                 prefactor = cross_section_prefactor(omega)
-                plus = np.count_nonzero(_draw_z(_expected_z(td, norm, beta), shots, seed + k))
+                exact_z = td / (norm**2 * beta) if norm else 0.0
+                draws = np.random.default_rng(seed + k).random(shots)
+                plus = np.count_nonzero(draws < (1.0 + exact_z) / 2.0)  # Z = +1 outcomes
                 scale = prefactor * math.pi * beta * norm**2
                 # (2 plus - shots) / shots is the mean of the +-1 outcomes, exactly
                 row = {

@@ -406,6 +406,28 @@ def test_estimator_output_digest(capsys, command, fixture, fmt, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# sha256 of emulate-absorption's stdout on every bundled scene at --seed 13: the
+# exact, time-domain and sampled columns, shot draws included
+ABSORPTION_DIGESTS = [
+    ("scene_two_level.json", "json",
+     "cf3b90a6e4b67f3a41843f2806df8092d55a057d2540d5215bc3a92a162d799b"),
+    ("scene_two_level.json", "csv",
+     "d943bb5c42ab2150b1610da471824bbe5d1902d188c696fa4933981f9871adc7"),
+    ("scene_random16.json", "json",
+     "7bf942ef4086d0e0b0d93de1951c849c05eb4129fb00908d913a804f266a0043"),
+    ("scene_random16.json", "csv",
+     "a5250844ac1cbd0f25a8dff7d34ab74b2834cf817d66d082d542c36b54a214a5"),
+]
+
+
+@pytest.mark.parametrize("fixture, fmt, digest", ABSORPTION_DIGESTS,
+                         ids=[f"{f[:-5]}-{fmt}" for f, fmt, _ in ABSORPTION_DIGESTS])
+def test_emulate_absorption_output_digest(capsys, fixture, fmt, digest):
+    assert main(["emulate-absorption", "--input", fixture, "--format", fmt,
+                 "--seed", "13"]) == EX_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def _set_model(**fields):
     return lambda cfg: cfg["model"].update(fields)
 

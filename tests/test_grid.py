@@ -128,6 +128,19 @@ def test_gaussian_filter_wide_window_is_identity():
     np.testing.assert_allclose(out, psi, atol=1e-6)
 
 
+@pytest.mark.parametrize("mode", ["ExactEigen", "ChebyshevPoly"])
+@pytest.mark.parametrize("field, value", [
+    ("center", math.nan), ("center", math.inf), ("center", -math.inf),
+    ("poly_tolerance", math.nan), ("poly_tolerance", math.inf),
+])
+def test_filter_spec_rejects_non_finite_fields(mode, field, value):
+    # a NaN centre gave success probability nan, and a NaN tolerance was
+    # reported as needing a degree above 20000
+    window = {"center": 0.8, "sigma": 0.3, "mode": mode, field: value}
+    with pytest.raises(ValidationError, match=f"field '{field}' in FilterSpec"):
+        FilterSpec(**window)
+
+
 def test_gaussian_filter_two_level_attenuation():
     # closed form on a 2-point grid: amplitudes scale by exp(-dE^2 / 2 sigma^2)
     m = free_model(n=2, box=2.0)
@@ -765,10 +778,12 @@ def test_eigsh_matches_dense_lowest_eigenpair():
     a = rng.standard_normal((60, 60))
     a = a + a.T
     evals, evecs = np.linalg.eigh(a)
-    energy, x = grid.eigsh(lambda v: a @ v, lambda r: r, rng.standard_normal(60),
-                           float(evals[-1]), 200)
+    energy, x, ax = grid.eigsh(lambda v: a @ v, lambda r: r, rng.standard_normal(60),
+                               float(evals[-1]), 200)
     assert energy == pytest.approx(float(evals[0]), abs=1e-12)
     assert abs(float(x @ evecs[:, 0])) == pytest.approx(1.0, abs=1e-12)
+    # the image is carried through the iteration, not applied again
+    np.testing.assert_allclose(ax, a @ x, rtol=0, atol=1e-12)
 
 
 def _layout_oracle(m):
@@ -916,7 +931,8 @@ def test_hot_path_runs_no_complex_fft(monkeypatch):
 
 def test_h_applications_per_stage_on_two_electron_pipeline(monkeypatch):
     # the photoemission-2e config: one application of H per LOBPCG iteration and
-    # per degree of each series, a complex state's two rows in one application
+    # per degree of each series, a complex state's two rows in one application;
+    # the energy and the residual check reuse the image that eigsh carries
     m = two_electron_model()
     calls = []
     apply_hamiltonian = GridModel.apply_hamiltonian
@@ -936,4 +952,4 @@ def test_h_applications_per_stage_on_two_electron_pipeline(monkeypatch):
     filt = FilterSpec(center=1.5, sigma=0.3, mode="ChebyshevPoly")
     (filtered, _), filtering = applications(gaussian_filter, m, filt, excited / norm, energy)
     _, propagation = applications(evolve, m, filtered / np.linalg.norm(filtered), 1.0)
-    assert (ground, filtering, propagation) == (27, 80, 31)
+    assert (ground, filtering, propagation) == (26, 80, 31)

@@ -8,22 +8,13 @@ import pytest
 from euvq import spectro
 from euvq.core import ValidationError
 from euvq.spectro import (
-    FourierWeights,
     SpectralScene,
     _pair_by_overlap,
     dipole_excited_norm,
-    exact_greens,
-    fourier_weights,
-    hadamard_exact_z,
-    hadamard_shot_simulator,
-    kramers_heisenberg,
     random_scene,
     scene_from_dict,
     scene_to_dict,
-    spectral_density,
-    spectral_density_grid,
     spectrum_rows,
-    td_greens,
     trotter_effective_spectrum,
     trotter_step_unitary,
     two_level_scene,
@@ -43,22 +34,57 @@ def lattice_scene(n_sites, hopping=0.25):
     return SpectralScene(h, d)
 
 
-def td_truncation_bound(scene, weights):
+def scale(omega):
+    """(4 pi omega / 3c) pi: each column is this times a spectral density."""
+    return 4 * math.pi * omega / (3 * 137.036) * math.pi
+
+
+def dense_density(scene, omega, gamma=GAMMA):
+    """-Im <I| D (H - E_I - omega + i gamma)^-1 D |I> / pi, by a dense solve."""
+    rhs = scene.dipole @ scene.ground_state
+    shifted = scene.hamiltonian - (scene.ground_energy + omega - 1j * gamma) * np.eye(scene.dim)
+    return -complex(rhs.conj() @ np.linalg.solve(shifted, rhs)).imag / math.pi
+
+
+def two_sided_td(scene, omega, j_max, gamma=GAMMA, tau=TAU):
+    """sum_j p(j) <I| D exp(-i (H - E_I) tau j) D |I> over every j in [-j_max, j_max]."""
+    energies, vectors = np.linalg.eigh(scene.hamiltonian)
+    line = np.abs(vectors.conj().T @ scene.dipole @ scene.ground_state) ** 2
+    j = np.arange(-j_max, j_max + 1)
+    p = (tau / (2 * math.pi)) * np.exp(-gamma * tau * np.abs(j) + 1j * omega * tau * j)
+    return complex(p @ (line @ np.exp(-1j * np.outer(energies - scene.ground_energy, j * tau))))
+
+
+def beta(j_max, gamma=GAMMA, tau=TAU):
+    """sum_j |p(j)| over j in [-j_max, j_max]."""
+    j = np.arange(-j_max, j_max + 1)
+    return float(np.sum((tau / (2 * math.pi)) * np.exp(-gamma * tau * np.abs(j))))
+
+
+def norm_squared(scene):
+    return float(np.linalg.norm(scene.dipole @ scene.ground_state) ** 2)
+
+
+def td_truncation_bound(scene, j_max, gamma=GAMMA, tau=TAU):
     """Geometric tail bound on |td sum - untruncated sum|."""
-    norm2 = float(np.linalg.norm(scene.dipole @ scene.ground_state) ** 2)
-    r = math.exp(-weights.gamma * weights.tau)
-    return 2.0 * norm2 * (weights.tau / (2.0 * math.pi)) * r ** (weights.j_max + 1) / (1.0 - r)
+    r = math.exp(-gamma * tau)
+    return 2.0 * norm_squared(scene) * (tau / (2.0 * math.pi)) * r ** (j_max + 1) / (1.0 - r)
+
+
+def scan(scene, omegas, j_max, shots=1, seed=0, gamma=GAMMA):
+    return spectrum_rows(scene, omegas, gamma, TAU, j_max, shots, seed)
+
+
+def column(rows, name):
+    return np.array([row[name] for row in rows])
 
 
 def test_exact_greens_matches_dense_solve():
     scene = random_scene(64, seed=2)
-    omega = 1.3
-    rhs = scene.dipole @ scene.ground_state
-    shifted = (scene.hamiltonian
-               - (scene.ground_energy + omega) * np.eye(scene.dim)
-               + 1j * GAMMA * np.eye(scene.dim))
-    oracle = complex(rhs.conj() @ np.linalg.solve(shifted, rhs))
-    assert exact_greens(scene, omega, GAMMA) == pytest.approx(oracle, abs=1e-10)
+    omegas = [0.5, 1.3, 3.1]
+    for omega, row in zip(omegas, scan(scene, omegas, 10)):
+        want = scale(omega) * dense_density(scene, omega)
+        assert row["sigma_exact"] == pytest.approx(want, rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("dim", [1, 0])
@@ -68,125 +94,121 @@ def test_random_scene_needs_two_levels(dim):
 
 
 def test_exact_greens_zero_dipole():
+    # no line weight: every column is 0, the sampled one included
     scene = two_level_scene(gap=1.0, coupling=0.0)
-    assert exact_greens(scene, 1.0, GAMMA) == 0.0
+    for row in scan(scene, [0.5, 1.0], 50, shots=20):
+        assert row["sigma_exact"] == row["sigma_td"] == row["sigma_sampled"] == 0.0
 
 
 def test_exact_greens_requires_broadening():
     scene = two_level_scene(gap=1.0)
-    with pytest.raises(ValidationError):
-        exact_greens(scene, 1.0, 0.0)
+    for gamma in (0.0, -GAMMA):
+        with pytest.raises(ValidationError, match="gamma must be positive"):
+            scan(scene, [1.0], 10, gamma=gamma)
 
 
 def test_two_level_peak_closed_form():
+    # -Im G = d^2 / gamma at resonance
     d = 0.8
     scene = two_level_scene(gap=2.0, coupling=d)
-    value = exact_greens(scene, 2.0, GAMMA)
-    assert value.imag == pytest.approx(-d**2 / GAMMA, rel=1e-12)
+    row, = scan(scene, [2.0], 10)
+    assert row["sigma_exact"] == pytest.approx(scale(2.0) * d**2 / (math.pi * GAMMA),
+                                               rel=1e-12, abs=0)
 
 
 def test_positivity_of_spectral_density():
+    # sigma_exact / omega is the density times a positive constant, on both signs of omega
     scene = random_scene(32, seed=3)
     omegas = np.linspace(-1.0, 5.0, 101)
-    assert np.all(spectral_density_grid(scene, omegas, GAMMA) >= 0.0)
-    assert spectral_density(scene, 1.0, GAMMA) >= 0.0
+    assert np.all(column(scan(scene, omegas, 10), "sigma_exact") / omegas >= 0.0)
 
 
 def test_kramers_heisenberg_equals_resolvent_form():
+    # the Kramers-Heisenberg line sum (4 pi omega / 3c) sum_F |<F|D|I>|^2
+    # L_gamma(E_F - E_I - omega), written out from a dense eigh, is -Im of the
+    # resolvent element times the prefactor: the exact column
     for seed in range(5):
         scene = random_scene(48, seed=seed)
-        for omega in (0.5, 1.7, 3.1):
-            kh = kramers_heisenberg(scene, omega, GAMMA)
-            prefactor = 4 * math.pi * omega / (3 * 137.036)
-            assert kh == pytest.approx(prefactor * (-exact_greens(scene, omega, GAMMA).imag),
-                                       abs=1e-9)
-
-
-def test_fourier_weights_formula():
-    w = fourier_weights(3.38, GAMMA, TAU, 200)
-    assert isinstance(w, FourierWeights)
-    assert len(w.weights) == 401
-    j = w.indices
-    np.testing.assert_allclose(np.abs(w.weights),
-                               (TAU / (2 * math.pi)) * np.exp(-GAMMA * TAU * np.abs(j)),
-                               rtol=1e-12)
-    # |p(200)| / |p(0)| = exp(-200 gamma tau)
-    assert abs(w.weights[-1]) / abs(w.weights[200]) == pytest.approx(
-        math.exp(-200 * GAMMA * TAU), rel=1e-12)
+        energies, vectors = np.linalg.eigh(scene.hamiltonian)
+        line = np.abs(vectors.conj().T @ scene.dipole @ scene.ground_state) ** 2
+        omegas = [0.5, 1.7, 3.1]
+        for omega, row in zip(omegas, scan(scene, omegas, 10)):
+            detune = energies - scene.ground_energy - omega
+            lorentzian = GAMMA / (detune**2 + GAMMA**2)
+            kh = 4 * math.pi * omega / (3 * 137.036) * float(np.sum(line * lorentzian))
+            assert row["sigma_exact"] == pytest.approx(kh, abs=1e-9)
+            assert row["sigma_exact"] == pytest.approx(scale(omega) * dense_density(scene, omega),
+                                                       abs=1e-9)
 
 
 def test_fourier_weights_single_term():
-    w = fourier_weights(1.0, GAMMA, TAU, 0)
-    assert len(w.weights) == 1
-    assert w.beta == pytest.approx(TAU / (2 * math.pi), rel=1e-12)
+    # j_max = 0 keeps p(0) = tau/2pi alone: beta = tau/2pi, E[Z] = 1 exactly
+    scene = random_scene(16, seed=4)
+    shots = 30
+    for omega, row in zip((0.5, 2.0), scan(scene, [0.5, 2.0], 0, shots=shots)):
+        full = scale(omega) * norm_squared(scene) * TAU / (2 * math.pi)
+        assert row["stderr"] * math.sqrt(shots) == pytest.approx(full, rel=1e-12, abs=0)
+        assert row["sigma_sampled"] == pytest.approx(full, rel=1e-12, abs=0)
 
 
 def test_beta_matches_estimator_series():
+    # one shot: the standard error is the full scale (4 pi omega / 3c) pi N^2 beta
     from euvq.absorption import beta_bound, beta_limit
 
-    w = fourier_weights(3.38, 0.1 / TAU, TAU, 1000)
-    assert w.beta == pytest.approx(beta_bound(TAU, 0.1 / TAU, 1000), rel=1e-12)
-    assert w.beta == pytest.approx(beta_limit(TAU, 0.1 / TAU), rel=1e-3)
+    scene = random_scene(16, seed=5)
+    gamma = 0.1 / TAU
+    row, = scan(scene, [3.38], 1000, gamma=gamma)
+    measured = row["stderr"] / (scale(3.38) * norm_squared(scene))
+    assert measured == pytest.approx(beta(1000, gamma=gamma), rel=1e-12, abs=0)
+    assert measured == pytest.approx(beta_bound(TAU, gamma, 1000), rel=1e-12, abs=0)
+    assert measured == pytest.approx(beta_limit(TAU, gamma), rel=1e-3, abs=0)
 
 
 def test_td_greens_zero_time_autocorrelation():
+    # j_max = 0: td = p(0) s_0 = (tau/2pi) ||D|I>||^2 at every frequency
     scene = random_scene(16, seed=4)
-    w = fourier_weights(2.0, GAMMA, TAU, 0)
-    norm = dipole_excited_norm(scene)
-    assert td_greens(scene, w) == pytest.approx(norm**2 * TAU / (2 * math.pi), rel=1e-12)
+    for omega, row in zip((0.5, 2.0), scan(scene, [0.5, 2.0], 0)):
+        want = scale(omega) * norm_squared(scene) * TAU / (2 * math.pi)
+        assert row["sigma_td"] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("j_max", [0, 1, 150])
 def test_td_greens_folded_half_sum_matches_two_sided_sum(j_max):
-    # td_greens reads s_-j = conj(s_j) from the half j >= 0; hold it to the
-    # two-sided complex sum over every j in [-j_max, j_max]
+    # the scan folds s_-j = conj(s_j) into the half j >= 0; hold it to the
+    # two-sided complex sum over every j in [-j_max, j_max], which is real
     scene = random_scene(12, seed=21)
-    energies, vectors = np.linalg.eigh(scene.hamiltonian)
-    line = np.abs(vectors.conj().T @ scene.dipole @ scene.ground_state) ** 2
-    for omega in (0.4, 1.7, 3.1):
-        w = fourier_weights(omega, GAMMA, TAU, j_max)
-        phases = np.exp(-1j * np.outer(energies - scene.ground_energy, w.indices * TAU))
-        two_sided = complex(w.weights @ (line @ phases))
-        assert td_greens(scene, w) == pytest.approx(two_sided, rel=1e-13)
-
-
-def test_fourier_weights_beta_is_the_same_at_every_frequency():
-    # |p(j)| does not depend on omega, so neither does beta, to the last bit
-    betas = [fourier_weights(omega, GAMMA, TAU, 300).beta for omega in (0.0, 0.5, 1.7, 3.38)]
-    assert len(set(betas)) == 1
-    for omega in (0.0, 0.5, 1.7, 3.38):
-        w = fourier_weights(omega, GAMMA, TAU, 300)
-        assert w.beta == pytest.approx(float(np.sum(np.abs(w.weights))), rel=1e-15)
+    omegas = [0.4, 1.7, 3.1]
+    for omega, row in zip(omegas, scan(scene, omegas, j_max)):
+        two_sided = two_sided_td(scene, omega, j_max)
+        assert abs(two_sided.imag) <= 1e-13 * abs(two_sided)
+        assert row["sigma_td"] == pytest.approx(scale(omega) * two_sided.real, rel=1e-13, abs=0)
 
 
 def test_td_greens_converges_to_spectral_density():
     scene = random_scene(32, seed=6)
     omegas = np.linspace(0.2, 3.8, 400)
-    dens = spectral_density_grid(scene, omegas, GAMMA)
-    peak = float(omegas[np.argmax(dens)])
     j_max = math.ceil(14.0 / (GAMMA * TAU))  # e^-14 < 1e-6 tail
-    w = fourier_weights(peak, GAMMA, TAU, j_max)
-    td = td_greens(scene, w)
-    assert abs(td.imag) < 1e-12 * abs(td)  # two-sided sum is real
-    assert td.real == pytest.approx(spectral_density(scene, peak, GAMMA), rel=1e-3)
+    rows = scan(scene, omegas, j_max)
+    peak = int(np.argmax(column(rows, "sigma_exact") / omegas))
+    want = scale(omegas[peak]) * dense_density(scene, omegas[peak])
+    assert rows[peak]["sigma_td"] == pytest.approx(want, rel=1e-3, abs=0)
 
 
 def test_td_greens_two_level_peak_location():
     scene = two_level_scene(gap=2.0, coupling=1.0)
     j_max = math.ceil(14.0 / (GAMMA * TAU))
     omegas = np.linspace(1.8, 2.2, 81)
-    values = [td_greens(scene, fourier_weights(om, GAMMA, TAU, j_max)).real
-              for om in omegas]
-    assert abs(omegas[int(np.argmax(values))] - 2.0) <= GAMMA / 10
+    density = column(scan(scene, omegas, j_max), "sigma_td") / omegas
+    assert abs(omegas[int(np.argmax(density))] - 2.0) <= GAMMA / 10
 
 
 def test_td_truncation_bound_holds():
     scene = random_scene(24, seed=8)
+    far, = scan(scene, [1.5], 4000)
     for j_max in (50, 100, 200):
-        w = fourier_weights(1.5, GAMMA, TAU, j_max)
-        w_big = fourier_weights(1.5, GAMMA, TAU, 4000)
-        gap = abs(td_greens(scene, w) - td_greens(scene, w_big))
-        assert gap <= td_truncation_bound(scene, w) * (1 + 1e-9)
+        row, = scan(scene, [1.5], j_max)
+        gap = abs(row["sigma_td"] - far["sigma_td"])
+        assert gap <= scale(1.5) * td_truncation_bound(scene, j_max) * (1 + 1e-9)
 
 
 def test_dipole_excited_norm():
@@ -283,45 +305,42 @@ def test_trotter_unitary_is_strang_composition():
 
 
 def test_hadamard_single_shot_values():
+    # one outcome: the sampled column is + or - the full scale
     scene = two_level_scene(gap=2.0, coupling=1.0)
-    w = fourier_weights(2.0, GAMMA, TAU, 100)
-    est = hadamard_shot_simulator(scene, w, shots=1, seed=0, alpha=0.1)
-    scale = 0.1 * dipole_excited_norm(scene) * w.beta
-    assert est.estimate in (scale, -scale)
+    row, = scan(scene, [2.0], 100, shots=1)
+    full = scale(2.0) * norm_squared(scene) * beta(100)
+    assert row["sigma_sampled"] in (row["stderr"], -row["stderr"])
+    assert abs(row["sigma_sampled"]) == pytest.approx(full, rel=1e-12, abs=0)
 
 
 def test_hadamard_resonant_two_level_is_deterministic():
-    # all weight on one line at resonance: E[Z] = 1 exactly
+    # all weight on one line at resonance: E[Z] = 1 exactly, so every shot is +1
     scene = two_level_scene(gap=2.0, coupling=1.0)
-    w = fourier_weights(2.0, GAMMA, TAU, 300)
-    assert hadamard_exact_z(scene, w) == pytest.approx(1.0, rel=1e-12)
-    est = hadamard_shot_simulator(scene, w, shots=50, seed=1, alpha=0.1)
-    assert est.mean_z == 1.0
+    row, = scan(scene, [2.0], 300, shots=50, seed=1)
+    full = scale(2.0) * norm_squared(scene) * beta(300)
+    assert row["sigma_td"] / full == pytest.approx(1.0, rel=1e-12, abs=0)
+    assert row["sigma_sampled"] == pytest.approx(full, rel=1e-12, abs=0)
 
 
 def test_hadamard_zero_signal_concentrates():
-    # a dipole that annihilates the line weights at the probe: E[Z] ~ 0 scene
+    # far off the one line E[Z] ~ 0; seeds 0..99 from one scan of 100 copies
     scene = two_level_scene(gap=2.0, coupling=1.0)
-    w = fourier_weights(2.0 + 40 * GAMMA, GAMMA, TAU, 300)
-    exact = hadamard_exact_z(scene, w)
-    assert abs(exact) < 0.05
-    hits = 0
-    trials = 100
-    shots = 400
-    for seed in range(trials):
-        est = hadamard_shot_simulator(scene, w, shots=shots, seed=seed, alpha=0.1)
-        scale = 0.1 * dipole_excited_norm(scene) * w.beta
-        if abs(est.estimate - scale * exact) <= 3 * scale / math.sqrt(shots):
-            hits += 1
+    omega, shots = 2.0 + 40 * GAMMA, 400
+    rows = scan(scene, [omega] * 100, 300, shots=shots)
+    full = scale(omega) * norm_squared(scene) * beta(300)
+    assert abs(rows[0]["sigma_td"] / full) < 0.05
+    hits = sum(abs(row["sigma_sampled"] - row["sigma_td"]) <= 3 * full / math.sqrt(shots)
+               for row in rows)
     assert hits >= 99  # 3-sigma window
 
 
 def test_hadamard_unbiased_over_seeds():
+    # 10,000 copies of one frequency draw from seeds 0..9999 in one scan
     scene = lattice_scene(6)
-    w = fourier_weights(0.5, GAMMA, TAU, 200)
-    exact = hadamard_exact_z(scene, w)
-    means = [hadamard_shot_simulator(scene, w, shots=8, seed=s).mean_z
-             for s in range(10_000)]
+    rows = scan(scene, [0.5] * 10_000, 200, shots=8)
+    full = scale(0.5) * norm_squared(scene) * beta(200)
+    means = column(rows, "sigma_sampled") / full
+    exact = two_sided_td(scene, 0.5, 200).real / (norm_squared(scene) * beta(200))
     grand = float(np.mean(means))
     stderr = float(np.std(means, ddof=1) / math.sqrt(len(means)))
     assert abs(grand - exact) <= 3 * stderr + 1e-12
@@ -329,15 +348,15 @@ def test_hadamard_unbiased_over_seeds():
 
 def test_hadamard_deterministic_under_seed():
     scene = lattice_scene(5)
-    w = fourier_weights(0.4, GAMMA, TAU, 100)
-    a = hadamard_shot_simulator(scene, w, shots=100, seed=42)
-    b = hadamard_shot_simulator(scene, w, shots=100, seed=42)
-    assert a == b
+    omegas = np.linspace(0.1, 0.9, 5)
+    first = scan(scene, omegas, 100, shots=100, seed=42)
+    assert scan(scene, omegas, 100, shots=100, seed=42) == first
+    assert scan(scene, omegas, 100, shots=100, seed=43) != first
 
 
 def test_spectrum_rows_td_matches_per_frequency_and_double_sum():
-    # sigma_td comes from one phase sum per scan; hold it to td_greens at each
-    # frequency and to the direct double sum over final states F and steps j
+    # sigma_td comes from one phase sum per scan; hold it at each frequency to
+    # the direct double sum over final states F and steps j
     scene = random_scene(12, seed=14)
     omegas = np.linspace(0.3, 3.7, 9)
     j_max = 150
@@ -346,26 +365,28 @@ def test_spectrum_rows_td_matches_per_frequency_and_double_sum():
     line = np.abs(vectors.conj().T @ scene.dipole @ scene.ground_state) ** 2
     j = np.arange(-j_max, j_max + 1)
     for omega, row in zip(omegas, rows):
-        w = fourier_weights(omega, GAMMA, TAU, j_max)
-        scale = 4 * math.pi * omega / (3 * 137.036) * math.pi
-        direct = sum(line[f] * p * np.exp(-1j * (energies[f] - scene.ground_energy) * TAU * jj)
-                     for f in range(scene.dim) for p, jj in zip(w.weights, j))
-        assert row["sigma_td"] == pytest.approx(scale * td_greens(scene, w).real, rel=1e-13)
-        assert row["sigma_td"] == pytest.approx(scale * direct.real, rel=1e-13)
+        p = (TAU / (2 * math.pi)) * np.exp(-GAMMA * TAU * np.abs(j) + 1j * omega * TAU * j)
+        direct = sum(line[f] * pj * np.exp(-1j * (energies[f] - scene.ground_energy) * TAU * jj)
+                     for f in range(scene.dim) for pj, jj in zip(p, j))
+        assert row["sigma_td"] == pytest.approx(scale(omega) * direct.real, rel=1e-13, abs=0)
 
 
 def test_spectrum_rows_sampled_column_is_the_shot_simulator():
-    # frequency k draws through the shot simulator's sampler with seed + k
+    # frequency k draws its outcomes from default_rng(seed + k), each +1 with
+    # probability (1 + E[Z]) / 2, E[Z] = td / (N^2 beta)
     scene = lattice_scene(6)
     omegas = np.linspace(0.1, 0.9, 7)
     shots, seed = 300, 11
     rows = spectrum_rows(scene, omegas, GAMMA, TAU, 120, shots, seed)
-    norm = dipole_excited_norm(scene)
+    full_norm = norm_squared(scene) * beta(120)
     for k, (omega, row) in enumerate(zip(omegas, rows)):
-        w = fourier_weights(omega, GAMMA, TAU, 120)
-        scale = 4 * math.pi * omega / (3 * 137.036) * math.pi * w.beta * norm**2
-        est = hadamard_shot_simulator(scene, w, shots, seed + k)
-        assert row["sigma_sampled"] == scale * est.mean_z
+        exact_z = two_sided_td(scene, omega, 120).real / full_norm
+        outcomes = np.where(np.random.default_rng(seed + k).random(shots) < (1 + exact_z) / 2,
+                            1.0, -1.0)
+        assert row["sigma_sampled"] == pytest.approx(
+            scale(omega) * full_norm * float(np.mean(outcomes)), rel=1e-12, abs=0)
+        assert row["stderr"] == pytest.approx(scale(omega) * full_norm / math.sqrt(shots),
+                                              rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("j_max", [0, 7, 150])
