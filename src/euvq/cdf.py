@@ -56,13 +56,6 @@ class CdfFactorization:
     def __len__(self) -> int:
         return len(self.fragments)
 
-    def reconstruct(self, n_orbitals: int) -> np.ndarray:
-        """Assemble the rank-4 tensor sum_l U U Z U U from the emitted fragments."""
-        out = np.zeros((n_orbitals,) * 4)
-        for u, z in self.fragments:
-            out += np.einsum("pk,qk,kl,rl,sl->pqrs", u, u, z, u, u)
-        return out
-
 
 def double_factorize(tensor: TwoElectronTensor, l_max: int) -> CdfFactorization:
     """Factorize a two-electron tensor into at most ``l_max`` (U, Z) fragments.

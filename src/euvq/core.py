@@ -287,9 +287,9 @@ def read_fields(data, spec: dict, where: str) -> dict:
     ``spec`` maps each name to ``(kind, default)``, kind one of int, float,
     str, bool, dict or list. An int never takes a boolean, nor an integer
     beyond the float range; a float takes any finite number, integers
-    included and unconverted. null is accepted only where the default is
-    None; a default of REQUIRED makes the field mandatory. Errors name the
-    field and ``where``, the object it sits in.
+    included, and returns it as a float. null is accepted only where the
+    default is None; a default of REQUIRED makes the field mandatory. Errors
+    name the field and ``where``, the object it sits in.
     """
     if not isinstance(data, dict):
         raise ValidationError(f"{where} must be a JSON object")
@@ -309,7 +309,7 @@ def read_fields(data, spec: dict, where: str) -> dict:
             shown = shown if len(shown) <= 40 else shown[:37] + "..."
             raise ValidationError(
                 f"field '{name}' in {where} must be {_KIND_NAMES[kind]}, got {shown}")
-        out[name] = value
+        out[name] = float(value) if kind is float and value is not None else value
     return out
 
 

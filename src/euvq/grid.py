@@ -4,7 +4,9 @@ A periodic 1D (or small 3D) grid carries one or two electrons: ground state
 by preconditioned LOBPCG, dipole excitation by the centered position
 operator, a Gaussian energy filter (exact eigenbasis or Chebyshev
 polynomial), real-time propagation, a hard spherical continuum projector,
-and kinetic-energy histogram sampling in the momentum basis.
+and kinetic-energy histogram sampling in the momentum basis. H and the
+dipole are exchange symmetric and the two-electron ground state is the
+spatially symmetric one, so a run stays in that sector with no projector.
 
 As in the qubitized circuit, the polynomial filter and exp(-iHt) are both
 Chebyshev series in (H - mid) / half_span, with [mid - half_span,
@@ -34,14 +36,13 @@ from a 1D axis table. Potential, kinetic and dipole tables are outer sums
 over the coordinates, the radius sums x^2 over one electron's axes, and the
 "any electron outside" weight is one minus the outer product of the
 electrons' inside weights. A model builds its potential and kinetic tables
-once, when it is made.
+and the interval [mid - half_span, mid + half_span] once, when it is made.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,7 @@ FIT_NODES = 64                 # first interpolation size of the filter fit, dou
 GROUND_STATE_TOL = 1e-10       # ||H psi - E psi|| (Ha) at which the ground-state iteration stops,
 GROUND_STATE_FLOOR = 1e-15     # or at this much per Ha of spectral range, its rounding floor
 GROUND_STATE_ITERATIONS = 500  # default cap on LOBPCG iterations, one H application each
+GROUND_STATE_BAR = 1e-8        # ||H psi - E psi|| (Ha) above which ground_state raises
 BASIS_DEPENDENCE = 1e-12       # remaining norm below which a unit basis row counts as dependent
 EDGE_CELLS = 2                 # grid points next to each box face that edge_density counts
 DENSE_BLOCK = 512              # identity rows per H application in dense_hamiltonian
@@ -108,7 +110,10 @@ def _outer_sum(tables) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridModel:
-    """Periodic real-space grid with kinetic + local potential Hamiltonian."""
+    """Periodic real-space grid with kinetic + local potential Hamiltonian.
+
+    Its spectrum lies in [mid - half_span, mid + half_span], set when it is made.
+    """
 
     dims: int
     n_points: int
@@ -125,8 +130,11 @@ class GridModel:
             raise ValidationError("eta must be 1 or 2 at desk scale")
         n = self.n_points
         _check_n_points(n)
-        if self.box_length <= 0:
-            raise ValidationError("box_length must be positive")
+        if not (0 < self.spacing and self.box_length * self.box_length < math.inf):
+            # the spacing divides the momenta, and the square bounds ||D psi||^2
+            raise ValidationError(f"field 'box_length' in model must be positive, with a nonzero "
+                                  f"spacing box_length / n_points and a finite square, got "
+                                  f"{self.box_length:.3g}")
         v = np.asarray(self.potential, dtype=float)
         if v.shape != (n,):
             raise ValidationError("potential must be sampled on the 1D axis grid")
@@ -145,13 +153,21 @@ class GridModel:
         object.__setattr__(self, "_potential_table", v)
         object.__setattr__(self, "_kinetic_table", _outer_sum([self.k_axis**2 / 2.0] * coords))
         object.__setattr__(self, "_kinetic_half", self._kinetic_table[..., :n // 2 + 1])
-        if not all(np.isfinite(g).all() for g in (v, self._kinetic_table)):
-            raise ValidationError("potential and kinetic energies must be finite on the grid")
-        span = float(v.max()) + float(self._kinetic_table.max()) - float(v.min())
-        if not span * span < math.inf:
+        top_kinetic = float(self._kinetic_table.max())
+        if not top_kinetic * top_kinetic < math.inf:
+            raise ValidationError(f"field 'box_length' in model gives kinetic energies up to "
+                                  f"{top_kinetic:.3g} Ha, whose square must be finite")
+        if not np.isfinite(v).all():
+            raise ValidationError("potential energies must be finite on the grid")
+        # [lo, hi] = [min V, max V + max T] holds the spectrum of H; both Chebyshev
+        # series run in (H - mid) / half_span
+        lo, hi = float(v.min()), float(v.max()) + top_kinetic
+        if not (hi - lo) * (hi - lo) < math.inf:
             raise ValidationError(f"field 'potential' in model gives a spectral range "
-                                  f"max V + max T - min V = {span:.3g} Ha whose square "
+                                  f"max V + max T - min V = {hi - lo:.3g} Ha whose square "
                                   f"overflows")
+        object.__setattr__(self, "mid", (hi + lo) / 2.0)
+        object.__setattr__(self, "half_span", (hi - lo) / 2.0)
 
     @property
     def spacing(self) -> float:
@@ -372,41 +388,30 @@ def eigsh(apply, precondition, start: np.ndarray, upper: float, maxiter: int
         iterations += 1
 
 
-def ground_state(model: GridModel, symmetry: str = "none",
-                 maxiter: int = GROUND_STATE_ITERATIONS) -> tuple[np.ndarray, float]:
+def ground_state(model: GridModel, maxiter: int = GROUND_STATE_ITERATIONS
+                 ) -> tuple[np.ndarray, float]:
     """Lowest eigenpair of the grid Hamiltonian by preconditioned LOBPCG.
 
-    ``symmetry`` for two-electron models: "none", "symmetric", or
-    "antisymmetric" exchange sector. ``eigsh`` (Knyazev 2001) applies H
-    itself in every sector; the sector is kept by projecting the random
-    start vector and each preconditioned residual onto it. Both projections
-    are exact, and LOBPCG's x and step are combinations of those rows, so
-    they stay in the sector; the rounding-level leak in the images of H is
-    cleared by the next projection. The iteration runs in real arithmetic,
-    since H is real symmetric, preconditioned by S (T + 1 Ha)^-1 S with
-    S = (1 + V - min V)^-1/2 on the grid: symmetric and positive definite,
-    costing two elementwise products beyond the kinetic factor's transforms.
-    V is exchange symmetric, so S is too and the sector projection still
-    commutes with the preconditioner. ``maxiter`` caps the iterations, each
-    of which applies H once. The returned state is real. Raises with
-    iteration diagnostics if the residual exceeds 1e-8.
+    H and the dipole D are exchange symmetric, and the lowest two-electron
+    state is the spatially symmetric one, so the pipeline never leaves its
+    sector. The iteration runs in real arithmetic, since H is real symmetric,
+    preconditioned by S (T + 1 Ha)^-1 S with S = (1 + V - min V)^-1/2 on the
+    grid: symmetric and positive definite, costing two elementwise products
+    beyond the kinetic factor's transforms. ``maxiter`` caps the iterations,
+    each of which applies H once. The returned state is real. Raises with
+    iteration diagnostics if the residual exceeds GROUND_STATE_BAR, and
+    refuses up front a model whose energies reach so far from 0 that the
+    rounding of H psi alone, GROUND_STATE_FLOOR per Ha, would exceed it.
     """
+    reach = abs(model.mid) + model.half_span  # the largest |E| in [min V, max V + max T]
+    if GROUND_STATE_FLOOR * reach > GROUND_STATE_BAR:
+        raise ValidationError(
+            f"field 'potential' in model, or 'box_length' through the kinetic energy, gives "
+            f"energies up to {reach:.3g} Ha in magnitude; beyond "
+            f"{GROUND_STATE_BAR / GROUND_STATE_FLOOR:.3g} Ha rounding passes the "
+            f"ground state's {GROUND_STATE_BAR:g} Ha residual bar")
     dim = model.hilbert_dim
-    if symmetry not in ("none", "symmetric", "antisymmetric"):
-        raise ValidationError("symmetry must be none, symmetric, or antisymmetric")
-    if symmetry != "none" and model.eta != 2:
-        raise ValidationError("exchange symmetry applies to two-electron models")
-    sign = 1.0 if symmetry == "symmetric" else -1.0
-
-    def project(v):
-        """The part of ``v`` in the requested exchange sector; ``v`` itself for "none"."""
-        if symmetry == "none":
-            return v
-        psi = v.reshape(model.shape)
-        return ((psi + sign * psi.T) / 2.0).reshape(v.shape)
-
-    start = project(np.random.default_rng(12345).standard_normal(dim))
-    mid, half_span = _spectral_bounds(model)
+    start = np.random.default_rng(12345).standard_normal(dim)
     # (T + 1 Ha)^-1 inverts H - E at high momentum, where T dominates, and
     # S = (1 + V - min V)^-1/2 on both sides where V does
     inverse_kinetic = 1.0 / (model._kinetic_half + 1.0)
@@ -414,17 +419,17 @@ def ground_state(model: GridModel, symmetry: str = "none",
     scale = (1.0 + potential - float(np.min(potential))) ** -0.5
 
     def precondition(v):
-        return project(scale * model.momentum_multiply(inverse_kinetic, scale * v))
+        return scale * model.momentum_multiply(inverse_kinetic, scale * v)
 
-    _, psi, h_psi = eigsh(model.apply_hamiltonian, precondition, start, mid + half_span,
-                          maxiter)
+    _, psi, h_psi = eigsh(model.apply_hamiltonian, precondition, start,
+                          model.mid + model.half_span, maxiter)
     norm = np.linalg.norm(psi)
     psi, h_psi = psi / norm, h_psi / norm
     energy = float(psi @ h_psi)
     residual = float(np.linalg.norm(h_psi - energy * psi))
-    if residual > 1e-8:
-        raise NumericalError(
-            f"ground-state residual {residual:.2e} > 1e-8 (dim={dim}, tol={GROUND_STATE_TOL})")
+    if residual > GROUND_STATE_BAR:
+        raise NumericalError(f"ground-state residual {residual:.2e} > {GROUND_STATE_BAR:g} "
+                             f"(dim={dim}, tol={GROUND_STATE_TOL})")
     return psi, energy
 
 
@@ -460,19 +465,12 @@ def gaussian_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
         window = filt.window(energies - ground_energy)
         out = (vectors @ (window * (vectors.T @ state.reshape(-1)))).reshape(state.shape)
     else:
-        mid, half_span = _spectral_bounds(model)
+        mid, half_span = model.mid, model.half_span
         coeffs = chebyshev_fit(lambda x: filt.window(x * half_span + mid - ground_energy),
                                filt.poly_tolerance)
         out = _chebyshev_series(model.apply_hamiltonian, coeffs, state, mid, half_span)
     success = float(np.linalg.norm(out) ** 2 / norm_in**2)
     return out, success
-
-
-def _spectral_bounds(model: GridModel) -> tuple[float, float]:
-    """Centre and half-width of [min V, max V + max T], which holds the spectrum of H."""
-    lo = float(np.min(model.potential_grid()))
-    hi = float(np.max(model.potential_grid())) + float(np.max(model.kinetic_grid()))
-    return (hi + lo) / 2.0, (hi - lo) / 2.0
 
 
 def _chebyshev_series(apply, coeffs: np.ndarray, state: np.ndarray,
@@ -645,7 +643,7 @@ def evolve(model: GridModel, state: np.ndarray, t: float) -> np.ndarray:
         raise ValidationError("t must be finite")
     if t < 0:
         raise ValidationError("t must be non-negative")
-    mid, half_span = _spectral_bounds(model)
+    mid, half_span = model.mid, model.half_span
     if half_span * t == 0:  # t = 0, or so short that the series argument underflows
         return state.copy()
     if half_span * t > MAX_SERIES_ARGUMENT:
@@ -686,11 +684,11 @@ def continuum_project(model: GridModel, state: np.ndarray, r_cutoff: float
     outside" subspace; returns the projected (un-normalized) state and the
     retained norm^2 as success probability.
     """
-    if r_cutoff <= 0:
-        raise ValidationError("r_cutoff must be positive")
-    if r_cutoff > model.box_length / 2.0 * math.sqrt(model.dims):
-        warnings.warn("r_cutoff exceeds the box half-diagonal; projector is empty",
-                      stacklevel=2)
+    half_diagonal = model.box_length / 2.0 * math.sqrt(model.dims)
+    if not 0 < r_cutoff <= half_diagonal:
+        raise ValidationError(f"field 'r_cutoff' must be positive and within the box "
+                              f"half-diagonal {half_diagonal:.3g} Bohr, beyond which no grid "
+                              f"point lies, got {r_cutoff:.3g}")
     outside = _radius_values_1particle(model) >= r_cutoff
     psi = state.reshape(model.shape).astype(complex)
     keep = functools.reduce(np.logical_or.outer, [outside] * model.eta)

@@ -233,17 +233,15 @@ def filter_cost(spec: PlaneWaveSpec, lam: float, c_sel: int, c_prep: int,
     * ceil(log2(1/eps)). Body convention: lam (C_sel + C_prep + c_ref) /
     (2 sqrt(2 ln 2) delta) * ceil(log2(1/eps)).
     """
-    logeps = _log2_ceil_inv(spec.epsilon_be)
     if spec.filter_convention == "table":
         return math.sqrt(2.0) * math.pi * lam * (c_sel + 2 * c_prep + c_ref) \
-            / spec.delta_filter * logeps
-    return lam * (c_sel + c_prep + c_ref) / (2.0 * math.sqrt(2.0 * math.log(2.0))
-                                             * spec.delta_filter) * logeps
+            / spec.delta_filter * _log2_ceil_inv(spec.epsilon_be)
+    return filter_degree(lam, spec.delta_filter, spec.epsilon_be) * (c_sel + c_prep + c_ref)
 
 
 def filter_degree(lam: float, delta: float, epsilon: float) -> float:
-    """Polynomial degree lam / (2 sqrt(2 ln 2) delta) * log2(1/eps) of the filter."""
-    return lam / (2.0 * math.sqrt(2.0 * math.log(2.0)) * delta) * math.log2(1.0 / epsilon)
+    """Polynomial degree lam / (2 sqrt(2 ln 2) delta) * ceil(log2(1/eps)) of the filter."""
+    return lam / (2.0 * math.sqrt(2.0 * math.log(2.0)) * delta) * _log2_ceil_inv(epsilon)
 
 
 def time_evolution_cost(spec: PlaneWaveSpec, lam: float, c_sel: int, c_prep: int,

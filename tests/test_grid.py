@@ -89,17 +89,6 @@ def test_ground_state_deepening_well_lowers_energy():
     assert all(a > b for a, b in zip(energies, energies[1:]))
 
 
-def test_two_electron_ground_state_sectors():
-    m = soft_model(n=32, box=24.0, eta=2, interaction_strength=0.5)
-    psi_s, e_s = ground_state(m, symmetry="symmetric")
-    psi_a, e_a = ground_state(m, symmetry="antisymmetric")
-    grid_s = psi_s.reshape(32, 32)
-    grid_a = psi_a.reshape(32, 32)
-    np.testing.assert_allclose(grid_s, grid_s.T, atol=1e-7)
-    np.testing.assert_allclose(grid_a, -grid_a.T, atol=1e-7)
-    assert e_s < e_a  # spatially symmetric sector lies lower
-
-
 def test_apply_dipole_parity_selection_rule():
     m = soft_model(n=64, box=30.0)
     psi, _ = ground_state(m)  # even-parity bound state
@@ -378,10 +367,12 @@ def test_continuum_project_masks():
 def test_continuum_project_extremes():
     m = free_model(n=32, box=16.0)
     psi = np.full(32, 1 / math.sqrt(32), dtype=complex)
-    with pytest.warns(UserWarning):
-        out, success = continuum_project(m, psi, 100.0)
-    assert success == 0.0
-    assert np.linalg.norm(out) == 0.0
+    # no grid point lies beyond the half-diagonal, so a cutoff past it is refused
+    with pytest.raises(ValidationError, match="'r_cutoff'"):
+        continuum_project(m, psi, 100.0)
+    # at the half-diagonal itself only the corner x = -L/2 is outside
+    out, success = continuum_project(m, psi, 8.0)
+    assert success == pytest.approx(1.0 / 32, rel=1e-12)
     out, success = continuum_project(m, psi, 1e-9)
     # only the single x=0 point is bound
     assert success == pytest.approx(1.0 - 1.0 / 32, rel=1e-12)
@@ -653,63 +644,37 @@ def three_d_model(n=16):
         "potential": {"kind": "soft_coulomb", "params": {"z": 1.0, "a": 1.0}}})
 
 
-def _arpack_lowest(model, project=None):
-    """ARPACK's lowest eigenvalue of H, or of P H P for a projector P."""
+def _arpack_lowest(model):
+    """ARPACK's lowest eigenvalue of H."""
     linalg = pytest.importorskip("scipy.sparse.linalg")
-    project = project or (lambda v: v)
     op = linalg.LinearOperator((model.hilbert_dim,) * 2, dtype=float,
-                               matvec=lambda v: project(model.apply_hamiltonian(project(v))))
+                               matvec=model.apply_hamiltonian)
     return float(linalg.eigsh(op, k=1, which="SA", tol=1e-14,
-                              v0=project(np.random.default_rng(0).standard_normal(
-                                  model.hilbert_dim)))[0][0])
+                              v0=np.random.default_rng(0).standard_normal(
+                                  model.hilbert_dim))[0][0])
 
 
 @pytest.mark.parametrize("make", [two_electron_model, three_d_model], ids=["2e_64^2", "3d_16^3"])
 def test_ground_state_matches_arpack(make):
     m = make()
-    _, energy = ground_state(m)
+    psi, energy = ground_state(m)
     assert energy == pytest.approx(_arpack_lowest(m), abs=1e-12)
+    if m.eta == 2:  # with no sector projector, the lowest state is exchange symmetric
+        swapped = psi.reshape(m.shape).T.reshape(-1)
+        assert float(np.max(np.abs(psi - swapped))) <= 1e-9
 
 
-def test_ground_state_antisymmetric_sector_fine_grid():
-    m = two_electron_model()
-    psi, energy = ground_state(m, symmetry="antisymmetric")
-    swapped = psi.reshape(m.shape).T.reshape(-1)
-    assert float(np.max(np.abs(psi + swapped))) <= 1e-12
-    # H commutes with the exchange, so the sector's state is an eigenstate of H itself
-    assert float(np.linalg.norm(m.apply_hamiltonian(psi) - energy * psi)) <= 1e-8
-
-    def antisymmetrize(v):
-        return (v - v.reshape(m.shape).T.reshape(-1)) / 2.0
-
-    # the sector's ground energy is negative, below the zeros P H P has off the sector
-    assert energy == pytest.approx(_arpack_lowest(m, antisymmetrize), abs=1e-12)
-    assert energy > ground_state(m)[1]
-
-
-@pytest.mark.parametrize("make, symmetry", [
-    (two_electron_model, "none"), (lambda: soft_model(n=8192, box=80.0), "none"),
-    (two_electron_model, "symmetric"), (two_electron_model, "antisymmetric"),
-], ids=["2e_64^2", "1e_8192", "2e_64^2_symmetric", "2e_64^2_antisymmetric"])
-def test_ground_state_vector_applications(monkeypatch, make, symmetry):
+@pytest.mark.parametrize("make", [two_electron_model, lambda: soft_model(n=8192, box=80.0)],
+                         ids=["2e_64^2", "1e_8192"])
+def test_ground_state_vector_applications(monkeypatch, make):
     # LOBPCG applies H once per iteration; the filtered subspace iteration it
-    # replaced took 673 vector applications on the 2e model. H itself is
-    # applied in a sector too, where a shifted P H P + c (1 - P) took 113
-    # (symmetric) and 152 (antisymmetric). With (T + 1 Ha)^-1 alone as the
-    # preconditioner the four cases took 46, 23, 43 and 47; with the potential
-    # scaling S (T + 1 Ha)^-1 S they take 27, 26, 26 and 37
+    # replaced took 673 vector applications on the 2e model. With
+    # (T + 1 Ha)^-1 alone as the preconditioner the two cases took 46 and 23;
+    # with the potential scaling S (T + 1 Ha)^-1 S they take 27 and 26
     m = make()
     applied = _count_applications(monkeypatch)
-    ground_state(m, symmetry=symmetry)
+    ground_state(m)
     assert sum(applied) <= 60
-
-
-@pytest.mark.parametrize("symmetry, sign", [("symmetric", 1.0), ("antisymmetric", -1.0)])
-def test_ground_state_lies_exactly_in_its_sector(symmetry, sign):
-    # the projected start and residuals keep the state in its sector bit for bit
-    m = two_electron_model()
-    psi, _ = ground_state(m, symmetry=symmetry)
-    assert np.array_equal(psi, sign * psi.reshape(m.shape).T.reshape(-1))
 
 
 def test_ground_state_is_real_and_later_stages_promote():
@@ -894,7 +859,7 @@ ENGINE_MODELS = {"1e_256": lambda: soft_model(n=256, box=60.0),
 @pytest.mark.parametrize("make", ENGINE_MODELS.values(), ids=ENGINE_MODELS)
 def test_chebyshev_series_matches_dense_eigh(make, complex_state, complex_coeffs):
     m = make()
-    mid, half_span = grid._spectral_bounds(m)
+    mid, half_span = m.mid, m.half_span
     rng = np.random.default_rng(7)
     decay = np.exp(-np.arange(150) / 30.0)
     coeffs = rng.standard_normal(150) * decay

@@ -1,6 +1,7 @@
 """The CLI input boundary: mutated fixtures exit cleanly and name the bad field."""
 
 import copy
+import functools
 import json
 import math
 import tempfile
@@ -25,8 +26,11 @@ COMMANDS = {
 }
 NUMBER_ARRAYS = {"re", "im", "values"}
 DROP = object()
+# finite extremes: integers beyond int64 and far beyond, a huge float and the least float
+EXTREMES = [2**64, 10**200, 1e300, 5e-324]
 # drop, then retype to str, bool, null, list, object or a fraction, then NaN and +-inf
-MUTATIONS = [DROP, "x", True, None, [], {}, 2.5, math.nan, math.inf, -math.inf]
+MUTATIONS = [DROP, "x", True, None, [], {}, 2.5, math.nan, math.inf, -math.inf, *EXTREMES]
+CLAMP_WARNING = r"ignore:l_max=\d+ exceeds N\^2=\d+; clamping:UserWarning"  # cdf's documented clamp
 
 
 def load_fixture(name):
@@ -66,6 +70,7 @@ def run_on(command, data, *extra):
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
+@pytest.mark.filterwarnings(CLAMP_WARNING)
 def test_mutated_fixture_never_raises(name):
     base = load_fixture(name)
 
@@ -77,6 +82,19 @@ def test_mutated_fixture_never_raises(name):
         assert code in (EX_OK, EX_VALIDATION, EX_NUMERICAL, EX_USAGE)
 
     check()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+@pytest.mark.filterwarnings(CLAMP_WARNING)
+def test_finite_extremes_never_raise(name):
+    # every number field, set to each extreme; the sampled fuzz above reaches few of them
+    base = load_fixture(name)
+    for path in field_paths(base):
+        node = functools.reduce(lambda parent, key: parent[key], path, base)
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            for value in EXTREMES:
+                code = run_on(COMMANDS[name], mutate(base, path, value), "--format", "json")
+                assert code in (EX_OK, EX_VALIDATION, EX_NUMERICAL), (path, value)
 
 
 @pytest.mark.parametrize("name, path, value, field", [
@@ -91,9 +109,28 @@ def test_mutated_fixture_never_raises(name):
     ("grid_soft_coulomb_1d.json", ("smoothing",), 0.5, "smoothing"),
     ("tensor_random4.json", ("l_max",), 2.5, "l_max"),
     ("tensor_random4.json", ("comment",), "x", "comment"),
+    ("grid_soft_coulomb_1d.json", ("model", "box_length"), 5e-324, "box_length"),
+    ("grid_soft_coulomb_1d.json", ("model", "box_length"), 1e300, "box_length"),
+    ("grid_soft_coulomb_1d.json", ("r_cutoff",), 1e300, "r_cutoff"),
+    ("grid_soft_coulomb_1d.json", ("model", "potential", "params", "z"), 2**64, "potential"),
 ], ids=["n_orbitals-fractional", "n_orbitals-float", "gqsp_two_sided-str", "gamma-nan",
         "filter-no-center", "filter-empty", "potential-str", "bins-no-count",
-        "config-unknown-key", "l_max-fractional", "tensor-unknown-key"])
+        "config-unknown-key", "l_max-fractional", "tensor-unknown-key", "box_length-least",
+        "box_length-1e300", "r_cutoff-beyond-box", "z-2^64"])
 def test_bad_field_exits_2_and_is_named(capsys, name, path, value, field):
     assert run_on(COMMANDS[name], mutate(load_fixture(name), path, value)) == EX_VALIDATION
-    assert f"'{field}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err
+    assert err.count("\n") == 1  # the one error line: no traceback, no warning
+
+
+@pytest.mark.parametrize("name, path", [
+    ("scene_two_level.json", ("omega", "max")),
+    ("grid_soft_coulomb_1d.json", ("bins", "max")),
+], ids=["omega.max", "bins.max"])
+@pytest.mark.parametrize("value", [2**64, 10**200], ids=["2^64", "10^200"])
+def test_integer_beyond_int64_in_a_number_field_runs(capsys, name, path, value):
+    # a number field converts an integer to a float, so numpy never sees an object array
+    assert run_on(COMMANDS[name], mutate(load_fixture(name), path, value),
+                  "--format", "json") == EX_OK
+    assert capsys.readouterr().err == ""
