@@ -6,10 +6,6 @@ from .core import (
     NumericalError,
     PlaneWaveSpec,
     ValidationError,
-    au_to_fs,
-    ev_to_hartree,
-    fs_to_au,
-    hartree_to_ev,
 )
 
 __all__ = [
@@ -18,10 +14,6 @@ __all__ = [
     "NumericalError",
     "PlaneWaveSpec",
     "ValidationError",
-    "au_to_fs",
-    "ev_to_hartree",
-    "fs_to_au",
-    "hartree_to_ev",
 ]
 
 __version__ = "0.1.0"

@@ -49,8 +49,11 @@ def trotter_step_size(gamma: float, y3_magnitude: float) -> float:
 
 def _one_minus_decay(tau: float, gamma: float) -> float:
     """1 - r for r = exp(-gamma tau), from expm1 so that it stays accurate as gamma tau -> 0."""
-    if tau <= 0 or gamma <= 0 or gamma * tau == 0:
-        raise ValidationError(f"beta diverges unless gamma * tau > 0, got gamma = {gamma:g} "
+    for name, value in (("tau", tau), ("gamma", gamma)):
+        if not value > 0:
+            raise ValidationError(f"field '{name}' must be positive, got {value:g}")
+    if gamma * tau == 0:
+        raise ValidationError(f"beta diverges unless 'gamma' * 'tau' > 0, got gamma = {gamma:g} "
                               f"and tau = {tau:g}")
     return -math.expm1(-gamma * tau)
 
@@ -64,8 +67,9 @@ def beta_bound(tau: float, gamma: float, j_max: int) -> float:
     """
     one_minus_r = _one_minus_decay(tau, gamma)
     if j_max < 0:
-        raise ValidationError("j_max must be non-negative")
-    one_minus_power = -math.expm1(-gamma * tau * j_max)
+        raise ValidationError(f"field 'j_max' must be non-negative, got {j_max}")
+    # j_max = 0 sums no r^j, even where gamma * tau overflows and inf * 0 would give NaN
+    one_minus_power = -math.expm1(-gamma * tau * j_max) if j_max else 0.0
     r = math.exp(-gamma * tau)
     return (tau / (2.0 * math.pi)) * (1.0 + 2.0 * r * one_minus_power / one_minus_r)
 

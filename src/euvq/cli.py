@@ -154,12 +154,17 @@ def run_emulate_photoemission(data, seed: int) -> Output:
         "shots": (int, 0),
     }, "emulate-photoemission config")
     model = grid.GridModel.from_config(cfg["model"])
+    grid.check_energy_reach(model)
+    grid.check_time(model, cfg["time"])
+    grid.check_r_cutoff(model, cfg["r_cutoff"])
     filt = None if cfg["filter"] is None else read_dataclass(grid.FilterSpec, cfg["filter"])
     bins = read_fields(cfg["bins"], {"max": (float, REQUIRED), "count": (int, REQUIRED)}, "bins")
-    if not bins["max"] > 0:
-        raise ValidationError("bins.max must be positive")
     if not 1 <= bins["count"] <= MAX_BIN_COUNT:
         raise ValidationError(f"bins.count must be from 1 to 2^20 = {MAX_BIN_COUNT}")
+    edges = np.linspace(0.0, bins["max"], bins["count"] + 1)
+    if not np.all(np.diff(edges) > 0):
+        raise ValidationError(f"field 'max' in bins must be positive and split into "
+                              f"{bins['count']} increasing bin edges, got {bins['max']:g}")
     if not 0 <= cfg["shots"] <= MAX_SHOTS:
         raise ValidationError(f"shots must be from 0 to {MAX_SHOTS}")
 
@@ -181,10 +186,9 @@ def run_emulate_photoemission(data, seed: int) -> Output:
     if leakage > 1e-6:
         raise NumericalError(
             f"edge density {leakage:.2e} > 1e-6: wavefunction reached the box "
-            "boundary (periodic wrap-around); enlarge the box or shorten t")
+            "boundary (periodic wrap-around); enlarge 'box_length' or shorten 'time'")
     projected, p_c = grid.continuum_project(model, psi, cfg["r_cutoff"])
     logger.info("continuum success probability %.3e", p_c)
-    edges = np.linspace(0.0, bins["max"], bins["count"] + 1)
     hist = grid.kinetic_histogram(model, projected, edges, shots=cfg["shots"], seed=seed)
     mass = hist.sampled_mass if hist.sampled_mass is not None else hist.mass
     err = hist.stderr if hist.stderr is not None else np.zeros_like(mass)

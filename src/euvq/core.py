@@ -1,10 +1,11 @@
-"""Shared domain types, physical constants, unit conversions, and the input reader.
+"""Shared domain types, physical constants, and the input reader.
 
 Every JSON input field is type-checked once, by :func:`read_fields` or :func:`read_numbers`.
 
 All internal energies are in Hartree, times in atomic units, lengths in
 Bohr. Conversions to/from eV and femtoseconds happen only at input/output
-boundaries, so that no factor of 27.2 or 41.3 can hide inside a formula.
+boundaries, through ``HARTREE_PER_EV`` and ``AU_TIME_PER_FS``, so that no
+factor of 27.2 or 41.3 can hide inside a formula.
 """
 
 from __future__ import annotations
@@ -34,34 +35,6 @@ class NumericalError(RuntimeError):
 def cross_section_prefactor(omega: float) -> float:
     """4*pi*omega / (3*c), the semi-classical absorption prefactor at frequency ``omega`` (Ha)."""
     return 4.0 * math.pi * omega / (3.0 * SPEED_OF_LIGHT_AU)
-
-
-def ev_to_hartree(energy_ev: float) -> float:
-    """Convert an energy in eV to Hartree."""
-    if not math.isfinite(energy_ev):
-        raise ValidationError("energy must be finite")
-    return energy_ev * HARTREE_PER_EV
-
-
-def hartree_to_ev(energy_ha: float) -> float:
-    """Convert an energy in Hartree to eV."""
-    if not math.isfinite(energy_ha):
-        raise ValidationError("energy must be finite")
-    return energy_ha / HARTREE_PER_EV
-
-
-def fs_to_au(time_fs: float) -> float:
-    """Convert a time in femtoseconds to atomic units."""
-    if not math.isfinite(time_fs):
-        raise ValidationError("time must be finite")
-    return time_fs * AU_TIME_PER_FS
-
-
-def au_to_fs(time_au: float) -> float:
-    """Convert a time in atomic units to femtoseconds."""
-    if not math.isfinite(time_au):
-        raise ValidationError("time must be finite")
-    return time_au / AU_TIME_PER_FS
 
 
 def format_sig3(value: float) -> str:

@@ -33,9 +33,9 @@ inverse transforms carry the whole normalization.
 Layout rule: as in the first-quantized circuit, each electron has its own
 coordinate register, so there are dims * eta axes and each table is built
 from a 1D axis table. Potential, kinetic and dipole tables are outer sums
-over the coordinates, the radius sums x^2 over one electron's axes, and the
-"any electron outside" weight is one minus the outer product of the
-electrons' inside weights. A model builds its potential and kinetic tables
+over the coordinates, the radius test sums the integer offsets q^2 over one
+electron's axes, and the "any electron outside" mask is the outer OR of the
+electrons' outside masks. A model builds its potential and kinetic tables
 and the interval [mid - half_span, mid + half_span] once, when it is made.
 """
 
@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qarith
 from .core import REQUIRED, NumericalError, ValidationError, read_fields, read_numbers
 
 EVOLVE_TAIL = 1e-12            # bound on the dropped tail of the exp(-iHt) series
@@ -388,6 +389,21 @@ def eigsh(apply, precondition, start: np.ndarray, upper: float, maxiter: int
         iterations += 1
 
 
+def check_energy_reach(model: GridModel) -> None:
+    """Reject a model whose ground state no iteration can resolve, naming the field.
+
+    That is a model whose energies reach so far from 0 that the rounding of
+    H psi alone, GROUND_STATE_FLOOR per Ha, would exceed GROUND_STATE_BAR.
+    """
+    reach = abs(model.mid) + model.half_span  # the largest |E| in [min V, max V + max T]
+    if GROUND_STATE_FLOOR * reach > GROUND_STATE_BAR:
+        raise ValidationError(
+            f"field 'potential' in model, or 'box_length' through the kinetic energy, gives "
+            f"energies up to {reach:.3g} Ha in magnitude; beyond "
+            f"{GROUND_STATE_BAR / GROUND_STATE_FLOOR:.3g} Ha rounding passes the "
+            f"ground state's {GROUND_STATE_BAR:g} Ha residual bar")
+
+
 def ground_state(model: GridModel, maxiter: int = GROUND_STATE_ITERATIONS
                  ) -> tuple[np.ndarray, float]:
     """Lowest eigenpair of the grid Hamiltonian by preconditioned LOBPCG.
@@ -400,16 +416,9 @@ def ground_state(model: GridModel, maxiter: int = GROUND_STATE_ITERATIONS
     beyond the kinetic factor's transforms. ``maxiter`` caps the iterations,
     each of which applies H once. The returned state is real. Raises with
     iteration diagnostics if the residual exceeds GROUND_STATE_BAR, and
-    refuses up front a model whose energies reach so far from 0 that the
-    rounding of H psi alone, GROUND_STATE_FLOOR per Ha, would exceed it.
+    refuses up front, by :func:`check_energy_reach`, a model it cannot resolve.
     """
-    reach = abs(model.mid) + model.half_span  # the largest |E| in [min V, max V + max T]
-    if GROUND_STATE_FLOOR * reach > GROUND_STATE_BAR:
-        raise ValidationError(
-            f"field 'potential' in model, or 'box_length' through the kinetic energy, gives "
-            f"energies up to {reach:.3g} Ha in magnitude; beyond "
-            f"{GROUND_STATE_BAR / GROUND_STATE_FLOOR:.3g} Ha rounding passes the "
-            f"ground state's {GROUND_STATE_BAR:g} Ha residual bar")
+    check_energy_reach(model)
     dim = model.hilbert_dim
     start = np.random.default_rng(12345).standard_normal(dim)
     # (T + 1 Ha)^-1 inverts H - E at high momentum, where T dominates, and
@@ -630,6 +639,16 @@ def _bessel_j(n: int, a: float) -> np.ndarray:
     return relative[:n + 1] / (1.0 + 2.0 * relative[2::2].sum())
 
 
+def check_time(model: GridModel, t: float) -> None:
+    """Reject a propagation time that :func:`evolve` cannot run, naming the config field."""
+    if not 0 <= t < math.inf:
+        raise ValidationError(f"field 'time' in emulate-photoemission config must be "
+                              f"non-negative and finite, got {t:g}")
+    if model.half_span * t > MAX_SERIES_ARGUMENT:
+        raise ValidationError(f"field 'time' in emulate-photoemission config, {t:g}, needs a "
+                              f"series of degree above {MAX_SERIES_ARGUMENT:g}; shorten it")
+
+
 def evolve(model: GridModel, state: np.ndarray, t: float) -> np.ndarray:
     """Propagate by exp(-i H t) as a Chebyshev series in the rescaled Hamiltonian.
 
@@ -639,16 +658,10 @@ def evolve(model: GridModel, state: np.ndarray, t: float) -> np.ndarray:
     degree above a whose dropped tail is below EVOLVE_TAIL, so a run costs a
     little over a applications of H and its accuracy does not depend on t.
     """
-    if not math.isfinite(t):
-        raise ValidationError("t must be finite")
-    if t < 0:
-        raise ValidationError("t must be non-negative")
+    check_time(model, t)
     mid, half_span = model.mid, model.half_span
     if half_span * t == 0:  # t = 0, or so short that the series argument underflows
         return state.copy()
-    if half_span * t > MAX_SERIES_ARGUMENT:
-        raise ValidationError(
-            f"t = {t:g} needs a series of degree above {MAX_SERIES_ARGUMENT:g}; shorten t")
     bessel = jacobi_anger_bessel(half_span * t)
     # (-i)^k from a table, free of the rounding a complex power would add
     minus_i_power = np.array([1.0, -1j, -1.0, 1j])[np.arange(len(bessel)) % 4]
@@ -672,24 +685,31 @@ def edge_density(model: GridModel, state: np.ndarray) -> float:
     return float((total - psi[interior].sum()) / total)
 
 
-def _radius_values_1particle(model: GridModel) -> np.ndarray:
-    return np.sqrt(_outer_sum([model.axis**2] * model.dims))
+def check_r_cutoff(model: GridModel, r_cutoff: float) -> None:
+    """Reject a cutoff radius that :func:`continuum_project` cannot use, naming the config field."""
+    half_diagonal = model.box_length / 2.0 * math.sqrt(model.dims)
+    if not 0 < r_cutoff <= half_diagonal:
+        raise ValidationError(f"field 'r_cutoff' in emulate-photoemission config must be "
+                              f"positive and within the box half-diagonal {half_diagonal:.3g} "
+                              f"Bohr, beyond which no grid point lies, got {r_cutoff:.3g}")
 
 
 def continuum_project(model: GridModel, state: np.ndarray, r_cutoff: float
                       ) -> tuple[np.ndarray, float]:
     """Zero amplitudes where all particles lie inside the cutoff sphere.
 
-    The hard projector of the circuit's radius test: keeps the "any particle
-    outside" subspace; returns the projected (un-normalized) state and the
-    retained norm^2 as success probability.
+    The hard projector of the circuit's radius test: a particle at integer
+    offsets q = index - N/2 is outside when sum q^2 exceeds
+    :func:`euvq.qarith.radius_threshold`, so a particle on the sphere is
+    outside. Keeps the "any particle outside" subspace; returns the
+    projected (un-normalized) state and the retained norm^2 as success
+    probability.
     """
-    half_diagonal = model.box_length / 2.0 * math.sqrt(model.dims)
-    if not 0 < r_cutoff <= half_diagonal:
-        raise ValidationError(f"field 'r_cutoff' must be positive and within the box "
-                              f"half-diagonal {half_diagonal:.3g} Bohr, beyond which no grid "
-                              f"point lies, got {r_cutoff:.3g}")
-    outside = _radius_values_1particle(model) >= r_cutoff
+    check_r_cutoff(model, r_cutoff)
+    n = model.n_points
+    offsets = np.arange(n) - n // 2
+    threshold = qarith.radius_threshold(r_cutoff, n.bit_length() - 1, model.box_length)
+    outside = _outer_sum([offsets * offsets] * model.dims) > threshold
     psi = state.reshape(model.shape).astype(complex)
     keep = functools.reduce(np.logical_or.outer, [outside] * model.eta)
     out = keep * psi

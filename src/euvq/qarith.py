@@ -109,21 +109,29 @@ def be_x_amplitude(alpha: int, width: int) -> tuple[float, float]:
 
 
 def radius_threshold(r_cutoff: float, n_bits: int, box: float) -> int:
-    """Classical constant floor((R_c * 2^n / L)^2) for the sphere test."""
+    """Classical constant of the sphere test: the largest integer below (R_c 2^n / L)^2.
+
+    That is ceil(c) - 1 for c = (R_c 2^n / L)^2, found in integers from the
+    exact binary fractions of R_c and L, so no rounding decides a tie and
+    an underflow cannot drop the origin out of the sphere.
+    """
     if r_cutoff <= 0 or box <= 0:
         raise ValidationError("r_cutoff and box must be positive")
-    return math.floor((r_cutoff * 2**n_bits / box) ** 2)
+    (r_num, r_den), (box_num, box_den) = r_cutoff.as_integer_ratio(), box.as_integer_ratio()
+    # c = num / den with positive integers, whose largest integer below is (num - 1) // den
+    num, den = (r_num * box_den * 2**n_bits) ** 2, (r_den * box_num) ** 2
+    return (num - 1) // den
 
 
 def radius_test(q: tuple[BitRegister, BitRegister, BitRegister], r_cutoff: float,
                 box: float, ledger: ToffoliLedger | None = None) -> int:
     """Sphere-membership bit: 1 when q_x^2 + q_y^2 + q_z^2 < (R_c 2^n / L)^2.
 
-    The comparison runs against the floored squared constant, ties included,
-    which reproduces the real-valued strict inequality whenever the constant
-    is not an exact integer. Charges sum-of-squares (3n^2 - n - 1) and
-    comparator (2n + 2) Toffolis, plus the 3n(3n-3) momentum-to-position
-    transform.
+    The sum of squares is compared with :func:`radius_threshold` by <=, which
+    is the strict inequality exactly, ties with an exact-integer constant
+    included: a particle on the sphere is outside. Charges sum-of-squares
+    (3n^2 - n - 1) and comparator (2n + 2) Toffolis, plus the 3n(3n-3)
+    momentum-to-position transform.
     """
     widths = {reg.width for reg in q}
     if len(widths) != 1:

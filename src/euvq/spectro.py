@@ -18,7 +18,8 @@ G_t = sum_j p(j) exp(-i (H - E_I) tau j), with
 p(j) = (tau/2pi) exp(-gamma tau |j| + i omega tau j) for j in [-j_max, j_max],
 has a real expectation value on any state and reconstructs -Im(G)/pi, so the
 measured Hadamard-test component is the real part of <Phi| G_t / beta |Phi>
-on |Phi> = D|I> / ||D|I>||, with beta = sum_j |p(j)|.
+on |Phi> = D|I> / ||D|I>||, with beta = sum_j |p(j)| in the closed form of
+``absorption.beta_bound``.
 
 The value is real because s_-j = conj(s_j) for the phase sum
 s_j = sum_F |<F|D|I>|^2 exp(-i (E_F - E_I) tau j) and p(-j) = conj(p(j)).
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import absorption
 from .core import (MAX_SHOTS, REQUIRED, ValidationError, cross_section_prefactor, read_fields,
                    read_numbers)
 
@@ -109,18 +111,6 @@ def two_level_scene(gap: float, coupling: float = 1.0) -> SpectralScene:
     return SpectralScene(h, d, ground_state=np.array([1.0, 0.0], dtype=complex))
 
 
-def _decay(gamma: float, tau: float, j_max: int) -> tuple[np.ndarray, float]:
-    """r^j = exp(-gamma tau j) for j = 1..j_max, and beta = sum_j |p(j)|.
-
-    |p(j)| = (tau/2pi) r^|j| does not depend on omega, so neither does
-    beta = (tau/2pi) (1 + 2 sum_{j>=1} r^j): one value serves a whole scan.
-    """
-    if tau <= 0 or gamma <= 0 or j_max < 0:
-        raise ValidationError("tau, gamma must be positive and j_max >= 0")
-    decay = np.exp(-gamma * tau * np.arange(1, j_max + 1))
-    return decay, (tau / (2.0 * math.pi)) * (1.0 + 2.0 * float(np.sum(decay)))
-
-
 def _lorentzian_sum(scene: SpectralScene, omegas, gamma: float):
     """sum_F |<F|D|I>|^2 L_gamma(E_F - E_I - omega), L_gamma(x) = gamma / (x^2 + gamma^2).
 
@@ -140,7 +130,7 @@ def _phase_sum(scene: SpectralScene, tau: float, j_max: int) -> np.ndarray:
     s_-j = conj(s_j), since the weights |<F|D|I>|^2 are real. The cap
     counts the two-sided table dim * (2 j_max + 1) all the same.
     """
-    entries = scene.dim * (2 * j_max + 1)
+    entries = len(scene.excitations) * (2 * j_max + 1)
     if entries > MAX_PHASE_ENTRIES:
         raise ValidationError(
             f"j_max = {j_max} needs a phase table of dim * (2 j_max + 1) = {entries} "
@@ -148,11 +138,6 @@ def _phase_sum(scene: SpectralScene, tau: float, j_max: int) -> np.ndarray:
     # one complex table of dim * (j_max + 1) entries, exponentiated in place
     phases = np.multiply.outer(scene.excitations, -1j * (np.arange(j_max + 1) * tau))
     return scene.line_weights @ np.exp(phases, out=phases)
-
-
-def dipole_excited_norm(scene: SpectralScene) -> float:
-    """Normalization factor ||D |I>||."""
-    return float(np.linalg.norm(scene.dipole @ scene.ground_state))
 
 
 def trotter_effective_spectrum(fragments: list[np.ndarray], delta: float
@@ -266,35 +251,41 @@ def spectrum_rows(scene: SpectralScene, omegas, gamma: float, tau: float,
                   j_max: int, shots: int, seed: int) -> list[dict]:
     """Cross-section columns (exact, time-domain, sampled) per frequency.
 
-    All three columns share the (4 pi omega / 3c) * pi-scaled spectral-density
-    convention so they agree in the large-j_max, many-shot limit: sigma_exact
-    is the Lorentzian sum (the Kramers-Heisenberg form), sigma_td reads Re td,
-    whose truncation error is at most the geometric tail
-    2 N^2 (tau/2pi) r^(j_max+1) / (1 - r) with N = ||D|I>||, and sigma_sampled
-    is N^2 beta times the mean of ``shots`` outcomes Z = +-1, each +1 with
-    probability (1 + E[Z]) / 2 for E[Z] = td / (N^2 beta). The
-    frequency-independent half-sided phase sum, its folds 2 r^j Re s_j and
-    2 r^j Im s_j, and beta are formed once. Each block of frequencies then
-    costs one cosine and one sine table over j and one Lorentzian table over
-    the final states for the exact column, each of at most SCAN_BLOCK_ENTRIES
-    entries where one frequency's row fits. A frequency's time-domain
-    value gives both sigma_td and the E[Z] that frequency k draws its shots
-    from, with seed ``seed + k``. Each table row is summed on its own, not by
-    a matrix-vector product whose rounding can depend on the number of rows,
-    so the rows do not depend on how the scan is split into blocks.
+    ``scene`` is read only through its spectral measure, the excitations
+    E_F - E_I and line weights |<F|D|I>|^2, so any object holding those two
+    arrays serves. All three columns share the (4 pi omega / 3c) * pi-scaled
+    spectral-density convention so they agree in the large-j_max, many-shot
+    limit: sigma_exact is the Lorentzian sum (the Kramers-Heisenberg form),
+    sigma_td reads Re td, whose truncation error is at most the geometric
+    tail 2 N^2 (tau/2pi) r^(j_max+1) / (1 - r), and sigma_sampled is N^2 beta
+    times the mean of ``shots`` outcomes Z = +-1, each +1 with probability
+    (1 + E[Z]) / 2 for E[Z] = td / (N^2 beta). Here N^2 = ||D|I>||^2 is the
+    sum of the line weights (the eigenbasis is complete), and beta is the
+    estimator's :func:`euvq.absorption.beta_bound`; neither depends on omega.
+    The frequency-independent half-sided phase sum, its folds 2 r^j Re s_j
+    and 2 r^j Im s_j, N^2 and beta are formed once. Each block of
+    frequencies then costs one cosine and one sine table over j and one
+    Lorentzian table over the final states for the exact column, each of at
+    most SCAN_BLOCK_ENTRIES entries where one frequency's row fits. A
+    frequency's time-domain value gives both sigma_td and the E[Z] that
+    frequency k draws its shots from, with seed ``seed + k``. Each table row
+    is summed on its own, not by a matrix-vector product whose rounding can
+    depend on the number of rows, so the rows do not depend on how the scan
+    is split into blocks.
     Raises ValidationError if gamma and tau leave any value non-finite.
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValidationError(f"shots must be from 1 to 2^24 = {MAX_SHOTS}, got {shots}")
+    beta = absorption.beta_bound(tau, gamma, j_max)
     omegas = np.asarray(omegas, dtype=float)
-    block = max(1, SCAN_BLOCK_ENTRIES // max(j_max, scene.dim))
+    block = max(1, SCAN_BLOCK_ENTRIES // max(j_max, len(scene.excitations)))
     rows = []
     with np.errstate(all="ignore"):  # a non-finite row is rejected below
         half = _phase_sum(scene, tau, j_max)
-        decay, beta = _decay(gamma, tau, j_max)
+        decay = np.exp(-gamma * tau * np.arange(1, j_max + 1))  # r^j for j = 1..j_max
         fold_re, fold_im = 2.0 * decay * half[1:].real, 2.0 * decay * half[1:].imag
         steps = np.arange(1.0, j_max + 1)
-        norm = dipole_excited_norm(scene)
+        norm2 = float(scene.line_weights.sum())
         for start in range(0, len(omegas), block):
             chunk = omegas[start:start + block]
             angles = np.multiply.outer(chunk * tau, steps)
@@ -305,10 +296,10 @@ def spectrum_rows(scene: SpectralScene, omegas, gamma: float, tau: float,
             exacts = _lorentzian_sum(scene, chunk, gamma)
             for k, (omega, td, exact) in enumerate(zip(chunk, tds, exacts), start):
                 prefactor = cross_section_prefactor(omega)
-                exact_z = td / (norm**2 * beta) if norm else 0.0
+                exact_z = td / (norm2 * beta) if norm2 else 0.0
                 draws = np.random.default_rng(seed + k).random(shots)
                 plus = np.count_nonzero(draws < (1.0 + exact_z) / 2.0)  # Z = +1 outcomes
-                scale = prefactor * math.pi * beta * norm**2
+                scale = prefactor * math.pi * beta * norm2
                 # (2 plus - shots) / shots is the mean of the +-1 outcomes, exactly
                 row = {
                     "omega_Ha": float(omega),

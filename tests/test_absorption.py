@@ -15,12 +15,12 @@ from euvq.absorption import (
     shot_count,
     trotter_step_size,
 )
-from euvq.core import (EUV_OMEGA_HA, AbsorptionSpec, ValidationError, cross_section_prefactor,
-                       ev_to_hartree)
+from euvq.core import (EUV_OMEGA_HA, HARTREE_PER_EV, AbsorptionSpec, ValidationError,
+                       cross_section_prefactor)
 
 
 def table1_spec(n, **overrides):
-    base = dict(n_orbitals=n, l_fragments=n, gamma=ev_to_hartree(1.0),
+    base = dict(n_orbitals=n, l_fragments=n, gamma=HARTREE_PER_EV,
                 spectral_norm=4.0, j_max=200, tau=math.pi / 8, y3_magnitude=10.0,
                 dipole_norm=6.25, epsilon=0.1, rot_bits=18,
                 shot_alpha=0.10, shot_beta=4.7)
@@ -48,7 +48,7 @@ def test_fragment_cost_substitution(n, c_rot, unitary, zmatr):
 
 
 def test_trotter_step_size():
-    assert trotter_step_size(ev_to_hartree(1.0), 10.0) == pytest.approx(0.0606, abs=2e-4)
+    assert trotter_step_size(HARTREE_PER_EV, 10.0) == pytest.approx(0.0606, abs=2e-4)
     assert trotter_step_size(0.5, 0.5) == 1.0
     assert trotter_step_size(0.0676, 1.0) == pytest.approx(0.260, abs=1e-3)
 
@@ -101,6 +101,12 @@ def test_beta_truncation_gap():
     r = math.exp(-gamma * tau)
     gap = beta_limit(tau, gamma) - beta_bound(tau, gamma, j_max)
     assert 0 <= gap <= 2 * r ** (j_max + 1) * (tau / (2 * math.pi)) / (1 - r) * (1 + 1e-9)
+
+
+def test_beta_of_no_steps_is_the_zero_term():
+    # j_max = 0 keeps p(0) alone, also where gamma * tau overflows to inf
+    assert beta_bound(1e300, 1e300, 0) == 1e300 / (2.0 * math.pi)
+    assert beta_bound(0.3, 0.2, 0) == 0.3 / (2.0 * math.pi)
 
 
 def test_beta_requires_positive_decay():

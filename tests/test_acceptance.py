@@ -314,7 +314,7 @@ def test_c09_shot_noise_contract():
     scene = spectro.two_level_scene(gap=2.0, coupling=1.0)
     # probe half a linewidth off resonance: strong but nontrivial signal
     omega = 2.0 + gamma / 2
-    norm = spectro.dipole_excited_norm(scene)
+    norm = float(np.linalg.norm(scene.dipole @ scene.ground_state))  # N = ||D|I>||
     alpha = 4 * math.pi * omega / (3 * 137.036) * math.pi * norm
     beta = absorption.beta_bound(tau, gamma, j_max)
     epsilon = 0.02

@@ -1,4 +1,4 @@
-"""Unit conversions, constants, and report invariants."""
+"""Constants, report invariants and the input reader."""
 
 import math
 
@@ -12,35 +12,11 @@ from euvq.core import (
     AbsorptionSpec,
     CostReport,
     ValidationError,
-    au_to_fs,
-    ev_to_hartree,
     format_sig3,
-    fs_to_au,
-    hartree_to_ev,
     read_fields,
     cross_section_prefactor,
     read_numbers,
 )
-
-
-@pytest.mark.parametrize("ev, expected", [
-    (92.0, 3.3809),       # the EUV operating point
-    (0.0, 0.0),
-    (1.84, 0.06761),      # the 2% bandwidth
-])
-def test_ev_to_hartree(ev, expected):
-    assert ev_to_hartree(ev) == pytest.approx(expected, abs=5e-5)
-
-
-@pytest.mark.parametrize("fs, expected", [(1.0, 41.3414), (0.0, 0.0), (10.0, 413.414)])
-def test_fs_to_au(fs, expected):
-    assert fs_to_au(fs) == pytest.approx(expected, rel=1e-6)
-
-
-def test_round_trip_energy_and_time():
-    for value in (1e-6, 0.0676, 3.38, 92.0, 1215.0):
-        assert hartree_to_ev(ev_to_hartree(value)) == pytest.approx(value, rel=1e-12)
-        assert au_to_fs(fs_to_au(value)) == pytest.approx(value, rel=1e-12)
 
 
 def test_constants_invariants():
@@ -97,7 +73,7 @@ def test_spec_validation_errors():
 
 
 def test_spec_round_trip():
-    spec = AbsorptionSpec(n_orbitals=22, l_fragments=22, gamma=ev_to_hartree(1.0),
+    spec = AbsorptionSpec(n_orbitals=22, l_fragments=22, gamma=HARTREE_PER_EV,
                           spectral_norm=4.0, j_max=200, tau=math.pi / 8,
                           y3_magnitude=10.0, dipole_norm=6.25, epsilon=0.1)
     assert AbsorptionSpec.from_dict(spec.to_dict()) == spec

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import correlation_identity_check
-from euvq import grid, planewave
+from euvq import grid, planewave, qarith
 from euvq.core import NumericalError, PlaneWaveSpec, ValidationError
 from euvq.grid import (
     EVOLVE_TAIL,
@@ -25,7 +25,6 @@ from euvq.grid import (
     dense_hamiltonian,
     evolve,
     gaussian_filter,
-    _radius_values_1particle,
     ground_state,
     jacobi_anger_bessel,
     kinetic_energies,
@@ -362,6 +361,21 @@ def test_continuum_project_masks():
     oracle = np.where(mask, 0.0, psi)
     np.testing.assert_allclose(out, oracle)
     assert success == pytest.approx(float(np.linalg.norm(oracle) ** 2), rel=1e-12)
+
+
+def test_continuum_project_is_the_circuit_radius_test():
+    # the bundled fixture's cutoff 10 Bohr is 32 grid steps, so x = +-10 lies on the
+    # sphere; the projector and radius_test both count it outside
+    config = json.loads(resources.files("euvq").joinpath(
+        "fixtures", "grid_soft_coulomb_1d.json").read_text())
+    m = GridModel.from_config(config["model"])
+    n_bits = m.n_points.bit_length() - 1
+    out, _ = continuum_project(m, np.ones(m.n_points), config["r_cutoff"])
+    bound = [qarith.radius_test(tuple(qarith.BitRegister.from_int(v, n_bits, signed=True)
+                                      for v in (q, 0, 0)), config["r_cutoff"], m.box_length)
+             for q in range(-m.n_points // 2, m.n_points // 2)]
+    assert np.array_equal(out != 0, np.logical_not(bound))
+    assert out[m.n_points // 2 + 32] != 0 and out[m.n_points // 2 - 32] != 0
 
 
 def test_continuum_project_extremes():
@@ -788,7 +802,6 @@ def test_tables_match_per_layout_formulas(layout):
     assert np.array_equal(m.kinetic_grid(), kinetic)
     assert np.array_equal(position_values(m), position)
     assert np.array_equal(kinetic_energies(m), one_kinetic)
-    assert np.array_equal(_radius_values_1particle(m), radius)
     rng = np.random.default_rng(21)
     psi = (rng.standard_normal(m.hilbert_dim) + 1j * rng.standard_normal(m.hilbert_dim)) / 40.0
     outside = (radius >= 3.0).astype(float)

@@ -113,15 +113,41 @@ def test_finite_extremes_never_raise(name):
     ("grid_soft_coulomb_1d.json", ("model", "box_length"), 1e300, "box_length"),
     ("grid_soft_coulomb_1d.json", ("r_cutoff",), 1e300, "r_cutoff"),
     ("grid_soft_coulomb_1d.json", ("model", "potential", "params", "z"), 2**64, "potential"),
+    ("grid_soft_coulomb_1d.json", ("time",), -1, "time"),
+    ("grid_soft_coulomb_1d.json", ("time",), 1e300, "time"),
+    ("grid_soft_coulomb_1d.json", ("r_cutoff",), -1, "r_cutoff"),
+    ("grid_soft_coulomb_1d.json", ("bins",), {"max": 5e-324, "count": 4}, "max"),
+    ("scene_two_level.json", ("gamma",), -1, "gamma"),
+    ("scene_two_level.json", ("tau",), 0, "tau"),
+    ("scene_two_level.json", ("j_max",), -1, "j_max"),
+    ("scene_two_level.json", ("tau",), 5e-324, "tau"),
 ], ids=["n_orbitals-fractional", "n_orbitals-float", "gqsp_two_sided-str", "gamma-nan",
         "filter-no-center", "filter-empty", "potential-str", "bins-no-count",
         "config-unknown-key", "l_max-fractional", "tensor-unknown-key", "box_length-least",
-        "box_length-1e300", "r_cutoff-beyond-box", "z-2^64"])
+        "box_length-1e300", "r_cutoff-beyond-box", "z-2^64", "time-negative", "time-1e300",
+        "r_cutoff-negative", "bins-collapsed", "gamma-negative", "tau-zero", "j_max-negative",
+        "gamma_tau-underflow"])
 def test_bad_field_exits_2_and_is_named(capsys, name, path, value, field):
     assert run_on(COMMANDS[name], mutate(load_fixture(name), path, value)) == EX_VALIDATION
     err = capsys.readouterr().err
     assert f"'{field}'" in err
     assert err.count("\n") == 1  # the one error line: no traceback, no warning
+
+
+@pytest.mark.parametrize("field, value", [("time", -1), ("time", 1e300), ("r_cutoff", -1),
+                                          ("r_cutoff", 1e300)])
+def test_bad_time_or_cutoff_exits_2_before_the_ground_state(monkeypatch, capsys, field, value):
+    from euvq import grid
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the ground state ran before the config was checked")
+
+    monkeypatch.setattr(grid, "ground_state", unreachable)
+    data = mutate(load_fixture("grid_soft_coulomb_1d.json"), (field,), value)
+    assert run_on("emulate-photoemission", data) == EX_VALIDATION
+    err = capsys.readouterr().err
+    assert f"'{field}' in emulate-photoemission config" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name, path", [

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from euvq.core import PlaneWaveSpec, ValidationError, fs_to_au
+from euvq.core import AU_TIME_PER_FS, PlaneWaveSpec, ValidationError
 from euvq.planewave import (
     build_budget,
     budget_from_bits,
@@ -29,7 +29,7 @@ from euvq.planewave import (
 
 def make_spec(**overrides):
     base = dict(eta=110, lambda_zeta=110.0, omega_cell=200.0**3, n_bits=15,
-                epsilon_be=8e-4, delta_filter=0.067, t_evolution=fs_to_au(1.0),
+                epsilon_be=8e-4, delta_filter=0.067, t_evolution=AU_TIME_PER_FS,
                 p_dipole=1e-3, p_window=1e-3, p_continuum=1.0, c_sp=1e9)
     base.update(overrides)
     return PlaneWaveSpec(**base)
@@ -256,7 +256,7 @@ def test_time_evolution_cost():
     spec = make_spec(n_bits=9, epsilon_be=1e-3)
     combo = 14390 + 2 * 3604 + 122
     cost = time_evolution_cost(spec, 5e7, 14390, 3604, 122)
-    degree = 2 * 5e7 * fs_to_au(1.0) + 3 * math.log2(12 / 1e-3)
+    degree = 2 * 5e7 * AU_TIME_PER_FS + 3 * math.log2(12 / 1e-3)
     assert cost == pytest.approx(degree * combo, rel=1e-12)
     # t = 0, epsilon >= 12: degree clamps to zero
     idle = PlaneWaveSpec(**{**spec.to_dict(), "t_evolution": 0.0, "epsilon_be": 12.0})
@@ -312,7 +312,7 @@ def test_photoemission_monotonicity():
     up = {
         "eta": make_spec(n_bits=9, epsilon_be=1e-6, eta=140),
         "n_bits": make_spec(n_bits=10, epsilon_be=1e-6),
-        "t": make_spec(n_bits=9, epsilon_be=1e-6, t_evolution=fs_to_au(10.0)),
+        "t": make_spec(n_bits=9, epsilon_be=1e-6, t_evolution=10.0 * AU_TIME_PER_FS),
         "lambda_zeta": make_spec(n_bits=9, epsilon_be=1e-6, lambda_zeta=140.0),
     }
     for name, spec in up.items():

@@ -89,9 +89,19 @@ def test_radius_test_exhaustive_vs_float_sphere():
                                  for v in (qx, qy, qz))
                     got = radius_test(regs, r_c, box)
                     q2 = qx**2 + qy**2 + qz**2
-                    # float oracle with strict <; ties cannot occur for
-                    # irrational scaled radii, and floor semantics otherwise
-                    assert got == int(q2 <= constant) == int(q2 < scaled or q2 == constant)
+                    # the constant is the largest integer below the scaled radius
+                    # squared, so <= on integers is the strict < (no draw is a tie)
+                    assert got == int(q2 <= constant) == int(q2 < scaled)
+
+
+def test_radius_test_exact_integer_constant_counts_the_sphere_outside():
+    # R 2^n / L = 5 * 8 / 10 = 4 exactly, so the constant is 16 and q^2 = 16 is on the sphere
+    n, box, r_c = 3, 10.0, 5.0
+    assert radius_threshold(r_c, n, box) == 15
+    on_sphere = tuple(BitRegister.from_int(v, n, signed=True) for v in (-4, 0, 0))
+    assert radius_test(on_sphere, r_c, box) == 0
+    inside = tuple(BitRegister.from_int(v, n, signed=True) for v in (3, -2, 1))  # 14
+    assert radius_test(inside, r_c, box) == 1
 
 
 def test_radius_test_ledger_counts():

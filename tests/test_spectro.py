@@ -1,6 +1,7 @@
 """Time-domain spectroscopy emulator: oracles are dense solves and closed forms."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from euvq.core import ValidationError
 from euvq.spectro import (
     SpectralScene,
     _pair_by_overlap,
-    dipole_excited_norm,
     random_scene,
     scene_from_dict,
     scene_to_dict,
@@ -103,7 +103,7 @@ def test_exact_greens_zero_dipole():
 def test_exact_greens_requires_broadening():
     scene = two_level_scene(gap=1.0)
     for gamma in (0.0, -GAMMA):
-        with pytest.raises(ValidationError, match="gamma must be positive"):
+        with pytest.raises(ValidationError, match="'gamma' must be positive"):
             scan(scene, [1.0], 10, gamma=gamma)
 
 
@@ -212,12 +212,13 @@ def test_td_truncation_bound_holds():
 
 
 def test_dipole_excited_norm():
+    # the eigenbasis is complete, so the line weights sum to ||D|I>||^2 = <I|DD|I>
     scene = random_scene(16, seed=9)
     psi = scene.ground_state
-    quad = math.sqrt(float(np.real(psi.conj() @ scene.dipole @ scene.dipole @ psi)))
-    assert dipole_excited_norm(scene) == pytest.approx(quad, rel=1e-12)
+    quad = float(np.real(psi.conj() @ scene.dipole @ scene.dipole @ psi))
+    assert scene.line_weights.sum() == pytest.approx(quad, rel=1e-12)
     identity = SpectralScene(np.diag([0.0, 1.0]), np.eye(2))
-    assert dipole_excited_norm(identity) == pytest.approx(1.0, rel=1e-12)
+    assert identity.line_weights.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_y3_zero_for_commuting_fragments():
@@ -399,6 +400,16 @@ def test_spectrum_rows_do_not_depend_on_the_block_split(monkeypatch, j_max):
     for rows_per_block in (1, 2, 3):
         monkeypatch.setattr(spectro, "SCAN_BLOCK_ENTRIES", rows_per_block * max(j_max, scene.dim))
         assert spectrum_rows(scene, omegas, GAMMA, TAU, j_max, shots=50, seed=4) == whole
+
+
+def test_spectrum_rows_read_only_the_spectral_measure():
+    # excitations and line weights alone give the scene's rows, bit for bit
+    scene = random_scene(12, seed=16)
+    measure = types.SimpleNamespace(excitations=scene.excitations,
+                                    line_weights=scene.line_weights)
+    omegas = np.linspace(0.3, 3.7, 7)
+    assert (spectrum_rows(measure, omegas, GAMMA, TAU, 90, shots=40, seed=5)
+            == spectrum_rows(scene, omegas, GAMMA, TAU, 90, shots=40, seed=5))
 
 
 def test_scene_round_trip():
