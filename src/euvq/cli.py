@@ -135,12 +135,12 @@ def run_emulate_absorption(data, seed: int) -> Output:
     scan = read_fields(cfg["omega"], {"min": (float, REQUIRED), "max": (float, REQUIRED),
                                       "points": (int, REQUIRED)}, "omega")
     if not 1 <= scan["points"] <= MAX_OMEGA_POINTS:
-        raise ValidationError(f"omega.points must be from 1 to 2^20 = {MAX_OMEGA_POINTS}")
+        raise ValidationError(f"field 'points' in omega must be from 1 to 2^20 = "
+                              f"{MAX_OMEGA_POINTS}, got {scan['points']}")
     omegas = np.linspace(scan["min"], scan["max"], scan["points"])
     rows = spectro.spectrum_rows(scene, omegas, cfg["gamma"], cfg["tau"], cfg["j_max"],
                                  cfg["shots"], seed)
-    header = ["omega_Ha", "sigma_exact", "sigma_td", "sigma_sampled", "stderr"]
-    return Output(data=rows, rows=[header, *([r[key] for key in header] for r in rows)])
+    return Output(data=rows, rows=[spectro.SPECTRUM_COLUMNS, *(list(r.values()) for r in rows)])
 
 
 def run_emulate_photoemission(data, seed: int) -> Output:
@@ -160,13 +160,15 @@ def run_emulate_photoemission(data, seed: int) -> Output:
     filt = None if cfg["filter"] is None else read_dataclass(grid.FilterSpec, cfg["filter"])
     bins = read_fields(cfg["bins"], {"max": (float, REQUIRED), "count": (int, REQUIRED)}, "bins")
     if not 1 <= bins["count"] <= MAX_BIN_COUNT:
-        raise ValidationError(f"bins.count must be from 1 to 2^20 = {MAX_BIN_COUNT}")
+        raise ValidationError(f"field 'count' in bins must be from 1 to 2^20 = "
+                              f"{MAX_BIN_COUNT}, got {bins['count']}")
     edges = np.linspace(0.0, bins["max"], bins["count"] + 1)
     if not np.all(np.diff(edges) > 0):
         raise ValidationError(f"field 'max' in bins must be positive and split into "
                               f"{bins['count']} increasing bin edges, got {bins['max']:g}")
     if not 0 <= cfg["shots"] <= MAX_SHOTS:
-        raise ValidationError(f"shots must be from 0 to {MAX_SHOTS}")
+        raise ValidationError(f"field 'shots' in emulate-photoemission config must be from 0 "
+                              f"to 2^24 = {MAX_SHOTS}, got {cfg['shots']}")
 
     psi, energy = grid.ground_state(model)
     logger.info("ground state energy %.6f Ha", energy)

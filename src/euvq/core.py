@@ -21,7 +21,7 @@ HARTREE_PER_EV = 1.0 / 27.211386
 AU_TIME_PER_FS = 41.3414
 SPEED_OF_LIGHT_AU = 137.036
 EUV_OMEGA_HA = 3.38  # 92 eV operating frequency in Hartree
-MAX_SHOTS = 2**24    # largest number of outcomes an emulator's shot draw allocates
+MAX_SHOTS = 2**24    # largest number of shots an emulator's readout takes
 
 
 class ValidationError(ValueError):

@@ -732,7 +732,9 @@ def kinetic_histogram(model: GridModel, state: np.ndarray, bins: np.ndarray,
     The exact column is the momentum-basis distribution pushed through
     ||k||^2/2 into bins, scaled by the state's norm^2 (the projector success
     probability); with ``shots`` > 0 a sampled estimate with per-bin standard
-    errors is included (eta samples per shot, one per electron register).
+    errors is included: ``np.random.default_rng(seed)`` draws the counts of all
+    joint momentum cells, Multinomial(shots, |amplitude|^2 / norm^2), and each
+    electron register's marginal of those counts is binned as the exact column.
     """
     edges = np.asarray(bins, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
@@ -747,29 +749,23 @@ def kinetic_histogram(model: GridModel, state: np.ndarray, bins: np.ndarray,
     joint = (np.abs(amps) ** 2).reshape((len(ke),) * model.eta) / norm2  # conditional
     n_bins = len(edges) - 1
 
-    def deposit(totals, energies, weights):
-        """Add ``weights`` to the bins holding ``energies``; energies past the edges drop."""
-        idx = np.searchsorted(edges, energies, side="right") - 1
-        valid = (idx >= 0) & (idx < n_bins) & (energies < edges[-1])
-        np.add.at(totals, idx[valid], np.broadcast_to(weights, energies.shape)[valid])
+    # bin of each single-particle momentum cell; energies past the edges drop
+    idx = np.searchsorted(edges, ke, side="right") - 1
+    valid = (idx >= 0) & (idx < n_bins)
 
-    # exact per-bin mass: average over particles of P(KE_i in bin)
-    exact = np.zeros(n_bins)
-    for axis in range(model.eta):
-        others = tuple(a for a in range(model.eta) if a != axis)
-        deposit(exact, ke, joint.sum(axis=others))
-    exact /= model.eta
-    mass = exact * norm2
+    def per_particle(table):
+        """Average over particles of the joint ``table``'s mass in each bin."""
+        totals = np.zeros(n_bins)
+        for axis in range(model.eta):
+            marginal = table.sum(axis=tuple(a for a in range(model.eta) if a != axis))
+            np.add.at(totals, idx[valid], marginal[valid])
+        return totals / model.eta
 
+    mass = per_particle(joint) * norm2
     sampled = stderr = None
     if shots > 0:
-        rng = np.random.default_rng(seed)
-        flat = joint.reshape(-1)
-        draws = rng.choice(len(flat), size=shots, p=flat / flat.sum())
-        counts = np.zeros(n_bins)
-        for particle in np.unravel_index(draws, joint.shape):
-            deposit(counts, ke[particle], 1.0 / model.eta)
-        freq = counts / shots
+        counts = np.random.default_rng(seed).multinomial(shots, joint.ravel() / joint.sum())
+        freq = per_particle(counts.reshape(joint.shape)) / shots
         sampled = freq * norm2
         stderr = norm2 * np.sqrt(np.maximum(freq * (1.0 - freq), 0.0) / shots)
 

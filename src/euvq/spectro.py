@@ -7,8 +7,8 @@ when it is made, and keeps the excitation energies E_F - E_I and line
 weights |<F|D|I>|^2 that every absorption quantity reads. ``spectrum_rows``
 is the one absorption path: per frequency it gives the resolvent reference,
 its truncated discrete-time Fourier reconstruction and a Hadamard-test
-estimate from simulated shots. The product-formula eigenvalue perturbation
-is emulated here as well.
+estimate from a drawn count of +1 outcomes. The product-formula eigenvalue
+perturbation is emulated here as well.
 
 The reference is -Im(G)/pi for the resolvent element
 G = <I| D (H - E_I - omega + i gamma)^-1 D |I>, the Lorentzian sum
@@ -44,6 +44,7 @@ HERMITICITY_TOL = 1e-12
 EIGENPAIR_TOL = 1e-9
 MAX_PHASE_ENTRIES = 2**24  # largest dim * (2 j_max + 1) phase table a sum over j allocates
 SCAN_BLOCK_ENTRIES = 2**14  # largest frequencies * max(j_max, dim) table of a scan block
+SPECTRUM_COLUMNS = ("omega_Ha", "sigma_exact", "sigma_td", "sigma_sampled", "stderr")
 
 
 @dataclass(frozen=True)
@@ -266,19 +267,23 @@ def spectrum_rows(scene: SpectralScene, omegas, gamma: float, tau: float,
     and 2 r^j Im s_j, N^2 and beta are formed once. Each block of
     frequencies then costs one cosine and one sine table over j and one
     Lorentzian table over the final states for the exact column, each of at
-    most SCAN_BLOCK_ENTRIES entries where one frequency's row fits. A
-    frequency's time-domain value gives both sigma_td and the E[Z] that
-    frequency k draws its shots from, with seed ``seed + k``. Each table row
-    is summed on its own, not by a matrix-vector product whose rounding can
-    depend on the number of rows, so the rows do not depend on how the scan
-    is split into blocks.
+    most SCAN_BLOCK_ENTRIES entries where one frequency's row fits. One
+    ``np.random.default_rng(seed)`` draws each frequency's count of +1
+    outcomes, Binomial(shots, (1 + E[Z]) / 2), in frequency order. Each table
+    row is summed on its own, not by a matrix-vector product whose rounding
+    can depend on the number of rows, and a block's one draw takes the stream
+    as per-frequency draws do, so the rows do not depend on the block split.
     Raises ValidationError if gamma and tau leave any value non-finite.
     """
     if not 1 <= shots <= MAX_SHOTS:
-        raise ValidationError(f"shots must be from 1 to 2^24 = {MAX_SHOTS}, got {shots}")
+        raise ValidationError(f"field 'shots' in emulate-absorption config must be from 1 "
+                              f"to 2^24 = {MAX_SHOTS}, got {shots}")
     beta = absorption.beta_bound(tau, gamma, j_max)
+    if not gamma * gamma < math.inf:
+        raise ValidationError(f"field 'gamma' must be finite when squared, got {gamma:.3g}")
     omegas = np.asarray(omegas, dtype=float)
     block = max(1, SCAN_BLOCK_ENTRIES // max(j_max, len(scene.excitations)))
+    rng = np.random.default_rng(seed)
     rows = []
     with np.errstate(all="ignore"):  # a non-finite row is rejected below
         half = _phase_sum(scene, tau, j_max)
@@ -293,24 +298,20 @@ def spectrum_rows(scene: SpectralScene, omegas, gamma: float, tau: float,
             table *= fold_re
             table -= np.multiply(np.sin(angles, out=angles), fold_im, out=angles)
             tds = (tau / (2.0 * math.pi)) * (half[0].real + table.sum(axis=1))
-            exacts = _lorentzian_sum(scene, chunk, gamma)
-            for k, (omega, td, exact) in enumerate(zip(chunk, tds, exacts), start):
-                prefactor = cross_section_prefactor(omega)
-                exact_z = td / (norm2 * beta) if norm2 else 0.0
-                draws = np.random.default_rng(seed + k).random(shots)
-                plus = np.count_nonzero(draws < (1.0 + exact_z) / 2.0)  # Z = +1 outcomes
-                scale = prefactor * math.pi * beta * norm2
-                # (2 plus - shots) / shots is the mean of the +-1 outcomes, exactly
-                row = {
-                    "omega_Ha": float(omega),
-                    "sigma_exact": float(prefactor * exact),
-                    "sigma_td": float(prefactor * math.pi * td),
-                    "sigma_sampled": float(scale * ((2 * plus - shots) / shots)),
-                    "stderr": float(scale / math.sqrt(shots)),
-                }
-                if not all(map(math.isfinite, row.values())):
-                    raise ValidationError(
-                        f"spectrum is not finite at omega = {float(omega):g} Ha: "
-                        f"gamma = {gamma:g} or tau = {tau:g} is out of range")
-                rows.append(row)
+            prefactor = cross_section_prefactor(chunk)
+            scale = prefactor * math.pi * beta * norm2
+            exact = prefactor * _lorentzian_sum(scene, chunk, gamma)
+            td = prefactor * math.pi * tds
+            stderr = scale / math.sqrt(shots)  # finite only where scale is
+            finite = np.isfinite([chunk, exact, td, stderr]).all(axis=0)
+            if not finite.all():
+                raise ValidationError(
+                    f"spectrum is not finite at omega = {chunk[np.argmin(finite)]:g} Ha: "
+                    f"gamma = {gamma:g} or tau = {tau:g} is out of range")
+            exact_z = tds / (norm2 * beta) if norm2 * beta else np.zeros_like(tds)
+            # rounding can push (1 + E[Z]) / 2 just past [0, 1], where the draw refuses it
+            plus = rng.binomial(shots, np.clip((1.0 + exact_z) / 2.0, 0.0, 1.0))
+            # (2 plus - shots) / shots is the mean of the +-1 outcomes, exactly
+            columns = [chunk, exact, td, scale * ((2 * plus - shots) / shots), stderr]
+            rows.extend(dict(zip(SPECTRUM_COLUMNS, row)) for row in np.transpose(columns).tolist())
     return rows

@@ -304,10 +304,10 @@ def test_c08_trotter_error_law():
 
 
 def test_c09_shot_noise_contract():
-    """Criterion 9: M = (alpha*N*beta/eps)^2 shots put sigma within eps >= 80/100 seeds.
+    """Criterion 9: M = (alpha*N*beta/eps)^2 shots put sigma within eps >= 80/100 copies.
 
-    One ``spectrum_rows`` scan over 100 copies of the frequency draws its shots
-    from seeds 0..99. The sampled column is alpha N beta times the mean outcome,
+    One ``spectrum_rows`` scan over 100 copies of the frequency draws their
+    outcome counts in turn from one generator. The sampled column is alpha N beta times the mean outcome,
     with alpha = (4 pi omega / 3c) pi N, and sigma_td is its expectation.
     """
     gamma, tau, j_max = 0.0676, math.pi / 8, 600
@@ -323,7 +323,7 @@ def test_c09_shot_noise_contract():
     hits = sum(abs(row["sigma_sampled"] - row["sigma_td"]) <= epsilon for row in rows)
     exact_z = rows[0]["sigma_td"] / (alpha * norm * beta)
     record("09 shot noise", hits >= 80,
-           f"{hits}/100 seeds within eps={epsilon} at M={shots} (bar 80); "
+           f"{hits}/100 copies within eps={epsilon} at M={shots} (bar 80); "
            f"E[Z]={exact_z:.3f}")
     assert hits >= 80
 

@@ -410,16 +410,16 @@ def test_estimator_output_digest(capsys, command, fixture, fmt, digest):
 
 
 # sha256 of emulate-absorption's stdout on every bundled scene at --seed 13: the
-# exact, time-domain and sampled columns, shot draws included
+# exact, time-domain and sampled columns, outcome counts included
 ABSORPTION_DIGESTS = [
     ("scene_two_level.json", "json",
-     "cf3b90a6e4b67f3a41843f2806df8092d55a057d2540d5215bc3a92a162d799b"),
+     "f887d7ae655331b8966a39d14893f404149eacfe212c4ed1683a43bb8911dff0"),
     ("scene_two_level.json", "csv",
-     "d943bb5c42ab2150b1610da471824bbe5d1902d188c696fa4933981f9871adc7"),
+     "4002fa2de5d3e8bde8c77ac6cc762df240622f144c711bc41604efee3a38b6d4"),
     ("scene_random16.json", "json",
-     "1f961f45938a301dfed962175b73c4a99595fdf6c8dc5f760d347907170495d1"),
+     "cd7e08905d49aad62afea31f38c67c5d82a8743708b6eb60a2af4bb2f7d4eb8f"),
     ("scene_random16.json", "csv",
-     "cba130d02086d16170b018e75b81945da0cf04d50147fdf8b415846bf4f78318"),
+     "9177457e920facff440aed0c257593204f6059b4ba85bb229f52d272f0210295"),
 ]
 
 
@@ -427,6 +427,42 @@ ABSORPTION_DIGESTS = [
                          ids=[f"{f[:-5]}-{fmt}" for f, fmt, _ in ABSORPTION_DIGESTS])
 def test_emulate_absorption_output_digest(capsys, fixture, fmt, digest):
     assert main(["emulate-absorption", "--input", fixture, "--format", fmt,
+                 "--seed", "13"]) == EX_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# two electrons on a 64-point line, dimension 4096, under the matrix-free filter
+TWO_ELECTRON_CONFIG = {
+    "model": {"dims": 1, "eta": 2, "n_points": 64, "box_length": 48.0,
+              "potential": {"kind": "soft_coulomb", "params": {"z": 2.0, "a": 1.0}},
+              "interaction_strength": 1.0},
+    "filter": {"center": 1.5, "sigma": 0.3, "mode": "ChebyshevPoly"},
+    "time": 1.0,
+    "r_cutoff": 6.0,
+    "bins": {"max": 3.0, "count": 24},
+    "shots": 400,
+}
+
+# sha256 of emulate-photoemission's stdout at --seed 13 on the bundled fixture and
+# on TWO_ELECTRON_CONFIG: the exact and sampled masses, outcome counts included
+PHOTOEMISSION_DIGESTS = [
+    ("grid_soft_coulomb_1d.json", "json",
+     "2da73a5df07a4f19547204d8d88351d323015f238d9a63baef37f26c6ac3e12a"),
+    ("grid_soft_coulomb_1d.json", "csv",
+     "3d71be6c5b25c4eb3d804e4ee0bbf42d497933b5e72d6b34e125d06b16f8b28f"),
+    (None, "json", "83d06c19892e95b0136c432ceb93e7a9963013b75c4514993f42e4d2a4ff092b"),
+    (None, "csv", "b07165babe351b39555758b89badabd21304b5403a7774ef15f0f486924162bb"),
+]
+
+
+@pytest.mark.parametrize("fixture, fmt, digest", PHOTOEMISSION_DIGESTS,
+                         ids=[f"{(f or 'two_electron.json')[:-5]}-{fmt}"
+                              for f, fmt, _ in PHOTOEMISSION_DIGESTS])
+def test_emulate_photoemission_output_digest(tmp_path, capsys, fixture, fmt, digest):
+    if fixture is None:
+        fixture = tmp_path / "two_electron.json"
+        fixture.write_text(json.dumps(TWO_ELECTRON_CONFIG))
+    assert main(["emulate-photoemission", "--input", str(fixture), "--format", fmt,
                  "--seed", "13"]) == EX_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -473,12 +509,12 @@ def test_non_finite_grid_energy_exit_code(tmp_path, capsys, edit):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field, edit", [
     ("j_max", lambda d: d.update(j_max=10**15)),
-    ("omega.points", lambda d: d["omega"].update(points=10**15)),
-    ("shots", lambda d: d.update(shots=10**15)),
+    ("field 'points' in omega", lambda d: d["omega"].update(points=10**15)),
+    ("field 'shots' in emulate-absorption config", lambda d: d.update(shots=10**15)),
     ("gamma", lambda d: d.update(gamma=1e-300)),
 ], ids=["j_max", "omega_points", "shots", "gamma_1e-300"])
 def test_emulate_absorption_out_of_range_exit_code(tmp_path, capsys, field, edit):
-    # oversized arrays are refused before allocation; a non-finite spectrum is refused
+    # a size past its cap is refused by name; a non-finite spectrum is refused
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(_edited("scene_two_level.json", edit)))
     assert main(["emulate-absorption", "--input", str(path), "--format", "json"]) == EX_VALIDATION
@@ -493,15 +529,15 @@ def _grid_with(**fields):
 
 
 @pytest.mark.parametrize("data, field, cap", [
-    (_grid_with(shots=10**15), "shots", "16777216"),
-    (_grid_with(bins={"max": 3.0, "count": 10**15}), "bins.count", "1048576"),
+    (_grid_with(shots=10**15), "field 'shots' in emulate-photoemission config", "16777216"),
+    (_grid_with(bins={"max": 3.0, "count": 10**15}), "field 'count' in bins", "1048576"),
     (_grid_with(filter={"center": 1.8, "sigma": 0.2, "mode": "ChebyshevPoly",
                         "poly_tolerance": 1e-300}), "field 'poly_tolerance' in FilterSpec",
      "20000"),
 ], ids=["shots", "bins_count", "poly_tolerance"])
 def test_emulate_photoemission_size_cap_exit_code(tmp_path, capsys, data, field, cap):
-    # oversized arrays, and a filter series past its degree cap, are refused
-    # before they are allocated
+    # a size past its cap, and a filter series past its degree cap, are refused
+    # by name before anything is sized by them
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(data))
     assert main(["emulate-photoemission", "--input", str(path)]) == EX_VALIDATION

@@ -458,6 +458,28 @@ def test_kinetic_histogram_sampling_variance():
     assert abs(empirical / binomial - 1.0) <= 0.20
 
 
+def test_kinetic_histogram_sampled_mass_is_one_multinomial_draw():
+    # default_rng(seed) draws the counts of all joint momentum cells at once;
+    # each particle's marginal of that count table is binned like the exact column
+    m = free_model(n=16, box=12.0, eta=2)
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    psi *= 0.8 / np.linalg.norm(psi)  # a projected state: norm^2 0.64
+    edges = np.linspace(0.0, 6.0, 9)  # the fastest momenta lie past the last edge and drop
+    shots, seed = 500, 17
+    hist = kinetic_histogram(m, psi, edges, shots=shots, seed=seed)
+    joint = np.abs(np.fft.fft2(psi.reshape(16, 16), norm="ortho")) ** 2
+    counts = np.random.default_rng(seed).multinomial(shots, (joint / joint.sum()).ravel())
+    counts = counts.reshape(16, 16)
+    expected = np.zeros(len(edges) - 1)
+    for marginal in (counts.sum(axis=1), counts.sum(axis=0)):
+        for k, count in zip(m.k_axis, marginal):
+            if k**2 / 2 < edges[-1]:
+                expected[np.searchsorted(edges, k**2 / 2, side="right") - 1] += count / 2
+    assert 0 < expected.sum() < shots
+    np.testing.assert_allclose(hist.sampled_mass, expected / shots * 0.64, rtol=1e-12, atol=0)
+
+
 def test_kinetic_histogram_rejects_zero_state():
     m = free_model(n=16)
     with pytest.raises(ValidationError):

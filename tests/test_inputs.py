@@ -121,12 +121,19 @@ def test_finite_extremes_never_raise(name):
     ("scene_two_level.json", ("tau",), 0, "tau"),
     ("scene_two_level.json", ("j_max",), -1, "j_max"),
     ("scene_two_level.json", ("tau",), 5e-324, "tau"),
+    ("scene_two_level.json", ("gamma",), 1e160, "gamma"),
+    ("scene_two_level.json", ("gamma",), 1e300, "gamma"),
+    ("scene_two_level.json", ("shots",), 0, "shots"),
+    ("grid_soft_coulomb_1d.json", ("shots",), -1, "shots"),
+    ("scene_two_level.json", ("omega", "points"), 0, "points"),
+    ("grid_soft_coulomb_1d.json", ("bins", "count"), 0, "count"),
 ], ids=["n_orbitals-fractional", "n_orbitals-float", "gqsp_two_sided-str", "gamma-nan",
         "filter-no-center", "filter-empty", "potential-str", "bins-no-count",
         "config-unknown-key", "l_max-fractional", "tensor-unknown-key", "box_length-least",
         "box_length-1e300", "r_cutoff-beyond-box", "z-2^64", "time-negative", "time-1e300",
         "r_cutoff-negative", "bins-collapsed", "gamma-negative", "tau-zero", "j_max-negative",
-        "gamma_tau-underflow"])
+        "gamma_tau-underflow", "gamma-1e160", "gamma-1e300", "absorption-shots-zero",
+        "photoemission-shots-negative", "omega-points-zero", "bins-count-zero"])
 def test_bad_field_exits_2_and_is_named(capsys, name, path, value, field):
     assert run_on(COMMANDS[name], mutate(load_fixture(name), path, value)) == EX_VALIDATION
     err = capsys.readouterr().err

@@ -324,19 +324,27 @@ def test_hadamard_resonant_two_level_is_deterministic():
 
 
 def test_hadamard_zero_signal_concentrates():
-    # far off the one line E[Z] ~ 0; seeds 0..99 from one scan of 100 copies
+    # far off the one line E[Z] ~ 0; 10,000 copies of the frequency in one scan.
+    # Each copy misses the 3-sigma window with the exact binomial probability q,
+    # so the misses are held to their expected count plus five standard deviations
     scene = two_level_scene(gap=2.0, coupling=1.0)
-    omega, shots = 2.0 + 40 * GAMMA, 400
-    rows = scan(scene, [omega] * 100, 300, shots=shots)
+    omega, shots, copies = 2.0 + 40 * GAMMA, 400, 10_000
+    rows = scan(scene, [omega] * copies, 300, shots=shots)
     full = scale(omega) * norm_squared(scene) * beta(300)
-    assert abs(rows[0]["sigma_td"] / full) < 0.05
-    hits = sum(abs(row["sigma_sampled"] - row["sigma_td"]) <= 3 * full / math.sqrt(shots)
-               for row in rows)
-    assert hits >= 99  # 3-sigma window
+    exact_z = two_sided_td(scene, omega, 300).real / (norm_squared(scene) * beta(300))
+    assert abs(exact_z) < 0.05
+    # the +1 counts k inside the window |2k/shots - 1 - E[Z]| <= 3 / sqrt(shots)
+    low = math.ceil(shots * (1 + exact_z - 3 / math.sqrt(shots)) / 2)
+    high = math.floor(shots * (1 + exact_z + 3 / math.sqrt(shots)) / 2)
+    p = (1 + exact_z) / 2
+    q = 1 - sum(math.comb(shots, k) * p**k * (1 - p) ** (shots - k) for k in range(low, high + 1))
+    misses = sum(abs(row["sigma_sampled"] - row["sigma_td"]) > 3 * full / math.sqrt(shots)
+                 for row in rows)
+    assert misses <= copies * q + 5 * math.sqrt(copies * q * (1 - q))
 
 
 def test_hadamard_unbiased_over_seeds():
-    # 10,000 copies of one frequency draw from seeds 0..9999 in one scan
+    # 10,000 copies of one frequency, drawn in turn from the scan's one generator
     scene = lattice_scene(6)
     rows = scan(scene, [0.5] * 10_000, 200, shots=8)
     full = scale(0.5) * norm_squared(scene) * beta(200)
@@ -373,19 +381,19 @@ def test_spectrum_rows_td_matches_per_frequency_and_double_sum():
 
 
 def test_spectrum_rows_sampled_column_is_the_shot_simulator():
-    # frequency k draws its outcomes from default_rng(seed + k), each +1 with
-    # probability (1 + E[Z]) / 2, E[Z] = td / (N^2 beta)
+    # one default_rng(seed) draws each frequency's count of +1 outcomes in
+    # frequency order, Binomial(shots, (1 + E[Z]) / 2), E[Z] = td / (N^2 beta)
     scene = lattice_scene(6)
     omegas = np.linspace(0.1, 0.9, 7)
     shots, seed = 300, 11
     rows = spectrum_rows(scene, omegas, GAMMA, TAU, 120, shots, seed)
     full_norm = norm_squared(scene) * beta(120)
-    for k, (omega, row) in enumerate(zip(omegas, rows)):
+    rng = np.random.default_rng(seed)
+    for omega, row in zip(omegas, rows):
         exact_z = two_sided_td(scene, omega, 120).real / full_norm
-        outcomes = np.where(np.random.default_rng(seed + k).random(shots) < (1 + exact_z) / 2,
-                            1.0, -1.0)
+        plus = int(rng.binomial(shots, (1 + exact_z) / 2))
         assert row["sigma_sampled"] == pytest.approx(
-            scale(omega) * full_norm * float(np.mean(outcomes)), rel=1e-12, abs=0)
+            scale(omega) * full_norm * (2 * plus - shots) / shots, rel=1e-12, abs=0)
         assert row["stderr"] == pytest.approx(scale(omega) * full_norm / math.sqrt(shots),
                                               rel=1e-12, abs=0)
 
