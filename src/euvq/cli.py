@@ -7,8 +7,7 @@ lines, so importing this module loads only the standard library and
 ``euvq.core``: the estimators and ``arith-verify`` do not load numpy. Exit
 codes: 0 success, 2 validation error (bad config or input file, or a result
 beyond the float range), 3 numerical failure, 64 usage error / unknown
-command. The ``EUVQ_LOG`` environment variable sets the logging level.
-Identical config and seed always produce byte-identical output.
+command. Identical config and seed always produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import logging
 import math
 import os
 import sys
@@ -26,8 +24,6 @@ from importlib import resources
 
 from .core import (MAX_SHOTS, REQUIRED, AbsorptionSpec, NumericalError, PlaneWaveSpec,
                    ValidationError, read_dataclass, read_fields, read_numbers)
-
-logger = logging.getLogger("euvq")
 
 EX_OK = 0
 EX_VALIDATION = 2
@@ -137,6 +133,9 @@ def run_emulate_absorption(data, seed: int) -> Output:
     if not 1 <= scan["points"] <= MAX_OMEGA_POINTS:
         raise ValidationError(f"field 'points' in omega must be from 1 to 2^20 = "
                               f"{MAX_OMEGA_POINTS}, got {scan['points']}")
+    if not math.isfinite(scan["max"] - scan["min"]):
+        raise ValidationError(f"fields 'min' and 'max' in omega must span a finite range, "
+                              f"got {scan['min']:g} to {scan['max']:g}")
     omegas = np.linspace(scan["min"], scan["max"], scan["points"])
     rows = spectro.spectrum_rows(scene, omegas, cfg["gamma"], cfg["tau"], cfg["j_max"],
                                  cfg["shots"], seed)
@@ -171,14 +170,13 @@ def run_emulate_photoemission(data, seed: int) -> Output:
                               f"to 2^24 = {MAX_SHOTS}, got {cfg['shots']}")
 
     psi, energy = grid.ground_state(model)
-    logger.info("ground state energy %.6f Ha", energy)
     psi, norm = grid.apply_dipole(model, psi)
     if norm == 0.0:
         raise NumericalError("dipole annihilated the ground state")
     psi = psi / norm
+    p_w = None
     if filt is not None:
         psi, p_w = grid.gaussian_filter(model, filt, psi, energy)
-        logger.info("filter success probability %.3e", p_w)
         norm = np.linalg.norm(psi)
         if norm == 0.0:
             raise NumericalError("filter annihilated the state")
@@ -189,13 +187,14 @@ def run_emulate_photoemission(data, seed: int) -> Output:
         raise NumericalError(
             f"edge density {leakage:.2e} > 1e-6: wavefunction reached the box "
             "boundary (periodic wrap-around); enlarge 'box_length' or shorten 'time'")
-    projected, p_c = grid.continuum_project(model, psi, cfg["r_cutoff"])
-    logger.info("continuum success probability %.3e", p_c)
+    projected, _ = grid.continuum_project(model, psi, cfg["r_cutoff"])
     hist = grid.kinetic_histogram(model, projected, edges, shots=cfg["shots"], seed=seed)
     mass = hist.sampled_mass if hist.sampled_mass is not None else hist.mass
     err = hist.stderr if hist.stderr is not None else np.zeros_like(mass)
     return Output(
-        data={"success_probability": hist.success_probability,
+        data={"ground_energy_Ha": energy,
+              "filter_success_probability": p_w,
+              "success_probability": hist.success_probability,
               "bin_edges": hist.bin_edges.tolist(),
               "mass": hist.mass.tolist(),
               "sampled_mass": None if hist.sampled_mass is None else hist.sampled_mass.tolist(),
@@ -333,9 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("EUVQ_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(name)s %(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     if not 0 <= args.seed < 2**64:

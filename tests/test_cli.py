@@ -444,13 +444,14 @@ TWO_ELECTRON_CONFIG = {
 }
 
 # sha256 of emulate-photoemission's stdout at --seed 13 on the bundled fixture and
-# on TWO_ELECTRON_CONFIG: the exact and sampled masses, outcome counts included
+# on TWO_ELECTRON_CONFIG: the exact and sampled masses, outcome counts included, and
+# in JSON the ground energy and the stages' success probabilities
 PHOTOEMISSION_DIGESTS = [
     ("grid_soft_coulomb_1d.json", "json",
-     "2da73a5df07a4f19547204d8d88351d323015f238d9a63baef37f26c6ac3e12a"),
+     "7a801789d71d25115f6f1791b3f569e217fc6719d5de3d235a980989527d9f99"),
     ("grid_soft_coulomb_1d.json", "csv",
      "3d71be6c5b25c4eb3d804e4ee0bbf42d497933b5e72d6b34e125d06b16f8b28f"),
-    (None, "json", "83d06c19892e95b0136c432ceb93e7a9963013b75c4514993f42e4d2a4ff092b"),
+    (None, "json", "698543b3845210c71341f12bf04d0ee3e8961bfea176dd90be7600979cf8688a"),
     (None, "csv", "b07165babe351b39555758b89badabd21304b5403a7774ef15f0f486924162bb"),
 ]
 
@@ -465,6 +466,33 @@ def test_emulate_photoemission_output_digest(tmp_path, capsys, fixture, fmt, dig
     assert main(["emulate-photoemission", "--input", str(fixture), "--format", fmt,
                  "--seed", "13"]) == EX_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("config", [
+    _fixture("grid_soft_coulomb_1d.json"),
+    TWO_ELECTRON_CONFIG,
+    {k: v for k, v in _fixture("grid_soft_coulomb_1d.json").items() if k != "filter"},
+], ids=["exact_eigen", "two_electron_chebyshev", "no_filter"])
+def test_emulate_photoemission_records_ground_energy_and_window_probability(
+        tmp_path, capsys, config):
+    # the JSON record carries the values the stages return, unrounded
+    from euvq import grid
+    from euvq.core import read_dataclass
+
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(config))
+    assert main(["emulate-photoemission", "--input", str(path), "--format", "json"]) == EX_OK
+    record = json.loads(capsys.readouterr().out)
+    model = grid.GridModel.from_config(config["model"])
+    psi, energy = grid.ground_state(model)
+    assert record["ground_energy_Ha"] == energy
+    if "filter" not in config:
+        assert record["filter_success_probability"] is None
+        return
+    dipole, norm = grid.apply_dipole(model, psi)
+    filt = read_dataclass(grid.FilterSpec, config["filter"])
+    _, p_window = grid.gaussian_filter(model, filt, dipole / norm, energy)
+    assert record["filter_success_probability"] == p_window
 
 
 def _set_model(**fields):
@@ -641,7 +669,7 @@ from euvq.cli import main
 argv = json.loads(sys.argv[1])
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(argv) if argv else 0
-probed = {"numpy", "scipy", "euvq.spectro", "euvq.grid"}
+probed = {"logging", "numpy", "scipy", "euvq.spectro", "euvq.grid"}
 print(json.dumps({"code": code, "loaded": sorted(probed & set(sys.modules))}))
 """
 
@@ -664,14 +692,15 @@ print(json.dumps({"code": code, "loaded": sorted(probed & set(sys.modules))}))
         "estimate-photoemission-n_bits7", "cdf", "arith-verify", "emulate-absorption",
         "emulate-photoemission", "emulate-photoemission-chebyshev"])
 def test_subcommand_loads_only_its_modules(tmp_path, argv, unloaded):
-    # each runner imports what it uses, so a fresh process never pays for the rest
+    # each runner imports what it uses, so a fresh process never pays for the rest;
+    # no command loads logging
     argv = _with_variant(argv, tmp_path)
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["code"] == EX_OK
-    assert not unloaded & set(result["loaded"])
+    assert not (unloaded | {"logging"}) & set(result["loaded"])
 
 
 def test_estimator_modules_load_no_numpy():

@@ -127,13 +127,15 @@ def test_finite_extremes_never_raise(name):
     ("grid_soft_coulomb_1d.json", ("shots",), -1, "shots"),
     ("scene_two_level.json", ("omega", "points"), 0, "points"),
     ("grid_soft_coulomb_1d.json", ("bins", "count"), 0, "count"),
+    ("scene_two_level.json", ("omega",), {"min": -1e308, "max": 1e308, "points": 5}, "max"),
 ], ids=["n_orbitals-fractional", "n_orbitals-float", "gqsp_two_sided-str", "gamma-nan",
         "filter-no-center", "filter-empty", "potential-str", "bins-no-count",
         "config-unknown-key", "l_max-fractional", "tensor-unknown-key", "box_length-least",
         "box_length-1e300", "r_cutoff-beyond-box", "z-2^64", "time-negative", "time-1e300",
         "r_cutoff-negative", "bins-collapsed", "gamma-negative", "tau-zero", "j_max-negative",
         "gamma_tau-underflow", "gamma-1e160", "gamma-1e300", "absorption-shots-zero",
-        "photoemission-shots-negative", "omega-points-zero", "bins-count-zero"])
+        "photoemission-shots-negative", "omega-points-zero", "bins-count-zero",
+        "omega-span-overflow"])
 def test_bad_field_exits_2_and_is_named(capsys, name, path, value, field):
     assert run_on(COMMANDS[name], mutate(load_fixture(name), path, value)) == EX_VALIDATION
     err = capsys.readouterr().err
