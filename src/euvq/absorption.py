@@ -9,7 +9,6 @@ shot count comes from the Chebyshev bound on the +-1 estimator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (EUV_OMEGA_HA, AbsorptionSpec, CostReport, ValidationError, aligned_table,
                    cross_section_prefactor, finite_ceil, format_sig3)
@@ -89,20 +88,6 @@ def shot_count(alpha: float, dipole_norm: float, beta: float, epsilon: float) ->
                               "shot count (alpha dipole_norm beta / epsilon)^2"))
 
 
-@dataclass(frozen=True)
-class AbsorptionCostBreakdown:
-    """All intermediate quantities entering an absorption cost estimate."""
-
-    c_rot: int
-    c_unitary: int
-    c_zmatr: int
-    c_trotter_step: int
-    trotter_steps_per_tau: int
-    gqsp_degree: int
-    shots: int
-    qubits: int
-
-
 def absorption_cost(spec: AbsorptionSpec) -> CostReport:
     """Assemble the full cost report for an absorption-sensitivity run.
 
@@ -110,18 +95,10 @@ def absorption_cost(spec: AbsorptionSpec) -> CostReport:
     (subdominant, configurable) state-preparation gates; qubits are 2N system
     qubits plus a fixed ancilla budget. Shots use the published operating-point
     constants when the spec pins them, otherwise alpha is computed from the
-    EUV frequency and beta from the truncated-weight one-norm.
+    EUV frequency and beta from the truncated-weight one-norm. ``details``
+    carries the rotation and fragment costs, the step count, the degree and
+    the alpha and beta used.
     """
-    details = absorption_breakdown(spec)
-    return CostReport(logical_qubits=details.qubits, shots=details.shots, breakdown=(
-        ("time-evolution (GQSP x Trotter)",
-         details.gqsp_degree * details.trotter_steps_per_tau * details.c_trotter_step),
-        ("state preparation (sum-of-Slaters)", spec.state_prep_gates),
-    ))
-
-
-def absorption_breakdown(spec: AbsorptionSpec) -> AbsorptionCostBreakdown:
-    """Compute the itemized quantities behind :func:`absorption_cost`."""
     c_rot = rotation_cost(spec.rot_bits)
     c_unitary, c_zmatr = fragment_cost(spec.n_orbitals, c_rot)
     c_trotter_step = 2 * spec.l_fragments * (c_unitary + c_zmatr)  # two first-order calls
@@ -132,15 +109,17 @@ def absorption_breakdown(spec: AbsorptionSpec) -> AbsorptionCostBreakdown:
     alpha = cross_section_prefactor(EUV_OMEGA_HA) if spec.shot_alpha is None else spec.shot_alpha
     beta = (beta_bound(spec.tau, spec.gamma, spec.j_max) if spec.shot_beta is None
             else spec.shot_beta)
-    return AbsorptionCostBreakdown(
-        c_rot=c_rot, c_unitary=c_unitary, c_zmatr=c_zmatr, c_trotter_step=c_trotter_step,
-        # a positive tau whose ratio to the step underflows to 0 still needs one step
-        trotter_steps_per_tau=max(1, finite_ceil(
-            lambda: spec.tau / delta, "Trotter step count tau / sqrt(gamma / y3_magnitude)")),
-        gqsp_degree=degree,
+    # a positive tau whose ratio to the step underflows to 0 still needs one step
+    steps = max(1, finite_ceil(lambda: spec.tau / delta,
+                               "Trotter step count tau / sqrt(gamma / y3_magnitude)"))
+    return CostReport(
+        logical_qubits=2 * spec.n_orbitals + spec.ancilla_qubits,
         shots=shot_count(alpha, spec.dipole_norm, beta, spec.epsilon),
-        qubits=2 * spec.n_orbitals + spec.ancilla_qubits,
-    )
+        breakdown=(("time-evolution (GQSP x Trotter)", degree * steps * c_trotter_step),
+                   ("state preparation (sum-of-Slaters)", spec.state_prep_gates)),
+        details=(("c_rot", c_rot), ("c_unitary", c_unitary), ("c_zmatr", c_zmatr),
+                 ("c_trotter_step", c_trotter_step), ("trotter_steps_per_tau", steps),
+                 ("gqsp_degree", degree), ("shot_alpha", alpha), ("shot_beta", beta)))
 
 
 def render_table(rows: list[tuple[AbsorptionSpec, CostReport]]) -> str:

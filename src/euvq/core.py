@@ -81,11 +81,13 @@ class CostReport:
     The gate totals are derived: ``gates_per_circuit`` is the breakdown sum and
     ``overall_gates`` is ``gates_per_circuit * shots``. Gate counts are exact
     integers where the formulas are exact and floats where they are analytic.
+    ``details`` holds, as (name, value) pairs, the intermediates the counts were built from.
     """
 
     logical_qubits: int
     shots: int
     breakdown: tuple[tuple[str, float], ...]
+    details: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
         if self.logical_qubits < 0 or self.shots < 1:
@@ -114,6 +116,7 @@ class CostReport:
             "shots": self.shots,
             "overall_gates": self.overall_gates,
             "breakdown": [[label, count] for label, count in self.breakdown],
+            "details": dict(self.details),
         }
 
 

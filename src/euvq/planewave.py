@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .core import (AU_TIME_PER_FS, CostReport, PlaneWaveSpec, ValidationError, aligned_table,
                    finite_ceil, format_sig3)
@@ -86,38 +85,6 @@ def lattice_sum_inv_norm(n_bits: int) -> float:
     return 2.0 * math.pi * (2.0**n_bits) ** 2 / 4.0
 
 
-@dataclass(frozen=True)
-class BlockEncodingBudget:
-    """Bit counts, one-norms, and per-query cost of the Hamiltonian block encoding."""
-
-    n_m: int
-    n_r: int
-    n_t: int
-    n_eta: int
-    n_eta_zeta: int
-    b_r: int
-    lambda_t_prime: float
-    lambda_u: float
-    lambda_v: float
-    lambda_total: float
-    p_nu: float
-    c_ref: int
-    toffoli_per_query: int
-    ancilla_qubits: int
-    system_qubits: int
-
-    @property
-    def total_qubits(self) -> int:
-        return self.system_qubits + self.ancilla_qubits
-
-    def __post_init__(self) -> None:
-        if self.lambda_total < max(self.lambda_t_prime, self.lambda_u, self.lambda_v) - 1e-9:
-            raise ValidationError("lambda_total below its largest component")
-        for name in ("n_m", "n_r", "n_t", "n_eta", "n_eta_zeta", "b_r"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"bit count {name} must be >= 1")
-
-
 def precision_bits(spec: PlaneWaveSpec, lam: float) -> tuple[int, int, int]:
     """Smallest (n_M, n_R, n_T) putting each error component below epsilon/3.
 
@@ -147,32 +114,21 @@ def min_superposition_correction(lambda_zeta: float) -> int:
     return best
 
 
-def build_budget(spec: PlaneWaveSpec) -> BlockEncodingBudget:
-    """Derive the full block-encoding budget for a spec."""
-    lam_t = lambda_kinetic(spec)
-    lam_u, lam_v = lambda_potentials(spec)
-    lam = lambda_total(lam_t, lam_u, lam_v, spec.p_nu, spec.eta)
-    n_m, n_r, n_t = precision_bits(spec, lam)
-    return budget_from_bits(spec, lam_t, lam_u, lam_v, lam, n_m, n_r, n_t)
+def budget_from_bits(spec: PlaneWaveSpec, n_m: int, n_r: int, n_t: int) -> dict[str, int]:
+    """Register sizes, prepare/select/reflection costs, Toffolis per query and the qubit split.
 
-
-def budget_from_bits(spec: PlaneWaveSpec, lam_t: float, lam_u: float, lam_v: float,
-                     lam: float, n_m: int, n_r: int, n_t: int) -> BlockEncodingBudget:
-    """Assemble a budget from externally fixed bit counts (published or derived)."""
+    The bit counts are fixed from outside: published, or from :func:`precision_bits`.
+    """
     n = spec.n_bits
     n_eta = max(1, math.ceil(math.log2(spec.eta)))
     n_eta_zeta = max(1, math.ceil(math.log2(spec.eta + 2 * spec.lambda_zeta)))
-    c_ref = n_eta_zeta + 2 * n_eta + 6 * n + n_m + 16
-    toffoli = theorem_query_cost(spec, n_m, n_r, n_t, n_eta, n_eta_zeta)
+    c_prep, c_sel = prep_select_costs(spec, n_m, n_r, n_t, n_eta_zeta)
     anc = n_m + 6 * n + 2 * n_eta + n_eta_zeta + max(5 * n_r - 4, 5 * n + 1) + 18
     n_ref = 3 * n * n + 4 * n_m * (n + 1) + 6 * n + 5 + max(n_t, n_r + 1)
-    system = 3 * spec.eta * n
-    return BlockEncodingBudget(
-        n_m=n_m, n_r=n_r, n_t=n_t, n_eta=n_eta, n_eta_zeta=n_eta_zeta, b_r=spec.b_r,
-        lambda_t_prime=lam_t, lambda_u=lam_u, lambda_v=lam_v, lambda_total=lam,
-        p_nu=spec.p_nu, c_ref=c_ref, toffoli_per_query=toffoli,
-        ancilla_qubits=anc + n_ref, system_qubits=system,
-    )
+    return {"n_m": n_m, "n_r": n_r, "n_t": n_t, "n_eta": n_eta, "n_eta_zeta": n_eta_zeta,
+            "c_ref": n_eta_zeta + 2 * n_eta + 6 * n + n_m + 16, "c_prep": c_prep, "c_sel": c_sel,
+            "toffoli_per_query": theorem_query_cost(spec, n_m, n_r, n_t, n_eta, n_eta_zeta),
+            "system_qubits": 3 * spec.eta * n, "ancilla_qubits": anc + n_ref}
 
 
 def prep_select_costs(spec: PlaneWaveSpec, n_m: int, n_r: int, n_t: int,
@@ -265,15 +221,17 @@ def photoemission_cost(spec: PlaneWaveSpec) -> CostReport:
     gates = (1/sqrt(P_c)) [C_bound + C_te + (1/sqrt(P_w)) (C_W +
     (1/sqrt(P_d)) (C_X + C_sp))]; shots = ceil(1/eps_sampling^2); qubits are
     the 3*eta*n system register plus block-encoding ancilla and reflection
-    workspace.
+    workspace. ``details`` carries the one-norms (Ha) and the values of
+    :func:`budget_from_bits` at the computed precision bits.
     """
-    budget = build_budget(spec)
-    c_prep, c_sel = prep_select_costs(spec, budget.n_m, budget.n_r, budget.n_t,
-                                      budget.n_eta_zeta)
-    lam = budget.lambda_total
+    lam_t = lambda_kinetic(spec)
+    lam_u, lam_v = lambda_potentials(spec)
+    lam = lambda_total(lam_t, lam_u, lam_v, spec.p_nu, spec.eta)
+    budget = budget_from_bits(spec, *precision_bits(spec, lam))
+    c_sel, c_prep, c_ref = budget["c_sel"], budget["c_prep"], budget["c_ref"]
     c_x = dipole_block_encoding_cost(spec)
-    c_w = filter_cost(spec, lam, c_sel, c_prep, budget.c_ref)
-    c_te = time_evolution_cost(spec, lam, c_sel, c_prep, budget.c_ref)
+    c_w = filter_cost(spec, lam, c_sel, c_prep, c_ref)
+    c_te = time_evolution_cost(spec, lam, c_sel, c_prep, c_ref)
     c_bound = continuum_projector_cost(spec)
 
     amp_c = 1.0 / math.sqrt(spec.p_continuum)
@@ -281,13 +239,15 @@ def photoemission_cost(spec: PlaneWaveSpec) -> CostReport:
     amp_d = 1.0 / math.sqrt(spec.p_dipole)
     shots = finite_ceil(lambda: 1.0 / spec.epsilon_sampling**2,
                         "shot count 1/epsilon_sampling^2")
-    return CostReport(logical_qubits=budget.total_qubits, shots=shots, breakdown=(
+    qubits = budget["system_qubits"] + budget["ancilla_qubits"]
+    return CostReport(logical_qubits=qubits, shots=shots, breakdown=(
         ("state prep + dipole (amplified)", amp_c * amp_w * amp_d * (c_x + spec.c_sp)),
         (f"gaussian filter QSP (amplified, {spec.filter_convention} prefactor)",
          amp_c * amp_w * c_w),
         ("time evolution QSP", amp_c * c_te),
         ("continuum projector", amp_c * float(c_bound)),
-    ))
+    ), details=(("lambda_t_prime", lam_t), ("lambda_u", lam_u), ("lambda_v", lam_v),
+                ("lambda_total", lam), *budget.items()))
 
 
 def render_table(rows: list[tuple[str, PlaneWaveSpec, CostReport]]) -> str:

@@ -92,7 +92,7 @@ def be_x_amplitude(alpha: int, width: int) -> tuple[float, float]:
     ``alpha`` may equal 2^n (full-range boundary convention).
     """
     if width > 6:
-        raise ValidationError("statevector emulation capped at width 6")
+        raise ValidationError("width capped at 6: the 2^width comparator branches are enumerated")
     if not 0 <= alpha <= 2**width:
         raise ValidationError("alpha out of range")
     size = 2**width

@@ -1,11 +1,12 @@
 """Absorption-estimator formulas against hand-substituted values and series oracles."""
 
+import json
 import math
+from importlib import resources
 
 import pytest
 
 from euvq.absorption import (
-    absorption_breakdown,
     absorption_cost,
     beta_bound,
     beta_limit,
@@ -17,6 +18,8 @@ from euvq.absorption import (
 )
 from euvq.core import (EUV_OMEGA_HA, HARTREE_PER_EV, AbsorptionSpec, ValidationError,
                        cross_section_prefactor)
+
+TABLE1 = json.loads(resources.files("euvq").joinpath("fixtures", "table1.json").read_text())
 
 
 def table1_spec(n, **overrides):
@@ -57,9 +60,10 @@ def test_trotter_steps_at_least_one():
     # tau / Delta underflows to 0 on the first Table 1 row; a positive tau still takes a step
     spec = table1_spec(22, tau=5e-324, gamma=100.0)
     assert spec.tau / trotter_step_size(spec.gamma, spec.y3_magnitude) == 0.0
-    details = absorption_breakdown(spec)
-    assert details.trotter_steps_per_tau == 1
-    assert absorption_cost(spec).gates_per_circuit == 401 * details.c_trotter_step
+    report = absorption_cost(spec)
+    details = dict(report.details)
+    assert details["trotter_steps_per_tau"] == 1
+    assert report.gates_per_circuit == 401 * details["c_trotter_step"]
 
 
 def series_beta(tau, gamma, j_max):
@@ -131,12 +135,12 @@ def test_shot_count_edges():
 
 def test_absorption_cost_n22_row():
     report = absorption_cost(table1_spec(22))
-    details = absorption_breakdown(table1_spec(22))
+    details = dict(report.details)
     assert report.logical_qubits == 148
-    assert details.trotter_steps_per_tau == 7
-    assert details.gqsp_degree == 401
-    assert details.c_trotter_step == 2 * 22 * (15488 + 15136)
-    assert report.gates_per_circuit == 401 * 7 * details.c_trotter_step
+    assert details["trotter_steps_per_tau"] == 7
+    assert details["gqsp_degree"] == 401
+    assert details["c_trotter_step"] == 2 * 22 * (15488 + 15136)
+    assert report.gates_per_circuit == 401 * 7 * details["c_trotter_step"]
     assert report.shots == 863
     assert report.overall_gates == report.gates_per_circuit * 863
     # published row: 3.94e9 gates, within the calibrated-constant tolerance
@@ -168,25 +172,53 @@ def test_monotonicity_in_drivers():
 def test_minimal_instance_floor():
     spec = table1_spec(1, l_fragments=1, j_max=0, tau=0.05, shot_alpha=1.0, shot_beta=1.0,
                        dipole_norm=1.0, epsilon=1.0)
-    details = absorption_breakdown(spec)
-    assert details.gqsp_degree == 1
-    assert details.trotter_steps_per_tau == 1
-    assert absorption_cost(spec).gates_per_circuit == details.c_trotter_step
+    report = absorption_cost(spec)
+    details = dict(report.details)
+    assert details["gqsp_degree"] == 1
+    assert details["trotter_steps_per_tau"] == 1
+    assert report.gates_per_circuit == details["c_trotter_step"]
 
 
 def test_one_sided_degree_convention():
-    two = absorption_breakdown(table1_spec(22)).gqsp_degree
-    one = absorption_breakdown(table1_spec(22, gqsp_two_sided=False)).gqsp_degree
+    two = dict(absorption_cost(table1_spec(22)).details)["gqsp_degree"]
+    one = dict(absorption_cost(table1_spec(22, gqsp_two_sided=False)).details)["gqsp_degree"]
     assert (two, one) == (401, 200)
 
 
 def test_default_alpha_beta_computed():
     spec = table1_spec(22, shot_alpha=None, shot_beta=None)
-    details = absorption_breakdown(spec)
+    report = absorption_cost(spec)
     expected_beta = beta_bound(spec.tau, spec.gamma, spec.j_max)
     expected = math.ceil(
         (cross_section_prefactor(EUV_OMEGA_HA) * 6.25 * expected_beta / 0.1) ** 2)
-    assert details.shots == expected
+    assert report.shots == expected
+    details = dict(report.details)
+    assert (details["shot_alpha"], details["shot_beta"]) == (
+        cross_section_prefactor(EUV_OMEGA_HA), expected_beta)
+
+
+@pytest.mark.parametrize("row", TABLE1["sweep"], ids=lambda row: f"n{row['n_orbitals']}")
+def test_details_recompute_every_term(row):
+    # each breakdown term, the shots and the qubits follow from the reported details
+    spec = AbsorptionSpec.from_dict(row)
+    report = absorption_cost(spec)
+    details = dict(report.details)
+    c_rot = rotation_cost(spec.rot_bits)
+    assert details["c_rot"] == c_rot
+    assert (details["c_unitary"], details["c_zmatr"]) == fragment_cost(spec.n_orbitals, c_rot)
+    assert details["c_trotter_step"] == 2 * spec.l_fragments * (details["c_unitary"]
+                                                                 + details["c_zmatr"])
+    assert details["trotter_steps_per_tau"] == math.ceil(
+        spec.tau / trotter_step_size(spec.gamma, spec.y3_magnitude))
+    assert details["gqsp_degree"] == 2 * spec.j_max + 1
+    assert report.breakdown == (
+        ("time-evolution (GQSP x Trotter)",
+         details["gqsp_degree"] * details["trotter_steps_per_tau"] * details["c_trotter_step"]),
+        ("state preparation (sum-of-Slaters)", spec.state_prep_gates))
+    assert (details["shot_alpha"], details["shot_beta"]) == (spec.shot_alpha, spec.shot_beta)
+    assert report.shots == shot_count(details["shot_alpha"], spec.dipole_norm,
+                                      details["shot_beta"], spec.epsilon)
+    assert report.logical_qubits == 2 * spec.n_orbitals + spec.ancilla_qubits
 
 
 def test_state_prep_line_in_breakdown():

@@ -380,25 +380,25 @@ ESTIMATOR_DIGESTS = [
     ("estimate-absorption", "table1.json", "csv",
      "6e312b10e6d1907c02f75e78f7fd0d0f5770d6c378b39a657df3c5caf3b317a0"),
     ("estimate-absorption", "table1.json", "json",
-     "94d77e643e276cf6c447d30087c584b0bf7621f65eca00c3b339df5720ecc6df"),
+     "a0afc73311cc51f6a579339f56134ce3010a9ae4651042bdd32a13d2565247cd"),
     ("estimate-photoemission", "corollary_imeph.json", "table",
      "96ca83dab6e91b806d4b33c3087747eb36f67a5fa8bbff7a8453db6d88a6ce7c"),
     ("estimate-photoemission", "corollary_imeph.json", "csv",
      "0585ac72665abca330f93bac508b2712149a6ae05073eeed5c372e78046125d9"),
     ("estimate-photoemission", "corollary_imeph.json", "json",
-     "7d44b3dd941c35671b9d996c03967ad2835b2426c58562cbc7fcca6312fd921a"),
+     "cf3cdefa1a381bb05eded1cc0b66795fe680d315810628f399b4aff87bb94e44"),
     ("estimate-photoemission", "table2_ae.json", "table",
      "fa52c816595c43a44ab32bb93899e2ad6108df7d2ee20e898b278708310419ae"),
     ("estimate-photoemission", "table2_ae.json", "csv",
      "df86a22fb89ff0e8ec6d75a0cfb728fec2ec6398cd32696633057aef08e9e1f9"),
     ("estimate-photoemission", "table2_ae.json", "json",
-     "2101bcee9ebdd0bf8d984bd5757ab91f5e654c3071915c4f050170efe02e1721"),
+     "8f82268d0090532a4dd30fd8fde1b05b8053f597c19a3065d23341d6de7037a4"),
     ("estimate-photoemission", "table2_pp.json", "table",
      "0d29728021c69880c70b1938e47accb19242ba50ab24c1b9066b56e03df06e0e"),
     ("estimate-photoemission", "table2_pp.json", "csv",
      "f64a40ca724c0a85aac0a74e8bce2280a868082d02904df8f1f3b245e89f91dc"),
     ("estimate-photoemission", "table2_pp.json", "json",
-     "577c12242cca017a4765cf64ad280e4ece2a6a2fc412b6bc5f15876077a7a400"),
+     "1521e3566b3c20858ca4d25a5ee106cc274ec9196a6a7381d37b9f03f63fcf9f"),
 ]
 
 

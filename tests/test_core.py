@@ -31,6 +31,10 @@ def test_cost_report_consistency():
     report = CostReport(logical_qubits=10, shots=3, breakdown=(("a", 5), ("b", 7)))
     assert report.gates_per_circuit == 12
     assert report.overall_gates == 36
+    assert report.to_dict()["details"] == {}
+    detailed = CostReport(logical_qubits=10, shots=3, breakdown=(("a", 5),),
+                          details=(("n", 2), ("lam", 0.5)))
+    assert detailed.to_dict()["details"] == {"n": 2, "lam": 0.5}
     with pytest.raises(ValidationError, match="'a' must be non-negative"):
         CostReport(logical_qubits=1, shots=2, breakdown=(("a", -1), ("b", 6)))
     with pytest.raises(ValidationError, match="shots >= 1"):

@@ -86,8 +86,9 @@ def test_mutated_fixture_never_raises(name):
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 @pytest.mark.filterwarnings(CLAMP_WARNING)
-def test_finite_extremes_never_raise(name):
-    # every number field, set to each extreme; the sampled fuzz above reaches few of them
+def test_finite_extremes_never_raise(name, capsys):
+    # every number field, set to each extreme; the sampled fuzz above reaches few of them.
+    # A run that exits 0 prints strict JSON: no NaN or Infinity in any value
     base = load_fixture(name)
     for path in field_paths(base):
         node = functools.reduce(lambda parent, key: parent[key], path, base)
@@ -95,6 +96,13 @@ def test_finite_extremes_never_raise(name):
             for value in EXTREMES:
                 code = run_on(COMMANDS[name], mutate(base, path, value), "--format", "json")
                 assert code in (EX_OK, EX_VALIDATION, EX_NUMERICAL), (path, value)
+                out = capsys.readouterr().out
+                if code == EX_OK:
+                    json.loads(out, parse_constant=functools.partial(_non_finite, path, value))
+
+
+def _non_finite(path, value, constant):
+    raise AssertionError(f"{path} = {value} printed {constant} at exit 0")
 
 
 @pytest.mark.parametrize("name, path, value, field", [

@@ -1,13 +1,14 @@
 """Plane-wave cost formulas: hand substitutions, published anchors, scalings."""
 
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from euvq.core import AU_TIME_PER_FS, PlaneWaveSpec, ValidationError
 from euvq.planewave import (
-    build_budget,
     budget_from_bits,
     continuum_projector_cost,
     dipole_block_encoding_cost,
@@ -25,6 +26,20 @@ from euvq.planewave import (
     theorem_query_cost,
     time_evolution_cost,
 )
+
+
+def fixture_rows(*names):
+    """(id, spec) for every row of the bundled plane-wave fixtures ``names``."""
+    rows = []
+    for name in names:
+        data = json.loads(resources.files("euvq").joinpath("fixtures", name).read_text())
+        entries = data.get("sweep", [data])
+        rows += [pytest.param(PlaneWaveSpec.from_dict(entry), id=f"{name[:-5]}-{i}")
+                 for i, entry in enumerate(entries)]
+    return rows
+
+
+FIXTURE_ROWS = fixture_rows("table2_ae.json", "table2_pp.json", "corollary_imeph.json")
 
 
 def make_spec(**overrides):
@@ -275,14 +290,10 @@ def test_continuum_projector_cost(eta, n, expected):
 
 def test_budget_corollary_ancillas():
     # with the published bit counts the ancilla total lands at 3538 (q_anc 3542)
-    spec = make_spec()
-    lam_t = lambda_kinetic(spec)
-    lam_u, lam_v = lambda_potentials(spec)
-    lam = lambda_total(lam_t, lam_u, lam_v, 1.0, 110)
-    budget = budget_from_bits(spec, lam_t, lam_u, lam_v, lam, n_m=36, n_r=50, n_t=35)
-    assert budget.system_qubits == 4950
-    assert budget.ancilla_qubits == 3538
-    assert budget.toffoli_per_query == 28012
+    budget = budget_from_bits(make_spec(), n_m=36, n_r=50, n_t=35)
+    assert budget["system_qubits"] == 4950
+    assert budget["ancilla_qubits"] == 3538
+    assert budget["toffoli_per_query"] == 28012
 
 
 def test_photoemission_cost_structure():
@@ -291,7 +302,45 @@ def test_photoemission_cost_structure():
     assert report.shots == 10**4
     assert report.overall_gates == report.gates_per_circuit * 10**4
     assert sum(c for _, c in report.breakdown) == report.gates_per_circuit
-    assert report.logical_qubits == build_budget(spec).total_qubits
+    details = dict(report.details)
+    assert report.logical_qubits == details["system_qubits"] + details["ancilla_qubits"]
+
+
+@pytest.mark.parametrize("spec", FIXTURE_ROWS)
+def test_per_query_cost_against_prep_and_select(spec):
+    # the single closed form and C_sel + C_prep differ by terms free of the precision bits
+    details = dict(photoemission_cost(spec).details)
+    n, eta = spec.n_bits, spec.eta
+    assert details["toffoli_per_query"] - (details["c_sel"] + details["c_prep"]) == (
+        14 * details["n_eta"] - 6 * eta - 2 * n * n - 5 * n - 21
+        - min_superposition_correction(spec.lambda_zeta))
+
+
+@pytest.mark.parametrize("spec", FIXTURE_ROWS)
+def test_details_recompute_every_term(spec):
+    report = photoemission_cost(spec)
+    details = dict(report.details)
+    lam = details["lambda_total"]
+    assert details["lambda_t_prime"] == lambda_kinetic(spec)
+    assert (details["lambda_u"], details["lambda_v"]) == lambda_potentials(spec)
+    assert lam == lambda_total(details["lambda_t_prime"], details["lambda_u"],
+                               details["lambda_v"], spec.p_nu, spec.eta)
+    assert lam >= max(details["lambda_t_prime"], details["lambda_u"], details["lambda_v"])
+    bits = (details["n_m"], details["n_r"], details["n_t"])
+    assert bits == precision_bits(spec, lam)
+    assert min(*bits, details["n_eta"], details["n_eta_zeta"], spec.b_r) >= 1
+    one_norms = ("lambda_t_prime", "lambda_u", "lambda_v", "lambda_total")
+    assert details == {**{name: details[name] for name in one_norms},
+                       **budget_from_bits(spec, *bits)}
+    assert report.logical_qubits == details["system_qubits"] + details["ancilla_qubits"]
+    amp_c, amp_w, amp_d = (1 / math.sqrt(p) for p in (spec.p_continuum, spec.p_window,
+                                                      spec.p_dipole))
+    costs = (details["c_sel"], details["c_prep"], details["c_ref"])
+    terms = [count for _, count in report.breakdown]
+    assert terms[0] == amp_c * amp_w * amp_d * (dipole_block_encoding_cost(spec) + spec.c_sp)
+    assert terms[1] == amp_c * amp_w * filter_cost(spec, lam, *costs)
+    assert terms[2] == amp_c * time_evolution_cost(spec, lam, *costs)
+    assert terms[3] == amp_c * continuum_projector_cost(spec)
 
 
 def test_photoemission_no_amplification_limit():

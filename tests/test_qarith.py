@@ -64,7 +64,7 @@ def test_be_x_amplitude_boundaries():
 
 
 def test_be_x_amplitude_refuses_large_registers():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"2\^width comparator branches"):
         be_x_amplitude(1, 7)
 
 
