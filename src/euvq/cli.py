@@ -173,15 +173,7 @@ def run_emulate_photoemission(data, seed: int) -> Output:
     psi, norm = grid.apply_dipole(model, psi)
     if norm == 0.0:
         raise NumericalError("dipole annihilated the ground state")
-    psi = psi / norm
-    p_w = None
-    if filt is not None:
-        psi, p_w = grid.gaussian_filter(model, filt, psi, energy)
-        norm = np.linalg.norm(psi)
-        if norm == 0.0:
-            raise NumericalError("filter annihilated the state")
-        psi = psi / norm
-    psi = grid.evolve(model, psi, cfg["time"])
+    psi, p_w = grid.filter_and_evolve(model, filt, psi / norm, energy, cfg["time"])
     leakage = grid.edge_density(model, psi)
     if leakage > 1e-6:
         raise NumericalError(
@@ -194,6 +186,9 @@ def run_emulate_photoemission(data, seed: int) -> Output:
     return Output(
         data={"ground_energy_Ha": energy,
               "filter_success_probability": p_w,
+              "edge_density": leakage,
+              "escape_energy_Ha": grid.escape_energy(cfg["r_cutoff"], cfg["time"]),
+              "potential_at_cutoff_Ha": grid.potential_at_cutoff(model, cfg["r_cutoff"]),
               "success_probability": hist.success_probability,
               "bin_edges": hist.bin_edges.tolist(),
               "mass": hist.mass.tolist(),

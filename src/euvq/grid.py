@@ -12,17 +12,21 @@ As in the qubitized circuit, the polynomial filter and exp(-iHt) are both
 Chebyshev series in (H - mid) / half_span, with [mid - half_span,
 mid + half_span] an interval that holds the spectrum of H, summed
 matrix-free by one forward three-term recurrence on real rows. Both series
-end by one rule: at the
-first degree whose dropped coefficients sum to within the tolerance. The
-filter's coefficients come from interpolating the window, the propagator's
-are Bessel functions (the Jacobi-Anger expansion), so neither degree is
-found by a search or by refining a time step. The ground state needs no
-polynomial: locally optimal block preconditioned conjugate gradients
-(LOBPCG; Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)), preconditioned by
-S (T + 1 Ha)^-1 S with the real-space diagonal S = (1 + V - min V)^-1/2,
-reaches it in a few dozen applications of H. The kinetic factor inverts
-H - E where T dominates, and S where V does, as in a harmonic well whose
-walls rise far above the kinetic energy near its floor.
+end by one rule: at the first degree whose dropped coefficients sum to
+within the tolerance. The filter's coefficients come from interpolating the
+window, the propagator's are Bessel functions (the Jacobi-Anger expansion),
+so neither degree is found by a search or by refining a time step. An
+ExactEigen run takes both the window and exp(-iHt) from the one dense
+eigendecomposition its window needs: the filtered state's amplitudes on the
+eigenvectors take the phases exp(-iEt), and no series is summed
+(:func:`filter_and_evolve`). The series' cap on the time holds in both
+modes, so the accepted times do not depend on the mode. The ground state
+needs no polynomial: locally optimal block preconditioned conjugate
+gradients (LOBPCG; Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)),
+preconditioned by S (T + 1 Ha)^-1 S with the real-space diagonal
+S = (1 + V - min V)^-1/2, reaches it in a few dozen applications of H. The
+kinetic factor inverts H - E where T dominates, and S where V does, as in a
+harmonic well whose walls rise far above the kinetic energy near its floor.
 
 Grid conventions: N points per dimension (power of two), spacing
 h = L / N, positions x_q = (q - N/2) h, momenta k = 2 pi fftfreq(N, h).
@@ -465,21 +469,70 @@ def gaussian_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
     Returns the filtered (un-normalized) state and the success probability
     ||f psi||^2 / ||psi||^2.
     """
-    norm_in = float(np.linalg.norm(state))
-    if norm_in == 0.0:
-        raise ValidationError("cannot filter a zero state")
-
     if filt.mode == "ExactEigen":
-        energies, vectors = np.linalg.eigh(dense_hamiltonian(model))
-        window = filt.window(energies - ground_energy)
-        out = (vectors @ (window * (vectors.T @ state.reshape(-1)))).reshape(state.shape)
+        out = _exact_window(model, filt, state, ground_energy)[0]
     else:
         mid, half_span = model.mid, model.half_span
         coeffs = chebyshev_fit(lambda x: filt.window(x * half_span + mid - ground_energy),
                                filt.poly_tolerance)
         out = _chebyshev_series(model.apply_hamiltonian, coeffs, state, mid, half_span)
-    success = float(np.linalg.norm(out) ** 2 / norm_in**2)
-    return out, success
+    return out, _window_success(out, state)
+
+
+def _exact_window(model: GridModel, filt: FilterSpec, state: np.ndarray, ground_energy: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ExactEigen window from one dense eigendecomposition H = V diag(E) V^T.
+
+    Returns f(H - E0) psi, the energies E, the eigenvectors V and the
+    filtered amplitudes f(E - E0) V^T psi, from which any further function
+    of H applies to the filtered state without another decomposition.
+    """
+    energies, vectors = np.linalg.eigh(dense_hamiltonian(model))
+    amplitudes = filt.window(energies - ground_energy) * (vectors.T @ state.reshape(-1))
+    return (vectors @ amplitudes).reshape(state.shape), energies, vectors, amplitudes
+
+
+def _window_success(filtered: np.ndarray, state: np.ndarray) -> float:
+    """The window's success probability ||f psi||^2 / ||psi||^2."""
+    norm_in = float(np.linalg.norm(state))
+    if norm_in == 0.0:
+        raise ValidationError("cannot filter a zero state")
+    return float(np.linalg.norm(filtered) ** 2 / norm_in**2)
+
+
+def _filtered_norm(filtered: np.ndarray) -> float:
+    """||f psi||, which normalizes the filtered state; raises if the window removed all of it."""
+    norm = np.linalg.norm(filtered)
+    if norm == 0.0:
+        raise NumericalError("filter annihilated the state")
+    return norm
+
+
+def filter_and_evolve(model: GridModel, filt: FilterSpec | None, state: np.ndarray,
+                      ground_energy: float, t: float) -> tuple[np.ndarray, float | None]:
+    """exp(-iHt) f(H - E0) psi, normalized, and the window's success probability.
+
+    Without a filter, exp(-iHt) psi and None. A ChebyshevPoly window is
+    :func:`gaussian_filter` followed by :func:`evolve`. An ExactEigen window
+    already diagonalizes H, so the propagator comes from the same
+    eigenvectors: V (exp(-iEt) f(E - E0) V^T psi) / ||f(H - E0) psi||, one
+    phase per level in place of a series in H, and exact at any t. The
+    time is checked by :func:`check_time` in every mode, so the accepted
+    times do not depend on the mode. Raises NumericalError when the window
+    removes the whole state.
+    """
+    check_time(model, t)
+    if filt is None:
+        return evolve(model, state, t), None
+    if filt.mode == "ChebyshevPoly":
+        filtered, success = gaussian_filter(model, filt, state, ground_energy)
+        return evolve(model, filtered / _filtered_norm(filtered), t), success
+    filtered, energies, vectors, amplitudes = _exact_window(model, filt, state, ground_energy)
+    success = _window_success(filtered, state)
+    rotated = np.exp(-1j * t * energies) * amplitudes / _filtered_norm(filtered)
+    # V is real: two real products, not a complex copy of V
+    out = vectors @ rotated.real + 1j * (vectors @ rotated.imag)
+    return out.reshape(state.shape), success
 
 
 def _chebyshev_series(apply, coeffs: np.ndarray, state: np.ndarray,
@@ -694,22 +747,52 @@ def check_r_cutoff(model: GridModel, r_cutoff: float) -> None:
                               f"Bohr, beyond which no grid point lies, got {r_cutoff:.3g}")
 
 
+def _outside(model: GridModel, r_cutoff: float, dims: int) -> np.ndarray:
+    """The radius test on one particle's first ``dims`` axes: True where it lies outside.
+
+    The circuit's test: a particle at integer offsets q = index - N/2 is
+    outside when sum q^2 exceeds :func:`euvq.qarith.radius_threshold`, which
+    is |x| >= r_cutoff found exactly, so a particle on the sphere is outside.
+    """
+    n = model.n_points
+    offsets = np.arange(n) - n // 2
+    threshold = qarith.radius_threshold(r_cutoff, n.bit_length() - 1, model.box_length)
+    return _outer_sum([offsets * offsets] * dims) > threshold
+
+
+def escape_energy(r_cutoff: float, t: float) -> float | None:
+    """Slowest kinetic energy (Ha) that can reach ``r_cutoff`` from the origin within ``t``.
+
+    That is (r_cutoff / t)^2 / 2, or None at t = 0 or where the value overflows.
+    """
+    if t == 0:
+        return None
+    speed = r_cutoff / t  # an overflow gives inf, and inf * inf stays inf
+    energy = 0.5 * speed * speed
+    return energy if math.isfinite(energy) else None
+
+
+def potential_at_cutoff(model: GridModel, r_cutoff: float) -> float | None:
+    """Largest |V| (Ha) of the one-electron axis potential over the points with |x| >= r_cutoff.
+
+    The points are those the projector's radius test puts outside on one
+    axis; None when the cutoff lies beyond every axis point, as it can in 3D.
+    """
+    beyond = np.abs(model.potential[_outside(model, r_cutoff, 1)])
+    return float(beyond.max()) if beyond.size else None
+
+
 def continuum_project(model: GridModel, state: np.ndarray, r_cutoff: float
                       ) -> tuple[np.ndarray, float]:
     """Zero amplitudes where all particles lie inside the cutoff sphere.
 
-    The hard projector of the circuit's radius test: a particle at integer
-    offsets q = index - N/2 is outside when sum q^2 exceeds
-    :func:`euvq.qarith.radius_threshold`, so a particle on the sphere is
-    outside. Keeps the "any particle outside" subspace; returns the
-    projected (un-normalized) state and the retained norm^2 as success
-    probability.
+    The hard projector of the circuit's radius test (:func:`_outside`), so a
+    particle on the sphere is outside. Keeps the "any particle outside"
+    subspace; returns the projected (un-normalized) state and the retained
+    norm^2 as success probability.
     """
     check_r_cutoff(model, r_cutoff)
-    n = model.n_points
-    offsets = np.arange(n) - n // 2
-    threshold = qarith.radius_threshold(r_cutoff, n.bit_length() - 1, model.box_length)
-    outside = _outer_sum([offsets * offsets] * model.dims) > threshold
+    outside = _outside(model, r_cutoff, model.dims)
     psi = state.reshape(model.shape).astype(complex)
     keep = functools.reduce(np.logical_or.outer, [outside] * model.eta)
     out = keep * psi

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from euvq.cli import EX_NUMERICAL, EX_OK, EX_USAGE, EX_VALIDATION, main
@@ -445,13 +446,13 @@ TWO_ELECTRON_CONFIG = {
 
 # sha256 of emulate-photoemission's stdout at --seed 13 on the bundled fixture and
 # on TWO_ELECTRON_CONFIG: the exact and sampled masses, outcome counts included, and
-# in JSON the ground energy and the stages' success probabilities
+# in JSON the ground energy, the stages' success probabilities and the escape diagnostics
 PHOTOEMISSION_DIGESTS = [
     ("grid_soft_coulomb_1d.json", "json",
-     "7a801789d71d25115f6f1791b3f569e217fc6719d5de3d235a980989527d9f99"),
+     "42bb4f7d5ea668e40bd0c6031f435cadf6fe0b14e10fbe9f3c9f00364884ac86"),
     ("grid_soft_coulomb_1d.json", "csv",
-     "3d71be6c5b25c4eb3d804e4ee0bbf42d497933b5e72d6b34e125d06b16f8b28f"),
-    (None, "json", "698543b3845210c71341f12bf04d0ee3e8961bfea176dd90be7600979cf8688a"),
+     "6e344a89aa11992c132d6009a1a1901f4d9a1b2abc24dd8f2925a84b7d07cf5c"),
+    (None, "json", "3ee5d164fa0ae64f156717fda0f3fee2345912af960de9f1d678a8ba10fa8d90"),
     (None, "csv", "b07165babe351b39555758b89badabd21304b5403a7774ef15f0f486924162bb"),
 ]
 
@@ -493,6 +494,72 @@ def test_emulate_photoemission_records_ground_energy_and_window_probability(
     filt = read_dataclass(grid.FilterSpec, config["filter"])
     _, p_window = grid.gaussian_filter(model, filt, dipole / norm, energy)
     assert record["filter_success_probability"] == p_window
+
+
+@pytest.mark.parametrize("config, applications", [
+    (_fixture("grid_soft_coulomb_1d.json"), 21 + 1),
+    (TWO_ELECTRON_CONFIG, 26 + 80 + 31),
+], ids=["exact_eigen", "two_electron_chebyshev"])
+def test_emulate_photoemission_h_applications(tmp_path, capsys, monkeypatch, config,
+                                              applications):
+    # ExactEigen applies H in LOBPCG and in the one block that builds the dense H, whose
+    # eigendecomposition gives both the window and exp(-iHt) (the Jacobi-Anger series
+    # took 320 more on the fixture); ChebyshevPoly adds one per degree of each series
+    from euvq.grid import GridModel
+
+    calls = []
+    apply_hamiltonian = GridModel.apply_hamiltonian
+
+    def counted(self, state):
+        calls.append(state.shape)
+        return apply_hamiltonian(self, state)
+
+    monkeypatch.setattr(GridModel, "apply_hamiltonian", counted)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(config))
+    assert main(["emulate-photoemission", "--input", str(path), "--format", "json"]) == EX_OK
+    assert len(calls) == applications
+
+
+@pytest.mark.parametrize("config", [
+    _fixture("grid_soft_coulomb_1d.json"),
+    TWO_ELECTRON_CONFIG,
+], ids=["exact_eigen", "two_electron_chebyshev"])
+def test_emulate_photoemission_records_escape_diagnostics(tmp_path, capsys, config):
+    # the edge density of the propagated state, the slowest kinetic energy that
+    # reaches r_cutoff within the time, and |V| on the axis at or past r_cutoff
+    from euvq import grid
+    from euvq.core import read_dataclass
+
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(config))
+    assert main(["emulate-photoemission", "--input", str(path), "--format", "json"]) == EX_OK
+    record = json.loads(capsys.readouterr().out)
+    model = grid.GridModel.from_config(config["model"])
+    psi, energy = grid.ground_state(model)
+    dipole, norm = grid.apply_dipole(model, psi)
+    filt = read_dataclass(grid.FilterSpec, config["filter"])
+    state, _ = grid.filter_and_evolve(model, filt, dipole / norm, energy, config["time"])
+    assert record["edge_density"] == grid.edge_density(model, state)
+    r_cutoff, t = config["r_cutoff"], config["time"]
+    assert record["escape_energy_Ha"] == grid.escape_energy(r_cutoff, t) == (r_cutoff / t) ** 2 / 2
+    outside = np.abs(model.axis) >= r_cutoff
+    assert outside.any() and not outside.all()
+    want = float(np.max(np.abs(model.potential[outside])))
+    assert record["potential_at_cutoff_Ha"] == grid.potential_at_cutoff(model, r_cutoff) == want
+
+
+@pytest.mark.parametrize("time", [0.0, 5e-324], ids=["zero", "overflow"])
+def test_emulate_photoemission_escape_energy_null(tmp_path, capsys, time):
+    # (r_cutoff / t)^2 / 2 has no value at t = 0 and overflows at the least positive t;
+    # both are written as null, so the record stays strict JSON
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(_edited("grid_soft_coulomb_1d.json",
+                                       lambda d: d.update(time=time))))
+    assert main(["emulate-photoemission", "--input", str(path), "--format", "json"]) == EX_OK
+    record = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    assert record["escape_energy_Ha"] is None
+    assert record["edge_density"] <= 1e-6
 
 
 def _set_model(**fields):

@@ -296,6 +296,67 @@ def test_evolve_matches_dense_oracle():
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
 
+def _dipole_state(model):
+    """The normalized D psi_0 that the filter takes, and the ground energy E0."""
+    psi, energy = ground_state(model)
+    excited, norm = apply_dipole(model, psi)
+    return excited / norm, energy
+
+
+@pytest.mark.parametrize("make, center, sigma, t", [
+    (lambda: GridModel.from_config(_fixture_model()), 1.8, 0.2, 10.0),
+    (lambda: GridModel.from_config(_fixture_model()), 1.8, 0.2, 0.0),
+    (lambda: two_electron_model(n=16), 1.5, 0.3, 1.0),
+], ids=["fixture_t10", "fixture_t0", "2e_16^2"])
+def test_filter_and_evolve_exact_eigen_matches_filter_then_evolve(make, center, sigma, t):
+    # one eigendecomposition gives the window and exp(-iHt); the window's success
+    # probability is gaussian_filter's to the bit, and the state is the filtered,
+    # normalized state propagated by the Jacobi-Anger series
+    m = make()
+    filt = FilterSpec(center=center, sigma=sigma, mode="ExactEigen")
+    psi, energy = _dipole_state(m)
+    out, success = grid.filter_and_evolve(m, filt, psi, energy, t)
+    filtered, p_window = gaussian_filter(m, filt, psi, energy)
+    want = evolve(m, filtered / np.linalg.norm(filtered), t)
+    assert success == p_window
+    assert float(np.max(np.abs(out - want))) <= 1e-10
+    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["ChebyshevPoly", None])
+def test_filter_and_evolve_runs_the_series_without_an_eigendecomposition(mode):
+    # ChebyshevPoly and no-filter runs are gaussian_filter, normalize and evolve, bit for bit
+    m = two_electron_model(n=16)
+    filt = None if mode is None else FilterSpec(center=1.5, sigma=0.3, mode=mode)
+    psi, energy = _dipole_state(m)
+    out, success = grid.filter_and_evolve(m, filt, psi, energy, 1.0)
+    if filt is None:
+        assert success is None
+        assert np.array_equal(out, evolve(m, psi, 1.0))
+        return
+    filtered, p_window = gaussian_filter(m, filt, psi, energy)
+    assert success == p_window
+    assert np.array_equal(out, evolve(m, filtered / np.linalg.norm(filtered), 1.0))
+
+
+@pytest.mark.parametrize("mode", ["ExactEigen", "ChebyshevPoly"])
+def test_filter_and_evolve_checks_the_time_in_both_modes(mode):
+    # the 1e6-term cap of the series holds for the eigenbasis propagator as well
+    m = soft_model(n=64)
+    filt = FilterSpec(center=1.0, sigma=0.2, mode=mode)
+    t = 2.0 * grid.MAX_SERIES_ARGUMENT / m.half_span
+    with pytest.raises(ValidationError, match="field 'time'"):
+        grid.filter_and_evolve(m, filt, np.ones(64) / 8.0, -1.0, t)
+
+
+def test_potential_at_cutoff_past_every_axis_point():
+    # in 3D the cutoff may lie beyond the box half-width, on no axis point
+    m = three_d_model(n=8)
+    assert grid.potential_at_cutoff(m, 8.0) == pytest.approx(1.0 / math.sqrt(65.0))
+    assert grid.potential_at_cutoff(m, 9.0) is None
+    grid.check_r_cutoff(m, 9.0)
+
+
 def test_evolve_conserves_energy():
     m = soft_model(n=128)
     psi, _ = ground_state(m)
@@ -836,21 +897,23 @@ def test_tables_match_per_layout_formulas(layout):
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_dense_hamiltonian_matches_complex_columns(layout):
-    # the oracle's one real block application (real-FFT kernel on the half
-    # table) against a complex build one column at a time (fftn on the full
-    # kinetic table), which shares no transform code with the kernel
+    # the oracle's real block applications (real-FFT kernel on the half table)
+    # against a complex build from blocks of unit columns (fftn over each
+    # column's coordinate axes on the full kinetic table), which shares no
+    # transform code with the kernel
     m = LAYOUTS[layout]()
     h = dense_hamiltonian(m)
     assert h.dtype == np.float64
-    column = np.zeros(m.shape, dtype=complex)
+    dim, block = m.hilbert_dim, 64
+    axes = tuple(range(1, 1 + len(m.shape)))  # each unit column's coordinate axes
     potential = m.potential_grid().reshape(-1)
     worst = 0.0
-    for i in range(m.hilbert_dim):
-        column.flat[i] = 1.0
-        kinetic = np.fft.ifftn(m.kinetic_grid() * np.fft.fftn(column, norm="ortho"), norm="ortho")
-        worst = max(worst, float(np.max(np.abs(kinetic.reshape(-1) + potential * column.reshape(-1)
-                                               - h[:, i]))))
-        column.flat[i] = 0.0
+    for start in range(0, dim, block):
+        columns = np.eye(min(block, dim - start), dim, k=start, dtype=complex)
+        spectra = np.fft.fftn(columns.reshape((-1,) + m.shape), axes=axes, norm="ortho")
+        kinetic = np.fft.ifftn(m.kinetic_grid() * spectra, axes=axes, norm="ortho")
+        images = kinetic.reshape(len(columns), dim) + potential * columns
+        worst = max(worst, float(np.max(np.abs(images - h[:, start:start + block].T))))
     assert worst <= 1e-13
 
 
