@@ -169,11 +169,7 @@ def run_emulate_photoemission(data, seed: int) -> Output:
         raise ValidationError(f"field 'shots' in emulate-photoemission config must be from 0 "
                               f"to 2^24 = {MAX_SHOTS}, got {cfg['shots']}")
 
-    psi, energy = grid.ground_state(model)
-    psi, norm = grid.apply_dipole(model, psi)
-    if norm == 0.0:
-        raise NumericalError("dipole annihilated the ground state")
-    psi, p_w = grid.filter_and_evolve(model, filt, psi / norm, energy, cfg["time"])
+    psi, energy, p_w = grid.filter_and_evolve(model, filt, cfg["time"])
     leakage = grid.edge_density(model, psi)
     if leakage > 1e-6:
         raise NumericalError(

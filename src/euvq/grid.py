@@ -1,12 +1,13 @@
 """Real-space grid emulation of the photoemission correlation function.
 
-A periodic 1D (or small 3D) grid carries one or two electrons: ground state
-by preconditioned LOBPCG, dipole excitation by the centered position
-operator, a Gaussian energy filter (exact eigenbasis or Chebyshev
-polynomial), real-time propagation, a hard spherical continuum projector,
-and kinetic-energy histogram sampling in the momentum basis. H and the
-dipole are exchange symmetric and the two-electron ground state is the
-spatially symmetric one, so a run stays in that sector with no projector.
+A periodic 1D (or small 3D) grid carries one or two electrons: ground state,
+dipole excitation by the centered position operator, a Gaussian energy
+filter (exact eigenbasis or Chebyshev polynomial), real-time propagation, a
+hard spherical continuum projector, and kinetic-energy histogram sampling in
+the momentum basis. H and the dipole are exchange symmetric and the
+two-electron ground state is the spatially symmetric one, so a run stays in
+that sector with no projector. :func:`filter_and_evolve` runs the stages up
+to the propagated state.
 
 As in the qubitized circuit, the polynomial filter and exp(-iHt) are both
 Chebyshev series in (H - mid) / half_span, with [mid - half_span,
@@ -16,17 +17,21 @@ end by one rule: at the first degree whose dropped coefficients sum to
 within the tolerance. The filter's coefficients come from interpolating the
 window, the propagator's are Bessel functions (the Jacobi-Anger expansion),
 so neither degree is found by a search or by refining a time step. An
-ExactEigen run takes both the window and exp(-iHt) from the one dense
-eigendecomposition its window needs: the filtered state's amplitudes on the
-eigenvectors take the phases exp(-iEt), and no series is summed
-(:func:`filter_and_evolve`). The series' cap on the time holds in both
-modes, so the accepted times do not depend on the mode. The ground state
-needs no polynomial: locally optimal block preconditioned conjugate
-gradients (LOBPCG; Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)),
-preconditioned by S (T + 1 Ha)^-1 S with the real-space diagonal
-S = (1 + V - min V)^-1/2, reaches it in a few dozen applications of H. The
-kinetic factor inverts H - E where T dominates, and S where V does, as in a
-harmonic well whose walls rise far above the kinetic energy near its floor.
+ExactEigen run takes the ground state, the window and exp(-iHt) from the one
+dense eigendecomposition its window needs: the ground pair is the lowest
+eigenpair, the filtered state's amplitudes on the eigenvectors take the
+phases exp(-iEt), no series is summed and H is never applied. The dense H
+is diag(V) plus one N x N kinetic matrix per coordinate axis, the circulant
+of the kinetic kernel on one axis (:func:`dense_hamiltonian`), so building
+it applies H to no vector either. The series' cap on the time holds in both
+modes, so the accepted times do not depend on the mode. ChebyshevPoly and
+filterless runs need no polynomial for the ground state: locally optimal
+block preconditioned conjugate gradients (LOBPCG; Knyazev, SIAM J. Sci.
+Comput. 23, 517 (2001)), preconditioned by S (T + 1 Ha)^-1 S with the
+real-space diagonal S = (1 + V - min V)^-1/2, reaches it in a few dozen
+applications of H. The kinetic factor inverts H - E where T dominates, and S
+where V does, as in a harmonic well whose walls rise far above the kinetic
+energy near its floor.
 
 Grid conventions: N points per dimension (power of two), spacing
 h = L / N, positions x_q = (q - N/2) h, momenta k = 2 pi fftfreq(N, h).
@@ -64,7 +69,6 @@ GROUND_STATE_ITERATIONS = 500  # default cap on LOBPCG iterations, one H applica
 GROUND_STATE_BAR = 1e-8        # ||H psi - E psi|| (Ha) above which ground_state raises
 BASIS_DEPENDENCE = 1e-12       # remaining norm below which a unit basis row counts as dependent
 EDGE_CELLS = 2                 # grid points next to each box face that edge_density counts
-DENSE_BLOCK = 512              # identity rows per H application in dense_hamiltonian
 
 
 def _check_width(sigma: float, where: str) -> None:
@@ -298,19 +302,27 @@ class KineticHistogram:
 
 
 def dense_hamiltonian(model: GridModel) -> np.ndarray:
-    """Explicit real Hamiltonian matrix (oracle-sized grids only).
+    """Explicit real Hamiltonian matrix (oracle-sized grids only), built without applying H.
 
-    H is applied to DENSE_BLOCK identity rows at a time, so the FFT
-    temporaries stay a block's size however large the matrix is.
+    H is diag(V) plus, on each coordinate axis, the one-axis kinetic matrix
+    K padded by the identity on the other axes. K is the circulant whose
+    column is the inverse real FFT of the axis table k^2 / 2, the matrix of
+    the kinetic kernel's transforms on one axis. Each axis adds K through a
+    view of the matrix's blocks, so no Kronecker product is formed.
     """
     dim = model.hilbert_dim
     if dim > 4096:
         raise ValidationError("dense Hamiltonian capped at dimension 4096")
-    images = np.empty((dim, dim))  # row i: H applied to unit vector i
-    for start in range(0, dim, DENSE_BLOCK):
-        stop = min(start + DENSE_BLOCK, dim)
-        images[start:stop] = model.apply_hamiltonian(np.eye(stop - start, dim, k=start))
-    return images.T
+    n, coords = model.n_points, model.dims * model.eta
+    column = np.fft.irfft(model.k_axis[:n // 2 + 1] ** 2 / 2.0, n)
+    offsets = np.arange(n)
+    kinetic = column[(offsets[:, None] - offsets) % n]  # K[i, j] = column[i - j mod n]
+    h = np.diag(model.potential_grid().reshape(-1))
+    for axis in range(coords):
+        outer, inner = n**axis, n ** (coords - axis - 1)
+        # rows (a, i, b) and columns (a, j, b): the block K[i, j] for each a and b
+        np.einsum("aibajb->abij", h.reshape(outer, n, inner, outer, n, inner))[...] += kinetic
+    return h
 
 
 def _orthonormalize(row: np.ndarray, rows: np.ndarray) -> bool:
@@ -470,7 +482,8 @@ def gaussian_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
     ||f psi||^2 / ||psi||^2.
     """
     if filt.mode == "ExactEigen":
-        out = _exact_window(model, filt, state, ground_energy)[0]
+        energies, vectors = np.linalg.eigh(dense_hamiltonian(model))
+        out = _exact_window(filt, energies, vectors, state, ground_energy)[0]
     else:
         mid, half_span = model.mid, model.half_span
         coeffs = chebyshev_fit(lambda x: filt.window(x * half_span + mid - ground_energy),
@@ -479,17 +492,16 @@ def gaussian_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
     return out, _window_success(out, state)
 
 
-def _exact_window(model: GridModel, filt: FilterSpec, state: np.ndarray, ground_energy: float
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The ExactEigen window from one dense eigendecomposition H = V diag(E) V^T.
+def _exact_window(filt: FilterSpec, energies: np.ndarray, vectors: np.ndarray,
+                  state: np.ndarray, ground_energy: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ExactEigen window in the eigenbasis of H = V diag(E) V^T.
 
-    Returns f(H - E0) psi, the energies E, the eigenvectors V and the
-    filtered amplitudes f(E - E0) V^T psi, from which any further function
-    of H applies to the filtered state without another decomposition.
+    Returns f(H - E0) psi and the filtered amplitudes f(E - E0) V^T psi, from
+    which any further function of H applies to the filtered state without
+    another decomposition.
     """
-    energies, vectors = np.linalg.eigh(dense_hamiltonian(model))
     amplitudes = filt.window(energies - ground_energy) * (vectors.T @ state.reshape(-1))
-    return (vectors @ amplitudes).reshape(state.shape), energies, vectors, amplitudes
+    return (vectors @ amplitudes).reshape(state.shape), amplitudes
 
 
 def _window_success(filtered: np.ndarray, state: np.ndarray) -> float:
@@ -508,31 +520,65 @@ def _filtered_norm(filtered: np.ndarray) -> float:
     return norm
 
 
-def filter_and_evolve(model: GridModel, filt: FilterSpec | None, state: np.ndarray,
-                      ground_energy: float, t: float) -> tuple[np.ndarray, float | None]:
-    """exp(-iHt) f(H - E0) psi, normalized, and the window's success probability.
+def _excite(model: GridModel, ground: np.ndarray) -> np.ndarray:
+    """The normalized dipole state D psi0 / ||D psi0||; raises if D annihilates psi0."""
+    state, norm = apply_dipole(model, ground)
+    if norm == 0.0:
+        raise NumericalError("dipole annihilated the ground state")
+    return state / norm
 
-    Without a filter, exp(-iHt) psi and None. A ChebyshevPoly window is
-    :func:`gaussian_filter` followed by :func:`evolve`. An ExactEigen window
-    already diagonalizes H, so the propagator comes from the same
-    eigenvectors: V (exp(-iEt) f(E - E0) V^T psi) / ||f(H - E0) psi||, one
-    phase per level in place of a series in H, and exact at any t. The
-    time is checked by :func:`check_time` in every mode, so the accepted
-    times do not depend on the mode. Raises NumericalError when the window
-    removes the whole state.
+
+def _eigen_ground(model: GridModel) -> tuple[np.ndarray, np.ndarray]:
+    """Energies and eigenvectors of the dense H, whose first pair is the ground state.
+
+    The pair is held to what :func:`ground_state` holds its own to: the model
+    passes :func:`check_energy_reach`, and ||H psi - E psi|| is within
+    GROUND_STATE_BAR, by one product with the dense H.
+    """
+    check_energy_reach(model)
+    h = dense_hamiltonian(model)
+    energies, vectors = np.linalg.eigh(h)
+    psi = vectors[:, 0]
+    residual = float(np.linalg.norm(h @ psi - energies[0] * psi))
+    if residual > GROUND_STATE_BAR:
+        raise NumericalError(f"ground-state residual {residual:.2e} > {GROUND_STATE_BAR:g} "
+                             f"(dim={model.hilbert_dim}, dense eigendecomposition)")
+    return energies, vectors
+
+
+def filter_and_evolve(model: GridModel, filt: FilterSpec | None, t: float
+                      ) -> tuple[np.ndarray, float, float | None]:
+    """The photoemission state exp(-iHt) f(H - E0) D psi0, normalized, from the model alone.
+
+    Runs ground state, dipole, window and propagator, and returns the state,
+    the ground energy E0 and the window's success probability (None without
+    a filter, when the state is exp(-iHt) D psi0). A ChebyshevPoly or absent
+    window takes the ground state from :func:`ground_state` and then applies
+    :func:`gaussian_filter` and :func:`evolve`. An ExactEigen window
+    diagonalizes H, so that eigendecomposition gives everything else too: the
+    ground pair is its lowest one (:func:`_eigen_ground`), and the propagated
+    state is V (exp(-iEt) f(E - E0) V^T D psi0) / ||f(H - E0) D psi0||, one
+    phase per level in place of a series in H, and exact at any t; H is
+    never applied. The time is checked by :func:`check_time` in every mode,
+    so the accepted times do not depend on the mode. Raises NumericalError
+    when the dipole or the window removes the whole state.
     """
     check_time(model, t)
+    if filt is not None and filt.mode == "ExactEigen":
+        energies, vectors = _eigen_ground(model)
+        energy = float(energies[0])
+        state = _excite(model, vectors[:, 0])
+        filtered, amplitudes = _exact_window(filt, energies, vectors, state, energy)
+        success = _window_success(filtered, state)
+        rotated = np.exp(-1j * t * energies) * amplitudes / _filtered_norm(filtered)
+        # V is real: two real products, not a complex copy of V
+        return vectors @ rotated.real + 1j * (vectors @ rotated.imag), energy, success
+    psi, energy = ground_state(model)
+    state = _excite(model, psi)
     if filt is None:
-        return evolve(model, state, t), None
-    if filt.mode == "ChebyshevPoly":
-        filtered, success = gaussian_filter(model, filt, state, ground_energy)
-        return evolve(model, filtered / _filtered_norm(filtered), t), success
-    filtered, energies, vectors, amplitudes = _exact_window(model, filt, state, ground_energy)
-    success = _window_success(filtered, state)
-    rotated = np.exp(-1j * t * energies) * amplitudes / _filtered_norm(filtered)
-    # V is real: two real products, not a complex copy of V
-    out = vectors @ rotated.real + 1j * (vectors @ rotated.imag)
-    return out.reshape(state.shape), success
+        return evolve(model, state, t), energy, None
+    filtered, success = gaussian_filter(model, filt, state, energy)
+    return evolve(model, filtered / _filtered_norm(filtered), t), energy, success
 
 
 def _chebyshev_series(apply, coeffs: np.ndarray, state: np.ndarray,

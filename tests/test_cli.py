@@ -449,9 +449,9 @@ TWO_ELECTRON_CONFIG = {
 # in JSON the ground energy, the stages' success probabilities and the escape diagnostics
 PHOTOEMISSION_DIGESTS = [
     ("grid_soft_coulomb_1d.json", "json",
-     "42bb4f7d5ea668e40bd0c6031f435cadf6fe0b14e10fbe9f3c9f00364884ac86"),
+     "d0fa6069b8ec8a06838270379381ff890f7b9190c426d69e85497290cfa9b983"),
     ("grid_soft_coulomb_1d.json", "csv",
-     "6e344a89aa11992c132d6009a1a1901f4d9a1b2abc24dd8f2925a84b7d07cf5c"),
+     "fb39dbe825474464202232240f7d41f02584579ede812af31c83458b2a59f11a"),
     (None, "json", "3ee5d164fa0ae64f156717fda0f3fee2345912af960de9f1d678a8ba10fa8d90"),
     (None, "csv", "b07165babe351b39555758b89badabd21304b5403a7774ef15f0f486924162bb"),
 ]
@@ -485,26 +485,32 @@ def test_emulate_photoemission_records_ground_energy_and_window_probability(
     assert main(["emulate-photoemission", "--input", str(path), "--format", "json"]) == EX_OK
     record = json.loads(capsys.readouterr().out)
     model = grid.GridModel.from_config(config["model"])
-    psi, energy = grid.ground_state(model)
+    filt = None if "filter" not in config else read_dataclass(grid.FilterSpec, config["filter"])
+    if filt is not None and filt.mode == "ExactEigen":
+        # the ground pair is the lowest eigenpair of the dense H the window diagonalizes
+        energies, vectors = np.linalg.eigh(grid.dense_hamiltonian(model))
+        psi, energy = vectors[:, 0], float(energies[0])
+    else:
+        psi, energy = grid.ground_state(model)
     assert record["ground_energy_Ha"] == energy
-    if "filter" not in config:
+    if filt is None:
         assert record["filter_success_probability"] is None
         return
     dipole, norm = grid.apply_dipole(model, psi)
-    filt = read_dataclass(grid.FilterSpec, config["filter"])
     _, p_window = grid.gaussian_filter(model, filt, dipole / norm, energy)
     assert record["filter_success_probability"] == p_window
 
 
 @pytest.mark.parametrize("config, applications", [
-    (_fixture("grid_soft_coulomb_1d.json"), 21 + 1),
+    (_fixture("grid_soft_coulomb_1d.json"), 0),
     (TWO_ELECTRON_CONFIG, 26 + 80 + 31),
 ], ids=["exact_eigen", "two_electron_chebyshev"])
 def test_emulate_photoemission_h_applications(tmp_path, capsys, monkeypatch, config,
                                               applications):
-    # ExactEigen applies H in LOBPCG and in the one block that builds the dense H, whose
-    # eigendecomposition gives both the window and exp(-iHt) (the Jacobi-Anger series
-    # took 320 more on the fixture); ChebyshevPoly adds one per degree of each series
+    # ExactEigen builds the dense H from per-axis kinetic matrices and takes the ground
+    # state, the window and exp(-iHt) from its one eigendecomposition, so it never
+    # applies H (LOBPCG took 21 on the fixture, the Jacobi-Anger series 320);
+    # ChebyshevPoly applies it in LOBPCG and once per degree of each series
     from euvq.grid import GridModel
 
     calls = []
@@ -536,10 +542,8 @@ def test_emulate_photoemission_records_escape_diagnostics(tmp_path, capsys, conf
     assert main(["emulate-photoemission", "--input", str(path), "--format", "json"]) == EX_OK
     record = json.loads(capsys.readouterr().out)
     model = grid.GridModel.from_config(config["model"])
-    psi, energy = grid.ground_state(model)
-    dipole, norm = grid.apply_dipole(model, psi)
     filt = read_dataclass(grid.FilterSpec, config["filter"])
-    state, _ = grid.filter_and_evolve(model, filt, dipole / norm, energy, config["time"])
+    state, _, _ = grid.filter_and_evolve(model, filt, config["time"])
     assert record["edge_density"] == grid.edge_density(model, state)
     r_cutoff, t = config["r_cutoff"], config["time"]
     assert record["escape_energy_Ha"] == grid.escape_energy(r_cutoff, t) == (r_cutoff / t) ** 2 / 2

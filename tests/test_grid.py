@@ -296,11 +296,17 @@ def test_evolve_matches_dense_oracle():
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
 
 
-def _dipole_state(model):
+def _dipole_state(model, ground=ground_state):
     """The normalized D psi_0 that the filter takes, and the ground energy E0."""
-    psi, energy = ground_state(model)
+    psi, energy = ground(model)
     excited, norm = apply_dipole(model, psi)
     return excited / norm, energy
+
+
+def _eigh_ground(model):
+    """The lowest eigenpair of eigh(dense H), as an ExactEigen run takes it."""
+    energies, vectors = np.linalg.eigh(dense_hamiltonian(model))
+    return vectors[:, 0], float(energies[0])
 
 
 @pytest.mark.parametrize("make, center, sigma, t", [
@@ -309,15 +315,17 @@ def _dipole_state(model):
     (lambda: two_electron_model(n=16), 1.5, 0.3, 1.0),
 ], ids=["fixture_t10", "fixture_t0", "2e_16^2"])
 def test_filter_and_evolve_exact_eigen_matches_filter_then_evolve(make, center, sigma, t):
-    # one eigendecomposition gives the window and exp(-iHt); the window's success
-    # probability is gaussian_filter's to the bit, and the state is the filtered,
-    # normalized state propagated by the Jacobi-Anger series
+    # one eigendecomposition gives the ground pair, the window and exp(-iHt); the
+    # ground energy and the window's success probability are those of eigh and
+    # gaussian_filter to the bit, and the state is the filtered, normalized state
+    # propagated by the Jacobi-Anger series
     m = make()
     filt = FilterSpec(center=center, sigma=sigma, mode="ExactEigen")
-    psi, energy = _dipole_state(m)
-    out, success = grid.filter_and_evolve(m, filt, psi, energy, t)
-    filtered, p_window = gaussian_filter(m, filt, psi, energy)
+    out, energy, success = grid.filter_and_evolve(m, filt, t)
+    psi, want_energy = _dipole_state(m, _eigh_ground)
+    filtered, p_window = gaussian_filter(m, filt, psi, want_energy)
     want = evolve(m, filtered / np.linalg.norm(filtered), t)
+    assert energy == want_energy
     assert success == p_window
     assert float(np.max(np.abs(out - want))) <= 1e-10
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
@@ -325,11 +333,13 @@ def test_filter_and_evolve_exact_eigen_matches_filter_then_evolve(make, center, 
 
 @pytest.mark.parametrize("mode", ["ChebyshevPoly", None])
 def test_filter_and_evolve_runs_the_series_without_an_eigendecomposition(mode):
-    # ChebyshevPoly and no-filter runs are gaussian_filter, normalize and evolve, bit for bit
+    # ChebyshevPoly and no-filter runs are LOBPCG, gaussian_filter, normalize and
+    # evolve, bit for bit
     m = two_electron_model(n=16)
     filt = None if mode is None else FilterSpec(center=1.5, sigma=0.3, mode=mode)
-    psi, energy = _dipole_state(m)
-    out, success = grid.filter_and_evolve(m, filt, psi, energy, 1.0)
+    psi, want_energy = _dipole_state(m)
+    out, energy, success = grid.filter_and_evolve(m, filt, 1.0)
+    assert energy == want_energy
     if filt is None:
         assert success is None
         assert np.array_equal(out, evolve(m, psi, 1.0))
@@ -346,7 +356,39 @@ def test_filter_and_evolve_checks_the_time_in_both_modes(mode):
     filt = FilterSpec(center=1.0, sigma=0.2, mode=mode)
     t = 2.0 * grid.MAX_SERIES_ARGUMENT / m.half_span
     with pytest.raises(ValidationError, match="field 'time'"):
-        grid.filter_and_evolve(m, filt, np.ones(64) / 8.0, -1.0, t)
+        grid.filter_and_evolve(m, filt, t)
+
+
+@pytest.mark.parametrize("make", [lambda: GridModel.from_config(_fixture_model()),
+                                  lambda: two_electron_model(n=16)],
+                         ids=["fixture", "2e_16^2"])
+def test_eigen_ground_state_matches_lobpcg(make):
+    # the ExactEigen run's ground pair, the lowest eigenpair of the dense H, is
+    # the state LOBPCG finds, to its residual bar; for two electrons it is the
+    # spatially symmetric one
+    m = make()
+    energies, vectors = grid._eigen_ground(m)
+    psi, energy = vectors[:, 0], float(energies[0])
+    want, want_energy = ground_state(m)
+    assert energy == pytest.approx(want_energy, abs=1e-12)
+    assert abs(float(psi @ want)) == pytest.approx(1.0, abs=1e-9)
+    h_psi = m.apply_hamiltonian(psi)
+    assert float(np.linalg.norm(h_psi - energy * psi)) < grid.GROUND_STATE_BAR
+    if m.eta == 2:
+        pair = psi.reshape(m.shape)
+        assert float(np.max(np.abs(pair - pair.T))) <= 1e-12
+
+
+def test_eigen_ground_state_holds_ground_state_checks(monkeypatch):
+    # the dense ground pair passes the checks LOBPCG's does: the energy reach up
+    # front, and the residual bar after (here set to 0, with the reach check off)
+    filt = FilterSpec(center=1.0, sigma=0.2)
+    with pytest.raises(ValidationError, match="field 'potential'"):
+        grid.filter_and_evolve(soft_model(n=16, box=1e-3), filt, 0.0)
+    monkeypatch.setattr(grid, "check_energy_reach", lambda model: None)
+    monkeypatch.setattr(grid, "GROUND_STATE_BAR", 0.0)
+    with pytest.raises(NumericalError, match="ground-state residual"):
+        grid.filter_and_evolve(soft_model(n=16), filt, 1.0)
 
 
 def test_potential_at_cutoff_past_every_axis_point():
@@ -917,12 +959,14 @@ def test_dense_hamiltonian_matches_complex_columns(layout):
     assert worst <= 1e-13
 
 
-def test_dense_hamiltonian_blocks_match_one_shot_build():
-    # the 2e 64^2 model spans eight column blocks; each column is H on one
-    # unit vector, so the blocked build equals one application to the identity
-    m = soft_model(n=64, box=48.0, eta=2, interaction_strength=1.0)
-    assert m.hilbert_dim > grid.DENSE_BLOCK
-    assert np.array_equal(dense_hamiltonian(m), m.apply_hamiltonian(np.eye(m.hilbert_dim)).T)
+@pytest.mark.parametrize("make", [*LAYOUTS.values(), lambda: two_electron_model(n=64)],
+                         ids=[*LAYOUTS, "2e_64^2"])
+def test_dense_hamiltonian_matches_identity_applications(make):
+    # the per-axis kinetic matrices against H applied to every unit vector by the
+    # real-FFT kernel; the two round differently, so the bar is 1e-13, not bitwise
+    m = make()
+    h = dense_hamiltonian(m)
+    assert float(np.max(np.abs(h - m.apply_hamiltonian(np.eye(m.hilbert_dim)).T))) <= 1e-13
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
