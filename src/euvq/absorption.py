@@ -104,7 +104,7 @@ def absorption_cost(spec: AbsorptionSpec) -> CostReport:
     c_trotter_step = 2 * spec.l_fragments * (c_unitary + c_zmatr)  # two first-order calls
 
     delta = trotter_step_size(spec.gamma, spec.y3_magnitude)
-    degree = 2 * spec.j_max + 1 if spec.gqsp_two_sided else max(spec.j_max, 1)
+    degree = 2 * spec.j_max + 1  # two-sided: Fourier terms j = -j_max .. j_max
 
     alpha = cross_section_prefactor(EUV_OMEGA_HA) if spec.shot_alpha is None else spec.shot_alpha
     beta = (beta_bound(spec.tau, spec.gamma, spec.j_max) if spec.shot_beta is None

@@ -10,7 +10,6 @@ are further decomposed into at most N(N-1)/2 two-level Givens rotations.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,17 +63,14 @@ def double_factorize(tensor: TwoElectronTensor, l_max: int) -> CdfFactorization:
     of largest magnitude are kept (stable-sorted, index tie-break), each
     eigenvector reshaped to a symmetric N x N matrix and diagonalized into an
     orthogonal U and symmetric Z. Zero eigenvalues are dropped, so a zero
-    tensor yields zero fragments.
+    tensor yields zero fragments. ``l_max`` must lie in [1, N^2].
 
     Returns a :class:`CdfFactorization` carrying the Frobenius reconstruction
     error over the retained fragments.
     """
-    if l_max < 1:
-        raise ValidationError("l_max must be at least 1")
     n = tensor.n_orbitals
-    if l_max > n * n:
-        warnings.warn(f"l_max={l_max} exceeds N^2={n*n}; clamping", stacklevel=2)
-        l_max = n * n
+    if not 1 <= l_max <= n * n:
+        raise ValidationError(f"field 'l_max' must lie in [1, N^2] = [1, {n * n}], got {l_max}")
 
     mat = tensor.values.reshape(n * n, n * n)
     evals, evecs = np.linalg.eigh((mat + mat.T) / 2.0)

@@ -132,7 +132,6 @@ class AbsorptionSpec:
     n_orbitals: int
     l_fragments: int
     gamma: float            # Ha
-    spectral_norm: float    # Ha, effective ||H||
     j_max: int
     tau: float              # a.u.
     y3_magnitude: float     # Ha, |<Y3>|
@@ -143,15 +142,14 @@ class AbsorptionSpec:
     shot_beta: float | None = None
     state_prep_gates: int = 0
     ancilla_qubits: int = 104
-    gqsp_two_sided: bool = True
 
     def __post_init__(self) -> None:
         if self.gamma <= 0 or self.tau <= 0 or self.epsilon <= 0:
             raise ValidationError("gamma, tau, epsilon must be positive")
         if self.j_max < 0 or self.l_fragments < 1 or self.n_orbitals < 1:
             raise ValidationError("j_max >= 0, l_fragments >= 1, n_orbitals >= 1 required")
-        if self.y3_magnitude <= 0 or self.spectral_norm <= 0:
-            raise ValidationError("y3_magnitude and spectral_norm must be positive")
+        if self.y3_magnitude <= 0:
+            raise ValidationError("y3_magnitude must be positive")
         if self.rot_bits < 3:
             raise ValidationError("rot_bits must be at least 3")
         for name in ("dipole_norm", "shot_alpha", "shot_beta"):
@@ -190,7 +188,6 @@ class PlaneWaveSpec:
     p_dipole: float = 1e-3
     p_window: float = 1e-3
     p_continuum: float = 1.0
-    r_cutoff: float = 20.0  # Bohr
     c_sp: float = 1e9       # state-preparation gates, external input
     method: str = "AllElectron"
     epsilon_sampling: float = 0.01
@@ -211,8 +208,8 @@ class PlaneWaveSpec:
                                   f"the cap is {max_eta:.3g}")
         if self.c_sp < 0:
             raise ValidationError("c_sp must be non-negative")
-        if self.omega_cell <= 0 or self.r_cutoff <= 0:
-            raise ValidationError("omega_cell and r_cutoff must be positive")
+        if self.omega_cell <= 0:
+            raise ValidationError("omega_cell must be positive")
         for name in ("p_dipole", "p_window", "p_continuum", "p_nu"):
             p = getattr(self, name)
             if not 0 < p <= 1:
@@ -245,7 +242,7 @@ class PlaneWaveSpec:
 REQUIRED = object()  # the default of a field that must be present
 
 _KIND_NAMES = {int: "an integer within the float range", float: "a finite number",
-               str: "a string", bool: "true or false", dict: "an object", list: "a list"}
+               str: "a string", dict: "an object", list: "a list"}
 
 
 def _is_kind(value, kind) -> bool:
@@ -261,11 +258,11 @@ def read_fields(data, spec: dict, where: str) -> dict:
     """Check the JSON object ``data`` against ``spec``; return its fields, defaults filled in.
 
     ``spec`` maps each name to ``(kind, default)``, kind one of int, float,
-    str, bool, dict or list. An int never takes a boolean, nor an integer
-    beyond the float range; a float takes any finite number, integers
-    included, and returns it as a float. null is accepted only where the
-    default is None; a default of REQUIRED makes the field mandatory. Errors
-    name the field and ``where``, the object it sits in.
+    str, dict or list. Neither an int nor a float takes a boolean; an int
+    takes no integer beyond the float range, and a float takes any finite
+    number, integers included, and returns it as a float. null is accepted
+    only where the default is None; a default of REQUIRED makes the field
+    mandatory. Errors name the field and ``where``, the object it sits in.
     """
     if not isinstance(data, dict):
         raise ValidationError(f"{where} must be a JSON object")

@@ -209,7 +209,11 @@ def time_evolution_cost(spec: PlaneWaveSpec, lam: float, c_sel: int, c_prep: int
 
 
 def continuum_projector_cost(spec: PlaneWaveSpec) -> int:
-    """Toffolis for the real-space continuum test: eta(12n^2 - 8n + ceil(log2 eta) + 1)."""
+    """Toffolis for the real-space continuum test: eta(12n^2 - 8n + ceil(log2 eta) + 1).
+
+    The sphere radius enters only the classical constant the test compares
+    against (:func:`euvq.qarith.radius_threshold`), so the cost does not depend on it.
+    """
     n, eta = spec.n_bits, spec.eta
     n_eta = math.ceil(math.log2(eta)) if eta > 1 else 0
     return eta * (12 * n * n - 8 * n + n_eta + 1)

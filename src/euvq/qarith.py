@@ -4,8 +4,8 @@ Comparators, the uniform-superposition amplitude encoding of an integer, the
 sum-of-squares radius test, and the many-particle all-bound predicate are
 emulated on registers small enough that every output can be checked against
 plain integer arithmetic. Each primitive charges its Toffoli count to a
-ledger; blocks uncomputed by measure-and-fixup cost nothing in the default
-accounting mode and are charged in ``Full`` mode.
+ledger. Blocks that measure-and-fixup uncomputes cost no Toffolis and are
+not charged.
 """
 
 from __future__ import annotations
@@ -47,27 +47,17 @@ class BitRegister:
 
 @dataclass
 class ToffoliLedger:
-    """Itemized Toffoli counts with measure-and-fixup accounting.
-
-    ``entries`` are always charged; ``fixup_entries`` are the blocks that
-    measure-and-fixup uncomputes for free, charged only in ``Full`` mode.
-    """
+    """Itemized Toffoli counts, one (label, count) entry per charged block."""
 
     entries: list[tuple[str, int]] = field(default_factory=list)
-    fixup_entries: list[tuple[str, int]] = field(default_factory=list)
 
-    def charge(self, label: str, count: int, fixup: bool = False) -> None:
+    def charge(self, label: str, count: int) -> None:
         if count < 0:
             raise ValidationError("cannot charge a negative gate count")
-        (self.fixup_entries if fixup else self.entries).append((label, count))
+        self.entries.append((label, count))
 
-    def total(self, mode: str = "MeasureFixup") -> int:
-        if mode not in ("MeasureFixup", "Full"):
-            raise ValidationError("mode must be MeasureFixup or Full")
-        charged = sum(count for _, count in self.entries)
-        if mode == "Full":
-            charged += sum(count for _, count in self.fixup_entries)
-        return charged
+    def total(self) -> int:
+        return sum(count for _, count in self.entries)
 
 
 def comp(a: BitRegister, b: BitRegister, ledger: ToffoliLedger | None = None) -> int:
@@ -131,7 +121,8 @@ def radius_test(q: tuple[BitRegister, BitRegister, BitRegister], r_cutoff: float
     is the strict inequality exactly, ties with an exact-integer constant
     included: a particle on the sphere is outside. Charges sum-of-squares
     (3n^2 - n - 1) and comparator (2n + 2) Toffolis, plus the 3n(3n-3)
-    momentum-to-position transform.
+    momentum-to-position transform; their measure-and-fixup uncomputation
+    is not charged.
     """
     widths = {reg.width for reg in q}
     if len(widths) != 1:
@@ -141,8 +132,6 @@ def radius_test(q: tuple[BitRegister, BitRegister, BitRegister], r_cutoff: float
         ledger.charge("qft", 3 * n * (3 * n - 3))
         ledger.charge("sum-of-squares", 3 * n * n - n - 1)
         ledger.charge("comparator", 2 * n + 2)
-        ledger.charge("uncompute qft", 3 * n * (3 * n - 3), fixup=True)
-        ledger.charge("uncompute sum-of-squares", 3 * n * n - n - 1, fixup=True)
     q2 = sum(reg.as_int**2 for reg in q)
     return int(q2 <= radius_threshold(r_cutoff, n, box))
 
@@ -151,7 +140,7 @@ def all_bound(qs: list[tuple[BitRegister, BitRegister, BitRegister]], r_cutoff: 
               box: float, ledger: ToffoliLedger | None = None) -> int:
     """Product of per-particle bound bits over eta particles (Eq.-style counter).
 
-    The default-mode ledger total is eta (12 n^2 - 8 n + ceil(log2 eta) + 1),
+    The ledger total is eta (12 n^2 - 8 n + ceil(log2 eta) + 1),
     the closed form of :func:`euvq.planewave.continuum_projector_cost`.
     """
     if not qs:
@@ -172,9 +161,9 @@ def position_be_ledger(spec: PlaneWaveSpec) -> ToffoliLedger:
 
     Charged entries: uniform superposition ceil(log2(3 eta)) + 2 ceil(log2(1/eps)),
     controlled swaps 3 eta n, phase-gradient transform n(n-1). The inequality
-    test (n) and the uncomputation of the compute blocks ride the
-    measure-and-fixup path, so the default-mode total equals the closed-form
-    encoding cost exactly.
+    test and the uncomputation of these blocks ride the measure-and-fixup
+    path and are not charged, so the total equals the closed-form encoding
+    cost exactly.
     """
     n, eta = spec.n_bits, spec.eta
     uniform = math.ceil(math.log2(3 * eta)) + 2 * max(0, math.ceil(math.log2(1.0 / spec.epsilon_be)))
@@ -182,8 +171,4 @@ def position_be_ledger(spec: PlaneWaveSpec) -> ToffoliLedger:
     ledger.charge("uniform superposition", uniform)
     ledger.charge("controlled swaps", 3 * eta * n)
     ledger.charge("phase-gradient qft", n * (n - 1))
-    ledger.charge("inequality test", n, fixup=True)
-    ledger.charge("uncompute swaps", 3 * eta * n, fixup=True)
-    ledger.charge("uncompute qft", n * (n - 1), fixup=True)
-    ledger.charge("uncompute uniform", uniform, fixup=True)
     return ledger

@@ -24,7 +24,7 @@ TABLE1 = json.loads(resources.files("euvq").joinpath("fixtures", "table1.json").
 
 def table1_spec(n, **overrides):
     base = dict(n_orbitals=n, l_fragments=n, gamma=HARTREE_PER_EV,
-                spectral_norm=4.0, j_max=200, tau=math.pi / 8, y3_magnitude=10.0,
+                j_max=200, tau=math.pi / 8, y3_magnitude=10.0,
                 dipole_norm=6.25, epsilon=0.1, rot_bits=18,
                 shot_alpha=0.10, shot_beta=4.7)
     base.update(overrides)
@@ -177,12 +177,6 @@ def test_minimal_instance_floor():
     assert details["gqsp_degree"] == 1
     assert details["trotter_steps_per_tau"] == 1
     assert report.gates_per_circuit == details["c_trotter_step"]
-
-
-def test_one_sided_degree_convention():
-    two = dict(absorption_cost(table1_spec(22)).details)["gqsp_degree"]
-    one = dict(absorption_cost(table1_spec(22, gqsp_two_sided=False)).details)["gqsp_degree"]
-    assert (two, one) == (401, 200)
 
 
 def test_default_alpha_beta_computed():

@@ -108,11 +108,13 @@ def test_fragment_structure():
         np.testing.assert_allclose(z, z.T, atol=1e-12)
 
 
-def test_l_max_clamped_with_warning():
+def test_l_max_outside_one_to_n_squared_refused():
     tensor = random_symmetric_tensor(3, 5)
-    with pytest.warns(UserWarning):
-        fact = double_factorize(tensor, l_max=100)
-    assert len(fact) <= 9
+    assert len(double_factorize(tensor, l_max=9)) <= 9
+    refusal = r"field 'l_max' must lie in \[1, N\^2\] = \[1, 9\], got "
+    for l_max in (0, 10, 100):
+        with pytest.raises(ValidationError, match=f"{refusal}{l_max}$"):
+            double_factorize(tensor, l_max=l_max)
 
 
 def test_givens_identity_empty():

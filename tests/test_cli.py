@@ -381,25 +381,25 @@ ESTIMATOR_DIGESTS = [
     ("estimate-absorption", "table1.json", "csv",
      "6e312b10e6d1907c02f75e78f7fd0d0f5770d6c378b39a657df3c5caf3b317a0"),
     ("estimate-absorption", "table1.json", "json",
-     "a0afc73311cc51f6a579339f56134ce3010a9ae4651042bdd32a13d2565247cd"),
+     "011b55c6420714beb3a9f35577359625ca9a3f34dccb9328a395995d33266744"),
     ("estimate-photoemission", "corollary_imeph.json", "table",
      "96ca83dab6e91b806d4b33c3087747eb36f67a5fa8bbff7a8453db6d88a6ce7c"),
     ("estimate-photoemission", "corollary_imeph.json", "csv",
      "0585ac72665abca330f93bac508b2712149a6ae05073eeed5c372e78046125d9"),
     ("estimate-photoemission", "corollary_imeph.json", "json",
-     "cf3cdefa1a381bb05eded1cc0b66795fe680d315810628f399b4aff87bb94e44"),
+     "09f32cee3ebeaf9a7abaacbd353ebf52295b3e3cc277460d228e888e2e9e4790"),
     ("estimate-photoemission", "table2_ae.json", "table",
      "fa52c816595c43a44ab32bb93899e2ad6108df7d2ee20e898b278708310419ae"),
     ("estimate-photoemission", "table2_ae.json", "csv",
      "df86a22fb89ff0e8ec6d75a0cfb728fec2ec6398cd32696633057aef08e9e1f9"),
     ("estimate-photoemission", "table2_ae.json", "json",
-     "8f82268d0090532a4dd30fd8fde1b05b8053f597c19a3065d23341d6de7037a4"),
+     "a155f7e65cfa76ef82b9a4b02fc5bfb8f6453ca5602ae7c7011f561f823168e6"),
     ("estimate-photoemission", "table2_pp.json", "table",
      "0d29728021c69880c70b1938e47accb19242ba50ab24c1b9066b56e03df06e0e"),
     ("estimate-photoemission", "table2_pp.json", "csv",
      "f64a40ca724c0a85aac0a74e8bce2280a868082d02904df8f1f3b245e89f91dc"),
     ("estimate-photoemission", "table2_pp.json", "json",
-     "1521e3566b3c20858ca4d25a5ee106cc274ec9196a6a7381d37b9f03f63fcf9f"),
+     "ca5fef85eab7a18b386bfab5c38ca60a778c6a048b10d20e92d9f4a927dad28f"),
 ]
 
 

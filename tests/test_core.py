@@ -1,9 +1,13 @@
-"""Constants, report invariants and the input reader."""
+"""Constants, report invariants, the input reader, and every spec field entering a formula."""
 
+import dataclasses
+import json
 import math
+from importlib import resources
 
 import pytest
 
+from euvq.absorption import absorption_cost
 from euvq.core import (
     EUV_OMEGA_HA,
     HARTREE_PER_EV,
@@ -11,12 +15,18 @@ from euvq.core import (
     SPEED_OF_LIGHT_AU,
     AbsorptionSpec,
     CostReport,
+    PlaneWaveSpec,
     ValidationError,
     format_sig3,
     read_fields,
     cross_section_prefactor,
     read_numbers,
 )
+from euvq.planewave import photoemission_cost
+
+
+def _fixture(name):
+    return json.loads(resources.files("euvq").joinpath("fixtures", name).read_text())
 
 
 def test_constants_invariants():
@@ -65,7 +75,7 @@ def test_format_sig3():
 
 
 def test_spec_validation_errors():
-    good = dict(n_orbitals=4, l_fragments=4, gamma=0.03, spectral_norm=4.0, j_max=10,
+    good = dict(n_orbitals=4, l_fragments=4, gamma=0.03, j_max=10,
                 tau=0.4, y3_magnitude=10.0, dipole_norm=6.25, epsilon=0.1)
     AbsorptionSpec.from_dict(good)
     with pytest.raises(ValidationError):
@@ -78,7 +88,7 @@ def test_spec_validation_errors():
 
 def test_spec_round_trip():
     spec = AbsorptionSpec(n_orbitals=22, l_fragments=22, gamma=HARTREE_PER_EV,
-                          spectral_norm=4.0, j_max=200, tau=math.pi / 8,
+                          j_max=200, tau=math.pi / 8,
                           y3_magnitude=10.0, dipole_norm=6.25, epsilon=0.1)
     assert AbsorptionSpec.from_dict(spec.to_dict()) == spec
 
@@ -87,7 +97,7 @@ def test_spec_round_trip():
     (int, 3, True), (int, 3.0, False), (int, True, False), (int, "3", False),
     (float, 3, True), (float, 2.5, True), (float, False, False), (float, "2.5", False),
     (float, math.nan, False), (float, -math.inf, False), (float, 10**400, False),
-    (str, "a", True), (str, 1, False), (bool, False, True), (bool, 0, False),
+    (str, "a", True), (str, 1, False), (str, True, False), (list, False, False),
     (dict, {}, True), (dict, [], False), (list, [], True), (list, {}, False),
     (int, 2**1000, True), (int, -(10**400), False),
 ])
@@ -126,10 +136,38 @@ def test_read_numbers_shape_and_finiteness():
 
 
 def test_spec_field_types_from_annotations():
-    good = dict(n_orbitals=4, l_fragments=4, gamma=0.03, spectral_norm=4.0, j_max=10,
+    good = dict(n_orbitals=4, l_fragments=4, gamma=0.03, j_max=10,
                 tau=0.4, y3_magnitude=10.0, dipole_norm=6.25, epsilon=0.1)
     assert AbsorptionSpec.from_dict({**good, "shot_alpha": None}).shot_alpha is None
     for field, value in (("n_orbitals", 22.5), ("n_orbitals", 4.0), ("gamma", math.nan),
-                         ("gqsp_two_sided", "no"), ("rot_bits", None)):
+                         ("rot_bits", "18"), ("rot_bits", None)):
         with pytest.raises(ValidationError, match=f"'{field}' in AbsorptionSpec"):
             AbsorptionSpec.from_dict({**good, field: value})
+
+
+# Each estimator on a published row: table 1's N = 22 row and the corollary spec
+ESTIMATORS = [(AbsorptionSpec, absorption_cost, _fixture("table1.json")["sweep"][0]),
+              (PlaneWaveSpec, photoemission_cost, _fixture("corollary_imeph.json"))]
+# A number moves by a factor of 0.9 unless it feeds a ceiling or a max: the Trotter step
+# count is a ceiling, and p_nu enters lambda_total only below 0.32 on the corollary spec
+SCALES = {"gamma": 4.0, "y3_magnitude": 4.0, "tau": 2.0, "p_nu": 0.25}
+OTHER_CHOICE = {"table": "body", "body": "table"}
+
+
+@pytest.mark.parametrize("cls, cost, row, name", [
+    pytest.param(cls, cost, row, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls, cost, row in ESTIMATORS for f in dataclasses.fields(cls)
+    if f.name != "method"  # labels the rows only (see test_c05_gate_costs_pp)
+])
+def test_every_spec_field_moves_the_report(cls, cost, row, name):
+    # every settable estimator input enters a formula: changing it alone changes the report
+    spec = cls.from_dict(row)
+    value = getattr(spec, name)
+    if isinstance(value, str):
+        value = OTHER_CHOICE[value]
+    elif isinstance(value, int):
+        value += 1
+    else:
+        value *= SCALES.get(name, 0.9)
+    moved = dataclasses.replace(spec, **{name: value})
+    assert cost(moved).to_dict() != cost(spec).to_dict()

@@ -30,7 +30,6 @@ DROP = object()
 EXTREMES = [2**64, 10**200, 1e300, 5e-324]
 # drop, then retype to str, bool, null, list, object or a fraction, then NaN and +-inf
 MUTATIONS = [DROP, "x", True, None, [], {}, 2.5, math.nan, math.inf, -math.inf, *EXTREMES]
-CLAMP_WARNING = r"ignore:l_max=\d+ exceeds N\^2=\d+; clamping:UserWarning"  # cdf's documented clamp
 
 
 def load_fixture(name):
@@ -70,7 +69,6 @@ def run_on(command, data, *extra):
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-@pytest.mark.filterwarnings(CLAMP_WARNING)
 def test_mutated_fixture_never_raises(name):
     base = load_fixture(name)
 
@@ -85,7 +83,6 @@ def test_mutated_fixture_never_raises(name):
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-@pytest.mark.filterwarnings(CLAMP_WARNING)
 def test_finite_extremes_never_raise(name, capsys):
     # every number field, set to each extreme; the sampled fuzz above reaches few of them.
     # A run that exits 0 prints strict JSON: no NaN or Infinity in any value
@@ -108,7 +105,7 @@ def _non_finite(path, value, constant):
 @pytest.mark.parametrize("name, path, value, field", [
     ("table1.json", ("sweep", 0, "n_orbitals"), 22.5, "n_orbitals"),
     ("table1.json", ("sweep", 0, "n_orbitals"), 4.0, "n_orbitals"),
-    ("table1.json", ("sweep", 0, "gqsp_two_sided"), "no", "gqsp_two_sided"),
+    ("table1.json", ("sweep", 0, "rot_bits"), "18", "rot_bits"),
     ("scene_two_level.json", ("gamma",), math.nan, "gamma"),
     ("grid_soft_coulomb_1d.json", ("filter", "center"), DROP, "center"),
     ("grid_soft_coulomb_1d.json", ("filter",), {}, "center"),
@@ -116,6 +113,8 @@ def _non_finite(path, value, constant):
     ("grid_soft_coulomb_1d.json", ("bins", "count"), DROP, "count"),
     ("grid_soft_coulomb_1d.json", ("smoothing",), 0.5, "smoothing"),
     ("tensor_random4.json", ("l_max",), 2.5, "l_max"),
+    ("tensor_random4.json", ("l_max",), 0, "l_max"),
+    ("tensor_random4.json", ("l_max",), 17, "l_max"),
     ("tensor_random4.json", ("comment",), "x", "comment"),
     ("grid_soft_coulomb_1d.json", ("model", "box_length"), 5e-324, "box_length"),
     ("grid_soft_coulomb_1d.json", ("model", "box_length"), 1e300, "box_length"),
@@ -136,10 +135,11 @@ def _non_finite(path, value, constant):
     ("scene_two_level.json", ("omega", "points"), 0, "points"),
     ("grid_soft_coulomb_1d.json", ("bins", "count"), 0, "count"),
     ("scene_two_level.json", ("omega",), {"min": -1e308, "max": 1e308, "points": 5}, "max"),
-], ids=["n_orbitals-fractional", "n_orbitals-float", "gqsp_two_sided-str", "gamma-nan",
+], ids=["n_orbitals-fractional", "n_orbitals-float", "rot_bits-str", "gamma-nan",
         "filter-no-center", "filter-empty", "potential-str", "bins-no-count",
-        "config-unknown-key", "l_max-fractional", "tensor-unknown-key", "box_length-least",
-        "box_length-1e300", "r_cutoff-beyond-box", "z-2^64", "time-negative", "time-1e300",
+        "config-unknown-key", "l_max-fractional", "l_max-zero", "l_max-above-N^2",
+        "tensor-unknown-key", "box_length-least", "box_length-1e300", "r_cutoff-beyond-box",
+        "z-2^64", "time-negative", "time-1e300",
         "r_cutoff-negative", "bins-collapsed", "gamma-negative", "tau-zero", "j_max-negative",
         "gamma_tau-underflow", "gamma-1e160", "gamma-1e300", "absorption-shots-zero",
         "photoemission-shots-negative", "omega-points-zero", "bins-count-zero",

@@ -110,8 +110,6 @@ def test_radius_test_ledger_counts():
     ledger = ToffoliLedger()
     radius_test(regs, 2.0, 10.0, ledger=ledger)
     assert ledger.total() == 12 * n * n - 8 * n + 1
-    full = ledger.total("Full")
-    assert full == ledger.total() + 3 * n * (3 * n - 3) + 3 * n * n - n - 1
 
 
 def test_all_bound_reduces_to_radius_test():
@@ -156,15 +154,6 @@ def test_all_bound_ledger_matches_closed_form():
         spec = PlaneWaveSpec(eta=eta, lambda_zeta=float(eta), omega_cell=1000.0, n_bits=n,
                              epsilon_be=1e-3, delta_filter=0.1, t_evolution=0.0)
         assert ledger.total() == continuum_projector_cost(spec)
-
-
-def test_measure_fixup_never_exceeds_full():
-    spec = PlaneWaveSpec(eta=17, lambda_zeta=17.0, omega_cell=1000.0, n_bits=5,
-                         epsilon_be=1e-3, delta_filter=0.1, t_evolution=0.0)
-    ledger = position_be_ledger(spec)
-    assert ledger.total("MeasureFixup") <= ledger.total("Full")
-    delta = ledger.total("Full") - ledger.total("MeasureFixup")
-    assert delta == sum(count for _, count in ledger.fixup_entries)
 
 
 def test_position_ledger_equals_closed_form_cross_module():
