@@ -254,7 +254,7 @@ def run_arith_verify(data, seed: int) -> Output:
 
     spec = PlaneWaveSpec(eta=58, lambda_zeta=58, omega_cell=200.0**3, n_bits=9,
                          epsilon_be=1e-3, delta_filter=0.067, t_evolution=0.0)
-    good = qarith.position_be_ledger(spec).total() == planewave.dipole_block_encoding_cost(spec)
+    good = qarith.position_be_toffolis(spec) == planewave.dipole_block_encoding_cost(spec)
     ok &= good
     lines.append(f"position ledger vs closed form: {'ok' if good else 'MISMATCH'}")
 

@@ -65,7 +65,7 @@ MAX_FILTER_DEGREE = 20000      # largest Chebyshev degree of the energy filter
 FIT_NODES = 64                 # first interpolation size of the filter fit, doubled as needed
 GROUND_STATE_TOL = 1e-10       # ||H psi - E psi|| (Ha) at which the ground-state iteration stops,
 GROUND_STATE_FLOOR = 1e-15     # or at this much per Ha of spectral range, its rounding floor
-GROUND_STATE_ITERATIONS = 500  # default cap on LOBPCG iterations, one H application each
+GROUND_STATE_ITERATIONS = 500  # cap on LOBPCG iterations, one H application each
 GROUND_STATE_BAR = 1e-8        # ||H psi - E psi|| (Ha) above which ground_state raises
 BASIS_DEPENDENCE = 1e-12       # remaining norm below which a unit basis row counts as dependent
 EDGE_CELLS = 2                 # grid points next to each box face that edge_density counts
@@ -98,8 +98,9 @@ def _potential_from_config(data, x: np.ndarray) -> np.ndarray:
         return 0.5 * read_fields(params, {"k": (float, 1.0)}, where)["k"] * x**2
     if kind == "samples":
         values = read_fields(params, {"values": (list, REQUIRED)}, where)["values"]
-        return read_numbers(values, x.shape, "samples potential values")
-    raise ValidationError(f"unknown potential kind '{kind}'")
+        return read_numbers(values, x.shape, "field 'values' in samples potential params")
+    raise ValidationError(f"field 'kind' in model.potential must be zero, soft_coulomb, "
+                          f"gaussian_well, harmonic or samples, got '{kind}'")
 
 
 def _check_n_points(n: int) -> None:
@@ -134,9 +135,10 @@ class GridModel:
 
     def __post_init__(self) -> None:
         if self.dims not in (1, 3):
-            raise ValidationError("dims must be 1 or 3")
+            raise ValidationError(f"field 'dims' in model must be 1 or 3, got {self.dims}")
         if self.eta not in (1, 2):
-            raise ValidationError("eta must be 1 or 2 at desk scale")
+            raise ValidationError(f"field 'eta' in model must be 1 or 2 at desk scale, "
+                                  f"got {self.eta}")
         n = self.n_points
         _check_n_points(n)
         if not (0 < self.spacing and self.box_length * self.box_length < math.inf):
@@ -149,11 +151,21 @@ class GridModel:
             raise ValidationError("potential must be sampled on the 1D axis grid")
         object.__setattr__(self, "potential", v)
         if self.dims == 3 and self.eta != 1:
-            raise ValidationError("3D mode supports a single electron")
+            raise ValidationError(f"field 'eta' in model must be 1 in 3D mode, which supports "
+                                  f"a single electron, got {self.eta}")
         if self.dims == 3 and n > 32:
-            raise ValidationError("3D grids capped at 32 points per dimension")
+            raise ValidationError(f"field 'n_points' in model: 3D grids capped at 32 points "
+                                  f"per dimension, got {n}")
         if self.hilbert_dim > 2**20:
-            raise ValidationError("Hilbert space capped at 2^20")
+            raise ValidationError(f"field 'n_points' in model: Hilbert space capped at 2^20 = "
+                                  f"{2**20}, got n_points^(dims eta) = "
+                                  f"{n}^{self.dims * self.eta} = {self.hilbert_dim}")
+        if self.eta == 1:
+            for name, neutral in (("interaction_strength", 0.0), ("interaction_softening", 1.0)):
+                if getattr(self, name) != neutral:
+                    raise ValidationError(f"field '{name}' in model applies to two electrons "
+                                          f"(eta 2) only; with eta 1 it must be {neutral:g}, "
+                                          f"got {getattr(self, name):g}")
         coords = self.dims * self.eta
         v = _outer_sum([self.potential] * coords)
         if self.eta == 2 and self.interaction_strength:
@@ -167,7 +179,8 @@ class GridModel:
             raise ValidationError(f"field 'box_length' in model gives kinetic energies up to "
                                   f"{top_kinetic:.3g} Ha, whose square must be finite")
         if not np.isfinite(v).all():
-            raise ValidationError("potential energies must be finite on the grid")
+            raise ValidationError("field 'potential' in model: potential energies must be "
+                                  "finite on the grid")
         # [lo, hi] = [min V, max V + max T] holds the spectrum of H; both Chebyshev
         # series run in (H - mid) / half_span
         lo, hi = float(v.min()), float(v.max()) + top_kinetic
@@ -312,7 +325,8 @@ def dense_hamiltonian(model: GridModel) -> np.ndarray:
     """
     dim = model.hilbert_dim
     if dim > 4096:
-        raise ValidationError("dense Hamiltonian capped at dimension 4096")
+        raise ValidationError(f"field 'mode' in FilterSpec: ExactEigen's dense Hamiltonian "
+                              f"capped at dimension 4096, got {dim}; use ChebyshevPoly")
     n, coords = model.n_points, model.dims * model.eta
     column = np.fft.irfft(model.k_axis[:n // 2 + 1] ** 2 / 2.0, n)
     offsets = np.arange(n)
@@ -420,8 +434,7 @@ def check_energy_reach(model: GridModel) -> None:
             f"ground state's {GROUND_STATE_BAR:g} Ha residual bar")
 
 
-def ground_state(model: GridModel, maxiter: int = GROUND_STATE_ITERATIONS
-                 ) -> tuple[np.ndarray, float]:
+def ground_state(model: GridModel) -> tuple[np.ndarray, float]:
     """Lowest eigenpair of the grid Hamiltonian by preconditioned LOBPCG.
 
     H and the dipole D are exchange symmetric, and the lowest two-electron
@@ -429,10 +442,11 @@ def ground_state(model: GridModel, maxiter: int = GROUND_STATE_ITERATIONS
     sector. The iteration runs in real arithmetic, since H is real symmetric,
     preconditioned by S (T + 1 Ha)^-1 S with S = (1 + V - min V)^-1/2 on the
     grid: symmetric and positive definite, costing two elementwise products
-    beyond the kinetic factor's transforms. ``maxiter`` caps the iterations,
-    each of which applies H once. The returned state is real. Raises with
-    iteration diagnostics if the residual exceeds GROUND_STATE_BAR, and
-    refuses up front, by :func:`check_energy_reach`, a model it cannot resolve.
+    beyond the kinetic factor's transforms. GROUND_STATE_ITERATIONS, read at
+    each call, caps the iterations, each of which applies H once. The
+    returned state is real. Raises with iteration diagnostics if the residual
+    exceeds GROUND_STATE_BAR, and refuses up front, by
+    :func:`check_energy_reach`, a model it cannot resolve.
     """
     check_energy_reach(model)
     dim = model.hilbert_dim
@@ -447,7 +461,7 @@ def ground_state(model: GridModel, maxiter: int = GROUND_STATE_ITERATIONS
         return scale * model.momentum_multiply(inverse_kinetic, scale * v)
 
     _, psi, h_psi = eigsh(model.apply_hamiltonian, precondition, start,
-                          model.mid + model.half_span, maxiter)
+                          model.mid + model.half_span, GROUND_STATE_ITERATIONS)
     norm = np.linalg.norm(psi)
     psi, h_psi = psi / norm, h_psi / norm
     energy = float(psi @ h_psi)
@@ -777,11 +791,13 @@ def edge_density(model: GridModel, state: np.ndarray) -> float:
     the boundary; callers flag a run invalid once this exceeds ~1e-6.
     """
     psi = np.abs(np.asarray(state).reshape(model.shape)) ** 2
-    interior = (slice(EDGE_CELLS, model.n_points - EDGE_CELLS),) * psi.ndim
     total = float(psi.sum())
     if total == 0.0:
         return 0.0
-    return float((total - psi[interior].sum()) / total)
+    edge = np.zeros(model.n_points, dtype=bool)
+    edge[:EDGE_CELLS] = edge[-EDGE_CELLS:] = True
+    # the edge cells summed directly: no difference of totals, so no sign or digit is lost
+    return float(psi[functools.reduce(np.logical_or.outer, [edge] * psi.ndim)].sum() / total)
 
 
 def check_r_cutoff(model: GridModel, r_cutoff: float) -> None:

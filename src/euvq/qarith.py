@@ -1,17 +1,18 @@
-"""Bit-exact emulation of the reversible-arithmetic primitives with Toffoli ledgers.
+"""Bit-exact emulation of the reversible-arithmetic primitives, and their Toffoli counts.
 
 Comparators, the uniform-superposition amplitude encoding of an integer, the
 sum-of-squares radius test, and the many-particle all-bound predicate are
 emulated on registers small enough that every output can be checked against
-plain integer arithmetic. Each primitive charges its Toffoli count to a
-ledger. Blocks that measure-and-fixup uncomputes cost no Toffolis and are
-not charged.
+plain integer arithmetic. No count depends on a register's value, so each
+counted block's Toffolis are a function of its widths, written term by term
+apart from the closed forms in :mod:`euvq.planewave`. Blocks that
+measure-and-fixup uncomputes cost no Toffolis and are not counted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import PlaneWaveSpec, ValidationError
 
@@ -45,27 +46,10 @@ class BitRegister:
         return cls(width=width, value=value & (2**width - 1), signed=signed)
 
 
-@dataclass
-class ToffoliLedger:
-    """Itemized Toffoli counts, one (label, count) entry per charged block."""
-
-    entries: list[tuple[str, int]] = field(default_factory=list)
-
-    def charge(self, label: str, count: int) -> None:
-        if count < 0:
-            raise ValidationError("cannot charge a negative gate count")
-        self.entries.append((label, count))
-
-    def total(self) -> int:
-        return sum(count for _, count in self.entries)
-
-
-def comp(a: BitRegister, b: BitRegister, ledger: ToffoliLedger | None = None) -> int:
-    """Comparator bit b(beta < alpha) for |alpha>|beta>|0>; charges n Toffolis."""
+def comp(a: BitRegister, b: BitRegister) -> int:
+    """Comparator bit b(beta < alpha) for |alpha>|beta>|0>; costs n Toffolis."""
     if a.width != b.width:
         raise ValidationError("comparator operands must have equal widths")
-    if ledger is not None:
-        ledger.charge("comp", a.width)
     return int(b.value < a.value)
 
 
@@ -114,61 +98,56 @@ def radius_threshold(r_cutoff: float, n_bits: int, box: float) -> int:
 
 
 def radius_test(q: tuple[BitRegister, BitRegister, BitRegister], r_cutoff: float,
-                box: float, ledger: ToffoliLedger | None = None) -> int:
+                box: float) -> int:
     """Sphere-membership bit: 1 when q_x^2 + q_y^2 + q_z^2 < (R_c 2^n / L)^2.
 
     The sum of squares is compared with :func:`radius_threshold` by <=, which
     is the strict inequality exactly, ties with an exact-integer constant
-    included: a particle on the sphere is outside. Charges sum-of-squares
-    (3n^2 - n - 1) and comparator (2n + 2) Toffolis, plus the 3n(3n-3)
-    momentum-to-position transform; their measure-and-fixup uncomputation
-    is not charged.
+    included: a particle on the sphere is outside. Its Toffolis are
+    :func:`radius_test_toffolis` of the coordinate width.
     """
     widths = {reg.width for reg in q}
     if len(widths) != 1:
         raise ValidationError("coordinate registers must share one width")
     n = widths.pop()
-    if ledger is not None:
-        ledger.charge("qft", 3 * n * (3 * n - 3))
-        ledger.charge("sum-of-squares", 3 * n * n - n - 1)
-        ledger.charge("comparator", 2 * n + 2)
     q2 = sum(reg.as_int**2 for reg in q)
     return int(q2 <= radius_threshold(r_cutoff, n, box))
 
 
-def all_bound(qs: list[tuple[BitRegister, BitRegister, BitRegister]], r_cutoff: float,
-              box: float, ledger: ToffoliLedger | None = None) -> int:
-    """Product of per-particle bound bits over eta particles (Eq.-style counter).
+def radius_test_toffolis(n: int) -> int:
+    """Toffolis of the radius test on n-bit coordinates; its uncomputation is not counted."""
+    return (3 * n * (3 * n - 3)    # momentum-to-position transform
+            + 3 * n * n - n - 1    # sum of squares
+            + 2 * n + 2)           # comparator
 
-    The ledger total is eta (12 n^2 - 8 n + ceil(log2 eta) + 1),
-    the closed form of :func:`euvq.planewave.continuum_projector_cost`.
-    """
+
+def all_bound(qs: list[tuple[BitRegister, BitRegister, BitRegister]], r_cutoff: float,
+              box: float) -> int:
+    """Product of per-particle bound bits over eta particles."""
     if not qs:
         raise ValidationError("need at least one particle register")
-    eta = len(qs)
-    counter_bits = math.ceil(math.log2(eta)) if eta > 1 else 0
-    bit = 1
-    for particle in qs:
-        inside = radius_test(particle, r_cutoff, box, ledger=ledger)
-        if ledger is not None and counter_bits:
-            ledger.charge("bound counter", counter_bits)
-        bit &= inside
-    return bit
+    return min(radius_test(particle, r_cutoff, box) for particle in qs)
 
 
-def position_be_ledger(spec: PlaneWaveSpec) -> ToffoliLedger:
-    """Ledger for the block encoding of the summed position operator.
+def all_bound_toffolis(n: int, eta: int) -> int:
+    """Toffolis of the all-bound predicate on eta particles with n-bit coordinates.
 
-    Charged entries: uniform superposition ceil(log2(3 eta)) + 2 ceil(log2(1/eps)),
-    controlled swaps 3 eta n, phase-gradient transform n(n-1). The inequality
-    test and the uncomputation of these blocks ride the measure-and-fixup
-    path and are not charged, so the total equals the closed-form encoding
-    cost exactly.
+    Each particle pays a radius test and, for eta > 1, a ceil(log2 eta)-bit
+    count; the sum is :func:`euvq.planewave.continuum_projector_cost`.
+    """
+    counter = math.ceil(math.log2(eta)) if eta > 1 else 0
+    return eta * (radius_test_toffolis(n) + counter)
+
+
+def position_be_toffolis(spec: PlaneWaveSpec) -> int:
+    """Toffolis of the block encoding of the summed position operator.
+
+    The inequality test and the uncomputation of these blocks ride the
+    measure-and-fixup path and are not counted, so the sum equals the
+    closed-form encoding cost exactly.
     """
     n, eta = spec.n_bits, spec.eta
     uniform = math.ceil(math.log2(3 * eta)) + 2 * max(0, math.ceil(math.log2(1.0 / spec.epsilon_be)))
-    ledger = ToffoliLedger()
-    ledger.charge("uniform superposition", uniform)
-    ledger.charge("controlled swaps", 3 * eta * n)
-    ledger.charge("phase-gradient qft", n * (n - 1))
-    return ledger
+    return (uniform            # uniform superposition
+            + 3 * eta * n      # controlled swaps
+            + n * (n - 1))     # phase-gradient transform

@@ -389,7 +389,7 @@ def test_c11_filter_degree_law():
 
 
 def test_c12_arithmetic_brute_force():
-    """Criterion 12: exhaustive arithmetic equivalence and ledger identities."""
+    """Criterion 12: exhaustive arithmetic equivalence and Toffoli-count identities."""
     comp_ok = all(
         qarith.comp(qarith.BitRegister(n, a), qarith.BitRegister(n, b)) == int(b < a)
         for n in range(1, 5) for a in range(2**n) for b in range(2**n))
@@ -427,7 +427,7 @@ def test_c12_arithmetic_brute_force():
                             & qarith.radius_test(regs2, r_c, 10.0))
                     allb_ok &= qarith.all_bound([regs1, regs2], r_c, 10.0) == want
 
-    ledger_ok = True
+    counts_ok = True
     for _ in range(100):
         eta = int(rng.integers(1, 250))
         bits = int(rng.integers(1, 16))
@@ -435,16 +435,15 @@ def test_c12_arithmetic_brute_force():
         spec = PlaneWaveSpec(eta=eta, lambda_zeta=float(eta), omega_cell=1000.0,
                              n_bits=bits, epsilon_be=eps, delta_filter=0.1,
                              t_evolution=0.0)
-        ledger_ok &= (qarith.position_be_ledger(spec).total()
+        counts_ok &= (qarith.position_be_toffolis(spec)
                       == planewave.dipole_block_encoding_cost(spec))
-        bound = qarith.ToffoliLedger()  # the ledger charges do not depend on the values
-        qarith.all_bound([(qarith.BitRegister(bits, 0),) * 3] * eta, 2.0, 10.0, ledger=bound)
-        ledger_ok &= bound.total() == planewave.continuum_projector_cost(spec)
+        counts_ok &= (qarith.all_bound_toffolis(bits, eta)
+                      == planewave.continuum_projector_cost(spec))
 
-    ok = comp_ok and bex_ok and radius_ok and allb_ok and ledger_ok
+    ok = comp_ok and bex_ok and radius_ok and allb_ok and counts_ok
     record("12 arithmetic brute force", ok,
            f"comp {comp_ok}, be_x {bex_ok}, radius {radius_ok}, "
-           f"all_bound {allb_ok}, cross-module ledgers {ledger_ok}")
+           f"all_bound {allb_ok}, cross-module Toffoli counts {counts_ok}")
     assert ok
 
 

@@ -449,10 +449,10 @@ TWO_ELECTRON_CONFIG = {
 # in JSON the ground energy, the stages' success probabilities and the escape diagnostics
 PHOTOEMISSION_DIGESTS = [
     ("grid_soft_coulomb_1d.json", "json",
-     "d0fa6069b8ec8a06838270379381ff890f7b9190c426d69e85497290cfa9b983"),
+     "22c7cefae4fab39c7f4e9cf721972ad7867bc3d6401203ce762e554b972bb56a"),
     ("grid_soft_coulomb_1d.json", "csv",
      "fb39dbe825474464202232240f7d41f02584579ede812af31c83458b2a59f11a"),
-    (None, "json", "3ee5d164fa0ae64f156717fda0f3fee2345912af960de9f1d678a8ba10fa8d90"),
+    (None, "json", "9ba71e6dac052e018e67a14119f0b18dd63029d184e82e01845c6f9e11b7d0e9"),
     (None, "csv", "b07165babe351b39555758b89badabd21304b5403a7774ef15f0f486924162bb"),
 ]
 

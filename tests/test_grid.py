@@ -331,6 +331,38 @@ def test_filter_and_evolve_exact_eigen_matches_filter_then_evolve(make, center, 
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_photoemission_readout_matches_golden_rule():
+    # Fermi's golden rule on a 1D Gaussian well: after the window and a long enough flight,
+    # the projected kinetic-energy histogram weighs each free level E_n > 0 by
+    # w_n = |g(E_n - E0) <n|D psi0>|^2, g the window. Means are compared, not the
+    # histogram itself: the readout bins grid energies k^2/2, the oracle box eigenvalues
+    # E_n, which differ by up to about k dk = 0.017 Ha (dk = 2 pi / L), so coarse bins
+    # move mass across an edge; rounding the mean to 1e-3 Ha bin centres costs <= 5e-4 Ha
+    n, box = 1024, 320.0
+    x = (np.arange(n) - n // 2) * (box / n)
+    m = GridModel(dims=1, n_points=n, box_length=box, potential=-2.0 * np.exp(-(x**2) / 2.0))
+    energies, vectors = np.linalg.eigh(dense_hamiltonian(m))
+    e0 = energies[0]
+    assert e0 == pytest.approx(-1.3872, abs=1e-4)
+    center, sigma = 0.37 - e0, 0.1
+    free = energies > 0
+    g = np.exp(-((energies[free] - e0 - center) ** 2) / (2 * sigma**2))
+    w = np.abs(g * (vectors[:, free].T @ (x * vectors[:, 0]))) ** 2
+    oracle = float(np.sum(w * energies[free]) / np.sum(w))
+    edges = np.arange(1001) * 1e-3
+    centres = (edges[:-1] + edges[1:]) / 2
+    for mode in ("ExactEigen", "ChebyshevPoly"):
+        filt = FilterSpec(center=center, sigma=sigma, mode=mode, poly_tolerance=1e-7)
+        for t in (40.0, 80.0):
+            psi, _, _ = grid.filter_and_evolve(m, filt, t)
+            assert edge_density(m, psi) < 1e-12
+            projected, success = continuum_project(m, psi, 10.0)
+            assert success > 0.9999
+            mass = kinetic_histogram(m, projected, edges).mass
+            mean = float(np.sum(mass * centres) / np.sum(mass))
+            assert abs(mean - oracle) < 1e-3, (mode, t, mean, oracle)
+
+
 @pytest.mark.parametrize("mode", ["ChebyshevPoly", None])
 def test_filter_and_evolve_runs_the_series_without_an_eigendecomposition(mode):
     # ChebyshevPoly and no-filter runs are LOBPCG, gaussian_filter, normalize and
@@ -643,6 +675,33 @@ def test_edge_density_flags_boundary_arrival():
     assert edge_density(m, moved) > 1e-6
 
 
+def test_edge_density_sums_the_edge_cells():
+    # a packet far from the faces: its edge cells hold 3.5e-43 of the mass, a value that
+    # a total-minus-interior difference rounds to a signed 1e-16
+    m = free_model(n=64, box=48.0)
+    packet = np.exp(-((m.axis - 1.7) ** 2) / (4 * 1.5**2))
+    packet /= np.linalg.norm(packet)
+    density = packet**2
+    edge = density[[0, 1, 62, 63]].sum() / density.sum()
+    assert 0.0 < edge < 1e-40
+    assert edge_density(m, packet) == pytest.approx(edge, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("make", [lambda: free_model(n=16, box=8.0, eta=2),
+                                  lambda: GridModel(dims=3, n_points=8, box_length=6.0,
+                                                    potential=np.zeros(8))],
+                         ids=["two_electrons", "3d"])
+def test_edge_density_counts_a_cell_near_any_face(make):
+    m = make()
+    rng = np.random.default_rng(21)
+    density = rng.random(m.shape)
+    # a cell is an edge cell when any of its indices lies within EDGE_CELLS of a face
+    index = np.indices(m.shape)
+    near = np.minimum(index, m.n_points - 1 - index) < grid.EDGE_CELLS
+    edge = density[near.any(axis=0)].sum() / density.sum()
+    assert edge_density(m, np.sqrt(density).reshape(-1)) == pytest.approx(edge, rel=1e-12)
+
+
 def test_3d_ground_state_and_histogram():
     n, box = 8, 12.0
     m = GridModel(dims=3, n_points=n, box_length=box, potential=np.zeros(n))
@@ -693,10 +752,11 @@ def test_evolve_rejects_negative_time():
         evolve(m, np.ones(64, dtype=complex), -1.0)
 
 
-def test_ground_state_nonconvergence_reports():
+def test_ground_state_nonconvergence_reports(monkeypatch):
+    monkeypatch.setattr(grid, "GROUND_STATE_ITERATIONS", 1)
     m = soft_model(n=128)
     with pytest.raises(NumericalError, match="iteration|residual"):
-        ground_state(m, maxiter=1)
+        ground_state(m)
 
 
 @pytest.mark.parametrize("eta", [1, 2])

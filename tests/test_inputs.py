@@ -151,6 +151,32 @@ def test_bad_field_exits_2_and_is_named(capsys, name, path, value, field):
     assert err.count("\n") == 1  # the one error line: no traceback, no warning
 
 
+@pytest.mark.parametrize("changes, field", [
+    ({"dims": 2}, "dims"),
+    ({"eta": 3}, "eta"),
+    ({"dims": 3, "eta": 2, "n_points": 8}, "eta"),
+    ({"dims": 3, "n_points": 64}, "n_points"),
+    ({"eta": 2, "n_points": 2048}, "n_points"),
+    ({"potential": {"kind": "soft_coulomb", "params": {"a": 0.0}}}, "potential"),
+    ({"potential": {"kind": "nope"}}, "kind"),
+    ({"potential": {"kind": "samples", "params": {"values": [1.0, 2.0]}}}, "values"),
+    ({"n_points": 8192}, "mode"),
+    ({"eta": 2, "n_points": 128}, "mode"),
+    ({"interaction_strength": 5.0}, "interaction_strength"),
+    ({"interaction_softening": 2.0}, "interaction_softening"),
+], ids=["dims-2", "eta-3", "3d-two-electrons", "3d-64-points", "hilbert-above-2^20",
+        "potential-infinite", "kind-unknown", "samples-short", "exact-eigen-8192",
+        "exact-eigen-two-electrons-128", "interaction-strength-one-electron",
+        "interaction-softening-one-electron"])
+def test_bad_grid_model_exits_2_and_is_named(capsys, changes, field):
+    data = load_fixture("grid_soft_coulomb_1d.json")
+    data["model"].update(changes)
+    assert run_on("emulate-photoemission", data) == EX_VALIDATION
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("field, value", [("time", -1), ("time", 1e300), ("r_cutoff", -1),
                                           ("r_cutoff", 1e300)])
 def test_bad_time_or_cutoff_exits_2_before_the_ground_state(monkeypatch, capsys, field, value):

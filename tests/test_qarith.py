@@ -1,4 +1,4 @@
-"""Brute-force verification of the reversible-arithmetic emulation and ledgers."""
+"""Brute-force verification of the reversible-arithmetic emulation and its Toffoli counts."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,13 @@ from euvq.core import PlaneWaveSpec, ValidationError
 from euvq.planewave import continuum_projector_cost, dipole_block_encoding_cost
 from euvq.qarith import (
     BitRegister,
-    ToffoliLedger,
     all_bound,
+    all_bound_toffolis,
     be_x_amplitude,
     comp,
-    position_be_ledger,
+    position_be_toffolis,
     radius_test,
+    radius_test_toffolis,
     radius_threshold,
 )
 
@@ -34,15 +35,6 @@ def test_comp_exhaustive(n):
         for beta in range(2**n):
             got = comp(BitRegister(n, alpha), BitRegister(n, beta))
             assert got == int(beta < alpha)
-
-
-def test_comp_charges_n_toffolis():
-    ledger = ToffoliLedger()
-    comp(BitRegister(5, 9), BitRegister(5, 3), ledger=ledger)
-    assert ledger.total() == 5
-    with pytest.raises(ValidationError):
-        ledger.charge("bad", -1)
-    assert ledger.total() == 5
 
 
 def test_comp_width_mismatch():
@@ -104,12 +96,9 @@ def test_radius_test_exact_integer_constant_counts_the_sphere_outside():
     assert radius_test(inside, r_c, box) == 1
 
 
-def test_radius_test_ledger_counts():
+def test_radius_test_toffoli_count():
     n = 4
-    regs = tuple(BitRegister.from_int(1, n, signed=True) for _ in range(3))
-    ledger = ToffoliLedger()
-    radius_test(regs, 2.0, 10.0, ledger=ledger)
-    assert ledger.total() == 12 * n * n - 8 * n + 1
+    assert radius_test_toffolis(n) == 12 * n * n - 8 * n + 1
 
 
 def test_all_bound_reduces_to_radius_test():
@@ -140,23 +129,14 @@ def test_all_bound_random_ensembles_match_product_oracle():
             assert all_bound(particles, r_c, box) == int(all(bits))
 
 
-def test_all_bound_ledger_matches_closed_form():
-    rng = np.random.default_rng(15)
-    for eta in (1, 2, 3, 5, 8):
-        n = int(rng.integers(2, 6))
-        particles = []
-        for _ in range(eta):
-            vals = rng.integers(-(2 ** (n - 1)), 2 ** (n - 1), size=3)
-            particles.append(tuple(BitRegister.from_int(int(v), n, signed=True)
-                                   for v in vals))
-        ledger = ToffoliLedger()
-        all_bound(particles, 2.0, 10.0, ledger=ledger)
+def test_all_bound_toffolis_match_closed_form():
+    for eta, n in ((1, 5), (2, 2), (3, 2), (5, 5), (8, 4)):
         spec = PlaneWaveSpec(eta=eta, lambda_zeta=float(eta), omega_cell=1000.0, n_bits=n,
                              epsilon_be=1e-3, delta_filter=0.1, t_evolution=0.0)
-        assert ledger.total() == continuum_projector_cost(spec)
+        assert all_bound_toffolis(n, eta) == continuum_projector_cost(spec)
 
 
-def test_position_ledger_equals_closed_form_cross_module():
+def test_position_toffolis_equal_closed_form_cross_module():
     rng = np.random.default_rng(16)
     for _ in range(100):
         eta = int(rng.integers(1, 200))
@@ -165,7 +145,7 @@ def test_position_ledger_equals_closed_form_cross_module():
         spec = PlaneWaveSpec(eta=eta, lambda_zeta=float(eta), omega_cell=1000.0,
                              n_bits=n, epsilon_be=eps, delta_filter=0.1,
                              t_evolution=0.0)
-        assert position_be_ledger(spec).total() == dipole_block_encoding_cost(spec)
+        assert position_be_toffolis(spec) == dipole_block_encoding_cost(spec)
 
 
 def test_comp_sampled_wide_registers():
