@@ -204,7 +204,7 @@ def run_cdf(data, seed: int) -> Output:
     if n < 1:
         raise ValidationError("n_orbitals must be at least 1")
     tensor = cdf.TwoElectronTensor(
-        n_orbitals=n, values=read_numbers(cfg["values"], (n,) * 4, "tensor values"))
+        n_orbitals=n, values=read_numbers(cfg["values"], (n,) * 4, "field 'values' in tensor file"))
     l_max = n if cfg["l_max"] is None else cfg["l_max"]
     fact = cdf.double_factorize(tensor, l_max)
     rotations = [cdf.givens_decompose(u) for u, _ in fact.fragments]
@@ -256,7 +256,8 @@ def run_arith_verify(data, seed: int) -> Output:
                          epsilon_be=1e-3, delta_filter=0.067, t_evolution=0.0)
     good = qarith.position_be_toffolis(spec) == planewave.dipole_block_encoding_cost(spec)
     ok &= good
-    lines.append(f"position ledger vs closed form: {'ok' if good else 'MISMATCH'}")
+    lines.append(f"position block-encoding Toffolis vs closed form: "
+                 f"{'ok' if good else 'MISMATCH'}")
 
     return Output(text="\n".join(lines) + "\n", ok=ok)
 

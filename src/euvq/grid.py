@@ -36,16 +36,21 @@ energy near its floor.
 Grid conventions: N points per dimension (power of two), spacing
 h = L / N, positions x_q = (q - N/2) h, momenta k = 2 pi fftfreq(N, h).
 The histogram's FFT is orthonormal, so position and momentum norms match
-exactly. H reaches the momentum grid through one real-FFT kernel, whose
-inverse transforms carry the whole normalization.
+exactly. H applies the kinetic energy by one N x N circulant matrix K per
+coordinate axis, a BLAS product each, on grids of up to
+KINETIC_MATRIX_POINTS = 256 points, and by a real-FFT kernel above that,
+because K's N^2 work per axis overtakes the FFT's N log N between 256 and
+512 points and a dense K cannot be held for lines of up to 2^20 points.
+The real-FFT kernel's inverse transforms carry the whole normalization.
 
 Layout rule: as in the first-quantized circuit, each electron has its own
 coordinate register, so there are dims * eta axes and each table is built
 from a 1D axis table. Potential, kinetic and dipole tables are outer sums
 over the coordinates, the radius test sums the integer offsets q^2 over one
 electron's axes, and the "any electron outside" mask is the outer OR of the
-electrons' outside masks. A model builds its potential and kinetic tables
-and the interval [mid - half_span, mid + half_span] once, when it is made.
+electrons' outside masks. A model builds its potential and kinetic tables,
+its one-axis kinetic matrix K (up to KINETIC_MATRIX_POINTS points) and the
+interval [mid - half_span, mid + half_span] once, when it is made.
 """
 
 from __future__ import annotations
@@ -69,6 +74,18 @@ GROUND_STATE_ITERATIONS = 500  # cap on LOBPCG iterations, one H application eac
 GROUND_STATE_BAR = 1e-8        # ||H psi - E psi|| (Ha) above which ground_state raises
 BASIS_DEPENDENCE = 1e-12       # remaining norm below which a unit basis row counts as dependent
 EDGE_CELLS = 2                 # grid points next to each box face that edge_density counts
+# Largest n_points at which H applies the kinetic energy by one N x N matrix per
+# axis rather than by the real-FFT kernel. Median us per application of H to one
+# real vector, FFT vs matrix (2 shared vCPUs, numpy 2.4, OpenBLAS 0.3.31):
+#   1D, 1 electron,  N = 64 / 128 / 256 / 512 / 2048:  28 / 33 / 34 / 40 / 75
+#                                             vs matrix   9 / 11 / 17 / 90 / 860
+#   1D, 2 electrons, N = 32 / 64 / 128 / 256 / 512:     47 / 75 / 231 / 1363 / 6294
+#                                             vs matrix  12 / 31 / 164 / 1169 / 6941
+#   3D, N = 8 / 16 / 32 (its cap):                      110 / 123 / 726
+#                                             vs matrix  23 / 26 / 220
+# Both 1D layouts cross between 256 and 512 points, so one cut by n_points serves
+# all three; the kernels agree within 2e-15 of max T up to 256 points.
+KINETIC_MATRIX_POINTS = 256
 
 
 def _check_width(sigma: float, where: str) -> None:
@@ -116,6 +133,18 @@ def _axis(n: int, box_length: float) -> np.ndarray:
 def _outer_sum(tables) -> np.ndarray:
     """t_1(q_1) + t_2(q_2) + ... on the grid with one axis per table."""
     return functools.reduce(np.add.outer, tables)
+
+
+def _kinetic_circulant(k_axis: np.ndarray) -> np.ndarray:
+    """The one-axis kinetic matrix K, the matrix of the real-FFT kernel's transforms on one axis.
+
+    K is the circulant whose column is the inverse real FFT of the axis table
+    k^2 / 2: K[i, j] = column[i - j mod N].
+    """
+    n = len(k_axis)
+    column = np.fft.irfft(k_axis[:n // 2 + 1] ** 2 / 2.0, n)
+    offsets = np.arange(n)
+    return column[(offsets[:, None] - offsets) % n]
 
 
 @dataclass(frozen=True)
@@ -190,6 +219,8 @@ class GridModel:
                                   f"overflows")
         object.__setattr__(self, "mid", (hi + lo) / 2.0)
         object.__setattr__(self, "half_span", (hi - lo) / 2.0)
+        object.__setattr__(self, "_kinetic_matrix", _kinetic_circulant(self.k_axis)
+                           if n <= KINETIC_MATRIX_POINTS else None)
 
     @property
     def spacing(self) -> float:
@@ -221,25 +252,44 @@ class GridModel:
         return self._kinetic_table
 
     def apply_hamiltonian(self, state: np.ndarray) -> np.ndarray:
-        """H applied to a state, or to each row of a block of flattened states."""
-        potential = self._potential_table * state.reshape((-1,) + self.shape)
-        return potential.reshape(state.shape) + self.momentum_multiply(self._kinetic_half, state)
+        """H applied to a state, or to each row of a block of flattened states.
 
-    def momentum_multiply(self, half_table: np.ndarray, state: np.ndarray) -> np.ndarray:
-        """Multiply a state, or each row of a block, by a table on the momentum grid.
-
-        ``half_table`` holds the table on the half of the momentum grid that
-        the real FFT keeps: rfft on the last axis, fft on the other coordinate
-        axes. Every table here is even in k, like the kinetic energy, so the
-        product maps real rows to real rows, and a complex state goes through
-        as its real and imaginary rows. The transforms are taken one axis at
-        a time: rfftn/irfftn give the same bits but cost about a third more
-        per call at these sizes (exp(-iHt) on the bundled 1-electron fixture,
-        one core, numpy 2.4: 12.6 ms per axis against 16.7 ms with rfftn).
+        H is real, so a complex state goes through as its real and imaginary
+        rows. Up to KINETIC_MATRIX_POINTS points the kinetic energy is the
+        one-axis matrix K applied along each coordinate axis, one BLAS product
+        per axis: the last axis as rows times K^T, every other axis as K times
+        the block behind it. Above that, it goes through :meth:`momentum_multiply`.
         """
         if np.iscomplexobj(state):
-            rows = self.momentum_multiply(half_table, np.stack([state.real, state.imag]))
+            rows = self.apply_hamiltonian(np.stack([state.real, state.imag]))
             return rows[0] + 1j * rows[1]
+        potential = self._potential_table * state.reshape((-1,) + self.shape)
+        k = self._kinetic_matrix
+        if k is None:
+            kinetic = self.momentum_multiply(self._kinetic_half, state)
+        else:
+            n, coords = self.n_points, self.dims * self.eta
+            kinetic = state.reshape(-1, n ** (coords - 1), n) @ k.T
+            for axis in range(coords - 1):
+                block = state.reshape(-1, n**axis, n, n ** (coords - axis - 1))
+                view = kinetic.reshape(block.shape)
+                view += k @ block
+        return potential.reshape(state.shape) + kinetic.reshape(state.shape)
+
+    def momentum_multiply(self, half_table: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """Multiply a real state, or each row of a block, by a table on the momentum grid.
+
+        It serves the ground state's preconditioner, and H on grids above
+        KINETIC_MATRIX_POINTS, where the FFT's N log N beats the one-axis
+        matrices' N^2 per axis. ``half_table`` holds the table on the half of
+        the momentum grid that the real FFT keeps: rfft on the last axis, fft
+        on the other coordinate axes. Every table here is even in k, like the
+        kinetic energy, so the product maps real rows to real rows. The
+        transforms are taken one axis at a time: rfftn/irfftn give the same
+        bits but cost about a third more per call at these sizes (exp(-iHt) on
+        the bundled 1-electron fixture, one core, numpy 2.4: 12.6 ms per axis
+        against 16.7 ms with rfftn).
+        """
         psi = state.reshape((-1,) + self.shape)
         inner = range(1, psi.ndim - 1)  # the coordinate axes before the last
         spectrum = np.fft.rfft(psi)
@@ -318,19 +368,19 @@ def dense_hamiltonian(model: GridModel) -> np.ndarray:
     """Explicit real Hamiltonian matrix (oracle-sized grids only), built without applying H.
 
     H is diag(V) plus, on each coordinate axis, the one-axis kinetic matrix
-    K padded by the identity on the other axes. K is the circulant whose
-    column is the inverse real FFT of the axis table k^2 / 2, the matrix of
-    the kinetic kernel's transforms on one axis. Each axis adds K through a
-    view of the matrix's blocks, so no Kronecker product is formed.
+    K (:func:`_kinetic_circulant`) padded by the identity on the other axes:
+    the model's own K, or one built here for a 1D line of 257 to 4096 points.
+    Each axis adds K through a view of the matrix's blocks, so no Kronecker
+    product is formed.
     """
     dim = model.hilbert_dim
     if dim > 4096:
         raise ValidationError(f"field 'mode' in FilterSpec: ExactEigen's dense Hamiltonian "
                               f"capped at dimension 4096, got {dim}; use ChebyshevPoly")
     n, coords = model.n_points, model.dims * model.eta
-    column = np.fft.irfft(model.k_axis[:n // 2 + 1] ** 2 / 2.0, n)
-    offsets = np.arange(n)
-    kinetic = column[(offsets[:, None] - offsets) % n]  # K[i, j] = column[i - j mod n]
+    kinetic = model._kinetic_matrix
+    if kinetic is None:
+        kinetic = _kinetic_circulant(model.k_axis)
     h = np.diag(model.potential_grid().reshape(-1))
     for axis in range(coords):
         outer, inner = n**axis, n ** (coords - axis - 1)

@@ -237,10 +237,10 @@ def scene_from_dict(data: dict) -> SpectralScene:
     def join(name, shape):
         entry = read_fields(scene[name], {"re": (list, REQUIRED), "im": (list, None)},
                             f"scene.{name}")
-        re = read_numbers(entry["re"], shape, f"scene.{name}.re")
+        re = read_numbers(entry["re"], shape, f"field 're' in scene.{name}")
         if entry["im"] is None:
             return re + 0j
-        return re + 1j * read_numbers(entry["im"], shape, f"scene.{name}.im")
+        return re + 1j * read_numbers(entry["im"], shape, f"field 'im' in scene.{name}")
 
     h = join("hamiltonian", (dim, dim))
     d = join("dipole", (dim, dim))

@@ -110,6 +110,7 @@ def test_arith_verify(tmp_path):
     text = out.read_text()
     assert "MISMATCH" not in text
     assert "comp n=4 exhaustive: ok" in text
+    assert text.splitlines()[-1] == "position block-encoding Toffolis vs closed form: ok"
 
 
 def test_arith_verify_reproducible(tmp_path):
@@ -452,8 +453,8 @@ PHOTOEMISSION_DIGESTS = [
      "22c7cefae4fab39c7f4e9cf721972ad7867bc3d6401203ce762e554b972bb56a"),
     ("grid_soft_coulomb_1d.json", "csv",
      "fb39dbe825474464202232240f7d41f02584579ede812af31c83458b2a59f11a"),
-    (None, "json", "9ba71e6dac052e018e67a14119f0b18dd63029d184e82e01845c6f9e11b7d0e9"),
-    (None, "csv", "b07165babe351b39555758b89badabd21304b5403a7774ef15f0f486924162bb"),
+    (None, "json", "db8339600a17b2f97c12833a1ce39e88663e010a71e72196a48dd242e8d60769"),
+    (None, "csv", "ac244910d27d4e9b6aff2d493f26552118b3637e9c88039761a404b585343851"),
 ]
 
 

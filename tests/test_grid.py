@@ -997,13 +997,14 @@ def test_tables_match_per_layout_formulas(layout):
     assert success == float(np.linalg.norm(out) ** 2 / np.linalg.norm(psi) ** 2)
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_dense_hamiltonian_matches_complex_columns(layout):
-    # the oracle's real block applications (real-FFT kernel on the half table)
-    # against a complex build from blocks of unit columns (fftn over each
-    # column's coordinate axes on the full kinetic table), which shares no
-    # transform code with the kernel
-    m = LAYOUTS[layout]()
+@pytest.mark.parametrize("make", [*LAYOUTS.values(), lambda: soft_model(n=512, box=60.0)],
+                         ids=[*LAYOUTS, "1d_512"])
+def test_dense_hamiltonian_matches_complex_columns(make):
+    # the dense H, from the model's own one-axis kinetic matrix or, above 256
+    # points, one built on demand, against a complex build from blocks of unit
+    # columns (fftn over each column's coordinate axes on the full kinetic
+    # table), which shares no transform code with it
+    m = make()
     h = dense_hamiltonian(m)
     assert h.dtype == np.float64
     dim, block = m.hilbert_dim, 64
@@ -1022,11 +1023,52 @@ def test_dense_hamiltonian_matches_complex_columns(layout):
 @pytest.mark.parametrize("make", [*LAYOUTS.values(), lambda: two_electron_model(n=64)],
                          ids=[*LAYOUTS, "2e_64^2"])
 def test_dense_hamiltonian_matches_identity_applications(make):
-    # the per-axis kinetic matrices against H applied to every unit vector by the
-    # real-FFT kernel; the two round differently, so the bar is 1e-13, not bitwise
+    # the dense assembly (K added through block views) against H applied to every
+    # unit vector; at these sizes both take the model's own K, so this holds the
+    # assembly to the per-axis products, not K itself, which the complex-FFT tests
+    # check; the two sum the axes in another order, so the bar is 1e-13, not bitwise
     m = make()
     h = dense_hamiltonian(m)
     assert float(np.max(np.abs(h - m.apply_hamiltonian(np.eye(m.hilbert_dim)).T))) <= 1e-13
+
+
+KERNEL_MODELS = {**LAYOUTS, "2e_64^2": lambda: two_electron_model(n=64),
+                 "1d_512": lambda: soft_model(n=512, box=60.0)}
+
+
+@pytest.mark.parametrize("name", KERNEL_MODELS)
+def test_apply_hamiltonian_matches_complex_fft_build(name):
+    # H by either kernel (per-axis matrices up to 256 points, the real-FFT kernel on
+    # 1d_512) against V psi plus ifftn(T fftn(psi)) in complex arithmetic on the
+    # full kinetic table, which shares no code with either kernel
+    m = KERNEL_MODELS[name]()
+    axes = tuple(range(1, 1 + len(m.shape)))
+    re, im = np.random.default_rng(17).standard_normal((2, 3, m.hilbert_dim))
+    for states in (re[0], re, re[0] + 1j * im[0], re + 1j * im):
+        psi = states.reshape((-1,) + m.shape)
+        kinetic = np.fft.ifftn(m.kinetic_grid() * np.fft.fftn(psi, axes=axes, norm="ortho"),
+                               axes=axes, norm="ortho")
+        expected = (m.potential_grid() * psi + kinetic).reshape(states.shape)
+        out = m.apply_hamiltonian(states)
+        assert out.dtype == states.dtype and out.shape == states.shape
+        assert float(np.max(np.abs(out - expected))) <= 1e-13 * float(m.kinetic_grid().max())
+
+
+@pytest.mark.parametrize("n, fft_kernel", [(256, False), (512, True)])
+def test_kernel_is_chosen_by_n_points(monkeypatch, n, fft_kernel):
+    # up to 256 points the kinetic energy goes through one N x N matrix per axis,
+    # above that through the real-FFT kernel (momentum_multiply)
+    calls = []
+    momentum_multiply = GridModel.momentum_multiply
+
+    def counted(self, half_table, state):
+        calls.append(state.shape)
+        return momentum_multiply(self, half_table, state)
+
+    monkeypatch.setattr(GridModel, "momentum_multiply", counted)
+    m = soft_model(n=n, box=60.0)
+    m.apply_hamiltonian(np.ones(n))
+    assert len(calls) == fft_kernel
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -1039,10 +1081,23 @@ def test_complex_state_goes_through_the_kernel_as_two_real_rows(layout):
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
-def test_tables_built_once_per_model(layout):
+def test_tables_built_once_per_model(monkeypatch, layout):
+    built = []
+    kinetic_circulant = grid._kinetic_circulant
+
+    def counted(k_axis):
+        built.append(len(k_axis))
+        return kinetic_circulant(k_axis)
+
+    monkeypatch.setattr(grid, "_kinetic_circulant", counted)
     m = LAYOUTS[layout]()
     assert m.potential_grid() is m.potential_grid()
     assert m.kinetic_grid() is m.kinetic_grid()
+    # the one-axis kinetic matrix: built with the model, then reused by H and the dense H
+    m.apply_hamiltonian(np.ones(m.hilbert_dim))
+    m.apply_hamiltonian(np.ones((2, m.hilbert_dim)))
+    dense_hamiltonian(m)
+    assert built == [m.n_points]
 
 
 def test_hilbert_cap_precedes_the_tables():

@@ -135,6 +135,9 @@ def _non_finite(path, value, constant):
     ("scene_two_level.json", ("omega", "points"), 0, "points"),
     ("grid_soft_coulomb_1d.json", ("bins", "count"), 0, "count"),
     ("scene_two_level.json", ("omega",), {"min": -1e308, "max": 1e308, "points": 5}, "max"),
+    ("tensor_random4.json", ("values",), [1.0, 2.0], "values"),
+    ("scene_two_level.json", ("scene", "hamiltonian", "re"), [1.0], "re"),
+    ("scene_two_level.json", ("scene", "dipole", "im"), [0.0, math.nan, 0.0, 0.0], "im"),
 ], ids=["n_orbitals-fractional", "n_orbitals-float", "rot_bits-str", "gamma-nan",
         "filter-no-center", "filter-empty", "potential-str", "bins-no-count",
         "config-unknown-key", "l_max-fractional", "l_max-zero", "l_max-above-N^2",
@@ -143,7 +146,7 @@ def _non_finite(path, value, constant):
         "r_cutoff-negative", "bins-collapsed", "gamma-negative", "tau-zero", "j_max-negative",
         "gamma_tau-underflow", "gamma-1e160", "gamma-1e300", "absorption-shots-zero",
         "photoemission-shots-negative", "omega-points-zero", "bins-count-zero",
-        "omega-span-overflow"])
+        "omega-span-overflow", "tensor-values-short", "scene-re-short", "scene-im-nan"])
 def test_bad_field_exits_2_and_is_named(capsys, name, path, value, field):
     assert run_on(COMMANDS[name], mutate(load_fixture(name), path, value)) == EX_VALIDATION
     err = capsys.readouterr().err
