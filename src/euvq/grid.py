@@ -6,8 +6,12 @@ filter (exact eigenbasis or Chebyshev polynomial), real-time propagation, a
 hard spherical continuum projector, and kinetic-energy histogram sampling in
 the momentum basis. H and the dipole are exchange symmetric and the
 two-electron ground state is the spatially symmetric one, so a run stays in
-that sector with no projector. :func:`filter_and_evolve` runs the stages up
-to the propagated state.
+that sector. On grids of up to KINETIC_MATRIX_POINTS points the ground
+state's start and each of its preconditioned directions are symmetric to
+the bit, and the ground state and the series of :func:`filter_and_evolve`
+apply H by a kernel for that sector alone
+(:meth:`GridModel.apply_sector_hamiltonian`).
+:func:`filter_and_evolve` runs the stages up to the propagated state.
 
 As in the qubitized circuit, the polynomial filter and exp(-iHt) are both
 Chebyshev series in (H - mid) / half_span, with [mid - half_span,
@@ -27,11 +31,18 @@ it applies H to no vector either. The series' cap on the time holds in both
 modes, so the accepted times do not depend on the mode. ChebyshevPoly and
 filterless runs need no polynomial for the ground state: locally optimal
 block preconditioned conjugate gradients (LOBPCG; Knyazev, SIAM J. Sci.
-Comput. 23, 517 (2001)), preconditioned by S (T + 1 Ha)^-1 S with the
-real-space diagonal S = (1 + V - min V)^-1/2, reaches it in a few dozen
-applications of H. The kinetic factor inverts H - E where T dominates, and S
-where V does, as in a harmonic well whose walls rise far above the kinetic
-energy near its floor.
+Comput. 23, 517 (2001)) reaches it. V is an outer sum of one axis
+potential v, so H without the e-e repulsion is the one-axis Hamiltonian
+h1 = diag(v) + K summed over the axes. Up to KINETIC_MATRIX_POINTS points,
+one eigh of h1 gives LOBPCG its start, the tensor product of h1's lowest
+eigenvector, which is the ground state itself for one electron (one
+application of H), and its preconditioner, the separable part's shifted
+inverse in h1's eigenbasis (15 applications on two electrons at 64^2).
+Above that, LOBPCG starts from a random vector, preconditioned by
+S (T + 1 Ha)^-1 S with the real-space diagonal S = (1 + V - min V)^-1/2,
+and takes a few dozen to a few hundred applications. The kinetic factor
+inverts H - E where T dominates, and S where V does, as in a harmonic well
+whose walls rise far above the kinetic energy near its floor.
 
 Grid conventions: N points per dimension (power of two), spacing
 h = L / N, positions x_q = (q - N/2) h, momenta k = 2 pi fftfreq(N, h).
@@ -86,6 +97,12 @@ EDGE_CELLS = 2                 # grid points next to each box face that edge_den
 # Both 1D layouts cross between 256 and 512 points, so one cut by n_points serves
 # all three; the kernels agree within 2e-15 of max T up to 256 points.
 KINETIC_MATRIX_POINTS = 256
+# Shift (Ha) of the ground state's separable preconditioner above the separable
+# part's lowest level. LOBPCG applications to the two-electron ground state at
+# gaps of 0.01 / 0.03 / 0.1 / 0.3 / 1 Ha:
+#   2e 32^2:  17 / 16 / 15 / 15 / 18     2e 64^2:  17 / 15 / 15 / 16 / 19
+#   2e 128^2: 17 / 15 / 15 / 16 / 20     2e 256^2: 17 / 15 / 15 / 16 / 20
+SEPARABLE_GAP = 0.1
 
 
 def _check_width(sigma: float, where: str) -> None:
@@ -139,12 +156,28 @@ def _kinetic_circulant(k_axis: np.ndarray) -> np.ndarray:
     """The one-axis kinetic matrix K, the matrix of the real-FFT kernel's transforms on one axis.
 
     K is the circulant whose column is the inverse real FFT of the axis table
-    k^2 / 2: K[i, j] = column[i - j mod N].
+    k^2 / 2: K[i, j] = column[i - j mod N]. Row i is the window of the reversed
+    column, repeated twice, that starts at N - 1 - i, so K is one copy of a
+    strided view, with no N^2 index table.
     """
     n = len(k_axis)
-    column = np.fft.irfft(k_axis[:n // 2 + 1] ** 2 / 2.0, n)
-    offsets = np.arange(n)
-    return column[(offsets[:, None] - offsets) % n]
+    reversed_column = np.fft.irfft(k_axis[:n // 2 + 1] ** 2 / 2.0, n)[::-1]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([reversed_column, reversed_column]), n)
+    return windows[n - 1::-1].copy()
+
+
+def _along_axes(matrix: np.ndarray, state: np.ndarray, coords: int) -> np.ndarray:
+    """(M x M x ... x M) psi: ``matrix`` applied along each of the ``coords`` axes of a flat state.
+
+    Each pass applies M to the last axis, as rows times M^T, and moves that
+    axis to the front, so after one pass per axis each axis has had M once
+    and the axes are back in their order.
+    """
+    n = len(matrix)
+    for _ in range(coords):
+        state = (state.reshape(-1, n) @ matrix.T).T
+    return state.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -276,10 +309,31 @@ class GridModel:
                 view += k @ block
         return potential.reshape(state.shape) + kinetic.reshape(state.shape)
 
+    def apply_sector_hamiltonian(self, state: np.ndarray) -> np.ndarray:
+        """H applied to an exchange-symmetric two-electron state, or to each row of a block.
+
+        For two electrons on a grid of up to KINETIC_MATRIX_POINTS points: a
+        state X = X^T on the N x N grid has X K^T = (K X)^T, so one kinetic
+        product M = K X per state gives H X = V X + (M + M^T), where
+        :meth:`apply_hamiltonian` makes two. The kinetic sum is formed first,
+        so H X is symmetric to the bit when X is. A complex state goes
+        through as its real and imaginary rows, as in
+        :meth:`apply_hamiltonian`, which applies H to any state.
+        """
+        if np.iscomplexobj(state):
+            rows = self.apply_sector_hamiltonian(np.stack([state.real, state.imag]))
+            return rows[0] + 1j * rows[1]
+        n = self.n_points
+        squares = state.reshape(-1, n, n)
+        half = np.matmul(self._kinetic_matrix, squares)
+        kinetic = half + half.transpose(0, 2, 1)
+        kinetic += np.multiply(self._potential_table, squares, out=half)
+        return kinetic.reshape(state.shape)
+
     def momentum_multiply(self, half_table: np.ndarray, state: np.ndarray) -> np.ndarray:
         """Multiply a real state, or each row of a block, by a table on the momentum grid.
 
-        It serves the ground state's preconditioner, and H on grids above
+        It serves H and the ground state's preconditioner on grids above
         KINETIC_MATRIX_POINTS, where the FFT's N log N beats the one-axis
         matrices' N^2 per axis. ``half_table`` holds the table on the half of
         the momentum grid that the real FFT keeps: rfft on the last axis, fft
@@ -484,25 +538,53 @@ def check_energy_reach(model: GridModel) -> None:
             f"ground state's {GROUND_STATE_BAR:g} Ha residual bar")
 
 
-def ground_state(model: GridModel) -> tuple[np.ndarray, float]:
-    """Lowest eigenpair of the grid Hamiltonian by preconditioned LOBPCG.
+def _sector_operator(model: GridModel):
+    """The kernel that applies H to the states a run makes, all of them exchange symmetric.
 
-    H and the dipole D are exchange symmetric, and the lowest two-electron
-    state is the spatially symmetric one, so the pipeline never leaves its
-    sector. The iteration runs in real arithmetic, since H is real symmetric,
-    preconditioned by S (T + 1 Ha)^-1 S with S = (1 + V - min V)^-1/2 on the
-    grid: symmetric and positive definite, costing two elementwise products
-    beyond the kinetic factor's transforms. GROUND_STATE_ITERATIONS, read at
-    each call, caps the iterations, each of which applies H once. The
-    returned state is real. Raises with iteration diagnostics if the residual
-    exceeds GROUND_STATE_BAR, and refuses up front, by
-    :func:`check_energy_reach`, a model it cannot resolve.
+    :meth:`GridModel.apply_sector_hamiltonian` for two electrons on the
+    matrix kernel, :meth:`GridModel.apply_hamiltonian` otherwise.
     """
-    check_energy_reach(model)
-    dim = model.hilbert_dim
-    start = np.random.default_rng(12345).standard_normal(dim)
-    # (T + 1 Ha)^-1 inverts H - E at high momentum, where T dominates, and
-    # S = (1 + V - min V)^-1/2 on both sides where V does
+    if model.eta == 2 and model._kinetic_matrix is not None:
+        return model.apply_sector_hamiltonian
+    return model.apply_hamiltonian
+
+
+def _separable_start(model: GridModel):
+    """Start and preconditioner from the eigenbasis of the one-axis h1 = diag(v) + K.
+
+    H without the e-e repulsion is h1 summed over the coordinate axes, so
+    its eigenvectors are tensor products of h1's, U x ... x U, with energies
+    the sums of h1's eigenvalues eps. The start is the lowest, phi0 x ... x
+    phi0, the ground state itself when there is no repulsion; the
+    preconditioner is that separable part's exact inverse, shifted by
+    SEPARABLE_GAP above its lowest level: U (sum eps - min + gap)^-1 U^T,
+    applied by U^T and U along each axis. For two electrons it ends on
+    (w + w^T) / 2, so each direction stays in the exchange sector to the
+    bit. One eigh of size N, made here and not kept.
+    """
+    n, coords = model.n_points, model.dims * model.eta
+    energies, vectors = np.linalg.eigh(np.diag(model.potential) + model._kinetic_matrix)
+    start = functools.reduce(np.multiply.outer, [vectors[:, 0]] * coords).reshape(-1)
+    inverse = 1.0 / (_outer_sum([energies - energies[0]] * coords) + SEPARABLE_GAP).reshape(-1)
+
+    def precondition(residual):
+        step = _along_axes(vectors, inverse * _along_axes(vectors.T, residual, coords), coords)
+        if model.eta == 1:
+            return step
+        step = step.reshape(n, n)
+        return ((step + step.T) / 2.0).reshape(-1)
+
+    return start, precondition
+
+
+def _momentum_start(model: GridModel):
+    """Random start and the preconditioner S (T + 1 Ha)^-1 S, S = (1 + V - min V)^-1/2.
+
+    (T + 1 Ha)^-1 inverts H - E at high momentum, where T dominates, and S
+    on both sides where V does; two elementwise products beyond the kinetic
+    factor's transforms.
+    """
+    start = np.random.default_rng(12345).standard_normal(model.hilbert_dim)
     inverse_kinetic = 1.0 / (model._kinetic_half + 1.0)
     potential = model.potential_grid().reshape(-1)
     scale = (1.0 + potential - float(np.min(potential))) ** -0.5
@@ -510,7 +592,32 @@ def ground_state(model: GridModel) -> tuple[np.ndarray, float]:
     def precondition(v):
         return scale * model.momentum_multiply(inverse_kinetic, scale * v)
 
-    _, psi, h_psi = eigsh(model.apply_hamiltonian, precondition, start,
+    return start, precondition
+
+
+def ground_state(model: GridModel) -> tuple[np.ndarray, float]:
+    """Lowest eigenpair of the grid Hamiltonian by preconditioned LOBPCG.
+
+    H and the dipole D are exchange symmetric, and the lowest two-electron
+    state is the spatially symmetric one, so the pipeline never leaves its
+    sector. The iteration runs in real arithmetic, since H is real symmetric.
+    On grids of up to KINETIC_MATRIX_POINTS points it starts from, and is
+    preconditioned by, the eigenbasis of the one-axis Hamiltonian
+    (:func:`_separable_start`), and for two electrons applies H by the
+    sector kernel (:func:`_sector_operator`); above that it starts from a
+    random vector, preconditioned by S (T + 1 Ha)^-1 S
+    (:func:`_momentum_start`). Both preconditioners are symmetric and
+    positive definite. GROUND_STATE_ITERATIONS, read at each call, caps the
+    iterations, each of which applies H once. The returned state is real.
+    Raises with iteration diagnostics if the residual exceeds
+    GROUND_STATE_BAR, and refuses up front, by :func:`check_energy_reach`, a
+    model it cannot resolve.
+    """
+    check_energy_reach(model)
+    dim = model.hilbert_dim
+    start, precondition = (_momentum_start(model) if model._kinetic_matrix is None
+                           else _separable_start(model))
+    _, psi, h_psi = eigsh(_sector_operator(model), precondition, start,
                           model.mid + model.half_span, GROUND_STATE_ITERATIONS)
     norm = np.linalg.norm(psi)
     psi, h_psi = psi / norm, h_psi / norm
@@ -549,11 +656,17 @@ def gaussian_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
         energies, vectors = np.linalg.eigh(dense_hamiltonian(model))
         out = _exact_window(filt, energies, vectors, state, ground_energy)[0]
     else:
-        mid, half_span = model.mid, model.half_span
-        coeffs = chebyshev_fit(lambda x: filt.window(x * half_span + mid - ground_energy),
-                               filt.poly_tolerance)
-        out = _chebyshev_series(model.apply_hamiltonian, coeffs, state, mid, half_span)
+        out = _polynomial_window(model.apply_hamiltonian, model, filt, state, ground_energy)
     return out, _window_success(out, state)
+
+
+def _polynomial_window(apply, model: GridModel, filt: FilterSpec, state: np.ndarray,
+                       ground_energy: float) -> np.ndarray:
+    """The ChebyshevPoly window f(H - E0) psi, with H applied by ``apply``."""
+    mid, half_span = model.mid, model.half_span
+    coeffs = chebyshev_fit(lambda x: filt.window(x * half_span + mid - ground_energy),
+                           filt.poly_tolerance)
+    return _chebyshev_series(apply, coeffs, state, mid, half_span)
 
 
 def _exact_window(filt: FilterSpec, energies: np.ndarray, vectors: np.ndarray,
@@ -617,8 +730,10 @@ def filter_and_evolve(model: GridModel, filt: FilterSpec | None, t: float
     Runs ground state, dipole, window and propagator, and returns the state,
     the ground energy E0 and the window's success probability (None without
     a filter, when the state is exp(-iHt) D psi0). A ChebyshevPoly or absent
-    window takes the ground state from :func:`ground_state` and then applies
-    :func:`gaussian_filter` and :func:`evolve`. An ExactEigen window
+    window takes the ground state from :func:`ground_state` and then sums the
+    series of :func:`gaussian_filter` and :func:`evolve`, applying H by
+    :func:`_sector_operator`, since every state it makes is exchange
+    symmetric. An ExactEigen window
     diagonalizes H, so that eigendecomposition gives everything else too: the
     ground pair is its lowest one (:func:`_eigen_ground`), and the propagated
     state is V (exp(-iEt) f(E - E0) V^T D psi0) / ||f(H - E0) D psi0||, one
@@ -639,10 +754,12 @@ def filter_and_evolve(model: GridModel, filt: FilterSpec | None, t: float
         return vectors @ rotated.real + 1j * (vectors @ rotated.imag), energy, success
     psi, energy = ground_state(model)
     state = _excite(model, psi)
+    apply = _sector_operator(model)
     if filt is None:
-        return evolve(model, state, t), energy, None
-    filtered, success = gaussian_filter(model, filt, state, energy)
-    return evolve(model, filtered / _filtered_norm(filtered), t), energy, success
+        return _propagate(apply, model, state, t), energy, None
+    filtered = _polynomial_window(apply, model, filt, state, energy)
+    success = _window_success(filtered, state)
+    return _propagate(apply, model, filtered / _filtered_norm(filtered), t), energy, success
 
 
 def _chebyshev_series(apply, coeffs: np.ndarray, state: np.ndarray,
@@ -822,6 +939,11 @@ def evolve(model: GridModel, state: np.ndarray, t: float) -> np.ndarray:
     little over a applications of H and its accuracy does not depend on t.
     """
     check_time(model, t)
+    return _propagate(model.apply_hamiltonian, model, state, t)
+
+
+def _propagate(apply, model: GridModel, state: np.ndarray, t: float) -> np.ndarray:
+    """exp(-iHt) psi by the Jacobi-Anger series of :func:`evolve`, with H applied by ``apply``."""
     mid, half_span = model.mid, model.half_span
     if half_span * t == 0:  # t = 0, or so short that the series argument underflows
         return state.copy()
@@ -830,8 +952,7 @@ def evolve(model: GridModel, state: np.ndarray, t: float) -> np.ndarray:
     minus_i_power = np.array([1.0, -1j, -1.0, 1j])[np.arange(len(bessel)) % 4]
     coeffs = 2.0 * minus_i_power * bessel
     coeffs[0] /= 2.0
-    return np.exp(-1j * mid * t) * _chebyshev_series(model.apply_hamiltonian, coeffs, state,
-                                                     mid, half_span)
+    return np.exp(-1j * mid * t) * _chebyshev_series(apply, coeffs, state, mid, half_span)
 
 
 def edge_density(model: GridModel, state: np.ndarray) -> float:

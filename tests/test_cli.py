@@ -453,8 +453,8 @@ PHOTOEMISSION_DIGESTS = [
      "22c7cefae4fab39c7f4e9cf721972ad7867bc3d6401203ce762e554b972bb56a"),
     ("grid_soft_coulomb_1d.json", "csv",
      "fb39dbe825474464202232240f7d41f02584579ede812af31c83458b2a59f11a"),
-    (None, "json", "db8339600a17b2f97c12833a1ce39e88663e010a71e72196a48dd242e8d60769"),
-    (None, "csv", "ac244910d27d4e9b6aff2d493f26552118b3637e9c88039761a404b585343851"),
+    (None, "json", "db747ad2954cb5fae99012187ca5e3b6da408e4c28bd1383a1bb6db99b668533"),
+    (None, "csv", "83d879271f2d960a837b965d2a926294eebaa5f1ba744a6012f10f662fa9ea39"),
 ]
 
 
@@ -504,24 +504,24 @@ def test_emulate_photoemission_records_ground_energy_and_window_probability(
 
 @pytest.mark.parametrize("config, applications", [
     (_fixture("grid_soft_coulomb_1d.json"), 0),
-    (TWO_ELECTRON_CONFIG, 26 + 80 + 31),
+    (TWO_ELECTRON_CONFIG, 15 + 80 + 31),
 ], ids=["exact_eigen", "two_electron_chebyshev"])
 def test_emulate_photoemission_h_applications(tmp_path, capsys, monkeypatch, config,
                                               applications):
     # ExactEigen builds the dense H from per-axis kinetic matrices and takes the ground
     # state, the window and exp(-iHt) from its one eigendecomposition, so it never
     # applies H (LOBPCG took 21 on the fixture, the Jacobi-Anger series 320);
-    # ChebyshevPoly applies it in LOBPCG and once per degree of each series
+    # ChebyshevPoly applies it in LOBPCG and once per degree of each series, on two
+    # electrons by the sector kernel (LOBPCG from a random start took 26)
     from euvq.grid import GridModel
 
     calls = []
-    apply_hamiltonian = GridModel.apply_hamiltonian
+    for name in ("apply_hamiltonian", "apply_sector_hamiltonian"):
+        def counted(self, state, apply=getattr(GridModel, name)):
+            calls.append(state.shape)
+            return apply(self, state)
 
-    def counted(self, state):
-        calls.append(state.shape)
-        return apply_hamiltonian(self, state)
-
-    monkeypatch.setattr(GridModel, "apply_hamiltonian", counted)
+        monkeypatch.setattr(GridModel, name, counted)
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(config))
     assert main(["emulate-photoemission", "--input", str(path), "--format", "json"]) == EX_OK
@@ -824,3 +824,22 @@ def test_runs_with_scipy_import_blocked(tmp_path, argv):
     assert [run.returncode for run in runs] == [EX_OK, EX_OK], runs[0].stderr
     assert runs[0].stdout
     assert runs[0].stdout == runs[1].stdout
+
+
+@pytest.mark.parametrize("z", [1e5, 1e6])
+def test_emulate_photoemission_deep_well_converges(tmp_path, capsys, z):
+    # soft Coulomb this deep on the bundled fixture's grid exited 3: LOBPCG from a
+    # random start stalled. The time is cut so the series stays within its cap,
+    # and the window widened so its degree does. ExactEigen reads the ground
+    # energy off the dense eigh; the two runs differed by 4e-16 and 2e-16 of |E0|
+    config = _fixture("grid_soft_coulomb_1d.json")
+    config["model"]["potential"]["params"]["z"] = z
+    config["time"] = 1e-3
+    energies = {}
+    for mode in ("ChebyshevPoly", "ExactEigen"):
+        config["filter"] = {"center": 0.0, "sigma": 0.1 * z, "mode": mode}
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps(config))
+        assert main(["emulate-photoemission", "--input", str(path), "--format", "json"]) == EX_OK
+        energies[mode] = json.loads(capsys.readouterr().out)["ground_energy_Ha"]
+    assert energies["ChebyshevPoly"] == pytest.approx(energies["ExactEigen"], rel=1e-15)
