@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import types
 from importlib import resources
 
 import numpy as np
@@ -304,8 +305,13 @@ def _dipole_state(model, ground=ground_state):
 
 
 def _eigh_ground(model):
-    """The lowest eigenpair of eigh(dense H), as an ExactEigen run takes it."""
-    energies, vectors = np.linalg.eigh(dense_hamiltonian(model))
+    """The lowest eigenpair of the dense H as an ExactEigen run decomposes it, by symmetry blocks.
+
+    Pinned to the run's own decomposition, so that the energy compares to the
+    bit; the blocks themselves are held to plain eigh by
+    test_symmetric_eigh_matches_full_eigh.
+    """
+    energies, vectors = grid._eigen_ground(model)
     return vectors[:, 0], float(energies[0])
 
 
@@ -422,6 +428,101 @@ def test_eigen_ground_state_holds_ground_state_checks(monkeypatch):
     with pytest.raises(NumericalError, match="ground-state residual"):
         grid.filter_and_evolve(soft_model(n=16), filt, 1.0)
 
+
+def _two_electrons_3d(n):
+    """A stand-in for a two-electron 3D model at n points per axis: the fields _involution reads.
+
+    GridModel holds one electron in 3D, so the layout is written out.
+    """
+    return types.SimpleNamespace(eta=2, dims=3, hilbert_dim=n**6, shape=(n,) * 6)
+
+
+def _exchange_of_two_3d_electrons(n=3):
+    """A dense H for two electrons in 3D, built by hand, and its stand-in model.
+
+    A random symmetric matrix per axis direction, the same on both
+    electrons' copies of that axis, plus a random exchange-symmetric
+    potential: H has the exchange symmetry and no other.
+    """
+    rng = np.random.default_rng(41)
+    per_direction = [k + k.T for k in rng.standard_normal((3, n, n))]
+    h = np.zeros((n**6, n**6))
+    for axis, k in enumerate(per_direction * 2):
+        h += np.kron(np.kron(np.eye(n**axis), k), np.eye(n ** (5 - axis)))
+    table = rng.standard_normal((n,) * 6)
+    h += np.diag((table + table.transpose(3, 4, 5, 0, 1, 2)).reshape(-1))
+    return h, _two_electrons_3d(n)
+
+
+def _off_centre_model():
+    return GridModel.from_config({**_fixture_model(), "potential": {
+        "kind": "soft_coulomb", "params": {"z": 2.0, "a": 1.0, "center": 0.7}}})
+
+
+def _samples_model():
+    values = np.random.default_rng(43).standard_normal(64).tolist()
+    return GridModel.from_config({"n_points": 64, "box_length": 24.0, "potential": {
+        "kind": "samples", "params": {"values": values}}})
+
+
+SYMMETRY_CASES = {
+    "fixture": lambda: GridModel.from_config(_fixture_model()),
+    "3d_8^3": lambda: three_d_model(n=8),
+    "2e_16^2": lambda: two_electron_model(n=16),
+    "2e_32^2": lambda: two_electron_model(n=32),
+    "1d_2_points": lambda: soft_model(n=2, box=4.0),
+    "3d_2e_3^6": _exchange_of_two_3d_electrons,
+    "off_centre": _off_centre_model,
+    "samples": _samples_model,
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRY_CASES)
+def test_symmetric_eigh_matches_full_eigh(name):
+    # the blocks of the grid inversion (one electron) or of the exchange (two)
+    # against eigh of the whole dense H: the same spectrum, and the same
+    # V g(E) V^T v for g the fixture's window times exp(-iEt), a function of H
+    # that near-degenerate levels of opposite parity, which plain eigh mixes,
+    # do not blur. Without the symmetry the run takes plain eigh, to the bit
+    made = SYMMETRY_CASES[name]()
+    h, model = made if isinstance(made, tuple) else (dense_hamiltonian(made), made)
+    involution = grid._involution(model)
+    energies, vectors = grid._symmetric_eigh(h, involution)
+    want_energies, want_vectors = np.linalg.eigh(h)
+    if name in ("off_centre", "samples"):
+        assert involution is None
+        assert np.array_equal(energies, want_energies)
+        assert np.array_equal(vectors, want_vectors)
+        return
+    assert np.array_equal(involution[involution], np.arange(len(h)))
+    scale = float(np.max(np.abs(h)))
+    assert float(np.max(np.abs(h[np.ix_(involution, involution)] - h))) <= 1e-14 * scale
+    spread = float(want_energies[-1] - want_energies[0])
+    assert float(np.max(np.abs(energies - want_energies))) <= 1e-13 * spread
+    assert float(np.max(np.abs(vectors.T @ vectors - np.eye(len(h))))) <= 1e-13
+    filt = FilterSpec(center=1.8, sigma=0.2)
+    t = 10.0
+    state = np.random.default_rng(47).standard_normal(len(h))
+    state /= np.linalg.norm(state)
+
+    def window_and_phase(e, v):
+        g = filt.window(e - e[0]) * np.exp(-1j * e * t)
+        return v @ (g * (v.T @ state))
+
+    got, want = window_and_phase(energies, vectors), window_and_phase(want_energies, want_vectors)
+    assert float(np.max(np.abs(got - want))) <= 1e-12
+
+
+def test_exchange_swaps_the_electrons_coordinate_blocks():
+    # in 3D the exchange maps (x1, y1, z1, x2, y2, z2) to (x2, y2, z2, x1, y1, z1),
+    # not to the reversal of all six axes, which it equals only in 1D
+    n = 4
+    involution = grid._involution(_two_electrons_3d(n)).reshape((n,) * 6)
+    index = np.arange(n**6).reshape((n,) * 6)
+    assert np.array_equal(involution, index.transpose(3, 4, 5, 0, 1, 2))
+    assert not np.array_equal(involution, index.transpose(5, 4, 3, 2, 1, 0))
+    one_d = grid._involution(two_electron_model(n=n)).reshape(n, n)
+    assert np.array_equal(one_d, np.arange(n * n).reshape(n, n).T)
 
 def test_potential_at_cutoff_past_every_axis_point():
     # in 3D the cutoff may lie beyond the box half-width, on no axis point
@@ -762,6 +863,24 @@ def test_ground_state_nonconvergence_reports(monkeypatch):
         ground_state(m)
 
 
+@pytest.mark.parametrize("z, within_bar", [(1e4, True), (1e5, False)])
+def test_ground_state_at_the_iteration_cap_is_held_to_the_bar(monkeypatch, z, within_bar):
+    # soft Coulomb at 512 points in the fixture's 80 Bohr box: LOBPCG from a random
+    # start runs to its cap of 500 iterations on both wells. The pair it stops at
+    # is judged by the residual bar alone: at z 1e4 (residual 1.7e-9) it is returned,
+    # at z 1e5 (5.7e-8) refused, and the refusal names the iterations
+    m = soft_model(n=512, box=80.0, z=z)
+    calls = _count_applications(monkeypatch)
+    if within_bar:
+        psi, energy = ground_state(m)
+        error = float(np.linalg.norm(m.apply_hamiltonian(psi) - energy * psi))
+        assert error <= grid.GROUND_STATE_BAR
+    else:
+        with pytest.raises(NumericalError, match="> 1e-08 after 500 LOBPCG iterations"):
+            ground_state(m)
+    assert len(calls) >= 1 + grid.GROUND_STATE_ITERATIONS
+
+
 @pytest.mark.parametrize("eta", [1, 2])
 def test_ground_state_two_point_grid(eta):
     # dimension 2 and 4: the block spans the whole space
@@ -945,8 +1064,8 @@ def test_eigsh_matches_dense_lowest_eigenpair():
     a = rng.standard_normal((60, 60))
     a = a + a.T
     evals, evecs = np.linalg.eigh(a)
-    energy, x, ax = grid.eigsh(lambda v: a @ v, lambda r: r, rng.standard_normal(60),
-                               float(evals[-1]), 200)
+    energy, x, ax, _ = grid.eigsh(lambda v: a @ v, lambda r: r, rng.standard_normal(60),
+                                  float(evals[-1]), 200)
     assert energy == pytest.approx(float(evals[0]), abs=1e-12)
     assert abs(float(x @ evecs[:, 0])) == pytest.approx(1.0, abs=1e-12)
     # the image is carried through the iteration, not applied again
