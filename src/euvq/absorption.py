@@ -73,12 +73,6 @@ def beta_bound(tau: float, gamma: float, j_max: int) -> float:
     return (tau / (2.0 * math.pi)) * (1.0 + 2.0 * r * one_minus_power / one_minus_r)
 
 
-def beta_limit(tau: float, gamma: float) -> float:
-    """j_max -> infinity limit (tau/2pi) coth(gamma tau / 2) = (tau/2pi) (1 + r) / (1 - r)."""
-    one_minus_r = _one_minus_decay(tau, gamma)
-    return (tau / (2.0 * math.pi)) * (2.0 - one_minus_r) / one_minus_r
-
-
 def shot_count(alpha: float, dipole_norm: float, beta: float, epsilon: float) -> int:
     """Shots M = ceil((alpha * N * beta / epsilon)^2) from the Chebyshev bound."""
     if min(alpha, dipole_norm, beta, epsilon) <= 0:

@@ -21,29 +21,27 @@ end by one rule: at the first degree whose dropped coefficients sum to
 within the tolerance. The filter's coefficients come from interpolating the
 window, the propagator's are Bessel functions (the Jacobi-Anger expansion),
 so neither degree is found by a search or by refining a time step. An
-ExactEigen run takes the ground state, the window and exp(-iHt) from the one
-dense eigendecomposition its window needs: the ground pair is the lowest
-eigenpair, the filtered state's amplitudes on the eigenvectors take the
-phases exp(-iEt), no series is summed and H is never applied. The dense H
-is diag(V) plus one N x N kinetic matrix per coordinate axis, the circulant
-of the kinetic kernel on one axis (:func:`dense_hamiltonian`), so building
-it applies H to no vector either. It is diagonalized by the even and odd
-blocks of a permutation of the grid that H commutes with and that is its
-own inverse (:func:`_symmetric_eigh`): the exchange of the two electrons,
-or for one electron the inversion of every axis when V is even. Two blocks
-of about half the size take about a quarter of the flops of one eigh, and
-give the same complete eigenbasis. The series' cap on the time holds in
-both modes, so the accepted times do not depend on the mode. ChebyshevPoly
-and filterless runs need no polynomial for the ground state: locally optimal
-block preconditioned conjugate gradients (LOBPCG; Knyazev, SIAM J. Sci.
-Comput. 23, 517 (2001)) reaches it. V is an outer sum of one axis
-potential v, so H without the e-e repulsion is the one-axis Hamiltonian
-h1 = diag(v) + K summed over the axes. Up to KINETIC_MATRIX_POINTS points,
-one eigendecomposition of h1, by its inversion blocks when v is even,
-gives LOBPCG its start, the tensor product of h1's lowest eigenvector,
-which is the ground state itself for one electron (one application of H),
-and its preconditioner, the separable part's shifted inverse in h1's
-eigenbasis (15 applications on two electrons at 64^2).
+ExactEigen run takes the ground state, the window and exp(-iHt) from one
+eigensystem H = W diag(E) W^T, W = M x ... x M (:func:`_eigensystem`): the
+ground pair is the lowest pair, the filtered state's amplitudes on W's
+columns take the phases exp(-iEt), no series is summed and H is never
+applied. For one electron, in 1D or 3D, H is the one-axis Hamiltonian
+h1 = diag(v) + K summed over the axes, so M is h1's eigenbasis on each axis
+and E the outer sum of h1's energies: one eigendecomposition of n_points
+rows. For two electrons M is the eigenbasis of the dense H
+(:func:`dense_hamiltonian`). Each is diagonalized by the even and odd blocks
+of a permutation that commutes with it and is its own inverse
+(:func:`_symmetric_eigh`): the axis inversion when v is even, or the
+electrons' exchange. The series' cap on the time holds in both modes, so
+the accepted times do not depend on the mode. ChebyshevPoly and filterless
+runs need no polynomial for the ground state: locally optimal block
+preconditioned conjugate gradients (LOBPCG; Knyazev, SIAM J. Sci. Comput.
+23, 517 (2001)) reaches it. Up to KINETIC_MATRIX_POINTS points the same
+decomposition of h1 (:func:`_axis_eigh`) gives LOBPCG its start, the tensor
+product of h1's lowest eigenvector, which is the ground state itself for
+one electron (one application of H), and its preconditioner, the separable
+part's shifted inverse in h1's eigenbasis (15 applications on two electrons
+at 64^2).
 Above that, LOBPCG starts from a random vector, preconditioned by
 S (T + 1 Ha)^-1 S with the real-space diagonal S = (1 + V - min V)^-1/2,
 and takes a few dozen to a few hundred applications. The kinetic factor
@@ -322,13 +320,8 @@ class GridModel:
         state X = X^T on the N x N grid has X K^T = (K X)^T, so one kinetic
         product M = K X per state gives H X = V X + (M + M^T), where
         :meth:`apply_hamiltonian` makes two. The kinetic sum is formed first,
-        so H X is symmetric to the bit when X is. A complex state goes
-        through as its real and imaginary rows, as in
-        :meth:`apply_hamiltonian`, which applies H to any state.
+        so H X is symmetric to the bit when X is.
         """
-        if np.iscomplexobj(state):
-            rows = self.apply_sector_hamiltonian(np.stack([state.real, state.imag]))
-            return rows[0] + 1j * rows[1]
         n = self.n_points
         squares = state.reshape(-1, n, n)
         half = np.matmul(self._kinetic_matrix, squares)
@@ -447,38 +440,6 @@ def dense_hamiltonian(model: GridModel) -> np.ndarray:
         # rows (a, i, b) and columns (a, j, b): the block K[i, j] for each a and b
         np.einsum("aibajb->abij", h.reshape(outer, n, inner, outer, n, inner))[...] += kinetic
     return h
-
-
-def _inversion(table: np.ndarray) -> np.ndarray | None:
-    """The inversion q -> -q mod N of every axis of ``table``, as a permutation of its flat index.
-
-    None unless the table equals its mirror image exactly: a well off the
-    centre, or an asymmetric ``samples`` potential, has no such symmetry.
-    The point q = 0 (x = -L/2) and, on each axis, q = N/2 (x = 0) are their
-    own mirrors.
-    """
-    n = table.shape[0]
-    mirror = np.ix_(*[-np.arange(n) % n] * table.ndim)
-    if not np.array_equal(table, table[mirror]):
-        return None
-    return np.arange(table.size).reshape(table.shape)[mirror].reshape(-1)
-
-
-def _involution(model: GridModel) -> np.ndarray | None:
-    """A permutation of the flat grid, its own inverse, that the dense H commutes with, or None.
-
-    For two electrons it is their exchange, axes (0..d-1) <-> (d..2d-1), which
-    holds for any potential and any repulsion; for one electron the
-    inversion of every axis, when the potential table is even
-    (:func:`_inversion`). Inversion would not serve two electrons: the
-    repulsion depends on x1 - x2 along the unwrapped axis, and q = 0
-    (x = -L/2) is its own mirror, so the repulsion's table is not even.
-    """
-    if model.eta == 2:
-        d = model.dims
-        index = np.arange(model.hilbert_dim).reshape(model.shape)
-        return index.transpose([*range(d, 2 * d), *range(d)]).reshape(-1)
-    return _inversion(model.potential_grid())
 
 
 def _symmetric_eigh(h: np.ndarray, involution: np.ndarray | None
@@ -631,6 +592,23 @@ def _sector_operator(model: GridModel):
     return model.apply_hamiltonian
 
 
+def _axis_eigh(model: GridModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one-axis Hamiltonian h1 = diag(v) + K, its ascending energies and its eigenvectors.
+
+    By the blocks of the axis inversion q -> -q mod N when v equals its
+    mirror image exactly (:func:`_symmetric_eigh`; 5 ms against 8 for one
+    eigh at 256 points, 2 shared vCPUs), else by plain eigh. K is the
+    model's own, or one built here for a line above KINETIC_MATRIX_POINTS.
+    """
+    v, kinetic = model.potential, model._kinetic_matrix
+    if kinetic is None:
+        kinetic = _kinetic_circulant(model.k_axis)
+    mirror = -np.arange(len(v)) % len(v)
+    h1 = np.diag(v)
+    h1 += kinetic  # in place: one N x N array at a time, not two
+    return h1, *_symmetric_eigh(h1, mirror if np.array_equal(v, v[mirror]) else None)
+
+
 def _separable_start(model: GridModel):
     """Start and preconditioner from the eigenbasis of the one-axis h1 = diag(v) + K.
 
@@ -642,14 +620,11 @@ def _separable_start(model: GridModel):
     SEPARABLE_GAP above its lowest level: U (sum eps - min + gap)^-1 U^T,
     applied by U^T and U along each axis. For two electrons it ends on
     (w + w^T) / 2, so each direction stays in the exchange sector to the
-    bit. One eigendecomposition of size N, made here and not kept: by the
-    blocks of the axis inversion when v is even (:func:`_symmetric_eigh`),
-    which at 256 points take about 5 ms where one eigh takes about 8 (2
-    shared vCPUs, OpenBLAS 0.3.31).
+    bit. h1's eigenpairs come from :func:`_axis_eigh`, as those of an
+    ExactEigen run do, and are not kept.
     """
     n, coords = model.n_points, model.dims * model.eta
-    energies, vectors = _symmetric_eigh(np.diag(model.potential) + model._kinetic_matrix,
-                                        _inversion(model.potential))
+    _, energies, vectors = _axis_eigh(model)
     start = functools.reduce(np.multiply.outer, [vectors[:, 0]] * coords).reshape(-1)
     inverse = 1.0 / (_outer_sum([energies - energies[0]] * coords) + SEPARABLE_GAP).reshape(-1)
 
@@ -732,17 +707,16 @@ def gaussian_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
                     ground_energy: float) -> tuple[np.ndarray, float]:
     """Apply f(H - E0) with f a Gaussian centered at ``filt.center``.
 
-    Both modes weigh energies by ``filt.window``. ExactEigen mode
-    diagonalizes the dense real Hamiltonian (dimension capped) by its
-    symmetry blocks, as :func:`_eigen_ground` does; ChebyshevPoly
-    applies, matrix-free, the Chebyshev series that ``chebyshev_fit`` cuts
-    from the window within ``filt.poly_tolerance``.
+    Both modes weigh energies by ``filt.window``. ExactEigen mode applies it
+    in the eigensystem of :func:`_eigensystem`, which holds the model to the
+    same checks as a run's ground pair; ChebyshevPoly applies, matrix-free,
+    the Chebyshev series that ``chebyshev_fit`` cuts from the window within
+    ``filt.poly_tolerance``.
     Returns the filtered (un-normalized) state and the success probability
     ||f psi||^2 / ||psi||^2.
     """
     if filt.mode == "ExactEigen":
-        energies, vectors = _symmetric_eigh(dense_hamiltonian(model), _involution(model))
-        out = _exact_window(filt, energies, vectors, state, ground_energy)[0]
+        out = _exact_window(filt, *_eigensystem(model), state, ground_energy)[0]
     else:
         out = _polynomial_window(model.apply_hamiltonian, model, filt, state, ground_energy)
     return out, _window_success(out, state)
@@ -757,16 +731,16 @@ def _polynomial_window(apply, model: GridModel, filt: FilterSpec, state: np.ndar
     return _chebyshev_series(apply, coeffs, state, mid, half_span)
 
 
-def _exact_window(filt: FilterSpec, energies: np.ndarray, vectors: np.ndarray,
+def _exact_window(filt: FilterSpec, energies: np.ndarray, vectors: np.ndarray, axes: int,
                   state: np.ndarray, ground_energy: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ExactEigen window in the eigenbasis of H = V diag(E) V^T.
+    """The ExactEigen window in the eigensystem (E, M, axes) of :func:`_eigensystem`.
 
-    Returns f(H - E0) psi and the filtered amplitudes f(E - E0) V^T psi, from
+    Returns f(H - E0) psi and the filtered amplitudes f(E - E0) W^T psi, from
     which any further function of H applies to the filtered state without
     another decomposition.
     """
-    amplitudes = filt.window(energies - ground_energy) * (vectors.T @ state.reshape(-1))
-    return (vectors @ amplitudes).reshape(state.shape), amplitudes
+    amplitudes = filt.window(energies - ground_energy) * _along_axes(vectors.T, state, axes)
+    return _along_axes(vectors, amplitudes, axes).reshape(state.shape), amplitudes
 
 
 def _window_success(filtered: np.ndarray, state: np.ndarray) -> float:
@@ -793,25 +767,40 @@ def _excite(model: GridModel, ground: np.ndarray) -> np.ndarray:
     return state / norm
 
 
-def _eigen_ground(model: GridModel) -> tuple[np.ndarray, np.ndarray]:
-    """Energies and eigenvectors of the dense H, whose first pair is the ground state.
+def _eigensystem(model: GridModel) -> tuple[np.ndarray, np.ndarray, int]:
+    """H = W diag(E) W^T, W = M x ... x M: the energies E, M and the number of axes of M.
 
-    H is diagonalized by :func:`_symmetric_eigh` with the permutation of
-    :func:`_involution`: the two electrons' exchange, the inversion of every
-    axis for one electron in an even potential, or none. The pair is held
-    to what :func:`ground_state` holds its own to: the model passes
-    :func:`check_energy_reach`, and ||H psi - E psi|| is within
-    GROUND_STATE_BAR, by one product with the dense H.
+    One electron: M is h1's eigenbasis (:func:`_axis_eigh`) on each of the
+    ``dims`` axes and E the outer sum of h1's energies. Two electrons: M is
+    the dense H's eigenbasis on its one axis, by the blocks of the exchange,
+    the transpose of the N x N grid. At most 4096 rows are diagonalized, or
+    the model is refused naming ``mode``. E[0] is the lowest energy, and the
+    ground state the tensor product of M's first column. The pair passes the
+    checks of :func:`ground_state`: :func:`check_energy_reach`, and a
+    residual ||H psi - E psi|| within GROUND_STATE_BAR, found without H as
+    the decomposed matrix's own times sqrt(axes), since H psi - E psi is a
+    sum of one orthogonal term per axis.
     """
+    rows = model.n_points**model.eta
+    if rows > 4096:
+        raise ValidationError(f"field 'mode' in FilterSpec: ExactEigen diagonalizes at most "
+                              f"4096 rows, n_points^eta = {rows} here; use ChebyshevPoly")
     check_energy_reach(model)
-    h = dense_hamiltonian(model)
-    energies, vectors = _symmetric_eigh(h, _involution(model))
-    psi = vectors[:, 0]
-    residual = float(np.linalg.norm(h @ psi - energies[0] * psi))
+    if model.eta == 1:
+        matrix, energies, vectors = _axis_eigh(model)
+        axes = model.dims
+    else:
+        n = model.n_points
+        matrix = dense_hamiltonian(model)
+        exchange = np.arange(rows).reshape(n, n).T.reshape(-1)
+        energies, vectors = _symmetric_eigh(matrix, exchange)
+        axes = 1
+    ground = vectors[:, 0]
+    residual = math.sqrt(axes) * float(np.linalg.norm(matrix @ ground - energies[0] * ground))
     if residual > GROUND_STATE_BAR:
         raise NumericalError(f"ground-state residual {residual:.2e} > {GROUND_STATE_BAR:g} "
-                             f"(dim={model.hilbert_dim}, dense eigendecomposition)")
-    return energies, vectors
+                             f"(dim={model.hilbert_dim}, eigendecomposition of {rows} rows)")
+    return _outer_sum([energies] * axes).reshape(-1), vectors, axes
 
 
 def filter_and_evolve(model: GridModel, filt: FilterSpec | None, t: float
@@ -824,25 +813,28 @@ def filter_and_evolve(model: GridModel, filt: FilterSpec | None, t: float
     window takes the ground state from :func:`ground_state` and then sums the
     series of :func:`gaussian_filter` and :func:`evolve`, applying H by
     :func:`_sector_operator`, since every state it makes is exchange
-    symmetric. An ExactEigen window diagonalizes H, by its symmetry blocks,
-    so that eigendecomposition gives everything else too: the ground pair is
-    its lowest one (:func:`_eigen_ground`), and the propagated state is
-    V (exp(-iEt) f(E - E0) V^T D psi0) / ||f(H - E0) D psi0||, one phase per
-    level in place of a series in H, and exact at any t; H is never
-    applied. The time is checked by :func:`check_time` in every mode, so
-    the accepted times do not depend on the mode. Raises NumericalError
-    when the dipole or the window removes the whole state.
+    symmetric. An ExactEigen window takes everything from one eigensystem
+    H = W diag(E) W^T, W = M x ... x M (:func:`_eigensystem`): h1's for one
+    electron, the dense H's for two. The ground pair is its lowest one, and
+    the propagated state is W (exp(-iEt) f(E - E0) W^T D psi0) /
+    ||f(H - E0) D psi0||, one phase per level in place of a series in H, and
+    exact at any t; W applies as M along each axis, and H is never applied.
+    The time is checked by :func:`check_time` in every mode, so the accepted
+    times do not depend on the mode. Raises NumericalError when the dipole or
+    the window removes the whole state.
     """
     check_time(model, t)
     if filt is not None and filt.mode == "ExactEigen":
-        energies, vectors = _eigen_ground(model)
+        energies, vectors, axes = _eigensystem(model)
         energy = float(energies[0])
-        state = _excite(model, vectors[:, 0])
-        filtered, amplitudes = _exact_window(filt, energies, vectors, state, energy)
+        ground = functools.reduce(np.multiply.outer, [vectors[:, 0]] * axes).reshape(-1)
+        state = _excite(model, ground)
+        filtered, amplitudes = _exact_window(filt, energies, vectors, axes, state, energy)
         success = _window_success(filtered, state)
         rotated = np.exp(-1j * t * energies) * amplitudes / _filtered_norm(filtered)
-        # V is real: two real products, not a complex copy of V
-        return vectors @ rotated.real + 1j * (vectors @ rotated.imag), energy, success
+        # M is real: two real passes, not a complex copy of M
+        return (_along_axes(vectors, rotated.real, axes)
+                + 1j * _along_axes(vectors, rotated.imag, axes)), energy, success
     psi, energy = ground_state(model)
     state = _excite(model, psi)
     apply = _sector_operator(model)

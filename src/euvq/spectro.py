@@ -105,13 +105,6 @@ def random_scene(dim: int, seed: int) -> SpectralScene:
     return SpectralScene(h, (b + b.conj().T) / 2.0)
 
 
-def two_level_scene(gap: float, coupling: float = 1.0) -> SpectralScene:
-    """Two levels split by ``gap`` with purely off-diagonal dipole ``coupling``."""
-    h = np.diag([0.0, gap]).astype(complex)
-    d = np.array([[0.0, coupling], [coupling, 0.0]], dtype=complex)
-    return SpectralScene(h, d, ground_state=np.array([1.0, 0.0], dtype=complex))
-
-
 def _lorentzian_sum(scene: SpectralScene, omegas, gamma: float):
     """sum_F |<F|D|I>|^2 L_gamma(E_F - E_I - omega), L_gamma(x) = gamma / (x^2 + gamma^2).
 

@@ -1,15 +1,16 @@
-"""Shared test infrastructure: the acceptance-criteria result board and shared oracles.
+"""Shared test infrastructure: the acceptance-criteria result board, shared oracles and scenes.
 
 Acceptance tests register one line per criterion (or sub-criterion) through
 ``record``; the terminal summary prints the full board after the run so the
 pass/fail state of every golden check is visible in one place.
 """
 
+import math
 from collections import OrderedDict
 
 import numpy as np
 
-from euvq import grid
+from euvq import absorption, grid, spectro
 
 _BOARD: "OrderedDict[str, tuple[bool, str]]" = OrderedDict()
 
@@ -46,3 +47,19 @@ def correlation_identity_check(model, state, r_cutoff):
         form_a = complex(np.vdot(psi, evolved))
         worst = max(worst, abs(form_a - form_b))
     return worst
+
+
+def beta_limit(tau, gamma):
+    """j_max -> infinity limit of ``absorption.beta_bound``.
+
+    (tau/2pi) coth(gamma tau / 2) = (tau/2pi) (1 + r) / (1 - r), r = exp(-gamma tau).
+    """
+    one_minus_r = absorption._one_minus_decay(tau, gamma)
+    return (tau / (2.0 * math.pi)) * (2.0 - one_minus_r) / one_minus_r
+
+
+def two_level_scene(gap, coupling=1.0):
+    """Two levels split by ``gap`` with purely off-diagonal dipole ``coupling``."""
+    h = np.diag([0.0, gap]).astype(complex)
+    d = np.array([[0.0, coupling], [coupling, 0.0]], dtype=complex)
+    return spectro.SpectralScene(h, d, ground_state=np.array([1.0, 0.0], dtype=complex))

@@ -6,10 +6,10 @@ from importlib import resources
 
 import pytest
 
+from conftest import beta_limit
 from euvq.absorption import (
     absorption_cost,
     beta_bound,
-    beta_limit,
     fragment_cost,
     render_table,
     rotation_cost,

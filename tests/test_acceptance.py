@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from conftest import correlation_identity_check, record
+from conftest import beta_limit, correlation_identity_check, record, two_level_scene
 from euvq import absorption, cdf, grid, planewave, qarith, spectro
 from euvq.core import AbsorptionSpec, PlaneWaveSpec
 
@@ -252,7 +252,7 @@ def test_c07_beta_bound_grid():
     for _ in range(100):
         gamma = float(rng.uniform(0.01, 0.5))
         tau = float(rng.uniform(0.05, 1.5))
-        limit = absorption.beta_limit(tau, gamma)
+        limit = beta_limit(tau, gamma)
         r = math.exp(-gamma * tau)
         noise = 1e-13 * max(1.0, limit)  # cancellation floor of limit - beta
         prev_gap = None
@@ -266,7 +266,7 @@ def test_c07_beta_bound_grid():
             tail = 2 * r ** (j_max + 1) * (tau / (2 * math.pi)) / (1 - r)
             ok &= gap <= tail * (1 + 1e-9) + noise
             prev_gap = gap
-    small_tau = absorption.beta_limit(1e-4, 0.0676)
+    small_tau = beta_limit(1e-4, 0.0676)
     dev = abs(small_tau / (1 / (math.pi * 0.0676)) - 1.0)
     ok &= dev <= 0.01
     record("07 beta bound", ok,
@@ -311,7 +311,7 @@ def test_c09_shot_noise_contract():
     with alpha = (4 pi omega / 3c) pi N, and sigma_td is its expectation.
     """
     gamma, tau, j_max = 0.0676, math.pi / 8, 600
-    scene = spectro.two_level_scene(gap=2.0, coupling=1.0)
+    scene = two_level_scene(gap=2.0, coupling=1.0)
     # probe half a linewidth off resonance: strong but nontrivial signal
     omega = 2.0 + gamma / 2
     norm = float(np.linalg.norm(scene.dipole @ scene.ground_state))  # N = ||D|I>||

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -470,6 +471,47 @@ def test_emulate_photoemission_output_digest(tmp_path, capsys, fixture, fmt, dig
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# one electron in a 3D harmonic well, 16^3 points, under ExactEigen
+THREE_D_HARMONIC_CONFIG = {
+    "model": {"dims": 3, "n_points": 16, "box_length": 16.0,
+              "potential": {"kind": "harmonic", "params": {"k": 1.0}}},
+    "filter": {"center": 1.0, "sigma": 0.3, "mode": "ExactEigen"},
+    "time": 0.5,
+    "r_cutoff": 2.0,
+    "bins": {"max": 3.0, "count": 24},
+    "shots": 400,
+}
+
+
+def test_emulate_photoemission_one_electron_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # one electron's eigensystem is that of the one-axis h1, 16 rows here; the
+    # dense H's symmetry blocks of about 2048 rows gave different bytes under 1
+    # and 2 OpenBLAS threads. The thread count is set in the child alone
+    path = tmp_path / "harmonic_3d.json"
+    path.write_text(json.dumps(THREE_D_HARMONIC_CONFIG))
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-m", "euvq.cli", "emulate-photoemission",
+                               "--input", str(path), "--format", "json"], capture_output=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == EX_OK, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_emulate_photoemission_exact_eigen_runs_3d_at_32_points(tmp_path, capsys):
+    # 3D at its 32-point cap, dimension 32768, was refused naming 'mode'; one
+    # electron's eigensystem now diagonalizes 32 rows
+    config = {**THREE_D_HARMONIC_CONFIG,
+              "model": {**THREE_D_HARMONIC_CONFIG["model"], "n_points": 32}}
+    path = tmp_path / "harmonic_3d_32.json"
+    path.write_text(json.dumps(config))
+    assert main(["emulate-photoemission", "--input", str(path), "--format", "json"]) == EX_OK
+    record = json.loads(capsys.readouterr().out)
+    assert record["ground_energy_Ha"] == pytest.approx(1.5, abs=1e-10)
+    assert record["filter_success_probability"] == pytest.approx(1.0, abs=1e-10)
+
+
 @pytest.mark.parametrize("config", [
     _fixture("grid_soft_coulomb_1d.json"),
     TWO_ELECTRON_CONFIG,
@@ -488,9 +530,9 @@ def test_emulate_photoemission_records_ground_energy_and_window_probability(
     model = grid.GridModel.from_config(config["model"])
     filt = None if "filter" not in config else read_dataclass(grid.FilterSpec, config["filter"])
     if filt is not None and filt.mode == "ExactEigen":
-        # the ground pair is the lowest eigenpair of the dense H the window diagonalizes,
-        # by the run's own decomposition in symmetry blocks
-        energies, vectors = grid._eigen_ground(model)
+        # the ground pair is the lowest of the eigensystem the window uses, the
+        # fixture's h1 by the run's own decomposition in inversion blocks
+        energies, vectors, _ = grid._eigensystem(model)
         psi, energy = vectors[:, 0], float(energies[0])
     else:
         psi, energy = grid.ground_state(model)
@@ -509,7 +551,7 @@ def test_emulate_photoemission_records_ground_energy_and_window_probability(
 ], ids=["exact_eigen", "two_electron_chebyshev"])
 def test_emulate_photoemission_h_applications(tmp_path, capsys, monkeypatch, config,
                                               applications):
-    # ExactEigen builds the dense H from per-axis kinetic matrices and takes the ground
+    # ExactEigen builds h1 from the one-axis kinetic matrix and takes the ground
     # state, the window and exp(-iHt) from its one eigendecomposition, so it never
     # applies H (LOBPCG took 21 on the fixture, the Jacobi-Anger series 320);
     # ChebyshevPoly applies it in LOBPCG and once per degree of each series, on two
@@ -832,7 +874,7 @@ def test_emulate_photoemission_deep_well_converges(tmp_path, capsys, z):
     # soft Coulomb this deep on the bundled fixture's grid exited 3: LOBPCG from a
     # random start stalled. The time is cut so the series stays within its cap,
     # and the window widened so its degree does. ExactEigen reads the ground
-    # energy off the dense eigh; the two runs differed by 4e-16 and 2e-16 of |E0|
+    # energy off h1's eigh; the two runs differed by 4e-16 and 2e-16 of |E0|
     config = _fixture("grid_soft_coulomb_1d.json")
     config["model"]["potential"]["params"]["z"] = z
     config["time"] = 1e-3

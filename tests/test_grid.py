@@ -1,9 +1,9 @@
 """Grid photoemission emulator against dense-diagonalization and mask oracles."""
 
+import functools
 import hashlib
 import json
 import math
-import types
 from importlib import resources
 
 import numpy as np
@@ -304,15 +304,15 @@ def _dipole_state(model, ground=ground_state):
     return excited / norm, energy
 
 
-def _eigh_ground(model):
-    """The lowest eigenpair of the dense H as an ExactEigen run decomposes it, by symmetry blocks.
+def _eigen_ground(model):
+    """The ground pair of an ExactEigen run, the lowest of its eigensystem.
 
     Pinned to the run's own decomposition, so that the energy compares to the
-    bit; the blocks themselves are held to plain eigh by
+    bit; the eigensystem itself is held to plain eigh of the dense H by
     test_symmetric_eigh_matches_full_eigh.
     """
-    energies, vectors = grid._eigen_ground(model)
-    return vectors[:, 0], float(energies[0])
+    energies, vectors, axes = grid._eigensystem(model)
+    return functools.reduce(np.multiply.outer, [vectors[:, 0]] * axes).reshape(-1), float(energies[0])
 
 
 @pytest.mark.parametrize("make, center, sigma, t", [
@@ -328,7 +328,7 @@ def test_filter_and_evolve_exact_eigen_matches_filter_then_evolve(make, center, 
     m = make()
     filt = FilterSpec(center=center, sigma=sigma, mode="ExactEigen")
     out, energy, success = grid.filter_and_evolve(m, filt, t)
-    psi, want_energy = _dipole_state(m, _eigh_ground)
+    psi, want_energy = _dipole_state(m, _eigen_ground)
     filtered, p_window = gaussian_filter(m, filt, psi, want_energy)
     want = evolve(m, filtered / np.linalg.norm(filtered), t)
     assert energy == want_energy
@@ -401,12 +401,11 @@ def test_filter_and_evolve_checks_the_time_in_both_modes(mode):
                                   lambda: two_electron_model(n=16)],
                          ids=["fixture", "2e_16^2"])
 def test_eigen_ground_state_matches_lobpcg(make):
-    # the ExactEigen run's ground pair, the lowest eigenpair of the dense H, is
-    # the state LOBPCG finds, to its residual bar; for two electrons it is the
+    # the ExactEigen run's ground pair, the lowest of its eigensystem, is the
+    # state LOBPCG finds, to its residual bar; for two electrons it is the
     # spatially symmetric one
     m = make()
-    energies, vectors = grid._eigen_ground(m)
-    psi, energy = vectors[:, 0], float(energies[0])
+    psi, energy = _eigen_ground(m)
     want, want_energy = ground_state(m)
     assert energy == pytest.approx(want_energy, abs=1e-12)
     assert abs(float(psi @ want)) == pytest.approx(1.0, abs=1e-9)
@@ -429,31 +428,6 @@ def test_eigen_ground_state_holds_ground_state_checks(monkeypatch):
         grid.filter_and_evolve(soft_model(n=16), filt, 1.0)
 
 
-def _two_electrons_3d(n):
-    """A stand-in for a two-electron 3D model at n points per axis: the fields _involution reads.
-
-    GridModel holds one electron in 3D, so the layout is written out.
-    """
-    return types.SimpleNamespace(eta=2, dims=3, hilbert_dim=n**6, shape=(n,) * 6)
-
-
-def _exchange_of_two_3d_electrons(n=3):
-    """A dense H for two electrons in 3D, built by hand, and its stand-in model.
-
-    A random symmetric matrix per axis direction, the same on both
-    electrons' copies of that axis, plus a random exchange-symmetric
-    potential: H has the exchange symmetry and no other.
-    """
-    rng = np.random.default_rng(41)
-    per_direction = [k + k.T for k in rng.standard_normal((3, n, n))]
-    h = np.zeros((n**6, n**6))
-    for axis, k in enumerate(per_direction * 2):
-        h += np.kron(np.kron(np.eye(n**axis), k), np.eye(n ** (5 - axis)))
-    table = rng.standard_normal((n,) * 6)
-    h += np.diag((table + table.transpose(3, 4, 5, 0, 1, 2)).reshape(-1))
-    return h, _two_electrons_3d(n)
-
-
 def _off_centre_model():
     return GridModel.from_config({**_fixture_model(), "potential": {
         "kind": "soft_coulomb", "params": {"z": 2.0, "a": 1.0, "center": 0.7}}})
@@ -471,7 +445,6 @@ SYMMETRY_CASES = {
     "2e_16^2": lambda: two_electron_model(n=16),
     "2e_32^2": lambda: two_electron_model(n=32),
     "1d_2_points": lambda: soft_model(n=2, box=4.0),
-    "3d_2e_3^6": _exchange_of_two_3d_electrons,
     "off_centre": _off_centre_model,
     "samples": _samples_model,
 }
@@ -479,50 +452,84 @@ SYMMETRY_CASES = {
 
 @pytest.mark.parametrize("name", SYMMETRY_CASES)
 def test_symmetric_eigh_matches_full_eigh(name):
-    # the blocks of the grid inversion (one electron) or of the exchange (two)
+    # the ExactEigen eigensystem, h1's by the blocks of the axis inversion for
+    # one electron and the dense H's by the blocks of the exchange for two,
     # against eigh of the whole dense H: the same spectrum, and the same
-    # V g(E) V^T v for g the fixture's window times exp(-iEt), a function of H
-    # that near-degenerate levels of opposite parity, which plain eigh mixes,
-    # do not blur. Without the symmetry the run takes plain eigh, to the bit
-    made = SYMMETRY_CASES[name]()
-    h, model = made if isinstance(made, tuple) else (dense_hamiltonian(made), made)
-    involution = grid._involution(model)
-    energies, vectors = grid._symmetric_eigh(h, involution)
+    # W g(E) W^T v for g the fixture's window times exp(-iEt), a function of H
+    # that degenerate levels, and near-degenerate levels of opposite parity
+    # that plain eigh mixes, do not blur. A line without the symmetry takes
+    # plain eigh of h1, which is the dense H, to the bit
+    model = SYMMETRY_CASES[name]()
+    h = dense_hamiltonian(model)
+    energies, vectors, axes = grid._eigensystem(model)
     want_energies, want_vectors = np.linalg.eigh(h)
+    assert axes == (model.dims if model.eta == 1 else 1)
+    assert len(vectors) == model.n_points**model.eta
     if name in ("off_centre", "samples"):
-        assert involution is None
         assert np.array_equal(energies, want_energies)
         assert np.array_equal(vectors, want_vectors)
         return
-    assert np.array_equal(involution[involution], np.arange(len(h)))
-    scale = float(np.max(np.abs(h)))
-    assert float(np.max(np.abs(h[np.ix_(involution, involution)] - h))) <= 1e-14 * scale
+    assert energies[0] == energies.min()
     spread = float(want_energies[-1] - want_energies[0])
-    assert float(np.max(np.abs(energies - want_energies))) <= 1e-13 * spread
-    assert float(np.max(np.abs(vectors.T @ vectors - np.eye(len(h))))) <= 1e-13
+    assert float(np.max(np.abs(np.sort(energies) - want_energies))) <= 1e-13 * spread
+    assert float(np.max(np.abs(vectors.T @ vectors - np.eye(len(vectors))))) <= 1e-13
     filt = FilterSpec(center=1.8, sigma=0.2)
     t = 10.0
     state = np.random.default_rng(47).standard_normal(len(h))
     state /= np.linalg.norm(state)
 
-    def window_and_phase(e, v):
-        g = filt.window(e - e[0]) * np.exp(-1j * e * t)
-        return v @ (g * (v.T @ state))
+    def window_and_phase(e):
+        return filt.window(e - e[0]) * np.exp(-1j * e * t)
 
-    got, want = window_and_phase(energies, vectors), window_and_phase(want_energies, want_vectors)
+    got = grid._along_axes(vectors, window_and_phase(energies)
+                           * grid._along_axes(vectors.T, state, axes), axes)
+    want = want_vectors @ (window_and_phase(want_energies) * (want_vectors.T @ state))
     assert float(np.max(np.abs(got - want))) <= 1e-12
 
 
 def test_exchange_swaps_the_electrons_coordinate_blocks():
-    # in 3D the exchange maps (x1, y1, z1, x2, y2, z2) to (x2, y2, z2, x1, y1, z1),
-    # not to the reversal of all six axes, which it equals only in 1D
-    n = 4
-    involution = grid._involution(_two_electrons_3d(n)).reshape((n,) * 6)
-    index = np.arange(n**6).reshape((n,) * 6)
-    assert np.array_equal(involution, index.transpose(3, 4, 5, 0, 1, 2))
-    assert not np.array_equal(involution, index.transpose(5, 4, 3, 2, 1, 0))
-    one_d = grid._involution(two_electron_model(n=n)).reshape(n, n)
-    assert np.array_equal(one_d, np.arange(n * n).reshape(n, n).T)
+    # the two-electron eigenvectors are symmetric or antisymmetric under the
+    # exchange, the transpose of the N x N grid, and the ground state symmetric
+    n = 8
+    _, vectors, _ = grid._eigensystem(two_electron_model(n=n))
+    squares = vectors.T.reshape(-1, n, n)
+    swapped = squares.transpose(0, 2, 1)
+    parity = np.sign(np.sum(squares * swapped, axis=(1, 2)))
+    assert float(np.max(np.abs(swapped - parity[:, None, None] * squares))) <= 1e-12
+    assert parity[0] == 1.0
+
+
+@pytest.mark.parametrize("make", [lambda: GridModel.from_config(_fixture_model()),
+                                  lambda: harmonic_3d_model(n=16)], ids=["fixture", "3d_16^3"])
+def test_one_electron_exact_eigen_diagonalizes_n_points_rows(monkeypatch, make):
+    # one electron's eigensystem is h1's, so no eigh in the run exceeds n_points
+    # rows; the dense H of 3d_16^3 had 4096, diagonalized in blocks of about 2048
+    m = make()
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    grid.filter_and_evolve(m, FilterSpec(center=1.0, sigma=0.3), 0.5)
+    assert sizes and max(sizes) <= m.n_points
+
+
+def test_exact_eigen_at_3d_32_matches_the_series():
+    # 3D 32^3 (dimension 32768) diagonalizes only h1's 32 rows under ExactEigen;
+    # the Chebyshev series at poly_tolerance 1e-7 gives the same state and
+    # window probability (measured 5.7e-10 and 2.0e-9 apart) and ground energy
+    m = three_d_model(n=32)
+    exact, energy, p_exact = grid.filter_and_evolve(m, FilterSpec(center=0.8, sigma=0.3), 2.0)
+    poly = FilterSpec(center=0.8, sigma=0.3, mode="ChebyshevPoly", poly_tolerance=1e-7)
+    series, want_energy, p_series = grid.filter_and_evolve(m, poly, 2.0)
+    assert energy == pytest.approx(want_energy, abs=1e-12)
+    assert p_exact == pytest.approx(p_series, abs=5e-9)
+    phase = np.vdot(series, exact) / abs(np.vdot(series, exact))  # the ground state's sign
+    assert float(np.max(np.abs(exact - phase * series))) <= 2e-9
+
 
 def test_potential_at_cutoff_past_every_axis_point():
     # in 3D the cutoff may lie beyond the box half-width, on no axis point
@@ -965,6 +972,11 @@ def three_d_model(n=16):
         "potential": {"kind": "soft_coulomb", "params": {"z": 1.0, "a": 1.0}}})
 
 
+def harmonic_3d_model(n):
+    return GridModel.from_config({"dims": 3, "n_points": n, "box_length": 16.0,
+                                  "potential": {"kind": "harmonic", "params": {"k": 1.0}}})
+
+
 def _arpack_lowest(model):
     """ARPACK's lowest eigenvalue of H."""
     linalg = pytest.importorskip("scipy.sparse.linalg")
@@ -1330,9 +1342,9 @@ SECTOR_MODELS = {"2e_32^2": lambda: two_electron_model(n=32),
 def test_sector_kernel_matches_apply_hamiltonian_on_symmetric_states(name):
     m = SECTOR_MODELS[name]()
     n = m.n_points
-    re, im = np.random.default_rng(5).standard_normal((2, 3, n, n))
-    re, im = re + re.transpose(0, 2, 1), im + im.transpose(0, 2, 1)
-    for states in (re[0], re, re[0] + 1j * im[0], re + 1j * im):
+    re = np.random.default_rng(5).standard_normal((3, n, n))
+    re = re + re.transpose(0, 2, 1)
+    for states in (re[0], re):
         flat = states.reshape(states.shape[:-2] + (-1,))
         out = m.apply_sector_hamiltonian(flat)
         assert out.dtype == flat.dtype and out.shape == flat.shape
@@ -1374,4 +1386,4 @@ def test_deep_well_ground_state_without_a_filter(z):
                                "potential": {"kind": "soft_coulomb", "params": {"z": z}}})
     _, energy, success = grid.filter_and_evolve(m, None, 1e-3)
     assert success is None
-    assert energy == pytest.approx(float(grid._eigen_ground(m)[0][0]), rel=1e-15)
+    assert energy == pytest.approx(_eigen_ground(m)[1], rel=1e-15)

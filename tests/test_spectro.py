@@ -6,6 +6,7 @@ import types
 import numpy as np
 import pytest
 
+from conftest import beta_limit, two_level_scene
 from euvq import spectro
 from euvq.core import ValidationError
 from euvq.spectro import (
@@ -17,7 +18,6 @@ from euvq.spectro import (
     spectrum_rows,
     trotter_effective_spectrum,
     trotter_step_unitary,
-    two_level_scene,
     y3_operator,
 )
 
@@ -153,7 +153,7 @@ def test_fourier_weights_single_term():
 
 def test_beta_matches_estimator_series():
     # one shot: the standard error is the full scale (4 pi omega / 3c) pi N^2 beta
-    from euvq.absorption import beta_bound, beta_limit
+    from euvq.absorption import beta_bound
 
     scene = random_scene(16, seed=5)
     gamma = 0.1 / TAU
