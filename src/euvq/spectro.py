@@ -21,12 +21,15 @@ measured Hadamard-test component is the real part of <Phi| G_t / beta |Phi>
 on |Phi> = D|I> / ||D|I>||, with beta = sum_j |p(j)| in the closed form of
 ``absorption.beta_bound``.
 
-The value is real because s_-j = conj(s_j) for the phase sum
-s_j = sum_F |<F|D|I>|^2 exp(-i (E_F - E_I) tau j) and p(-j) = conj(p(j)).
-So only the half j = 0..j_max of s is formed, once per scene, and a
-frequency scan reads td(omega) = (tau/2pi) [s_0 + 2 sum_{j>=1} r^j
-(cos(omega tau j) Re s_j - sin(omega tau j) Im s_j)], r = exp(-gamma tau),
-from one real cosine and one real sine table per block of frequencies.
+Line by line the sum over j is geometric. With w_F = |<F|D|I>|^2,
+theta_F = (omega - (E_F - E_I)) tau, r = exp(-gamma tau) and J = j_max,
+td(omega) = (tau/2pi) sum_F w_F K(theta_F) for the real kernel
+K(theta) = sum_{|j|<=J} r^|j| exp(i j theta), whose closed form is
+K = [(1 - r) (1 - r^(J+1) + r (1 - r^J) + 4 r^(J+1) sin^2(J theta/2))
+     + 4 r^(J+1) sin(theta/2) sin((2J+1) theta/2)] / |1 - r exp(i theta)|^2,
+|1 - r exp(i theta)|^2 = (1 - r)^2 + 4 r sin^2(theta/2). As J grows, K tends
+to the Poisson kernel (1 - r^2) / |1 - r exp(i theta)|^2. A scan evaluates K
+per line and frequency, so its cost does not grow with j_max.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from .core import (MAX_SHOTS, REQUIRED, ValidationError, cross_section_prefactor
 
 HERMITICITY_TOL = 1e-12
 EIGENPAIR_TOL = 1e-9
-MAX_PHASE_ENTRIES = 2**24  # largest dim * (2 j_max + 1) phase table a sum over j allocates
-SCAN_BLOCK_ENTRIES = 2**14  # largest frequencies * max(j_max, dim) table of a scan block
+MAX_PHASE_ENTRIES = 2**24  # largest dim * (2 j_max + 1), the (line, step) terms of the sum over j
+SCAN_BLOCK_ENTRIES = 2**14  # largest frequencies * dim detuning table of a scan block
 SPECTRUM_COLUMNS = ("omega_Ha", "sigma_exact", "sigma_td", "sigma_sampled", "stderr")
 
 
@@ -70,20 +73,25 @@ class SpectralScene:
         d = np.asarray(self.dipole, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1] or d.shape != h.shape:
             raise ValidationError("operator shapes inconsistent with dim")
-        if not np.allclose(h, h.conj().T, atol=HERMITICITY_TOL, rtol=0.0):
-            raise ValidationError("hamiltonian is not Hermitian to 1e-12")
-        if not np.allclose(d, d.conj().T, atol=HERMITICITY_TOL, rtol=0.0):
-            raise ValidationError("dipole is not Hermitian to 1e-12")
+        for name, m in (("hamiltonian", h), ("dipole", d)):
+            skew = float(np.max(np.abs(m - m.conj().T)))
+            if not skew <= HERMITICITY_TOL:
+                raise ValidationError(f"field '{name}' in scene must be Hermitian to 1e-12; it "
+                                      f"differs from its conjugate transpose by up to {skew:.3g}")
         energies, vectors = np.linalg.eigh(h)
         if self.ground_state is None:
             psi, energy = vectors[:, 0], float(energies[0])
         else:
             psi = np.asarray(self.ground_state, dtype=complex)
             energy = float(np.real(psi.conj() @ h @ psi))
-        if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
-            raise ValidationError("ground_state must be normalized")
-        if np.linalg.norm(h @ psi - energy * psi) > EIGENPAIR_TOL:
-            raise ValidationError("ground_state is not an eigenpair of H to 1e-9")
+        norm = float(np.linalg.norm(psi))
+        if not abs(norm - 1.0) <= 1e-9:
+            raise ValidationError(f"field 'ground_state' in scene must be normalized, "
+                                  f"got norm {norm:.12g}")
+        residual = float(np.linalg.norm(h @ psi - energy * psi))
+        if not residual <= EIGENPAIR_TOL:
+            raise ValidationError(f"field 'ground_state' in scene must be an eigenvector of "
+                                  f"'hamiltonian' to 1e-9, got residual {residual:.3g}")
         amps = vectors.conj().T @ (d @ psi)
         for name, value in (("hamiltonian", h), ("dipole", d), ("ground_state", psi),
                             ("dim", h.shape[0]), ("ground_energy", energy),
@@ -103,35 +111,6 @@ def random_scene(dim: int, seed: int) -> SpectralScene:
     h *= 4.0 / (energies[-1] - energies[0])
     b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return SpectralScene(h, (b + b.conj().T) / 2.0)
-
-
-def _lorentzian_sum(scene: SpectralScene, omegas, gamma: float):
-    """sum_F |<F|D|I>|^2 L_gamma(E_F - E_I - omega), L_gamma(x) = gamma / (x^2 + gamma^2).
-
-    ``omegas`` is one frequency or an array of them; the result has its shape.
-    Each frequency's terms are summed on their own, so its value does not
-    depend on the other frequencies passed with it.
-    """
-    detune = np.subtract.outer(omegas, scene.excitations)  # the sign squares away
-    return np.sum(scene.line_weights * (gamma / (detune**2 + gamma**2)), axis=-1)
-
-
-def _phase_sum(scene: SpectralScene, tau: float, j_max: int) -> np.ndarray:
-    """s_j = sum_F |<F|D|I>|^2 exp(-i (E_F - E_I) tau j) for j in [0, j_max].
-
-    Only the weights p(j) depend on the probe frequency, so one s serves a
-    whole scan: <I| D G_t D |I> = sum_j p(j) s_j. The other half is
-    s_-j = conj(s_j), since the weights |<F|D|I>|^2 are real. The cap
-    counts the two-sided table dim * (2 j_max + 1) all the same.
-    """
-    entries = len(scene.excitations) * (2 * j_max + 1)
-    if entries > MAX_PHASE_ENTRIES:
-        raise ValidationError(
-            f"j_max = {j_max} needs a phase table of dim * (2 j_max + 1) = {entries} "
-            f"entries; the cap is 2^24 = {MAX_PHASE_ENTRIES}")
-    # one complex table of dim * (j_max + 1) entries, exponentiated in place
-    phases = np.multiply.outer(scene.excitations, -1j * (np.arange(j_max + 1) * tau))
-    return scene.line_weights @ np.exp(phases, out=phases)
 
 
 def trotter_effective_spectrum(fragments: list[np.ndarray], delta: float
@@ -225,7 +204,7 @@ def scene_from_dict(data: dict) -> SpectralScene:
                         "scene")
     dim = scene["dim"]
     if dim < 1:
-        raise ValidationError("scene dim must be at least 1")
+        raise ValidationError(f"field 'dim' in scene must be at least 1, got {dim}")
 
     def join(name, shape):
         entry = read_fields(scene[name], {"re": (list, REQUIRED), "im": (list, None)},
@@ -256,16 +235,21 @@ def spectrum_rows(scene: SpectralScene, omegas, gamma: float, tau: float,
     (1 + E[Z]) / 2 for E[Z] = td / (N^2 beta). Here N^2 = ||D|I>||^2 is the
     sum of the line weights (the eigenbasis is complete), and beta is the
     estimator's :func:`euvq.absorption.beta_bound`; neither depends on omega.
-    The frequency-independent half-sided phase sum, its folds 2 r^j Re s_j
-    and 2 r^j Im s_j, N^2 and beta are formed once. Each block of
-    frequencies then costs one cosine and one sine table over j and one
-    Lorentzian table over the final states for the exact column, each of at
-    most SCAN_BLOCK_ENTRIES entries where one frequency's row fits. One
-    ``np.random.default_rng(seed)`` draws each frequency's count of +1
-    outcomes, Binomial(shots, (1 + E[Z]) / 2), in frequency order. Each table
-    row is summed on its own, not by a matrix-vector product whose rounding
-    can depend on the number of rows, and a block's one draw takes the stream
-    as per-frequency draws do, so the rows do not depend on the block split.
+    td is summed through the kernel K of the module docstring: 1 - r^n comes
+    from expm1, so K keeps its digits as gamma tau -> 0, and
+    |1 - r exp(i theta)| from hypot, so nothing is squared into underflow; K
+    is finite for every gamma tau > 0. theta is reduced to [-pi, pi] first,
+    so a line aliased by 2 pi / tau is as accurate as a resonant one. Each
+    block of frequencies costs one detuning table omega - (E_F - E_I) of at
+    most SCAN_BLOCK_ENTRIES entries where one frequency's row fits. It feeds
+    both the Lorentzian and K, so a scan costs O(frequencies * lines)
+    whatever j_max is. One ``np.random.default_rng(seed)`` draws each
+    frequency's count of +1 outcomes, Binomial(shots, (1 + E[Z]) / 2), in
+    frequency order. Each table row is summed on its own, not by a
+    matrix-vector product whose rounding can depend on the number of rows,
+    and a block's one draw takes the stream as per-frequency draws do, so the
+    rows do not depend on the block split. j_max is capped by
+    dim * (2 j_max + 1) <= MAX_PHASE_ENTRIES, the count of the sum's terms.
     Raises ValidationError if gamma and tau leave any value non-finite.
     """
     if not 1 <= shots <= MAX_SHOTS:
@@ -274,26 +258,38 @@ def spectrum_rows(scene: SpectralScene, omegas, gamma: float, tau: float,
     beta = absorption.beta_bound(tau, gamma, j_max)
     if not gamma * gamma < math.inf:
         raise ValidationError(f"field 'gamma' must be finite when squared, got {gamma:.3g}")
+    weights, excitations = scene.line_weights, scene.excitations
+    entries = len(excitations) * (2 * j_max + 1)
+    if entries > MAX_PHASE_ENTRIES:
+        raise ValidationError(f"j_max = {j_max} gives dim * (2 j_max + 1) = {entries} terms "
+                              f"in the sum over j; the cap is 2^24 = {MAX_PHASE_ENTRIES}")
     omegas = np.asarray(omegas, dtype=float)
-    block = max(1, SCAN_BLOCK_ENTRIES // max(j_max, len(scene.excitations)))
+    block = max(1, SCAN_BLOCK_ENTRIES // len(excitations))
     rng = np.random.default_rng(seed)
     rows = []
     with np.errstate(all="ignore"):  # a non-finite row is rejected below
-        half = _phase_sum(scene, tau, j_max)
-        decay = np.exp(-gamma * tau * np.arange(1, j_max + 1))  # r^j for j = 1..j_max
-        fold_re, fold_im = 2.0 * decay * half[1:].real, 2.0 * decay * half[1:].imag
-        steps = np.arange(1.0, j_max + 1)
-        norm2 = float(scene.line_weights.sum())
+        # K's scalars 1 - r, r, r^(J+1) and (1 - r^(J+1)) + r (1 - r^J); J = 0 sums no
+        # term, even where gamma tau is inf and inf * 0 would give NaN
+        decay = gamma * tau
+        j_decay = decay * j_max if j_max else 0.0
+        one_minus_r, r, r_next = -math.expm1(-decay), math.exp(-decay), math.exp(-j_decay - decay)
+        resonant = -math.expm1(-j_decay - decay) - r * math.expm1(-j_decay)
+        norm2 = float(weights.sum())
         for start in range(0, len(omegas), block):
             chunk = omegas[start:start + block]
-            angles = np.multiply.outer(chunk * tau, steps)
-            table = np.cos(angles)
-            table *= fold_re
-            table -= np.multiply(np.sin(angles, out=angles), fold_im, out=angles)
-            tds = (tau / (2.0 * math.pi)) * (half[0].real + table.sum(axis=1))
+            detune = np.subtract.outer(chunk, excitations)  # Lorentzian and K are even in it
+            theta = detune * tau
+            theta -= (2.0 * math.pi) * np.rint(theta / (2.0 * math.pi))
+            half = np.sin(theta / 2.0)
+            wave = np.sin((j_max / 2.0) * theta)
+            gap = np.hypot(one_minus_r, (2.0 * math.sqrt(r)) * half)  # |1 - r exp(i theta)|
+            kernel = (one_minus_r / gap) * (resonant + 4.0 * r_next * wave * wave)
+            kernel += 4.0 * r_next * (half / gap) * np.sin((j_max + 0.5) * theta)
+            kernel /= gap
+            tds = (tau / (2.0 * math.pi)) * np.sum(weights * kernel, axis=-1)
             prefactor = cross_section_prefactor(chunk)
             scale = prefactor * math.pi * beta * norm2
-            exact = prefactor * _lorentzian_sum(scene, chunk, gamma)
+            exact = prefactor * np.sum(weights * (gamma / (detune**2 + gamma**2)), axis=-1)
             td = prefactor * math.pi * tds
             stderr = scale / math.sqrt(shots)  # finite only where scale is
             finite = np.isfinite([chunk, exact, td, stderr]).all(axis=0)

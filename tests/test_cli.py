@@ -416,13 +416,13 @@ def test_estimator_output_digest(capsys, command, fixture, fmt, digest):
 # exact, time-domain and sampled columns, outcome counts included
 ABSORPTION_DIGESTS = [
     ("scene_two_level.json", "json",
-     "f887d7ae655331b8966a39d14893f404149eacfe212c4ed1683a43bb8911dff0"),
+     "f32ec0e4a2820da61fdf13937a726c5ff5b5d4ee63c10bc95d80bd320cdad05a"),
     ("scene_two_level.json", "csv",
-     "4002fa2de5d3e8bde8c77ac6cc762df240622f144c711bc41604efee3a38b6d4"),
+     "220c86a14976a86993bb41659083241ddb2efbe8de2d6ed220b6b97f18f48fe5"),
     ("scene_random16.json", "json",
-     "cd7e08905d49aad62afea31f38c67c5d82a8743708b6eb60a2af4bb2f7d4eb8f"),
+     "7ce41e5e63c238aff192ed1143c2d19619a1443ae19c5d3dec577a4f70d8c798"),
     ("scene_random16.json", "csv",
-     "9177457e920facff440aed0c257593204f6059b4ba85bb229f52d272f0210295"),
+     "2d096a00829e0690816a8c0e811bfdfa0835e54af37afeff1c9b27614e2de1f0"),
 ]
 
 
@@ -665,6 +665,29 @@ def test_emulate_absorption_out_of_range_exit_code(tmp_path, capsys, field, edit
     assert out == ""
     assert field in err
     assert not re.search(r"Traceback|Warning|Infinity", err)
+
+
+def _set_scene(name, values):
+    return lambda d: d["scene"][name].update(re=values)
+
+
+@pytest.mark.parametrize("edit, field, value", [
+    (lambda d: d["scene"].update(dim=0), "field 'dim' in scene", "got 0"),
+    (_set_scene("hamiltonian", [0.0, 1.0, 0.0, 3.38]), "field 'hamiltonian' in scene", "up to 1"),
+    (_set_scene("dipole", [0.0, 6.25, 0.0, 0.0]), "field 'dipole' in scene", "up to 6.25"),
+    (_set_scene("ground_state", [2.0, 0.0]), "field 'ground_state' in scene", "norm 2"),
+    (_set_scene("ground_state", [0.6, 0.8]), "field 'ground_state' in scene", "residual 1.6"),
+], ids=["dim_0", "hamiltonian_not_hermitian", "dipole_not_hermitian", "ground_state_norm_2",
+        "ground_state_not_eigen"])
+def test_emulate_absorption_scene_refusal_names_the_field(tmp_path, capsys, edit, field, value):
+    # each scene check names its field in the form the other refusals use, and its value
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(_edited("scene_two_level.json", edit)))
+    assert main(["emulate-absorption", "--input", str(path)]) == EX_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert field in err and value in err
+    assert "Traceback" not in err
 
 
 def _grid_with(**fields):

@@ -174,8 +174,8 @@ def test_td_greens_zero_time_autocorrelation():
 
 @pytest.mark.parametrize("j_max", [0, 1, 150])
 def test_td_greens_folded_half_sum_matches_two_sided_sum(j_max):
-    # the scan folds s_-j = conj(s_j) into the half j >= 0; hold it to the
-    # two-sided complex sum over every j in [-j_max, j_max], which is real
+    # the scan sums over j in closed form; hold it to the two-sided complex sum
+    # over every j in [-j_max, j_max], which is real
     scene = random_scene(12, seed=21)
     omegas = [0.4, 1.7, 3.1]
     for omega, row in zip(omegas, scan(scene, omegas, j_max)):
@@ -364,8 +364,8 @@ def test_hadamard_deterministic_under_seed():
 
 
 def test_spectrum_rows_td_matches_per_frequency_and_double_sum():
-    # sigma_td comes from one phase sum per scan; hold it at each frequency to
-    # the direct double sum over final states F and steps j
+    # sigma_td comes from one closed-form kernel per line and frequency; hold it
+    # at each frequency to the direct double sum over final states F and steps j
     scene = random_scene(12, seed=14)
     omegas = np.linspace(0.3, 3.7, 9)
     j_max = 150
@@ -400,14 +400,88 @@ def test_spectrum_rows_sampled_column_is_the_shot_simulator():
 
 @pytest.mark.parametrize("j_max", [0, 7, 150])
 def test_spectrum_rows_do_not_depend_on_the_block_split(monkeypatch, j_max):
-    # frequencies are evaluated in blocks of at most SCAN_BLOCK_ENTRIES table
-    # entries; splitting the scan into blocks of 1, 2 and 3 rows changes no bit
+    # frequencies are evaluated in blocks of SCAN_BLOCK_ENTRIES // dim rows;
+    # splitting the scan into blocks of 1, 2 and 3 rows changes no bit
     scene = random_scene(12, seed=15)
     omegas = np.linspace(0.3, 3.7, 11)
     whole = spectrum_rows(scene, omegas, GAMMA, TAU, j_max, shots=50, seed=4)
+    blocks = []
+    prefactor = spectro.cross_section_prefactor  # called once per block
+
+    def counted(chunk):
+        blocks.append(len(chunk))
+        return prefactor(chunk)
+
+    monkeypatch.setattr(spectro, "cross_section_prefactor", counted)
     for rows_per_block in (1, 2, 3):
-        monkeypatch.setattr(spectro, "SCAN_BLOCK_ENTRIES", rows_per_block * max(j_max, scene.dim))
+        blocks.clear()
+        monkeypatch.setattr(spectro, "SCAN_BLOCK_ENTRIES", rows_per_block * scene.dim)
         assert spectrum_rows(scene, omegas, GAMMA, TAU, j_max, shots=50, seed=4) == whole
+        assert len(blocks) == math.ceil(len(omegas) / rows_per_block) > 1
+        assert max(blocks) == rows_per_block
+
+
+def lines(*excitations):
+    """A spectral measure of unit-weight lines, all that ``spectrum_rows`` reads."""
+    return types.SimpleNamespace(excitations=np.array(excitations, dtype=float),
+                                 line_weights=np.ones(len(excitations)))
+
+
+def direct_td(measure, omega, j_max, gamma, tau=TAU):
+    """(tau/2pi) sum_F w_F sum_j r^|j| exp(i (omega - E_F + E_I) tau j), term by term."""
+    j = np.arange(-j_max, j_max + 1)
+    theta = (omega - measure.excitations) * tau
+    terms = np.exp(-gamma * tau * np.abs(j) + 1j * np.multiply.outer(theta, j))
+    return (tau / (2 * math.pi)) * float(measure.line_weights @ terms.sum(axis=1).real)
+
+
+@pytest.mark.parametrize("gamma, j_max, offsets", [
+    (GAMMA, 528, [0.0, 1e-9, -1e-9, 1e-6, -1e-6]),  # near resonance
+    (GAMMA, 528, [2 * math.pi / TAU + d for d in (0.0, 1e-9, 1e-6, 0.05)]),  # aliased by 2pi/tau
+    (GAMMA, 528, [-4 * math.pi / TAU + d for d in (0.0, 1e-6, -0.3)]),
+    (1e-7, 10**5, [0.0, 1e-9, 1e-6, 1e-4, 0.3]),  # r^j_max = exp(-3.9e-3), near 1
+], ids=["resonant", "aliased", "aliased_twice", "r_j_max_near_1"])
+def test_td_closed_form_matches_direct_sum_where_digits_are_at_risk(gamma, j_max, offsets):
+    # small theta, theta near a multiple of 2 pi and r^j_max near 1 are where a
+    # closed form of the geometric sum can lose digits; the term-by-term sum
+    # is the oracle, and the gap is measured against the peak (2 j_max + 1 at most)
+    measure = lines(2.0, 2.7)
+    omegas = 2.0 + np.array(offsets)
+    rows = spectrum_rows(measure, omegas, gamma, TAU, j_max, shots=1, seed=0)
+    peak = direct_td(lines(2.0), 2.0, j_max, gamma)
+    for omega, row in zip(omegas, rows):
+        gap = abs(row["sigma_td"] / scale(omega) - direct_td(measure, omega, j_max, gamma))
+        assert gap <= 1e-13 * peak
+
+
+@pytest.mark.parametrize("gamma, tau, j_max, kernel", [
+    (1e154, 1e155, 0, 1.0),  # gamma tau overflows to inf, so r = 0
+    (1e154, 1e155, 5, 1.0),
+    (1.0, 1000.0, 5, 1.0),  # exp(gamma tau) overflows and r underflows to 0
+    (1e-150, 1e-10, 400, 801.0),  # (1 - r)^2 underflows; K = 2 j_max + 1 to double precision
+], ids=["inf_j0", "inf_j5", "r_underflows", "one_minus_r_squared_underflows"])
+def test_td_kernel_is_finite_for_every_decay(gamma, tau, j_max, kernel):
+    # at resonance K = sum_{|j| <= j_max} r^|j|, for any gamma tau the reader accepts
+    row, = spectrum_rows(lines(2.0), [2.0], gamma, tau, j_max, shots=1, seed=0)
+    want = scale(2.0) * (tau / (2 * math.pi)) * kernel
+    assert row["sigma_td"] == pytest.approx(want, rel=1e-15, abs=0)
+
+
+def test_td_closed_form_tends_to_the_poisson_kernel():
+    # once r^j_max underflows the truncated kernel is the infinite sum's
+    # Poisson kernel (1 - r^2) / (1 - 2 r cos theta + r^2), an independent closed form
+    j_max = 40_000
+    r = math.exp(-GAMMA * TAU)
+    assert r ** j_max == 0.0
+    measure = lines(2.0)
+    omegas = 2.0 + np.array([0.0, 1e-9, 1e-6, 1e-3, 0.3, 2 * math.pi / TAU + 1e-6, 7.0])
+    rows = spectrum_rows(measure, omegas, GAMMA, TAU, j_max, shots=1, seed=0)
+    peak = (1 + r) / (1 - r)
+    for omega, row in zip(omegas, rows):
+        theta = (omega - 2.0) * TAU
+        poisson = (1 - r * r) / (1 - 2 * r * math.cos(theta) + r * r)
+        kernel = row["sigma_td"] / (scale(omega) * TAU / (2 * math.pi))
+        assert abs(kernel - poisson) <= 1e-12 * peak
 
 
 def test_spectrum_rows_read_only_the_spectral_measure():
