@@ -5,48 +5,52 @@ dipole excitation by the centered position operator, a Gaussian energy
 filter (exact eigenbasis or Chebyshev polynomial), real-time propagation, a
 hard spherical continuum projector, and kinetic-energy histogram sampling in
 the momentum basis. H and the dipole are exchange symmetric and the
-two-electron ground state is the spatially symmetric one, so a run stays in
-that sector. On grids of up to KINETIC_MATRIX_POINTS points the ground
-state's start and each of its preconditioned directions are symmetric to
-the bit, and the ground state and the series of :func:`filter_and_evolve`
+two-electron ground state is the lowest spatially symmetric state, so a run
+stays in that sector. On grids of up to KINETIC_MATRIX_POINTS points the
+ground state's start and each of its preconditioned directions are symmetric
+to the bit, and the ground state and the series of :func:`filter_and_evolve`
 apply H by a kernel for that sector alone
 (:meth:`GridModel.apply_sector_hamiltonian`).
 :func:`filter_and_evolve` runs the stages up to the propagated state.
 
 As in the qubitized circuit, the polynomial filter and exp(-iHt) are both
-Chebyshev series in (H - mid) / half_span, with [mid - half_span,
-mid + half_span] an interval that holds the spectrum of H, summed
-matrix-free by one forward three-term recurrence on real rows. Both series
-end by one rule: at the first degree whose dropped coefficients sum to
-within the tolerance. The filter's coefficients come from interpolating the
-window, the propagator's are Bessel functions (the Jacobi-Anger expansion),
-so neither degree is found by a search or by refining a time step. An
-ExactEigen run takes the ground state, the window and exp(-iHt) from one
-eigensystem H = W diag(E) W^T, W = M x ... x M (:func:`_eigensystem`): the
-ground pair is the lowest pair, the filtered state's amplitudes on W's
-columns take the phases exp(-iEt), no series is summed and H is never
-applied. For one electron, in 1D or 3D, H is the one-axis Hamiltonian
-h1 = diag(v) + K summed over the axes, so M is h1's eigenbasis on each axis
-and E the outer sum of h1's energies: one eigendecomposition of n_points
-rows. For two electrons M is the eigenbasis of the dense H
+Chebyshev series in (H - mid) / half_span, with
+[mid - half_span, mid + half_span] an interval that holds the spectrum of H,
+summed matrix-free by one forward three-term recurrence on real rows. Each
+step is one call of H's own kernel on the potential and kinetic tables
+scaled once per series, so that it applies 2 (H - mid) / half_span. Both
+series end by one rule: at the first degree whose dropped coefficients sum
+to within the tolerance. The filter's coefficients come from interpolating
+the window, the propagator's are Bessel functions (the Jacobi-Anger
+expansion), so neither degree is found by a search or by refining a time
+step. An ExactEigen run takes the ground state, the window and exp(-iHt)
+from one eigensystem H = W diag(E) W^T, W = M x ... x M
+(:func:`_eigensystem`): the ground pair is the lowest pair, for two
+electrons the lowest exchange-symmetric one, the filtered state's amplitudes
+on W's columns take the phases exp(-iEt), no series is summed and H is never
+applied. For one electron, in 1D or 3D, H is the one-axis Hamiltonian h1 =
+diag(v) + K summed over the axes, so M is h1's eigenbasis on each axis and E
+the outer sum of h1's energies: one eigendecomposition of n_points rows. For
+two electrons M is the eigenbasis of the dense H
 (:func:`dense_hamiltonian`). Each is diagonalized by the even and odd blocks
 of a permutation that commutes with it and is its own inverse
 (:func:`_symmetric_eigh`): the axis inversion when v is even, or the
-electrons' exchange. The series' cap on the time holds in both modes, so
-the accepted times do not depend on the mode. ChebyshevPoly and filterless
-runs need no polynomial for the ground state: locally optimal block
+electrons' exchange. The series' cap on the time holds in both modes, so the
+accepted times do not depend on the mode. ChebyshevPoly and filterless runs
+need no polynomial for the ground state: locally optimal block
 preconditioned conjugate gradients (LOBPCG; Knyazev, SIAM J. Sci. Comput.
 23, 517 (2001)) reaches it. Up to KINETIC_MATRIX_POINTS points the same
 decomposition of h1 (:func:`_axis_eigh`) gives LOBPCG its start, the tensor
-product of h1's lowest eigenvector, which is the ground state itself for
-one electron (one application of H), and its preconditioner, the separable
-part's shifted inverse in h1's eigenbasis (15 applications on two electrons
-at 64^2).
+product of h1's lowest eigenvector, which is the ground state itself for one
+electron (one application of H), and its preconditioner: in h1's product
+eigenbasis, the shifted inverse of H's diagonal there, which for two
+electrons holds the repulsion's diagonal as well as the separable levels
+(Davidson's preconditioner; 12 applications on two electrons at 64^2).
 Above that, LOBPCG starts from a random vector, preconditioned by
-S (T + 1 Ha)^-1 S with the real-space diagonal S = (1 + V - min V)^-1/2,
-and takes a few dozen to a few hundred applications. The kinetic factor
-inverts H - E where T dominates, and S where V does, as in a harmonic well
-whose walls rise far above the kinetic energy near its floor.
+S (T + 1 Ha)^-1 S with the real-space diagonal S = (1 + V - min V)^-1/2, and
+takes a few dozen to a few hundred applications. The kinetic factor inverts
+H - E where T dominates, and S where V does, as in a harmonic well whose
+walls rise far above the kinetic energy near its floor.
 
 Grid conventions: N points per dimension (power of two), spacing
 h = L / N, positions x_q = (q - N/2) h, momenta k = 2 pi fftfreq(N, h).
@@ -101,11 +105,14 @@ EDGE_CELLS = 2                 # grid points next to each box face that edge_den
 # Both 1D layouts cross between 256 and 512 points, so one cut by n_points serves
 # all three; the kernels agree within 2e-15 of max T up to 256 points.
 KINETIC_MATRIX_POINTS = 256
-# Shift (Ha) of the ground state's separable preconditioner above the separable
-# part's lowest level. LOBPCG applications to the two-electron ground state at
-# gaps of 0.01 / 0.03 / 0.1 / 0.3 / 1 Ha:
-#   2e 32^2:  17 / 16 / 15 / 15 / 18     2e 64^2:  17 / 15 / 15 / 16 / 19
-#   2e 128^2: 17 / 15 / 15 / 16 / 20     2e 256^2: 17 / 15 / 15 / 16 / 20
+# Shift (Ha) of the ground state's preconditioner in h1's product eigenbasis
+# above the lowest entry of H's diagonal there. LOBPCG applications to the
+# two-electron ground state at gaps of 0.01 / 0.03 / 0.1 / 0.3 / 1 Ha, on the
+# benchmark's model (soft Coulomb z 2, repulsion 1, box 48) and, last, on it
+# at repulsion 10 and softening 0.5:
+#   2e 32^2:  15 / 13 / 12 / 13 / 16     2e 64^2:  13 / 13 / 12 / 13 / 17
+#   2e 128^2: 13 / 13 / 12 / 13 / 17     2e 256^2: 13 / 13 / 12 / 13 / 17
+#   2e 32^2, repulsion 10:  104 / 85 / 81 / 88 / 96
 SEPARABLE_GAP = 0.1
 
 
@@ -154,6 +161,15 @@ def _axis(n: int, box_length: float) -> np.ndarray:
 def _outer_sum(tables) -> np.ndarray:
     """t_1(q_1) + t_2(q_2) + ... on the grid with one axis per table."""
     return functools.reduce(np.add.outer, tables)
+
+
+def _repulsion(model: GridModel) -> np.ndarray:
+    """The two electrons' soft-Coulomb repulsion on the N x N grid.
+
+    It is the part of the potential table that is not a sum over the axes.
+    """
+    separation = np.subtract.outer(model.axis, model.axis)
+    return model.interaction_strength / np.sqrt(separation**2 + model.interaction_softening**2)
 
 
 def _kinetic_circulant(k_axis: np.ndarray) -> np.ndarray:
@@ -235,8 +251,7 @@ class GridModel:
         coords = self.dims * self.eta
         v = _outer_sum([self.potential] * coords)
         if self.eta == 2 and self.interaction_strength:
-            sep = np.subtract.outer(self.axis, self.axis)
-            v = v + self.interaction_strength / np.sqrt(sep**2 + self.interaction_softening**2)
+            v = v + _repulsion(self)
         object.__setattr__(self, "_potential_table", v)
         object.__setattr__(self, "_kinetic_table", _outer_sum([self.k_axis**2 / 2.0] * coords))
         object.__setattr__(self, "_kinetic_half", self._kinetic_table[..., :n // 2 + 1])
@@ -258,6 +273,9 @@ class GridModel:
         object.__setattr__(self, "half_span", (hi - lo) / 2.0)
         object.__setattr__(self, "_kinetic_matrix", _kinetic_circulant(self.k_axis)
                            if n <= KINETIC_MATRIX_POINTS else None)
+        # the tables the kernels take: V, and K or the half kinetic table
+        object.__setattr__(self, "_tables", (v, self._kinetic_half if self._kinetic_matrix is None
+                                             else self._kinetic_matrix))
 
     @property
     def spacing(self) -> float:
@@ -297,21 +315,7 @@ class GridModel:
         per axis: the last axis as rows times K^T, every other axis as K times
         the block behind it. Above that, it goes through :meth:`momentum_multiply`.
         """
-        if np.iscomplexobj(state):
-            rows = self.apply_hamiltonian(np.stack([state.real, state.imag]))
-            return rows[0] + 1j * rows[1]
-        potential = self._potential_table * state.reshape((-1,) + self.shape)
-        k = self._kinetic_matrix
-        if k is None:
-            kinetic = self.momentum_multiply(self._kinetic_half, state)
-        else:
-            n, coords = self.n_points, self.dims * self.eta
-            kinetic = state.reshape(-1, n ** (coords - 1), n) @ k.T
-            for axis in range(coords - 1):
-                block = state.reshape(-1, n**axis, n, n ** (coords - axis - 1))
-                view = kinetic.reshape(block.shape)
-                view += k @ block
-        return potential.reshape(state.shape) + kinetic.reshape(state.shape)
+        return self._apply(self._tables, state)
 
     def apply_sector_hamiltonian(self, state: np.ndarray) -> np.ndarray:
         """H applied to an exchange-symmetric two-electron state, or to each row of a block.
@@ -322,11 +326,39 @@ class GridModel:
         :meth:`apply_hamiltonian` makes two. The kinetic sum is formed first,
         so H X is symmetric to the bit when X is.
         """
+        return self._apply_sector(self._tables, state)
+
+    def _apply(self, tables: tuple[np.ndarray, np.ndarray], state: np.ndarray) -> np.ndarray:
+        """The kernel of :meth:`apply_hamiltonian` on ``tables``: (V, K) or (V, half table).
+
+        The model's own tables give H; the Chebyshev series pass tables scaled
+        once per series (:func:`_chebyshev_series`).
+        """
+        if np.iscomplexobj(state):
+            rows = self._apply(tables, np.stack([state.real, state.imag]))
+            return rows[0] + 1j * rows[1]
+        potential_table, k = tables
+        potential = potential_table * state.reshape((-1,) + self.shape)
+        if self._kinetic_matrix is None:
+            kinetic = self.momentum_multiply(k, state)
+        else:
+            n, coords = self.n_points, self.dims * self.eta
+            kinetic = state.reshape(-1, n ** (coords - 1), n) @ k.T
+            for axis in range(coords - 1):
+                block = state.reshape(-1, n**axis, n, n ** (coords - axis - 1))
+                view = kinetic.reshape(block.shape)
+                view += k @ block
+        return potential.reshape(state.shape) + kinetic.reshape(state.shape)
+
+    def _apply_sector(self, tables: tuple[np.ndarray, np.ndarray],
+                      state: np.ndarray) -> np.ndarray:
+        """The kernel of :meth:`apply_sector_hamiltonian` on ``tables``, (V, K)."""
         n = self.n_points
+        potential, k = tables
         squares = state.reshape(-1, n, n)
-        half = np.matmul(self._kinetic_matrix, squares)
+        half = np.matmul(k, squares)
         kinetic = half + half.transpose(0, 2, 1)
-        kinetic += np.multiply(self._potential_table, squares, out=half)
+        kinetic += np.multiply(potential, squares, out=half)
         return kinetic.reshape(state.shape)
 
     def momentum_multiply(self, half_table: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -539,12 +571,13 @@ def eigsh(apply, precondition, start: np.ndarray, upper: float, maxiter: int
     next_basis, next_images = np.empty_like(basis), np.empty_like(images)
     basis[0] = start / np.linalg.norm(start)
     images[0] = apply(basis[0])
+    residual = np.empty(len(start))
     kept = 1  # rows x and p carried into the iteration
     iterations = 0
     while True:
         x, hx = basis[0], images[0]
         theta = float(x @ hx)
-        residual = hx - theta * x
+        np.subtract(hx, np.multiply(x, theta, out=residual), out=residual)
         error = float(np.linalg.norm(residual))
         tol = max(GROUND_STATE_TOL, GROUND_STATE_FLOOR * (upper - theta))
         if error <= tol or iterations == maxiter:
@@ -584,12 +617,13 @@ def check_energy_reach(model: GridModel) -> None:
 def _sector_operator(model: GridModel):
     """The kernel that applies H to the states a run makes, all of them exchange symmetric.
 
-    :meth:`GridModel.apply_sector_hamiltonian` for two electrons on the
-    matrix kernel, :meth:`GridModel.apply_hamiltonian` otherwise.
+    The kernel of :meth:`GridModel.apply_sector_hamiltonian` for two
+    electrons on the matrix kernel, that of :meth:`GridModel.apply_hamiltonian`
+    otherwise; either takes the tables it applies first.
     """
     if model.eta == 2 and model._kinetic_matrix is not None:
-        return model.apply_sector_hamiltonian
-    return model.apply_hamiltonian
+        return model._apply_sector
+    return model._apply
 
 
 def _axis_eigh(model: GridModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -610,29 +644,38 @@ def _axis_eigh(model: GridModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _separable_start(model: GridModel):
-    """Start and preconditioner from the eigenbasis of the one-axis h1 = diag(v) + K.
+    """Start and preconditioner from the eigenbasis U of the one-axis h1 = diag(v) + K.
 
     H without the e-e repulsion is h1 summed over the coordinate axes, so
     its eigenvectors are tensor products of h1's, U x ... x U, with energies
     the sums of h1's eigenvalues eps. The start is the lowest, phi0 x ... x
-    phi0, the ground state itself when there is no repulsion; the
-    preconditioner is that separable part's exact inverse, shifted by
-    SEPARABLE_GAP above its lowest level: U (sum eps - min + gap)^-1 U^T,
-    applied by U^T and U along each axis. For two electrons it ends on
-    (w + w^T) / 2, so each direction stays in the exchange sector to the
+    phi0, the ground state itself when there is no repulsion. The
+    preconditioner is U (d - min d + gap)^-1 U^T, with d the diagonal of H in
+    that basis (Davidson, J. Comput. Phys. 17, 87 (1975)), shifted
+    SEPARABLE_GAP above its lowest entry. For one electron d is the sum of
+    the eps, and the preconditioner the separable part's shifted inverse,
+    applied by U^T and U along each axis. For two electrons d adds the
+    repulsion R's diagonal, D_ij = sum_xy U_xi^2 U_yj^2 R_xy =
+    ((U o U)^T R (U o U))_ij, two N x N products per run; the preconditioner
+    maps the N x N residual W to U (inverse o (U^T W U)) U^T and ends on
+    (S + S^T) / 2, so each direction stays in the exchange sector to the
     bit. h1's eigenpairs come from :func:`_axis_eigh`, as those of an
     ExactEigen run do, and are not kept.
     """
     n, coords = model.n_points, model.dims * model.eta
     _, energies, vectors = _axis_eigh(model)
     start = functools.reduce(np.multiply.outer, [vectors[:, 0]] * coords).reshape(-1)
-    inverse = 1.0 / (_outer_sum([energies - energies[0]] * coords) + SEPARABLE_GAP).reshape(-1)
+    levels = _outer_sum([energies - energies[0]] * coords)
+    if model.eta == 1:
+        inverse = 1.0 / (levels + SEPARABLE_GAP).reshape(-1)
+        return start, lambda residual: _along_axes(
+            vectors, inverse * _along_axes(vectors.T, residual, coords), coords)
+    squares = vectors * vectors
+    levels += squares.T @ _repulsion(model) @ squares
+    inverse = 1.0 / (levels - levels.min() + SEPARABLE_GAP)
 
     def precondition(residual):
-        step = _along_axes(vectors, inverse * _along_axes(vectors.T, residual, coords), coords)
-        if model.eta == 1:
-            return step
-        step = step.reshape(n, n)
+        step = vectors @ (inverse * (vectors.T @ residual.reshape(n, n) @ vectors)) @ vectors.T
         return ((step + step.T) / 2.0).reshape(-1)
 
     return start, precondition
@@ -659,13 +702,15 @@ def _momentum_start(model: GridModel):
 def ground_state(model: GridModel) -> tuple[np.ndarray, float]:
     """Lowest eigenpair of the grid Hamiltonian by preconditioned LOBPCG.
 
-    H and the dipole D are exchange symmetric, and the lowest two-electron
-    state is the spatially symmetric one, so the pipeline never leaves its
-    sector. The iteration runs in real arithmetic, since H is real symmetric.
-    On grids of up to KINETIC_MATRIX_POINTS points it starts from, and is
-    preconditioned by, the eigenbasis of the one-axis Hamiltonian
-    (:func:`_separable_start`), and for two electrons applies H by the
-    sector kernel (:func:`_sector_operator`); above that it starts from a
+    H and the dipole D are exchange symmetric, and the two-electron ground
+    state is the lowest spatially symmetric one, so the pipeline never leaves
+    its sector. The iteration runs in real arithmetic, since H is real
+    symmetric. On grids of up to KINETIC_MATRIX_POINTS points it starts
+    from, and is preconditioned by, the eigenbasis of the one-axis
+    Hamiltonian (:func:`_separable_start`): the inverse of H's diagonal in
+    that basis, the e-e repulsion's part included, shifted SEPARABLE_GAP
+    above its lowest entry. For two electrons it applies H by the sector
+    kernel (:func:`_sector_operator`); above that it starts from a
     random vector, preconditioned by S (T + 1 Ha)^-1 S
     (:func:`_momentum_start`). Both preconditioners are symmetric and
     positive definite. GROUND_STATE_ITERATIONS, read at each call, caps the
@@ -678,7 +723,8 @@ def ground_state(model: GridModel) -> tuple[np.ndarray, float]:
     dim = model.hilbert_dim
     start, precondition = (_momentum_start(model) if model._kinetic_matrix is None
                            else _separable_start(model))
-    _, psi, h_psi, iterations = eigsh(_sector_operator(model), precondition, start,
+    apply = functools.partial(_sector_operator(model), model._tables)
+    _, psi, h_psi, iterations = eigsh(apply, precondition, start,
                                       model.mid + model.half_span, GROUND_STATE_ITERATIONS)
     norm = np.linalg.norm(psi)
     psi, h_psi = psi / norm, h_psi / norm
@@ -718,17 +764,17 @@ def gaussian_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
     if filt.mode == "ExactEigen":
         out = _exact_window(filt, *_eigensystem(model), state, ground_energy)[0]
     else:
-        out = _polynomial_window(model.apply_hamiltonian, model, filt, state, ground_energy)
+        out = _polynomial_window(model._apply, model, filt, state, ground_energy)
     return out, _window_success(out, state)
 
 
-def _polynomial_window(apply, model: GridModel, filt: FilterSpec, state: np.ndarray,
+def _polynomial_window(kernel, model: GridModel, filt: FilterSpec, state: np.ndarray,
                        ground_energy: float) -> np.ndarray:
-    """The ChebyshevPoly window f(H - E0) psi, with H applied by ``apply``."""
+    """The ChebyshevPoly window f(H - E0) psi, summed on the model's ``kernel``."""
     mid, half_span = model.mid, model.half_span
     coeffs = chebyshev_fit(lambda x: filt.window(x * half_span + mid - ground_energy),
                            filt.poly_tolerance)
-    return _chebyshev_series(apply, coeffs, state, mid, half_span)
+    return _chebyshev_series(kernel, model, coeffs, state)
 
 
 def _exact_window(filt: FilterSpec, energies: np.ndarray, vectors: np.ndarray, axes: int,
@@ -774,8 +820,11 @@ def _eigensystem(model: GridModel) -> tuple[np.ndarray, np.ndarray, int]:
     ``dims`` axes and E the outer sum of h1's energies. Two electrons: M is
     the dense H's eigenbasis on its one axis, by the blocks of the exchange,
     the transpose of the N x N grid. At most 4096 rows are diagonalized, or
-    the model is refused naming ``mode``. E[0] is the lowest energy, and the
-    ground state the tensor product of M's first column. The pair passes the
+    the model is refused naming ``mode``. E[0] is the ground energy and the
+    ground state the tensor product of M's first column: the lowest pair for
+    one electron, and for two the lowest exchange-symmetric pair, moved to the
+    front, since with strong repulsion an antisymmetric pair can lie just
+    below it; the rest follow in ascending order. The pair passes the
     checks of :func:`ground_state`: :func:`check_energy_reach`, and a
     residual ||H psi - E psi|| within GROUND_STATE_BAR, found without H as
     the decomposed matrix's own times sqrt(axes), since H psi - E psi is a
@@ -794,6 +843,9 @@ def _eigensystem(model: GridModel) -> tuple[np.ndarray, np.ndarray, int]:
         matrix = dense_hamiltonian(model)
         exchange = np.arange(rows).reshape(n, n).T.reshape(-1)
         energies, vectors = _symmetric_eigh(matrix, exchange)
+        lowest = next(j for j in range(rows) if vectors[exchange, j] @ vectors[:, j] > 0)
+        energies[:lowest + 1] = np.roll(energies[:lowest + 1], 1)
+        vectors[:, :lowest + 1] = np.roll(vectors[:, :lowest + 1], 1, axis=1)
         axes = 1
     ground = vectors[:, 0]
     residual = math.sqrt(axes) * float(np.linalg.norm(matrix @ ground - energies[0] * ground))
@@ -837,36 +889,48 @@ def filter_and_evolve(model: GridModel, filt: FilterSpec | None, t: float
                 + 1j * _along_axes(vectors, rotated.imag, axes)), energy, success
     psi, energy = ground_state(model)
     state = _excite(model, psi)
-    apply = _sector_operator(model)
+    kernel = _sector_operator(model)
     if filt is None:
-        return _propagate(apply, model, state, t), energy, None
-    filtered = _polynomial_window(apply, model, filt, state, energy)
+        return _propagate(kernel, model, state, t), energy, None
+    filtered = _polynomial_window(kernel, model, filt, state, energy)
     success = _window_success(filtered, state)
-    return _propagate(apply, model, filtered / _filtered_norm(filtered), t), energy, success
+    return _propagate(kernel, model, filtered / _filtered_norm(filtered), t), energy, success
 
 
-def _chebyshev_series(apply, coeffs: np.ndarray, state: np.ndarray,
-                      mid: float, half_span: float) -> np.ndarray:
-    """Apply sum_k c_k T_k(X) to ``state``, X = (A - mid) / half_span, by the forward recurrence.
+def _chebyshev_series(kernel, model: GridModel, coeffs: np.ndarray,
+                      state: np.ndarray) -> np.ndarray:
+    """Apply sum_k c_k T_k(X) to ``state``, X = (H - mid) / half_span, by the forward recurrence.
 
-    T_0 = psi, T_1 = X psi and T_{k+1} = 2 X T_k - T_{k-1} stay real for a
-    real state, since A is a real operator; ``apply`` acts on arrays shaped
-    like ``state``, the series has degree at least 1, and A is applied degree
-    times. The coefficients may be complex: their real and imaginary parts
-    weigh the same real T_k, so the even (real) and odd (imaginary) terms of
-    exp(-iHt) give its cosine and sine parts from one sequence. The sum is
-    real when ``state`` and ``coeffs`` are.
+    ``kernel`` is one of the model's kernels (:meth:`GridModel._apply`,
+    :meth:`GridModel._apply_sector`), run on tables scaled once per series
+    so that it applies 2X: the kinetic matrix or half table times
+    2 / half_span, and the potential table as (2 / half_span)(V - mid). So
+    T_0 = psi, T_1 = X psi and each T_{k+1} = 2X T_k - T_{k-1} is one kernel
+    call and one subtraction. The T_k stay real for a real state, since H
+    is real; ``kernel`` acts on arrays shaped like ``state``, the series has
+    degree at least 1, and the kernel is called degree times. The
+    coefficients may be complex: their real and imaginary parts weigh the
+    same T_k into two accumulators, updated in place and skipped where the
+    part is 0, so the even (real) and odd (imaginary) terms of exp(-iHt)
+    give its cosine and sine parts from one sequence. The sum is real when
+    ``state`` and ``coeffs`` are.
     """
-    prev, cur = state, (apply(state) - mid * state) / half_span
-    total = coeffs[0] * prev + coeffs[1] * cur
-    for c in coeffs[2:].tolist():
-        step = apply(cur)
-        step -= mid * cur
-        step *= 2.0 / half_span
+    scale = 2.0 / model.half_span
+    potential, kinetic = model._tables
+    double = functools.partial(kernel, (scale * (potential - model.mid), scale * kinetic))
+    prev, cur = state, 0.5 * double(state)
+    parts = [coeffs.real, coeffs.imag] if np.iscomplexobj(coeffs) else [coeffs]
+    sums = [part[0] * prev + part[1] * cur for part in parts]
+    weights = [part[2:].tolist() for part in parts]
+    scratch = np.empty_like(cur)
+    for k in range(len(coeffs) - 2):
+        step = double(cur)
         step -= prev
         prev, cur = cur, step
-        total += c * cur
-    return total
+        for total, weight in zip(sums, weights):
+            if weight[k]:
+                total += np.multiply(cur, weight[k], out=scratch)
+    return sums[0] if len(sums) == 1 else sums[0] + 1j * sums[1]
 
 
 def chebyshev_coefficients(func, degree: int) -> np.ndarray:
@@ -1022,11 +1086,11 @@ def evolve(model: GridModel, state: np.ndarray, t: float) -> np.ndarray:
     little over a applications of H and its accuracy does not depend on t.
     """
     check_time(model, t)
-    return _propagate(model.apply_hamiltonian, model, state, t)
+    return _propagate(model._apply, model, state, t)
 
 
-def _propagate(apply, model: GridModel, state: np.ndarray, t: float) -> np.ndarray:
-    """exp(-iHt) psi by the Jacobi-Anger series of :func:`evolve`, with H applied by ``apply``."""
+def _propagate(kernel, model: GridModel, state: np.ndarray, t: float) -> np.ndarray:
+    """exp(-iHt) psi by the Jacobi-Anger series of :func:`evolve`, summed on ``kernel``."""
     mid, half_span = model.mid, model.half_span
     if half_span * t == 0:  # t = 0, or so short that the series argument underflows
         return state.copy()
@@ -1035,7 +1099,7 @@ def _propagate(apply, model: GridModel, state: np.ndarray, t: float) -> np.ndarr
     minus_i_power = np.array([1.0, -1j, -1.0, 1j])[np.arange(len(bessel)) % 4]
     coeffs = 2.0 * minus_i_power * bessel
     coeffs[0] /= 2.0
-    return np.exp(-1j * mid * t) * _chebyshev_series(apply, coeffs, state, mid, half_span)
+    return np.exp(-1j * mid * t) * _chebyshev_series(kernel, model, coeffs, state)
 
 
 def edge_density(model: GridModel, state: np.ndarray) -> float:
@@ -1109,7 +1173,7 @@ def continuum_project(model: GridModel, state: np.ndarray, r_cutoff: float
     """
     check_r_cutoff(model, r_cutoff)
     outside = _outside(model, r_cutoff, model.dims)
-    psi = state.reshape(model.shape).astype(complex)
+    psi = np.asarray(state.reshape(model.shape), dtype=complex)
     keep = functools.reduce(np.logical_or.outer, [outside] * model.eta)
     out = keep * psi
     norm_in = float(np.linalg.norm(psi))
@@ -1138,7 +1202,7 @@ def kinetic_histogram(model: GridModel, state: np.ndarray, bins: np.ndarray,
     edges = np.asarray(bins, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
         raise ValidationError("bins must be increasing edges")
-    psi = state.reshape(model.shape).astype(complex)
+    psi = np.asarray(state.reshape(model.shape), dtype=complex)
     norm2 = float(np.linalg.norm(psi) ** 2)
     if norm2 == 0.0:
         raise ValidationError("zero-norm state: projection failed upstream")

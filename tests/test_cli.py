@@ -454,8 +454,8 @@ PHOTOEMISSION_DIGESTS = [
      "22d730a28cf4a99b8ff8428e0755a299ca70c57d189fc6f179c902983d007b01"),
     ("grid_soft_coulomb_1d.json", "csv",
      "baaf407bb7a08f8e8bedcd36d940f4c09496c3b3d137fcbe6a6d065d527e0101"),
-    (None, "json", "27aec223853b61c6b1d1feb021794ea0d2b1727d81e281872f7e158cb2f66e3d"),
-    (None, "csv", "64c6748d69bf6632e9338d004229c7af00d0e32c9ae13663b80f02ff879cf89b"),
+    (None, "json", "4b3bc42cb46d1fdde79c43b64285a4e2c2482c7b4913061582f8fda427a80b4c"),
+    (None, "csv", "20d782e1fce314d69a47691a0bdfc8de37cad0a24ef57b1f2516c2484672f9fa"),
 ]
 
 
@@ -547,7 +547,7 @@ def test_emulate_photoemission_records_ground_energy_and_window_probability(
 
 @pytest.mark.parametrize("config, applications", [
     (_fixture("grid_soft_coulomb_1d.json"), 0),
-    (TWO_ELECTRON_CONFIG, 15 + 80 + 31),
+    (TWO_ELECTRON_CONFIG, 12 + 80 + 31),
 ], ids=["exact_eigen", "two_electron_chebyshev"])
 def test_emulate_photoemission_h_applications(tmp_path, capsys, monkeypatch, config,
                                               applications):
@@ -555,14 +555,15 @@ def test_emulate_photoemission_h_applications(tmp_path, capsys, monkeypatch, con
     # state, the window and exp(-iHt) from its one eigendecomposition, so it never
     # applies H (LOBPCG took 21 on the fixture, the Jacobi-Anger series 320);
     # ChebyshevPoly applies it in LOBPCG and once per degree of each series, on two
-    # electrons by the sector kernel (LOBPCG from a random start took 26)
+    # electrons by the sector kernel (LOBPCG from a random start took 26, and 15
+    # while the preconditioner left out the repulsion's diagonal)
     from euvq.grid import GridModel
 
     calls = []
-    for name in ("apply_hamiltonian", "apply_sector_hamiltonian"):
-        def counted(self, state, apply=getattr(GridModel, name)):
+    for name in ("_apply", "_apply_sector"):
+        def counted(self, tables, state, apply=getattr(GridModel, name)):
             calls.append(state.shape)
-            return apply(self, state)
+            return apply(self, tables, state)
 
         monkeypatch.setattr(GridModel, name, counted)
     path = tmp_path / "grid.json"

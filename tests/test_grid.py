@@ -398,12 +398,14 @@ def test_filter_and_evolve_checks_the_time_in_both_modes(mode):
 
 
 @pytest.mark.parametrize("make", [lambda: GridModel.from_config(_fixture_model()),
-                                  lambda: two_electron_model(n=16)],
-                         ids=["fixture", "2e_16^2"])
+                                  lambda: two_electron_model(n=16),
+                                  lambda: strong_repulsion_model()],
+                         ids=["fixture", "2e_16^2", "strong_repulsion_32^2"])
 def test_eigen_ground_state_matches_lobpcg(make):
-    # the ExactEigen run's ground pair, the lowest of its eigensystem, is the
-    # state LOBPCG finds, to its residual bar; for two electrons it is the
-    # spatially symmetric one
+    # the ExactEigen run's ground pair is the state LOBPCG finds, to its
+    # residual bar: the lowest pair for one electron, the lowest spatially
+    # symmetric one for two. Under strong repulsion the lowest pair overall is
+    # antisymmetric, 1.8e-7 Ha below, and the run took it
     m = make()
     psi, energy = _eigen_ground(m)
     want, want_energy = ground_state(m)
@@ -413,7 +415,7 @@ def test_eigen_ground_state_matches_lobpcg(make):
     assert float(np.linalg.norm(h_psi - energy * psi)) < grid.GROUND_STATE_BAR
     if m.eta == 2:
         pair = psi.reshape(m.shape)
-        assert float(np.max(np.abs(pair - pair.T))) <= 1e-12
+        assert np.array_equal(pair, pair.T)
 
 
 def test_eigen_ground_state_holds_ground_state_checks(monkeypatch):
@@ -863,7 +865,7 @@ def test_evolve_rejects_negative_time():
 def test_ground_state_nonconvergence_reports(monkeypatch):
     # a one-electron line of up to 256 points starts at its ground state, so the
     # cap is tested where LOBPCG iterates: two electrons, whose repulsion the
-    # separable start leaves out
+    # preconditioner holds only through its diagonal and the start not at all
     monkeypatch.setattr(grid, "GROUND_STATE_ITERATIONS", 1)
     m = two_electron_model(n=32)
     with pytest.raises(NumericalError, match="iteration|residual"):
@@ -917,12 +919,16 @@ def test_ground_state_stops_at_rounding_floor():
 
 
 def _count_applications(monkeypatch):
-    """A list that gets the number of vectors in each later application of H, by either kernel."""
+    """A list that gets the number of vectors in each later application of H, by either kernel.
+
+    The kernels are counted, not the public methods, since the Chebyshev
+    series call them on their own scaled tables.
+    """
     applied = []
-    for name in ("apply_hamiltonian", "apply_sector_hamiltonian"):
-        def counted(self, state, apply=getattr(GridModel, name)):
+    for name in ("_apply", "_apply_sector"):
+        def counted(self, tables, state, apply=getattr(GridModel, name)):
             applied.append(state.size // self.hilbert_dim)
-            return apply(self, state)
+            return apply(self, tables, state)
 
         monkeypatch.setattr(GridModel, name, counted)
     return applied
@@ -958,12 +964,40 @@ def test_ground_state_keeps_its_step_near_convergence(monkeypatch, box, n, most)
     assert sum(applied) <= most
 
 
-def two_electron_model(n=64):
+def two_electron_model(n=64, strength=1.0, softening=1.0):
     """The two-electron soft-Coulomb model of the photoemission benchmark, at n^2 points."""
     return GridModel.from_config({
         "dims": 1, "eta": 2, "n_points": n, "box_length": 48.0,
         "potential": {"kind": "soft_coulomb", "params": {"z": 2.0, "a": 1.0}},
-        "interaction_strength": 1.0})
+        "interaction_strength": strength, "interaction_softening": softening})
+
+
+def strong_repulsion_model():
+    """The benchmark's well at 32^2 points, with a repulsion ten times as strong and half as soft.
+
+    Its lowest symmetric and antisymmetric states lie within 2e-7 Ha of each
+    other, the antisymmetric one below.
+    """
+    return two_electron_model(n=32, strength=10.0, softening=0.5)
+
+
+def test_ground_state_converges_under_strong_repulsion(monkeypatch):
+    # with a preconditioner blind to the repulsion, LOBPCG stopped at its
+    # 500-iteration cap here with a residual of 3.2e-7 and raised; with the
+    # repulsion's diagonal in h1's product basis it took 81 applications. The
+    # oracle is eigvalsh of the dense H in a basis of exchange-symmetric states
+    # built here, which shares no code with the run
+    m = strong_repulsion_model()
+    applied = _count_applications(monkeypatch)
+    _, energy = ground_state(m)
+    assert sum(applied) <= 90
+    n = m.n_points
+    i, j = np.triu_indices(n)
+    basis = np.zeros((n * n, len(i)))
+    columns = np.arange(len(i))
+    basis[i * n + j, columns] = basis[j * n + i, columns] = np.where(i == j, 1.0, math.sqrt(0.5))
+    oracle = float(np.linalg.eigvalsh(basis.T @ dense_hamiltonian(m) @ basis)[0])
+    assert energy == pytest.approx(oracle, abs=1e-9)
 
 
 def three_d_model(n=16):
@@ -1002,8 +1036,9 @@ def test_ground_state_vector_applications(monkeypatch, make):
     # LOBPCG applies H once per iteration; the filtered subspace iteration it
     # replaced took 673 vector applications on the 2e model. With
     # (T + 1 Ha)^-1 alone as the preconditioner the two cases took 46 and 23;
-    # with the potential scaling S (T + 1 Ha)^-1 S they take 27 and 26, and
-    # the 2e model from the one-axis eigenbasis 15
+    # with the potential scaling S (T + 1 Ha)^-1 S they take 27 and 26. The 2e
+    # model from the one-axis eigenbasis takes 12, and took 15 while the
+    # preconditioner left out the repulsion's diagonal
     m = make()
     applied = _count_applications(monkeypatch)
     ground_state(m)
@@ -1260,7 +1295,7 @@ def test_chebyshev_series_matches_dense_eigh(make, complex_state, complex_coeffs
     if complex_state:
         psi = psi + 1j * rng.standard_normal(m.hilbert_dim)
     psi /= np.linalg.norm(psi)
-    out = grid._chebyshev_series(m.apply_hamiltonian, coeffs, psi, mid, half_span)
+    out = grid._chebyshev_series(m._apply, m, coeffs, psi)
     energies, vectors = np.linalg.eigh(dense_hamiltonian(m))
     weights = np.polynomial.chebyshev.chebval((energies - mid) / half_span, coeffs)
     oracle = vectors @ (weights * (vectors.T @ psi))
@@ -1290,7 +1325,8 @@ def test_h_applications_per_stage_on_two_electron_pipeline(monkeypatch):
     # per degree of each series, a complex state's two rows in one application;
     # the energy and the residual check reuse the image that eigsh carries. The
     # ground state, by the sector kernel from the one-axis eigenbasis, took 26
-    # applications from a random start with S (T + 1 Ha)^-1 S
+    # applications from a random start with S (T + 1 Ha)^-1 S, and 15 while the
+    # preconditioner left out the repulsion's diagonal
     m = two_electron_model()
     calls = _count_applications(monkeypatch)
 
@@ -1303,7 +1339,7 @@ def test_h_applications_per_stage_on_two_electron_pipeline(monkeypatch):
     filt = FilterSpec(center=1.5, sigma=0.3, mode="ChebyshevPoly")
     (filtered, _), filtering = applications(gaussian_filter, m, filt, excited / norm, energy)
     _, propagation = applications(evolve, m, filtered / np.linalg.norm(filtered), 1.0)
-    assert (ground, filtering, propagation) == (15, 80, 31)
+    assert (ground, filtering, propagation) == (12, 80, 31)
 
 
 @pytest.mark.parametrize("n", [2, 4, 64, 256])
@@ -1361,7 +1397,7 @@ def test_filter_and_evolve_on_the_sector_kernel_matches_the_general_pipeline(mon
     # stage, the ground state's LOBPCG included, through apply_hamiltonian
     m = two_electron_model()
     state, energy, success = grid.filter_and_evolve(m, filt, 1.0)
-    monkeypatch.setattr(GridModel, "apply_sector_hamiltonian", GridModel.apply_hamiltonian)
+    monkeypatch.setattr(GridModel, "_apply_sector", GridModel._apply)
     psi, want_energy = ground_state(m)
     excited, norm = apply_dipole(m, psi)
     if filt is None:
