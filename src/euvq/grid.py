@@ -23,29 +23,27 @@ series end by one rule: at the first degree whose dropped coefficients sum
 to within the tolerance. The filter's coefficients come from interpolating
 the window, the propagator's are Bessel functions (the Jacobi-Anger
 expansion), so neither degree is found by a search or by refining a time
-step. An ExactEigen run takes the ground state, the window and exp(-iHt)
-from one eigensystem H = W diag(E) W^T, W = M x ... x M
-(:func:`_eigensystem`): the ground pair is the lowest pair, for two
-electrons the lowest exchange-symmetric one, the filtered state's amplitudes
-on W's columns take the phases exp(-iEt), no series is summed and H is never
-applied. For one electron, in 1D or 3D, H is the one-axis Hamiltonian h1 =
-diag(v) + K summed over the axes, so M is h1's eigenbasis on each axis and E
-the outer sum of h1's energies: one eigendecomposition of n_points rows. For
-two electrons M is the eigenbasis of the dense H
-(:func:`dense_hamiltonian`). Each is diagonalized by the even and odd blocks
-of a permutation that commutes with it and is its own inverse
-(:func:`_symmetric_eigh`): the axis inversion when v is even, or the
-electrons' exchange. The series' cap on the time holds in both modes, so the
-accepted times do not depend on the mode. ChebyshevPoly and filterless runs
-need no polynomial for the ground state: locally optimal block
-preconditioned conjugate gradients (LOBPCG; Knyazev, SIAM J. Sci. Comput.
-23, 517 (2001)) reaches it. Up to KINETIC_MATRIX_POINTS points the same
-decomposition of h1 (:func:`_axis_eigh`) gives LOBPCG its start, the tensor
-product of h1's lowest eigenvector, which is the ground state itself for one
-electron (one application of H), and its preconditioner: in h1's product
-eigenbasis, the shifted inverse of H's diagonal there, which for two
-electrons holds the repulsion's diagonal as well as the separable levels
-(Davidson's preconditioner; 12 applications on two electrons at 64^2).
+step. An ExactEigen run, which takes one electron in 1D or 3D, takes the
+ground state, the window and exp(-iHt) from one eigensystem
+H = W diag(E) W^T, W = M x ... x M on the ``dims`` axes
+(:func:`_eigensystem`): H is the one-axis Hamiltonian h1 = diag(v) + K
+summed over the axes, so M is h1's eigenbasis and E the outer sum of h1's
+energies, one eigendecomposition of n_points rows, by the even and odd
+blocks of the axis inversion when v is even (:func:`_symmetric_eigh`). The
+ground pair is the lowest pair, the filtered state's amplitudes on W's
+columns take the phases exp(-iEt), no series is summed and H is never
+applied. Two electrons run on the series alone. The series' cap on the time
+holds in both modes, so the accepted times do not depend on the mode.
+ChebyshevPoly and filterless runs need no polynomial for the ground state:
+locally optimal block preconditioned conjugate gradients (LOBPCG; Knyazev,
+SIAM J. Sci. Comput. 23, 517 (2001)) reaches it. Up to KINETIC_MATRIX_POINTS
+points the same decomposition of h1 (:func:`_axis_eigh`) gives LOBPCG its
+start, the tensor product of h1's lowest eigenvector, which is the ground
+state itself for one electron (one application of H), and its
+preconditioner: in h1's product eigenbasis, the shifted inverse of H's
+diagonal there, which for two electrons holds the repulsion's diagonal as
+well as the separable levels (Davidson's preconditioner; 12 applications on
+two electrons at 64^2).
 Above that, LOBPCG starts from a random vector, preconditioned by
 S (T + 1 Ha)^-1 S with the real-space diagonal S = (1 + V - min V)^-1/2, and
 takes a few dozen to a few hundred applications. The kinetic factor inverts
@@ -251,7 +249,15 @@ class GridModel:
         coords = self.dims * self.eta
         v = _outer_sum([self.potential] * coords)
         if self.eta == 2 and self.interaction_strength:
-            v = v + _repulsion(self)
+            with np.errstate(divide="ignore", over="ignore"):
+                repulsion = _repulsion(self)
+            if not np.isfinite(repulsion).all():
+                raise ValidationError(
+                    f"field 'interaction_softening' in model: the repulsion interaction_strength "
+                    f"/ sqrt(r^2 + interaction_softening^2) must be finite at r = 0, "
+                    f"got interaction_softening {self.interaction_softening:.3g} with "
+                    f"interaction_strength {self.interaction_strength:.3g}")
+            v = v + repulsion
         object.__setattr__(self, "_potential_table", v)
         object.__setattr__(self, "_kinetic_table", _outer_sum([self.k_axis**2 / 2.0] * coords))
         object.__setattr__(self, "_kinetic_half", self._kinetic_table[..., :n // 2 + 1])
@@ -460,8 +466,7 @@ def dense_hamiltonian(model: GridModel) -> np.ndarray:
     """
     dim = model.hilbert_dim
     if dim > 4096:
-        raise ValidationError(f"field 'mode' in FilterSpec: ExactEigen's dense Hamiltonian "
-                              f"capped at dimension 4096, got {dim}; use ChebyshevPoly")
+        raise ValidationError(f"the dense Hamiltonian is capped at dimension 4096, got {dim}")
     n, coords = model.n_points, model.dims * model.eta
     kinetic = model._kinetic_matrix
     if kinetic is None:
@@ -754,15 +759,15 @@ def gaussian_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
     """Apply f(H - E0) with f a Gaussian centered at ``filt.center``.
 
     Both modes weigh energies by ``filt.window``. ExactEigen mode applies it
-    in the eigensystem of :func:`_eigensystem`, which holds the model to the
-    same checks as a run's ground pair; ChebyshevPoly applies, matrix-free,
-    the Chebyshev series that ``chebyshev_fit`` cuts from the window within
-    ``filt.poly_tolerance``.
+    in h1's eigensystem (:func:`_eigensystem`), which takes one electron and
+    holds the model to the same checks as a run's ground pair; ChebyshevPoly
+    applies, matrix-free, the Chebyshev series that ``chebyshev_fit`` cuts
+    from the window within ``filt.poly_tolerance``.
     Returns the filtered (un-normalized) state and the success probability
     ||f psi||^2 / ||psi||^2.
     """
     if filt.mode == "ExactEigen":
-        out = _exact_window(filt, *_eigensystem(model), state, ground_energy)[0]
+        out = _exact_window(model, filt, *_eigensystem(model), state, ground_energy)[0]
     else:
         out = _polynomial_window(model._apply, model, filt, state, ground_energy)
     return out, _window_success(out, state)
@@ -777,14 +782,16 @@ def _polynomial_window(kernel, model: GridModel, filt: FilterSpec, state: np.nda
     return _chebyshev_series(kernel, model, coeffs, state)
 
 
-def _exact_window(filt: FilterSpec, energies: np.ndarray, vectors: np.ndarray, axes: int,
-                  state: np.ndarray, ground_energy: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ExactEigen window in the eigensystem (E, M, axes) of :func:`_eigensystem`.
+def _exact_window(model: GridModel, filt: FilterSpec, energies: np.ndarray,
+                  vectors: np.ndarray, state: np.ndarray,
+                  ground_energy: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ExactEigen window in the eigensystem (E, M) of :func:`_eigensystem`.
 
     Returns f(H - E0) psi and the filtered amplitudes f(E - E0) W^T psi, from
     which any further function of H applies to the filtered state without
     another decomposition.
     """
+    axes = model.dims
     amplitudes = filt.window(energies - ground_energy) * _along_axes(vectors.T, state, axes)
     return _along_axes(vectors, amplitudes, axes).reshape(state.shape), amplitudes
 
@@ -813,46 +820,31 @@ def _excite(model: GridModel, ground: np.ndarray) -> np.ndarray:
     return state / norm
 
 
-def _eigensystem(model: GridModel) -> tuple[np.ndarray, np.ndarray, int]:
-    """H = W diag(E) W^T, W = M x ... x M: the energies E, M and the number of axes of M.
+def _eigensystem(model: GridModel) -> tuple[np.ndarray, np.ndarray]:
+    """H = W diag(E) W^T, W = M x ... x M on the model's ``dims`` axes: the energies E and M.
 
-    One electron: M is h1's eigenbasis (:func:`_axis_eigh`) on each of the
-    ``dims`` axes and E the outer sum of h1's energies. Two electrons: M is
-    the dense H's eigenbasis on its one axis, by the blocks of the exchange,
-    the transpose of the N x N grid. At most 4096 rows are diagonalized, or
-    the model is refused naming ``mode``. E[0] is the ground energy and the
-    ground state the tensor product of M's first column: the lowest pair for
-    one electron, and for two the lowest exchange-symmetric pair, moved to the
-    front, since with strong repulsion an antisymmetric pair can lie just
-    below it; the rest follow in ascending order. The pair passes the
-    checks of :func:`ground_state`: :func:`check_energy_reach`, and a
-    residual ||H psi - E psi|| within GROUND_STATE_BAR, found without H as
-    the decomposed matrix's own times sqrt(axes), since H psi - E psi is a
-    sum of one orthogonal term per axis.
+    ExactEigen takes one electron on at most 4096 points, or the model is
+    refused naming ``mode``. H is then h1 summed over the axes, so M is h1's
+    eigenbasis (:func:`_axis_eigh`) and E the outer sum of h1's energies.
+    E[0] is the ground energy and the ground state the tensor product of M's
+    first column. The pair passes the checks of :func:`ground_state`:
+    :func:`check_energy_reach`, and a residual ||H psi - E psi|| within
+    GROUND_STATE_BAR, found without H as h1's own times sqrt(dims), since
+    H psi - E psi is a sum of one orthogonal term per axis.
     """
-    rows = model.n_points**model.eta
-    if rows > 4096:
-        raise ValidationError(f"field 'mode' in FilterSpec: ExactEigen diagonalizes at most "
-                              f"4096 rows, n_points^eta = {rows} here; use ChebyshevPoly")
+    if model.eta != 1 or model.n_points > 4096:
+        raise ValidationError(f"field 'mode' in FilterSpec: ExactEigen takes one electron on at "
+                              f"most 4096 points; use ChebyshevPoly, got eta {model.eta} and "
+                              f"n_points {model.n_points}")
     check_energy_reach(model)
-    if model.eta == 1:
-        matrix, energies, vectors = _axis_eigh(model)
-        axes = model.dims
-    else:
-        n = model.n_points
-        matrix = dense_hamiltonian(model)
-        exchange = np.arange(rows).reshape(n, n).T.reshape(-1)
-        energies, vectors = _symmetric_eigh(matrix, exchange)
-        lowest = next(j for j in range(rows) if vectors[exchange, j] @ vectors[:, j] > 0)
-        energies[:lowest + 1] = np.roll(energies[:lowest + 1], 1)
-        vectors[:, :lowest + 1] = np.roll(vectors[:, :lowest + 1], 1, axis=1)
-        axes = 1
+    h1, energies, vectors = _axis_eigh(model)
     ground = vectors[:, 0]
-    residual = math.sqrt(axes) * float(np.linalg.norm(matrix @ ground - energies[0] * ground))
+    residual = math.sqrt(model.dims) * float(np.linalg.norm(h1 @ ground - energies[0] * ground))
     if residual > GROUND_STATE_BAR:
         raise NumericalError(f"ground-state residual {residual:.2e} > {GROUND_STATE_BAR:g} "
-                             f"(dim={model.hilbert_dim}, eigendecomposition of {rows} rows)")
-    return _outer_sum([energies] * axes).reshape(-1), vectors, axes
+                             f"(dim={model.hilbert_dim}, eigendecomposition of "
+                             f"{model.n_points} rows)")
+    return _outer_sum([energies] * model.dims).reshape(-1), vectors
 
 
 def filter_and_evolve(model: GridModel, filt: FilterSpec | None, t: float
@@ -865,28 +857,29 @@ def filter_and_evolve(model: GridModel, filt: FilterSpec | None, t: float
     window takes the ground state from :func:`ground_state` and then sums the
     series of :func:`gaussian_filter` and :func:`evolve`, applying H by
     :func:`_sector_operator`, since every state it makes is exchange
-    symmetric. An ExactEigen window takes everything from one eigensystem
-    H = W diag(E) W^T, W = M x ... x M (:func:`_eigensystem`): h1's for one
-    electron, the dense H's for two. The ground pair is its lowest one, and
-    the propagated state is W (exp(-iEt) f(E - E0) W^T D psi0) /
+    symmetric. An ExactEigen window, for one electron only, takes everything
+    from h1's eigensystem H = W diag(E) W^T, W = M x ... x M
+    (:func:`_eigensystem`). The ground pair is its lowest one, and the
+    propagated state is W (exp(-iEt) f(E - E0) W^T D psi0) /
     ||f(H - E0) D psi0||, one phase per level in place of a series in H, and
-    exact at any t; W applies as M along each axis, and H is never applied.
+    exact at any t; W applies as M along each of the ``dims`` axes, and H is
+    never applied.
     The time is checked by :func:`check_time` in every mode, so the accepted
     times do not depend on the mode. Raises NumericalError when the dipole or
     the window removes the whole state.
     """
     check_time(model, t)
     if filt is not None and filt.mode == "ExactEigen":
-        energies, vectors, axes = _eigensystem(model)
+        energies, vectors = _eigensystem(model)
         energy = float(energies[0])
-        ground = functools.reduce(np.multiply.outer, [vectors[:, 0]] * axes).reshape(-1)
+        ground = functools.reduce(np.multiply.outer, [vectors[:, 0]] * model.dims).reshape(-1)
         state = _excite(model, ground)
-        filtered, amplitudes = _exact_window(filt, energies, vectors, axes, state, energy)
+        filtered, amplitudes = _exact_window(model, filt, energies, vectors, state, energy)
         success = _window_success(filtered, state)
         rotated = np.exp(-1j * t * energies) * amplitudes / _filtered_norm(filtered)
         # M is real: two real passes, not a complex copy of M
-        return (_along_axes(vectors, rotated.real, axes)
-                + 1j * _along_axes(vectors, rotated.imag, axes)), energy, success
+        return (_along_axes(vectors, rotated.real, model.dims)
+                + 1j * _along_axes(vectors, rotated.imag, model.dims)), energy, success
     psi, energy = ground_state(model)
     state = _excite(model, psi)
     kernel = _sector_operator(model)
@@ -931,19 +924,6 @@ def _chebyshev_series(kernel, model: GridModel, coeffs: np.ndarray,
             if weight[k]:
                 total += np.multiply(cur, weight[k], out=scratch)
     return sums[0] if len(sums) == 1 else sums[0] + 1j * sums[1]
-
-
-def chebyshev_coefficients(func, degree: int) -> np.ndarray:
-    """Chebyshev interpolation coefficients of ``func`` on [-1, 1].
-
-    Uses the cosine transform of the values at first-kind Chebyshev nodes,
-    which is the interpolant through degree + 1 nodes.
-    """
-    m = degree + 1
-    nodes = np.cos(math.pi * (np.arange(m) + 0.5) / m)
-    coeffs = _dct2(func(nodes)) / m
-    coeffs[0] /= 2.0
-    return coeffs
 
 
 def _dct2(x: np.ndarray) -> np.ndarray:
@@ -1011,7 +991,9 @@ def chebyshev_fit(func, tolerance: float) -> np.ndarray:
     """
     m = FIT_NODES
     while m < 4 * MAX_FILTER_DEGREE:
-        coeffs = chebyshev_coefficients(func, m - 1)
+        nodes = np.cos(math.pi * (np.arange(m) + 0.5) / m)
+        coeffs = _dct2(func(nodes)) / m  # the interpolant through the m nodes
+        coeffs[0] /= 2.0
         if np.abs(coeffs[m // 2:]).sum() <= tolerance / 4.0:
             kept = coeffs[:_tail_cut(coeffs, tolerance / 2.0, start=1) + 1]
             if len(kept) > MAX_FILTER_DEGREE + 1:

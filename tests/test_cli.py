@@ -483,12 +483,15 @@ THREE_D_HARMONIC_CONFIG = {
 }
 
 
-def test_emulate_photoemission_one_electron_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # one electron's eigensystem is that of the one-axis h1, 16 rows here; the
-    # dense H's symmetry blocks of about 2048 rows gave different bytes under 1
-    # and 2 OpenBLAS threads. The thread count is set in the child alone
-    path = tmp_path / "harmonic_3d.json"
-    path.write_text(json.dumps(THREE_D_HARMONIC_CONFIG))
+@pytest.mark.parametrize("config", [THREE_D_HARMONIC_CONFIG, TWO_ELECTRON_CONFIG],
+                         ids=["three_d_harmonic", "two_electron"])
+def test_emulate_photoemission_bytes_do_not_depend_on_blas_threads(tmp_path, config):
+    # one electron's eigensystem is that of the one-axis h1, 16 rows in 3D here,
+    # and two electrons take the series; the dense H's symmetry blocks of
+    # several hundred rows and more gave different bytes under 1 and 2 OpenBLAS
+    # threads. The thread count is set in the child alone
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(config))
     outputs = []
     for threads in ("1", "2"):
         proc = subprocess.run([sys.executable, "-m", "euvq.cli", "emulate-photoemission",
@@ -532,7 +535,7 @@ def test_emulate_photoemission_records_ground_energy_and_window_probability(
     if filt is not None and filt.mode == "ExactEigen":
         # the ground pair is the lowest of the eigensystem the window uses, the
         # fixture's h1 by the run's own decomposition in inversion blocks
-        energies, vectors, _ = grid._eigensystem(model)
+        energies, vectors = grid._eigensystem(model)
         psi, energy = vectors[:, 0], float(energies[0])
     else:
         psi, energy = grid.ground_state(model)

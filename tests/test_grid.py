@@ -305,21 +305,35 @@ def _dipole_state(model, ground=ground_state):
 
 
 def _eigen_ground(model):
-    """The ground pair of an ExactEigen run, the lowest of its eigensystem.
+    """The ground pair of a one-electron ExactEigen run, the lowest of its eigensystem.
 
     Pinned to the run's own decomposition, so that the energy compares to the
     bit; the eigensystem itself is held to plain eigh of the dense H by
     test_symmetric_eigh_matches_full_eigh.
     """
-    energies, vectors, axes = grid._eigensystem(model)
-    return functools.reduce(np.multiply.outer, [vectors[:, 0]] * axes).reshape(-1), float(energies[0])
+    energies, vectors = grid._eigensystem(model)
+    ground = functools.reduce(np.multiply.outer, [vectors[:, 0]] * model.dims)
+    return ground.reshape(-1), float(energies[0])
+
+
+def _symmetric_dense_ground(model):
+    """The lowest exchange-symmetric eigenpair of a two-electron model, by eigh of the dense H.
+
+    Each eigenvector's overlap with its exchanged copy, the transpose on the
+    N x N grid, is +1 or -1 up to rounding; the first with +1 is taken.
+    """
+    n = model.n_points
+    energies, vectors = np.linalg.eigh(dense_hamiltonian(model))
+    squares = vectors.T.reshape(-1, n, n)
+    parity = np.sum(squares * squares.transpose(0, 2, 1), axis=(1, 2))
+    lowest = int(np.argmax(parity > 0))
+    return vectors[:, lowest], float(energies[lowest])
 
 
 @pytest.mark.parametrize("make, center, sigma, t", [
     (lambda: GridModel.from_config(_fixture_model()), 1.8, 0.2, 10.0),
     (lambda: GridModel.from_config(_fixture_model()), 1.8, 0.2, 0.0),
-    (lambda: two_electron_model(n=16), 1.5, 0.3, 1.0),
-], ids=["fixture_t10", "fixture_t0", "2e_16^2"])
+], ids=["fixture_t10", "fixture_t0"])
 def test_filter_and_evolve_exact_eigen_matches_filter_then_evolve(make, center, sigma, t):
     # one eigendecomposition gives the ground pair, the window and exp(-iHt); the
     # ground energy and the window's success probability are those of eigh and
@@ -397,24 +411,26 @@ def test_filter_and_evolve_checks_the_time_in_both_modes(mode):
         grid.filter_and_evolve(m, filt, t)
 
 
-@pytest.mark.parametrize("make", [lambda: GridModel.from_config(_fixture_model()),
-                                  lambda: two_electron_model(n=16),
-                                  lambda: strong_repulsion_model()],
-                         ids=["fixture", "2e_16^2", "strong_repulsion_32^2"])
-def test_eigen_ground_state_matches_lobpcg(make):
-    # the ExactEigen run's ground pair is the state LOBPCG finds, to its
-    # residual bar: the lowest pair for one electron, the lowest spatially
-    # symmetric one for two. Under strong repulsion the lowest pair overall is
-    # antisymmetric, 1.8e-7 Ha below, and the run took it
+@pytest.mark.parametrize("make, eigen", [
+    (lambda: GridModel.from_config(_fixture_model()), _eigen_ground),
+    (lambda: two_electron_model(n=16), _symmetric_dense_ground),
+    (lambda: strong_repulsion_model(), _symmetric_dense_ground),
+], ids=["fixture", "2e_16^2", "strong_repulsion_32^2"])
+def test_eigen_ground_state_matches_lobpcg(make, eigen):
+    # LOBPCG finds the ground pair of an eigendecomposition, to its residual
+    # bar: for one electron the ExactEigen run's lowest pair, for two the
+    # lowest spatially symmetric pair of eigh of the dense H. Under strong
+    # repulsion the lowest pair overall is antisymmetric, 1.8e-7 Ha below, and
+    # LOBPCG's state must not be it
     m = make()
-    psi, energy = _eigen_ground(m)
+    psi, energy = eigen(m)
     want, want_energy = ground_state(m)
     assert energy == pytest.approx(want_energy, abs=1e-12)
     assert abs(float(psi @ want)) == pytest.approx(1.0, abs=1e-9)
     h_psi = m.apply_hamiltonian(psi)
     assert float(np.linalg.norm(h_psi - energy * psi)) < grid.GROUND_STATE_BAR
     if m.eta == 2:
-        pair = psi.reshape(m.shape)
+        pair = want.reshape(m.shape)
         assert np.array_equal(pair, pair.T)
 
 
@@ -444,8 +460,6 @@ def _samples_model():
 SYMMETRY_CASES = {
     "fixture": lambda: GridModel.from_config(_fixture_model()),
     "3d_8^3": lambda: three_d_model(n=8),
-    "2e_16^2": lambda: two_electron_model(n=16),
-    "2e_32^2": lambda: two_electron_model(n=32),
     "1d_2_points": lambda: soft_model(n=2, box=4.0),
     "off_centre": _off_centre_model,
     "samples": _samples_model,
@@ -454,8 +468,7 @@ SYMMETRY_CASES = {
 
 @pytest.mark.parametrize("name", SYMMETRY_CASES)
 def test_symmetric_eigh_matches_full_eigh(name):
-    # the ExactEigen eigensystem, h1's by the blocks of the axis inversion for
-    # one electron and the dense H's by the blocks of the exchange for two,
+    # the ExactEigen eigensystem, h1's by the blocks of the axis inversion,
     # against eigh of the whole dense H: the same spectrum, and the same
     # W g(E) W^T v for g the fixture's window times exp(-iEt), a function of H
     # that degenerate levels, and near-degenerate levels of opposite parity
@@ -463,10 +476,10 @@ def test_symmetric_eigh_matches_full_eigh(name):
     # plain eigh of h1, which is the dense H, to the bit
     model = SYMMETRY_CASES[name]()
     h = dense_hamiltonian(model)
-    energies, vectors, axes = grid._eigensystem(model)
+    energies, vectors = grid._eigensystem(model)
     want_energies, want_vectors = np.linalg.eigh(h)
-    assert axes == (model.dims if model.eta == 1 else 1)
-    assert len(vectors) == model.n_points**model.eta
+    axes = model.dims
+    assert len(vectors) == model.n_points
     if name in ("off_centre", "samples"):
         assert np.array_equal(energies, want_energies)
         assert np.array_equal(vectors, want_vectors)
@@ -489,23 +502,15 @@ def test_symmetric_eigh_matches_full_eigh(name):
     assert float(np.max(np.abs(got - want))) <= 1e-12
 
 
-def test_exchange_swaps_the_electrons_coordinate_blocks():
-    # the two-electron eigenvectors are symmetric or antisymmetric under the
-    # exchange, the transpose of the N x N grid, and the ground state symmetric
-    n = 8
-    _, vectors, _ = grid._eigensystem(two_electron_model(n=n))
-    squares = vectors.T.reshape(-1, n, n)
-    swapped = squares.transpose(0, 2, 1)
-    parity = np.sign(np.sum(squares * swapped, axis=(1, 2)))
-    assert float(np.max(np.abs(swapped - parity[:, None, None] * squares))) <= 1e-12
-    assert parity[0] == 1.0
-
-
-@pytest.mark.parametrize("make", [lambda: GridModel.from_config(_fixture_model()),
-                                  lambda: harmonic_3d_model(n=16)], ids=["fixture", "3d_16^3"])
-def test_one_electron_exact_eigen_diagonalizes_n_points_rows(monkeypatch, make):
-    # one electron's eigensystem is h1's, so no eigh in the run exceeds n_points
-    # rows; the dense H of 3d_16^3 had 4096, diagonalized in blocks of about 2048
+@pytest.mark.parametrize("make, filt, t", [
+    (lambda: GridModel.from_config(_fixture_model()), FilterSpec(center=1.0, sigma=0.3), 0.5),
+    (lambda: harmonic_3d_model(n=16), FilterSpec(center=1.0, sigma=0.3), 0.5),
+    (lambda: two_electron_model(), FilterSpec(center=1.5, sigma=0.3, mode="ChebyshevPoly"), 1.0),
+], ids=["fixture", "3d_16^3", "2e_chebyshev_64^2"])
+def test_one_electron_exact_eigen_diagonalizes_n_points_rows(monkeypatch, make, filt, t):
+    # one electron's eigensystem is h1's, and two electrons take the series, so
+    # no run builds the dense H (4096 rows in each case here) and no eigh in
+    # it exceeds n_points rows
     m = make()
     sizes = []
     eigh = np.linalg.eigh
@@ -514,8 +519,12 @@ def test_one_electron_exact_eigen_diagonalizes_n_points_rows(monkeypatch, make):
         sizes.append(len(a))
         return eigh(a, *args, **kwargs)
 
+    def refuse(model):
+        raise AssertionError("the run built the dense Hamiltonian")
+
     monkeypatch.setattr(np.linalg, "eigh", recorded)
-    grid.filter_and_evolve(m, FilterSpec(center=1.0, sigma=0.3), 0.5)
+    monkeypatch.setattr(grid, "dense_hamiltonian", refuse)
+    grid.filter_and_evolve(m, filt, t)
     assert sizes and max(sizes) <= m.n_points
 
 

@@ -165,14 +165,25 @@ def test_bad_field_exits_2_and_is_named(capsys, name, path, value, field):
     ({"potential": {"kind": "samples", "params": {"values": [1.0, 2.0]}}}, "values"),
     ({"n_points": 8192}, "mode"),
     ({"eta": 2, "n_points": 128}, "mode"),
+    ({"eta": 2, "n_points": 16}, "mode"),
+    ({"eta": 2, "n_points": 16, "filter": {"center": 1.8, "sigma": 0.2}}, "mode"),
     ({"interaction_strength": 5.0}, "interaction_strength"),
     ({"interaction_softening": 2.0}, "interaction_softening"),
+    ({"eta": 2, "n_points": 16, "interaction_strength": 1.0, "interaction_softening": 0.0},
+     "interaction_softening"),
+    ({"eta": 2, "n_points": 16, "interaction_strength": 1.0, "interaction_softening": 1e-170},
+     "interaction_softening"),
 ], ids=["dims-2", "eta-3", "3d-two-electrons", "3d-64-points", "hilbert-above-2^20",
         "potential-infinite", "kind-unknown", "samples-short", "exact-eigen-8192",
-        "exact-eigen-two-electrons-128", "interaction-strength-one-electron",
-        "interaction-softening-one-electron"])
+        "exact-eigen-two-electrons-128", "exact-eigen-two-electrons-16",
+        "default-mode-two-electrons-16", "interaction-strength-one-electron",
+        "interaction-softening-one-electron", "interaction-softening-zero",
+        "interaction-softening-square-underflows"])
 def test_bad_grid_model_exits_2_and_is_named(capsys, changes, field):
+    # a "filter" entry replaces the fixture's filter; the rest update its model
     data = load_fixture("grid_soft_coulomb_1d.json")
+    changes = dict(changes)
+    data["filter"] = changes.pop("filter", data["filter"])
     data["model"].update(changes)
     assert run_on("emulate-photoemission", data) == EX_VALIDATION
     err = capsys.readouterr().err
