@@ -21,6 +21,19 @@ ORTHOGONALITY_TOL = 1e-10
 _ANGLE_TOL = 1e-14
 
 
+def _within(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """``np.allclose(a, b, atol=tol, rtol=0)`` on real arrays, from the largest deviation.
+
+    A deviation of exactly ``tol`` passes, NaN fails and an empty pair passes.
+    Equal infinities, whose difference is NaN, count as close as in allclose.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf
+        dev = np.abs(a - b)
+    if dev.size == 0 or dev.max() <= tol:
+        return True
+    return bool(np.all((dev <= tol) | (a == b)))
+
+
 @dataclass(frozen=True)
 class TwoElectronTensor:
     """Rank-4 real tensor (pq|rs) with 8-fold permutational symmetry."""
@@ -37,7 +50,7 @@ class TwoElectronTensor:
         for perm, label in (((1, 0, 2, 3), "(qp|rs)"),
                             ((0, 1, 3, 2), "(pq|sr)"),
                             ((2, 3, 0, 1), "(rs|pq)")):
-            if not np.allclose(v, v.transpose(perm), atol=SYMMETRY_TOL, rtol=0.0):
+            if not _within(v, v.transpose(perm), SYMMETRY_TOL):
                 raise ValidationError(f"tensor violates {label} symmetry beyond {SYMMETRY_TOL}")
 
 
@@ -105,10 +118,10 @@ def givens_decompose(u: np.ndarray) -> list[tuple[int, int, float]]:
     leave of ``u``; the decomposition does not return it.
     """
     u = np.asarray(u, dtype=float)
-    n = u.shape[0]
-    if u.ndim != 2 or u.shape != (n, n):
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError("matrix must be square")
-    if not np.allclose(u.T @ u, np.eye(n), atol=ORTHOGONALITY_TOL, rtol=0.0):
+    n = u.shape[0]
+    if not _within(u.T @ u, np.eye(n), ORTHOGONALITY_TOL):
         raise ValidationError("matrix is not orthogonal to 1e-10")
 
     work = u.copy()

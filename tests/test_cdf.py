@@ -62,6 +62,37 @@ def test_tensor_symmetry_validation():
         TwoElectronTensor(n_orbitals=3, values=bad)
 
 
+def _tensor_off_by(dev):
+    # zero tensor but for one entry, so (qp|rs) and (rs|pq) each deviate by exactly ``dev``
+    values = np.zeros((2, 2, 2, 2))
+    values[0, 1, 0, 0] = dev
+    return values
+
+
+def test_tensor_symmetry_tolerance_is_inclusive():
+    assert TwoElectronTensor(n_orbitals=2, values=_tensor_off_by(1e-10)).n_orbitals == 2
+    with pytest.raises(ValidationError, match=r"violates \(qp\|rs\) symmetry beyond 1e-10"):
+        TwoElectronTensor(n_orbitals=2, values=_tensor_off_by(2e-10))
+
+
+def test_tensor_symmetry_refuses_nan():
+    values = np.zeros((2, 2, 2, 2))
+    values[1, 1, 1, 1] = np.nan
+    with pytest.raises(ValidationError, match=r"violates \(qp\|rs\) symmetry beyond 1e-10"):
+        TwoElectronTensor(n_orbitals=2, values=values)
+
+
+def test_tensor_symmetry_accepts_what_allclose_accepts():
+    # equal infinities are close to np.allclose, and an empty tensor passes
+    values = np.full((2, 2, 2, 2), np.inf)
+    assert np.allclose(values, values.transpose(1, 0, 2, 3), atol=1e-10, rtol=0.0)
+    TwoElectronTensor(n_orbitals=2, values=values)
+    TwoElectronTensor(n_orbitals=0, values=np.zeros((0, 0, 0, 0)))
+    values[0, 1, 0, 0] = -np.inf
+    with pytest.raises(ValidationError, match=r"\(qp\|rs\)"):
+        TwoElectronTensor(n_orbitals=2, values=values)
+
+
 def test_single_fragment_tensor_exact():
     # a tensor built from one (U, Z) pair must factorize exactly with l_max=1
     n = 5
@@ -119,6 +150,35 @@ def test_l_max_outside_one_to_n_squared_refused():
 
 def test_givens_identity_empty():
     assert givens_decompose(np.eye(5)) == []
+
+
+def test_givens_empty_matrix_empty():
+    assert givens_decompose(np.zeros((0, 0))) == []
+
+
+@pytest.mark.parametrize("u", [np.float64(1.0), np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2))],
+                         ids=["0d", "1d", "2x3", "3d"])
+def test_givens_refuses_non_square(u):
+    with pytest.raises(ValidationError, match="matrix must be square"):
+        givens_decompose(u)
+
+
+def test_givens_orthogonality_tolerance_is_inclusive():
+    # u^T u deviates from the identity by exactly eps off the diagonal (1 + eps^2 rounds to 1)
+    u = np.eye(2)
+    u[0, 1] = 1e-10
+    assert np.abs(u.T @ u - np.eye(2)).max() == 1e-10
+    assert givens_decompose(u) == []
+    u[0, 1] = 2e-10
+    with pytest.raises(ValidationError, match="matrix is not orthogonal to 1e-10"):
+        givens_decompose(u)
+
+
+def test_givens_refuses_nan():
+    u = np.eye(3)
+    u[2, 0] = np.nan
+    with pytest.raises(ValidationError, match="matrix is not orthogonal to 1e-10"):
+        givens_decompose(u)
 
 
 def test_givens_2x2_single_rotation():

@@ -119,11 +119,56 @@ def test_arith_verify_reproducible(tmp_path):
     # interpreters print the same bytes, and every seed passes every check
     runs = [run_cli("arith-verify", "--seed", "12345") for _ in range(2)]
     assert runs[0] == runs[1]
+    lines = runs[0][1].splitlines()
+    assert len(lines) == 10 and all(line.endswith(": ok") for line in lines)
     for seed in (0, 1, 2**64 - 1):
         out = tmp_path / f"arith_{seed}.txt"
         assert main(["arith-verify", "--seed", str(seed), "--output", str(out)]) == EX_OK
         lines = out.read_text().splitlines()
         assert len(lines) == 10 and all(line.endswith(": ok") for line in lines)
+
+
+def _mutated_comp(a, b):
+    return int(b.value <= a.value)
+
+
+@pytest.mark.parametrize("target, mutant, broken", [
+    ("euvq.qarith.BitRegister.as_int", property(lambda reg: reg.value), "radius_test sampled"),
+    ("euvq.qarith.comp", _mutated_comp, "comp n=1 exhaustive"),
+], ids=["as_int_unsigned", "comp_le"])
+def test_arith_verify_catches_mutants(capsys, monkeypatch, target, mutant, broken):
+    # the registers are built once per width, yet a fault in the code under test
+    # still reaches every check that reads it
+    monkeypatch.setattr(target, mutant)
+    assert main(["arith-verify"]) == EX_NUMERICAL
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith(broken + ":"))
+    assert line.endswith(("MISMATCH", "MISMATCHES"))
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    from euvq import cli
+
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert main(["arith-verify"]) == EX_OK
+        assert len(built) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command"])
+        assert exc.value.code == EX_USAGE
+        assert capsys.readouterr().err.startswith("usage: euvq ")
+        assert len(built) == 1
+    finally:
+        cli.build_parser.cache_clear()  # later calls build an unpatched parser
 
 
 def test_malformed_json_exit_code(tmp_path):
