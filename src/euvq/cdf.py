@@ -124,18 +124,20 @@ def givens_decompose(u: np.ndarray) -> list[tuple[int, int, float]]:
     if not _within(u.T @ u, np.eye(n), ORTHOGONALITY_TOL):
         raise ValidationError("matrix is not orthogonal to 1e-10")
 
-    work = u.copy()
+    # rows of Python floats: the same IEEE products and sums as numpy's rows, without
+    # numpy's per-call overhead on a handful of entries
+    work = u.tolist()
     eliminations: list[tuple[int, int, float]] = []
     for col in range(n - 1):
         for row in range(n - 1, col, -1):
-            a, b = work[row - 1, col], work[row, col]
+            top, bottom = work[row - 1], work[row]
+            a, b = top[col], bottom[col]
             if abs(b) <= _ANGLE_TOL:
                 continue
             theta = math.atan2(b, a)
             c, s = math.cos(theta), math.sin(theta)
-            upper = c * work[row - 1] + s * work[row]
-            lower = -s * work[row - 1] + c * work[row]
-            work[row - 1], work[row] = upper, lower
+            work[row - 1] = [c * x + s * y for x, y in zip(top, bottom)]
+            work[row] = [-s * x + c * y for x, y in zip(top, bottom)]
             eliminations.append((row - 1, row, theta))
     # work is now diagonal +-1: R_m ... R_1 u = D, so u = R_1^T ... R_m^T D
     # and each R^T is G(i, j, theta) in the documented sign convention.

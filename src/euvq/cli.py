@@ -162,9 +162,7 @@ def run_emulate_photoemission(data, seed: int) -> Output:
         "r_cutoff": (float, REQUIRED), "bins": (dict, {"max": 2.0, "count": 20}),
         "shots": (int, 0),
     }, "emulate-photoemission config")
-    model = grid.GridModel.from_config(cfg["model"])
-    grid.check_energy_reach(model)
-    grid.check_time(model, cfg["time"])
+    model = grid.GridModel.from_config(cfg["model"])  # checks the energy reach itself
     grid.check_r_cutoff(model, cfg["r_cutoff"])
     filt = None if cfg["filter"] is None else read_dataclass(grid.FilterSpec, cfg["filter"])
     bins = read_fields(cfg["bins"], {"max": (float, REQUIRED), "count": (int, REQUIRED)}, "bins")
@@ -252,6 +250,7 @@ def run_arith_verify(data, seed: int) -> Output:
 
     rng = random.Random(seed)
     box, n = 10.0, 3
+    box_num, box_den = box.as_integer_ratio()
     coords = {v: qarith.BitRegister.from_int(v, n, signed=True)
               for v in range(-(2 ** (n - 1)), 2 ** (n - 1))}
     mism = 0
@@ -259,7 +258,11 @@ def run_arith_verify(data, seed: int) -> Output:
         r_c = rng.uniform(0.5, 6.5)
         vals = [rng.randrange(-(2 ** (n - 1)), 2 ** (n - 1)) for _ in range(3)]
         emitted = qarith.radius_test(tuple(coords[v] for v in vals), r_c, box)
-        want = int(sum(v**2 for v in vals) <= qarith.radius_threshold(r_c, n, box))
+        # the oracle from the definition, not from qarith: inside when
+        # sum v^2 < (r_c 2^n / box)^2, compared in exact integers
+        r_num, r_den = r_c.as_integer_ratio()
+        want = int(sum(v**2 for v in vals) * (r_den * box_num) ** 2
+                   < (r_num * box_den * 2**n) ** 2)
         mism += emitted != want
     ok &= mism == 0
     lines.append(f"radius_test sampled: {'ok' if mism == 0 else f'{mism} MISMATCHES'}")

@@ -9,9 +9,17 @@ two-electron ground state is the lowest spatially symmetric state, so a run
 stays in that sector. On grids of up to KINETIC_MATRIX_POINTS points the
 ground state's start and each of its preconditioned directions are symmetric
 to the bit, and the ground state and the series of :func:`filter_and_evolve`
-apply H by a kernel for that sector alone
-(:meth:`GridModel.apply_sector_hamiltonian`).
+apply H by a kernel for that sector alone (:meth:`GridModel._apply_sector`,
+one kinetic product per state where the general kernel makes two).
 :func:`filter_and_evolve` runs the stages up to the propagated state.
+
+A model is checked once, when it is made (:class:`GridModel`): its sizes,
+finite energies, a spectral range whose square is finite, and an energy
+reach that the ground state's residual bar can resolve. The time is checked
+by :func:`check_time` first thing in :func:`filter_and_evolve`, in both
+modes, and in :func:`evolve`. The cutoff is checked by
+:func:`check_r_cutoff` in :func:`continuum_project`, the last stage, so the
+CLI runs that check before the pipeline as well.
 
 As in the qubitized circuit, the polynomial filter and exp(-iHt) are both
 Chebyshev series in (H - mid) / half_span, with
@@ -28,12 +36,12 @@ ground state, the window and exp(-iHt) from one eigensystem
 H = W diag(E) W^T, W = M x ... x M on the ``dims`` axes
 (:func:`_eigensystem`): H is the one-axis Hamiltonian h1 = diag(v) + K
 summed over the axes, so M is h1's eigenbasis and E the outer sum of h1's
-energies, one eigendecomposition of n_points rows, by the even and odd
-blocks of the axis inversion when v is even (:func:`_symmetric_eigh`). The
-ground pair is the lowest pair, the filtered state's amplitudes on W's
-columns take the phases exp(-iEt), no series is summed and H is never
-applied. Two electrons run on the series alone. The series' cap on the time
-holds in both modes, so the accepted times do not depend on the mode.
+energies, one eigendecomposition of n_points rows. When v is even, that is
+split into the blocks of the axis inversion q -> -q mod N, which fixes 0
+and N/2 and pairs q with N - q, so both blocks are slices of h1
+(:func:`_mirror_eigh`). The ground pair is the lowest pair, the filtered
+state's amplitudes on W's columns take the phases exp(-iEt), no series is
+summed and H is never applied. Two electrons run on the series alone.
 ChebyshevPoly and filterless runs need no polynomial for the ground state:
 locally optimal block preconditioned conjugate gradients (LOBPCG; Knyazev,
 SIAM J. Sci. Comput. 23, 517 (2001)) reaches it. Up to KINETIC_MATRIX_POINTS
@@ -185,6 +193,21 @@ def _kinetic_circulant(k_axis: np.ndarray) -> np.ndarray:
     return windows[n - 1::-1].copy()
 
 
+def _check_energy_reach(mid: float, half_span: float) -> None:
+    """Reject a model whose ground state no iteration can resolve, naming the field.
+
+    That is a model whose energies reach so far from 0 that the rounding of
+    H psi alone, GROUND_STATE_FLOOR per Ha, would exceed GROUND_STATE_BAR.
+    """
+    reach = abs(mid) + half_span  # the largest |E| in [min V, max V + max T]
+    if GROUND_STATE_FLOOR * reach > GROUND_STATE_BAR:
+        raise ValidationError(
+            f"field 'potential' in model, or 'box_length' through the kinetic energy, gives "
+            f"energies up to {reach:.3g} Ha in magnitude; beyond "
+            f"{GROUND_STATE_BAR / GROUND_STATE_FLOOR:.3g} Ha rounding passes the "
+            f"ground state's {GROUND_STATE_BAR:g} Ha residual bar")
+
+
 def _along_axes(matrix: np.ndarray, state: np.ndarray, coords: int) -> np.ndarray:
     """(M x M x ... x M) psi: ``matrix`` applied along each of the ``coords`` axes of a flat state.
 
@@ -277,6 +300,7 @@ class GridModel:
                                   f"overflows")
         object.__setattr__(self, "mid", (hi + lo) / 2.0)
         object.__setattr__(self, "half_span", (hi - lo) / 2.0)
+        _check_energy_reach(self.mid, self.half_span)
         object.__setattr__(self, "_kinetic_matrix", _kinetic_circulant(self.k_axis)
                            if n <= KINETIC_MATRIX_POINTS else None)
         # the tables the kernels take: V, and K or the half kinetic table
@@ -323,17 +347,6 @@ class GridModel:
         """
         return self._apply(self._tables, state)
 
-    def apply_sector_hamiltonian(self, state: np.ndarray) -> np.ndarray:
-        """H applied to an exchange-symmetric two-electron state, or to each row of a block.
-
-        For two electrons on a grid of up to KINETIC_MATRIX_POINTS points: a
-        state X = X^T on the N x N grid has X K^T = (K X)^T, so one kinetic
-        product M = K X per state gives H X = V X + (M + M^T), where
-        :meth:`apply_hamiltonian` makes two. The kinetic sum is formed first,
-        so H X is symmetric to the bit when X is.
-        """
-        return self._apply_sector(self._tables, state)
-
     def _apply(self, tables: tuple[np.ndarray, np.ndarray], state: np.ndarray) -> np.ndarray:
         """The kernel of :meth:`apply_hamiltonian` on ``tables``: (V, K) or (V, half table).
 
@@ -358,7 +371,14 @@ class GridModel:
 
     def _apply_sector(self, tables: tuple[np.ndarray, np.ndarray],
                       state: np.ndarray) -> np.ndarray:
-        """The kernel of :meth:`apply_sector_hamiltonian` on ``tables``, (V, K)."""
+        """H on ``tables``, (V, K), applied to an exchange-symmetric two-electron state or block.
+
+        For two electrons on a grid of up to KINETIC_MATRIX_POINTS points: a
+        state X = X^T on the N x N grid has X K^T = (K X)^T, so one kinetic
+        product M = K X per state gives H X = V X + (M + M^T), where
+        :meth:`_apply` makes two. The kinetic sum is formed first, so H X is
+        symmetric to the bit when X is.
+        """
         n = self.n_points
         potential, k = tables
         squares = state.reshape(-1, n, n)
@@ -479,51 +499,36 @@ def dense_hamiltonian(model: GridModel) -> np.ndarray:
     return h
 
 
-def _symmetric_eigh(h: np.ndarray, involution: np.ndarray | None
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """eigh(h) by the even and odd blocks of an ``involution`` that h commutes with.
+def _mirror_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh(h) by the even and odd blocks of the axis inversion q -> -q mod N, kept by h.
 
     Returns what ``np.linalg.eigh(h)`` does: ascending energies and
-    orthonormal real eigenvectors as columns, over the whole space. The even
-    block is h in the basis of the fixed points e_f of the involution pi and
-    (e_i + e_pi(i)) / sqrt 2 over its pairs, the odd block h in the basis
-    (e_i - e_pi(i)) / sqrt 2. Since h commutes with pi, both are index
-    gathers of h: on the pairs, <i|h|j> +- <i|h|pi(j)>. Two eigh of about
-    half the size take about a quarter of the flops of one. Each block's
-    eigenvectors are scattered into one dim x dim array, in the order of a
-    stable sort of the energies. Plain eigh when ``involution`` is None.
+    orthonormal real eigenvectors as columns. The inversion fixes 0 and N/2
+    and pairs q with N - q. The even block is h in the basis e_0, e_N/2,
+    (e_q + e_N-q) / sqrt 2, the odd block in (e_q - e_N-q) / sqrt 2, so on the
+    pairs both are h[1:N/2, 1:N/2] +- h[1:N/2, :N/2:-1], two slices of h.
+    Two eigh of about half the size take about a quarter of the flops of
+    one. The eigenvectors' columns are taken, C-ordered, in a stable sort of
+    the energies.
     """
-    if involution is None:
-        return np.linalg.eigh(h)
-    dim = len(h)
-    index = np.arange(dim)
-    fixed = np.flatnonzero(involution == index)
-    first = np.flatnonzero(index < involution)  # one point of each pair (i, pi(i))
-    second = involution[first]
-    nf = len(fixed)
-    rows = h[first]
-    pairs, across = rows[:, first], rows[:, second]  # <i|h|j> and <i|h|pi(j)>
-    even = np.empty((nf + len(first),) * 2)
-    even[:nf, :nf] = h[np.ix_(fixed, fixed)]
-    even[nf:, :nf] = math.sqrt(2.0) * rows[:, fixed]
-    even[:nf, nf:] = even[nf:, :nf].T
-    np.add(pairs, across, out=even[nf:, nf:])
+    n, half = len(h), len(h) // 2
+    rows = h[1:half]
+    pairs, across = rows[:, 1:half], rows[:, :half:-1]  # views of h: never written
+    even = np.empty((half + 1, half + 1))
+    even[:2, :2] = h[::half, ::half]
+    even[2:, :2] = math.sqrt(2.0) * rows[:, ::half]
+    even[:2, 2:] = even[2:, :2].T
+    np.add(pairs, across, out=even[2:, 2:])
     even_energies, even_vectors = np.linalg.eigh(even)
-    odd_energies, odd_vectors = np.linalg.eigh(np.subtract(pairs, across, out=pairs))
+    odd_energies, odd_vectors = np.linalg.eigh(pairs - across)
+    vectors = np.zeros((n, n))
+    vectors[::half, :half + 1] = even_vectors[:2]
+    vectors[1:half, :half + 1] = vectors[:half:-1, :half + 1] = even_vectors[2:] * math.sqrt(0.5)
+    vectors[1:half, half + 1:] = odd = odd_vectors * math.sqrt(0.5)
+    vectors[:half:-1, half + 1:] = -odd
     energies = np.concatenate([even_energies, odd_energies])
     order = np.argsort(energies, kind="stable")
-    column = np.empty_like(order)
-    column[order] = index  # where each block's eigenvector lands
-    even_columns, odd_columns = column[:len(even)], column[len(even):]
-    vectors = np.zeros((dim, dim))
-    vectors[np.ix_(fixed, even_columns)] = even_vectors[:nf]
-    half = even_vectors[nf:] * math.sqrt(0.5)
-    vectors[np.ix_(first, even_columns)] = half
-    vectors[np.ix_(second, even_columns)] = half
-    half = odd_vectors * math.sqrt(0.5)
-    vectors[np.ix_(first, odd_columns)] = half
-    vectors[np.ix_(second, odd_columns)] = -half
-    return energies[order], vectors
+    return energies[order], vectors.take(order, axis=1)
 
 
 def _orthonormalize(row: np.ndarray, rows: np.ndarray) -> bool:
@@ -604,27 +609,12 @@ def eigsh(apply, precondition, start: np.ndarray, upper: float, maxiter: int
         iterations += 1
 
 
-def check_energy_reach(model: GridModel) -> None:
-    """Reject a model whose ground state no iteration can resolve, naming the field.
-
-    That is a model whose energies reach so far from 0 that the rounding of
-    H psi alone, GROUND_STATE_FLOOR per Ha, would exceed GROUND_STATE_BAR.
-    """
-    reach = abs(model.mid) + model.half_span  # the largest |E| in [min V, max V + max T]
-    if GROUND_STATE_FLOOR * reach > GROUND_STATE_BAR:
-        raise ValidationError(
-            f"field 'potential' in model, or 'box_length' through the kinetic energy, gives "
-            f"energies up to {reach:.3g} Ha in magnitude; beyond "
-            f"{GROUND_STATE_BAR / GROUND_STATE_FLOOR:.3g} Ha rounding passes the "
-            f"ground state's {GROUND_STATE_BAR:g} Ha residual bar")
-
-
 def _sector_operator(model: GridModel):
     """The kernel that applies H to the states a run makes, all of them exchange symmetric.
 
-    The kernel of :meth:`GridModel.apply_sector_hamiltonian` for two
-    electrons on the matrix kernel, that of :meth:`GridModel.apply_hamiltonian`
-    otherwise; either takes the tables it applies first.
+    :meth:`GridModel._apply_sector` for two electrons on the matrix kernel,
+    the kernel of :meth:`GridModel.apply_hamiltonian` otherwise; either takes
+    the tables it applies first.
     """
     if model.eta == 2 and model._kinetic_matrix is not None:
         return model._apply_sector
@@ -634,18 +624,19 @@ def _sector_operator(model: GridModel):
 def _axis_eigh(model: GridModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one-axis Hamiltonian h1 = diag(v) + K, its ascending energies and its eigenvectors.
 
-    By the blocks of the axis inversion q -> -q mod N when v equals its
-    mirror image exactly (:func:`_symmetric_eigh`; 5 ms against 8 for one
-    eigh at 256 points, 2 shared vCPUs), else by plain eigh. K is the
-    model's own, or one built here for a line above KINETIC_MATRIX_POINTS.
+    K is even under the axis inversion q -> -q mod N, so when v is too,
+    v[q] = v[N - q] exactly, h1 is split into the inversion's blocks
+    (:func:`_mirror_eigh`; 5 ms against 8 for one eigh at 256 points, 2
+    shared vCPUs), else diagonalized whole. K is the model's own, or one
+    built here for a line above KINETIC_MATRIX_POINTS. A model whose
+    energies the residual bar cannot resolve was refused when it was made.
     """
     v, kinetic = model.potential, model._kinetic_matrix
     if kinetic is None:
         kinetic = _kinetic_circulant(model.k_axis)
-    mirror = -np.arange(len(v)) % len(v)
     h1 = np.diag(v)
     h1 += kinetic  # in place: one N x N array at a time, not two
-    return h1, *_symmetric_eigh(h1, mirror if np.array_equal(v, v[mirror]) else None)
+    return h1, *(_mirror_eigh(h1) if np.array_equal(v[1:], v[:0:-1]) else np.linalg.eigh(h1))
 
 
 def _separable_start(model: GridModel):
@@ -722,9 +713,9 @@ def ground_state(model: GridModel) -> tuple[np.ndarray, float]:
     iterations, each of which applies H once. The returned state is real.
     The pair is accepted when its residual is within GROUND_STATE_BAR, at
     the cap too; above the bar it raises, naming the iterations taken. A
-    model it cannot resolve is refused up front, by :func:`check_energy_reach`.
+    model whose energies reach past what that bar can resolve never gets
+    here: it is refused when it is made.
     """
-    check_energy_reach(model)
     dim = model.hilbert_dim
     start, precondition = (_momentum_start(model) if model._kinetic_matrix is None
                            else _separable_start(model))
@@ -827,16 +818,16 @@ def _eigensystem(model: GridModel) -> tuple[np.ndarray, np.ndarray]:
     refused naming ``mode``. H is then h1 summed over the axes, so M is h1's
     eigenbasis (:func:`_axis_eigh`) and E the outer sum of h1's energies.
     E[0] is the ground energy and the ground state the tensor product of M's
-    first column. The pair passes the checks of :func:`ground_state`:
-    :func:`check_energy_reach`, and a residual ||H psi - E psi|| within
-    GROUND_STATE_BAR, found without H as h1's own times sqrt(dims), since
-    H psi - E psi is a sum of one orthogonal term per axis.
+    first column. The pair passes the check of :func:`ground_state`, a
+    residual ||H psi - E psi|| within GROUND_STATE_BAR, found without H as
+    h1's own times sqrt(dims), since H psi - E psi is a sum of one
+    orthogonal term per axis; the energy reach that bar needs was checked
+    when the model was made.
     """
     if model.eta != 1 or model.n_points > 4096:
         raise ValidationError(f"field 'mode' in FilterSpec: ExactEigen takes one electron on at "
                               f"most 4096 points; use ChebyshevPoly, got eta {model.eta} and "
                               f"n_points {model.n_points}")
-    check_energy_reach(model)
     h1, energies, vectors = _axis_eigh(model)
     ground = vectors[:, 0]
     residual = math.sqrt(model.dims) * float(np.linalg.norm(h1 @ ground - energies[0] * ground))
@@ -1049,7 +1040,11 @@ def _bessel_j(n: int, a: float) -> np.ndarray:
 
 
 def check_time(model: GridModel, t: float) -> None:
-    """Reject a propagation time that :func:`evolve` cannot run, naming the config field."""
+    """Reject a propagation time that :func:`evolve` cannot run, naming the config field.
+
+    The two entry points that propagate run it before any other work:
+    :func:`filter_and_evolve`, in both filter modes, and :func:`evolve`.
+    """
     if not 0 <= t < math.inf:
         raise ValidationError(f"field 'time' in emulate-photoemission config must be "
                               f"non-negative and finite, got {t:g}")

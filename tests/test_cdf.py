@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from euvq.cdf import (
     CdfFactorization,
@@ -200,6 +202,42 @@ def test_givens_reconstruction_oracle(n, seed):
     assert len(rotations) <= n * (n - 1) // 2
     signs = givens_signs(u, rotations)
     np.testing.assert_allclose(givens_reconstruct(rotations, signs), u, atol=1e-9)
+
+
+def numpy_row_eliminations(u):
+    """givens_decompose's elimination loop written on 1D numpy rows, one rotation at a time."""
+    work = np.asarray(u, dtype=float).copy()
+    n = len(work)
+    eliminations = []
+    for col in range(n - 1):
+        for row in range(n - 1, col, -1):
+            a, b = work[row - 1, col], work[row, col]
+            if abs(b) <= 1e-14:
+                continue
+            theta = math.atan2(b, a)
+            c, s = math.cos(theta), math.sin(theta)
+            upper = c * work[row - 1] + s * work[row]
+            lower = -s * work[row - 1] + c * work[row]
+            work[row - 1], work[row] = upper, lower
+            eliminations.append((row - 1, row, theta))
+    return eliminations
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), flip=st.booleans(),
+       permute=st.booleans())
+def test_givens_float_rows_match_numpy_rows(n, seed, flip, permute):
+    # the rotations on Python float rows are the same IEEE products and sums as on
+    # numpy rows, so the eliminations agree to the bit; a permutation with signs
+    # exercises the exact zeros that are skipped
+    if permute:
+        rng = np.random.default_rng(seed)
+        u = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], n)
+    else:
+        u = random_orthogonal(n, seed)
+    if flip:
+        u[:, 0] *= -1.0
+    assert givens_decompose(u) == numpy_row_eliminations(u)
 
 
 def test_givens_rejects_non_orthogonal():

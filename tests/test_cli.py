@@ -11,6 +11,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from euvq import qarith
 from euvq.cli import EX_NUMERICAL, EX_OK, EX_USAGE, EX_VALIDATION, main
 
 
@@ -132,13 +133,19 @@ def _mutated_comp(a, b):
     return int(b.value <= a.value)
 
 
+def _mutated_radius_threshold(r_cutoff, n_bits, box, threshold=qarith.radius_threshold):
+    return threshold(r_cutoff, n_bits, box) + 5
+
+
 @pytest.mark.parametrize("target, mutant, broken", [
     ("euvq.qarith.BitRegister.as_int", property(lambda reg: reg.value), "radius_test sampled"),
     ("euvq.qarith.comp", _mutated_comp, "comp n=1 exhaustive"),
-], ids=["as_int_unsigned", "comp_le"])
+    ("euvq.qarith.radius_threshold", _mutated_radius_threshold, "radius_test sampled"),
+], ids=["as_int_unsigned", "comp_le", "radius_threshold_plus_5"])
 def test_arith_verify_catches_mutants(capsys, monkeypatch, target, mutant, broken):
     # the registers are built once per width, yet a fault in the code under test
-    # still reaches every check that reads it
+    # still reaches every check that reads it; the radius oracle works from the
+    # definition, so a wrong threshold cannot move both sides of its comparison
     monkeypatch.setattr(target, mutant)
     assert main(["arith-verify"]) == EX_NUMERICAL
     line = next(line for line in capsys.readouterr().out.splitlines()
@@ -760,6 +767,26 @@ def test_emulate_photoemission_size_cap_exit_code(tmp_path, capsys, data, field,
     assert out == ""
     assert field in err and cap in err
     assert "Traceback" not in err
+
+
+def test_emulate_photoemission_refuses_energy_reach_when_the_model_is_made(
+        tmp_path, capsys, monkeypatch):
+    # kinetic energies near 3e11 Ha in a 1e-3 Bohr box: the model is refused as it
+    # is made, before h1 is diagonalized or LOBPCG runs
+    from euvq import grid
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a decomposition ran before the model was checked")
+
+    monkeypatch.setattr(grid, "_axis_eigh", unreachable)
+    monkeypatch.setattr(grid, "eigsh", unreachable)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(_edited("grid_soft_coulomb_1d.json",
+                                       lambda d: d["model"].update(box_length=1e-3))))
+    assert main(["emulate-photoemission", "--input", str(path)]) == EX_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "field 'potential' in model" in err and err.count("\n") == 1
 
 
 def _gaussian_well(sigma):

@@ -435,15 +435,15 @@ def test_eigen_ground_state_matches_lobpcg(make, eigen):
 
 
 def test_eigen_ground_state_holds_ground_state_checks(monkeypatch):
-    # the dense ground pair passes the checks LOBPCG's does: the energy reach up
-    # front, and the residual bar after (here set to 0, with the reach check off)
-    filt = FilterSpec(center=1.0, sigma=0.2)
+    # the dense ground pair passes the checks LOBPCG's does: the energy reach,
+    # when the model is made, and the residual bar after (here set to 0, once
+    # the model has passed the reach check at the real bar)
     with pytest.raises(ValidationError, match="field 'potential'"):
-        grid.filter_and_evolve(soft_model(n=16, box=1e-3), filt, 0.0)
-    monkeypatch.setattr(grid, "check_energy_reach", lambda model: None)
+        soft_model(n=16, box=1e-3)
+    m = soft_model(n=16)
     monkeypatch.setattr(grid, "GROUND_STATE_BAR", 0.0)
     with pytest.raises(NumericalError, match="ground-state residual"):
-        grid.filter_and_evolve(soft_model(n=16), filt, 1.0)
+        grid.filter_and_evolve(m, FilterSpec(center=1.0, sigma=0.2), 1.0)
 
 
 def _off_centre_model():
@@ -1391,7 +1391,7 @@ def test_sector_kernel_matches_apply_hamiltonian_on_symmetric_states(name):
     re = re + re.transpose(0, 2, 1)
     for states in (re[0], re):
         flat = states.reshape(states.shape[:-2] + (-1,))
-        out = m.apply_sector_hamiltonian(flat)
+        out = m._apply_sector(m._tables, flat)
         assert out.dtype == flat.dtype and out.shape == flat.shape
         assert float(np.max(np.abs(out - m.apply_hamiltonian(flat)))) <= (
             1e-13 * float(m.kinetic_grid().max()))
