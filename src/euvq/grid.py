@@ -31,32 +31,28 @@ series end by one rule: at the first degree whose dropped coefficients sum
 to within the tolerance. The filter's coefficients come from interpolating
 the window, the propagator's are Bessel functions (the Jacobi-Anger
 expansion), so neither degree is found by a search or by refining a time
-step. An ExactEigen run, which takes one electron in 1D or 3D, takes the
-ground state, the window and exp(-iHt) from one eigensystem
-H = W diag(E) W^T, W = M x ... x M on the ``dims`` axes
-(:func:`_eigensystem`): H is the one-axis Hamiltonian h1 = diag(v) + K
-summed over the axes, so M is h1's eigenbasis and E the outer sum of h1's
-energies, one eigendecomposition of n_points rows. When v is even, that is
-split into the blocks of the axis inversion q -> -q mod N, which fixes 0
-and N/2 and pairs q with N - q, so both blocks are slices of h1
-(:func:`_mirror_eigh`). The ground pair is the lowest pair, the filtered
+step. One routine gives one electron's ground pair (:func:`_axis_ground`)
+in every ExactEigen run, and in every mode on grids that hold K: H is the
+one-axis Hamiltonian h1 = diag(v) + K summed over the ``dims`` axes, so
+the ground state is the tensor product of h1's lowest eigenvector, from one
+eigendecomposition of n_points rows (:func:`_axis_eigh`), polished on h1
+where its residual needs it. When v is even, that decomposition is split
+into the blocks of the axis inversion q -> -q mod N, which fixes 0 and N/2
+and pairs q with N - q, so both blocks are slices of h1 (:func:`_mirror_eigh`).
+An ExactEigen run also takes the window and exp(-iHt) from h1's eigensystem
+H = W diag(E) W^T, W = M x ... x M (:func:`_eigensystem`): the filtered
 state's amplitudes on W's columns take the phases exp(-iEt), no series is
-summed and H is never applied. Two electrons run on the series alone.
-ChebyshevPoly and filterless runs need no polynomial for the ground state:
-locally optimal block preconditioned conjugate gradients (LOBPCG; Knyazev,
-SIAM J. Sci. Comput. 23, 517 (2001)) reaches it. Up to KINETIC_MATRIX_POINTS
-points the same decomposition of h1 (:func:`_axis_eigh`) gives LOBPCG its
-start, the tensor product of h1's lowest eigenvector, which is the ground
-state itself for one electron (one application of H), and its
-preconditioner: in h1's product eigenbasis, the shifted inverse of H's
-diagonal there, which for two electrons holds the repulsion's diagonal as
-well as the separable levels (Davidson's preconditioner; 12 applications on
-two electrons at 64^2).
-Above that, LOBPCG starts from a random vector, preconditioned by
-S (T + 1 Ha)^-1 S with the real-space diagonal S = (1 + V - min V)^-1/2, and
-takes a few dozen to a few hundred applications. The kinetic factor inverts
-H - E where T dominates, and S where V does, as in a harmonic well whose
-walls rise far above the kinetic energy near its floor.
+summed and H is never applied. Two electrons run on the series alone, and
+their ground state comes from locally optimal block preconditioned
+conjugate gradients (LOBPCG; Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)).
+Up to KINETIC_MATRIX_POINTS points it starts from h1's product eigenbasis,
+preconditioned by the shifted inverse of H's diagonal there, the
+repulsion's diagonal included (Davidson's preconditioner; 12 applications
+at 64^2). Above that, and for one electron on a line too long to hold K,
+it starts from a random vector, preconditioned by S (T + 1 Ha)^-1 S with
+the real-space diagonal S = (1 + V - min V)^-1/2: the kinetic factor
+inverts H - E where T dominates, and S where V does. Where that stalls on
+a line of at most 4096 points, h1's pair is taken instead.
 
 Grid conventions: N points per dimension (power of two), spacing
 h = L / N, positions x_q = (q - N/2) h, momenta k = 2 pi fftfreq(N, h).
@@ -588,9 +584,7 @@ def eigsh(apply, precondition, start: np.ndarray, upper: float, maxiter: int
         x, hx = basis[0], images[0]
         theta = float(x @ hx)
         np.subtract(hx, np.multiply(x, theta, out=residual), out=residual)
-        error = float(np.linalg.norm(residual))
-        tol = max(GROUND_STATE_TOL, GROUND_STATE_FLOOR * (upper - theta))
-        if error <= tol or iterations == maxiter:
+        if _converged(float(np.linalg.norm(residual)), theta, upper) or iterations == maxiter:
             return theta, x.copy(), hx.copy(), iterations
         size = kept
         basis[size] = precondition(residual)
@@ -607,6 +601,18 @@ def eigsh(apply, precondition, start: np.ndarray, upper: float, maxiter: int
         basis, next_basis = next_basis, basis
         images, next_images = next_images, images
         iterations += 1
+
+
+def _converged(error: float, theta: float, upper: float) -> bool:
+    """:func:`eigsh`'s stop rule: GROUND_STATE_TOL, or the rounding floor of [theta, upper]."""
+    return error <= max(GROUND_STATE_TOL, GROUND_STATE_FLOOR * (upper - theta))
+
+
+def _check_residual(model: GridModel, residual: float, how: str) -> None:
+    """Refuse a ground pair whose residual ||H psi - E psi|| exceeds GROUND_STATE_BAR."""
+    if residual > GROUND_STATE_BAR:
+        raise NumericalError(f"ground-state residual {residual:.2e} > {GROUND_STATE_BAR:g} "
+                             f"{how} (dim={model.hilbert_dim}, tol={GROUND_STATE_TOL})")
 
 
 def _sector_operator(model: GridModel):
@@ -640,34 +646,25 @@ def _axis_eigh(model: GridModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _separable_start(model: GridModel):
-    """Start and preconditioner from the eigenbasis U of the one-axis h1 = diag(v) + K.
+    """Two electrons' start and preconditioner from the eigenbasis U of h1 = diag(v) + K.
 
-    H without the e-e repulsion is h1 summed over the coordinate axes, so
-    its eigenvectors are tensor products of h1's, U x ... x U, with energies
-    the sums of h1's eigenvalues eps. The start is the lowest, phi0 x ... x
-    phi0, the ground state itself when there is no repulsion. The
+    H without the e-e repulsion R is h1 summed over the two coordinate axes,
+    so its eigenvectors are products of h1's, U x U, with energies the sums
+    of h1's eigenvalues eps. The start is the lowest, phi0 x phi0. The
     preconditioner is U (d - min d + gap)^-1 U^T, with d the diagonal of H in
     that basis (Davidson, J. Comput. Phys. 17, 87 (1975)), shifted
-    SEPARABLE_GAP above its lowest entry. For one electron d is the sum of
-    the eps, and the preconditioner the separable part's shifted inverse,
-    applied by U^T and U along each axis. For two electrons d adds the
-    repulsion R's diagonal, D_ij = sum_xy U_xi^2 U_yj^2 R_xy =
-    ((U o U)^T R (U o U))_ij, two N x N products per run; the preconditioner
-    maps the N x N residual W to U (inverse o (U^T W U)) U^T and ends on
-    (S + S^T) / 2, so each direction stays in the exchange sector to the
-    bit. h1's eigenpairs come from :func:`_axis_eigh`, as those of an
-    ExactEigen run do, and are not kept.
+    SEPARABLE_GAP above its lowest entry: the sums of the eps plus R's
+    diagonal, D_ij = sum_xy U_xi^2 U_yj^2 R_xy = ((U o U)^T R (U o U))_ij,
+    two N x N products per run. It maps the N x N residual W to
+    U (inverse o (U^T W U)) U^T and ends on (S + S^T) / 2, so each direction
+    stays in the exchange sector to the bit. h1's eigenpairs come from
+    :func:`_axis_eigh` and are not kept.
     """
-    n, coords = model.n_points, model.dims * model.eta
+    n = model.n_points
     _, energies, vectors = _axis_eigh(model)
-    start = functools.reduce(np.multiply.outer, [vectors[:, 0]] * coords).reshape(-1)
-    levels = _outer_sum([energies - energies[0]] * coords)
-    if model.eta == 1:
-        inverse = 1.0 / (levels + SEPARABLE_GAP).reshape(-1)
-        return start, lambda residual: _along_axes(
-            vectors, inverse * _along_axes(vectors.T, residual, coords), coords)
+    start = np.multiply.outer(vectors[:, 0], vectors[:, 0]).reshape(-1)
     squares = vectors * vectors
-    levels += squares.T @ _repulsion(model) @ squares
+    levels = _outer_sum([energies - energies[0]] * 2) + squares.T @ _repulsion(model) @ squares
     inverse = 1.0 / (levels - levels.min() + SEPARABLE_GAP)
 
     def precondition(residual):
@@ -675,6 +672,38 @@ def _separable_start(model: GridModel):
         return ((step + step.T) / 2.0).reshape(-1)
 
     return start, precondition
+
+
+def _axis_ground(model: GridModel, h1: np.ndarray, energies: np.ndarray,
+                 vectors: np.ndarray) -> tuple[np.ndarray, float]:
+    """The one-electron ground pair, from h1 = diag(v) + K and its eigenpairs (:func:`_axis_eigh`).
+
+    H is h1 summed over the ``dims`` axes, so the ground state is
+    phi x ... x phi and its energy the sum of dims copies of eps, for
+    (phi, eps) h1's lowest pair, and ||H psi - E psi|| is h1's residual times
+    sqrt(dims), since H psi - E psi is a sum of one orthogonal term per axis.
+    Where that is above the tolerance at which :func:`eigsh` stops, eigsh on
+    h1 polishes the pair from phi, preconditioned in h1's eigenbasis U by
+    U (eps - eps_0 + SEPARABLE_GAP)^-1 U^T (Davidson's preconditioner), and
+    the pair and its residual are taken afresh. The residual is then held to
+    GROUND_STATE_BAR.
+    """
+    phi, eps = vectors[:, 0], float(energies[0])
+    upper, scale = float(energies[-1]), math.sqrt(model.dims)
+    residual = scale * float(np.linalg.norm(h1 @ phi - eps * phi))
+    how = f"from the eigendecomposition of {model.n_points} rows"
+    if not _converged(residual, eps, upper):
+        inverse = 1.0 / (energies - energies[0] + SEPARABLE_GAP)
+        _, phi, _, iterations = eigsh(h1.dot, lambda r: vectors @ (inverse * (vectors.T @ r)),
+                                      phi, upper, GROUND_STATE_ITERATIONS)
+        phi /= np.linalg.norm(phi)
+        h_phi = h1 @ phi
+        eps = float(phi @ h_phi)
+        residual = scale * float(np.linalg.norm(h_phi - eps * phi))
+        how += f" and {iterations} LOBPCG iterations on it"
+    _check_residual(model, residual, how)
+    return (functools.reduce(np.multiply.outer, [phi] * model.dims).reshape(-1),
+            sum([eps] * model.dims))
 
 
 def _momentum_start(model: GridModel):
@@ -696,27 +725,24 @@ def _momentum_start(model: GridModel):
 
 
 def ground_state(model: GridModel) -> tuple[np.ndarray, float]:
-    """Lowest eigenpair of the grid Hamiltonian by preconditioned LOBPCG.
+    """Lowest eigenpair of the grid Hamiltonian, a real state.
 
-    H and the dipole D are exchange symmetric, and the two-electron ground
-    state is the lowest spatially symmetric one, so the pipeline never leaves
-    its sector. The iteration runs in real arithmetic, since H is real
-    symmetric. On grids of up to KINETIC_MATRIX_POINTS points it starts
-    from, and is preconditioned by, the eigenbasis of the one-axis
-    Hamiltonian (:func:`_separable_start`): the inverse of H's diagonal in
-    that basis, the e-e repulsion's part included, shifted SEPARABLE_GAP
-    above its lowest entry. For two electrons it applies H by the sector
-    kernel (:func:`_sector_operator`); above that it starts from a
-    random vector, preconditioned by S (T + 1 Ha)^-1 S
-    (:func:`_momentum_start`). Both preconditioners are symmetric and
-    positive definite. GROUND_STATE_ITERATIONS, read at each call, caps the
-    iterations, each of which applies H once. The returned state is real.
-    The pair is accepted when its residual is within GROUND_STATE_BAR, at
-    the cap too; above the bar it raises, naming the iterations taken. A
-    model whose energies reach past what that bar can resolve never gets
-    here: it is refused when it is made.
+    One electron on a grid that holds K (up to KINETIC_MATRIX_POINTS points,
+    every 3D grid) takes h1's pair (:func:`_axis_ground`), as ExactEigen
+    does, and H is not applied. Otherwise LOBPCG finds it in real arithmetic:
+    for two electrons up to KINETIC_MATRIX_POINTS points from h1's eigenbasis
+    (:func:`_separable_start`) on the sector kernel (:func:`_sector_operator`),
+    since H and D keep the exchange-symmetric sector, whose lowest state is
+    the ground state; above that from a random vector (:func:`_momentum_start`).
+    GROUND_STATE_ITERATIONS, read at each call, caps the iterations, each one
+    application of H. A pair within GROUND_STATE_BAR is accepted, at the cap
+    too. Above the bar, a one-electron line of at most 4096 points takes
+    :func:`_axis_ground`'s pair instead, and any other model is refused,
+    naming the iterations. A model whose energies reach past what the bar
+    can resolve was refused when it was made.
     """
-    dim = model.hilbert_dim
+    if model.eta == 1 and model._kinetic_matrix is not None:
+        return _axis_ground(model, *_axis_eigh(model))
     start, precondition = (_momentum_start(model) if model._kinetic_matrix is None
                            else _separable_start(model))
     apply = functools.partial(_sector_operator(model), model._tables)
@@ -726,10 +752,9 @@ def ground_state(model: GridModel) -> tuple[np.ndarray, float]:
     psi, h_psi = psi / norm, h_psi / norm
     energy = float(psi @ h_psi)
     residual = float(np.linalg.norm(h_psi - energy * psi))
-    if residual > GROUND_STATE_BAR:
-        raise NumericalError(f"ground-state residual {residual:.2e} > {GROUND_STATE_BAR:g} "
-                             f"after {iterations} LOBPCG iterations "
-                             f"(dim={dim}, tol={GROUND_STATE_TOL})")
+    if residual > GROUND_STATE_BAR and model.eta == 1 and model.n_points <= 4096:
+        return _axis_ground(model, *_axis_eigh(model))
+    _check_residual(model, residual, f"after {iterations} LOBPCG iterations")
     return psi, energy
 
 
@@ -758,7 +783,7 @@ def gaussian_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
     ||f psi||^2 / ||psi||^2.
     """
     if filt.mode == "ExactEigen":
-        out = _exact_window(model, filt, *_eigensystem(model), state, ground_energy)[0]
+        out = _exact_window(model, filt, *_eigensystem(model)[:2], state, ground_energy)[0]
     else:
         out = _polynomial_window(model._apply, model, filt, state, ground_energy)
     return out, _window_success(out, state)
@@ -811,31 +836,22 @@ def _excite(model: GridModel, ground: np.ndarray) -> np.ndarray:
     return state / norm
 
 
-def _eigensystem(model: GridModel) -> tuple[np.ndarray, np.ndarray]:
-    """H = W diag(E) W^T, W = M x ... x M on the model's ``dims`` axes: the energies E and M.
+def _eigensystem(model: GridModel):
+    """H = W diag(E) W^T, W = M x ... x M on the model's ``dims`` axes: E, M and the ground pair.
 
     ExactEigen takes one electron on at most 4096 points, or the model is
     refused naming ``mode``. H is then h1 summed over the axes, so M is h1's
-    eigenbasis (:func:`_axis_eigh`) and E the outer sum of h1's energies.
-    E[0] is the ground energy and the ground state the tensor product of M's
-    first column. The pair passes the check of :func:`ground_state`, a
-    residual ||H psi - E psi|| within GROUND_STATE_BAR, found without H as
-    h1's own times sqrt(dims), since H psi - E psi is a sum of one
-    orthogonal term per axis; the energy reach that bar needs was checked
-    when the model was made.
+    eigenbasis (:func:`_axis_eigh`) and E the outer sum of h1's energies. The
+    ground pair is :func:`_axis_ground`'s, the one :func:`ground_state`
+    gives on every grid that holds K.
     """
     if model.eta != 1 or model.n_points > 4096:
         raise ValidationError(f"field 'mode' in FilterSpec: ExactEigen takes one electron on at "
                               f"most 4096 points; use ChebyshevPoly, got eta {model.eta} and "
                               f"n_points {model.n_points}")
     h1, energies, vectors = _axis_eigh(model)
-    ground = vectors[:, 0]
-    residual = math.sqrt(model.dims) * float(np.linalg.norm(h1 @ ground - energies[0] * ground))
-    if residual > GROUND_STATE_BAR:
-        raise NumericalError(f"ground-state residual {residual:.2e} > {GROUND_STATE_BAR:g} "
-                             f"(dim={model.hilbert_dim}, eigendecomposition of "
-                             f"{model.n_points} rows)")
-    return _outer_sum([energies] * model.dims).reshape(-1), vectors
+    return (_outer_sum([energies] * model.dims).reshape(-1), vectors,
+            _axis_ground(model, h1, energies, vectors))
 
 
 def filter_and_evolve(model: GridModel, filt: FilterSpec | None, t: float
@@ -845,25 +861,21 @@ def filter_and_evolve(model: GridModel, filt: FilterSpec | None, t: float
     Runs ground state, dipole, window and propagator, and returns the state,
     the ground energy E0 and the window's success probability (None without
     a filter, when the state is exp(-iHt) D psi0). A ChebyshevPoly or absent
-    window takes the ground state from :func:`ground_state` and then sums the
+    window takes the ground pair of :func:`ground_state`, then sums the
     series of :func:`gaussian_filter` and :func:`evolve`, applying H by
     :func:`_sector_operator`, since every state it makes is exchange
-    symmetric. An ExactEigen window, for one electron only, takes everything
-    from h1's eigensystem H = W diag(E) W^T, W = M x ... x M
-    (:func:`_eigensystem`). The ground pair is its lowest one, and the
-    propagated state is W (exp(-iEt) f(E - E0) W^T D psi0) /
-    ||f(H - E0) D psi0||, one phase per level in place of a series in H, and
-    exact at any t; W applies as M along each of the ``dims`` axes, and H is
-    never applied.
+    symmetric. An ExactEigen window, for one electron only, takes all from
+    h1's eigensystem H = W diag(E) W^T, W = M x ... x M (:func:`_eigensystem`),
+    whose ground pair is ground_state's wherever K is held: the state is
+    W (exp(-iEt) f(E - E0) W^T D psi0) / ||f(H - E0) D psi0||, one phase per
+    level in place of a series in H, exact at any t, and H is never applied.
     The time is checked by :func:`check_time` in every mode, so the accepted
     times do not depend on the mode. Raises NumericalError when the dipole or
     the window removes the whole state.
     """
     check_time(model, t)
     if filt is not None and filt.mode == "ExactEigen":
-        energies, vectors = _eigensystem(model)
-        energy = float(energies[0])
-        ground = functools.reduce(np.multiply.outer, [vectors[:, 0]] * model.dims).reshape(-1)
+        energies, vectors, (ground, energy) = _eigensystem(model)
         state = _excite(model, ground)
         filtered, amplitudes = _exact_window(model, filt, energies, vectors, state, energy)
         success = _window_success(filtered, state)

@@ -9,8 +9,9 @@ import math
 from collections import OrderedDict
 
 import numpy as np
+import pytest
 
-from euvq import absorption, grid, spectro
+from euvq import absorption, grid, qarith, spectro
 
 _BOARD: "OrderedDict[str, tuple[bool, str]]" = OrderedDict()
 
@@ -26,6 +27,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for criterion, (passed, detail) in _BOARD.items():
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"ACCEPTANCE {criterion:<28} {status}  {detail}")
+
+
+def inside_sphere(q2: int, r_cutoff: float, n_bits: int, box: float) -> bool:
+    """The radius test from its definition: sum q^2 < (R_c 2^n / L)^2, in exact integers.
+
+    With R_c = r_num / r_den and L = L_num / L_den, that is
+    sum q^2 (r_den L_num)^2 < (r_num L_den 2^n)^2, as arith-verify compares it;
+    nothing of ``qarith`` is read, so a wrong threshold there cannot move both
+    sides of a check.
+    """
+    (r_num, r_den), (box_num, box_den) = r_cutoff.as_integer_ratio(), box.as_integer_ratio()
+    return q2 * (r_den * box_num) ** 2 < (r_num * box_den * 2**n_bits) ** 2
+
+
+@pytest.fixture
+def radius_threshold_plus_5(monkeypatch):
+    """``qarith.radius_threshold`` returning 5 more: a fault each radius oracle must catch."""
+    threshold = qarith.radius_threshold
+    monkeypatch.setattr(qarith, "radius_threshold", lambda *args: threshold(*args) + 5)
 
 
 def correlation_identity_check(model, state, r_cutoff):

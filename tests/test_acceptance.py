@@ -16,7 +16,13 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from conftest import beta_limit, correlation_identity_check, record, two_level_scene
+from conftest import (
+    beta_limit,
+    correlation_identity_check,
+    inside_sphere,
+    record,
+    two_level_scene,
+)
 from euvq import absorption, cdf, grid, planewave, qarith, spectro
 from euvq.core import AbsorptionSpec, PlaneWaveSpec
 
@@ -388,6 +394,30 @@ def test_c11_filter_degree_law():
     assert worst <= 3.0
 
 
+def _radius_brute_force_ok(rng) -> bool:
+    """Criterion 12's radius check: every 3D point of n = 2 to 4 bits at four radii each.
+
+    The oracle is the sphere's definition in exact integers (``inside_sphere``).
+    """
+    ok = True
+    box = 10.0
+    for n in (2, 3, 4):
+        half = 2 ** (n - 1)
+        for r_c in rng.uniform(0.2, 9.0, size=4):
+            for qx in range(-half, half):
+                for qy in range(-half, half):
+                    for qz in range(-half, half):
+                        regs = tuple(qarith.BitRegister.from_int(v, n, signed=True)
+                                     for v in (qx, qy, qz))
+                        want = int(inside_sphere(qx**2 + qy**2 + qz**2, float(r_c), n, box))
+                        ok &= qarith.radius_test(regs, float(r_c), box) == want
+    return ok
+
+
+def test_c12_radius_check_catches_a_shifted_threshold(radius_threshold_plus_5):
+    assert not _radius_brute_force_ok(np.random.default_rng(12))
+
+
 def test_c12_arithmetic_brute_force():
     """Criterion 12: exhaustive arithmetic equivalence and Toffoli-count identities."""
     comp_ok = all(
@@ -399,19 +429,7 @@ def test_c12_arithmetic_brute_force():
         for n in range(1, 5) for alpha in range(2**n + 1))
 
     rng = np.random.default_rng(12)
-    radius_ok = True
-    box = 10.0
-    for n in (2, 3, 4):
-        half = 2 ** (n - 1)
-        for r_c in rng.uniform(0.2, 9.0, size=4):
-            constant = qarith.radius_threshold(float(r_c), n, box)
-            for qx in range(-half, half):
-                for qy in range(-half, half):
-                    for qz in range(-half, half):
-                        regs = tuple(qarith.BitRegister.from_int(v, n, signed=True)
-                                     for v in (qx, qy, qz))
-                        want = int(qx**2 + qy**2 + qz**2 <= constant)
-                        radius_ok &= qarith.radius_test(regs, float(r_c), box) == want
+    radius_ok = _radius_brute_force_ok(rng)
 
     allb_ok = True
     n = 2

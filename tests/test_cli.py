@@ -584,13 +584,8 @@ def test_emulate_photoemission_records_ground_energy_and_window_probability(
     record = json.loads(capsys.readouterr().out)
     model = grid.GridModel.from_config(config["model"])
     filt = None if "filter" not in config else read_dataclass(grid.FilterSpec, config["filter"])
-    if filt is not None and filt.mode == "ExactEigen":
-        # the ground pair is the lowest of the eigensystem the window uses, the
-        # fixture's h1 by the run's own decomposition in inversion blocks
-        energies, vectors = grid._eigensystem(model)
-        psi, energy = vectors[:, 0], float(energies[0])
-    else:
-        psi, energy = grid.ground_state(model)
+    # every mode takes ground_state's pair: for one electron h1's lowest, lifted
+    psi, energy = grid.ground_state(model)
     assert record["ground_energy_Ha"] == energy
     if filt is None:
         assert record["filter_success_probability"] is None
@@ -972,8 +967,8 @@ def test_runs_with_scipy_import_blocked(tmp_path, argv):
 def test_emulate_photoemission_deep_well_converges(tmp_path, capsys, z):
     # soft Coulomb this deep on the bundled fixture's grid exited 3: LOBPCG from a
     # random start stalled. The time is cut so the series stays within its cap,
-    # and the window widened so its degree does. ExactEigen reads the ground
-    # energy off h1's eigh; the two runs differed by 4e-16 and 2e-16 of |E0|
+    # and the window widened so its degree does. Both modes read the ground
+    # energy off h1's eigh, so the two runs agree to the bit
     config = _fixture("grid_soft_coulomb_1d.json")
     config["model"]["potential"]["params"]["z"] = z
     config["time"] = 1e-3
@@ -984,4 +979,4 @@ def test_emulate_photoemission_deep_well_converges(tmp_path, capsys, z):
         path.write_text(json.dumps(config))
         assert main(["emulate-photoemission", "--input", str(path), "--format", "json"]) == EX_OK
         energies[mode] = json.loads(capsys.readouterr().out)["ground_energy_Ha"]
-    assert energies["ChebyshevPoly"] == pytest.approx(energies["ExactEigen"], rel=1e-15)
+    assert energies["ChebyshevPoly"] == energies["ExactEigen"]

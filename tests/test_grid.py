@@ -304,16 +304,21 @@ def _dipole_state(model, ground=ground_state):
     return excited / norm, energy
 
 
-def _eigen_ground(model):
-    """The ground pair of a one-electron ExactEigen run, the lowest of its eigensystem.
+def _index_ground(model):
+    """A one-electron ground pair from numpy eigh of h1 = diag(v) + K built from indices.
 
-    Pinned to the run's own decomposition, so that the energy compares to the
-    bit; the eigensystem itself is held to plain eigh of the dense H by
-    test_symmetric_eigh_matches_full_eigh.
+    K[i, j] = (1/N) sum_q (k_q^2 / 2) cos(k_q (x_i - x_j)), summed here term by
+    term, so the oracle shares neither the model's circulant nor its
+    decomposition. The pair is h1's lowest, lifted to the ``dims`` axes.
     """
-    energies, vectors = grid._eigensystem(model)
+    n = model.n_points
+    k = 2.0 * math.pi * np.fft.fftfreq(n, d=model.spacing)
+    offsets = np.arange(n)
+    column = np.cos(np.outer(offsets * model.spacing, k)) @ (k**2 / 2.0) / n
+    h1 = np.diag(model.potential) + column[(offsets[:, None] - offsets) % n]
+    energies, vectors = np.linalg.eigh(h1)
     ground = functools.reduce(np.multiply.outer, [vectors[:, 0]] * model.dims)
-    return ground.reshape(-1), float(energies[0])
+    return ground.reshape(-1), model.dims * float(energies[0])
 
 
 def _symmetric_dense_ground(model):
@@ -336,16 +341,18 @@ def _symmetric_dense_ground(model):
 ], ids=["fixture_t10", "fixture_t0"])
 def test_filter_and_evolve_exact_eigen_matches_filter_then_evolve(make, center, sigma, t):
     # one eigendecomposition gives the ground pair, the window and exp(-iHt); the
-    # ground energy and the window's success probability are those of eigh and
-    # gaussian_filter to the bit, and the state is the filtered, normalized state
-    # propagated by the Jacobi-Anger series
+    # ground energy is ground_state's to the bit and eigh's of an index-built h1
+    # to rounding, the window's success probability is gaussian_filter's to the
+    # bit, and the state is the filtered, normalized state propagated by the
+    # Jacobi-Anger series
     m = make()
     filt = FilterSpec(center=center, sigma=sigma, mode="ExactEigen")
     out, energy, success = grid.filter_and_evolve(m, filt, t)
-    psi, want_energy = _dipole_state(m, _eigen_ground)
+    psi, want_energy = _dipole_state(m)
     filtered, p_window = gaussian_filter(m, filt, psi, want_energy)
     want = evolve(m, filtered / np.linalg.norm(filtered), t)
     assert energy == want_energy
+    assert energy == pytest.approx(_index_ground(m)[1], abs=1e-12)
     assert success == p_window
     assert float(np.max(np.abs(out - want))) <= 1e-10
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
@@ -412,14 +419,15 @@ def test_filter_and_evolve_checks_the_time_in_both_modes(mode):
 
 
 @pytest.mark.parametrize("make, eigen", [
-    (lambda: GridModel.from_config(_fixture_model()), _eigen_ground),
+    (lambda: GridModel.from_config(_fixture_model()), _index_ground),
     (lambda: two_electron_model(n=16), _symmetric_dense_ground),
     (lambda: strong_repulsion_model(), _symmetric_dense_ground),
 ], ids=["fixture", "2e_16^2", "strong_repulsion_32^2"])
 def test_eigen_ground_state_matches_lobpcg(make, eigen):
-    # LOBPCG finds the ground pair of an eigendecomposition, to its residual
-    # bar: for one electron the ExactEigen run's lowest pair, for two the
-    # lowest spatially symmetric pair of eigh of the dense H. Under strong
+    # ground_state finds the ground pair of a dense eigendecomposition, to its
+    # residual bar: for one electron h1's lowest pair, lifted, from eigh of an
+    # index-built h1, for two electrons LOBPCG's, the lowest spatially
+    # symmetric pair of eigh of the dense H. Under strong
     # repulsion the lowest pair overall is antisymmetric, 1.8e-7 Ha below, and
     # LOBPCG's state must not be it
     m = make()
@@ -476,7 +484,7 @@ def test_symmetric_eigh_matches_full_eigh(name):
     # plain eigh of h1, which is the dense H, to the bit
     model = SYMMETRY_CASES[name]()
     h = dense_hamiltonian(model)
-    energies, vectors = grid._eigensystem(model)
+    energies, vectors, _ = grid._eigensystem(model)
     want_energies, want_vectors = np.linalg.eigh(h)
     axes = model.dims
     assert len(vectors) == model.n_points
@@ -877,26 +885,46 @@ def test_ground_state_nonconvergence_reports(monkeypatch):
     # preconditioner holds only through its diagonal and the start not at all
     monkeypatch.setattr(grid, "GROUND_STATE_ITERATIONS", 1)
     m = two_electron_model(n=32)
-    with pytest.raises(NumericalError, match="iteration|residual"):
+    with pytest.raises(NumericalError, match="> 1e-08 after 1 LOBPCG iterations"):
         ground_state(m)
+
+
+def _refuse_decomposition(model):
+    raise AssertionError("h1 was decomposed")
 
 
 @pytest.mark.parametrize("z, within_bar", [(1e4, True), (1e5, False)])
 def test_ground_state_at_the_iteration_cap_is_held_to_the_bar(monkeypatch, z, within_bar):
     # soft Coulomb at 512 points in the fixture's 80 Bohr box: LOBPCG from a random
     # start runs to its cap of 500 iterations on both wells. The pair it stops at
-    # is judged by the residual bar alone: at z 1e4 (residual 1.7e-9) it is returned,
-    # at z 1e5 (5.7e-8) refused, and the refusal names the iterations
+    # is judged by the residual bar alone: at z 1e4 (residual 1.7e-9) it is
+    # returned, and h1 is never decomposed; at z 1e5 (5.7e-8) the line takes
+    # h1's pair from its decomposition instead
     m = soft_model(n=512, box=80.0, z=z)
     calls = _count_applications(monkeypatch)
+    axis_eigh, axis_ground = grid._axis_eigh, grid._axis_ground
     if within_bar:
-        psi, energy = ground_state(m)
-        error = float(np.linalg.norm(m.apply_hamiltonian(psi) - energy * psi))
-        assert error <= grid.GROUND_STATE_BAR
-    else:
-        with pytest.raises(NumericalError, match="> 1e-08 after 500 LOBPCG iterations"):
-            ground_state(m)
+        monkeypatch.setattr(grid, "_axis_eigh", _refuse_decomposition)
+    psi, energy = ground_state(m)
     assert len(calls) >= 1 + grid.GROUND_STATE_ITERATIONS
+    error = float(np.linalg.norm(m.apply_hamiltonian(psi) - energy * psi))
+    assert error <= grid.GROUND_STATE_BAR
+    if not within_bar:
+        want, want_energy = axis_ground(m, *axis_eigh(m))
+        assert np.array_equal(psi, want) and energy == want_energy
+
+
+@pytest.mark.parametrize("n, z", [(512, 1e5), (1024, 1e4), (1024, 1e5), (2048, 1e4),
+                                  (2048, 1e5), (4096, 1e4), (4096, 1e5)])
+def test_ground_state_on_a_stalled_line_meets_the_bar(n, z):
+    # soft Coulomb in the fixture's 80 Bohr box: LOBPCG from a random start ends
+    # its 500 iterations above the 1e-8 bar on each of these lines (from 2.8e-8
+    # at 1024 points z 1e4 to 2.0e-1 at 4096 points z 1e5), and the pair comes
+    # from h1's decomposition, held here by H's real-FFT kernel
+    m = soft_model(n=n, box=80.0, z=z)
+    psi, energy = ground_state(m)
+    assert float(np.linalg.norm(m.apply_hamiltonian(psi) - energy * psi)) <= grid.GROUND_STATE_BAR
+    assert energy < -0.99 * z
 
 
 @pytest.mark.parametrize("eta", [1, 2])
@@ -1175,6 +1203,36 @@ def test_tables_match_per_layout_formulas(layout):
     assert success == float(np.linalg.norm(out) ** 2 / np.linalg.norm(psi) ** 2)
 
 
+# x_q = (q - 8) * 0.75 on the 16-point axis of a 12 Bohr box, and each kind's axis table
+AXIS_X = (np.arange(16) - 8) * 0.75
+SAMPLED = [0.5, -1.25, 3.0, 0.0, -2.5, 1.75, 0.25, -0.125, 2.0, -3.5, 1.0, 0.75, -0.5, 1.5,
+           -1.0, 0.375]
+POTENTIAL_KINDS = {
+    "default": (None, np.zeros(16)),
+    "zero": ({"kind": "zero"}, np.zeros(16)),
+    "soft_coulomb": ({"kind": "soft_coulomb", "params": {"z": 3.0, "a": 0.5, "center": 1.5}},
+                     -3.0 / np.sqrt((AXIS_X - 1.5) ** 2 + 0.25)),
+    "gaussian_well": ({"kind": "gaussian_well",
+                       "params": {"v0": 2.0, "sigma": 1.5, "center": -0.75}},
+                      -2.0 * np.exp(-((AXIS_X + 0.75) ** 2) / 4.5)),
+    "harmonic": ({"kind": "harmonic", "params": {"k": 0.5}}, 0.25 * AXIS_X**2),
+    "samples": ({"kind": "samples", "params": {"values": SAMPLED}}, np.array(SAMPLED)),
+}
+
+
+@pytest.mark.parametrize("kind", POTENTIAL_KINDS)
+def test_from_config_builds_every_potential_kind(kind):
+    # each kind of model.potential, and its absence, through the config path; the
+    # axis table against its formula, written out here
+    potential, want = POTENTIAL_KINDS[kind]
+    config = {"n_points": 16, "box_length": 12.0}
+    if potential is not None:
+        config["potential"] = potential
+    m = GridModel.from_config(config)
+    np.testing.assert_allclose(m.potential, want, rtol=1e-15, atol=0.0)
+    assert np.array_equal(m.potential_grid(), m.potential)
+
+
 @pytest.mark.parametrize("make", [*LAYOUTS.values(), lambda: soft_model(n=512, box=60.0)],
                          ids=[*LAYOUTS, "1d_512"])
 def test_dense_hamiltonian_matches_complex_columns(make):
@@ -1211,14 +1269,16 @@ def test_dense_hamiltonian_matches_identity_applications(make):
 
 
 KERNEL_MODELS = {**LAYOUTS, "2e_64^2": lambda: two_electron_model(n=64),
-                 "1d_512": lambda: soft_model(n=512, box=60.0)}
+                 "1d_512": lambda: soft_model(n=512, box=60.0),
+                 "2e_512^2": lambda: two_electron_model(n=512)}
 
 
 @pytest.mark.parametrize("name", KERNEL_MODELS)
 def test_apply_hamiltonian_matches_complex_fft_build(name):
     # H by either kernel (per-axis matrices up to 256 points, the real-FFT kernel on
-    # 1d_512) against V psi plus ifftn(T fftn(psi)) in complex arithmetic on the
-    # full kinetic table, which shares no code with either kernel
+    # 1d_512 and on 2e_512^2, whose inner axis takes the complex fft and ifft)
+    # against V psi plus ifftn(T fftn(psi)) in complex arithmetic on the full
+    # kinetic table, which shares no code with either kernel
     m = KERNEL_MODELS[name]()
     axes = tuple(range(1, 1 + len(m.shape)))
     re, im = np.random.default_rng(17).standard_normal((2, 3, m.hilbert_dim))
@@ -1369,13 +1429,14 @@ def test_kinetic_circulant_is_the_index_build(n):
 ], ids=["fixture_grid", "harmonic_256", "1e_2", "3d_16^3"])
 def test_ground_state_applies_h_once_from_the_separable_start(monkeypatch, make):
     # with one electron, H is the one-axis h1 = diag(v) + K summed over the axes,
-    # so the start phi0 x ... x phi0 from h1's eigh is the ground state and the
-    # start's own image meets the residual bar (LOBPCG took 21 applications on
-    # the fixture's grid, 137 on harmonic_256 and 28 on 3d_16^3)
+    # so phi0 x ... x phi0 from h1's eigh is the ground state, taken as it is:
+    # its residual is found on h1 and H is not applied at all (LOBPCG from a
+    # random start took 21 applications on the fixture's grid, 137 on
+    # harmonic_256 and 28 on 3d_16^3)
     m = make()
     applied = _count_applications(monkeypatch)
     psi, energy = ground_state(m)
-    assert applied == [1]
+    assert applied == []
     assert float(np.linalg.norm(m.apply_hamiltonian(psi) - energy * psi)) <= 1e-10
 
 
@@ -1424,11 +1485,35 @@ def test_filter_and_evolve_on_the_sector_kernel_matches_the_general_pipeline(mon
 def test_deep_well_ground_state_without_a_filter(z):
     # soft Coulomb on the bundled fixture's grid: from a random start LOBPCG
     # stalled here (residual 3.6e-8 and 1.3e-6 after 500 iterations, exit 3);
-    # from the one-axis eigenbasis it starts at the ground state. The oracle is
-    # the ExactEigen run's ground energy; at about z Ha the two differed by 4e-16
-    # and 2e-16 of |E0| (eigvalsh of the same matrix differs from both by 2e-15)
+    # a run without a filter takes h1's ground pair as ExactEigen does. The
+    # oracle is eigh of an index-built h1
     m = GridModel.from_config({"dims": 1, "n_points": 256, "box_length": 80.0,
                                "potential": {"kind": "soft_coulomb", "params": {"z": z}}})
     _, energy, success = grid.filter_and_evolve(m, None, 1e-3)
     assert success is None
-    assert energy == pytest.approx(_eigen_ground(m)[1], rel=1e-15)
+    assert energy == pytest.approx(_index_ground(m)[1], rel=1e-14)
+
+
+# the six models, near the 1e7 Ha energy reach, whose ground pair ExactEigen
+# refused and ground_state found, or the other way round, while the two took
+# it by separate routines: h1's raw eigenpair, and LOBPCG from it on the grid
+DISAGREEING_MODELS = {
+    "soft_coulomb_3e6_16^3": ("soft_coulomb", "z", 3e6, 16, 16.0, 3),
+    "soft_coulomb_3e6_32^3": ("soft_coulomb", "z", 3e6, 32, 16.0, 3),
+    "soft_coulomb_5e6_256_box80": ("soft_coulomb", "z", 5e6, 256, 80.0, 1),
+    "gaussian_well_9e6_256_box80": ("gaussian_well", "v0", 9e6, 256, 80.0, 1),
+    "gaussian_well_9e6_256_box40": ("gaussian_well", "v0", 9e6, 256, 40.0, 1),
+    "gaussian_well_9e6_128_box40": ("gaussian_well", "v0", 9e6, 128, 40.0, 1),
+}
+
+
+@pytest.mark.parametrize("name", DISAGREEING_MODELS)
+def test_both_modes_take_one_ground_pair_near_the_energy_reach(name):
+    kind, field, strength, n, box, dims = DISAGREEING_MODELS[name]
+    m = GridModel.from_config({"dims": dims, "n_points": n, "box_length": box,
+                               "potential": {"kind": kind, "params": {field: strength}}})
+    psi, energy = ground_state(m)
+    exact_psi, exact_energy = grid._eigensystem(m)[2]
+    assert np.array_equal(psi, exact_psi) and energy == exact_energy
+    assert float(np.linalg.norm(m.apply_hamiltonian(psi) - energy * psi)) <= grid.GROUND_STATE_BAR
+    assert energy == pytest.approx(_index_ground(m)[1], rel=1e-14)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import inside_sphere
 from euvq.core import PlaneWaveSpec, ValidationError
 from euvq.planewave import continuum_projector_cost, dipole_block_encoding_cost
 from euvq.qarith import (
@@ -163,14 +164,25 @@ def test_comp_sampled_wide_registers():
         (b_vals[2000:12000] < a_vals[2000:12000]).astype(int))
 
 
-def test_radius_test_sampled_wide_registers():
+def _sampled_radius_mismatches() -> int:
+    """Points of 8-bit registers, 250 at each of 40 radii, where radius_test leaves the sphere's
+    definition (``inside_sphere``)."""
     rng = np.random.default_rng(20)
     n, box = 8, 50.0
+    mismatches = 0
     for _ in range(40):
         r_c = float(rng.uniform(1.0, 30.0))
-        constant = radius_threshold(r_c, n, box)
         vals = rng.integers(-128, 128, size=(250, 3))
         for row in vals:
             regs = tuple(BitRegister.from_int(int(v), n, signed=True) for v in row)
-            want = int(int(row[0])**2 + int(row[1])**2 + int(row[2])**2 <= constant)
-            assert radius_test(regs, r_c, box) == want
+            want = int(inside_sphere(sum(int(v) ** 2 for v in row), r_c, n, box))
+            mismatches += radius_test(regs, r_c, box) != want
+    return mismatches
+
+
+def test_radius_test_sampled_wide_registers():
+    assert _sampled_radius_mismatches() == 0
+
+
+def test_radius_test_sampled_catches_a_shifted_threshold(radius_threshold_plus_5):
+    assert _sampled_radius_mismatches() > 0
