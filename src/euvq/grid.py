@@ -4,14 +4,11 @@ A periodic 1D (or small 3D) grid carries one or two electrons: ground state,
 dipole excitation by the centered position operator, a Gaussian energy
 filter (exact eigenbasis or Chebyshev polynomial), real-time propagation, a
 hard spherical continuum projector, and kinetic-energy histogram sampling in
-the momentum basis. H and the dipole are exchange symmetric and the
+the momentum basis; :func:`filter_and_evolve` runs the stages up to the
+propagated state. H and the dipole are exchange symmetric and the
 two-electron ground state is the lowest spatially symmetric state, so a run
-stays in that sector. On grids of up to KINETIC_MATRIX_POINTS points the
-ground state's start and each of its preconditioned directions are symmetric
-to the bit, and the ground state and the series of :func:`filter_and_evolve`
-apply H by a kernel for that sector alone (:meth:`GridModel._apply_sector`,
-one kinetic product per state where the general kernel makes two).
-:func:`filter_and_evolve` runs the stages up to the propagated state.
+stays in that sector, where H applies by a kernel of its own up to
+KINETIC_MATRIX_POINTS points (:meth:`GridModel._apply_sector`).
 
 A model is checked once, when it is made (:class:`GridModel`): its sizes,
 finite energies, a spectral range whose square is finite, and an energy
@@ -34,44 +31,31 @@ expansion), so neither degree is found by a search or by refining a time
 step. One routine gives one electron's ground pair (:func:`_axis_ground`)
 in every ExactEigen run, and in every mode on grids that hold K: H is the
 one-axis Hamiltonian h1 = diag(v) + K summed over the ``dims`` axes, so
-the ground state is the tensor product of h1's lowest eigenvector, from one
-eigendecomposition of n_points rows (:func:`_axis_eigh`), polished on h1
-where its residual needs it. When v is even, that decomposition is split
-into the blocks of the axis inversion q -> -q mod N, which fixes 0 and N/2
-and pairs q with N - q, so both blocks are slices of h1 (:func:`_mirror_eigh`).
-An ExactEigen run also takes the window and exp(-iHt) from h1's eigensystem
-H = W diag(E) W^T, W = M x ... x M (:func:`_eigensystem`): the filtered
-state's amplitudes on W's columns take the phases exp(-iEt), no series is
-summed and H is never applied. Two electrons run on the series alone, and
-their ground state comes from locally optimal block preconditioned
-conjugate gradients (LOBPCG; Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)).
-Up to KINETIC_MATRIX_POINTS points it starts from h1's product eigenbasis,
-preconditioned by the shifted inverse of H's diagonal there, the
-repulsion's diagonal included (Davidson's preconditioner; 12 applications
-at 64^2). Above that, and for one electron on a line too long to hold K,
-it starts from a random vector, preconditioned by S (T + 1 Ha)^-1 S with
-the real-space diagonal S = (1 + V - min V)^-1/2: the kinetic factor
-inverts H - E where T dominates, and S where V does. Where that stalls on
-a line of at most 4096 points, h1's pair is taken instead.
+the ground state is the tensor product of h1's lowest eigenvector
+(:func:`_axis_eigh`, by the blocks of the axis inversion when v is even),
+polished on dims h1 where the stop rule needs it. An ExactEigen run also
+takes the window and exp(-iHt) from h1's eigensystem (:func:`_eigensystem`):
+the filtered state's amplitudes on H's eigenvectors take the phases
+exp(-iEt), no series is summed and H is never applied. Two electrons run on
+the series alone; their ground state, and that of one electron on a line
+too long to hold K, comes from LOBPCG (:func:`eigsh`). Every ground pair is
+finished once, in eigsh or from an eigendecomposition, under one stop rule
+read on H's spectrum (:func:`_converged`).
 
 Grid conventions: N points per dimension (power of two), spacing
 h = L / N, positions x_q = (q - N/2) h, momenta k = 2 pi fftfreq(N, h).
 The histogram's FFT is orthonormal, so position and momentum norms match
 exactly. H applies the kinetic energy by one N x N circulant matrix K per
-coordinate axis, a BLAS product each, on grids of up to
-KINETIC_MATRIX_POINTS = 256 points, and by a real-FFT kernel above that,
-because K's N^2 work per axis overtakes the FFT's N log N between 256 and
-512 points and a dense K cannot be held for lines of up to 2^20 points.
-The real-FFT kernel's inverse transforms carry the whole normalization.
+coordinate axis, a BLAS product each, up to KINETIC_MATRIX_POINTS points,
+and above by a real-FFT kernel, whose inverse transforms carry the whole
+normalization.
 
 Layout rule: as in the first-quantized circuit, each electron has its own
-coordinate register, so there are dims * eta axes and each table is built
-from a 1D axis table. Potential, kinetic and dipole tables are outer sums
-over the coordinates, the radius test sums the integer offsets q^2 over one
-electron's axes, and the "any electron outside" mask is the outer OR of the
-electrons' outside masks. A model builds its potential and kinetic tables,
-its one-axis kinetic matrix K (up to KINETIC_MATRIX_POINTS points) and the
-interval [mid - half_span, mid + half_span] once, when it is made.
+coordinate register, so there are dims * eta axes. Potential, kinetic and
+dipole tables are outer sums of 1D axis tables over them, the radius test
+sums the integer offsets q^2 over one electron's axes, and "any electron
+outside" is the outer OR of the electrons' masks. A model builds its
+tables, K and [mid - half_span, mid + half_span] once, when it is made.
 """
 
 from __future__ import annotations
@@ -569,8 +553,9 @@ def eigsh(apply, precondition, start: np.ndarray, upper: float, maxiter: int
     test, since its raw norm is the step size: testing the raw norm would
     drop p near convergence and leave steepest descent. Once the residual is
     within GROUND_STATE_TOL, or within the rounding floor of the operator's
-    range where that is larger, or after ``maxiter`` iterations, the Ritz
-    value, x, its carried image and the number of iterations are returned:
+    range where that is larger, or after ``maxiter`` iterations, x and its
+    carried image are divided by x's norm, and the unit x, its Rayleigh
+    quotient, the image's residual norm and the iteration count are returned:
     whether a pair at the cap is good enough is the caller's call.
     """
     basis, images = np.empty((3, len(start))), np.empty((3, len(start)))  # rows x, [p], w
@@ -585,7 +570,10 @@ def eigsh(apply, precondition, start: np.ndarray, upper: float, maxiter: int
         theta = float(x @ hx)
         np.subtract(hx, np.multiply(x, theta, out=residual), out=residual)
         if _converged(float(np.linalg.norm(residual)), theta, upper) or iterations == maxiter:
-            return theta, x.copy(), hx.copy(), iterations
+            norm = np.linalg.norm(x)
+            x, hx = x / norm, hx / norm
+            theta = float(x @ hx)
+            return x, theta, float(np.linalg.norm(hx - theta * x)), iterations
         size = kept
         basis[size] = precondition(residual)
         if _orthonormalize(basis[size], basis[:size]):
@@ -679,31 +667,27 @@ def _axis_ground(model: GridModel, h1: np.ndarray, energies: np.ndarray,
     """The one-electron ground pair, from h1 = diag(v) + K and its eigenpairs (:func:`_axis_eigh`).
 
     H is h1 summed over the ``dims`` axes, so the ground state is
-    phi x ... x phi and its energy the sum of dims copies of eps, for
-    (phi, eps) h1's lowest pair, and ||H psi - E psi|| is h1's residual times
-    sqrt(dims), since H psi - E psi is a sum of one orthogonal term per axis.
-    Where that is above the tolerance at which :func:`eigsh` stops, eigsh on
-    h1 polishes the pair from phi, preconditioned in h1's eigenbasis U by
-    U (eps - eps_0 + SEPARABLE_GAP)^-1 U^T (Davidson's preconditioner), and
-    the pair and its residual are taken afresh. The residual is then held to
-    GROUND_STATE_BAR.
+    phi x ... x phi and its energy dims eps, for (phi, eps) h1's lowest pair.
+    The stop rule is read on dims h1, which has H's spectrum and whose
+    residual dims ||h1 phi - eps phi|| bounds H's, sqrt(dims) times h1's, as
+    H psi - E psi is a sum of one orthogonal term per axis. Where it fails,
+    :func:`eigsh` polishes the pair on dims h1 from phi, preconditioned in
+    h1's eigenbasis U by U (eps - eps_0 + SEPARABLE_GAP)^-1 U^T (Davidson's
+    preconditioner), so its own stop is that rule. H's residual is then held
+    to GROUND_STATE_BAR.
     """
-    phi, eps = vectors[:, 0], float(energies[0])
-    upper, scale = float(energies[-1]), math.sqrt(model.dims)
-    residual = scale * float(np.linalg.norm(h1 @ phi - eps * phi))
+    dims, phi, eps = model.dims, vectors[:, 0], float(energies[0])
+    energy, upper = dims * eps, dims * float(energies[-1])
+    residual = dims * float(np.linalg.norm(h1 @ phi - eps * phi))
     how = f"from the eigendecomposition of {model.n_points} rows"
-    if not _converged(residual, eps, upper):
+    if not _converged(residual, energy, upper):
         inverse = 1.0 / (energies - energies[0] + SEPARABLE_GAP)
-        _, phi, _, iterations = eigsh(h1.dot, lambda r: vectors @ (inverse * (vectors.T @ r)),
-                                      phi, upper, GROUND_STATE_ITERATIONS)
-        phi /= np.linalg.norm(phi)
-        h_phi = h1 @ phi
-        eps = float(phi @ h_phi)
-        residual = scale * float(np.linalg.norm(h_phi - eps * phi))
+        phi, energy, residual, iterations = eigsh(
+            lambda x: dims * (h1 @ x), lambda r: vectors @ (inverse * (vectors.T @ r)),
+            phi, upper, GROUND_STATE_ITERATIONS)
         how += f" and {iterations} LOBPCG iterations on it"
-    _check_residual(model, residual, how)
-    return (functools.reduce(np.multiply.outer, [phi] * model.dims).reshape(-1),
-            sum([eps] * model.dims))
+    _check_residual(model, residual / math.sqrt(dims), how)
+    return functools.reduce(np.multiply.outer, [phi] * dims).reshape(-1), energy
 
 
 def _momentum_start(model: GridModel):
@@ -729,29 +713,24 @@ def ground_state(model: GridModel) -> tuple[np.ndarray, float]:
 
     One electron on a grid that holds K (up to KINETIC_MATRIX_POINTS points,
     every 3D grid) takes h1's pair (:func:`_axis_ground`), as ExactEigen
-    does, and H is not applied. Otherwise LOBPCG finds it in real arithmetic:
-    for two electrons up to KINETIC_MATRIX_POINTS points from h1's eigenbasis
-    (:func:`_separable_start`) on the sector kernel (:func:`_sector_operator`),
-    since H and D keep the exchange-symmetric sector, whose lowest state is
-    the ground state; above that from a random vector (:func:`_momentum_start`).
-    GROUND_STATE_ITERATIONS, read at each call, caps the iterations, each one
-    application of H. A pair within GROUND_STATE_BAR is accepted, at the cap
-    too. Above the bar, a one-electron line of at most 4096 points takes
-    :func:`_axis_ground`'s pair instead, and any other model is refused,
-    naming the iterations. A model whose energies reach past what the bar
-    can resolve was refused when it was made.
+    does, and H is not applied. Otherwise LOBPCG (:func:`eigsh`) finds it in
+    real arithmetic: for two electrons up to KINETIC_MATRIX_POINTS points
+    from h1's eigenbasis (:func:`_separable_start`) on the sector kernel
+    (:func:`_sector_operator`), since H and D keep the exchange-symmetric
+    sector, whose lowest state is the ground state; above that from a random
+    vector (:func:`_momentum_start`). GROUND_STATE_ITERATIONS, read at each
+    call, caps the iterations, each one application of H. A pair within
+    GROUND_STATE_BAR is accepted, at the cap too. Above the bar, a
+    one-electron line of at most 4096 points takes :func:`_axis_ground`'s
+    pair instead, and any other model is refused, naming the iterations.
     """
     if model.eta == 1 and model._kinetic_matrix is not None:
         return _axis_ground(model, *_axis_eigh(model))
     start, precondition = (_momentum_start(model) if model._kinetic_matrix is None
                            else _separable_start(model))
     apply = functools.partial(_sector_operator(model), model._tables)
-    _, psi, h_psi, iterations = eigsh(apply, precondition, start,
-                                      model.mid + model.half_span, GROUND_STATE_ITERATIONS)
-    norm = np.linalg.norm(psi)
-    psi, h_psi = psi / norm, h_psi / norm
-    energy = float(psi @ h_psi)
-    residual = float(np.linalg.norm(h_psi - energy * psi))
+    psi, energy, residual, iterations = eigsh(apply, precondition, start,
+                                              model.mid + model.half_span, GROUND_STATE_ITERATIONS)
     if residual > GROUND_STATE_BAR and model.eta == 1 and model.n_points <= 4096:
         return _axis_ground(model, *_axis_eigh(model))
     _check_residual(model, residual, f"after {iterations} LOBPCG iterations")
@@ -775,10 +754,9 @@ def gaussian_filter(model: GridModel, filt: FilterSpec, state: np.ndarray,
     """Apply f(H - E0) with f a Gaussian centered at ``filt.center``.
 
     Both modes weigh energies by ``filt.window``. ExactEigen mode applies it
-    in h1's eigensystem (:func:`_eigensystem`), which takes one electron and
-    holds the model to the same checks as a run's ground pair; ChebyshevPoly
-    applies, matrix-free, the Chebyshev series that ``chebyshev_fit`` cuts
-    from the window within ``filt.poly_tolerance``.
+    in h1's eigensystem (:func:`_eigensystem`), for one electron on at most
+    4096 points; ChebyshevPoly applies, matrix-free, the Chebyshev series
+    that ``chebyshev_fit`` cuts from the window within ``filt.poly_tolerance``.
     Returns the filtered (un-normalized) state and the success probability
     ||f psi||^2 / ||psi||^2.
     """
@@ -837,21 +815,19 @@ def _excite(model: GridModel, ground: np.ndarray) -> np.ndarray:
 
 
 def _eigensystem(model: GridModel):
-    """H = W diag(E) W^T, W = M x ... x M on the model's ``dims`` axes: E, M and the ground pair.
+    """H = W diag(E) W^T, W = M x ... x M on the model's ``dims`` axes: E, M, h1 and its energies.
 
     ExactEigen takes one electron on at most 4096 points, or the model is
     refused naming ``mode``. H is then h1 summed over the axes, so M is h1's
     eigenbasis (:func:`_axis_eigh`) and E the outer sum of h1's energies. The
-    ground pair is :func:`_axis_ground`'s, the one :func:`ground_state`
-    gives on every grid that holds K.
+    ground pair is taken where it is read (:func:`filter_and_evolve`).
     """
     if model.eta != 1 or model.n_points > 4096:
         raise ValidationError(f"field 'mode' in FilterSpec: ExactEigen takes one electron on at "
                               f"most 4096 points; use ChebyshevPoly, got eta {model.eta} and "
                               f"n_points {model.n_points}")
     h1, energies, vectors = _axis_eigh(model)
-    return (_outer_sum([energies] * model.dims).reshape(-1), vectors,
-            _axis_ground(model, h1, energies, vectors))
+    return _outer_sum([energies] * model.dims).reshape(-1), vectors, h1, energies
 
 
 def filter_and_evolve(model: GridModel, filt: FilterSpec | None, t: float
@@ -866,20 +842,20 @@ def filter_and_evolve(model: GridModel, filt: FilterSpec | None, t: float
     :func:`_sector_operator`, since every state it makes is exchange
     symmetric. An ExactEigen window, for one electron only, takes all from
     h1's eigensystem H = W diag(E) W^T, W = M x ... x M (:func:`_eigensystem`),
-    whose ground pair is ground_state's wherever K is held: the state is
-    W (exp(-iEt) f(E - E0) W^T D psi0) / ||f(H - E0) D psi0||, one phase per
-    level in place of a series in H, exact at any t, and H is never applied.
-    The time is checked by :func:`check_time` in every mode, so the accepted
-    times do not depend on the mode. Raises NumericalError when the dipole or
-    the window removes the whole state.
+    the ground pair by :func:`_axis_ground` as ground_state does where K is
+    held: the state is W (exp(-iEt) f(E - E0) W^T D psi0) / ||f(H - E0) D psi0||,
+    one phase per level in place of a series in H, exact at any t, and H is
+    never applied. The time is checked by :func:`check_time` in every mode.
+    Raises NumericalError when the dipole or the window removes the whole state.
     """
     check_time(model, t)
     if filt is not None and filt.mode == "ExactEigen":
-        energies, vectors, (ground, energy) = _eigensystem(model)
+        levels, vectors, h1, energies = _eigensystem(model)
+        ground, energy = _axis_ground(model, h1, energies, vectors)
         state = _excite(model, ground)
-        filtered, amplitudes = _exact_window(model, filt, energies, vectors, state, energy)
+        filtered, amplitudes = _exact_window(model, filt, levels, vectors, state, energy)
         success = _window_success(filtered, state)
-        rotated = np.exp(-1j * t * energies) * amplitudes / _filtered_norm(filtered)
+        rotated = np.exp(-1j * t * levels) * amplitudes / _filtered_norm(filtered)
         # M is real: two real passes, not a complex copy of M
         return (_along_axes(vectors, rotated.real, model.dims)
                 + 1j * _along_axes(vectors, rotated.imag, model.dims)), energy, success

@@ -41,11 +41,27 @@ def inside_sphere(q2: int, r_cutoff: float, n_bits: int, box: float) -> bool:
     return q2 * (r_den * box_num) ** 2 < (r_num * box_den * 2**n_bits) ** 2
 
 
+def _shift_radius_threshold(monkeypatch, shift: int) -> None:
+    threshold = qarith.radius_threshold
+    monkeypatch.setattr(qarith, "radius_threshold", lambda *args: threshold(*args) + shift)
+
+
 @pytest.fixture
 def radius_threshold_plus_5(monkeypatch):
     """``qarith.radius_threshold`` returning 5 more: a fault each radius oracle must catch."""
-    threshold = qarith.radius_threshold
-    monkeypatch.setattr(qarith, "radius_threshold", lambda *args: threshold(*args) + 5)
+    _shift_radius_threshold(monkeypatch, 5)
+
+
+@pytest.fixture
+def radius_threshold_plus_1(monkeypatch):
+    """``qarith.radius_threshold`` off by one upward: only points on the shell above it catch it."""
+    _shift_radius_threshold(monkeypatch, 1)
+
+
+@pytest.fixture
+def radius_threshold_minus_1(monkeypatch):
+    """``qarith.radius_threshold`` off by one downward: only points on its own shell catch it."""
+    _shift_radius_threshold(monkeypatch, -1)
 
 
 def correlation_identity_check(model, state, r_cutoff):

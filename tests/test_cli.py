@@ -437,11 +437,11 @@ ESTIMATOR_DIGESTS = [
     ("estimate-absorption", "table1.json", "json",
      "011b55c6420714beb3a9f35577359625ca9a3f34dccb9328a395995d33266744"),
     ("estimate-photoemission", "corollary_imeph.json", "table",
-     "96ca83dab6e91b806d4b33c3087747eb36f67a5fa8bbff7a8453db6d88a6ce7c"),
+     "b624c9019880eb23da1c43293918e20038c0a431de8488f75e464d12c98a815c"),
     ("estimate-photoemission", "corollary_imeph.json", "csv",
-     "0585ac72665abca330f93bac508b2712149a6ae05073eeed5c372e78046125d9"),
+     "00f32d5883a911768717fcebdf0e880e5662782fc5e5b66b414762de7abc1d34"),
     ("estimate-photoemission", "corollary_imeph.json", "json",
-     "09f32cee3ebeaf9a7abaacbd353ebf52295b3e3cc277460d228e888e2e9e4790"),
+     "435f7d33dff9f49d1698ed85b7c394c73a9e64e4b4c9793051343825c96aa204"),
     ("estimate-photoemission", "table2_ae.json", "table",
      "fa52c816595c43a44ab32bb93899e2ad6108df7d2ee20e898b278708310419ae"),
     ("estimate-photoemission", "table2_ae.json", "csv",

@@ -484,7 +484,7 @@ def test_symmetric_eigh_matches_full_eigh(name):
     # plain eigh of h1, which is the dense H, to the bit
     model = SYMMETRY_CASES[name]()
     h = dense_hamiltonian(model)
-    energies, vectors, _ = grid._eigensystem(model)
+    energies, vectors = grid._eigensystem(model)[:2]
     want_energies, want_vectors = np.linalg.eigh(h)
     axes = model.dims
     assert len(vectors) == model.n_points
@@ -914,17 +914,52 @@ def test_ground_state_at_the_iteration_cap_is_held_to_the_bar(monkeypatch, z, wi
         assert np.array_equal(psi, want) and energy == want_energy
 
 
+def _assert_lowest_level(m, psi, energy):
+    """Hold a unit pair to the dense H's lowest level, within 1e-9 of the energy, relative.
+
+    A residual within GROUND_STATE_BAR puts a level within it of the energy,
+    and a Cholesky factor of H - (energy - 1e-9 |energy|) puts none below
+    that (Sylvester's law of inertia), at a quarter of the cost of eigvalsh.
+    """
+    assert float(np.linalg.norm(m.apply_hamiltonian(psi) - energy * psi)) <= grid.GROUND_STATE_BAR
+    h = dense_hamiltonian(m)
+    h[np.diag_indices_from(h)] -= energy - 1e-9 * abs(energy)
+    np.linalg.cholesky(h)  # raises LinAlgError where a level lies lower
+
+
 @pytest.mark.parametrize("n, z", [(512, 1e5), (1024, 1e4), (1024, 1e5), (2048, 1e4),
                                   (2048, 1e5), (4096, 1e4), (4096, 1e5)])
 def test_ground_state_on_a_stalled_line_meets_the_bar(n, z):
     # soft Coulomb in the fixture's 80 Bohr box: LOBPCG from a random start ends
     # its 500 iterations above the 1e-8 bar on each of these lines (from 2.8e-8
     # at 1024 points z 1e4 to 2.0e-1 at 4096 points z 1e5), and the pair comes
-    # from h1's decomposition, held here by H's real-FFT kernel
+    # from h1's decomposition, held here by H's real-FFT kernel and to the
+    # dense H's lowest level
     m = soft_model(n=n, box=80.0, z=z)
     psi, energy = ground_state(m)
-    assert float(np.linalg.norm(m.apply_hamiltonian(psi) - energy * psi)) <= grid.GROUND_STATE_BAR
+    _assert_lowest_level(m, psi, energy)
     assert energy < -0.99 * z
+
+
+def test_a_stalled_even_double_well_takes_its_odd_ground_state(monkeypatch):
+    # two 1e4 Ha wells on single sites, x = -20 and +20 Bohr, of a 512-point line
+    # in an 80 Bohr box: the potential is even, and K's couplings between sites an
+    # even distance apart are positive, so the odd combination of the two site
+    # states lies 3.0e-3 Ha below the even one. LOBPCG from a random start stalls
+    # on that near-degenerate pair, and the pair h1's decomposition gives must be
+    # the lowest level of the dense H, the odd one, not the even block's lowest
+    n = 512
+    v = np.zeros(n)
+    v[n // 2 - 128] = v[n // 2 + 128] = -1e4
+    m = GridModel.from_config({"dims": 1, "n_points": n, "box_length": 80.0,
+                               "potential": {"kind": "samples", "params": {"values": v.tolist()}}})
+    decompositions, axis_eigh = [], grid._axis_eigh
+    monkeypatch.setattr(grid, "_axis_eigh", lambda model: decompositions.append(model)
+                        or axis_eigh(model))
+    psi, energy = ground_state(m)
+    assert len(decompositions) == 1
+    _assert_lowest_level(m, psi, energy)
+    np.testing.assert_allclose(psi[1:], -psi[:0:-1], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("eta", [1, 2])
@@ -1148,12 +1183,13 @@ def test_eigsh_matches_dense_lowest_eigenpair():
     a = rng.standard_normal((60, 60))
     a = a + a.T
     evals, evecs = np.linalg.eigh(a)
-    energy, x, ax, _ = grid.eigsh(lambda v: a @ v, lambda r: r, rng.standard_normal(60),
-                                  float(evals[-1]), 200)
+    x, energy, residual, _ = grid.eigsh(lambda v: a @ v, lambda r: r, rng.standard_normal(60),
+                                        float(evals[-1]), 200)
+    assert float(np.linalg.norm(x)) == pytest.approx(1.0, abs=1e-15)
     assert energy == pytest.approx(float(evals[0]), abs=1e-12)
     assert abs(float(x @ evecs[:, 0])) == pytest.approx(1.0, abs=1e-12)
-    # the image is carried through the iteration, not applied again
-    np.testing.assert_allclose(ax, a @ x, rtol=0, atol=1e-12)
+    # the residual is that of the image carried through the iteration, not applied again
+    assert residual == pytest.approx(float(np.linalg.norm(a @ x - energy * x)), abs=1e-12)
 
 
 def _layout_oracle(m):
@@ -1513,7 +1549,32 @@ def test_both_modes_take_one_ground_pair_near_the_energy_reach(name):
     m = GridModel.from_config({"dims": dims, "n_points": n, "box_length": box,
                                "potential": {"kind": kind, "params": {field: strength}}})
     psi, energy = ground_state(m)
-    exact_psi, exact_energy = grid._eigensystem(m)[2]
+    _, vectors, h1, axis_energies = grid._eigensystem(m)  # as filter_and_evolve reads them
+    exact_psi, exact_energy = grid._axis_ground(m, h1, axis_energies, vectors)
     assert np.array_equal(psi, exact_psi) and energy == exact_energy
     assert float(np.linalg.norm(m.apply_hamiltonian(psi) - energy * psi)) <= grid.GROUND_STATE_BAR
     assert energy == pytest.approx(_index_ground(m)[1], rel=1e-14)
+
+
+@pytest.mark.parametrize("n, enters", [(16, True), (32, False)], ids=["16^3", "32^3"])
+def test_a_polished_pair_leaves_meeting_the_rule_it_entered_on(monkeypatch, n, enters):
+    # soft Coulomb z 3e6 (a 1, box 16) in 3D, near the 1e7 Ha energy reach. The
+    # one-axis pair enters its polish where it fails the stop rule (the first
+    # check), and the pair it leaves with must meet that same rule, its residual
+    # taken afresh on H by apply_hamiltonian. Read on 3 h1, the 16^3 pair enters
+    # and the 32^3 pair meets the rule as it is
+    m = GridModel.from_config({"dims": 3, "n_points": n, "box_length": 16.0,
+                               "potential": {"kind": "soft_coulomb", "params": {"z": 3e6}}})
+    checks, converged = [], grid._converged
+
+    def recorded(*args):
+        checks.append(args)
+        return converged(*args)
+
+    monkeypatch.setattr(grid, "_converged", recorded)
+    psi, energy = ground_state(m)
+    entered = not converged(*checks[0])
+    residual = float(np.linalg.norm(m.apply_hamiltonian(psi) - energy * psi))
+    assert not entered or converged(residual, *checks[0][1:])
+    assert residual <= grid.GROUND_STATE_BAR
+    assert entered == enters

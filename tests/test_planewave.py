@@ -120,10 +120,15 @@ def test_lattice_sum_octant_matches_full_cube(n_bits):
 
 
 def test_lattice_sum_radial_regime():
-    # the integral approximation takes over above n_bits = 7
+    # above n_bits = 7 the sum is the integral of 1/|u| over the cube that the
+    # points' unit cells fill, less the origin's cell: C a (a - 1), a = 2^(n-1),
+    # C = 12 ln(2 + sqrt 3) - 2 pi, held to the exact sum at n_bits = 8
+    c = 12 * math.log(2 + math.sqrt(3)) - 2 * math.pi
     for n in (8, 10):
-        assert lattice_sum_inv_norm(n) == pytest.approx(2 * math.pi * 4**n / 4, rel=1e-12)
-    assert lattice_sum_inv_norm(7) != pytest.approx(2 * math.pi * 4**7 / 4, rel=1e-12)
+        a = 2 ** (n - 1)
+        assert lattice_sum_inv_norm(n) == pytest.approx(c * a * (a - 1), rel=1e-12)
+    assert lattice_sum_inv_norm(8) == pytest.approx(_lattice_sum_full_cube(8), rel=1e-6, abs=0.0)
+    assert lattice_sum_inv_norm(7) != pytest.approx(c * 64 * 63, rel=1e-12)
 
 
 def test_sweep_sums_the_lattice_once_per_n_bits():

@@ -164,16 +164,48 @@ def test_comp_sampled_wide_registers():
         (b_vals[2000:12000] < a_vals[2000:12000]).astype(int))
 
 
+def _largest_inside(r_c: float, n: int, box: float) -> int:
+    """The threshold t, the largest sum q^2 inside the sphere, by bisection on ``inside_sphere``."""
+    inside, outside = 0, 3 * 4**n + 1  # the origin is inside; no n-bit point reaches 3 * 4^n + 1
+    assert inside_sphere(inside, r_c, n, box) and not inside_sphere(outside, r_c, n, box)
+    while outside - inside > 1:
+        mid = (inside + outside) // 2
+        if inside_sphere(mid, r_c, n, box):
+            inside = mid
+        else:
+            outside = mid
+    return inside
+
+
+def _shell_points(q2: int, rng, count: int) -> np.ndarray:
+    """Up to ``count`` random 8-bit points (x, y, z) with x^2 + y^2 + z^2 = q2 exactly."""
+    coords = np.arange(-127, 128)
+    rest = q2 - coords[:, None] ** 2 - coords[None, :] ** 2  # z^2 for each (x, y)
+    z = np.sqrt(np.maximum(rest, 0)).round().astype(int)
+    x, y = np.nonzero((rest >= 0) & (z * z == rest) & (z <= 127))
+    pick = rng.permutation(len(x))[:count]
+    signs = rng.choice([-1, 1], size=len(pick))
+    return np.column_stack([coords[x[pick]], coords[y[pick]], signs * z[x[pick], y[pick]]])
+
+
 def _sampled_radius_mismatches() -> int:
-    """Points of 8-bit registers, 250 at each of 40 radii, where radius_test leaves the sphere's
-    definition (``inside_sphere``)."""
-    rng = np.random.default_rng(20)
+    """8-bit points where radius_test leaves the sphere's definition (``inside_sphere``).
+
+    At each of 40 radii: 250 uniform points, and up to 5 points on each of
+    the integer shells sum q^2 = t - 1, t and t + 1 around the threshold t,
+    which the definition alone gives (:func:`_largest_inside`). The uniform
+    points catch a threshold 5 too high at only 2 of 10000; the shells catch
+    one off by one either way.
+    """
+    rng, shell_rng = np.random.default_rng(20), np.random.default_rng(21)
     n, box = 8, 50.0
     mismatches = 0
     for _ in range(40):
         r_c = float(rng.uniform(1.0, 30.0))
         vals = rng.integers(-128, 128, size=(250, 3))
-        for row in vals:
+        t = _largest_inside(r_c, n, box)
+        shells = [_shell_points(q2, shell_rng, 5) for q2 in (t - 1, t, t + 1)]
+        for row in np.concatenate([vals, *shells]):
             regs = tuple(BitRegister.from_int(int(v), n, signed=True) for v in row)
             want = int(inside_sphere(sum(int(v) ** 2 for v in row), r_c, n, box))
             mismatches += radius_test(regs, r_c, box) != want
@@ -185,4 +217,10 @@ def test_radius_test_sampled_wide_registers():
 
 
 def test_radius_test_sampled_catches_a_shifted_threshold(radius_threshold_plus_5):
+    assert _sampled_radius_mismatches() > 0
+
+
+@pytest.mark.parametrize("mutant", ["radius_threshold_minus_1", "radius_threshold_plus_1"])
+def test_radius_test_sampled_catches_a_threshold_off_by_one(request, mutant):
+    request.getfixturevalue(mutant)
     assert _sampled_radius_mismatches() > 0
