@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, _between, _check
 
 SYMMETRY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-10
@@ -82,8 +82,7 @@ def double_factorize(tensor: TwoElectronTensor, l_max: int) -> CdfFactorization:
     error over the retained fragments.
     """
     n = tensor.n_orbitals
-    if not 1 <= l_max <= n * n:
-        raise ValidationError(f"field 'l_max' must lie in [1, N^2] = [1, {n * n}], got {l_max}")
+    _check(l_max, _between(1, n * n), "l_max", "tensor file")
 
     mat = tensor.values.reshape(n * n, n * n)
     evals, evecs = np.linalg.eigh((mat + mat.T) / 2.0)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .core import (MAX_SHOTS, REQUIRED, AbsorptionSpec, NumericalError, PlaneWaveSpec,
-                   ValidationError, read_dataclass, read_fields, read_numbers)
+                   ValidationError, _at_least, _between, _POSITIVE, _refuse, read_dataclass,
+                   read_fields, read_numbers)
 
 EX_OK = 0
 EX_VALIDATION = 2
@@ -94,9 +95,8 @@ def _load_json(path: str) -> dict:
 
 def _sweep(data, spec_cls):
     if isinstance(data, dict) and "sweep" in data:
-        entries = read_fields(data, {"sweep": (list, REQUIRED)}, "sweep file")["sweep"]
-        if not entries:
-            raise ValidationError("sweep must hold at least one spec")
+        entries = read_fields(data, {"sweep": (list, REQUIRED, (len, "a non-empty list"))},
+                              "sweep file")["sweep"]
         return [spec_cls.from_dict(entry) for entry in entries]
     return [spec_cls.from_dict(data)]
 
@@ -134,18 +134,16 @@ def run_emulate_absorption(data, seed: int) -> Output:
     from . import spectro
 
     cfg = read_fields(data, {
-        "scene": (dict, REQUIRED), "gamma": (float, REQUIRED), "tau": (float, REQUIRED),
-        "j_max": (int, REQUIRED), "shots": (int, 1000), "omega": (dict, REQUIRED),
+        "scene": (dict, REQUIRED), "gamma": (float, REQUIRED, _POSITIVE),
+        "tau": (float, REQUIRED, _POSITIVE), "j_max": (int, REQUIRED, _at_least(0)),
+        "shots": (int, 1000), "omega": (dict, REQUIRED),
     }, "emulate-absorption config")
     scene = spectro.scene_from_dict(cfg["scene"])
     scan = read_fields(cfg["omega"], {"min": (float, REQUIRED), "max": (float, REQUIRED),
-                                      "points": (int, REQUIRED)}, "omega")
-    if not 1 <= scan["points"] <= MAX_OMEGA_POINTS:
-        raise ValidationError(f"field 'points' in omega must be from 1 to 2^20 = "
-                              f"{MAX_OMEGA_POINTS}, got {scan['points']}")
+                                      "points": (int, REQUIRED, _between(1, MAX_OMEGA_POINTS))},
+                       "omega")
     if not math.isfinite(scan["max"] - scan["min"]):
-        raise ValidationError(f"fields 'min' and 'max' in omega must span a finite range, "
-                              f"got {scan['min']:g} to {scan['max']:g}")
+        _refuse("max", "omega", f"a finite distance from 'min' = {scan['min']:g}", scan["max"])
     omegas = np.linspace(scan["min"], scan["max"], scan["points"])
     rows = spectro.spectrum_rows(scene, omegas, cfg["gamma"], cfg["tau"], cfg["j_max"],
                                  cfg["shots"], seed)
@@ -160,22 +158,17 @@ def run_emulate_photoemission(data, seed: int) -> Output:
     cfg = read_fields(data, {
         "model": (dict, REQUIRED), "filter": (dict, None), "time": (float, 0.0),
         "r_cutoff": (float, REQUIRED), "bins": (dict, {"max": 2.0, "count": 20}),
-        "shots": (int, 0),
+        "shots": (int, 0, _between(0, MAX_SHOTS)),
     }, "emulate-photoemission config")
     model = grid.GridModel.from_config(cfg["model"])  # checks the energy reach itself
     grid.check_r_cutoff(model, cfg["r_cutoff"])
     filt = None if cfg["filter"] is None else read_dataclass(grid.FilterSpec, cfg["filter"])
-    bins = read_fields(cfg["bins"], {"max": (float, REQUIRED), "count": (int, REQUIRED)}, "bins")
-    if not 1 <= bins["count"] <= MAX_BIN_COUNT:
-        raise ValidationError(f"field 'count' in bins must be from 1 to 2^20 = "
-                              f"{MAX_BIN_COUNT}, got {bins['count']}")
+    bins = read_fields(cfg["bins"], {"max": (float, REQUIRED),
+                                     "count": (int, REQUIRED, _between(1, MAX_BIN_COUNT))}, "bins")
     edges = np.linspace(0.0, bins["max"], bins["count"] + 1)
     if not np.all(np.diff(edges) > 0):
-        raise ValidationError(f"field 'max' in bins must be positive and split into "
-                              f"{bins['count']} increasing bin edges, got {bins['max']:g}")
-    if not 0 <= cfg["shots"] <= MAX_SHOTS:
-        raise ValidationError(f"field 'shots' in emulate-photoemission config must be from 0 "
-                              f"to 2^24 = {MAX_SHOTS}, got {cfg['shots']}")
+        _refuse("max", "bins", f"positive and split into {bins['count']} bins with increasing "
+                f"edges", bins["max"])
 
     psi, energy, p_w = grid.filter_and_evolve(model, filt, cfg["time"])
     leakage = grid.edge_density(model, psi)
@@ -206,11 +199,10 @@ def run_cdf(data, seed: int) -> Output:
     from . import cdf
 
     cfg = read_fields(data, {
-        "n_orbitals": (int, REQUIRED), "values": (list, REQUIRED), "l_max": (int, None),
+        "n_orbitals": (int, REQUIRED, _at_least(1)), "values": (list, REQUIRED),
+        "l_max": (int, None),
     }, "tensor file")
     n = cfg["n_orbitals"]
-    if n < 1:
-        raise ValidationError("n_orbitals must be at least 1")
     tensor = cdf.TwoElectronTensor(
         n_orbitals=n, values=read_numbers(cfg["values"], (n,) * 4, "field 'values' in tensor file"))
     l_max = n if cfg["l_max"] is None else cfg["l_max"]

@@ -1,6 +1,10 @@
 """Shared domain types, physical constants, and the input reader.
 
-Every JSON input field is type-checked once, by :func:`read_fields` or :func:`read_numbers`.
+Every JSON input field is type- and range-checked once, by :func:`read_fields` or
+:func:`read_numbers`. A range is a rule: a NaN-safe predicate and the phrase its
+refusal reads. The specs declare each field's rule beside the field, so one
+built in Python passes the checks one read from JSON does, and every range
+refusal is worded by :func:`_refuse`.
 
 All internal energies are in Hartree, times in atomic units, lengths in
 Bohr. Conversions to/from eV and femtoseconds happen only at input/output
@@ -15,7 +19,7 @@ import functools
 import math
 import sys
 import typing
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 HARTREE_PER_EV = 1.0 / 27.211386
 AU_TIME_PER_FS = 41.3414
@@ -74,6 +78,52 @@ def aligned_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
                    for line in (header, *rows))
 
 
+# Range rules: a predicate, false for NaN, and the phrase its refusal reads
+_POSITIVE = (lambda v: v > 0, "positive")
+_UNIT_INTERVAL = (lambda v: 0 < v <= 1, "within (0, 1]")
+_FINITE = (lambda v: abs(v) <= sys.float_info.max, "a finite number")
+_GATE_COUNT = (lambda v: 0 <= v <= sys.float_info.max,
+               "a non-negative count within the float range")
+
+
+def _at_least(low):
+    return (lambda v: v >= low, f"at least {low}")
+
+
+def _between(low, high):
+    return (lambda v: low <= v <= high, f"from {low} to {high}")
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices, " or ".join(map(str, choices)))
+
+
+def _ranged(rule, default=MISSING):
+    """A dataclass field whose value must keep ``rule``, checked by :func:`_check_fields`."""
+    return field(default=default, metadata={"rule": rule})
+
+
+def _shown(value) -> str:
+    """``value`` as a refusal prints it: its repr, cut to 40 characters."""
+    if isinstance(value, (int, float)) and value == value and not _FINITE[0](value):
+        return "a number beyond the float range"
+    if isinstance(value, int) and abs(value) >= 10**16:  # more digits than a float keeps
+        return f"{value:.3g}"
+    shown = repr(value)
+    return shown if len(shown) <= 40 else shown[:37] + "..."
+
+
+def _refuse(name: str, where: str, phrase: str, value) -> typing.NoReturn:
+    """Raise the one range refusal, naming the field and ``where``, the object it sits in."""
+    raise ValidationError(f"field '{name}' in {where} must be {phrase}, got {_shown(value)}")
+
+
+def _check(value, rule, name: str, where: str) -> None:
+    ok, phrase = rule
+    if not ok(value):
+        _refuse(name, where, phrase, value)
+
+
 @dataclass(frozen=True)
 class CostReport:
     """Logical-qubit count, shot count and per-subroutine non-Clifford gate breakdown.
@@ -84,22 +134,16 @@ class CostReport:
     ``details`` holds, as (name, value) pairs, the intermediates the counts were built from.
     """
 
-    logical_qubits: int
-    shots: int
+    logical_qubits: int = _ranged(_at_least(0))
+    shots: int = _ranged(_at_least(1))
     breakdown: tuple[tuple[str, float], ...]
     details: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.logical_qubits < 0 or self.shots < 1:
-            raise ValidationError("qubits must be >= 0 and shots >= 1")
+        _check_fields(self)
         for label, count in self.breakdown:
-            if count < 0:
-                raise ValidationError(f"cost term '{label}' must be non-negative")
-            if not count <= sys.float_info.max:
-                raise ValidationError(f"cost term '{label}' is beyond the float range")
-        if not self.overall_gates <= sys.float_info.max:
-            raise ValidationError("overall gates (gates per circuit x shots) are beyond "
-                                  "the float range")
+            _check(count, _GATE_COUNT, label, "CostReport.breakdown")
+        _check(self.overall_gates, _GATE_COUNT, "overall_gates", "CostReport")
 
     @property
     def gates_per_circuit(self) -> float:
@@ -129,35 +173,22 @@ class AbsorptionSpec:
     constants for the shot count (computed from first principles when None).
     """
 
-    n_orbitals: int
-    l_fragments: int
-    gamma: float            # Ha
-    j_max: int
-    tau: float              # a.u.
-    y3_magnitude: float     # Ha, |<Y3>|
-    dipole_norm: float      # a.u.
-    epsilon: float          # a.u., target cross-section error
-    rot_bits: int = 18
-    shot_alpha: float | None = None
-    shot_beta: float | None = None
-    state_prep_gates: int = 0
-    ancilla_qubits: int = 104
+    n_orbitals: int = _ranged(_at_least(1))
+    l_fragments: int = _ranged(_at_least(1))
+    gamma: float = _ranged(_POSITIVE)           # Ha
+    j_max: int = _ranged(_at_least(0))
+    tau: float = _ranged(_POSITIVE)             # a.u.
+    y3_magnitude: float = _ranged(_POSITIVE)    # Ha, |<Y3>|
+    dipole_norm: float = _ranged(_POSITIVE)     # a.u.
+    epsilon: float = _ranged(_POSITIVE)         # a.u., target cross-section error
+    rot_bits: int = _ranged(_at_least(3), 18)
+    shot_alpha: float | None = _ranged(_POSITIVE, None)
+    shot_beta: float | None = _ranged(_POSITIVE, None)
+    state_prep_gates: int = _ranged(_at_least(0), 0)
+    ancilla_qubits: int = _ranged(_at_least(0), 104)
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0 or self.tau <= 0 or self.epsilon <= 0:
-            raise ValidationError("gamma, tau, epsilon must be positive")
-        if self.j_max < 0 or self.l_fragments < 1 or self.n_orbitals < 1:
-            raise ValidationError("j_max >= 0, l_fragments >= 1, n_orbitals >= 1 required")
-        if self.y3_magnitude <= 0:
-            raise ValidationError("y3_magnitude must be positive")
-        if self.rot_bits < 3:
-            raise ValidationError("rot_bits must be at least 3")
-        for name in ("dipole_norm", "shot_alpha", "shot_beta"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValidationError(f"{name} must be positive")
-        if self.state_prep_gates < 0 or self.ancilla_qubits < 0:
-            raise ValidationError("state_prep_gates and ancilla_qubits must be non-negative")
+        _check_fields(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "AbsorptionSpec":
@@ -178,53 +209,29 @@ class PlaneWaveSpec:
     all-electron formulas at its own eta = lambda_zeta.
     """
 
-    eta: int
-    lambda_zeta: float
-    omega_cell: float       # Bohr^3
-    n_bits: int
-    epsilon_be: float       # Ha
-    delta_filter: float     # Ha
-    t_evolution: float      # a.u.
-    p_dipole: float = 1e-3
-    p_window: float = 1e-3
-    p_continuum: float = 1.0
-    c_sp: float = 1e9       # state-preparation gates, external input
-    method: str = "AllElectron"
-    epsilon_sampling: float = 0.01
-    b_r: int = 7
-    p_nu: float = 1.0
-    filter_convention: str = "table"  # "table" or "body"
+    eta: int = _ranged(_at_least(1))
+    lambda_zeta: float = _ranged(_POSITIVE)
+    omega_cell: float = _ranged(_POSITIVE)      # Bohr^3
+    n_bits: int = _ranged(_between(1, (sys.float_info.max_exp - 1) // 2))  # 2^(2 n_bits) finite
+    epsilon_be: float = _ranged(_POSITIVE)      # Ha
+    delta_filter: float = _ranged(_POSITIVE)    # Ha
+    t_evolution: float = _ranged(_at_least(0))  # a.u.
+    p_dipole: float = _ranged(_UNIT_INTERVAL, 1e-3)
+    p_window: float = _ranged(_UNIT_INTERVAL, 1e-3)
+    p_continuum: float = _ranged(_UNIT_INTERVAL, 1.0)
+    c_sp: float = _ranged(_at_least(0), 1e9)    # state-preparation gates, external input
+    method: str = _ranged(_one_of("AllElectron", "Pseudopotential"), "AllElectron")
+    epsilon_sampling: float = _ranged(_POSITIVE, 0.01)
+    b_r: int = _ranged(_at_least(1), 7)
+    p_nu: float = _ranged(_UNIT_INTERVAL, 1.0)
+    filter_convention: str = _ranged(_one_of("table", "body"), "table")
 
     def __post_init__(self) -> None:
-        if self.eta < 1 or self.n_bits < 1:
-            raise ValidationError("eta >= 1 and n_bits >= 1 required")
-        max_bits = (sys.float_info.max_exp - 1) // 2  # keeps 2^(2 n_bits) a finite float
-        if self.n_bits > max_bits:
-            raise ValidationError(f"n_bits = {self.n_bits} puts 2^(2 n_bits) beyond the float "
-                                  f"range; the cap is {max_bits}")
-        max_eta = math.isqrt(int(sys.float_info.max))  # keeps eta^2 a finite float
+        _check_fields(self)
+        max_eta = math.isqrt(int(sys.float_info.max))
         if self.eta > max_eta:
-            raise ValidationError(f"eta = {self.eta:.3g} puts eta^2 beyond the float range; "
-                                  f"the cap is {max_eta:.3g}")
-        if self.c_sp < 0:
-            raise ValidationError("c_sp must be non-negative")
-        if self.omega_cell <= 0:
-            raise ValidationError("omega_cell must be positive")
-        for name in ("p_dipole", "p_window", "p_continuum", "p_nu"):
-            p = getattr(self, name)
-            if not 0 < p <= 1:
-                raise ValidationError(f"{name} must lie in (0, 1]")
-        for name in ("epsilon_be", "delta_filter", "epsilon_sampling", "lambda_zeta"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        if self.t_evolution < 0:
-            raise ValidationError("t_evolution must be non-negative")
-        if self.method not in ("AllElectron", "Pseudopotential"):
-            raise ValidationError("method must be AllElectron or Pseudopotential")
-        if self.filter_convention not in ("table", "body"):
-            raise ValidationError("filter_convention must be 'table' or 'body'")
-        if self.b_r < 1:
-            raise ValidationError("b_r must be at least 1")
+            _refuse("eta", "PlaneWaveSpec", f"at most {max_eta:.3g}, so that eta^2 is a finite "
+                    f"float", self.eta)
 
     @property
     def box_length(self) -> float:
@@ -257,10 +264,11 @@ def _is_kind(value, kind) -> bool:
 def read_fields(data, spec: dict, where: str) -> dict:
     """Check the JSON object ``data`` against ``spec``; return its fields, defaults filled in.
 
-    ``spec`` maps each name to ``(kind, default)``, kind one of int, float,
-    str, dict or list. Neither an int nor a float takes a boolean; an int
-    takes no integer beyond the float range, and a float takes any finite
-    number, integers included, and returns it as a float. null is accepted
+    ``spec`` maps each name to ``(kind, default)`` or ``(kind, default, rule)``,
+    kind one of int, float, str, dict or list. Neither an int nor a float
+    takes a boolean; an int takes no integer beyond the float range, and a
+    float takes any finite number, integers included, and returns it as a
+    float. A given value, not null, must then keep ``rule``. null is accepted
     only where the default is None; a default of REQUIRED makes the field
     mandatory. Errors name the field and ``where``, the object it sits in.
     """
@@ -270,19 +278,21 @@ def read_fields(data, spec: dict, where: str) -> dict:
     if unknown:
         raise ValidationError(f"unknown field(s) {unknown} in {where}")
     out = {}
-    for name, (kind, default) in spec.items():
+    for name, (kind, default, *rule) in spec.items():
         if name not in data:
             if default is REQUIRED:
                 raise ValidationError(f"missing field '{name}' in {where}")
             out[name] = default
             continue
         value = data[name]
-        if not (_is_kind(value, kind) or (value is None and default is None)):
-            shown = repr(value)
-            shown = shown if len(shown) <= 40 else shown[:37] + "..."
-            raise ValidationError(
-                f"field '{name}' in {where} must be {_KIND_NAMES[kind]}, got {shown}")
-        out[name] = float(value) if kind is float and value is not None else value
+        if value is None and default is None:
+            out[name] = None
+            continue
+        if not _is_kind(value, kind):
+            _refuse(name, where, _KIND_NAMES[kind], value)
+        out[name] = value = float(value) if kind is float else value
+        if rule:
+            _check(value, rule[0], name, where)
     return out
 
 
@@ -301,20 +311,40 @@ def read_numbers(value, shape: tuple[int, ...], where: str):
 
 
 @functools.cache
-def _field_spec(cls) -> dict:
-    """``read_fields`` spec of a dataclass: kinds from its annotations, defaults from its fields."""
+def _field_spec(cls) -> tuple[dict, tuple]:
+    """A dataclass's ``read_fields`` spec and the ranges its construction checks.
+
+    The spec takes kinds from the annotations and defaults from the fields;
+    each range entry is (name, optional, rules): a float field must be
+    finite, then every field must keep the rule declared by :func:`_ranged`.
+    """
     hints = typing.get_type_hints(cls)
-    spec = {}
+    spec, ranges = {}, []
     for f in fields(cls):
-        kinds = [k for k in typing.get_args(hints[f.name]) or (hints[f.name],)
-                 if k is not type(None)]
-        spec[f.name] = (kinds[0], REQUIRED if f.default is MISSING else f.default)
-    return spec
+        kind = [k for k in typing.get_args(hints[f.name]) or (hints[f.name],)
+                if k is not type(None)][0]
+        spec[f.name] = (kind, REQUIRED if f.default is MISSING else f.default)
+        rules = (((_FINITE,) if kind is float else ())
+                 + ((f.metadata["rule"],) if "rule" in f.metadata else ()))
+        if rules:
+            ranges.append((f.name, f.default is None, rules))
+    return spec, tuple(ranges)
+
+
+def _check_fields(obj) -> None:
+    """Refuse the first field of the dataclass ``obj`` that leaves its range."""
+    where = type(obj).__name__
+    for name, optional, rules in _field_spec(type(obj))[1]:
+        value = getattr(obj, name)
+        if not (optional and value is None):
+            for ok, phrase in rules:
+                if not ok(value):
+                    _refuse(name, where, phrase, value)
 
 
 def read_dataclass(cls, data):
     """Build the dataclass ``cls`` from a JSON object through :func:`read_fields`."""
-    return cls(**read_fields(data, _field_spec(cls), cls.__name__))
+    return cls(**read_fields(data, _field_spec(cls)[0], cls.__name__))
 
 
 def _spec_to_dict(spec) -> dict:

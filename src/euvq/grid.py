@@ -67,7 +67,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qarith
-from .core import REQUIRED, NumericalError, ValidationError, read_fields, read_numbers
+from .core import (REQUIRED, NumericalError, ValidationError, _check, _check_fields, _one_of,
+                   _POSITIVE, _ranged, _refuse, read_fields, read_numbers)
 
 EVOLVE_TAIL = 1e-12            # bound on the dropped tail of the exp(-iHt) series
 MAX_SERIES_ARGUMENT = 1e6      # largest half_span * t evolve runs: about 1e6 H applications
@@ -105,8 +106,7 @@ SEPARABLE_GAP = 0.1
 def _check_width(sigma: float, where: str) -> None:
     """Reject a Gaussian width whose square overflows or underflows to 0, naming the field."""
     if not 0 < sigma * sigma < math.inf:
-        raise ValidationError(
-            f"field 'sigma' in {where} must be finite and nonzero when squared, got {sigma:.3g}")
+        _refuse("sigma", where, "finite and nonzero when squared", sigma)
 
 
 def _potential_from_config(data, x: np.ndarray) -> np.ndarray:
@@ -130,13 +130,13 @@ def _potential_from_config(data, x: np.ndarray) -> np.ndarray:
     if kind == "samples":
         values = read_fields(params, {"values": (list, REQUIRED)}, where)["values"]
         return read_numbers(values, x.shape, "field 'values' in samples potential params")
-    raise ValidationError(f"field 'kind' in model.potential must be zero, soft_coulomb, "
-                          f"gaussian_well, harmonic or samples, got '{kind}'")
+    _refuse("kind", "model.potential", "zero, soft_coulomb, gaussian_well, harmonic or samples",
+            kind)
 
 
 def _check_n_points(n: int) -> None:
     if n < 2 or n & (n - 1) or n > 2**20:
-        raise ValidationError("n_points must be a power of two from 2 to 2^20")
+        _refuse("n_points", "model", "a power of two from 2 to 2^20", n)
 
 
 def _axis(n: int, box_length: float) -> np.ndarray:
@@ -217,39 +217,31 @@ class GridModel:
     interaction_softening: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.dims not in (1, 3):
-            raise ValidationError(f"field 'dims' in model must be 1 or 3, got {self.dims}")
-        if self.eta not in (1, 2):
-            raise ValidationError(f"field 'eta' in model must be 1 or 2 at desk scale, "
-                                  f"got {self.eta}")
+        _check(self.dims, _one_of(1, 3), "dims", "model")
+        _check(self.eta, _one_of(1, 2), "eta", "model")
         n = self.n_points
         _check_n_points(n)
         if not (0 < self.spacing and self.box_length * self.box_length < math.inf):
             # the spacing divides the momenta, and the square bounds ||D psi||^2
-            raise ValidationError(f"field 'box_length' in model must be positive, with a nonzero "
-                                  f"spacing box_length / n_points and a finite square, got "
-                                  f"{self.box_length:.3g}")
+            _refuse("box_length", "model", "positive, with a nonzero spacing box_length / "
+                    "n_points and a finite square", self.box_length)
         v = np.asarray(self.potential, dtype=float)
         if v.shape != (n,):
             raise ValidationError("potential must be sampled on the 1D axis grid")
         object.__setattr__(self, "potential", v)
         if self.dims == 3 and self.eta != 1:
-            raise ValidationError(f"field 'eta' in model must be 1 in 3D mode, which supports "
-                                  f"a single electron, got {self.eta}")
+            _refuse("eta", "model", "1 in 3D, which takes one electron", self.eta)
         if self.dims == 3 and n > 32:
-            raise ValidationError(f"field 'n_points' in model: 3D grids capped at 32 points "
-                                  f"per dimension, got {n}")
+            _refuse("n_points", "model", "at most 32 in 3D", n)
+        coords = self.dims * self.eta
         if self.hilbert_dim > 2**20:
-            raise ValidationError(f"field 'n_points' in model: Hilbert space capped at 2^20 = "
-                                  f"{2**20}, got n_points^(dims eta) = "
-                                  f"{n}^{self.dims * self.eta} = {self.hilbert_dim}")
+            _refuse("n_points", "model", f"at most {2 ** (20 // coords)} on {coords} coordinates, "
+                    f"as the Hilbert space n_points^(dims eta) is capped at 2^20", n)
         if self.eta == 1:
             for name, neutral in (("interaction_strength", 0.0), ("interaction_softening", 1.0)):
                 if getattr(self, name) != neutral:
-                    raise ValidationError(f"field '{name}' in model applies to two electrons "
-                                          f"(eta 2) only; with eta 1 it must be {neutral:g}, "
-                                          f"got {getattr(self, name):g}")
-        coords = self.dims * self.eta
+                    _refuse(name, "model", f"{neutral:g} with eta 1, as it applies to two "
+                            f"electrons only", getattr(self, name))
         v = _outer_sum([self.potential] * coords)
         if self.eta == 2 and self.interaction_strength:
             with np.errstate(divide="ignore", over="ignore"):
@@ -409,25 +401,14 @@ class GridModel:
 class FilterSpec:
     """Gaussian energy window applied to H - E0."""
 
-    center: float           # Ha above the ground energy
-    sigma: float            # Ha
-    mode: str = "ExactEigen"
-    poly_tolerance: float = 1e-3
+    center: float                           # Ha above the ground energy
+    sigma: float = _ranged(_POSITIVE)       # Ha
+    mode: str = _ranged(_one_of("ExactEigen", "ChebyshevPoly"), "ExactEigen")
+    poly_tolerance: float = _ranged(_POSITIVE, 1e-3)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.center):
-            raise ValidationError(
-                f"field 'center' in FilterSpec must be finite, got {self.center:g}")
-        if self.sigma <= 0:
-            raise ValidationError(
-                f"field 'sigma' in FilterSpec must be positive, got {self.sigma:g}")
+        _check_fields(self)
         _check_width(self.sigma, "FilterSpec")
-        if self.mode not in ("ExactEigen", "ChebyshevPoly"):
-            raise ValidationError(f"field 'mode' in FilterSpec must be ExactEigen or "
-                                  f"ChebyshevPoly, got '{self.mode}'")
-        if not 0 < self.poly_tolerance < math.inf:
-            raise ValidationError(f"field 'poly_tolerance' in FilterSpec must be positive "
-                                  f"and finite, got {self.poly_tolerance:g}")
 
     def window(self, excitation):
         """Weight exp(-(E - center)^2 / 2 sigma^2) at excitation energies E above E0."""
@@ -823,9 +804,8 @@ def _eigensystem(model: GridModel):
     ground pair is taken where it is read (:func:`filter_and_evolve`).
     """
     if model.eta != 1 or model.n_points > 4096:
-        raise ValidationError(f"field 'mode' in FilterSpec: ExactEigen takes one electron on at "
-                              f"most 4096 points; use ChebyshevPoly, got eta {model.eta} and "
-                              f"n_points {model.n_points}")
+        _refuse("mode", "FilterSpec", f"ChebyshevPoly for eta {model.eta} on {model.n_points} "
+                f"points: ExactEigen takes one electron on at most 4096", "ExactEigen")
     h1, energies, vectors = _axis_eigh(model)
     return _outer_sum([energies] * model.dims).reshape(-1), vectors, h1, energies
 
@@ -980,8 +960,8 @@ def chebyshev_fit(func, tolerance: float) -> np.ndarray:
             if _sup_error(func, kept) <= tolerance:
                 return kept
         m *= 2
-    raise ValidationError(f"field 'poly_tolerance' in FilterSpec needs a filter degree "
-                          f"above {MAX_FILTER_DEGREE}, got {tolerance:g}")
+    _refuse("poly_tolerance", "FilterSpec", f"large enough for a filter degree of at most "
+            f"{MAX_FILTER_DEGREE}", tolerance)
 
 
 def jacobi_anger_bessel(a: float) -> np.ndarray:
@@ -1033,12 +1013,12 @@ def check_time(model: GridModel, t: float) -> None:
     The two entry points that propagate run it before any other work:
     :func:`filter_and_evolve`, in both filter modes, and :func:`evolve`.
     """
+    where = "emulate-photoemission config"
     if not 0 <= t < math.inf:
-        raise ValidationError(f"field 'time' in emulate-photoemission config must be "
-                              f"non-negative and finite, got {t:g}")
+        _refuse("time", where, "non-negative and finite", t)
     if model.half_span * t > MAX_SERIES_ARGUMENT:
-        raise ValidationError(f"field 'time' in emulate-photoemission config, {t:g}, needs a "
-                              f"series of degree above {MAX_SERIES_ARGUMENT:g}; shorten it")
+        _refuse("time", where, f"at most {MAX_SERIES_ARGUMENT / model.half_span:.3g}, beyond "
+                f"which its series needs a degree above {MAX_SERIES_ARGUMENT:g}", t)
 
 
 def evolve(model: GridModel, state: np.ndarray, t: float) -> np.ndarray:
@@ -1087,9 +1067,9 @@ def check_r_cutoff(model: GridModel, r_cutoff: float) -> None:
     """Reject a cutoff radius that :func:`continuum_project` cannot use, naming the config field."""
     half_diagonal = model.box_length / 2.0 * math.sqrt(model.dims)
     if not 0 < r_cutoff <= half_diagonal:
-        raise ValidationError(f"field 'r_cutoff' in emulate-photoemission config must be "
-                              f"positive and within the box half-diagonal {half_diagonal:.3g} "
-                              f"Bohr, beyond which no grid point lies, got {r_cutoff:.3g}")
+        _refuse("r_cutoff", "emulate-photoemission config", f"positive and within the box "
+                f"half-diagonal {half_diagonal:.3g} Bohr, beyond which no grid point lies",
+                r_cutoff)
 
 
 def _outside(model: GridModel, r_cutoff: float, dims: int) -> np.ndarray:

@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import absorption
-from .core import (MAX_SHOTS, REQUIRED, ValidationError, cross_section_prefactor, read_fields,
-                   read_numbers)
+from .core import (MAX_SHOTS, REQUIRED, ValidationError, _at_least, _between, _check, _refuse,
+                   cross_section_prefactor, read_fields, read_numbers)
 
 HERMITICITY_TOL = 1e-12
 EIGENPAIR_TOL = 1e-9
@@ -199,12 +199,10 @@ def scene_to_dict(scene: SpectralScene) -> dict:
 
 def scene_from_dict(data: dict) -> SpectralScene:
     """Parse {dim, hamiltonian: {re, im}, dipole: {re, im}, optional ground_state}."""
-    scene = read_fields(data, {"dim": (int, REQUIRED), "hamiltonian": (dict, REQUIRED),
-                               "dipole": (dict, REQUIRED), "ground_state": (dict, None)},
-                        "scene")
+    scene = read_fields(data, {"dim": (int, REQUIRED, _at_least(1)),
+                               "hamiltonian": (dict, REQUIRED), "dipole": (dict, REQUIRED),
+                               "ground_state": (dict, None)}, "scene")
     dim = scene["dim"]
-    if dim < 1:
-        raise ValidationError(f"field 'dim' in scene must be at least 1, got {dim}")
 
     def join(name, shape):
         entry = read_fields(scene[name], {"re": (list, REQUIRED), "im": (list, None)},
@@ -252,17 +250,17 @@ def spectrum_rows(scene: SpectralScene, omegas, gamma: float, tau: float,
     dim * (2 j_max + 1) <= MAX_PHASE_ENTRIES, the count of the sum's terms.
     Raises ValidationError if gamma and tau leave any value non-finite.
     """
-    if not 1 <= shots <= MAX_SHOTS:
-        raise ValidationError(f"field 'shots' in emulate-absorption config must be from 1 "
-                              f"to 2^24 = {MAX_SHOTS}, got {shots}")
+    where = "emulate-absorption config"
+    _check(shots, _between(1, MAX_SHOTS), "shots", where)
     beta = absorption.beta_bound(tau, gamma, j_max)
     if not gamma * gamma < math.inf:
-        raise ValidationError(f"field 'gamma' must be finite when squared, got {gamma:.3g}")
+        _refuse("gamma", where, "finite when squared", gamma)
     weights, excitations = scene.line_weights, scene.excitations
-    entries = len(excitations) * (2 * j_max + 1)
-    if entries > MAX_PHASE_ENTRIES:
-        raise ValidationError(f"j_max = {j_max} gives dim * (2 j_max + 1) = {entries} terms "
-                              f"in the sum over j; the cap is 2^24 = {MAX_PHASE_ENTRIES}")
+    dim = len(excitations)
+    if dim * (2 * j_max + 1) > MAX_PHASE_ENTRIES:
+        _refuse("j_max", where, f"at most {(MAX_PHASE_ENTRIES // dim - 1) // 2} at dim {dim}, so "
+                f"that the sum over j has dim * (2 j_max + 1) <= 2^24 = {MAX_PHASE_ENTRIES} "
+                f"terms", j_max)
     omegas = np.asarray(omegas, dtype=float)
     block = max(1, SCAN_BLOCK_ENTRIES // len(excitations))
     rng = np.random.default_rng(seed)

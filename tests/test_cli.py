@@ -486,6 +486,23 @@ def test_emulate_absorption_output_digest(capsys, fixture, fmt, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_emulate_absorption_scene_without_im_reads_as_real(tmp_path, capsys):
+    # 'im' is optional in a scene: left out, each matrix and vector reads as real, so the
+    # run prints the bytes of the fixture, which gives every 'im' as zeros
+    def real_only(data):
+        for entry in data["scene"].values():
+            if isinstance(entry, dict):
+                del entry["im"]
+
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(_edited("scene_two_level.json", real_only)))
+    assert main(["emulate-absorption", "--input", str(path), "--format", "json"]) == EX_OK
+    without_im = capsys.readouterr().out
+    assert main(["emulate-absorption", "--input", "scene_two_level.json",
+                 "--format", "json"]) == EX_OK
+    assert without_im == capsys.readouterr().out
+
+
 # two electrons on a 64-point line, dimension 4096, under the matrix-free filter
 TWO_ELECTRON_CONFIG = {
     "model": {"dims": 1, "eta": 2, "n_points": 64, "box_length": 48.0,

@@ -45,17 +45,19 @@ def test_cost_report_consistency():
     detailed = CostReport(logical_qubits=10, shots=3, breakdown=(("a", 5),),
                           details=(("n", 2), ("lam", 0.5)))
     assert detailed.to_dict()["details"] == {"n": 2, "lam": 0.5}
-    with pytest.raises(ValidationError, match="'a' must be non-negative"):
+    with pytest.raises(ValidationError,
+                       match="field 'a' in CostReport.breakdown must be a non-negative count"):
         CostReport(logical_qubits=1, shots=2, breakdown=(("a", -1), ("b", 6)))
-    with pytest.raises(ValidationError, match="shots >= 1"):
+    with pytest.raises(ValidationError, match="field 'shots' in CostReport must be at least 1"):
         CostReport(logical_qubits=1, shots=0, breakdown=(("a", 1),))
-    with pytest.raises(ValidationError, match="overall gates"):
+    with pytest.raises(ValidationError, match="field 'overall_gates' in CostReport"):
         CostReport(logical_qubits=1, shots=10**10, breakdown=(("a", 1e300),))
 
 
 @pytest.mark.parametrize("count", [10**309, math.inf, math.nan], ids=["int", "inf", "nan"])
 def test_cost_report_names_term_beyond_float_range(count):
-    with pytest.raises(ValidationError, match="cost term 'big' is beyond the float range"):
+    with pytest.raises(ValidationError,
+                       match="field 'big' in CostReport.breakdown must be a non-negative count"):
         CostReport(logical_qubits=1, shots=1, breakdown=(("small", 1), ("big", count)))
 
 
@@ -171,3 +173,55 @@ def test_every_spec_field_moves_the_report(cls, cost, row, name):
         value *= SCALES.get(name, 0.9)
     moved = dataclasses.replace(spec, **{name: value})
     assert cost(moved).to_dict() != cost(spec).to_dict()
+
+
+# A value outside each estimator field's range; every field has one
+OUT_OF_RANGE = {
+    AbsorptionSpec: {"n_orbitals": 0, "l_fragments": 0, "gamma": 0.0, "j_max": -1, "tau": -1.0,
+                     "y3_magnitude": 0.0, "dipole_norm": -1.0, "epsilon": 0.0, "rot_bits": 2,
+                     "shot_alpha": 0.0, "shot_beta": -1.0, "state_prep_gates": -1,
+                     "ancilla_qubits": -1},
+    PlaneWaveSpec: {"eta": 0, "lambda_zeta": 0.0, "omega_cell": -1.0, "n_bits": 0,
+                    "epsilon_be": 0.0, "delta_filter": -1.0, "t_evolution": -1.0,
+                    "p_dipole": 0.0, "p_window": 1.5, "p_continuum": -1.0, "c_sp": -1.0,
+                    "method": "X", "epsilon_sampling": 0.0, "b_r": 0, "p_nu": 1.5,
+                    "filter_convention": "X"},
+}
+
+
+def test_every_estimator_field_has_an_out_of_range_value():
+    for cls, values in OUT_OF_RANGE.items():
+        assert set(values) == {f.name for f in dataclasses.fields(cls)}
+
+
+@pytest.mark.parametrize("cls, row, name", [
+    pytest.param(cls, row, name, id=f"{cls.__name__}.{name}")
+    for cls, _, row in ESTIMATORS for name in OUT_OF_RANGE[cls]
+])
+def test_out_of_range_field_refused_in_python_and_from_json(cls, row, name):
+    # a spec built in Python and one read from JSON pass the same range checks
+    value = OUT_OF_RANGE[cls][name]
+    refusal = f"^field '{name}' in {cls.__name__} must be .*, got {value!r}$"
+    with pytest.raises(ValidationError, match=refusal):
+        dataclasses.replace(cls.from_dict(row), **{name: value})
+    with pytest.raises(ValidationError, match=refusal):
+        cls.from_dict({**row, name: value})
+
+
+def _float_fields():
+    from euvq.grid import FilterSpec
+
+    filt = FilterSpec(center=1.8, sigma=0.2, mode="ChebyshevPoly")
+    specs = [cls.from_dict(row) for cls, _, row in ESTIMATORS] + [filt]
+    return [pytest.param(spec, f.name, id=f"{type(spec).__name__}.{f.name}")
+            for spec in specs for f in dataclasses.fields(spec) if f.type.startswith("float")]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("spec, name", _float_fields())
+def test_non_finite_float_field_refused_at_construction(spec, name, value):
+    # NaN and +-inf are refused where the spec is built, as the JSON reader refuses them;
+    # a NaN omega_cell used to pass and make photoemission_cost raise a bare ValueError
+    with pytest.raises(ValidationError,
+                       match=f"^field '{name}' in {type(spec).__name__} must be a finite number"):
+        dataclasses.replace(spec, **{name: value})

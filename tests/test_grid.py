@@ -1377,7 +1377,7 @@ def test_tables_built_once_per_model(monkeypatch, layout):
 def test_hilbert_cap_precedes_the_tables():
     # a 2^40-entry table would fail to allocate; the cap must refuse the model first
     n = 2**20
-    with pytest.raises(ValidationError, match="Hilbert space capped"):
+    with pytest.raises(ValidationError, match=r"Hilbert space n_points\^\(dims eta\) is capped"):
         GridModel(dims=1, eta=2, n_points=n, box_length=100.0, potential=np.zeros(n))
 
 

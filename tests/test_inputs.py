@@ -4,6 +4,7 @@ import copy
 import functools
 import json
 import math
+import re
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -96,6 +97,30 @@ def test_finite_extremes_never_raise(name, capsys):
                 out = capsys.readouterr().out
                 if code == EX_OK:
                     json.loads(out, parse_constant=functools.partial(_non_finite, path, value))
+
+
+# each refusal names a quoted field and the object it sits in
+NAMED_REFUSAL = re.compile(r"^error: fields? '[^']+'( and '[^']+')? in [A-Za-z]")
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_every_range_refusal_names_its_field_and_object(name, capsys):
+    # every number field set to 0, -1 and just above 2^20, every text field to "X"
+    base = load_fixture(name)
+    for path in field_paths(base):
+        node = functools.reduce(lambda parent, key: parent[key], path, base)
+        if isinstance(node, str):
+            values = ["X"]
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            values = [0, -1, 2**20 + 1]
+        else:
+            continue
+        for value in values:
+            code = run_on(COMMANDS[name], mutate(base, path, value), "--format", "json")
+            assert code in (EX_OK, EX_VALIDATION, EX_NUMERICAL), (path, value)
+            err = capsys.readouterr().err
+            if code == EX_VALIDATION:
+                assert NAMED_REFUSAL.match(err) and err.count("\n") == 1, (path, value, err)
 
 
 def _non_finite(path, value, constant):
