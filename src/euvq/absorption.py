@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 
-from .core import (EUV_OMEGA_HA, AbsorptionSpec, CostReport, ValidationError, aligned_table,
-                   cross_section_prefactor, finite_ceil, format_sig3)
+from .core import (EUV_OMEGA_HA, AbsorptionSpec, CostReport, ValidationError, _at_least, _check,
+                   _POSITIVE, aligned_table, cross_section_prefactor, finite_ceil, format_sig3)
 
 
 def rotation_cost(rot_bits: int) -> int:
     """Toffoli-equivalent cost of one phase-gradient rotation at ``rot_bits`` bits."""
-    if rot_bits < 3:
-        raise ValidationError("rot_bits must be at least 3")
+    _check(rot_bits, _at_least(3), "rot_bits", "rotation_cost")
     return rot_bits - 2
 
 
@@ -28,8 +27,7 @@ def fragment_cost(n_orbitals: int, c_rot: int) -> tuple[int, int]:
     rotations each plus 2N phase corrections; the diagonal part needs
     2N(2N-1)/2 two-body rotations.
     """
-    if n_orbitals < 1:
-        raise ValidationError("n_orbitals must be >= 1")
+    _check(n_orbitals, _at_least(1), "n_orbitals", "fragment_cost")
     c_unitary = (2 * (n_orbitals * (n_orbitals - 1) // 2) * 2 + 2 * n_orbitals) * c_rot
     c_zmatr = (2 * n_orbitals * (2 * n_orbitals - 1) // 2) * c_rot
     return c_unitary, c_zmatr
@@ -41,16 +39,15 @@ def trotter_step_size(gamma: float, y3_magnitude: float) -> float:
     The second-order formula shifts eigenvalues by Delta^2 <Y3>, so the
     admissible step is sqrt(gamma / |<Y3>|).
     """
-    if gamma <= 0 or y3_magnitude <= 0:
-        raise ValidationError("gamma and y3_magnitude must be positive")
+    for name, value in (("gamma", gamma), ("y3_magnitude", y3_magnitude)):
+        _check(value, _POSITIVE, name, "trotter_step_size")
     return math.sqrt(gamma / y3_magnitude)
 
 
 def _one_minus_decay(tau: float, gamma: float) -> float:
     """1 - r for r = exp(-gamma tau), from expm1 so that it stays accurate as gamma tau -> 0."""
     for name, value in (("tau", tau), ("gamma", gamma)):
-        if not value > 0:
-            raise ValidationError(f"field '{name}' must be positive, got {value:g}")
+        _check(value, _POSITIVE, name, "_one_minus_decay")
     if gamma * tau == 0:
         raise ValidationError(f"beta diverges unless 'gamma' * 'tau' > 0, got gamma = {gamma:g} "
                               f"and tau = {tau:g}")
@@ -65,8 +62,7 @@ def beta_bound(tau: float, gamma: float, j_max: int) -> float:
     converges to (tau/2pi)*coth(gamma*tau/2).
     """
     one_minus_r = _one_minus_decay(tau, gamma)
-    if j_max < 0:
-        raise ValidationError(f"field 'j_max' must be non-negative, got {j_max}")
+    _check(j_max, _at_least(0), "j_max", "beta_bound")
     # j_max = 0 sums no r^j, even where gamma * tau overflows and inf * 0 would give NaN
     one_minus_power = -math.expm1(-gamma * tau * j_max) if j_max else 0.0
     r = math.exp(-gamma * tau)
@@ -75,8 +71,9 @@ def beta_bound(tau: float, gamma: float, j_max: int) -> float:
 
 def shot_count(alpha: float, dipole_norm: float, beta: float, epsilon: float) -> int:
     """Shots M = ceil((alpha * N * beta / epsilon)^2) from the Chebyshev bound."""
-    if min(alpha, dipole_norm, beta, epsilon) <= 0:
-        raise ValidationError("shot_count arguments must all be positive")
+    for name, value in (("alpha", alpha), ("dipole_norm", dipole_norm), ("beta", beta),
+                        ("epsilon", epsilon)):
+        _check(value, _POSITIVE, name, "shot_count")
     # a positive product whose square underflows to 0 still needs one shot
     return max(1, finite_ceil(lambda: (alpha * dipole_norm * beta / epsilon) ** 2,
                               "shot count (alpha dipole_norm beta / epsilon)^2"))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError, _between, _check
+from .core import (ValidationError, _at_least, _between, _check, _check_fields, _float_array,
+                   _ranged)
 
 SYMMETRY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-10
@@ -38,14 +39,12 @@ def _within(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 class TwoElectronTensor:
     """Rank-4 real tensor (pq|rs) with 8-fold permutational symmetry."""
 
-    n_orbitals: int
+    n_orbitals: int = _ranged(_at_least(0))
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.n_orbitals
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (n, n, n, n):
-            raise ValidationError(f"tensor shape {v.shape} != {(n, n, n, n)}")
+        _check_fields(self)
+        v = _float_array(self.values, (self.n_orbitals,) * 4, "values", "TwoElectronTensor")
         object.__setattr__(self, "values", v)
         for perm, label in (((1, 0, 2, 3), "(qp|rs)"),
                             ((0, 1, 3, 2), "(pq|sr)"),

@@ -1,10 +1,11 @@
 """Shared domain types, physical constants, and the input reader.
 
-Every JSON input field is type- and range-checked once, by :func:`read_fields` or
+Every JSON input field is kind- and range-checked once, by :func:`read_fields` or
 :func:`read_numbers`. A range is a rule: a NaN-safe predicate and the phrase its
-refusal reads. The specs declare each field's rule beside the field, so one
-built in Python passes the checks one read from JSON does, and every range
-refusal is worded by :func:`_refuse`.
+refusal reads. Each input dataclass declares every field once, at the field:
+the annotation gives its kind and :func:`_ranged` its rule. Construction
+checks both (:func:`_check_fields`), so an object built in Python passes the
+checks its JSON form does, and every range refusal is worded by :func:`_refuse`.
 
 All internal energies are in Hartree, times in atomic units, lengths in
 Bohr. Conversions to/from eV and femtoseconds happen only at input/output
@@ -81,7 +82,6 @@ def aligned_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
 # Range rules: a predicate, false for NaN, and the phrase its refusal reads
 _POSITIVE = (lambda v: v > 0, "positive")
 _UNIT_INTERVAL = (lambda v: 0 < v <= 1, "within (0, 1]")
-_FINITE = (lambda v: abs(v) <= sys.float_info.max, "a finite number")
 _GATE_COUNT = (lambda v: 0 <= v <= sys.float_info.max,
                "a non-negative count within the float range")
 
@@ -105,7 +105,7 @@ def _ranged(rule, default=MISSING):
 
 def _shown(value) -> str:
     """``value`` as a refusal prints it: its repr, cut to 40 characters."""
-    if isinstance(value, (int, float)) and value == value and not _FINITE[0](value):
+    if isinstance(value, (int, float)) and value == value and abs(value) > sys.float_info.max:
         return "a number beyond the float range"
     if isinstance(value, int) and abs(value) >= 10**16:  # more digits than a float keeps
         return f"{value:.3g}"
@@ -209,7 +209,9 @@ class PlaneWaveSpec:
     all-electron formulas at its own eta = lambda_zeta.
     """
 
-    eta: int = _ranged(_at_least(1))
+    eta: int = _ranged((lambda v: 1 <= v and v * v <= sys.float_info.max,  # eta^2 a float
+                        f"from 1 to {math.sqrt(sys.float_info.max):.3g}, so that eta^2 is a "
+                        f"finite float"))
     lambda_zeta: float = _ranged(_POSITIVE)
     omega_cell: float = _ranged(_POSITIVE)      # Bohr^3
     n_bits: int = _ranged(_between(1, (sys.float_info.max_exp - 1) // 2))  # 2^(2 n_bits) finite
@@ -228,10 +230,6 @@ class PlaneWaveSpec:
 
     def __post_init__(self) -> None:
         _check_fields(self)
-        max_eta = math.isqrt(int(sys.float_info.max))
-        if self.eta > max_eta:
-            _refuse("eta", "PlaneWaveSpec", f"at most {max_eta:.3g}, so that eta^2 is a finite "
-                    f"float", self.eta)
 
     @property
     def box_length(self) -> float:
@@ -310,36 +308,55 @@ def read_numbers(value, shape: tuple[int, ...], where: str):
     return array.reshape(shape)
 
 
+def _float_array(value, shape: tuple[int, ...], name: str, where: str):
+    """The array field ``name`` as a float array of ``shape``, else its refusal."""
+    import numpy as np
+
+    with contextlib.suppress(TypeError, ValueError):  # not numbers
+        array = np.asarray(value, dtype=float)
+        if array.shape == shape:
+            return array
+    _refuse(name, where, f"an array of numbers of shape {shape}", value)
+
+
 @functools.cache
 def _field_spec(cls) -> tuple[dict, tuple]:
-    """A dataclass's ``read_fields`` spec and the ranges its construction checks.
+    """A dataclass's ``read_fields`` spec and the checks its construction makes.
 
-    The spec takes kinds from the annotations and defaults from the fields;
-    each range entry is (name, optional, rules): a float field must be
-    finite, then every field must keep the rule declared by :func:`_ranged`.
+    The spec takes kinds from the annotations, defaults from the fields and
+    rules from :func:`_ranged`; the checks give, in field order, each field's
+    (name, optional, kind, rule) from the same declaration.
     """
     hints = typing.get_type_hints(cls)
-    spec, ranges = {}, []
+    spec, checks = {}, []
     for f in fields(cls):
         kind = [k for k in typing.get_args(hints[f.name]) or (hints[f.name],)
                 if k is not type(None)][0]
-        spec[f.name] = (kind, REQUIRED if f.default is MISSING else f.default)
-        rules = (((_FINITE,) if kind is float else ())
-                 + ((f.metadata["rule"],) if "rule" in f.metadata else ()))
-        if rules:
-            ranges.append((f.name, f.default is None, rules))
-    return spec, tuple(ranges)
+        rule = f.metadata.get("rule")
+        spec[f.name] = (kind, REQUIRED if f.default is MISSING else f.default) + (
+            (rule,) if rule else ())
+        checks.append((f.name, f.default is None, kind, rule))
+    return spec, tuple(checks)
 
 
-def _check_fields(obj) -> None:
-    """Refuse the first field of the dataclass ``obj`` that leaves its range."""
-    where = type(obj).__name__
-    for name, optional, rules in _field_spec(type(obj))[1]:
+def _check_fields(obj, where: str | None = None) -> None:
+    """Check each field of the dataclass ``obj`` as :func:`read_fields` checks its JSON form.
+
+    An int, float or str field must be of its kind, and a float field is
+    stored as a float; then the field must keep its declared rule. The first
+    field that fails is refused, naming ``where``, by default the class name.
+    """
+    where = where or type(obj).__name__
+    for name, optional, kind, rule in _field_spec(type(obj))[1]:
         value = getattr(obj, name)
-        if not (optional and value is None):
-            for ok, phrase in rules:
-                if not ok(value):
-                    _refuse(name, where, phrase, value)
+        if optional and value is None:
+            continue
+        if kind in (int, float, str) and not _is_kind(value, kind):
+            _refuse(name, where, _KIND_NAMES[kind], value)
+        if kind is float and type(value) is not float:
+            object.__setattr__(obj, name, value := float(value))
+        if rule and not rule[0](value):
+            _refuse(name, where, rule[1], value)
 
 
 def read_dataclass(cls, data):

@@ -10,9 +10,11 @@ two-electron ground state is the lowest spatially symmetric state, so a run
 stays in that sector, where H applies by a kernel of its own up to
 KINETIC_MATRIX_POINTS points (:meth:`GridModel._apply_sector`).
 
-A model is checked once, when it is made (:class:`GridModel`): its sizes,
-finite energies, a spectral range whose square is finite, and an energy
-reach that the ground state's residual bar can resolve. The time is checked
+A model is checked once, when it is made (:class:`GridModel`): first each
+field's kind and declared range, alike for JSON (:meth:`GridModel.from_config`)
+and Python, then what needs several fields: the sizes, the repulsion at
+r = 0, and an energy reach that the ground state's residual bar can resolve,
+which also refuses every energy that is NaN or infinite. The time is checked
 by :func:`check_time` first thing in :func:`filter_and_evolve`, in both
 modes, and in :func:`evolve`. The cutoff is checked by
 :func:`check_r_cutoff` in :func:`continuum_project`, the last stage, so the
@@ -67,8 +69,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qarith
-from .core import (REQUIRED, NumericalError, ValidationError, _check, _check_fields, _one_of,
-                   _POSITIVE, _ranged, _refuse, read_fields, read_numbers)
+from .core import (REQUIRED, NumericalError, ValidationError, _check_fields, _field_spec,
+                   _float_array, _one_of, _POSITIVE, _ranged, _refuse, read_fields, read_numbers)
 
 EVOLVE_TAIL = 1e-12            # bound on the dropped tail of the exp(-iHt) series
 MAX_SERIES_ARGUMENT = 1e6      # largest half_span * t evolve runs: about 1e6 H applications
@@ -103,12 +105,6 @@ KINETIC_MATRIX_POINTS = 256
 SEPARABLE_GAP = 0.1
 
 
-def _check_width(sigma: float, where: str) -> None:
-    """Reject a Gaussian width whose square overflows or underflows to 0, naming the field."""
-    if not 0 < sigma * sigma < math.inf:
-        _refuse("sigma", where, "finite and nonzero when squared", sigma)
-
-
 def _potential_from_config(data, x: np.ndarray) -> np.ndarray:
     pot = read_fields(data, {"kind": (str, "zero"), "params": (dict, {})}, "model.potential")
     kind, params = pot["kind"], pot["params"]
@@ -121,9 +117,11 @@ def _potential_from_config(data, x: np.ndarray) -> np.ndarray:
                         where)
         return -p["z"] / np.sqrt((x - p["center"]) ** 2 + p["a"] ** 2)
     if kind == "gaussian_well":
-        p = read_fields(params, {"v0": (float, 1.0), "sigma": (float, 1.0),
-                                 "center": (float, 0.0)}, where)
-        _check_width(p["sigma"], where)
+        p = read_fields(params, {
+            "v0": (float, 1.0),
+            "sigma": (float, 1.0, (lambda s: 0 < s * s < math.inf, "finite and nonzero when "
+                                                                    "squared")),
+            "center": (float, 0.0)}, where)
         return -p["v0"] * np.exp(-((x - p["center"]) ** 2) / (2.0 * p["sigma"] ** 2))
     if kind == "harmonic":
         return 0.5 * read_fields(params, {"k": (float, 1.0)}, where)["k"] * x**2
@@ -132,11 +130,6 @@ def _potential_from_config(data, x: np.ndarray) -> np.ndarray:
         return read_numbers(values, x.shape, "field 'values' in samples potential params")
     _refuse("kind", "model.potential", "zero, soft_coulomb, gaussian_well, harmonic or samples",
             kind)
-
-
-def _check_n_points(n: int) -> None:
-    if n < 2 or n & (n - 1) or n > 2**20:
-        _refuse("n_points", "model", "a power of two from 2 to 2^20", n)
 
 
 def _axis(n: int, box_length: float) -> np.ndarray:
@@ -173,21 +166,6 @@ def _kinetic_circulant(k_axis: np.ndarray) -> np.ndarray:
     return windows[n - 1::-1].copy()
 
 
-def _check_energy_reach(mid: float, half_span: float) -> None:
-    """Reject a model whose ground state no iteration can resolve, naming the field.
-
-    That is a model whose energies reach so far from 0 that the rounding of
-    H psi alone, GROUND_STATE_FLOOR per Ha, would exceed GROUND_STATE_BAR.
-    """
-    reach = abs(mid) + half_span  # the largest |E| in [min V, max V + max T]
-    if GROUND_STATE_FLOOR * reach > GROUND_STATE_BAR:
-        raise ValidationError(
-            f"field 'potential' in model, or 'box_length' through the kinetic energy, gives "
-            f"energies up to {reach:.3g} Ha in magnitude; beyond "
-            f"{GROUND_STATE_BAR / GROUND_STATE_FLOOR:.3g} Ha rounding passes the "
-            f"ground state's {GROUND_STATE_BAR:g} Ha residual bar")
-
-
 def _along_axes(matrix: np.ndarray, state: np.ndarray, coords: int) -> np.ndarray:
     """(M x M x ... x M) psi: ``matrix`` applied along each of the ``coords`` axes of a flat state.
 
@@ -201,39 +179,35 @@ def _along_axes(matrix: np.ndarray, state: np.ndarray, coords: int) -> np.ndarra
     return state.reshape(-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GridModel:
     """Periodic real-space grid with kinetic + local potential Hamiltonian.
 
     Its spectrum lies in [mid - half_span, mid + half_span], set when it is made.
     """
 
-    dims: int
-    n_points: int
+    dims: int = _ranged(_one_of(1, 3), 1)
+    n_points: int = _ranged((lambda n: 2 <= n <= 2**20 and not n & (n - 1),
+                             "a power of two from 2 to 2^20"))
     box_length: float       # Bohr
     potential: np.ndarray   # on the 1D axis grid
-    eta: int = 1
+    eta: int = _ranged(_one_of(1, 2), 1)
     interaction_strength: float = 0.0   # two-electron soft-Coulomb repulsion
     interaction_softening: float = 1.0
 
     def __post_init__(self) -> None:
-        _check(self.dims, _one_of(1, 3), "dims", "model")
-        _check(self.eta, _one_of(1, 2), "eta", "model")
-        n = self.n_points
-        _check_n_points(n)
+        _check_fields(self, "model")
+        n, coords = self.n_points, self.dims * self.eta
         if not (0 < self.spacing and self.box_length * self.box_length < math.inf):
             # the spacing divides the momenta, and the square bounds ||D psi||^2
             _refuse("box_length", "model", "positive, with a nonzero spacing box_length / "
                     "n_points and a finite square", self.box_length)
-        v = np.asarray(self.potential, dtype=float)
-        if v.shape != (n,):
-            raise ValidationError("potential must be sampled on the 1D axis grid")
+        v = _float_array(self.potential, (n,), "potential", "model")  # on the 1D axis grid
         object.__setattr__(self, "potential", v)
         if self.dims == 3 and self.eta != 1:
             _refuse("eta", "model", "1 in 3D, which takes one electron", self.eta)
         if self.dims == 3 and n > 32:
             _refuse("n_points", "model", "at most 32 in 3D", n)
-        coords = self.dims * self.eta
         if self.hilbert_dim > 2**20:
             _refuse("n_points", "model", f"at most {2 ** (20 // coords)} on {coords} coordinates, "
                     f"as the Hilbert space n_points^(dims eta) is capped at 2^20", n)
@@ -242,37 +216,37 @@ class GridModel:
                 if getattr(self, name) != neutral:
                     _refuse(name, "model", f"{neutral:g} with eta 1, as it applies to two "
                             f"electrons only", getattr(self, name))
-        v = _outer_sum([self.potential] * coords)
-        if self.eta == 2 and self.interaction_strength:
-            with np.errstate(divide="ignore", over="ignore"):
-                repulsion = _repulsion(self)
-            if not np.isfinite(repulsion).all():
-                raise ValidationError(
-                    f"field 'interaction_softening' in model: the repulsion interaction_strength "
-                    f"/ sqrt(r^2 + interaction_softening^2) must be finite at r = 0, "
-                    f"got interaction_softening {self.interaction_softening:.3g} with "
-                    f"interaction_strength {self.interaction_strength:.3g}")
-            v = v + repulsion
-        object.__setattr__(self, "_potential_table", v)
-        object.__setattr__(self, "_kinetic_table", _outer_sum([self.k_axis**2 / 2.0] * coords))
-        object.__setattr__(self, "_kinetic_half", self._kinetic_table[..., :n // 2 + 1])
-        top_kinetic = float(self._kinetic_table.max())
-        if not top_kinetic * top_kinetic < math.inf:
-            raise ValidationError(f"field 'box_length' in model gives kinetic energies up to "
-                                  f"{top_kinetic:.3g} Ha, whose square must be finite")
-        if not np.isfinite(v).all():
-            raise ValidationError("field 'potential' in model: potential energies must be "
-                                  "finite on the grid")
+        with np.errstate(all="ignore"):  # a non-finite energy is refused by its reach below
+            v = _outer_sum([v] * coords)
+            if self.eta == 2 and self.interaction_strength:
+                softening = self.interaction_softening
+                # _repulsion's softening**2 raises OverflowError where this product is inf
+                repulsion = _repulsion(self) if softening * softening < math.inf else math.inf
+                if not np.isfinite(repulsion).all():
+                    _refuse("interaction_softening", "model", f"such that interaction_softening^2 "
+                            f"and the repulsion interaction_strength / sqrt(r^2 + "
+                            f"interaction_softening^2) at r = 0 are finite, with "
+                            f"interaction_strength {self.interaction_strength:.3g}", softening)
+                v = v + repulsion
+            kinetic = _outer_sum([self.k_axis**2 / 2.0] * coords)
         # [lo, hi] = [min V, max V + max T] holds the spectrum of H; both Chebyshev
         # series run in (H - mid) / half_span
-        lo, hi = float(v.min()), float(v.max()) + top_kinetic
-        if not (hi - lo) * (hi - lo) < math.inf:
-            raise ValidationError(f"field 'potential' in model gives a spectral range "
-                                  f"max V + max T - min V = {hi - lo:.3g} Ha whose square "
-                                  f"overflows")
+        lo, hi = float(v.min()), float(v.max()) + float(kinetic.max())
         object.__setattr__(self, "mid", (hi + lo) / 2.0)
         object.__setattr__(self, "half_span", (hi - lo) / 2.0)
-        _check_energy_reach(self.mid, self.half_span)
+        # the energy reach: the rounding of H psi alone, GROUND_STATE_FLOOR per Ha of the
+        # largest |E|, must stay under GROUND_STATE_BAR, and no energy may be NaN or infinite
+        reach = abs(self.mid) + self.half_span
+        if not GROUND_STATE_FLOOR * reach <= GROUND_STATE_BAR:
+            energies = (f"up to {reach:.3g} Ha in magnitude" if math.isfinite(reach)
+                        else "that are not finite")
+            raise ValidationError(
+                f"field 'potential' in model, or 'box_length' through the kinetic energy, gives "
+                f"energies {energies}; beyond {GROUND_STATE_BAR / GROUND_STATE_FLOOR:.3g} Ha "
+                f"rounding passes the ground state's {GROUND_STATE_BAR:g} Ha residual bar")
+        object.__setattr__(self, "_potential_table", v)
+        object.__setattr__(self, "_kinetic_table", kinetic)
+        object.__setattr__(self, "_kinetic_half", kinetic[..., :n // 2 + 1])
         object.__setattr__(self, "_kinetic_matrix", _kinetic_circulant(self.k_axis)
                            if n <= KINETIC_MATRIX_POINTS else None)
         # the tables the kernels take: V, and K or the half kinetic table
@@ -385,16 +359,13 @@ class GridModel:
 
     @classmethod
     def from_config(cls, data: dict) -> "GridModel":
-        """Build from JSON {dims, n_points, box_length, potential: {kind, params}, eta, ...}."""
-        cfg = read_fields(data, {
-            "dims": (int, 1), "n_points": (int, REQUIRED), "box_length": (float, REQUIRED),
-            "potential": (dict, {"kind": "zero"}), "eta": (int, 1),
-            "interaction_strength": (float, 0.0), "interaction_softening": (float, 1.0),
-        }, "model")
-        _check_n_points(cfg["n_points"])  # the axis is sampled before the model exists
+        """Build from JSON: the fields by the class's own spec, ``potential`` as {kind, params}."""
+        cfg = read_fields(data, {**_field_spec(cls)[0], "potential": (dict, {"kind": "zero"})},
+                          "model")
         x = _axis(cfg["n_points"], cfg["box_length"])
-        with np.errstate(all="ignore"):  # a non-finite energy is rejected by __post_init__
-            return cls(potential=_potential_from_config(cfg.pop("potential"), x), **cfg)
+        with np.errstate(all="ignore"):  # a non-finite energy is refused by __post_init__
+            cfg["potential"] = _potential_from_config(cfg["potential"], x)
+        return cls(**cfg)
 
 
 @dataclass(frozen=True)
@@ -402,13 +373,13 @@ class FilterSpec:
     """Gaussian energy window applied to H - E0."""
 
     center: float                           # Ha above the ground energy
-    sigma: float = _ranged(_POSITIVE)       # Ha
+    sigma: float = _ranged((lambda s: 0 < s and 0 < s * s < math.inf,  # Ha
+                            "positive, and finite and nonzero when squared"))
     mode: str = _ranged(_one_of("ExactEigen", "ChebyshevPoly"), "ExactEigen")
     poly_tolerance: float = _ranged(_POSITIVE, 1e-3)
 
     def __post_init__(self) -> None:
         _check_fields(self)
-        _check_width(self.sigma, "FilterSpec")
 
     def window(self, excitation):
         """Weight exp(-(E - center)^2 / 2 sigma^2) at excitation energies E above E0."""

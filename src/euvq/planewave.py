@@ -12,8 +12,8 @@ from __future__ import annotations
 import functools
 import math
 
-from .core import (AU_TIME_PER_FS, CostReport, PlaneWaveSpec, ValidationError, aligned_table,
-                   finite_ceil, format_sig3)
+from .core import (AU_TIME_PER_FS, CostReport, PlaneWaveSpec, _at_least, _check, _POSITIVE,
+                   _UNIT_INTERVAL, aligned_table, finite_ceil, format_sig3)
 
 # Dimensionless prefactors in lambda_U = k_U * eta * lambda_zeta * 2^n / L and
 # lambda_V = k_V * eta^2 * 2^n / L, anchored so that the published one-norms
@@ -28,8 +28,7 @@ LATTICE_SUM_EXACT_MAX_BITS = 7  # exact sum up to 127^3 lattice vectors
 
 def _log2_ceil_inv(epsilon: float) -> int:
     """ceil(log2(1/epsilon)) for 0 < epsilon <= 1-ish inputs."""
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    _check(epsilon, _POSITIVE, "epsilon", "_log2_ceil_inv")
     return max(0, finite_ceil(lambda: math.log2(1.0 / epsilon), "log2(1/epsilon_be)"))
 
 
@@ -54,8 +53,7 @@ def lambda_potentials(spec: PlaneWaveSpec) -> tuple[float, float]:
 def lambda_total(lam_t: float, lam_u: float, lam_v: float,
                  p_nu: float, eta: int) -> float:
     """Overall subnormalization max{T'+U+V, (U + V/(1 - 1/eta)) / p_nu}."""
-    if not 0 < p_nu <= 1:
-        raise ValidationError("p_nu must lie in (0, 1]")
+    _check(p_nu, _UNIT_INTERVAL, "p_nu", "lambda_total")
     pair_factor = 1.0 / (1.0 - 1.0 / eta) if eta > 1 else 1.0
     return max(lam_t + lam_u + lam_v, (lam_u + lam_v * pair_factor) / p_nu)
 
@@ -75,8 +73,7 @@ def lattice_sum_inv_norm(n_bits: int) -> float:
     n_bits = 7, 4.3e-7 at 8 and 1.1e-7 at 9, relative. The value depends on
     n_bits alone, so it is computed once per n_bits.
     """
-    if n_bits < 1:
-        raise ValidationError("n_bits must be >= 1")
+    _check(n_bits, _at_least(1), "n_bits", "lattice_sum_inv_norm")
     if n_bits <= LATTICE_SUM_EXACT_MAX_BITS:
         half = (2**n_bits - 1) // 2
         terms = []

@@ -704,17 +704,26 @@ def test_spectral_range_overflow_exit_code(tmp_path):
     assert "Warning" not in err
 
 
-@pytest.mark.parametrize("edit", [
-    _set_model(potential={"kind": "soft_coulomb", "params": {"z": 2.0, "a": 0.0}}),
-    _set_model(potential={"kind": "gaussian_well", "params": {"sigma": 0.0}}),
-    _set_model(eta=2, n_points=32, interaction_strength=1.0, interaction_softening=0.0),
-    _set_model(box_length=1e-320),
+@pytest.mark.parametrize("edit, refusal", [
+    (_set_model(potential={"kind": "soft_coulomb", "params": {"z": 2.0, "a": 0.0}}),
+     "field 'potential' in model, or 'box_length' through the kinetic energy, gives energies "
+     "that are not finite"),
+    (_set_model(potential={"kind": "gaussian_well", "params": {"sigma": 0.0}}),
+     "field 'sigma' in gaussian_well potential params must be finite and nonzero when squared"),
+    (_set_model(eta=2, n_points=32, interaction_strength=1.0, interaction_softening=0.0),
+     "field 'interaction_softening' in model must be such that interaction_softening^2 and "
+     "the repulsion"),
+    (_set_model(box_length=1e-320),
+     "field 'potential' in model, or 'box_length' through the kinetic energy, gives energies "
+     "that are not finite"),
 ], ids=["soft_coulomb_a0", "gaussian_sigma0", "ee_softening0", "box_1e-320"])
-def test_non_finite_grid_energy_exit_code(tmp_path, capsys, edit):
+def test_non_finite_grid_energy_exit_code(tmp_path, capsys, edit, refusal):
+    # a non-finite energy is refused by name: the potential and the kinetic energy
+    # by the energy reach, the others by their own fields
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(_edited("grid_soft_coulomb_1d.json", edit)))
     assert main(["emulate-photoemission", "--input", str(path)]) == EX_VALIDATION
-    assert "must be finite" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {refusal}")
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,6 +1,7 @@
 """The CLI input boundary: mutated fixtures exit cleanly and name the bad field."""
 
 import copy
+import dataclasses
 import functools
 import json
 import math
@@ -198,12 +199,14 @@ def test_bad_field_exits_2_and_is_named(capsys, name, path, value, field):
      "interaction_softening"),
     ({"eta": 2, "n_points": 16, "interaction_strength": 1.0, "interaction_softening": 1e-170},
      "interaction_softening"),
+    ({"eta": 2, "n_points": 16, "interaction_strength": 1.0, "interaction_softening": 1e200},
+     "interaction_softening"),
 ], ids=["dims-2", "eta-3", "3d-two-electrons", "3d-64-points", "hilbert-above-2^20",
         "potential-infinite", "kind-unknown", "samples-short", "exact-eigen-8192",
         "exact-eigen-two-electrons-128", "exact-eigen-two-electrons-16",
         "default-mode-two-electrons-16", "interaction-strength-one-electron",
         "interaction-softening-one-electron", "interaction-softening-zero",
-        "interaction-softening-square-underflows"])
+        "interaction-softening-square-underflows", "interaction-softening-square-overflows"])
 def test_bad_grid_model_exits_2_and_is_named(capsys, changes, field):
     # a "filter" entry replaces the fixture's filter; the rest update its model
     data = load_fixture("grid_soft_coulomb_1d.json")
@@ -242,3 +245,122 @@ def test_integer_beyond_int64_in_a_number_field_runs(capsys, name, path, value):
     assert run_on(COMMANDS[name], mutate(load_fixture(name), path, value),
                   "--format", "json") == EX_OK
     assert capsys.readouterr().err == ""
+
+
+# Every input object with a valid base: built in Python, each field set to a value of the
+# wrong kind is refused at construction, naming the field and the object
+def _input_objects():
+    import numpy as np
+
+    from euvq import cdf, grid
+    from euvq.core import AbsorptionSpec, PlaneWaveSpec
+
+    return {
+        AbsorptionSpec: ("AbsorptionSpec", load_fixture("table1.json")["sweep"][0]),
+        PlaneWaveSpec: ("PlaneWaveSpec", load_fixture("corollary_imeph.json")),
+        grid.FilterSpec: ("FilterSpec", {"center": 1.8, "sigma": 0.2}),
+        grid.GridModel: ("model", {"n_points": 16, "box_length": 10.0,
+                                   "potential": np.zeros(16)}),
+        cdf.TwoElectronTensor: ("TwoElectronTensor", {"n_orbitals": 2,
+                                                      "values": np.zeros((2, 2, 2, 2))}),
+    }
+
+
+def _wrong_kinds(annotation):
+    kind = annotation.split(" |")[0]
+    return ([True, "x"] + ([1.5] if kind == "int" else [])
+            + ([math.nan, math.inf, -math.inf] if kind == "float" else []))
+
+
+@pytest.mark.parametrize("cls, name", [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in _input_objects() for f in dataclasses.fields(cls)])
+def test_every_field_of_the_wrong_kind_is_refused_at_construction(cls, name):
+    from euvq.core import ValidationError
+
+    where, base = _input_objects()[cls]
+    annotation = next(f.type for f in dataclasses.fields(cls) if f.name == name)
+    for value in _wrong_kinds(annotation):
+        with pytest.raises(ValidationError, match=f"^field '{name}' in {where} must be "):
+            cls(**{**base, name: value})
+
+
+def _outcome(build):
+    """None if ``build()`` succeeds, else the refusal's message."""
+    from euvq.core import ValidationError
+
+    try:
+        build()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+# values a field may take in JSON, good and bad, shared by every field
+FIELD_VALUES = [True, None, "x", [], 0, 1, 2, 3, -1, 1.5, 0.0, 1e-320, 1e200, 2**64, 10**400,
+                math.nan, math.inf, -math.inf, "AllElectron", "Pseudopotential", "body",
+                "ChebyshevPoly"]
+
+
+def _mostly(*good):
+    """One of ``good`` three times in four, else one of FIELD_VALUES."""
+    return st.one_of(*[st.sampled_from(good)] * 3, st.sampled_from(FIELD_VALUES))
+
+
+@pytest.mark.parametrize("cls", ["AbsorptionSpec", "PlaneWaveSpec", "FilterSpec"])
+def test_json_and_python_construction_agree(cls):
+    # a complete field dict is accepted or refused alike by the JSON reader and by the
+    # constructor, with the same message
+    from euvq.core import read_dataclass
+
+    cls = next(c for c in _input_objects() if c.__name__ == cls)
+    base = dataclasses.asdict(cls(**_input_objects()[cls][1]))
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.fixed_dictionaries({name: _mostly(value) for name, value in base.items()}))
+    def check(fields):
+        assert (_outcome(lambda: read_dataclass(cls, fields))
+                == _outcome(lambda: cls(**fields)))
+
+    check()
+
+
+GRID_POINTS = [2, 4, 8, 16, 32, 0, 3, 2**21, 16.0, True, "x", None]
+
+
+def test_grid_model_from_config_and_python_agree():
+    # a model read from JSON with a samples potential and one built in Python from the
+    # same values are accepted or refused alike, with the same message
+    import numpy as np
+
+    from euvq.grid import GridModel
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(dims=_mostly(1, 3), n_points=st.sampled_from(GRID_POINTS),
+           box_length=_mostly(10.0, 48.0, 5), eta=_mostly(1, 2),
+           interaction_strength=_mostly(0.0, 1.0), interaction_softening=_mostly(1.0, 0.5),
+           sample=st.sampled_from([0.0, -1.0, 2, 1e-300, 1e200, -1e308, 1e308]),
+           data=st.data())
+    def check(sample, data, **fields):
+        n = fields["n_points"]
+        size = n if type(n) is int and 0 < n <= 32 else 4
+        values = data.draw(st.lists(st.sampled_from([0.0, -1.0, 3, sample]),
+                                    min_size=size, max_size=size))
+        config = {**fields, "potential": {"kind": "samples", "params": {"values": values}}}
+        assert (_outcome(lambda: GridModel.from_config(config))
+                == _outcome(lambda: GridModel(**fields, potential=np.array(values, dtype=float))))
+
+    check()
+
+
+def test_infinite_potential_of_both_signs_is_refused_without_a_warning():
+    # +inf and -inf on the 1D axis meet in the 3D potential table as inf - inf
+    import numpy as np
+
+    from euvq.core import ValidationError
+    from euvq.grid import GridModel
+
+    potential = np.zeros(8)
+    potential[:2] = np.inf, -np.inf
+    with pytest.raises(ValidationError, match="^field 'potential' in model, or 'box_length'"):
+        GridModel(dims=3, n_points=8, box_length=6.0, potential=potential)

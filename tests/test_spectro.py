@@ -103,7 +103,7 @@ def test_exact_greens_zero_dipole():
 def test_exact_greens_requires_broadening():
     scene = two_level_scene(gap=1.0)
     for gamma in (0.0, -GAMMA):
-        with pytest.raises(ValidationError, match="'gamma' must be positive"):
+        with pytest.raises(ValidationError, match="field 'gamma' in _one_minus_decay must be positive"):
             scan(scene, [1.0], 10, gamma=gamma)
 
 
