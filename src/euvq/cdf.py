@@ -68,6 +68,11 @@ class CdfFactorization:
         return len(self.fragments)
 
 
+def _l_max_range(n: int):
+    """The rule on ``l_max`` for N orbitals: from 1 to the N^2 eigenvalues of the matricization."""
+    return _between(1, n * n)
+
+
 def double_factorize(tensor: TwoElectronTensor, l_max: int) -> CdfFactorization:
     """Factorize a two-electron tensor into at most ``l_max`` (U, Z) fragments.
 
@@ -81,7 +86,7 @@ def double_factorize(tensor: TwoElectronTensor, l_max: int) -> CdfFactorization:
     error over the retained fragments.
     """
     n = tensor.n_orbitals
-    _check(l_max, _between(1, n * n), "l_max", "tensor file")
+    _check(l_max, _l_max_range(n), "l_max", "double_factorize")
 
     mat = tensor.values.reshape(n * n, n * n)
     evals, evecs = np.linalg.eigh((mat + mat.T) / 2.0)

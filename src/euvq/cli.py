@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .core import (MAX_SHOTS, REQUIRED, AbsorptionSpec, NumericalError, PlaneWaveSpec,
-                   ValidationError, _at_least, _between, _POSITIVE, _refuse, read_dataclass,
-                   read_fields, read_numbers)
+                   ValidationError, _at_least, _between, _check, _POSITIVE, _refuse,
+                   read_dataclass, read_fields, read_numbers)
 
 EX_OK = 0
 EX_VALIDATION = 2
@@ -134,9 +134,9 @@ def run_emulate_absorption(data, seed: int) -> Output:
     from . import spectro
 
     cfg = read_fields(data, {
-        "scene": (dict, REQUIRED), "gamma": (float, REQUIRED, _POSITIVE),
+        "scene": (dict, REQUIRED), "gamma": (float, REQUIRED, spectro._GAMMA),
         "tau": (float, REQUIRED, _POSITIVE), "j_max": (int, REQUIRED, _at_least(0)),
-        "shots": (int, 1000), "omega": (dict, REQUIRED),
+        "shots": (int, 1000, spectro._SHOTS), "omega": (dict, REQUIRED),
     }, "emulate-absorption config")
     scene = spectro.scene_from_dict(cfg["scene"])
     scan = read_fields(cfg["omega"], {"min": (float, REQUIRED), "max": (float, REQUIRED),
@@ -144,6 +144,7 @@ def run_emulate_absorption(data, seed: int) -> Output:
                        "omega")
     if not math.isfinite(scan["max"] - scan["min"]):
         _refuse("max", "omega", f"a finite distance from 'min' = {scan['min']:g}", scan["max"])
+    _check(cfg["j_max"], spectro._phase_terms(scene.dim), "j_max", "emulate-absorption config")
     omegas = np.linspace(scan["min"], scan["max"], scan["points"])
     rows = spectro.spectrum_rows(scene, omegas, cfg["gamma"], cfg["tau"], cfg["j_max"],
                                  cfg["shots"], seed)
@@ -156,12 +157,12 @@ def run_emulate_photoemission(data, seed: int) -> Output:
     from . import grid
 
     cfg = read_fields(data, {
-        "model": (dict, REQUIRED), "filter": (dict, None), "time": (float, 0.0),
+        "model": (dict, REQUIRED), "filter": (dict, None), "time": (float, 0.0, grid._TIME),
         "r_cutoff": (float, REQUIRED), "bins": (dict, {"max": 2.0, "count": 20}),
         "shots": (int, 0, _between(0, MAX_SHOTS)),
     }, "emulate-photoemission config")
     model = grid.GridModel.from_config(cfg["model"])  # checks the energy reach itself
-    grid.check_r_cutoff(model, cfg["r_cutoff"])
+    _check(cfg["r_cutoff"], grid._within_box(model), "r_cutoff", "emulate-photoemission config")
     filt = None if cfg["filter"] is None else read_dataclass(grid.FilterSpec, cfg["filter"])
     bins = read_fields(cfg["bins"], {"max": (float, REQUIRED),
                                      "count": (int, REQUIRED, _between(1, MAX_BIN_COUNT))}, "bins")
@@ -169,6 +170,7 @@ def run_emulate_photoemission(data, seed: int) -> Output:
     if not np.all(np.diff(edges) > 0):
         _refuse("max", "bins", f"positive and split into {bins['count']} bins with increasing "
                 f"edges", bins["max"])
+    _check(cfg["time"], grid._series_time(model), "time", "emulate-photoemission config")
 
     psi, energy, p_w = grid.filter_and_evolve(model, filt, cfg["time"])
     leakage = grid.edge_density(model, psi)
@@ -206,6 +208,7 @@ def run_cdf(data, seed: int) -> Output:
     tensor = cdf.TwoElectronTensor(
         n_orbitals=n, values=read_numbers(cfg["values"], (n,) * 4, "field 'values' in tensor file"))
     l_max = n if cfg["l_max"] is None else cfg["l_max"]
+    _check(l_max, cdf._l_max_range(n), "l_max", "tensor file")
     fact = cdf.double_factorize(tensor, l_max)
     rotations = [cdf.givens_decompose(u) for u, _ in fact.fragments]
     return Output(data={

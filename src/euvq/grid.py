@@ -14,11 +14,10 @@ A model is checked once, when it is made (:class:`GridModel`): first each
 field's kind and declared range, alike for JSON (:meth:`GridModel.from_config`)
 and Python, then what needs several fields: the sizes, the repulsion at
 r = 0, and an energy reach that the ground state's residual bar can resolve,
-which also refuses every energy that is NaN or infinite. The time is checked
-by :func:`check_time` first thing in :func:`filter_and_evolve`, in both
-modes, and in :func:`evolve`. The cutoff is checked by
-:func:`check_r_cutoff` in :func:`continuum_project`, the last stage, so the
-CLI runs that check before the pipeline as well.
+which also refuses every energy that is NaN or infinite. A time and a cutoff
+are checked by rules of their own: first thing in :func:`filter_and_evolve`
+(both modes), :func:`evolve` and :func:`continuum_project`, under the
+argument's name, and by a reader under its config's name before any stage.
 
 As in the qubitized circuit, the polynomial filter and exp(-iHt) are both
 Chebyshev series in (H - mid) / half_span, with
@@ -69,11 +68,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qarith
-from .core import (REQUIRED, NumericalError, ValidationError, _check_fields, _field_spec,
+from .core import (REQUIRED, NumericalError, ValidationError, _check, _check_fields, _field_spec,
                    _float_array, _one_of, _POSITIVE, _ranged, _refuse, read_fields, read_numbers)
 
 EVOLVE_TAIL = 1e-12            # bound on the dropped tail of the exp(-iHt) series
 MAX_SERIES_ARGUMENT = 1e6      # largest half_span * t evolve runs: about 1e6 H applications
+_TIME = (lambda t: 0 <= t < math.inf, "non-negative and finite")  # range of any time t
 MAX_FILTER_DEGREE = 20000      # largest Chebyshev degree of the energy filter
 FIT_NODES = 64                 # first interpolation size of the filter fit, doubled as needed
 GROUND_STATE_TOL = 1e-10       # ||H psi - E psi|| (Ha) at which the ground-state iteration stops,
@@ -113,8 +113,9 @@ def _potential_from_config(data, x: np.ndarray) -> np.ndarray:
         read_fields(params, {}, where)
         return np.zeros_like(x)
     if kind == "soft_coulomb":
-        p = read_fields(params, {"z": (float, 1.0), "a": (float, 1.0), "center": (float, 0.0)},
-                        where)
+        finite_square = (lambda a: a * a < math.inf, "finite when squared")
+        p = read_fields(params, {"z": (float, 1.0), "a": (float, 1.0, finite_square),
+                                 "center": (float, 0.0)}, where)
         return -p["z"] / np.sqrt((x - p["center"]) ** 2 + p["a"] ** 2)
     if kind == "gaussian_well":
         p = read_fields(params, {
@@ -796,10 +797,11 @@ def filter_and_evolve(model: GridModel, filt: FilterSpec | None, t: float
     the ground pair by :func:`_axis_ground` as ground_state does where K is
     held: the state is W (exp(-iEt) f(E - E0) W^T D psi0) / ||f(H - E0) D psi0||,
     one phase per level in place of a series in H, exact at any t, and H is
-    never applied. The time is checked by :func:`check_time` in every mode.
+    never applied. The time is checked first, in every mode.
     Raises NumericalError when the dipole or the window removes the whole state.
     """
-    check_time(model, t)
+    for rule in (_TIME, _series_time(model)):
+        _check(t, rule, "t", "filter_and_evolve")
     if filt is not None and filt.mode == "ExactEigen":
         levels, vectors, h1, energies = _eigensystem(model)
         ground, energy = _axis_ground(model, h1, energies, vectors)
@@ -978,18 +980,11 @@ def _bessel_j(n: int, a: float) -> np.ndarray:
     return relative[:n + 1] / (1.0 + 2.0 * relative[2::2].sum())
 
 
-def check_time(model: GridModel, t: float) -> None:
-    """Reject a propagation time that :func:`evolve` cannot run, naming the config field.
-
-    The two entry points that propagate run it before any other work:
-    :func:`filter_and_evolve`, in both filter modes, and :func:`evolve`.
-    """
-    where = "emulate-photoemission config"
-    if not 0 <= t < math.inf:
-        _refuse("time", where, "non-negative and finite", t)
-    if model.half_span * t > MAX_SERIES_ARGUMENT:
-        _refuse("time", where, f"at most {MAX_SERIES_ARGUMENT / model.half_span:.3g}, beyond "
-                f"which its series needs a degree above {MAX_SERIES_ARGUMENT:g}", t)
+def _series_time(model: GridModel):
+    """The rule on a time t: the series of :func:`evolve` runs up to half_span t <= 1e6."""
+    return (lambda t: model.half_span * t <= MAX_SERIES_ARGUMENT,
+            f"at most {MAX_SERIES_ARGUMENT / model.half_span:.3g}, beyond which its series "
+            f"needs a degree above {MAX_SERIES_ARGUMENT:g}")
 
 
 def evolve(model: GridModel, state: np.ndarray, t: float) -> np.ndarray:
@@ -1001,7 +996,8 @@ def evolve(model: GridModel, state: np.ndarray, t: float) -> np.ndarray:
     degree above a whose dropped tail is below EVOLVE_TAIL, so a run costs a
     little over a applications of H and its accuracy does not depend on t.
     """
-    check_time(model, t)
+    for rule in (_TIME, _series_time(model)):
+        _check(t, rule, "t", "evolve")
     return _propagate(model._apply, model, state, t)
 
 
@@ -1034,13 +1030,11 @@ def edge_density(model: GridModel, state: np.ndarray) -> float:
     return float(psi[functools.reduce(np.logical_or.outer, [edge] * psi.ndim)].sum() / total)
 
 
-def check_r_cutoff(model: GridModel, r_cutoff: float) -> None:
-    """Reject a cutoff radius that :func:`continuum_project` cannot use, naming the config field."""
+def _within_box(model: GridModel):
+    """The rule on a cutoff radius that :func:`continuum_project` can use."""
     half_diagonal = model.box_length / 2.0 * math.sqrt(model.dims)
-    if not 0 < r_cutoff <= half_diagonal:
-        _refuse("r_cutoff", "emulate-photoemission config", f"positive and within the box "
-                f"half-diagonal {half_diagonal:.3g} Bohr, beyond which no grid point lies",
-                r_cutoff)
+    return (lambda r: 0 < r <= half_diagonal, f"positive and within the box half-diagonal "
+            f"{half_diagonal:.3g} Bohr, beyond which no grid point lies")
 
 
 def _outside(model: GridModel, r_cutoff: float, dims: int) -> np.ndarray:
@@ -1087,7 +1081,7 @@ def continuum_project(model: GridModel, state: np.ndarray, r_cutoff: float
     subspace; returns the projected (un-normalized) state and the retained
     norm^2 as success probability.
     """
-    check_r_cutoff(model, r_cutoff)
+    _check(r_cutoff, _within_box(model), "r_cutoff", "continuum_project")
     outside = _outside(model, r_cutoff, model.dims)
     psi = np.asarray(state.reshape(model.shape), dtype=complex)
     keep = functools.reduce(np.logical_or.outer, [outside] * model.eta)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import absorption
-from .core import (MAX_SHOTS, REQUIRED, ValidationError, _at_least, _between, _check, _refuse,
+from .core import (MAX_SHOTS, REQUIRED, ValidationError, _at_least, _between, _check,
                    cross_section_prefactor, read_fields, read_numbers)
 
 HERMITICITY_TOL = 1e-12
@@ -48,6 +48,8 @@ EIGENPAIR_TOL = 1e-9
 MAX_PHASE_ENTRIES = 2**24  # largest dim * (2 j_max + 1), the (line, step) terms of the sum over j
 SCAN_BLOCK_ENTRIES = 2**14  # largest frequencies * dim detuning table of a scan block
 SPECTRUM_COLUMNS = ("omega_Ha", "sigma_exact", "sigma_td", "sigma_sampled", "stderr")
+_SHOTS = _between(1, MAX_SHOTS)
+_GAMMA = (lambda g: 0 < g and g * g < math.inf, "positive and finite when squared")
 
 
 @dataclass(frozen=True)
@@ -218,6 +220,13 @@ def scene_from_dict(data: dict) -> SpectralScene:
     return SpectralScene(h, d, psi)
 
 
+def _phase_terms(dim: int):
+    """The rule on j_max at ``dim`` lines: the sum over j has at most MAX_PHASE_ENTRIES terms."""
+    return (lambda j: dim * (2 * j + 1) <= MAX_PHASE_ENTRIES,
+            f"at most {(MAX_PHASE_ENTRIES // dim - 1) // 2} at dim {dim}, so that the sum over j "
+            f"has dim * (2 j_max + 1) <= 2^24 = {MAX_PHASE_ENTRIES} terms")
+
+
 def spectrum_rows(scene: SpectralScene, omegas, gamma: float, tau: float,
                   j_max: int, shots: int, seed: int) -> list[dict]:
     """Cross-section columns (exact, time-domain, sampled) per frequency.
@@ -246,21 +255,15 @@ def spectrum_rows(scene: SpectralScene, omegas, gamma: float, tau: float,
     frequency order. Each table row is summed on its own, not by a
     matrix-vector product whose rounding can depend on the number of rows,
     and a block's one draw takes the stream as per-frequency draws do, so the
-    rows do not depend on the block split. j_max is capped by
-    dim * (2 j_max + 1) <= MAX_PHASE_ENTRIES, the count of the sum's terms.
-    Raises ValidationError if gamma and tau leave any value non-finite.
+    rows do not depend on the block split. ``shots``, ``gamma`` and j_max's cap
+    dim * (2 j_max + 1) <= MAX_PHASE_ENTRIES, the count of the sum's terms, are
+    checked first. Raises ValidationError if gamma and tau leave any value non-finite.
     """
-    where = "emulate-absorption config"
-    _check(shots, _between(1, MAX_SHOTS), "shots", where)
-    beta = absorption.beta_bound(tau, gamma, j_max)
-    if not gamma * gamma < math.inf:
-        _refuse("gamma", where, "finite when squared", gamma)
     weights, excitations = scene.line_weights, scene.excitations
-    dim = len(excitations)
-    if dim * (2 * j_max + 1) > MAX_PHASE_ENTRIES:
-        _refuse("j_max", where, f"at most {(MAX_PHASE_ENTRIES // dim - 1) // 2} at dim {dim}, so "
-                f"that the sum over j has dim * (2 j_max + 1) <= 2^24 = {MAX_PHASE_ENTRIES} "
-                f"terms", j_max)
+    _check(shots, _SHOTS, "shots", "spectrum_rows")
+    _check(gamma, _GAMMA, "gamma", "spectrum_rows")
+    _check(j_max, _phase_terms(len(excitations)), "j_max", "spectrum_rows")
+    beta = absorption.beta_bound(tau, gamma, j_max)
     omegas = np.asarray(omegas, dtype=float)
     block = max(1, SCAN_BLOCK_ENTRIES // len(excitations))
     rng = np.random.default_rng(seed)

@@ -144,7 +144,7 @@ def test_fragment_structure():
 def test_l_max_outside_one_to_n_squared_refused():
     tensor = random_symmetric_tensor(3, 5)
     assert len(double_factorize(tensor, l_max=9)) <= 9
-    refusal = "field 'l_max' in tensor file must be from 1 to 9, got "
+    refusal = "field 'l_max' in double_factorize must be from 1 to 9, got "
     for l_max in (0, 10, 100):
         with pytest.raises(ValidationError, match=f"{refusal}{l_max}$"):
             double_factorize(tensor, l_max=l_max)

@@ -414,7 +414,7 @@ def test_filter_and_evolve_checks_the_time_in_both_modes(mode):
     m = soft_model(n=64)
     filt = FilterSpec(center=1.0, sigma=0.2, mode=mode)
     t = 2.0 * grid.MAX_SERIES_ARGUMENT / m.half_span
-    with pytest.raises(ValidationError, match="field 'time'"):
+    with pytest.raises(ValidationError, match="^field 't' in filter_and_evolve must be at most "):
         grid.filter_and_evolve(m, filt, t)
 
 
@@ -551,11 +551,13 @@ def test_exact_eigen_at_3d_32_matches_the_series():
 
 
 def test_potential_at_cutoff_past_every_axis_point():
-    # in 3D the cutoff may lie beyond the box half-width, on no axis point
+    # in 3D the cutoff may lie beyond the box half-width, on no axis point, and still
+    # keep the corners of the box for the projector
     m = three_d_model(n=8)
     assert grid.potential_at_cutoff(m, 8.0) == pytest.approx(1.0 / math.sqrt(65.0))
     assert grid.potential_at_cutoff(m, 9.0) is None
-    grid.check_r_cutoff(m, 9.0)
+    _, success = grid.continuum_project(m, np.ones(m.hilbert_dim), 9.0)
+    assert 0 < success < 1
 
 
 def test_evolve_conserves_energy():

@@ -87,7 +87,8 @@ def test_mutated_fixture_never_raises(name):
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_finite_extremes_never_raise(name, capsys):
     # every number field, set to each extreme; the sampled fuzz above reaches few of them.
-    # A run that exits 0 prints strict JSON: no NaN or Infinity in any value
+    # A run that exits 0 prints strict JSON: no NaN or Infinity in any value. A refusal
+    # is never the unnamed fallback for an OverflowError that escaped every check
     base = load_fixture(name)
     for path in field_paths(base):
         node = functools.reduce(lambda parent, key: parent[key], path, base)
@@ -95,7 +96,8 @@ def test_finite_extremes_never_raise(name, capsys):
             for value in EXTREMES:
                 code = run_on(COMMANDS[name], mutate(base, path, value), "--format", "json")
                 assert code in (EX_OK, EX_VALIDATION, EX_NUMERICAL), (path, value)
-                out = capsys.readouterr().out
+                out, err = capsys.readouterr()
+                assert not err.startswith("error: value out of range"), (path, value, err)
                 if code == EX_OK:
                     json.loads(out, parse_constant=functools.partial(_non_finite, path, value))
 
@@ -187,6 +189,9 @@ def test_bad_field_exits_2_and_is_named(capsys, name, path, value, field):
     ({"dims": 3, "n_points": 64}, "n_points"),
     ({"eta": 2, "n_points": 2048}, "n_points"),
     ({"potential": {"kind": "soft_coulomb", "params": {"a": 0.0}}}, "potential"),
+    ({"potential": {"kind": "soft_coulomb", "params": {"a": 1e300}}}, "a"),
+    ({"potential": {"kind": "soft_coulomb", "params": {"a": 10**200}}}, "a"),
+    ({"potential": {"kind": "soft_coulomb", "params": {"a": -1e300}}}, "a"),
     ({"potential": {"kind": "nope"}}, "kind"),
     ({"potential": {"kind": "samples", "params": {"values": [1.0, 2.0]}}}, "values"),
     ({"n_points": 8192}, "mode"),
@@ -202,7 +207,7 @@ def test_bad_field_exits_2_and_is_named(capsys, name, path, value, field):
     ({"eta": 2, "n_points": 16, "interaction_strength": 1.0, "interaction_softening": 1e200},
      "interaction_softening"),
 ], ids=["dims-2", "eta-3", "3d-two-electrons", "3d-64-points", "hilbert-above-2^20",
-        "potential-infinite", "kind-unknown", "samples-short", "exact-eigen-8192",
+        "potential-infinite", "a-1e300", "a-10^200", "a-minus-1e300", "kind-unknown", "samples-short", "exact-eigen-8192",
         "exact-eigen-two-electrons-128", "exact-eigen-two-electrons-16",
         "default-mode-two-electrons-16", "interaction-strength-one-electron",
         "interaction-softening-one-electron", "interaction-softening-zero",
@@ -233,6 +238,72 @@ def test_bad_time_or_cutoff_exits_2_before_the_ground_state(monkeypatch, capsys,
     err = capsys.readouterr().err
     assert f"'{field}' in emulate-photoemission config" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, field, value, stage", [
+    ("grid_soft_coulomb_1d.json", "time", -1, "grid.filter_and_evolve"),
+    ("grid_soft_coulomb_1d.json", "time", 1e300, "grid.filter_and_evolve"),
+    ("scene_two_level.json", "shots", 0, "spectro.scene_from_dict"),
+    ("scene_two_level.json", "shots", 2**24 + 1, "spectro.scene_from_dict"),
+    ("scene_two_level.json", "gamma", 1e200, "spectro.scene_from_dict"),
+    ("scene_two_level.json", "j_max", 2**22, "spectro.spectrum_rows"),
+    ("tensor_random4.json", "l_max", 0, "cdf.double_factorize"),
+    ("tensor_random4.json", "l_max", 17, "cdf.double_factorize"),
+], ids=["time-negative", "time-past-the-series-cap", "shots-zero", "shots-above-2^24",
+        "gamma-square-overflows", "j_max-past-the-cap", "l_max-zero", "l_max-above-N^2"])
+def test_every_emulator_refuses_before_the_work(monkeypatch, capsys, name, field, value, stage):
+    # each reader checks a field before the first stage that reads it, and names its config
+    import importlib
+
+    module, function = stage.split(".")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{stage} ran before the config was checked")
+
+    monkeypatch.setattr(importlib.import_module(f"euvq.{module}"), function, unreachable)
+    command = COMMANDS[name]
+    assert run_on(command, mutate(load_fixture(name), (field,), value)) == EX_VALIDATION
+    err = capsys.readouterr().err
+    where = "tensor file" if command == "cdf" else f"{command} config"
+    assert err.startswith(f"error: field '{field}' in {where} must be ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("function, arg, value", [
+    ("filter_and_evolve", "t", -1.0),
+    ("filter_and_evolve", "t", 1e300),
+    ("evolve", "t", math.nan),
+    ("evolve", "t", 1e300),
+    ("continuum_project", "r_cutoff", 0.0),
+    ("continuum_project", "r_cutoff", 6.0),  # past the 5 Bohr half-width of the line
+    ("spectrum_rows", "shots", 0),
+    ("spectrum_rows", "gamma", 0.0),
+    ("spectrum_rows", "gamma", 1e200),
+    ("spectrum_rows", "j_max", 2**22),  # dim 2 caps j_max at 2^22 - 1
+    ("double_factorize", "l_max", 0),
+])
+def test_direct_library_call_names_the_function_and_argument(function, arg, value):
+    # a library function called from Python names its own argument, not a CLI config
+    import numpy as np
+    from conftest import two_level_scene
+
+    from euvq import cdf, grid, spectro
+    from euvq.core import ValidationError
+
+    model = grid.GridModel(n_points=16, box_length=10.0, potential=np.zeros(16))
+    tensor = cdf.TwoElectronTensor(n_orbitals=2, values=np.zeros((2, 2, 2, 2)))
+    args = {"t": 1.0, "r_cutoff": 2.0, "shots": 10, "gamma": 0.05, "j_max": 10, "l_max": 1,
+            arg: value}
+    calls = {
+        "filter_and_evolve": lambda: grid.filter_and_evolve(model, None, args["t"]),
+        "evolve": lambda: grid.evolve(model, np.ones(16, dtype=complex), args["t"]),
+        "continuum_project": lambda: grid.continuum_project(model, np.ones(16), args["r_cutoff"]),
+        "spectrum_rows": lambda: spectro.spectrum_rows(
+            two_level_scene(gap=1.0), [1.0], args["gamma"], 0.4, args["j_max"], args["shots"], 0),
+        "double_factorize": lambda: cdf.double_factorize(tensor, args["l_max"]),
+    }
+    with pytest.raises(ValidationError, match=f"^field '{arg}' in {function} must be "):
+        calls[function]()
 
 
 @pytest.mark.parametrize("name, path", [
