@@ -206,7 +206,7 @@ def run_cdf(data, seed: int) -> Output:
     }, "tensor file")
     n = cfg["n_orbitals"]
     tensor = cdf.TwoElectronTensor(
-        n_orbitals=n, values=read_numbers(cfg["values"], (n,) * 4, "field 'values' in tensor file"))
+        n_orbitals=n, values=read_numbers(cfg["values"], (n,) * 4, "values", "tensor file"))
     l_max = n if cfg["l_max"] is None else cfg["l_max"]
     _check(l_max, cdf._l_max_range(n), "l_max", "tensor file")
     fact = cdf.double_factorize(tensor, l_max)

@@ -1,11 +1,12 @@
 """Shared domain types, physical constants, and the input reader.
 
-Every JSON input field is kind- and range-checked once, by :func:`read_fields` or
-:func:`read_numbers`. A range is a rule: a NaN-safe predicate and the phrase its
+Every scalar input field is kind- and range-checked once, by one routine,
+:func:`_check_values`, after its object's names; every refusal is worded by
+:func:`_refuse`. A range is a rule: a NaN-safe predicate and the phrase its
 refusal reads. Each input dataclass declares every field once, at the field:
-the annotation gives its kind and :func:`_ranged` its rule. Construction
-checks both (:func:`_check_fields`), so an object built in Python passes the
-checks its JSON form does, and every range refusal is worded by :func:`_refuse`.
+the annotation gives its kind and :func:`_ranged` its rule. Its constructor
+checks the values (:func:`_check_fields`), so :func:`read_dataclass` checks a
+JSON object's names only and a spec built in Python passes the same checks.
 
 All internal energies are in Hartree, times in atomic units, lengths in
 Bohr. Conversions to/from eV and femtoseconds happen only at input/output
@@ -195,7 +196,7 @@ class AbsorptionSpec:
         return read_dataclass(cls, data)
 
     def to_dict(self) -> dict:
-        return _spec_to_dict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -241,7 +242,7 @@ class PlaneWaveSpec:
         return read_dataclass(cls, data)
 
     def to_dict(self) -> dict:
-        return _spec_to_dict(self)
+        return dict(vars(self))
 
 
 REQUIRED = object()  # the default of a field that must be present
@@ -259,43 +260,53 @@ def _is_kind(value, kind) -> bool:
     return isinstance(value, kind)
 
 
-def read_fields(data, spec: dict, where: str) -> dict:
-    """Check the JSON object ``data`` against ``spec``; return its fields, defaults filled in.
-
-    ``spec`` maps each name to ``(kind, default)`` or ``(kind, default, rule)``,
-    kind one of int, float, str, dict or list. Neither an int nor a float
-    takes a boolean; an int takes no integer beyond the float range, and a
-    float takes any finite number, integers included, and returns it as a
-    float. A given value, not null, must then keep ``rule``. null is accepted
-    only where the default is None; a default of REQUIRED makes the field
-    mandatory. Errors name the field and ``where``, the object it sits in.
-    """
+def _check_names(data, spec: dict, where: str) -> None:
+    """Refuse ``data`` unless it is an object with no unknown and no missing required field."""
     if not isinstance(data, dict):
         raise ValidationError(f"{where} must be a JSON object")
     unknown = sorted(set(data) - set(spec))
     if unknown:
         raise ValidationError(f"unknown field(s) {unknown} in {where}")
+    for name, (_, default, *_) in spec.items():
+        if default is REQUIRED and name not in data:
+            raise ValidationError(f"missing field '{name}' in {where}")
+
+
+def _check_values(values: dict, spec: dict, where: str) -> dict:
+    """Each field of ``spec`` in order, from ``values`` or its default, as its checks return it.
+
+    null passes where the default is None. Otherwise the value must be of its
+    kind: neither an int nor a float takes a boolean, an int takes no integer
+    beyond the float range, and a float takes any finite number, integers
+    included, and is returned as a float. It must then keep its rule.
+    """
     out = {}
     for name, (kind, default, *rule) in spec.items():
-        if name not in data:
-            if default is REQUIRED:
-                raise ValidationError(f"missing field '{name}' in {where}")
-            out[name] = default
-            continue
-        value = data[name]
-        if value is None and default is None:
-            out[name] = None
-            continue
-        if not _is_kind(value, kind):
-            _refuse(name, where, _KIND_NAMES[kind], value)
-        out[name] = value = float(value) if kind is float else value
-        if rule:
-            _check(value, rule[0], name, where)
+        value = values.get(name, default)
+        if value is not None or default is not None:
+            if not _is_kind(value, kind):
+                _refuse(name, where, _KIND_NAMES[kind], value)
+            value = float(value) if kind is float else value
+            if rule:
+                _check(value, rule[0], name, where)
+        out[name] = value
     return out
 
 
-def read_numbers(value, shape: tuple[int, ...], where: str):
-    """A flat JSON list of finite numbers as a float array of ``shape``, filled row-major."""
+def read_fields(data, spec: dict, where: str) -> dict:
+    """Check the JSON object ``data`` against ``spec``; return its fields, defaults filled in.
+
+    ``spec`` maps each name to ``(kind, default)`` or ``(kind, default, rule)``,
+    kind one of int, float, str, dict, list or object (any value); a default of
+    REQUIRED makes the field mandatory. The names are checked first, then each
+    value in spec order. Errors name the field and ``where``, the object it sits in.
+    """
+    _check_names(data, spec, where)
+    return _check_values(data, spec, where)
+
+
+def read_numbers(value, shape: tuple[int, ...], name: str, where: str):
+    """The field ``name``, a flat JSON list of finite numbers, as a row-major array of ``shape``."""
     import numpy as np
 
     size = math.prod(shape)
@@ -304,7 +315,7 @@ def read_numbers(value, shape: tuple[int, ...], where: str):
         with contextlib.suppress(OverflowError):  # an integer too large to become a float
             array = np.asarray(value, dtype=float)
     if array is None or not np.isfinite(array).all():
-        raise ValidationError(f"{where} must be a list of {size} finite numbers")
+        _refuse(name, where, f"a list of {size} finite numbers", value)
     return array.reshape(shape)
 
 
@@ -320,49 +331,28 @@ def _float_array(value, shape: tuple[int, ...], name: str, where: str):
 
 
 @functools.cache
-def _field_spec(cls) -> tuple[dict, tuple]:
-    """A dataclass's ``read_fields`` spec and the checks its construction makes.
+def _field_spec(cls) -> dict:
+    """A dataclass's ``read_fields`` spec: kinds from the annotations, rules from :func:`_ranged`.
 
-    The spec takes kinds from the annotations, defaults from the fields and
-    rules from :func:`_ranged`; the checks give, in field order, each field's
-    (name, optional, kind, rule) from the same declaration.
+    A field not annotated int, float or str, such as an array, takes any kind (object).
     """
     hints = typing.get_type_hints(cls)
-    spec, checks = {}, []
+    spec = {}
     for f in fields(cls):
         kind = [k for k in typing.get_args(hints[f.name]) or (hints[f.name],)
                 if k is not type(None)][0]
         rule = f.metadata.get("rule")
-        spec[f.name] = (kind, REQUIRED if f.default is MISSING else f.default) + (
-            (rule,) if rule else ())
-        checks.append((f.name, f.default is None, kind, rule))
-    return spec, tuple(checks)
+        spec[f.name] = (kind if kind in (int, float, str) else object,
+                        REQUIRED if f.default is MISSING else f.default) + ((rule,) if rule else ())
+    return spec
 
 
 def _check_fields(obj, where: str | None = None) -> None:
-    """Check each field of the dataclass ``obj`` as :func:`read_fields` checks its JSON form.
-
-    An int, float or str field must be of its kind, and a float field is
-    stored as a float; then the field must keep its declared rule. The first
-    field that fails is refused, naming ``where``, by default the class name.
-    """
-    where = where or type(obj).__name__
-    for name, optional, kind, rule in _field_spec(type(obj))[1]:
-        value = getattr(obj, name)
-        if optional and value is None:
-            continue
-        if kind in (int, float, str) and not _is_kind(value, kind):
-            _refuse(name, where, _KIND_NAMES[kind], value)
-        if kind is float and type(value) is not float:
-            object.__setattr__(obj, name, value := float(value))
-        if rule and not rule[0](value):
-            _refuse(name, where, rule[1], value)
+    """Check ``obj``'s fields by :func:`_check_values`, as its JSON form is read, and store them."""
+    vars(obj).update(_check_values(vars(obj), _field_spec(type(obj)), where or type(obj).__name__))
 
 
 def read_dataclass(cls, data):
-    """Build the dataclass ``cls`` from a JSON object through :func:`read_fields`."""
-    return cls(**read_fields(data, _field_spec(cls)[0], cls.__name__))
-
-
-def _spec_to_dict(spec) -> dict:
-    return {name: getattr(spec, name) for name in spec.__dataclass_fields__}
+    """Build the dataclass ``cls`` from a JSON object: names checked here, values by ``cls``."""
+    _check_names(data, _field_spec(cls), cls.__name__)
+    return cls(**data)

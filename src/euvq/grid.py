@@ -128,7 +128,7 @@ def _potential_from_config(data, x: np.ndarray) -> np.ndarray:
         return 0.5 * read_fields(params, {"k": (float, 1.0)}, where)["k"] * x**2
     if kind == "samples":
         values = read_fields(params, {"values": (list, REQUIRED)}, where)["values"]
-        return read_numbers(values, x.shape, "field 'values' in samples potential params")
+        return read_numbers(values, x.shape, "values", where)
     _refuse("kind", "model.potential", "zero, soft_coulomb, gaussian_well, harmonic or samples",
             kind)
 
@@ -361,7 +361,8 @@ class GridModel:
     @classmethod
     def from_config(cls, data: dict) -> "GridModel":
         """Build from JSON: the fields by the class's own spec, ``potential`` as {kind, params}."""
-        cfg = read_fields(data, {**_field_spec(cls)[0], "potential": (dict, {"kind": "zero"})},
+        # every value is checked here, not left to __init__: the axis needs n_points and box_length
+        cfg = read_fields(data, {**_field_spec(cls), "potential": (dict, {"kind": "zero"})},
                           "model")
         x = _axis(cfg["n_points"], cfg["box_length"])
         with np.errstate(all="ignore"):  # a non-finite energy is refused by __post_init__

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import absorption
-from .core import (MAX_SHOTS, REQUIRED, ValidationError, _at_least, _between, _check,
+from .core import (MAX_SHOTS, REQUIRED, ValidationError, _at_least, _between, _check, _POSITIVE,
                    cross_section_prefactor, read_fields, read_numbers)
 
 HERMITICITY_TOL = 1e-12
@@ -207,12 +207,12 @@ def scene_from_dict(data: dict) -> SpectralScene:
     dim = scene["dim"]
 
     def join(name, shape):
-        entry = read_fields(scene[name], {"re": (list, REQUIRED), "im": (list, None)},
-                            f"scene.{name}")
-        re = read_numbers(entry["re"], shape, f"field 're' in scene.{name}")
+        where = f"scene.{name}"
+        entry = read_fields(scene[name], {"re": (list, REQUIRED), "im": (list, None)}, where)
+        re = read_numbers(entry["re"], shape, "re", where)
         if entry["im"] is None:
             return re + 0j
-        return re + 1j * read_numbers(entry["im"], shape, f"field 'im' in scene.{name}")
+        return re + 1j * read_numbers(entry["im"], shape, "im", where)
 
     h = join("hamiltonian", (dim, dim))
     d = join("dipole", (dim, dim))
@@ -255,13 +255,16 @@ def spectrum_rows(scene: SpectralScene, omegas, gamma: float, tau: float,
     frequency order. Each table row is summed on its own, not by a
     matrix-vector product whose rounding can depend on the number of rows,
     and a block's one draw takes the stream as per-frequency draws do, so the
-    rows do not depend on the block split. ``shots``, ``gamma`` and j_max's cap
-    dim * (2 j_max + 1) <= MAX_PHASE_ENTRIES, the count of the sum's terms, are
-    checked first. Raises ValidationError if gamma and tau leave any value non-finite.
+    rows do not depend on the block split. ``shots``, ``gamma``, ``tau``,
+    j_max >= 0 and j_max's cap dim * (2 j_max + 1) <= MAX_PHASE_ENTRIES, the
+    count of the sum's terms, are checked first. Raises ValidationError if
+    gamma and tau leave any value non-finite.
     """
     weights, excitations = scene.line_weights, scene.excitations
     _check(shots, _SHOTS, "shots", "spectrum_rows")
     _check(gamma, _GAMMA, "gamma", "spectrum_rows")
+    _check(tau, _POSITIVE, "tau", "spectrum_rows")
+    _check(j_max, _at_least(0), "j_max", "spectrum_rows")
     _check(j_max, _phase_terms(len(excitations)), "j_max", "spectrum_rows")
     beta = absorption.beta_bound(tau, gamma, j_max)
     omegas = np.asarray(omegas, dtype=float)

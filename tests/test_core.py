@@ -128,13 +128,20 @@ def test_read_fields_presence_and_null():
         read_fields({"a": 1.5, "d": 0}, spec, "obj")
     with pytest.raises(ValidationError, match="obj must be a JSON object"):
         read_fields([1.5], spec, "obj")
+    # the names come first: a missing field is refused before a bad value read ahead of it
+    with pytest.raises(ValidationError, match="^missing field 'a' in obj$"):
+        read_fields({"b": "x"}, {"b": (int, 7), **spec}, "obj")
 
 
 def test_read_numbers_shape_and_finiteness():
-    assert read_numbers([1, 2.5, 3, 4], (2, 2), "m").tolist() == [[1.0, 2.5], [3.0, 4.0]]
-    for bad in ([1, 2, 3], [1, 2, 3, math.nan], [1, 2, 3, True], [[1, 2], [3, 4]], {}):
-        with pytest.raises(ValidationError, match="m must be a list of 4 finite numbers"):
-            read_numbers(bad, (2, 2), "m")
+    assert read_numbers([1, 2.5, 3, 4], (2, 2), "m", "obj").tolist() == [[1.0, 2.5], [3.0, 4.0]]
+    for bad in ([1, 2, 3], [1, 2, 3, math.nan], [1, 2, 3, True], [[1, 2], [3, 4]], {},
+                [1, 2, 3, 10**400]):
+        with pytest.raises(ValidationError) as refusal:
+            read_numbers(bad, (2, 2), "m", "obj")
+        shown = repr(bad) if len(repr(bad)) <= 40 else repr(bad)[:37] + "..."
+        assert str(refusal.value) == ("field 'm' in obj must be a list of 4 finite numbers, "
+                                      f"got {shown}")
 
 
 def test_spec_field_types_from_annotations():

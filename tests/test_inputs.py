@@ -224,32 +224,40 @@ def test_bad_grid_model_exits_2_and_is_named(capsys, changes, field):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("field, value", [("time", -1), ("time", 1e300), ("r_cutoff", -1),
-                                          ("r_cutoff", 1e300)])
+@pytest.mark.parametrize("field, value", [("time", -1), ("time", 1e300)])
 def test_bad_time_or_cutoff_exits_2_before_the_ground_state(monkeypatch, capsys, field, value):
+    # both routines that give a ground pair are guarded: the fixture's ExactEigen run takes
+    # _axis_ground, a run without a window takes ground_state
     from euvq import grid
 
     def unreachable(*args, **kwargs):
         raise AssertionError("the ground state ran before the config was checked")
 
     monkeypatch.setattr(grid, "ground_state", unreachable)
-    data = mutate(load_fixture("grid_soft_coulomb_1d.json"), (field,), value)
-    assert run_on("emulate-photoemission", data) == EX_VALIDATION
-    err = capsys.readouterr().err
-    assert f"'{field}' in emulate-photoemission config" in err
-    assert err.count("\n") == 1
+    monkeypatch.setattr(grid, "_axis_ground", unreachable)
+    data = load_fixture("grid_soft_coulomb_1d.json")
+    for run in (data, {k: v for k, v in data.items() if k != "filter"}):
+        with pytest.raises(AssertionError, match="ground state ran before"):
+            run_on("emulate-photoemission", run)  # the unmutated config reaches a ground pair
+        assert run_on("emulate-photoemission", mutate(run, (field,), value)) == EX_VALIDATION
+        err = capsys.readouterr().err
+        assert f"'{field}' in emulate-photoemission config" in err
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name, field, value, stage", [
     ("grid_soft_coulomb_1d.json", "time", -1, "grid.filter_and_evolve"),
     ("grid_soft_coulomb_1d.json", "time", 1e300, "grid.filter_and_evolve"),
+    ("grid_soft_coulomb_1d.json", "r_cutoff", -1, "grid.filter_and_evolve"),
+    ("grid_soft_coulomb_1d.json", "r_cutoff", 1e300, "grid.filter_and_evolve"),
     ("scene_two_level.json", "shots", 0, "spectro.scene_from_dict"),
     ("scene_two_level.json", "shots", 2**24 + 1, "spectro.scene_from_dict"),
     ("scene_two_level.json", "gamma", 1e200, "spectro.scene_from_dict"),
     ("scene_two_level.json", "j_max", 2**22, "spectro.spectrum_rows"),
     ("tensor_random4.json", "l_max", 0, "cdf.double_factorize"),
     ("tensor_random4.json", "l_max", 17, "cdf.double_factorize"),
-], ids=["time-negative", "time-past-the-series-cap", "shots-zero", "shots-above-2^24",
+], ids=["time-negative", "time-past-the-series-cap", "r_cutoff-negative",
+        "r_cutoff-past-the-box", "shots-zero", "shots-above-2^24",
         "gamma-square-overflows", "j_max-past-the-cap", "l_max-zero", "l_max-above-N^2"])
 def test_every_emulator_refuses_before_the_work(monkeypatch, capsys, name, field, value, stage):
     # each reader checks a field before the first stage that reads it, and names its config
@@ -262,6 +270,8 @@ def test_every_emulator_refuses_before_the_work(monkeypatch, capsys, name, field
 
     monkeypatch.setattr(importlib.import_module(f"euvq.{module}"), function, unreachable)
     command = COMMANDS[name]
+    with pytest.raises(AssertionError, match="ran before the config was checked"):
+        run_on(command, load_fixture(name))  # the unmutated fixture reaches the stage
     assert run_on(command, mutate(load_fixture(name), (field,), value)) == EX_VALIDATION
     err = capsys.readouterr().err
     where = "tensor file" if command == "cdf" else f"{command} config"
@@ -280,6 +290,8 @@ def test_every_emulator_refuses_before_the_work(monkeypatch, capsys, name, field
     ("spectrum_rows", "gamma", 0.0),
     ("spectrum_rows", "gamma", 1e200),
     ("spectrum_rows", "j_max", 2**22),  # dim 2 caps j_max at 2^22 - 1
+    ("spectrum_rows", "tau", 0.0),
+    ("spectrum_rows", "j_max", -1),
     ("double_factorize", "l_max", 0),
 ])
 def test_direct_library_call_names_the_function_and_argument(function, arg, value):
@@ -292,14 +304,15 @@ def test_direct_library_call_names_the_function_and_argument(function, arg, valu
 
     model = grid.GridModel(n_points=16, box_length=10.0, potential=np.zeros(16))
     tensor = cdf.TwoElectronTensor(n_orbitals=2, values=np.zeros((2, 2, 2, 2)))
-    args = {"t": 1.0, "r_cutoff": 2.0, "shots": 10, "gamma": 0.05, "j_max": 10, "l_max": 1,
-            arg: value}
+    args = {"t": 1.0, "r_cutoff": 2.0, "shots": 10, "gamma": 0.05, "tau": 0.4, "j_max": 10,
+            "l_max": 1, arg: value}
     calls = {
         "filter_and_evolve": lambda: grid.filter_and_evolve(model, None, args["t"]),
         "evolve": lambda: grid.evolve(model, np.ones(16, dtype=complex), args["t"]),
         "continuum_project": lambda: grid.continuum_project(model, np.ones(16), args["r_cutoff"]),
         "spectrum_rows": lambda: spectro.spectrum_rows(
-            two_level_scene(gap=1.0), [1.0], args["gamma"], 0.4, args["j_max"], args["shots"], 0),
+            two_level_scene(gap=1.0), [1.0], args["gamma"], args["tau"], args["j_max"],
+            args["shots"], 0),
         "double_factorize": lambda: cdf.double_factorize(tensor, args["l_max"]),
     }
     with pytest.raises(ValidationError, match=f"^field '{arg}' in {function} must be "):
@@ -394,6 +407,36 @@ def test_json_and_python_construction_agree(cls):
                 == _outcome(lambda: cls(**fields)))
 
     check()
+
+
+@pytest.mark.parametrize("cls", ["AbsorptionSpec", "PlaneWaveSpec", "FilterSpec"])
+def test_json_object_names_are_checked_before_its_values(cls):
+    # a wrong-kind field read before a missing one: the missing name is refused first
+    from euvq.core import ValidationError, read_dataclass
+
+    cls = next(c for c in _input_objects() if c.__name__ == cls)
+    required = [f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING]
+    first, last = required[0], required[-1]
+    data = {**_input_objects()[cls][1], first: "x"}
+    del data[last]
+    with pytest.raises(ValidationError, match=f"^missing field '{last}' in {cls.__name__}$"):
+        read_dataclass(cls, data)
+
+
+def test_a_spec_read_from_json_checks_each_field_once(monkeypatch):
+    # read_dataclass checks the names; the constructor checks every field's kind, once
+    from euvq import core
+
+    calls, is_kind = [], core._is_kind
+
+    def counted(value, kind):
+        calls.append(value)
+        return is_kind(value, kind)
+
+    monkeypatch.setattr(core, "_is_kind", counted)
+    spec = core.read_dataclass(core.AbsorptionSpec, load_fixture("table1.json")["sweep"][0])
+    values = [getattr(spec, f.name) for f in dataclasses.fields(spec)]
+    assert len(calls) == sum(value is not None for value in values)
 
 
 GRID_POINTS = [2, 4, 8, 16, 32, 0, 3, 2**21, 16.0, True, "x", None]
